@@ -64,7 +64,6 @@ import logging
 import pathlib
 import sys
 import tracemalloc
-import warnings
 from typing import Dict, List, Optional
 
 from repro.analysis.speedup import measured_speedup
@@ -195,29 +194,11 @@ def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
     return params
 
 
-class _DeprecatedKernelFlag(argparse.Action):
-    """``--kernel``: hidden alias for ``--mc-kernel``, warns on use."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            "--kernel is deprecated; use --mc-kernel",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
-
-
 def _add_kernel_args(parser, choices, help_text: str) -> None:
-    """``--mc-kernel`` (canonical, matches ``Scenario.mc_kernel``) plus
-    the hidden deprecated ``--kernel`` spelling."""
+    """``--mc-kernel`` (matches ``Scenario.mc_kernel``)."""
     parser.add_argument(
         "--mc-kernel", dest="mc_kernel", choices=choices, default="auto",
         help=help_text,
-    )
-    parser.add_argument(
-        "--kernel", dest="mc_kernel", choices=choices,
-        action=_DeprecatedKernelFlag, default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
     )
 
 
@@ -1005,8 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--trials", type=int, default=1000)
     p_rel.add_argument("--seed", type=int, default=0)
     _add_kernel_args(p_rel, MC_KERNELS,
-                     "lifetime kernel: auto picks the vectorized "
-                     "one when numpy is available")
+                     "lifetime kernel: auto is the vectorized one")
     _add_jobs_arg(p_rel, "the Monte-Carlo fan-out")
     p_rel.set_defaults(func=_cmd_reliability)
 
@@ -1032,9 +1012,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lc.add_argument("--foreground", type=float, default=0.0,
                       help="fraction of bandwidth reserved for user I/O")
     _add_kernel_args(p_lc, LIFECYCLE_KERNELS,
-                     "lifecycle kernel: auto picks the vectorized "
-                     "(columnar) kernel when numpy is available; "
-                     "both kernels return identical results")
+                     "lifecycle kernel: auto is the vectorized "
+                     "(columnar) kernel; both kernels return "
+                     "identical results")
     p_lc.add_argument("--lse-rate", type=float, default=0.0,
                       help="latent sector errors per byte read during "
                            "rebuild (e.g. 1e-15)")
@@ -1118,9 +1098,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--trials", type=int, default=1)
     p_srv.add_argument("--serve-kernel", dest="serve_kernel",
                        choices=SERVE_KERNELS, default="auto",
-                       help="serving kernel: auto picks the vectorized "
-                            "queue sweep when numpy is available; both "
-                            "kernels produce bit-identical results")
+                       help="serving kernel: auto is the vectorized "
+                            "queue sweep; both kernels produce "
+                            "bit-identical results")
     p_srv.add_argument("--seed", type=int, default=0)
     _add_jobs_arg(p_srv, "the trial fan-out")
     p_srv.set_defaults(func=_cmd_serve)

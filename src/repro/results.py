@@ -14,27 +14,19 @@ protocol normalizes all of them behind three methods:
 * ``from_dict(doc)`` — the inverse, dispatching on the tag, so saved
   results reload as the original dataclass. Documents written by older
   revisions still load: the legacy ``"inf"`` / ``"-inf"`` / ``"nan"``
-  string spellings come back as the original floats, and keys stored
-  under a :func:`deprecated_alias`'d old name are remapped to the
-  current field.
+  string spellings come back as the original floats.
 * ``summary()`` — a flat ``{metric: number}`` dict of the headline
   quantities, suitable for the bench JSONL records and quick printing.
 
 :class:`ResultBase` supplies the machinery; result classes inherit it and
 declare ``SUMMARY_KEYS`` (field/property names to surface). The registry
 maps type tags back to classes for :func:`result_from_dict`.
-
-Renamed attributes keep working through :func:`deprecated_alias`, which
-builds a property that forwards to the new name and emits a
-``DeprecationWarning`` — the shim that lets the normalization land
-without breaking existing callers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Any, Dict, Type
 
 from repro.errors import ReproError
@@ -47,52 +39,6 @@ def register_result(cls: type) -> type:
     """Class decorator registering *cls* for :func:`result_from_dict`."""
     RESULT_TYPES[cls.__name__] = cls
     return cls
-
-
-class _DeprecatedAlias(property):
-    """A forwarding property that remembers its ``(old, new)`` mapping.
-
-    The mapping is what lets :meth:`ResultBase.from_dict` load documents
-    that were serialized before the rename — an old JSONL line carrying
-    the old key still rebuilds the current dataclass.
-    """
-
-    old: str
-    new: str
-
-
-def deprecated_alias(old: str, new: str) -> property:
-    """A property forwarding *old* attribute access to *new*, with a warning.
-
-    Attach to a class as ``old_name = deprecated_alias("old_name",
-    "new_name")`` when a field is renamed; reads keep working and emit a
-    ``DeprecationWarning`` naming the replacement, and stored documents
-    using the old key name keep loading through ``from_dict``.
-    """
-
-    def getter(self):
-        warnings.warn(
-            f"{type(self).__name__}.{old} is deprecated; use .{new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new)
-
-    getter.__doc__ = f"Deprecated alias of :attr:`{new}`."
-    alias = _DeprecatedAlias(getter)
-    alias.old = old
-    alias.new = new
-    return alias
-
-
-def _field_aliases(target: type) -> Dict[str, str]:
-    """``{old_key: new_field}`` for every :func:`deprecated_alias` on *target*."""
-    aliases: Dict[str, str] = {}
-    for klass in reversed(target.__mro__):
-        for attr in vars(klass).values():
-            if isinstance(attr, _DeprecatedAlias):
-                aliases[attr.old] = attr.new
-    return aliases
 
 
 def _jsonify(value: Any) -> Any:
@@ -174,9 +120,6 @@ class ResultBase:
             for key, value in doc.items()
             if key in names
         }
-        for old, new in _field_aliases(target).items():
-            if new in names and new not in kwargs and old in doc:
-                kwargs[new] = _unjsonify(doc[old])
         missing = names - set(kwargs)
         if missing:
             raise ReproError(

@@ -112,15 +112,15 @@ class Scenario:
         seed: base RNG seed (``None`` = nondeterministic).
         jobs: worker processes; results are bit-identical for any value.
         mc_kernel: Monte-Carlo kernel (reliability, lifecycle) —
-            ``auto`` picks the numpy-vectorized kernel when numpy is
-            available, ``vectorized``/``event`` force one. The lifetime
+            ``auto`` is the numpy-vectorized kernel,
+            ``vectorized``/``event`` force one. The lifetime
             kernels draw different (equally valid) random streams, so
             switching changes individual trials but not the statistics;
             the lifecycle kernels share one sampling plane, so there the
             choice changes wall clock only, never the result.
-        serve_kernel: serving kernel (serve only) — ``auto`` picks the
-            vectorized queue sweep when numpy is available,
-            ``vectorized``/``event`` force one. Both serve kernels read
+        serve_kernel: serving kernel (serve only) — ``auto`` is the
+            vectorized queue sweep, ``vectorized``/``event`` force one.
+            Both serve kernels read
             one sampling plane, so the choice changes wall clock only,
             never a bit of the result or its telemetry.
         telemetry: collecting telemetry, or ``None`` for the ambient

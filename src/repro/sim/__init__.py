@@ -10,14 +10,16 @@
 * :mod:`repro.sim.montecarlo` — system-lifetime Monte-Carlo, cross-checking
   the Markov results and capturing what the chains abstract away.
 * :mod:`repro.sim.columnar` — the shared columnar Monte-Carlo core:
-  per-trial counter-based draw lanes and the per-disk state tables both
-  kernel families read (sampling plane vs. exact event-replay plane).
+  per-trial counter-based draw lanes, the per-disk state tables both
+  kernel families read (sampling plane vs. exact event-replay plane),
+  and the one lockstep renewal screen the lifecycle and fleet kernels
+  run.
 * :mod:`repro.sim.lifecycle` — full-lifecycle Monte-Carlo whose repair
   durations are *derived from the layout* (every failure arrival re-plans
   the pattern and reads its rebuild clock from the rebuild simulator),
   coupling recovery speed to reliability instead of assuming an MTTR.
   Ships an event kernel and a lockstep columnar kernel that return
-  bit-identical results on numpy builds.
+  bit-identical results.
 * :mod:`repro.sim.serve` — online serving: foreground request streams
   contending with throttled rebuild traffic on per-disk queues (also
   exposed as :mod:`repro.serve`).
@@ -27,7 +29,7 @@
   rates, and flat-memory streaming aggregation.
 * :mod:`repro.sim.parallel` — process fan-out for the Monte-Carlo,
   fault-pattern, fleet, and serving sweeps, bit-identical for any worker
-  count.
+  count; one chunk driver (``run_chunks``) serves every simulator.
 """
 
 from repro.sim.columnar import (

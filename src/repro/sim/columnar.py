@@ -13,10 +13,10 @@ for both planes so the kernels stop duplicating scaffolding:
   addressable without sequential generator state. Both lifecycle kernels
   draw from the *same* lanes: the vectorized kernel reads whole
   ``(trials, slots)`` planes, the event kernel walks one trial at a time
-  through a :class:`LaneCursor` — which is what makes ``--kernel`` a pure
-  speed knob: on a numpy build the two kernels return bit-identical
-  results, because every uniform (and every exponential, computed once by
-  ``numpy.log`` over the whole plane) is literally the same float.
+  through a :class:`LaneCursor` — which is what makes ``--mc-kernel`` a
+  pure speed knob: the two kernels return bit-identical results, because
+  every uniform (and every exponential, computed once by ``numpy.log``
+  over the whole plane) is literally the same float.
 * :class:`DiskStateTable` — the columnar per-disk state (status, failure
   clock, repair clock, BIBD group membership) the kernels advance. A
   struct-of-arrays rather than an interleaved numpy structured dtype:
@@ -32,13 +32,14 @@ for both planes so the kernels stop duplicating scaffolding:
   lifetime kernel's tiered renewal sampler and concurrency filter, moved
   here verbatim from :mod:`repro.sim.montecarlo` so the lifecycle kernel
   shares the machinery instead of copying it.
+* :class:`LockstepScreen` — the lockstep renewal screen the lifecycle
+  and fleet kernels share: all trials advance one failure incident per
+  round on the disk-state table, clean incidents are settled columnar,
+  and trials whose incident overlaps a second failure (or is struck by a
+  latent sector error) are flagged for the caller's exact replay.
 
-Without numpy the pure-Python lane implementation produces bit-identical
-*uniforms* (the integer mixing and the power-of-two scaling are exact in
-both implementations); exponentials then come from ``math.log`` instead
-of ``numpy.log`` and may differ from a numpy build in the last ulp. That
-is irrelevant in practice: installs without numpy can only run the event
-kernel, so there is no second kernel to compare against.
+numpy is a hard dependency (``pyproject.toml``); there is no pure-Python
+lane implementation.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterator, NamedTuple, Tuple
 
-try:  # the vectorized kernels need numpy; the event kernels do not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.obs.prof import ambient_profiler
@@ -81,7 +79,7 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z):  # pragma: no cover - exercised via TrialStreams
+def _mix64_np(z):
     """splitmix64 finalizer on uint64 arrays; bit-identical to :func:`mix64`."""
     z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_A)
     z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_B)
@@ -89,7 +87,7 @@ def _mix64_np(z):  # pragma: no cover - exercised via TrialStreams
 
 
 def lane_seed(seed: int, trial: int) -> int:
-    """The lane seed of *trial* under run seed *seed* (both impls agree)."""
+    """The lane seed of *trial* under run seed *seed* (scalar reference)."""
     return mix64((seed & _MASK64) + (trial + 1) * GOLDEN_STRIDE)
 
 
@@ -105,6 +103,24 @@ def derive_chunk_seed(seed: int, chunk_id: int) -> int:
     return (seed ^ (chunk_id * GOLDEN_STRIDE)) & _SEED_MASK
 
 
+class ChunkSpec(NamedTuple):
+    """One chunk of a run, as the driver hands it to a chunk function.
+
+    ``index`` is the chunk's position in chunk order, ``start`` the
+    global index of its first trial and ``size`` its trial count;
+    ``seed`` is the **run** seed. Chunk functions derive what they
+    sample from these alone — a per-chunk stream
+    (``derive_chunk_seed(seed, index)``), per-trial streams
+    (``derive_chunk_seed(seed, start + i)``) or globally keyed lanes
+    (``lane_offset=start``) — never from ``jobs``.
+    """
+
+    index: int
+    start: int
+    size: int
+    seed: int
+
+
 def derive_lane_seeds(seeds, lanes_per_seed: int):
     """Flat per-purpose lane seeds for a batch of run seeds.
 
@@ -112,19 +128,16 @@ def derive_lane_seeds(seeds, lanes_per_seed: int):
     the glue that lets one batched :class:`TrialStreams` (via the
     ``lane_seeds`` override) materialize many runs' purpose-keyed lanes
     side by side while each run keeps reading exactly the floats it
-    would read alone. Returns a ``uint64`` array on numpy builds, a
-    list of ints otherwise.
+    would read alone. Returns a ``uint64`` array.
     """
     if lanes_per_seed < 1:
         raise SimulationError(
             f"lanes_per_seed must be >= 1, got {lanes_per_seed}"
         )
-    if _np is not None:
-        base = _np.array([s & _MASK64 for s in seeds], dtype=_np.uint64)
-        purposes = _np.arange(1, lanes_per_seed + 1, dtype=_np.uint64)
-        mixed = base[:, None] + purposes[None, :] * _np.uint64(GOLDEN_STRIDE)
-        return _mix64_np(mixed.reshape(-1))
-    return [lane_seed(s, p) for s in seeds for p in range(lanes_per_seed)]
+    base = _np.array([s & _MASK64 for s in seeds], dtype=_np.uint64)
+    purposes = _np.arange(1, lanes_per_seed + 1, dtype=_np.uint64)
+    mixed = base[:, None] + purposes[None, :] * _np.uint64(GOLDEN_STRIDE)
+    return _mix64_np(mixed.reshape(-1))
 
 
 def oracle_guarantee(oracle: Callable[..., bool]) -> int:
@@ -169,9 +182,9 @@ class LaneCursor:
         """The next uniform in ``[0, 1)`` of this trial's lane."""
         pos = self.pos
         self.pos = pos + 1
-        if pos < len(self._u):
-            return self._u[pos]
-        return self._slow_draw(pos, self._streams.uniform)
+        if pos >= len(self._u):
+            self._grow(pos)
+        return self._u[pos]
 
     def expovariate(self, lambd: float) -> float:
         """The next ``Exp(lambd)`` draw; *lambd* must be the plane's rate."""
@@ -182,15 +195,14 @@ class LaneCursor:
             )
         pos = self.pos
         self.pos = pos + 1
-        if pos < len(self._e):
-            return self._e[pos]
-        return self._slow_draw(pos, self._streams.exponential)
+        if pos >= len(self._e):
+            self._grow(pos)
+        return self._e[pos]
 
-    def _slow_draw(self, pos: int, accessor) -> float:
-        """Grow the planes (numpy builds), refresh the rows, re-read."""
+    def _grow(self, pos: int) -> None:
+        """Grow the planes to cover slot *pos* and refresh the rows."""
         self._streams.ensure(pos + 1)
         self._u, self._e = self._streams.rows(self._trial)
-        return accessor(self._trial, pos)
 
     def randrange(self, n: int) -> int:
         """A uniform integer in ``[0, n)`` from the next uniform slot."""
@@ -228,8 +240,6 @@ class TrialStreams:
     def __init__(self, seed: int, trials: int, lambd: float,
                  slots: int = 64, lane_offset: int = 0,
                  lane_seeds=None) -> None:
-        if _np is None:
-            raise SimulationError("TrialStreams requires numpy")
         if trials < 1:
             raise SimulationError(f"trials must be >= 1, got {trials}")
         if lambd <= 0:
@@ -320,77 +330,6 @@ class TrialStreams:
         return LaneCursor(self, trial)
 
 
-class PyTrialStreams:
-    """Pure-Python :class:`TrialStreams` stand-in (no plane storage).
-
-    Uniforms are bit-identical to the numpy implementation (integer
-    mixing and power-of-two scaling are exact in both); exponentials use
-    ``math.log`` and may differ from a numpy build in the final ulp.
-    """
-
-    __slots__ = ("seed", "trials", "lambd", "lane_offset", "_lane_seeds")
-
-    def __init__(self, seed: int, trials: int, lambd: float,
-                 slots: int = 0, lane_offset: int = 0,
-                 lane_seeds=None) -> None:
-        if trials < 1:
-            raise SimulationError(f"trials must be >= 1, got {trials}")
-        if lambd <= 0:
-            raise SimulationError(f"lambd must be > 0, got {lambd}")
-        if lane_offset < 0:
-            raise SimulationError(
-                f"lane_offset must be >= 0, got {lane_offset}"
-            )
-        if lane_seeds is not None:
-            if lane_offset != 0:
-                raise SimulationError(
-                    "lane_seeds and lane_offset are mutually exclusive"
-                )
-            lane_seeds = tuple(int(s) & _MASK64 for s in lane_seeds)
-            if len(lane_seeds) != trials:
-                raise SimulationError(
-                    f"lane_seeds must have length {trials}, "
-                    f"got {len(lane_seeds)}"
-                )
-        self.seed = seed
-        self.trials = trials
-        self.lambd = lambd
-        self.lane_offset = lane_offset
-        self._lane_seeds = lane_seeds
-
-    def uniform(self, trial: int, pos: int) -> float:
-        """Slot *pos* of trial *trial*'s uniform lane, computed on demand."""
-        if self._lane_seeds is not None:
-            lane = self._lane_seeds[trial]
-        else:
-            lane = lane_seed(self.seed, trial + self.lane_offset)
-        z = mix64(lane + (pos + 1) * GOLDEN_STRIDE)
-        return (z >> 11) * 2.0 ** -53
-
-    def exponential(self, trial: int, pos: int) -> float:
-        """``Exp(lambd)`` at slot *pos* via ``math.log`` (see class note)."""
-        return -math.log(1.0 - self.uniform(trial, pos)) / self.lambd
-
-    def ensure(self, slots: int) -> None:
-        """No-op: slots are computed on demand, nothing is stored."""
-
-    def rows(self, trial: int):
-        """Empty rows — every cursor draw takes the compute-on-demand path."""
-        return (), ()
-
-    def cursor(self, trial: int) -> LaneCursor:
-        """A sequential reader over trial *trial*'s lane."""
-        return LaneCursor(self, trial)  # type: ignore[arg-type]
-
-
-def trial_streams(seed: int, trials: int, lambd: float, slots: int = 64,
-                  lane_offset: int = 0):
-    """The best available stream implementation for this install."""
-    if _np is not None:
-        return TrialStreams(seed, trials, lambd, slots, lane_offset)
-    return PyTrialStreams(seed, trials, lambd, lane_offset=lane_offset)
-
-
 def _layout_groups(layout: "Layout"):
     """Per-disk outer-layer group ids; ``-1`` for flat (ungrouped) layouts."""
     groups = _np.full(layout.n_disks, -1, dtype=_np.int16)
@@ -428,8 +367,6 @@ class DiskStateTable:
 
     @classmethod
     def for_layout(cls, layout: "Layout", trials: int) -> "DiskStateTable":
-        if _np is None:
-            raise SimulationError("DiskStateTable requires numpy")
         if trials < 1:
             raise SimulationError(f"trials must be >= 1, got {trials}")
         n = layout.n_disks
@@ -475,14 +412,159 @@ class LifecycleTables:
         layout: "Layout",
         timer: Callable[[FrozenSet[int]], Tuple[float, float]],
     ) -> "LifecycleTables":
-        if _np is None:
-            raise SimulationError("LifecycleTables requires numpy")
         pairs = [timer(frozenset((d,))) for d in range(layout.n_disks)]
         return cls(
             hours=_np.array([hours for hours, _ in pairs]),
             bytes_read=_np.array([read for _, read in pairs]),
             group=_layout_groups(layout),
         )
+
+
+class LockstepScreen:
+    """The lockstep renewal screen the lifecycle and fleet kernels share.
+
+    Construction samples the plane — row ``t`` reads global lane
+    ``lane_offset + t`` of *seed* — and loads every disk's first failure
+    epoch into a :class:`DiskStateTable`. :meth:`rounds` then advances
+    all still-active trials one failure incident per round: it takes each
+    trial's earliest pending failure, reads the failed disk's
+    single-failure rebuild clock from the broadcast *tables* columns, and
+    classifies the incident vectorized — past the horizon (mission over),
+    truncated (rebuild still running at the horizon), overlapped by a
+    second failure (dangerous), struck by a latent sector error
+    (dangerous), or clean (repair completes, the disk redraws a
+    lifetime). The screen never consults the recovery planner: a single
+    failure is safe whenever *guarantee* (the layout's tolerance, or the
+    oracle's declared one) covers one failure; ``guarantee == 0`` flags
+    every trial with any failure.
+
+    After the rounds are exhausted ``n_failures``, ``n_repairs`` and
+    ``peak`` are exact for every trial not in ``dangerous``; the caller
+    replays the dangerous ones *in full* through the exact event walk
+    from ``streams.cursor(t)`` — the same position-addressed floats the
+    screen read — and overwrites their entries.
+    """
+
+    def __init__(
+        self,
+        layout: "Layout",
+        tables: LifecycleTables,
+        seed: int,
+        trials: int,
+        lambd: float,
+        horizon_hours: float,
+        lse_rate_per_byte: float,
+        guarantee: int,
+        slots: int,
+        lane_offset: int = 0,
+    ) -> None:
+        n = layout.n_disks
+        self.streams = TrialStreams(
+            seed, trials, lambd, max(slots, n + 2), lane_offset=lane_offset
+        )
+        self.table = DiskStateTable.for_layout(layout, trials)
+        self.table.fail_at[:] = self.streams.exponentials[:, :n]
+        self.n_failures = _np.zeros(trials, dtype=_np.int64)
+        self.n_repairs = _np.zeros(trials, dtype=_np.int64)
+        self.peak = _np.zeros(trials, dtype=_np.int64)
+        self.dangerous = _np.zeros(trials, dtype=bool)
+        self._tables = tables
+        self._horizon_hours = horizon_hours
+        self._single_safe = guarantee >= 1
+        self._lse_thresholds = None
+        if lse_rate_per_byte > 0:
+            # math.exp, not numpy's: the event plane's Poisson test
+            # compares the same uniform against math.exp(-mean), and the
+            # two libraries differ in the last ulp often enough to
+            # misclassify a trial.
+            self._lse_thresholds = _np.array([
+                math.exp(-(float(b) * lse_rate_per_byte))
+                for b in tables.bytes_read
+            ])
+
+    def rounds(self) -> Iterator[Tuple[Any, ...]]:
+        """Advance every trial to its end or its first dangerous incident.
+
+        Yields one ``(clean, clean_at, redraw, trunc, trunc_at, tf, comp)``
+        tuple per round: ``tf`` / ``comp`` are the round's failure and
+        repair-completion epochs, one entry per still-active trial;
+        ``clean_at`` / ``trunc_at`` index into them and ``clean`` /
+        ``trunc`` are the matching trial ids; ``redraw`` is the fresh
+        lifetime each clean trial's repaired disk drew. Callers fold their
+        own accumulators from these (degraded hours, likelihood-ratio
+        sums), so the screen carries none of them — a plain tuple because
+        this runs once per round of every chunk.
+        """
+        streams, table = self.streams, self.table
+        fail_at = table.fail_at
+        hours1, bytes_read = self._tables.hours, self._tables.bytes_read
+        horizon_hours = self._horizon_hours
+        lse_thresholds = self._lse_thresholds
+        n_failures, n_repairs = self.n_failures, self.n_repairs
+        dangerous, single_safe = self.dangerous, self._single_safe
+        trials, n = fail_at.shape
+        ptr = _np.full(trials, n, dtype=_np.int64)
+        active = _np.arange(trials)
+        while active.size:
+            streams.ensure(int(ptr[active].max()) + 2)
+            fa = fail_at[active]
+            rows = _np.arange(active.size)
+            first = _np.argmin(fa, axis=1)
+            tf = fa[rows, first]
+            # Disks whose next failure falls past the horizon are never
+            # seen.
+            over = tf > horizon_hours
+            comp = tf + hours1[first]
+            fa[rows, first] = _np.inf
+            second = fa.min(axis=1)
+            if single_safe:
+                # A pending failure at the same instant as a completion
+                # pops first (it always carries a lower heap sequence
+                # number), so an exact tie is an overlap, hence <= on
+                # both sides.
+                danger = ~over & (second <= comp) & (second <= horizon_hours)
+            else:
+                danger = ~over
+            trunc = ~(over | danger) & (comp > horizon_hours)
+            clean = ~(over | danger | trunc)
+            if lse_thresholds is not None:
+                # The event plane draws no Poisson uniform when the
+                # rebuild read zero bytes, so zero-byte completions keep
+                # their slot.
+                check = clean & (bytes_read[first] > 0)
+                hit = _np.flatnonzero(check)
+                if hit.size:
+                    t_ix = active[hit]
+                    struck = (
+                        streams.uniforms[t_ix, ptr[t_ix]]
+                        > lse_thresholds[first[hit]]
+                    )
+                    danger[hit[struck]] = True
+                    clean[hit[struck]] = False
+                    ptr[t_ix[~struck]] += 1
+            # Truncations are rare; an empty position set doubles as the
+            # (equally empty) trial-id set and skips the gather.
+            ti = t_trunc = _np.flatnonzero(trunc)
+            if ti.size:
+                t_trunc = active[ti]
+                n_failures[t_trunc] += 1
+                table.status[t_trunc, first[ti]] = STATUS_REBUILDING
+                table.repair_at[t_trunc, first[ti]] = comp[ti]
+            di = _np.flatnonzero(danger)
+            if di.size:
+                t_ix = active[di]
+                dangerous[t_ix] = True
+                table.status[t_ix, first[di]] = STATUS_FAILED
+            ci = _np.flatnonzero(clean)
+            t_clean = active[ci]
+            redraw = streams.exponentials[t_clean, ptr[t_clean]]
+            n_failures[t_clean] += 1
+            n_repairs[t_clean] += 1
+            fail_at[t_clean, first[ci]] = comp[ci] + redraw
+            ptr[t_clean] += 1
+            yield t_clean, ci, redraw, t_trunc, ti, tf, comp
+            active = active[clean]
+        self.peak[(~dangerous) & (n_failures > 0)] = 1
 
 
 def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,

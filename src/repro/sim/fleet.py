@@ -12,9 +12,9 @@ a single loss. This module is the columnar core's third consumer
   in fixed-size chunks; each chunk builds a
   :class:`~repro.sim.columnar.TrialStreams` window whose lanes are keyed
   by the *global* mission index (``lane_offset=start``), advances a
-  :class:`~repro.sim.columnar.DiskStateTable` over the chunk's
-  ``(mission, disk)`` state in lockstep exactly like the vectorized
-  lifecycle kernel, and folds everything into running accumulators —
+  :class:`~repro.sim.columnar.LockstepScreen` over the chunk's
+  ``(mission, disk)`` state — the very screen the vectorized lifecycle
+  kernel runs — and folds everything into running accumulators —
   losses, likelihood-weight sums, exposure, per-array failure/repair
   counts. Memory is flat in the fleet size: only one chunk of missions
   is ever materialized, and the per-array vectors are linear in
@@ -58,23 +58,17 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
-try:  # the fleet kernel is vectorized end to end
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.obs.prof import PhaseProfiler, ambient_profiler, use_profiler
+from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
-    DiskStateTable,
+    ChunkSpec,
     LifecycleTables,
-    STATUS_FAILED,
-    STATUS_REBUILDING,
-    TrialStreams,
-    fresh_seed,
+    LockstepScreen,
     oracle_guarantee,
 )
 from repro.sim.lifecycle import (
@@ -312,134 +306,60 @@ class FleetChunk:
 
 
 def _fleet_chunk(
-    layout: Layout,
-    timer: RebuildTimer,
-    tables: LifecycleTables,
-    oracle: Optional[Callable[[Set[int]], bool]],
+    state: Tuple[Any, ...],
+    spec: ChunkSpec,
+    chunk_tel: Optional[Telemetry],
+    *,
     mttf_hours: float,
     horizon_hours: float,
     lse_rate_per_byte: float,
     lambda_boost: float,
-    start: int,
-    count: int,
-    seed: int,
     trials_per_array: int,
-    tel: Telemetry,
 ) -> FleetChunk:
-    """Advance missions ``start .. start+count-1`` and fold their outcome.
+    """Advance missions ``spec.start .. spec.start+spec.size-1`` and fold them.
 
-    The lockstep screen is the vectorized lifecycle kernel's, applied to
-    a lane *window* of the global mission space: every mission's draws
-    come from lane ``start + row``, so the chunk geometry cannot change
-    a single sampled float. On top of the screen this kernel tracks the
-    two weight statistics (lifetime-draw count and sum) for the
-    likelihood ratio; replayed missions recompute both exactly through a
-    :class:`_CountingCursor` around the event walk.
+    The chunk function the parallel driver runs. *state* is the
+    broadcast ``(layout, timer, tables, oracle)`` tuple. Lanes are keyed
+    by the **run** seed and the global mission index (``spec.seed``,
+    ``lane_offset=spec.start``) — never a per-chunk seed, which would tie
+    sampled values to the chunk layout — so the chunk geometry cannot
+    change a single sampled float. On top of the shared lockstep screen
+    this kernel tracks the two weight statistics (lifetime-draw count and
+    sum) for the likelihood ratio; replayed missions recompute both
+    exactly through a :class:`_CountingCursor` around the event walk.
     """
+    layout, timer, tables, oracle = state
+    start, count = spec.start, spec.size
+    tel = chunk_tel if chunk_tel is not None else NULL_TELEMETRY
     n = layout.n_disks
     lambd_true = 1.0 / mttf_hours
     lambd = lambda_boost * lambd_true
     tolerance = guaranteed_tolerance(layout)
     pattern_ok = _pattern_check(layout, oracle, tolerance)
     guarantee = oracle_guarantee(oracle) if oracle is not None else tolerance
-    single_safe = guarantee >= 1
     prof = ambient_profiler()
 
     with prof.phase("sample"):
-        streams = TrialStreams(
-            seed, count, lambd,
-            max(
-                _slot_estimate(n, mttf_hours / lambda_boost, horizon_hours),
-                n + 2,
-            ),
+        screen = LockstepScreen(
+            layout, tables, spec.seed, count, lambd, horizon_hours,
+            lse_rate_per_byte, guarantee,
+            _slot_estimate(n, mttf_hours / lambda_boost, horizon_hours),
             lane_offset=start,
         )
-        table = DiskStateTable.for_layout(layout, count)
-        fail_at = table.fail_at
-        fail_at[:] = streams.exponentials[:, :n]
-        draw_n = _np.full(count, n, dtype=_np.int64)
+        streams = screen.streams
         draw_sum = streams.exponentials[:, :n].sum(axis=1)
-        hours1 = tables.hours
-        lse_thresholds = None
-        if lse_rate_per_byte > 0:
-            # math.exp, not numpy's: the event plane's Poisson test
-            # compares the same uniform against math.exp(-mean), and the
-            # two libraries differ in the last ulp often enough to
-            # misclassify a mission.
-            lse_thresholds = _np.array([
-                math.exp(-(float(b) * lse_rate_per_byte))
-                for b in tables.bytes_read
-            ])
-
-        ptr = _np.full(count, n, dtype=_np.int64)
-        n_failures = _np.zeros(count, dtype=_np.int64)
-        n_repairs = _np.zeros(count, dtype=_np.int64)
-        peak = _np.zeros(count, dtype=_np.int64)
-        dangerous = _np.zeros(count, dtype=bool)
-        active = _np.arange(count)
 
     with prof.phase("screen"):
-        while active.size:
-            streams.ensure(int(ptr[active].max()) + 2)
-            fa = fail_at[active]
-            rows = _np.arange(active.size)
-            first = _np.argmin(fa, axis=1)
-            tf = fa[rows, first]
-            over = tf > horizon_hours
-            comp = tf + hours1[first]
-            fa[rows, first] = _np.inf
-            second = fa.min(axis=1)
-            if single_safe:
-                # A pending failure at the same instant as a completion
-                # pops first (lower heap sequence number), so an exact
-                # tie is an overlap, hence <= on both sides.
-                danger = ~over & (second <= comp) & (second <= horizon_hours)
-            else:
-                danger = ~over
-            trunc = ~(over | danger) & (comp > horizon_hours)
-            clean = ~(over | danger | trunc)
-            if lse_thresholds is not None:
-                # The event plane draws no Poisson uniform when the
-                # rebuild read zero bytes, so zero-byte completions keep
-                # their slot.
-                check = clean & (tables.bytes_read[first] > 0)
-                hit = _np.flatnonzero(check)
-                if hit.size:
-                    t_ix = active[hit]
-                    struck = (
-                        streams.uniforms[t_ix, ptr[t_ix]]
-                        > lse_thresholds[first[hit]]
-                    )
-                    danger[hit[struck]] = True
-                    clean[hit[struck]] = False
-                    ptr[t_ix[~struck]] += 1
-            ti = _np.flatnonzero(trunc)
-            if ti.size:
-                t_ix = active[ti]
-                n_failures[t_ix] += 1
-                table.status[t_ix, first[ti]] = STATUS_REBUILDING
-                table.repair_at[t_ix, first[ti]] = comp[ti]
-            di = _np.flatnonzero(danger)
-            if di.size:
-                t_ix = active[di]
-                dangerous[t_ix] = True
-                table.status[t_ix, first[di]] = STATUS_FAILED
-            ci = _np.flatnonzero(clean)
-            if ci.size:
-                t_ix = active[ci]
-                n_failures[t_ix] += 1
-                n_repairs[t_ix] += 1
-                redraw = streams.exponentials[t_ix, ptr[t_ix]]
-                draw_n[t_ix] += 1
-                draw_sum[t_ix] += redraw
-                fail_at[t_ix, first[ci]] = comp[ci] + redraw
-                ptr[t_ix] += 1
-            active = active[clean]
+        for clean, _at, redraw, _trunc, _trunc_at, _tf, _comp in screen.rounds():
+            draw_sum[clean] += redraw
 
+    # Every screened mission consumed its n initial lifetimes plus one
+    # redraw per completed repair; replayed missions are recounted below.
+    draw_n = n + screen.n_repairs
     end = _np.full(count, horizon_hours)
     lost = _np.zeros(count, dtype=bool)
     lse_lost = 0
-    replay_ix = _np.flatnonzero(dangerous)
+    replay_ix = _np.flatnonzero(screen.dangerous)
     with use_telemetry(tel), prof.phase("replay"):
         for t in replay_ix.tolist():
             cursor = _CountingCursor(streams.cursor(t))
@@ -447,9 +367,9 @@ def _fleet_chunk(
                 cursor, layout, lambd, horizon_hours, timer,
                 lse_rate_per_byte, pattern_ok, tel, t,
             )
-            n_failures[t] = nf
-            n_repairs[t] = nr
-            peak[t] = pk
+            screen.n_failures[t] = nf
+            screen.n_repairs[t] = nr
+            screen.peak[t] = pk
             draw_n[t] = cursor.draws
             draw_sum[t] = cursor.draw_sum
             if lost_at is not None:
@@ -457,7 +377,6 @@ def _fleet_chunk(
                 end[t] = lost_at
                 if lost_to_lse:
                     lse_lost += 1
-    peak[(~dangerous) & (n_failures > 0)] = 1
     raw_losses = int(_np.count_nonzero(lost))
 
     if lambda_boost == 1.0:
@@ -486,8 +405,8 @@ def _fleet_chunk(
     width = int(ids[-1]) + 1
     fails = _np.zeros(width, dtype=_np.int64)
     reps = _np.zeros(width, dtype=_np.int64)
-    _np.add.at(fails, ids, n_failures)
-    _np.add.at(reps, ids, n_repairs)
+    _np.add.at(fails, ids, screen.n_failures)
+    _np.add.at(reps, ids, screen.n_repairs)
 
     if tel.enabled:
         tel.count("fleet.missions", count)
@@ -513,58 +432,11 @@ def _fleet_chunk(
         weighted_losses=w_losses,
         weighted_sq_losses=w_losses_sq,
         weighted_exposure_hours=w_exposure,
-        max_peak_failures=int(peak.max()) if count else 0,
+        max_peak_failures=int(screen.peak.max()) if count else 0,
         first_array=first_array,
         failures_by_array=tuple(fails.tolist()),
         repairs_by_array=tuple(reps.tolist()),
     )
-
-
-def _fleet_worker(state, common, spec):
-    """Pool task for one fleet chunk (also the serial runner's body).
-
-    *state* is the broadcast ``(layout, timer, tables, oracle)`` tuple —
-    unpickled once per worker, exactly like the lifecycle runner's. The
-    chunk seed is the *run* seed: lanes are keyed by the global mission
-    index carried in *spec*, so no per-chunk seed derivation is needed
-    (or wanted — it would tie sampled values to the chunk layout).
-    """
-    layout, timer, tables, oracle = state
-    (
-        mttf_hours,
-        horizon_hours,
-        lse_rate_per_byte,
-        lambda_boost,
-        trials_per_array,
-        seed,
-        collect,
-        profile,
-    ) = common
-    start, count = spec
-    chunk_tel = Telemetry.collecting() if collect else None
-    chunk_prof = None
-    if profile:
-        chunk_prof = PhaseProfiler()
-        # In-process execution (jobs=1) keeps the parent's phase observer
-        # so heartbeats see boundaries; worker processes inherit None.
-        chunk_prof.on_phase = ambient_profiler().on_phase
-    if collect:
-        # Memo hits/misses are telemetry, so a memo warmed by *other*
-        # chunks would make the merged registry depend on which chunks
-        # shared a worker. Collecting runs pay a cold memo per chunk;
-        # the simulated result is identical either way.
-        timer = RebuildTimer(
-            timer.layout, timer.disk, timer.sparing, timer.method,
-            timer.batches,
-        )
-    with use_profiler(chunk_prof):
-        chunk = _fleet_chunk(
-            layout, timer, tables, oracle, mttf_hours, horizon_hours,
-            lse_rate_per_byte, lambda_boost, start, count, seed,
-            trials_per_array,
-            chunk_tel if chunk_tel is not None else NULL_TELEMETRY,
-        )
-    return chunk, chunk_tel, chunk_prof
 
 
 def merge_fleet_chunks(
@@ -639,8 +511,6 @@ def _validate_fleet_args(
     lse_rate_per_byte: float,
     lambda_boost: float,
 ) -> None:
-    if _np is None:
-        raise SimulationError("the fleet kernel requires numpy")
     check_positive("arrays", arrays, 1)
     check_positive("trials", trials, 1)
     if mttf_hours <= 0 or horizon_hours <= 0:
@@ -682,10 +552,9 @@ def simulate_fleet(
     is plain (naive) Monte-Carlo.
 
     Missions stream through fixed chunks of *chunk_missions* — memory is
-    flat in ``arrays * trials`` — and the result is bit-identical to
-    :func:`~repro.sim.parallel.simulate_fleet_parallel` at any ``jobs``,
-    because both read the same globally-keyed lanes and fold the same
-    chunks in the same order.
+    flat in ``arrays * trials``. This *is*
+    :func:`~repro.sim.parallel.simulate_fleet_parallel` at ``jobs=1``
+    (same chunk driver), so the two are bit-identical at any ``jobs``.
 
     *oracle*, *timer* and *tables* follow the lifecycle kernel's
     contract (picklable pattern oracle; pre-built rebuild memo and
@@ -693,38 +562,32 @@ def simulate_fleet(
     disk model). A collecting *telemetry* records events for replayed
     missions only, merged in chunk order with global mission indices.
     """
+    # Imported here because the driver's module imports this one.
+    from repro.sim.parallel import run_chunks
+
     _validate_fleet_args(
         arrays, trials, mttf_hours, horizon_hours,
         lse_rate_per_byte, lambda_boost,
     )
-    disk = disk or DiskModel()
     if timer is None:
-        timer = RebuildTimer(layout, disk, sparing, method, batches)
+        timer = RebuildTimer(
+            layout, disk or DiskModel(), sparing, method, batches
+        )
     if tables is None:
         tables = LifecycleTables.build(layout, timer)
-    if seed is None:
-        seed = fresh_seed()
-    tel = telemetry if telemetry is not None else ambient()
-    collect = tel.enabled
-    prof = ambient_profiler()
-    profile = prof.enabled
-    common = (
-        mttf_hours, horizon_hours, lse_rate_per_byte, lambda_boost,
-        trials, seed, collect, profile,
+    parts = run_chunks(
+        "simulate_fleet", dict(arrays=arrays, trials=trials),
+        _fleet_chunk, (layout, timer, tables, oracle),
+        dict(
+            mttf_hours=mttf_hours, horizon_hours=horizon_hours,
+            lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,
+            trials_per_array=trials,
+        ),
+        arrays * trials, chunk_missions,
+        seed=seed, jobs=1,
+        telemetry=telemetry if telemetry is not None else ambient(),
+        progress=None,
     )
-    state = (layout, timer, tables, oracle)
-    parts: List[FleetChunk] = []
-    with tel.span("simulate_fleet", arrays=arrays, trials=trials):
-        for start, count in mission_chunks(arrays * trials, chunk_missions):
-            chunk, chunk_tel, chunk_prof = _fleet_worker(
-                state, common, (start, count)
-            )
-            parts.append(chunk)
-            if collect and chunk_tel is not None:
-                tel.merge_chunk(chunk_tel, trial_offset=start)
-            if profile and chunk_prof is not None:
-                with prof.phase("merge"):
-                    prof.merge_chunk(chunk_prof)
     return merge_fleet_chunks(
         parts, arrays, trials, horizon_hours, mttf_hours, lambda_boost
     )

@@ -43,8 +43,8 @@ shared verbatim between the two kernels: the event kernel
 :func:`simulate_lifecycle_vectorized` advances all trials in lockstep on
 the columnar disk-state table and replays through the exact event walk
 only the trials whose concurrent-failure count ever reaches the danger
-threshold. On a numpy build the kernels read the *same* sampled floats,
-so ``kernel=`` selects a speed, never a result.
+threshold. The kernels read the *same* sampled floats, so ``kernel=``
+selects a speed, never a result.
 """
 
 from __future__ import annotations
@@ -54,10 +54,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, List, Optional, Set, Tuple
 
-try:  # the vectorized kernel needs numpy; the event kernel does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
@@ -66,14 +63,11 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
-    DiskStateTable,
     LifecycleTables,
-    STATUS_FAILED,
-    STATUS_REBUILDING,
+    LockstepScreen,
     TrialStreams,
     fresh_seed,
     oracle_guarantee,
-    trial_streams,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
 from repro.sim.rebuild import (
@@ -87,8 +81,8 @@ from repro.util.stats import mean, wilson_interval
 #: Rebuild-time evaluation methods accepted by the lifecycle machinery.
 REBUILD_METHODS = ("analytic", "event")
 
-#: Kernel names accepted by the lifecycle runners. ``auto`` resolves to
-#: the vectorized kernel when numpy is importable, else the event kernel.
+#: Kernel names accepted by the lifecycle runners. ``auto`` is an alias
+#: of ``vectorized``.
 LIFECYCLE_KERNELS = ("auto", "vectorized", "event")
 
 
@@ -541,7 +535,7 @@ def simulate_lifecycle(
     if seed is None:
         seed = fresh_seed()
     lambd = 1.0 / mttf_hours
-    streams = trial_streams(
+    streams = TrialStreams(
         seed, trials, lambd,
         _slot_estimate(layout.n_disks, mttf_hours, horizon_hours),
     )
@@ -608,28 +602,21 @@ def simulate_lifecycle_vectorized(
 ) -> LifecycleResult:
     """Lockstep columnar lifecycle kernel; bit-identical to the event one.
 
-    All trials advance together on a :class:`~repro.sim.columnar.DiskStateTable`:
-    each round takes every active trial's earliest pending failure, reads
-    the failed disk's single-failure rebuild clock from the broadcast
-    :class:`~repro.sim.columnar.LifecycleTables` columns, and screens the
-    incident vectorized — past the horizon (mission over), truncated
-    (rebuild still running at the horizon), overlapped by a second
-    failure (dangerous), struck by a latent sector error (dangerous), or
-    clean (repair completes, the disk redraws a lifetime). Dangerous
-    trials leave the lockstep plane and are replayed *in full* through
-    the exact event walk — re-planning via ``plan_recovery``, LSE checks,
-    mid-rebuild restarts — from their own draw lane, so every replayed
-    trial is bit-for-bit the event kernel's trial. Clean trials read the
-    very same sampled floats the event walk would have consumed, so the
-    whole result (not just the replayed subset) matches the event kernel
-    exactly; only the work to produce it changes.
+    All trials advance together through the shared
+    :class:`~repro.sim.columnar.LockstepScreen`, which settles clean
+    failure incidents columnar and flags the trials whose incident is
+    overlapped by a second failure or struck by a latent sector error.
+    Dangerous trials leave the lockstep plane and are replayed *in full*
+    through the exact event walk — re-planning via ``plan_recovery``,
+    LSE checks, mid-rebuild restarts — from their own draw lane, so every
+    replayed trial is bit-for-bit the event kernel's trial. Clean trials
+    read the very same sampled floats the event walk would have consumed,
+    so the whole result (not just the replayed subset) matches the event
+    kernel exactly; only the work to produce it changes.
 
-    The screen never consults the recovery planner: a single failure is
-    safe whenever the guarantee (the layout's tolerance, or the oracle's
-    declared ``guaranteed_tolerance``) covers one failure. An opaque
-    *oracle* without a declared guarantee forces every trial with any
-    failure through the replay plane — slow but exact, matching the
-    lifetime kernel's policy.
+    An opaque *oracle* without a declared guarantee forces every trial
+    with any failure through the replay plane — slow but exact, matching
+    the lifetime kernel's policy.
 
     *tables* supplies pre-built per-disk rebuild columns (the parallel
     runner's broadcast state); they must come from a timer configured
@@ -641,11 +628,6 @@ def simulate_lifecycle_vectorized(
     kernel — identical result *and* identical registry/event log, the
     telemetry-invariance contract in its strongest form.
     """
-    if _np is None:
-        raise SimulationError(
-            "the vectorized lifecycle kernel requires numpy; "
-            "use kernel='event'"
-        )
     check_positive("trials", trials, 1)
     if mttf_hours <= 0 or horizon_hours <= 0:
         raise SimulationError("MTTF and horizon must be positive")
@@ -673,117 +655,37 @@ def simulate_lifecycle_vectorized(
         guarantee = (
             oracle_guarantee(oracle) if oracle is not None else tolerance
         )
-        single_safe = guarantee >= 1
-
-        n = layout.n_disks
         lambd = 1.0 / mttf_hours
-        streams = TrialStreams(
-            seed, trials, lambd,
-            max(_slot_estimate(n, mttf_hours, horizon_hours), n + 2),
+        screen = LockstepScreen(
+            layout, tables, seed, trials, lambd, horizon_hours,
+            lse_rate_per_byte, guarantee,
+            _slot_estimate(layout.n_disks, mttf_hours, horizon_hours),
         )
-        table = DiskStateTable.for_layout(layout, trials)
-        fail_at = table.fail_at
-        fail_at[:] = streams.exponentials[:, :n]
-        hours1 = tables.hours
-        lse_thresholds = None
-        if lse_rate_per_byte > 0:
-            # math.exp, not numpy's: the event plane's Poisson test
-            # compares the same uniform against math.exp(-mean), and the
-            # two libraries differ in the last ulp often enough to
-            # misclassify a trial.
-            lse_thresholds = _np.array([
-                math.exp(-(float(b) * lse_rate_per_byte))
-                for b in tables.bytes_read
-            ])
-
-        ptr = _np.full(trials, n, dtype=_np.int64)
-        n_failures = _np.zeros(trials, dtype=_np.int64)
-        n_repairs = _np.zeros(trials, dtype=_np.int64)
         degraded = _np.zeros(trials)
-        peak = _np.zeros(trials, dtype=_np.int64)
-        dangerous = _np.zeros(trials, dtype=bool)
-        active = _np.arange(trials)
 
     with prof.phase("screen"):
-        while active.size:
-            streams.ensure(int(ptr[active].max()) + 2)
-            fa = fail_at[active]
-            rows = _np.arange(active.size)
-            first = _np.argmin(fa, axis=1)
-            tf = fa[rows, first]
-            # Disks whose next failure falls past the horizon are never
-            # seen.
-            over = tf > horizon_hours
-            comp = tf + hours1[first]
-            fa[rows, first] = _np.inf
-            second = fa.min(axis=1)
-            if single_safe:
-                # A pending failure at the same instant as a completion
-                # pops first (it always carries a lower heap sequence
-                # number), so an exact tie is an overlap, hence <= on
-                # both sides.
-                danger = ~over & (second <= comp) & (second <= horizon_hours)
-            else:
-                danger = ~over
-            trunc = ~(over | danger) & (comp > horizon_hours)
-            clean = ~(over | danger | trunc)
-            if lse_thresholds is not None:
-                # The event plane draws no Poisson uniform when the
-                # rebuild read zero bytes, so zero-byte completions keep
-                # their slot.
-                check = clean & (tables.bytes_read[first] > 0)
-                hit = _np.flatnonzero(check)
-                if hit.size:
-                    t_ix = active[hit]
-                    struck = (
-                        streams.uniforms[t_ix, ptr[t_ix]]
-                        > lse_thresholds[first[hit]]
-                    )
-                    danger[hit[struck]] = True
-                    clean[hit[struck]] = False
-                    ptr[t_ix[~struck]] += 1
-            ti = _np.flatnonzero(trunc)
-            if ti.size:
-                t_ix = active[ti]
-                n_failures[t_ix] += 1
-                degraded[t_ix] += horizon_hours - tf[ti]
-                table.status[t_ix, first[ti]] = STATUS_REBUILDING
-                table.repair_at[t_ix, first[ti]] = comp[ti]
-            di = _np.flatnonzero(danger)
-            if di.size:
-                t_ix = active[di]
-                dangerous[t_ix] = True
-                table.status[t_ix, first[di]] = STATUS_FAILED
-            ci = _np.flatnonzero(clean)
-            if ci.size:
-                t_ix = active[ci]
-                n_failures[t_ix] += 1
-                n_repairs[t_ix] += 1
-                degraded[t_ix] += comp[ci] - tf[ci]
-                fail_at[t_ix, first[ci]] = (
-                    comp[ci] + streams.exponentials[t_ix, ptr[t_ix]]
-                )
-                ptr[t_ix] += 1
-            active = active[clean]
+        for clean, clean_at, _redraw, trunc, trunc_at, tf, comp in screen.rounds():
+            if trunc.size:
+                degraded[trunc] += horizon_hours - tf[trunc_at]
+            degraded[clean] += comp[clean_at] - tf[clean_at]
 
-    peak[(~dangerous) & (n_failures > 0)] = 1
+    replay_ix = _np.flatnonzero(screen.dangerous)
     loss_times: List[float] = []
     lse_losses = 0
     if prof.enabled:
-        n_dangerous = int(dangerous.sum())
         prof.count("lifecycle.trials", trials)
-        prof.count("lifecycle.replays", n_dangerous)
-        prof.record("lifecycle.dangerous_fraction", n_dangerous / trials)
+        prof.count("lifecycle.replays", int(replay_ix.size))
+        prof.record("lifecycle.dangerous_fraction", replay_ix.size / trials)
     with use_telemetry(tel), prof.phase("replay"):
-        for t in _np.flatnonzero(dangerous).tolist():
+        for t in replay_ix.tolist():
             lost_at, lost_to_lse, nf, nr, dh, pk = _lifecycle_trial(
-                streams.cursor(t), layout, lambd, horizon_hours,
+                screen.streams.cursor(t), layout, lambd, horizon_hours,
                 timer, lse_rate_per_byte, pattern_ok, tel, t,
             )
-            n_failures[t] = nf
-            n_repairs[t] = nr
+            screen.n_failures[t] = nf
+            screen.n_repairs[t] = nr
             degraded[t] = dh
-            peak[t] = pk
+            screen.peak[t] = pk
             if lost_at is not None:
                 loss_times.append(lost_at)
                 if lost_to_lse:
@@ -796,10 +698,10 @@ def simulate_lifecycle_vectorized(
             loss_times=tuple(loss_times),
             lse_losses=lse_losses,
             horizon_hours=horizon_hours,
-            failures_per_trial=tuple(n_failures.tolist()),
-            repairs_per_trial=tuple(n_repairs.tolist()),
+            failures_per_trial=tuple(screen.n_failures.tolist()),
+            repairs_per_trial=tuple(screen.n_repairs.tolist()),
             degraded_hours_per_trial=tuple(degraded.tolist()),
-            peak_failures_per_trial=tuple(peak.tolist()),
+            peak_failures_per_trial=tuple(screen.peak.tolist()),
         )
 
 
@@ -807,13 +709,7 @@ def lifecycle_kernel(
     name: str = "auto",
 ) -> Callable[..., LifecycleResult]:
     """Resolve a :data:`LIFECYCLE_KERNELS` name to its simulate function."""
-    if name == "auto":
-        return (
-            simulate_lifecycle_vectorized
-            if _np is not None
-            else simulate_lifecycle
-        )
-    if name == "vectorized":
+    if name in ("auto", "vectorized"):
         return simulate_lifecycle_vectorized
     if name == "event":
         return simulate_lifecycle

@@ -20,10 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
-try:  # the vectorized kernel needs numpy; the event kernel does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
@@ -39,8 +36,8 @@ from repro.results import ResultBase, register_result
 from repro.util.checks import check_positive
 from repro.util.stats import wilson_interval
 
-#: Kernel names accepted by the lifetime runners. ``auto`` resolves to
-#: the vectorized kernel when numpy is importable, else the event kernel.
+#: Kernel names accepted by the lifetime runners. ``auto`` is an alias
+#: of ``vectorized``.
 MC_KERNELS = ("auto", "vectorized", "event")
 
 
@@ -329,11 +326,6 @@ def simulate_lifetimes_vectorized(
     event kernel's (``numpy`` vs :mod:`random`), so the two kernels
     agree statistically, not bit-for-bit.
     """
-    if _np is None:  # pragma: no cover - numpy is a declared dependency
-        raise SimulationError(
-            "the vectorized Monte-Carlo kernel requires numpy; "
-            "use kernel='event' instead"
-        )
     check_positive("n_disks", n_disks, 2)
     check_positive("trials", trials, 1)
     if mttf_hours <= 0 or mttr_hours <= 0 or horizon_hours <= 0:
@@ -409,9 +401,7 @@ def lifetime_kernel(
     name: str,
 ) -> Callable[..., LifetimeResult]:
     """Resolve a :data:`MC_KERNELS` name to its simulate function."""
-    if name == "auto":
-        name = "vectorized" if _np is not None else "event"
-    if name == "vectorized":
+    if name in ("auto", "vectorized"):
         return simulate_lifetimes_vectorized
     if name == "event":
         return simulate_lifetimes

@@ -30,13 +30,21 @@ pickled once per pool lifetime, not once per chunk — while the chunk specs
 themselves carry only scalars. Broadcast state must be picklable: the
 oracle dataclasses from :mod:`repro.sim.montecarlo` qualify; closures and
 lambdas do not.
+
+All four ``simulate_*_parallel`` runners (and the serial
+:func:`~repro.sim.fleet.simulate_fleet`) go through one chunk driver,
+:func:`run_chunks`: a runner validates its physics arguments, builds the
+broadcast state and names a *chunk function*
+``chunk_fn(state, spec, chunk_tel, **params) -> result``; the driver owns
+everything else — chunk geometry, seed resolution, the per-chunk
+telemetry/profiler prologue, the pool, and the chunk-ordered drain.
 """
 
 from __future__ import annotations
 
 import os
-import random
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from dataclasses import replace
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
@@ -44,20 +52,23 @@ from repro.layouts.recovery import is_recoverable
 from repro.obs.prof import PhaseProfiler, ambient_profiler, use_profiler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.latency import LatencyModel
-from repro.sim.columnar import LifecycleTables, derive_chunk_seed, fresh_seed
+from repro.sim.columnar import (
+    ChunkSpec,
+    LifecycleTables,
+    derive_chunk_seed,
+    fresh_seed,
+)
 from repro.sim.fleet import (
     FLEET_CHUNK_MISSIONS,
     FleetResult,
-    _fleet_worker,
+    _fleet_chunk,
     _validate_fleet_args,
     merge_fleet_chunks,
-    mission_chunks,
 )
 from repro.sim.lifecycle import (
     LifecycleResult,
     RebuildTimer,
     lifecycle_kernel,
-    simulate_lifecycle,
     simulate_lifecycle_vectorized,
 )
 from repro.sim.montecarlo import (
@@ -135,14 +146,8 @@ def chunk_sizes(total: int, chunk: int) -> List[int]:
     return sizes
 
 
-def merge_lifetime_results(
-    parts: Sequence[LifetimeResult],
-) -> LifetimeResult:
-    """Combine per-chunk Monte-Carlo outcomes into one result.
-
-    Loss times are concatenated in the given (chunk) order; all parts must
-    share a horizon.
-    """
+def _shared_horizon(parts: Sequence[Any]) -> float:
+    """The one mission horizon every chunk result in *parts* carries."""
     if not parts:
         raise SimulationError("no chunk results to merge")
     horizon = parts[0].horizon_hours
@@ -152,6 +157,18 @@ def merge_lifetime_results(
                 f"cannot merge results with different horizons "
                 f"({part.horizon_hours} vs {horizon})"
             )
+    return horizon
+
+
+def merge_lifetime_results(
+    parts: Sequence[LifetimeResult],
+) -> LifetimeResult:
+    """Combine per-chunk Monte-Carlo outcomes into one result.
+
+    Loss times are concatenated in the given (chunk) order; all parts must
+    share a horizon.
+    """
+    horizon = _shared_horizon(parts)
     loss_times: Tuple[float, ...] = tuple(
         t for part in parts for t in part.loss_times
     )
@@ -163,112 +180,140 @@ def merge_lifetime_results(
     )
 
 
-def _chunk_profiler(profile: bool) -> Optional[PhaseProfiler]:
-    """A fresh per-chunk profiler, or ``None`` when profiling is off.
-
-    In-process execution (``jobs=1``) inherits the parent's phase
-    observer so heartbeats see phase boundaries; worker processes have a
-    null ambient profiler and inherit ``None`` (observers never cross
-    process boundaries).
-    """
-    if not profile:
-        return None
-    chunk_prof = PhaseProfiler()
-    chunk_prof.on_phase = ambient_profiler().on_phase
-    return chunk_prof
-
-
-def _lifetime_worker(oracle, common, spec):
-    """Pool task for one Monte-Carlo chunk; *oracle* is broadcast state."""
-    (
-        n_disks, mttf_hours, mttr_hours, horizon_hours, kernel, collect,
-        profile,
-    ) = common
-    size, chunk_seed = spec
-    chunk_tel = Telemetry.collecting() if collect else None
-    chunk_prof = _chunk_profiler(profile)
-    with use_profiler(chunk_prof):
-        result = lifetime_kernel(kernel)(
-            n_disks,
-            mttf_hours,
-            mttr_hours,
-            oracle,
-            horizon_hours,
-            trials=size,
-            seed=chunk_seed,
-            telemetry=chunk_tel,
+def _chunk_task(state, common, spec):
+    """The driver's one pool task: the per-chunk prologue, then *chunk_fn*."""
+    chunk_fn, params, collect, profile = common
+    chunk_tel = chunk_prof = None
+    if collect:
+        chunk_tel = Telemetry.collecting()
+        # Memo hits/misses are recorded in telemetry, so a memo warmed by
+        # *other* chunks would make the merged registry depend on which
+        # chunks shared a worker. Collecting runs therefore pay a cold
+        # memo per chunk; the simulated result is identical either way.
+        state = tuple(
+            replace(part) if isinstance(part, RebuildTimer) else part
+            for part in state
         )
+    if profile:
+        chunk_prof = PhaseProfiler()
+        # In-process execution (jobs=1) inherits the parent's phase
+        # observer so heartbeats see phase boundaries; worker processes
+        # have a null ambient profiler and inherit None (observers never
+        # cross process boundaries).
+        chunk_prof.on_phase = ambient_profiler().on_phase
+    with use_profiler(chunk_prof):
+        result = chunk_fn(state, spec, chunk_tel, **params)
     return result, chunk_tel, chunk_prof
 
 
-def _drain_streaming(
-    worker, state, common, specs, sizes, jobs, telemetry, progress, total
-):
-    """Stream chunk results off the pool, merging telemetry in chunk order.
+def run_chunks(
+    span: str,
+    span_args: dict,
+    chunk_fn: Callable[..., Any],
+    state: Tuple[Any, ...],
+    params: dict,
+    trials: int,
+    chunk_trials: int,
+    *,
+    seed: Optional[int],
+    jobs: int,
+    telemetry: Optional[Telemetry],
+    progress: Optional[ProgressCallback],
+) -> List[Any]:
+    """The one chunk driver: fan *trials* out in fixed chunks, drain in order.
 
-    The shared collection loop of the Monte-Carlo runners. Results arrive
-    in **completion** order — *progress* fires the moment a chunk lands,
+    Splits *trials* into chunks of *chunk_trials* (boundaries depend only
+    on those two numbers), resolves ``seed=None`` once, and runs
+    ``chunk_fn(state, spec, chunk_tel, **params)`` for every
+    :class:`ChunkSpec` — in-process for ``jobs=1``, on the persistent
+    pool (with the *state* tuple broadcast once) otherwise. Returns the
+    per-chunk results in chunk order for the caller to merge.
+
+    Results arrive in **completion** order — *progress* fires the moment
+    a chunk lands with ``(trials_done, trials_total, losses_so_far)``,
     which is what makes stderr heartbeats possible mid-run — while each
     chunk's telemetry is folded into *telemetry* through a reorder buffer
-    at its precomputed trial offset, so the merged registry and event log
-    are bit-identical for any ``jobs``. The per-chunk results themselves
-    are slotted by chunk index and merged by the caller afterwards.
+    at its global trial offset, so the merged registry and event log are
+    bit-identical for any ``jobs`` (only the wall-clock *span*, opened
+    around the whole drain with *span_args*, varies).
 
     When the ambient :class:`~repro.obs.prof.PhaseProfiler` is enabled,
-    each worker returns a per-chunk profile alongside its telemetry and
-    the drain folds those through the same chunk-ordered reorder buffer
-    (under a ``merge`` phase span per chunk), so merged profiles obey the
-    jobs-invariance contract of :meth:`PhaseProfiler.deterministic_dict`.
-    Progress callbacks that expose ``note_ess`` (the fleet heartbeat)
-    additionally receive the running effective-sample-size ratio
-    accumulated from chunks that carry importance weights.
+    each chunk runs under a private profiler and the drain folds those
+    through the same chunk-ordered reorder buffer (under a ``merge``
+    phase span per chunk), so merged profiles obey the jobs-invariance
+    contract of :meth:`PhaseProfiler.deterministic_dict`. Progress
+    callbacks that expose ``note_ess`` (the fleet heartbeat) additionally
+    receive the running effective-sample-size ratio accumulated from
+    chunks that carry importance weights.
     """
-    offsets = []
-    acc = 0
-    for size in sizes:
-        offsets.append(acc)
-        acc += size
+    if jobs < 1:
+        raise SimulationError(f"jobs must be >= 1, got {jobs}")
+    if trials < 1:
+        raise SimulationError(f"trials must be >= 1, got {trials}")
+    if seed is None:
+        seed = fresh_seed()
+    specs = [
+        ChunkSpec(index, index * chunk_trials, size, seed)
+        for index, size in enumerate(chunk_sizes(trials, chunk_trials))
+    ]
     prof = ambient_profiler()
-    parts: List[Optional[object]] = [None] * len(specs)
-    pending_tel = {}
-    pending_prof = {}
-    next_merge = 0
-    next_prof = 0
+    collect = telemetry is not None and telemetry.enabled
+    common = (chunk_fn, params, collect, prof.enabled)
+    parts: List[Any] = [None] * len(specs)
+    pending = {}
+    next_fold = 0
     done = 0
     losses = 0
     track_ess = progress is not None and hasattr(progress, "note_ess")
     sum_w = 0.0
     sum_w2 = 0.0
-    for index, (result, chunk_tel, chunk_prof) in run_streaming(
-        worker, state, common, specs, jobs
-    ):
-        parts[index] = result
-        done += result.trials
-        losses += getattr(result, "losses", 0)
-        if telemetry is not None and chunk_tel is not None:
-            pending_tel[index] = chunk_tel
-            while next_merge in pending_tel:
-                telemetry.merge_chunk(
-                    pending_tel.pop(next_merge),
-                    trial_offset=offsets[next_merge],
-                )
-                next_merge += 1
-        if prof.enabled and chunk_prof is not None:
-            pending_prof[index] = chunk_prof
-            while next_prof in pending_prof:
-                with prof.phase("merge"):
-                    prof.merge_chunk(pending_prof.pop(next_prof))
-                next_prof += 1
-        if progress is not None:
-            if track_ess:
-                chunk_w = getattr(result, "sum_weights", None)
-                if chunk_w is not None:
-                    sum_w += chunk_w
-                    sum_w2 += result.sum_sq_weights
-                    if sum_w2 > 0.0 and done > 0:
-                        progress.note_ess(sum_w * sum_w / sum_w2 / done)
-            progress(done, total, losses)
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    with tel.span(span, **span_args):
+        for index, (result, chunk_tel, chunk_prof) in run_streaming(
+            _chunk_task, state, common, specs, jobs
+        ):
+            parts[index] = result
+            done += result.trials
+            losses += getattr(result, "losses", 0)
+            pending[index] = (chunk_tel, chunk_prof)
+            while next_fold in pending:
+                chunk_tel, chunk_prof = pending.pop(next_fold)
+                if chunk_tel is not None:
+                    telemetry.merge_chunk(
+                        chunk_tel, trial_offset=specs[next_fold].start
+                    )
+                if chunk_prof is not None:
+                    with prof.phase("merge"):
+                        prof.merge_chunk(chunk_prof)
+                next_fold += 1
+            if progress is not None:
+                if track_ess:
+                    chunk_w = getattr(result, "sum_weights", None)
+                    if chunk_w is not None:
+                        sum_w += chunk_w
+                        sum_w2 += result.sum_sq_weights
+                        if sum_w2 > 0.0 and done > 0:
+                            progress.note_ess(sum_w * sum_w / sum_w2 / done)
+                progress(done, trials, losses)
     return parts
+
+
+def _lifetime_chunk(
+    state, spec, chunk_tel, *, kernel, n_disks, mttf_hours, mttr_hours,
+    horizon_hours,
+):
+    """Chunk function of the lifetime runner; *state* is ``(oracle,)``."""
+    (oracle,) = state
+    return lifetime_kernel(kernel)(
+        n_disks,
+        mttf_hours,
+        mttr_hours,
+        oracle,
+        horizon_hours,
+        trials=spec.size,
+        seed=derive_chunk_seed(spec.seed, spec.index),
+        telemetry=chunk_tel,
+    )
 
 
 def simulate_lifetimes_parallel(
@@ -292,43 +337,25 @@ def simulate_lifetimes_parallel(
     never on ``jobs`` — so ``jobs=1`` and ``jobs=8`` are bit-identical,
     and a run with ``trials <= chunk_trials`` is bit-identical to the
     selected serial kernel. *kernel* picks the per-chunk engine from
-    :data:`~repro.sim.montecarlo.MC_KERNELS` (``"auto"`` prefers the
+    :data:`~repro.sim.montecarlo.MC_KERNELS` (``"auto"`` is the
     vectorized kernel; the two kernels sample different streams, so they
     agree statistically, not bit-for-bit). *oracle* must be picklable
     when ``jobs > 1`` (use the oracle classes from
     :mod:`repro.sim.montecarlo`, not ad-hoc closures); it is broadcast to
-    the persistent pool once, not shipped per chunk.
-
-    When *telemetry* is a collecting instance, each worker fills a
-    private registry/event-log and the parent folds the chunks back in
-    chunk order — so the merged metrics obey the same determinism
-    contract as the result (wall-clock trace spans excepted). *progress*
-    is called after every completed chunk with
-    ``(trials_done, trials_total, losses_so_far)``.
+    the persistent pool once, not shipped per chunk. *telemetry* and
+    *progress* follow :func:`run_chunks`' contract.
     """
-    if jobs < 1:
-        raise SimulationError(f"jobs must be >= 1, got {jobs}")
-    if trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {trials}")
     lifetime_kernel(kernel)  # fail fast on unknown names
-    if seed is None:
-        seed = random.SystemRandom().getrandbits(48)
-    collect = telemetry is not None and telemetry.enabled
-    sizes = chunk_sizes(trials, chunk_trials)
-    specs = [
-        (size, derive_chunk_seed(seed, chunk_id))
-        for chunk_id, size in enumerate(sizes)
-    ]
-    common = (
-        n_disks, mttf_hours, mttr_hours, horizon_hours, kernel, collect,
-        ambient_profiler().enabled,
+    parts = run_chunks(
+        "simulate_lifetimes_parallel", dict(trials=trials, jobs=jobs),
+        _lifetime_chunk, (oracle,),
+        dict(
+            kernel=kernel, n_disks=n_disks, mttf_hours=mttf_hours,
+            mttr_hours=mttr_hours, horizon_hours=horizon_hours,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
     )
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.span("simulate_lifetimes_parallel", trials=trials, jobs=jobs):
-        parts = _drain_streaming(
-            _lifetime_worker, oracle, common, specs, sizes, jobs,
-            telemetry, progress, trials,
-        )
     return merge_lifetime_results(parts)
 
 
@@ -340,15 +367,7 @@ def merge_lifecycle_results(
     Loss times and the per-trial instrumentation tuples are concatenated
     in the given (chunk) order; all parts must share a horizon.
     """
-    if not parts:
-        raise SimulationError("no chunk results to merge")
-    horizon = parts[0].horizon_hours
-    for part in parts[1:]:
-        if part.horizon_hours != horizon:
-            raise SimulationError(
-                f"cannot merge results with different horizons "
-                f"({part.horizon_hours} vs {horizon})"
-            )
+    horizon = _shared_horizon(parts)
     return LifecycleResult(
         trials=sum(p.trials for p in parts),
         losses=sum(p.losses for p in parts),
@@ -370,8 +389,8 @@ def merge_lifecycle_results(
     )
 
 
-def _lifecycle_worker(state, common, spec):
-    """Pool task for one lifecycle chunk.
+def _lifecycle_chunk(state, spec, chunk_tel, *, kernel, **physics):
+    """Chunk function of the lifecycle runner.
 
     *state* is the broadcast ``(layout, timer, tables)`` triple — the
     layout's cell indexes, the rebuild-time memo, and the columnar
@@ -381,43 +400,20 @@ def _lifecycle_worker(state, common, spec):
     tables ride along like ``ServeTables`` does for the serving runner.
     """
     layout, timer, tables = state
-    (
-        mttf_hours, horizon_hours, lse_rate_per_byte, collect, kernel,
-        profile,
-    ) = common
-    size, chunk_seed = spec
-    chunk_tel = Telemetry.collecting() if collect else None
-    chunk_prof = _chunk_profiler(profile)
-    if collect:
-        # Memo hits/misses are recorded in telemetry, so a memo warmed by
-        # *other* chunks would make the merged registry depend on which
-        # chunks shared a worker. Collecting runs therefore pay a cold
-        # memo per chunk; the simulated result is identical either way.
-        timer = RebuildTimer(
-            timer.layout, timer.disk, timer.sparing, timer.method,
-            timer.batches,
-        )
-    simulate = lifecycle_kernel(kernel)
-    extra = {}
-    if simulate is simulate_lifecycle_vectorized:
-        extra["tables"] = tables
-    with use_profiler(chunk_prof):
-        result = simulate(
-            layout,
-            mttf_hours,
-            horizon_hours,
-            disk=timer.disk,
-            sparing=timer.sparing,
-            method=timer.method,
-            batches=timer.batches,
-            lse_rate_per_byte=lse_rate_per_byte,
-            trials=size,
-            seed=chunk_seed,
-            telemetry=chunk_tel,
-            timer=timer,
-            **extra,
-        )
-    return result, chunk_tel, chunk_prof
+    if tables is not None:
+        physics["tables"] = tables
+    return lifecycle_kernel(kernel)(
+        layout,
+        disk=timer.disk,
+        sparing=timer.sparing,
+        method=timer.method,
+        batches=timer.batches,
+        trials=spec.size,
+        seed=derive_chunk_seed(spec.seed, spec.index),
+        telemetry=chunk_tel,
+        timer=timer,
+        **physics,
+    )
 
 
 def simulate_lifecycle_parallel(
@@ -449,28 +445,17 @@ def simulate_lifecycle_parallel(
 
     *kernel* selects a :data:`~repro.sim.lifecycle.LIFECYCLE_KERNELS`
     entry per chunk. Unlike the lifetime runner's kernels, the lifecycle
-    kernels share one sampling plane, so on a numpy build the choice
-    cannot change the result — only the wall clock. When the vectorized
-    kernel runs, the per-disk rebuild columns
-    (:class:`~repro.sim.columnar.LifecycleTables`) are computed once here
-    and broadcast to the workers alongside the timer, whose memo they
-    warm as a side effect.
+    kernels share one sampling plane, so the choice cannot change the
+    result — only the wall clock. When the vectorized kernel runs, the
+    per-disk rebuild columns (:class:`~repro.sim.columnar.LifecycleTables`)
+    are computed once here and broadcast to the workers alongside the
+    timer, whose memo they warm as a side effect.
 
-    The determinism contract extends to telemetry: when *telemetry* is a
-    collecting instance, every worker records into a private registry and
-    event log (trial indices chunk-local), and the parent merges chunks
-    in chunk order, rebasing trial indices — so the merged registry and
-    event log are bit-identical for any ``jobs``. Only trace spans (wall
-    clock) vary run to run. *progress* is called after every completed
-    chunk with ``(trials_done, trials_total, losses_so_far)``.
+    The determinism contract extends to telemetry (see
+    :func:`run_chunks`): trial indices are chunk-local in the workers and
+    rebased at the merge, so the merged registry and event log are
+    bit-identical for any ``jobs``.
     """
-    if jobs < 1:
-        raise SimulationError(f"jobs must be >= 1, got {jobs}")
-    if trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {trials}")
-    if seed is None:
-        seed = random.SystemRandom().getrandbits(48)
-    collect = telemetry is not None and telemetry.enabled
     simulate = lifecycle_kernel(kernel)  # validates the name up front
     timer = RebuildTimer(
         layout, disk or DiskModel(), sparing, method, batches
@@ -478,21 +463,16 @@ def simulate_lifecycle_parallel(
     tables = None
     if simulate is simulate_lifecycle_vectorized:
         tables = LifecycleTables.build(layout, timer)
-    sizes = chunk_sizes(trials, chunk_trials)
-    specs = [
-        (size, derive_chunk_seed(seed, chunk_id))
-        for chunk_id, size in enumerate(sizes)
-    ]
-    common = (
-        mttf_hours, horizon_hours, lse_rate_per_byte, collect, kernel,
-        ambient_profiler().enabled,
+    parts = run_chunks(
+        "simulate_lifecycle_parallel", dict(trials=trials, jobs=jobs),
+        _lifecycle_chunk, (layout, timer, tables),
+        dict(
+            kernel=kernel, mttf_hours=mttf_hours,
+            horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
     )
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.span("simulate_lifecycle_parallel", trials=trials, jobs=jobs):
-        parts = _drain_streaming(
-            _lifecycle_worker, (layout, timer, tables), common, specs,
-            sizes, jobs, telemetry, progress, trials,
-        )
     return merge_lifecycle_results(parts)
 
 
@@ -532,33 +512,26 @@ def simulate_fleet_parallel(
     *telemetry* is merged in chunk order with global mission offsets and
     covers replayed missions only (the fleet kernel's contract).
     """
-    if jobs < 1:
-        raise SimulationError(f"jobs must be >= 1, got {jobs}")
     _validate_fleet_args(
         arrays, trials, mttf_hours, horizon_hours,
         lse_rate_per_byte, lambda_boost,
     )
-    if seed is None:
-        seed = fresh_seed()
-    disk = disk or DiskModel()
-    timer = RebuildTimer(layout, disk, sparing, method, batches)
-    tables = LifecycleTables.build(layout, timer)
-    collect = telemetry is not None and telemetry.enabled
-    missions = arrays * trials
-    specs = mission_chunks(missions, chunk_missions)
-    sizes = [count for _start, count in specs]
-    common = (
-        mttf_hours, horizon_hours, lse_rate_per_byte, lambda_boost,
-        trials, seed, collect, ambient_profiler().enabled,
+    timer = RebuildTimer(
+        layout, disk or DiskModel(), sparing, method, batches
     )
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.span(
-        "simulate_fleet_parallel", arrays=arrays, trials=trials, jobs=jobs
-    ):
-        parts = _drain_streaming(
-            _fleet_worker, (layout, timer, tables, oracle), common, specs,
-            sizes, jobs, telemetry, progress, missions,
-        )
+    tables = LifecycleTables.build(layout, timer)
+    parts = run_chunks(
+        "simulate_fleet_parallel",
+        dict(arrays=arrays, trials=trials, jobs=jobs),
+        _fleet_chunk, (layout, timer, tables, oracle),
+        dict(
+            mttf_hours=mttf_hours, horizon_hours=horizon_hours,
+            lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,
+            trials_per_array=trials,
+        ),
+        arrays * trials, chunk_missions,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
+    )
     return merge_fleet_chunks(
         parts, arrays, trials, horizon_hours, mttf_hours, lambda_boost
     )
@@ -576,75 +549,35 @@ DEFAULT_CHUNK_SERVE_TRIALS = 1
 VECTORIZED_CHUNK_SERVE_TRIALS = 16
 
 
-def _serve_worker(state, common, spec):
-    """Pool task for one serving chunk.
+def _serve_chunk(state, spec, chunk_tel, *, kernel, batched, **config):
+    """Chunk function of the serving runner.
 
-    ``state`` is the broadcast ``(layout, tables)`` pair — the routing
+    *state* is the broadcast ``(layout, tables)`` pair — the routing
     tables (recovery plan, degraded fan-outs, rebuild ops) are computed
     once by the caller and shipped to each worker exactly once, so
     trials skip re-planning. Per-trial seeds are derived from
-    ``(seed, start_trial + i)`` — a global trial index, never the chunk
+    ``(seed, spec.start + i)`` — a global trial index, never the chunk
     geometry — so the merged result is bit-identical for any worker
-    count. When the caller resolved a batched sweep (``batched``), the
+    count. When the caller resolved a batched sweep (*batched*), the
     whole chunk runs as one :func:`simulate_serve_vectorized` call over
     those same per-trial seeds.
     """
     layout, tables = state
-    (
-        workload,
-        failed_disks,
-        arrival,
-        model,
-        throttle,
-        sparing,
-        rebuild_batches,
-        seed,
-        collect,
-        profile,
-        kernel,
-        batched,
-    ) = common
-    start_trial, size = spec
-    chunk_tel = Telemetry.collecting() if collect else None
-    chunk_prof = _chunk_profiler(profile)
     trial_seeds = [
-        derive_chunk_seed(seed, start_trial + i) for i in range(size)
+        derive_chunk_seed(spec.seed, spec.start + i) for i in range(spec.size)
     ]
-    with use_profiler(chunk_prof):
-        if batched:
-            result = simulate_serve_vectorized(
-                layout,
-                workload=workload,
-                failed_disks=failed_disks,
-                arrival=arrival,
-                model=model,
-                throttle=throttle,
-                sparing=sparing,
-                rebuild_batches=rebuild_batches,
-                telemetry=chunk_tel,
-                tables=tables,
-                trial_seeds=trial_seeds,
-            )
-            return result, chunk_tel, chunk_prof
-        parts = []
-        for trial_seed in trial_seeds:
-            parts.append(
-                simulate_serve(
-                    layout,
-                    workload=workload,
-                    failed_disks=failed_disks,
-                    arrival=arrival,
-                    model=model,
-                    throttle=throttle,
-                    sparing=sparing,
-                    rebuild_batches=rebuild_batches,
-                    seed=trial_seed,
-                    telemetry=chunk_tel,
-                    tables=tables,
-                    kernel=kernel,
-                )
-            )
-    return merge_serve_results(parts), chunk_tel, chunk_prof
+    if batched:
+        return simulate_serve_vectorized(
+            layout, telemetry=chunk_tel, tables=tables,
+            trial_seeds=trial_seeds, **config,
+        )
+    return merge_serve_results([
+        simulate_serve(
+            layout, seed=trial_seed, telemetry=chunk_tel, tables=tables,
+            kernel=kernel, **config,
+        )
+        for trial_seed in trial_seeds
+    ])
 
 
 def simulate_serve_parallel(
@@ -688,22 +621,15 @@ def simulate_serve_parallel(
     either default; chunk geometry never changes the result, only the
     progress-callback granularity.
     """
-    if jobs < 1:
-        raise SimulationError(f"jobs must be >= 1, got {jobs}")
-    if trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {trials}")
     resolved = serve_kernel(kernel)
-    if seed is None:
-        seed = random.SystemRandom().getrandbits(48)
     arrival = arrival if arrival is not None else OpenLoop(100.0)
-    collect = telemetry is not None and telemetry.enabled
     failed = tuple(sorted(set(failed_disks)))
     # Plan the recovery once, here; workers get the routing tables as
     # broadcast state instead of re-planning per trial.
     tables = build_serve_tables(layout, failed, sparing, rebuild_batches)
     batched = (
         resolved == "vectorized"
-        and not collect
+        and not (telemetry is not None and telemetry.enabled)
         and serve_batch_supported(arrival, throttle, tables)
     )
     if chunk_trials is None:
@@ -712,32 +638,18 @@ def simulate_serve_parallel(
             if batched
             else DEFAULT_CHUNK_SERVE_TRIALS
         )
-    sizes = chunk_sizes(trials, chunk_trials)
-    specs = []
-    start = 0
-    for size in sizes:
-        specs.append((start, size))
-        start += size
-    common = (
-        workload,
-        failed,
-        arrival,
-        model,
-        throttle,
-        sparing,
-        rebuild_batches,
-        seed,
-        collect,
-        ambient_profiler().enabled,
-        resolved,
-        batched,
+    parts = run_chunks(
+        "simulate_serve_parallel", dict(trials=trials, jobs=jobs),
+        _serve_chunk, (layout, tables),
+        dict(
+            kernel=resolved, batched=batched, workload=workload,
+            failed_disks=failed, arrival=arrival, model=model,
+            throttle=throttle, sparing=sparing,
+            rebuild_batches=rebuild_batches,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
     )
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.span("simulate_serve_parallel", trials=trials, jobs=jobs):
-        parts = _drain_streaming(
-            _serve_worker, (layout, tables), common, specs, sizes, jobs,
-            telemetry, progress, trials,
-        )
     return merge_serve_results(parts)
 
 
@@ -800,7 +712,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int = 1,
-    chunksize: int = 1,  # kept for API compatibility; batching is automatic
 ) -> List[R]:
     """Order-preserving map, serial for ``jobs=1`` else pool-parallel.
 

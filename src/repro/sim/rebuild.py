@@ -37,7 +37,7 @@ from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import RecoveryPlan, plan_recovery
 from repro.obs.telemetry import ambient
-from repro.results import ResultBase, deprecated_alias, register_result
+from repro.results import ResultBase, register_result
 from repro.sim.engine import FcfsServer, Simulator
 from repro.util.units import GIB
 
@@ -86,7 +86,7 @@ class RebuildResult(ResultBase):
     bytes_read: float
     bytes_written: float
     #: Busy time of the most-loaded disk — the spindle bounding the
-    #: rebuild (formerly ``busiest_disk_seconds``).
+    #: rebuild.
     bottleneck_seconds: float
     raid5_seconds: float
     #: Spare-write counts per disk id, populated by the event-driven
@@ -97,10 +97,6 @@ class RebuildResult(ResultBase):
     SUMMARY_KEYS = (
         "layout_name", "sparing", "seconds", "speedup_vs_raid5",
         "bytes_read", "bytes_written", "bottleneck_seconds",
-    )
-
-    busiest_disk_seconds = deprecated_alias(
-        "busiest_disk_seconds", "bottleneck_seconds"
     )
 
     @property

@@ -53,14 +53,10 @@ any worker count — the same contract as every other simulator here.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-try:  # the vectorized kernel needs numpy; the event kernel does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
@@ -74,7 +70,6 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
-    PyTrialStreams,
     TrialStreams,
     derive_chunk_seed,
     derive_lane_seeds,
@@ -93,25 +88,17 @@ SERVE_KERNELS = ("auto", "vectorized", "event")
 
 
 def serve_kernel(name: str) -> str:
-    """Resolve a kernel name to the concrete kernel (``auto`` decides).
+    """Resolve a kernel name to the concrete kernel.
 
-    Returns ``'vectorized'`` or ``'event'``. ``'auto'`` picks the
-    vectorized kernel whenever numpy is importable — safe because both
-    kernels read one sampling plane and return bit-identical results —
-    and the event walk otherwise. Asking for ``'vectorized'`` without
-    numpy raises instead of silently degrading.
+    Returns ``'vectorized'`` or ``'event'``. ``'auto'`` is an alias of
+    ``'vectorized'`` — safe because both kernels read one sampling plane
+    and return bit-identical results.
     """
     if name not in SERVE_KERNELS:
         raise SimulationError(
             f"unknown serve kernel {name!r} (expected one of {SERVE_KERNELS})"
         )
-    if name == "auto":
-        return "vectorized" if _np is not None else "event"
-    if name == "vectorized" and _np is None:
-        raise SimulationError(
-            "the vectorized serve kernel requires numpy; use kernel='event'"
-        )
-    return name
+    return "event" if name == "event" else "vectorized"
 
 
 class ThrottlePolicy:
@@ -607,8 +594,8 @@ _N_LANES = 4
 def _zipf_cumulative(n_units: int, skew: float):
     """Cumulative Zipf weights (rank r weighted 1/r**skew), plus total.
 
-    Plain sequential Python accumulation, shared verbatim by the numpy
-    and fallback samplers so both read identical cut points.
+    Plain sequential Python accumulation: the cut points decide which
+    unit a uniform lands on, so the summation order is pinned here.
     """
     cumulative: List[float] = []
     total = 0.0
@@ -646,19 +633,14 @@ class _TraceBatch:
         """Trial *i*'s ``(arrivals, units, is_write)`` as Python lists."""
         arrivals = self.arrivals
         if arrivals is not None:
-            arrivals = _as_list(arrivals[i])
+            arrivals = arrivals[i].tolist()
         units = self.units if self.shared else self.units[i]
         is_write = self.is_write if self.shared else self.is_write[i]
-        return arrivals, _as_list(units), _as_list(is_write)
+        return arrivals, units.tolist(), is_write.tolist()
 
 
-def _as_list(row):
-    """Materialize a numpy row as a list; pass plain lists through."""
-    return row.tolist() if hasattr(row, "tolist") else list(row)
-
-
-def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
-    """Vectorized unit/write tables for a WorkloadSpec (numpy builds)."""
+def _spec_units(spec: WorkloadSpec, n_units: int, u, n: int):
+    """Vectorized unit/write tables for a WorkloadSpec."""
     k = u.shape[0]
     if spec.kind == "sequential":
         base = (spec.start + _np.arange(n, dtype=_np.int64)) % n_units
@@ -675,9 +657,8 @@ def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
         cumulative, total = _zipf_cumulative(n_units, spec.skew)
         # Hot ranks land on shuffled unit addresses: the permutation is
         # the stable sort order of the permutation lane's first n_units
-        # uniforms — a per-trial Fisher-Yates-free shuffle both sampler
-        # implementations reproduce exactly (uniforms are bit-identical
-        # across implementations, and both sorts are stable).
+        # uniforms — a per-trial Fisher-Yates-free shuffle (the sort is
+        # stable, so ties cannot reorder between batch sizes).
         perm = _np.argsort(u[:, _LANE_PERM, :n_units], axis=1, kind="stable")
         cuts = _np.asarray(cumulative)
         idx = _np.searchsorted(cuts, u[:, _LANE_UNIT, :n] * total, side="left")
@@ -690,37 +671,6 @@ def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
         is_write = _np.broadcast_to(_np.array(True), (k, n))
     else:
         is_write = u[:, _LANE_WRITE, :n] < wf
-    return units, is_write
-
-
-def _spec_units_py(spec: WorkloadSpec, n_units: int, streams, n: int):
-    """Pure-Python mirror of :func:`_spec_units_np` for one trial."""
-    if spec.kind == "sequential":
-        units = [(spec.start + i) % n_units for i in range(n)]
-        return units, [spec.write_fraction >= 0.5] * n
-    if spec.kind == "uniform":
-        units = []
-        for j in range(n):
-            v = int(streams.uniform(_LANE_UNIT, j) * n_units)
-            units.append(v if v < n_units else n_units - 1)
-    else:  # zipf
-        cumulative, total = _zipf_cumulative(n_units, spec.skew)
-        keys = [streams.uniform(_LANE_PERM, j) for j in range(n_units)]
-        perm = sorted(range(n_units), key=keys.__getitem__)
-        units = []
-        for j in range(n):
-            x = streams.uniform(_LANE_UNIT, j) * total
-            idx = bisect_left(cumulative, x)
-            units.append(perm[min(idx, n_units - 1)])
-    wf = spec.write_fraction
-    if wf <= 0.0:
-        is_write = [False] * n
-    elif wf >= 1.0:
-        is_write = [True] * n
-    else:
-        is_write = [
-            streams.uniform(_LANE_WRITE, j) < wf for j in range(n)
-        ]
     return units, is_write
 
 
@@ -763,52 +713,24 @@ def _sample_traces(
     if spec is not None and spec.kind == "zipf":
         slots = max(n, n_units)
 
-    if _np is not None:
-        streams = TrialStreams(
-            0, k * _N_LANES, lambd, slots,
-            lane_seeds=derive_lane_seeds(trial_seeds, _N_LANES),
-        )
-        width = streams.slots
-        arrivals = None
-        if isinstance(arrival, OpenLoop):
-            exp = streams.exponentials.reshape(k, _N_LANES, width)
-            arrivals = _np.cumsum(exp[:, _LANE_ARRIVAL, :n], axis=1)
-        if requests is not None:
-            units = _np.array([r.unit for r in requests], dtype=_np.int64)
-            is_write = _np.array(
-                [bool(r.is_write) for r in requests], dtype=bool
-            )
-            return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
-        u = streams.uniforms.reshape(k, _N_LANES, width)
-        units, is_write = _spec_units_np(spec, n_units, u, n)
-        return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
-
-    arrivals_rows = [] if isinstance(arrival, OpenLoop) else None
-    units_rows: List[List[int]] = []
-    write_rows: List[List[bool]] = []
-    for ts in trial_seeds:
-        streams = PyTrialStreams(
-            0, _N_LANES, lambd,
-            lane_seeds=derive_lane_seeds((ts,), _N_LANES),
-        )
-        if arrivals_rows is not None:
-            t = 0.0
-            row = []
-            for j in range(n):
-                t += streams.exponential(_LANE_ARRIVAL, j)
-                row.append(t)
-            arrivals_rows.append(row)
-        if spec is not None:
-            units_row, write_row = _spec_units_py(spec, n_units, streams, n)
-            units_rows.append(units_row)
-            write_rows.append(write_row)
-    if requests is not None:
-        units = [r.unit for r in requests]
-        is_write = [bool(r.is_write) for r in requests]
-        return _TraceBatch(k, n, arrivals_rows, units, is_write, shared=True)
-    return _TraceBatch(
-        k, n, arrivals_rows, units_rows, write_rows, shared=False
+    streams = TrialStreams(
+        0, k * _N_LANES, lambd, slots,
+        lane_seeds=derive_lane_seeds(trial_seeds, _N_LANES),
     )
+    width = streams.slots
+    arrivals = None
+    if isinstance(arrival, OpenLoop):
+        exp = streams.exponentials.reshape(k, _N_LANES, width)
+        arrivals = _np.cumsum(exp[:, _LANE_ARRIVAL, :n], axis=1)
+    if requests is not None:
+        units = _np.array([r.unit for r in requests], dtype=_np.int64)
+        is_write = _np.array(
+            [bool(r.is_write) for r in requests], dtype=bool
+        )
+        return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
+    u = streams.uniforms.reshape(k, _N_LANES, width)
+    units, is_write = _spec_units(spec, n_units, u, n)
+    return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
 
 
 def serve_batch_supported(
@@ -1294,10 +1216,6 @@ def simulate_serve_vectorized(
     observation stream must match the walk's exactly — replay each trial
     through the event walk on the same sampled lanes.
     """
-    if _np is None:
-        raise SimulationError(
-            "the vectorized serve kernel requires numpy; use kernel='event'"
-        )
     if trial_seeds is not None:
         seeds = tuple(int(s) for s in trial_seeds)
         if not seeds:

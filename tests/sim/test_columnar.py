@@ -1,7 +1,6 @@
 """The shared columnar core: draw lanes, state tables, moved samplers."""
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -11,19 +10,32 @@ from repro.sim.columnar import (
     STATUS_ALIVE,
     DiskStateTable,
     LifecycleTables,
-    PyTrialStreams,
+    LockstepScreen,
     TrialStreams,
     lane_seed,
     mix64,
     oracle_guarantee,
-    trial_streams,
 )
-from repro.sim.lifecycle import RebuildTimer
+from repro.obs.telemetry import Telemetry
+from repro.sim.lifecycle import (
+    RebuildTimer,
+    _lifecycle_trial,
+    _pattern_check,
+    _slot_estimate,
+    guaranteed_tolerance,
+)
 from repro.sim.montecarlo import ThresholdOracle, recoverability_oracle
 from repro.sim.rebuild import DiskModel
 from repro.util.units import GIB
 
 DISK = DiskModel(capacity_bytes=64 * GIB, bandwidth_bytes_per_s=2 * 1024 * 1024)
+
+
+def scalar_uniform(seed: int, trial: int, pos: int) -> float:
+    """Slot *pos* of global lane *trial*, from the scalar mixing formula."""
+    return (
+        mix64(lane_seed(seed, trial) + (pos + 1) * GOLDEN_STRIDE) >> 11
+    ) * 2.0**-53
 
 
 class TestMix64:
@@ -33,7 +45,6 @@ class TestMix64:
         assert mix64(GOLDEN_STRIDE) == 0xE220A8397B1DCDAF
 
     def test_numpy_and_python_agree(self):
-        np = pytest.importorskip("numpy")
         from repro.sim.columnar import _mix64_np
 
         values = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF,
@@ -44,15 +55,14 @@ class TestMix64:
 
 class TestTrialStreams:
     def test_python_and_numpy_uniforms_bit_identical(self):
-        pytest.importorskip("numpy")
         streams = TrialStreams(seed=42, trials=5, lambd=0.5, slots=16)
-        py = PyTrialStreams(seed=42, trials=5, lambd=0.5)
         for trial in range(5):
             for pos in range(16):
-                assert streams.uniform(trial, pos) == py.uniform(trial, pos)
+                assert streams.uniform(trial, pos) == scalar_uniform(
+                    42, trial, pos
+                )
 
     def test_growth_is_invisible(self):
-        pytest.importorskip("numpy")
         small = TrialStreams(seed=7, trials=3, lambd=1.0, slots=4)
         big = TrialStreams(seed=7, trials=3, lambd=1.0, slots=64)
         small.ensure(64)
@@ -60,17 +70,12 @@ class TestTrialStreams:
         assert (small.exponentials == big.exponentials[:, : small.slots]).all()
 
     def test_lanes_keyed_by_trial_counter(self):
-        pytest.importorskip("numpy")
         streams = TrialStreams(seed=9, trials=2, lambd=1.0, slots=2)
-        expected = (
-            mix64(lane_seed(9, 1) + 2 * GOLDEN_STRIDE) >> 11
-        ) * 2.0**-53
-        assert streams.uniform(1, 1) == expected
+        assert streams.uniform(1, 1) == scalar_uniform(9, 1, 1)
 
     def test_lane_offset_windows_the_global_lane_space(self):
         """``lane_offset=m`` is rows m..m+k-1 of the unoffset plane —
         the keystone of the fleet kernel's chunk-invariant sampling."""
-        pytest.importorskip("numpy")
         full = TrialStreams(seed=13, trials=10, lambd=0.25, slots=8)
         window = TrialStreams(
             seed=13, trials=4, lambd=0.25, slots=8, lane_offset=3
@@ -79,22 +84,20 @@ class TestTrialStreams:
         assert (window.exponentials == full.exponentials[3:7]).all()
 
     def test_lane_offset_pure_python_agrees(self):
-        pytest.importorskip("numpy")
         window = TrialStreams(
             seed=13, trials=4, lambd=0.25, slots=8, lane_offset=3
         )
-        py = PyTrialStreams(seed=13, trials=4, lambd=0.25, lane_offset=3)
         for trial in range(4):
             for pos in range(8):
-                assert window.uniform(trial, pos) == py.uniform(trial, pos)
+                assert window.uniform(trial, pos) == scalar_uniform(
+                    13, 3 + trial, pos
+                )
 
     def test_lane_offset_validation(self):
-        pytest.importorskip("numpy")
         with pytest.raises(SimulationError):
             TrialStreams(seed=1, trials=2, lambd=1.0, lane_offset=-1)
 
     def test_cursor_walks_the_plane_in_order(self):
-        pytest.importorskip("numpy")
         streams = TrialStreams(seed=3, trials=2, lambd=0.25, slots=8)
         cursor = streams.cursor(1)
         assert cursor.random() == streams.uniform(1, 0)
@@ -102,38 +105,30 @@ class TestTrialStreams:
         assert cursor.pos == 2
 
     def test_cursor_grows_past_the_plane(self):
-        pytest.importorskip("numpy")
         streams = TrialStreams(seed=3, trials=1, lambd=1.0, slots=2)
         cursor = streams.cursor(0)
         draws = [cursor.random() for _ in range(40)]
-        reference = PyTrialStreams(seed=3, trials=1, lambd=1.0)
-        assert draws == [reference.uniform(0, pos) for pos in range(40)]
+        assert draws == [scalar_uniform(3, 0, pos) for pos in range(40)]
 
     def test_cursor_rejects_foreign_rate(self):
-        streams = trial_streams(seed=0, trials=1, lambd=0.5)
+        streams = TrialStreams(seed=0, trials=1, lambd=0.5)
         with pytest.raises(SimulationError):
             streams.cursor(0).expovariate(0.25)
 
     def test_randrange_stays_in_bounds(self):
-        streams = trial_streams(seed=11, trials=1, lambd=1.0)
+        streams = TrialStreams(seed=11, trials=1, lambd=1.0)
         cursor = streams.cursor(0)
         assert all(0 <= cursor.randrange(3) < 3 for _ in range(100))
 
-    def test_pure_python_exponentials_match_math_log(self):
-        py = PyTrialStreams(seed=5, trials=1, lambd=2.0)
-        u = py.uniform(0, 0)
-        assert py.exponential(0, 0) == -math.log(1.0 - u) / 2.0
-
     def test_validation(self):
         with pytest.raises(SimulationError):
-            trial_streams(seed=0, trials=0, lambd=1.0)
+            TrialStreams(seed=0, trials=0, lambd=1.0)
         with pytest.raises(SimulationError):
-            trial_streams(seed=0, trials=1, lambd=0.0)
+            TrialStreams(seed=0, trials=1, lambd=0.0)
 
 
 class TestDiskStateTable:
     def test_shapes_and_initial_state(self, fano_layout):
-        np = pytest.importorskip("numpy")
         table = DiskStateTable.for_layout(fano_layout, trials=4)
         n = fano_layout.n_disks
         assert table.status.shape == (4, n)
@@ -141,19 +136,16 @@ class TestDiskStateTable:
         assert (table.repair_at == np.inf).all()
 
     def test_group_column_reflects_bibd_grouping(self, fano_layout):
-        pytest.importorskip("numpy")
         table = DiskStateTable.for_layout(fano_layout, trials=1)
         groups = [fano_layout.grouping.locate(d)[0]
                   for d in range(fano_layout.n_disks)]
         assert table.group.tolist() == groups
 
     def test_flat_layouts_are_ungrouped(self):
-        pytest.importorskip("numpy")
         table = DiskStateTable.for_layout(Raid5Layout(5), trials=1)
         assert table.group.tolist() == [-1] * 5
 
     def test_structured_export_round_trips(self, fano_layout):
-        pytest.importorskip("numpy")
         table = DiskStateTable.for_layout(fano_layout, trials=2)
         table.fail_at[1, 3] = 12.5
         records = table.to_structured()
@@ -164,7 +156,6 @@ class TestDiskStateTable:
 
 class TestLifecycleTables:
     def test_columns_match_the_timer(self, fano_layout):
-        pytest.importorskip("numpy")
         timer = RebuildTimer(fano_layout, DISK)
         tables = LifecycleTables.build(fano_layout, timer)
         for disk in range(fano_layout.n_disks):
@@ -192,3 +183,51 @@ class TestSharedSamplers:
         assert montecarlo._sample_lifetime_events is columnar.sample_renewal_events
         assert montecarlo._first_exceedances is columnar.first_exceedances
         assert montecarlo._oracle_guarantee is columnar.oracle_guarantee
+
+
+class TestLockstepScreen:
+    """The one shared screen, checked against the exact event walk."""
+
+    MTTF, HORIZON, SEED, TRIALS = 800.0, 3000.0, 5, 200
+
+    @pytest.mark.parametrize("lse_mean", [0.0, 0.2])
+    def test_flags_and_counts_agree_with_the_event_walk(
+        self, fano_layout, lse_mean
+    ):
+        """Same seed, same lanes: the screen's dangerous set is exactly the
+        trials whose walk overlaps two failures or draws an LSE strike, and
+        for every other trial its failure/repair/peak counts are the walk's."""
+        timer = RebuildTimer(fano_layout, DISK)
+        tables = LifecycleTables.build(fano_layout, timer)
+        lse_rate = lse_mean / float(tables.bytes_read.max())
+        tolerance = guaranteed_tolerance(fano_layout)
+        lambd = 1.0 / self.MTTF
+        screen = LockstepScreen(
+            fano_layout, tables, self.SEED, self.TRIALS, lambd, self.HORIZON,
+            lse_rate, tolerance,
+            _slot_estimate(fano_layout.n_disks, self.MTTF, self.HORIZON),
+        )
+        for _round in screen.rounds():
+            pass
+
+        pattern_ok = _pattern_check(fano_layout, None, tolerance)
+        overlapped = struck = 0
+        for trial in range(self.TRIALS):
+            tel = Telemetry.collecting()
+            _lost, _lse, failures, repairs, _hours, peak = _lifecycle_trial(
+                screen.streams.cursor(trial), fano_layout, lambd,
+                self.HORIZON, timer, lse_rate, pattern_ok, tel, trial,
+            )
+            strikes = dict(tel.metrics.counters()).get(
+                "lifecycle.lse_strikes", 0
+            )
+            overlapped += peak >= 2
+            struck += strikes > 0
+            assert bool(screen.dangerous[trial]) == (peak >= 2 or strikes > 0)
+            if not screen.dangerous[trial]:
+                assert screen.n_failures[trial] == failures
+                assert screen.n_repairs[trial] == repairs
+                assert screen.peak[trial] == peak
+        # the config exercises both screen outcomes and both danger causes
+        assert 0 < overlapped < self.TRIALS
+        assert (struck > 0) == (lse_mean > 0)

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
-from repro.obs import Telemetry
+from repro.obs import PhaseProfiler, Telemetry, use_profiler
+from repro.sim.fleet import simulate_fleet
 from repro.sim.montecarlo import recoverability_oracle, threshold_oracle
 from repro.sim.parallel import (
+    simulate_fleet_parallel,
     simulate_lifecycle_parallel,
     simulate_lifetimes_parallel,
     simulate_serve_parallel,
@@ -198,3 +200,27 @@ class TestPoolPathDeterminism:
             )
 
         self._assert_invariant(run)
+
+
+class TestOneChunkDriver:
+    def test_serial_fleet_is_the_parallel_runner_at_jobs_1(self):
+        """``simulate_fleet`` has no loop of its own: result *and* merged
+        profile (phase calls, counters, chunk-ordered series) equal the
+        parallel runner's at ``jobs=1``."""
+        config = dict(
+            disk=DISK, arrays=30, trials=5, lambda_boost=1.4, seed=11,
+            chunk_missions=32,
+        )
+
+        def profiled(runner, **extra):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                result = runner(LAYOUT, 800.0, 2000.0, **config, **extra)
+            return result, prof.deterministic_dict()
+
+        serial, serial_profile = profiled(simulate_fleet)
+        driven, driven_profile = profiled(simulate_fleet_parallel, jobs=1)
+        assert serial == driven
+        assert serial_profile == driven_profile
+        # five chunks, each merged under its own parent ``merge`` span
+        assert serial_profile["phases"]["merge"]["calls"] == 5

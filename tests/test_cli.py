@@ -245,6 +245,12 @@ class TestExitCodes:
     def test_missing_required_is_two(self):
         assert main(["info"]) == 2
 
+    def test_retired_kernel_alias_is_two(self, capsys):
+        # --kernel was a hidden alias of --mc-kernel; it is gone, not renamed.
+        argv = ["lifecycle", "-v", "7", "-k", "3", "--kernel", "event"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "report" in capsys.readouterr().out

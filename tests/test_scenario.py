@@ -1,19 +1,13 @@
 """The unified Scenario/run() front door and the common result protocol."""
 
 import json
-import warnings
 
 import pytest
 
 from repro import Scenario, run
 from repro.core.oi_layout import oi_raid
 from repro.errors import ReproError, SimulationError
-from repro.results import (
-    ResultBase,
-    deprecated_alias,
-    register_result,
-    result_from_dict,
-)
+from repro.results import result_from_dict
 from repro.serve import FixedRateThrottle
 from repro.sim.latency import LatencyResult
 from repro.sim.lifecycle import LifecycleResult
@@ -184,46 +178,24 @@ class TestResultProtocol:
         reloaded = result_from_dict(doc)
         assert reloaded.horizon_hours == float("inf")
 
-    def test_deprecated_alias_warns_and_forwards(self):
-        result = run(Scenario(kind="rebuild", layout=LAYOUT))
-        with pytest.warns(DeprecationWarning, match="bottleneck_seconds"):
-            assert result.busiest_disk_seconds == result.bottleneck_seconds
-
-    def test_deprecated_alias_warns_exactly_once_per_access(self):
-        result = run(Scenario(kind="rebuild", layout=LAYOUT))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result.busiest_disk_seconds
-        fired = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "bottleneck_seconds" in str(w.message)
-        ]
-        assert len(fired) == 1
-
-    def test_old_key_names_load_through_alias(self):
-        """JSONL written before a field rename still rebuilds the current
-        dataclass: from_dict remaps keys through the alias table."""
+    def test_old_key_only_document_is_rejected(self):
+        """``busiest_disk_seconds`` became ``bottleneck_seconds`` and the
+        loading shim is retired: a stored document carrying only the old
+        key fails with the protocol's one-line error — it neither loads
+        silently nor surfaces a ``TypeError`` from the dataclass."""
         result = run(Scenario(kind="rebuild", layout=LAYOUT, faults=(0,)))
         doc = result.to_dict()
         doc["busiest_disk_seconds"] = doc.pop("bottleneck_seconds")
-        reloaded = result_from_dict(doc)
-        assert reloaded == result
+        with pytest.raises(
+            ReproError,
+            match=r"RebuildResult document missing fields "
+                  r"\['bottleneck_seconds'\]",
+        ):
+            result_from_dict(doc)
 
     def test_current_key_wins_over_alias(self):
         result = run(Scenario(kind="rebuild", layout=LAYOUT, faults=(0,)))
         doc = result.to_dict()
         doc["busiest_disk_seconds"] = doc["bottleneck_seconds"] + 1.0
         reloaded = result_from_dict(doc)
-        assert reloaded == result  # the stale alias key is ignored
-
-    def test_alias_factory(self):
-        @register_result
-        class Dummy(ResultBase):
-            """Protocol host for the alias test."""
-
-            new_name = 41 + 1
-            old_name = deprecated_alias("old_name", "new_name")
-
-        with pytest.warns(DeprecationWarning):
-            assert Dummy().old_name == 42
+        assert reloaded == result  # the stale pre-rename key is ignored

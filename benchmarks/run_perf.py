@@ -121,6 +121,7 @@ def measure_kernels() -> dict:
     acc = np.zeros(UNIT, dtype=np.uint8)
     oi = oi_raid(7, 3)
     big = oi_raid(19, 3)
+    wide = oi_raid(57, 3)
 
     note("measuring GF(256) kernels, peeler, planner, tolerance sweep ...")
     current = {
@@ -146,6 +147,14 @@ def measure_kernels() -> dict:
             lambda: (oi._single_plan_cache.clear(), plan_recovery(oi, [0])),
             repeat=5,
             number=1,
+        ),
+        # Multi-failure plans are never cached: these two are what a
+        # RebuildTimer miss pays, on the reference and the 171-disk array.
+        "plan_double_uncached_21_s": best_of(
+            lambda: plan_recovery(oi, [0, 9]), repeat=5, number=1
+        ),
+        "plan_triple_uncached_171_s": best_of(
+            lambda: plan_recovery(wide, [0, 1, 9]), repeat=3, number=1
         ),
         "survivable_f3_exhaustive_21_s": best_of(
             lambda: survivable_fraction(oi, 3), repeat=3, number=1

@@ -26,15 +26,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import DataLossError
+from repro.errors import DataLossError, LayoutError
 from repro.layouts.base import (
     Cell,
     DiskPeelingIndex,
     Layout,
     PeelingIndex,
-    Stripe,
 )
 from repro.obs.telemetry import ambient
+
+#: Default cap on the offload hill-climb. Only plans built with it (and
+#: the other default flags) may be served from the single-failure cache.
+DEFAULT_OFFLOAD_ROUNDS = 10_000
 
 
 def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
@@ -42,20 +45,12 @@ def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
     failed = set(failed_disks)
     for disk in failed:
         if not 0 <= disk < layout.n_disks:
-            raise ValueError(f"no such disk {disk} in {layout.name}")
+            raise LayoutError(f"no such disk {disk} in {layout.name}")
     return {
         (disk, addr)
         for disk in failed
         for addr in range(layout.units_per_disk)
     }
-
-
-def _eligible(stripe: Stripe, lost: Set[Cell]) -> Optional[Tuple[Cell, ...]]:
-    """The stripe's lost cells if it can repair them all, else None."""
-    in_stripe = tuple(c for c in stripe.cells() if c in lost)
-    if 0 < len(in_stripe) <= stripe.tolerance:
-        return in_stripe
-    return None
 
 
 def _lost_counts(index: PeelingIndex, lost: Set[Cell]) -> Dict[int, int]:
@@ -163,7 +158,7 @@ def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
         if not (
             0 <= disk < layout.n_disks and 0 <= addr < layout.units_per_disk
         ):
-            raise ValueError(
+            raise LayoutError(
                 f"no such cell ({disk}, {addr}) in {layout.name}"
             )
     if not lost:
@@ -186,7 +181,7 @@ def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
     failed = set(failed_disks)
     for disk in failed:
         if not 0 <= disk < layout.n_disks:
-            raise ValueError(f"no such disk {disk} in {layout.name}")
+            raise LayoutError(f"no such disk {disk} in {layout.name}")
     if not failed:
         return True
     return _peel_disks(layout.disk_peeling_index(), failed)
@@ -299,16 +294,13 @@ def parity_disk_table(layout: Layout) -> Dict[Cell, Tuple[int, ...]]:
 
 
 def _surrogate_options(
-    layout: Layout, cell: Cell, lost_or_target: Set[Cell]
+    index: PeelingIndex, cell: Cell, all_lost: Set[Cell]
 ) -> List[Tuple[int, Tuple[Cell, ...]]]:
     """Stripes that can decode *cell* purely from online, un-lost cells."""
     options = []
-    for stripe_id in layout.stripes_containing(cell):
-        stripe = layout.stripes[stripe_id]
-        if stripe.tolerance < 1:
-            continue
-        others = tuple(c for c in stripe.cells() if c != cell)
-        if any(c in lost_or_target for c in others):
+    for stripe_id in index.cell_stripes[cell]:
+        others = tuple(c for c in index.stripe_cells[stripe_id] if c != cell)
+        if any(c in all_lost for c in others):
             continue
         options.append((stripe_id, others))
     return options
@@ -329,10 +321,10 @@ def _select_sources(
     least-loaded disks; returns (fresh reads, reuses).
 
     *base_fresh* is the stripe's static fresh-read pool — the cells never
-    in the failure's lost set, pre-sorted by cell — so the per-round work
-    is one stable re-sort by current load (ties break by cell, exactly the
-    old ``(load, cell)`` composite key) instead of rebuilding and
-    re-keying the survivor list from scratch every scoring call.
+    in the failure's lost set, pre-sorted by cell — so the work is one
+    stable re-sort by current load (ties break by cell, exactly the old
+    ``(load, cell)`` composite key) instead of rebuilding and re-keying
+    the survivor list from scratch every scoring call.
     """
     reuse = [c for c in cells if c in recovered]
     if len(reuse) > needed:
@@ -351,7 +343,7 @@ def plan_recovery(
     failed_disks: Sequence[int],
     balance: bool = True,
     offload: bool = True,
-    max_offload_rounds: int = 10_000,
+    max_offload_rounds: int = DEFAULT_OFFLOAD_ROUNDS,
     lost_override: Optional[Set[Cell]] = None,
 ) -> RecoveryPlan:
     """Build a repair schedule, or raise :class:`DataLossError`.
@@ -373,12 +365,16 @@ def plan_recovery(
     one). Each hit returns a fresh :class:`RecoveryPlan` that shares the
     immutable steps, so callers may extend their copy freely.
     """
+    if max_offload_rounds < 0:
+        raise LayoutError(
+            f"max_offload_rounds must be >= 0, got {max_offload_rounds}"
+        )
     failed = tuple(sorted(set(failed_disks)))
     cacheable = (
         len(failed) == 1
         and balance
         and offload
-        and max_offload_rounds == 10_000
+        and max_offload_rounds == DEFAULT_OFFLOAD_ROUNDS
         and lost_override is None
     )
     tel = ambient()
@@ -415,11 +411,14 @@ def _plan_recovery_impl(
     lost_override: Optional[Set[Cell]],
 ) -> RecoveryPlan:
     failed = tuple(sorted(set(failed_disks)))
-    all_lost = (
-        set(lost_override)
-        if lost_override is not None
-        else lost_cells(layout, failed)
-    )
+    index = layout.peeling_index()
+    if lost_override is not None:
+        all_lost = set(lost_override)
+        for cell in all_lost:
+            if cell not in index.cell_stripes:
+                raise LayoutError(f"no such cell {cell} in {layout.name}")
+    else:
+        all_lost = lost_cells(layout, failed)
     plan = RecoveryPlan(layout.name, failed)
     if not all_lost:
         return plan
@@ -431,85 +430,108 @@ def _plan_recovery_impl(
     # Incremental eligibility: per-stripe lost-cell counts (maintained as
     # cells are repaired) make "which stripes could repair right now" a set
     # lookup instead of a rescan of every candidate stripe per round.
-    index = layout.peeling_index()
     tolerance = index.stripe_tolerance
     stripe_cells = index.stripe_cells
     stripe_needed = index.stripe_needed
+    cell_stripes = index.cell_stripes
     counts = _lost_counts(index, lost)
     eligible = {sid for sid, c in counts.items() if c <= tolerance[sid]}
 
     # Static fresh-read pools, built lazily per stripe the first time it
     # becomes a candidate: a cell is a possible fresh read iff it is never
     # lost (recovered cells move to the reuse pool, not back to fresh), so
-    # the pool is fixed for the whole plan and scoring rounds only re-rank
-    # it by current load instead of re-deriving it from the lost set.
+    # the pool is fixed for the whole plan and scoring only re-ranks it by
+    # current load instead of re-deriving it from the lost set.
     base_fresh: Dict[int, List[Cell]] = {}
+
+    # Cached scores: stripe id -> (own_peak, n_reads, reads, reuse), kept
+    # across rounds. What a score depends on, hence what drops it:
+    #   * reads are the n_fresh least-loaded cells of the static pool
+    #     (ties by cell, via the stable sort of the pre-sorted pool), so
+    #     they depend only on the loads of the pool's disks — a load
+    #     change on disk d drops every stripe in pool_stripes[d];
+    #   * reuse (and through it n_fresh) depends only on which of the
+    #     stripe's cells are recovered — recovering a cell drops every
+    #     stripe containing it;
+    #   * own_peak = max(load[d] + extra[d]) over the chosen reads, so it
+    #     moves only with those same loads.
+    # The round key is built from the cached own_peak and n_reads and the
+    # *live* peak and counts, so neither of those invalidates anything.
+    scored: Dict[int, Tuple[int, int, Tuple[Cell, ...], Tuple[Cell, ...]]] = {}
+    pool_stripes: Dict[int, List[int]] = {}
+    loads_get = loads.get
+
+    def score(stripe_id: int):
+        """``(own_peak, n_reads, reads, reuse)`` of the stripe, now."""
+        cells = stripe_cells[stripe_id]
+        pool = base_fresh.get(stripe_id)
+        if pool is None:
+            pool = base_fresh[stripe_id] = sorted(
+                c for c in cells if c not in all_lost
+            )
+            for disk in {c[0] for c in pool}:
+                pool_stripes.setdefault(disk, []).append(stripe_id)
+        reads, reuse = _select_sources(
+            cells, stripe_needed[stripe_id], pool, recovered, loads
+        )
+        # Loads only grow, so the peak after this repair is the running
+        # peak bumped by its own reads — no dict copy, no full re-max.
+        own_peak = 0
+        bump: Dict[int, int] = {}
+        for disk, _addr in reads:
+            extra = bump[disk] = bump.get(disk, 0) + 1
+            value = loads_get(disk, 0) + extra
+            if value > own_peak:
+                own_peak = value
+        return own_peak, len(reads), tuple(reads), tuple(reuse)
 
     # The selection below is an argmin over ``(key, stripe_id)``, so the
     # iteration order of ``eligible`` is immaterial — no per-round sort.
-    raw_steps: List[Tuple[Stripe, Tuple[Cell, ...], Tuple[Cell, ...], Tuple[Cell, ...]]] = []
+    raw_steps: List[Tuple[int, Tuple[Cell, ...], Tuple[Cell, ...], Tuple[Cell, ...]]] = []
     peak = 0
-    loads_get = loads.get
     while lost:
-        best_key = None
-        best_sid = -1
-        best_fresh: List[Cell] = []
-        best_reuse: List[Cell] = []
-        for stripe_id in eligible:
-            cells = stripe_cells[stripe_id]
-            pool = base_fresh.get(stripe_id)
-            if pool is None:
-                pool = base_fresh[stripe_id] = sorted(
-                    c for c in cells if c not in all_lost
-                )
-            # Sourcing is a pure function of state that is frozen for the
-            # whole round, so the scoring call doubles as the final one —
-            # the winner's picks are kept instead of recomputed.
-            reads, reuse = _select_sources(
-                cells, stripe_needed[stripe_id], pool, recovered, loads
-            )
-            if balance:
-                # Loads only grow within a round, so the candidate peak is
-                # the running peak bumped by this candidate's own reads —
-                # no dict copy, no full re-max.
-                cand_peak = peak
-                if reads:
-                    bump: Dict[int, int] = {}
-                    for disk, _addr in reads:
-                        bump[disk] = bump.get(disk, 0) + 1
-                    for disk, extra in bump.items():
-                        value = loads_get(disk, 0) + extra
-                        if value > cand_peak:
-                            cand_peak = value
-                key = (cand_peak, -counts[stripe_id], len(reads))
-            else:
-                key = (stripe_id, 0, 0)
-            if best_key is None or (key, stripe_id) < (best_key, best_sid):
-                best_key = key
-                best_sid = stripe_id
-                best_fresh = reads
-                best_reuse = reuse
-        if best_key is None:
+        if not eligible:
             raise DataLossError(
                 f"{layout.name}: failure of disks {list(failed)} is not "
                 f"recoverable ({len(lost)} cells stranded)"
             )
-        repairable = tuple(
-            c for c in stripe_cells[best_sid] if c in lost
-        )
-        fresh = tuple(best_fresh)
-        raw_steps.append(
-            (layout.stripes[best_sid], repairable, fresh, tuple(best_reuse))
-        )
+        if balance:
+            best_key = None
+            for stripe_id in eligible:
+                entry = scored.get(stripe_id)
+                if entry is None:
+                    entry = scored[stripe_id] = score(stripe_id)
+                own_peak = entry[0]
+                key = (
+                    own_peak if own_peak > peak else peak,
+                    -counts[stripe_id],
+                    entry[1],
+                    stripe_id,
+                )
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = entry
+            best_sid = best_key[3]
+        else:
+            # First-eligible: the key is the stripe id alone, so only the
+            # winner needs sourcing.
+            best_sid = min(eligible)
+            best = score(best_sid)
+        _own_peak, _n_reads, fresh, reuse = best
+        repairable = tuple(c for c in stripe_cells[best_sid] if c in lost)
+        raw_steps.append((best_sid, repairable, fresh, reuse))
         for disk, _addr in fresh:
             value = loads_get(disk, 0) + 1
             loads[disk] = value
             if value > peak:
                 peak = value
+            for watcher in pool_stripes[disk]:
+                scored.pop(watcher, None)
         lost.difference_update(repairable)
         recovered.update(repairable)
         for cell in repairable:
-            for other in index.cell_stripes[cell]:
+            for other in cell_stripes[cell]:
+                scored.pop(other, None)
                 counts[other] -= 1
                 if 0 < counts[other] <= tolerance[other]:
                     eligible.add(other)
@@ -519,27 +541,70 @@ def _plan_recovery_impl(
     # Materialize sources (all direct initially).
     sources_per_step: List[List[ValueSource]] = [
         [ValueSource(cell, None, (cell,)) for cell in fresh]
-        for _stripe, _targets, fresh, _reuse in raw_steps
+        for _sid, _targets, fresh, _reuse in raw_steps
     ]
 
     if offload:
-        _offload_pass(
-            layout, all_lost, raw_steps, sources_per_step, max_offload_rounds
-        )
+        _offload_pass(index, all_lost, sources_per_step, max_offload_rounds)
 
-    for (stripe, targets, _fresh, reuse), sources in zip(
+    for (stripe_id, targets, _fresh, reuse), sources in zip(
         raw_steps, sources_per_step
     ):
         plan.steps.append(
-            RepairStep(stripe.stripe_id, targets, tuple(sources), reuse)
+            RepairStep(stripe_id, targets, tuple(sources), reuse)
         )
     return plan
 
 
+#: An offload move: the replacement source, its non-zero per-disk load
+#: deltas and its change in total reads.
+_Move = Tuple[ValueSource, Tuple[Tuple[int, int], ...], int]
+
+
+def _trial_score(
+    changes: Tuple[Tuple[int, int], ...],
+    loads_get,
+    hist: Dict[int, int],
+    levels: List[int],
+    limit: int,
+) -> Optional[Tuple[int, int]]:
+    """``(peak, disks at peak)`` after a move, without building its histogram.
+
+    *changes* are the move's non-zero ``(disk, delta)`` pairs, *hist* the
+    current load histogram (load -> disks, zeros dropped) and *levels*
+    its loads in descending order. The result is the pair
+    ``(max(h), h[max(h)])`` of the histogram ``h`` the move would leave —
+    ``(0, 0)`` if it leaves none — read off the few changed disks: the
+    base peak is the first level still populated once the changed disks'
+    old loads are taken out, and their new loads can only raise it or
+    add to its multiplicity. Returns ``None`` as soon as a disk would
+    rise above *limit*: that trial's peak cannot beat a best at *limit*.
+    """
+    olds = []
+    news = []
+    for disk, change in changes:
+        old = loads_get(disk, 0)
+        if old + change > limit:
+            return None
+        olds.append(old)
+        news.append(old + change)
+    peak = at_peak = 0
+    for level in levels:
+        left = hist[level] - olds.count(level)
+        if left > 0:
+            peak, at_peak = level, left
+            break
+    top = max(news, default=0)
+    if top > peak:
+        return top, news.count(top)
+    if top == peak and peak:
+        at_peak += news.count(top)
+    return peak, at_peak
+
+
 def _offload_pass(
-    layout: Layout,
+    index: PeelingIndex,
     all_lost: Set[Cell],
-    raw_steps: Sequence[Tuple],
     sources_per_step: List[List[ValueSource]],
     max_rounds: int,
 ) -> None:
@@ -547,96 +612,110 @@ def _offload_pass(
 
     Each needed value may be read directly or decoded from its other
     stripe; moves are accepted only if they strictly improve
-    ``(peak load, number of disks at peak, total reads)``.
+    ``(peak load, number of disks at peak, total reads)``. Every round
+    tries the moves of the sources that read a peak disk, in
+    ``(step, source)`` order, and takes the first best.
     """
     loads: Dict[int, int] = {}
     total = 0
-    for sources in sources_per_step:
-        for src in sources:
+    # Disk -> positions ``(step, source)`` whose current reads touch it:
+    # a round's candidates are a lookup per peak disk, not a walk over
+    # every source of the plan.
+    readers: Dict[int, Set[Tuple[int, int]]] = {}
+    for step_idx, sources in enumerate(sources_per_step):
+        for src_idx, src in enumerate(sources):
             for disk, _addr in src.reads:
                 loads[disk] = loads.get(disk, 0) + 1
                 total += 1
+                readers.setdefault(disk, set()).add((step_idx, src_idx))
     # Load-value histogram (value -> disks at that value, zeros dropped):
-    # move trials score against a copy of this handful of entries instead
-    # of copying and re-scanning the whole per-disk load dict.
+    # move trials are scored against its handful of levels.
     hist: Dict[int, int] = {}
     for value in loads.values():
         hist[value] = hist.get(value, 0) + 1
 
-    # Precompute each needed cell's sourcing options once.
-    option_cache: Dict[Cell, List[ValueSource]] = {}
+    # A source is identified by ``(cell, via)`` — its reads follow from
+    # those — so the moves away from it, each with its non-zero per-disk
+    # load deltas and its change in total reads, are static: computed
+    # once, reused by every round and every step that needs the cell.
+    move_cache: Dict[Tuple[Cell, Optional[int]], List[_Move]] = {}
 
-    def options_for(cell: Cell) -> List[ValueSource]:
-        cached = option_cache.get(cell)
-        if cached is None:
-            cached = [ValueSource(cell, None, (cell,))]
-            for stripe_id, others in _surrogate_options(layout, cell, all_lost):
-                cached.append(ValueSource(cell, stripe_id, others))
-            option_cache[cell] = cached
-        return cached
+    def moves_from(src: ValueSource) -> List[_Move]:
+        key = (src.cell, src.via)
+        moves = move_cache.get(key)
+        if moves is not None:
+            return moves
+        moves = move_cache[key] = []
+        options = [ValueSource(src.cell, None, (src.cell,))]
+        for stripe_id, others in _surrogate_options(index, src.cell, all_lost):
+            options.append(ValueSource(src.cell, stripe_id, others))
+        for alt in options:
+            if alt.via == src.via:
+                continue
+            delta: Dict[int, int] = {}
+            for disk, _a in src.reads:
+                delta[disk] = delta.get(disk, 0) - 1
+            for disk, _a in alt.reads:
+                delta[disk] = delta.get(disk, 0) + 1
+            changes = tuple((d, c) for d, c in delta.items() if c)
+            moves.append((alt, changes, len(alt.reads) - len(src.reads)))
+        return moves
 
-    def score(h: Dict[int, int], tot: int) -> Tuple[int, int, int]:
-        if not h:
-            return (0, 0, 0)
-        peak = max(h)
-        return (peak, h[peak], tot)
-
-    def shift(h: Dict[int, int], old: int, new: int) -> None:
-        """Move one disk from load *old* to load *new* in histogram *h*."""
+    def shift(old: int, new: int) -> None:
+        """Move one disk from load *old* to load *new* in the histogram."""
         if old:
-            remaining = h[old] - 1
+            remaining = hist[old] - 1
             if remaining:
-                h[old] = remaining
+                hist[old] = remaining
             else:
-                del h[old]
+                del hist[old]
         if new:
-            h[new] = h.get(new, 0) + 1
+            hist[new] = hist.get(new, 0) + 1
 
-    current = score(hist, total)
+    loads_get = loads.get
+    peak = max(hist, default=0)
+    current = (peak, hist[peak], total) if peak else (0, 0, 0)
     for _ in range(max_rounds):
         peak = current[0]
         if peak == 0:
             break
-        peak_disks = {d for d, v in loads.items() if v == peak}
+        candidates: Set[Tuple[int, int]] = set()
+        for disk, value in loads.items():
+            if value == peak:
+                candidates |= readers[disk]
+        levels = sorted(hist, reverse=True)
         best_move = None
         best_score = current
-        for step_idx, sources in enumerate(sources_per_step):
-            for src_idx, src in enumerate(sources):
-                if not any(d in peak_disks for d, _a in src.reads):
+        for position in sorted(candidates):
+            src = sources_per_step[position[0]][position[1]]
+            for move in moves_from(src):
+                trial = _trial_score(
+                    move[1], loads_get, hist, levels, best_score[0]
+                )
+                if trial is None:
                     continue
-                for alt in options_for(src.cell):
-                    if alt.via == src.via:
-                        continue
-                    delta: Dict[int, int] = {}
-                    for disk, _a in src.reads:
-                        delta[disk] = delta.get(disk, 0) - 1
-                    for disk, _a in alt.reads:
-                        delta[disk] = delta.get(disk, 0) + 1
-                    trial_hist = dict(hist)
-                    for disk, change in delta.items():
-                        if change:
-                            old = loads.get(disk, 0)
-                            shift(trial_hist, old, old + change)
-                    trial_total = total + len(alt.reads) - len(src.reads)
-                    trial_score = score(trial_hist, trial_total)
-                    if trial_score < best_score:
-                        best_score = trial_score
-                        best_move = (step_idx, src_idx, alt, delta)
+                trial_score = trial + (total + move[2],)
+                if trial_score < best_score:
+                    best_score = trial_score
+                    best_move = (position, move)
         if best_move is None:
             break
-        step_idx, src_idx, alt, delta = best_move
+        position, (alt, changes, extra_reads) = best_move
+        step_idx, src_idx = position
+        for disk, _addr in sources_per_step[step_idx][src_idx].reads:
+            readers[disk].discard(position)
+        for disk, _addr in alt.reads:
+            readers.setdefault(disk, set()).add(position)
         sources_per_step[step_idx][src_idx] = alt
-        for disk, change in delta.items():
-            if not change:
-                continue
-            old = loads.get(disk, 0)
+        for disk, change in changes:
+            old = loads_get(disk, 0)
             new = old + change
-            shift(hist, old, new)
+            shift(old, new)
             if new:
                 loads[disk] = new
             else:
                 del loads[disk]
-            total += change
+        total += extra_reads
         current = best_score
 
 

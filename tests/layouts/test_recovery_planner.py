@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import DataLossError
+from repro.errors import DataLossError, LayoutError
 from repro.layouts import Raid5Layout, Raid50Layout
 from repro.layouts.recovery import (
+    cells_recoverable,
     is_recoverable,
     lost_cells,
     plan_recovery,
@@ -46,8 +47,21 @@ class TestPeeling:
         assert is_recoverable(Raid5Layout(4), [])
 
     def test_unknown_disk_rejected(self):
-        with pytest.raises(ValueError):
-            is_recoverable(Raid5Layout(4), [9])
+        layout = Raid5Layout(4)
+        with pytest.raises(LayoutError, match="no such disk 9"):
+            is_recoverable(layout, [9])
+        with pytest.raises(LayoutError, match="no such disk 9"):
+            lost_cells(layout, [9])
+        with pytest.raises(LayoutError, match="no such disk 9"):
+            plan_recovery(layout, [9])
+        with pytest.raises(LayoutError, match="no such cell"):
+            cells_recoverable(layout, [(9, 0)])
+        with pytest.raises(LayoutError, match="no such cell"):
+            plan_recovery(layout, (0,), lost_override={(9, 0)})
+
+    def test_negative_offload_rounds_rejected(self):
+        with pytest.raises(LayoutError, match="max_offload_rounds"):
+            plan_recovery(Raid5Layout(4), [0], max_offload_rounds=-1)
 
     def test_empty_plan_for_no_failures(self):
         plan = plan_recovery(Raid5Layout(4), [])

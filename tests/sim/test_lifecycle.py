@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import LayoutError, SimulationError
 from repro.layouts import Raid5Layout, Raid6Layout, Raid50Layout
 from repro.layouts.recovery import cells_recoverable
 from repro.sim.lifecycle import (
@@ -187,7 +187,7 @@ class TestCellsRecoverable:
         assert not cells_recoverable(layout, list(stripe.cells())[:2])
 
     def test_rejects_bogus_cell(self, fano_layout):
-        with pytest.raises(ValueError):
+        with pytest.raises(LayoutError, match="no such cell"):
             cells_recoverable(fano_layout, [(99, 0)])
 
 

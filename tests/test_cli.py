@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -237,6 +239,13 @@ class TestExitCodes:
         # v=8 is not a valid symmetric design: a ReproError, not a crash.
         assert main(["info", "-v", "8", "-k", "3"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "rebuild"])
+    def test_unknown_disk_is_one_line_and_one(self, command, capsys):
+        assert main([command, "-v", "7", "-k", "3", "-f", "99"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: no such disk 99 in oi-raid"]
+        assert "Traceback" not in err
 
     def test_usage_error_is_two(self, capsys):
         assert main(["info", "-v", "not-a-number", "-k", "3"]) == 2

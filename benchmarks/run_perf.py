@@ -53,8 +53,9 @@ from repro.layouts.recovery import is_recoverable, plan_recovery
 from repro.layouts import Raid50Layout
 from repro.obs import PhaseProfiler, RunLedger, StructuredEmitter, use_profiler
 from repro.obs.ledger import run_manifest
+from repro.sim.columnar import resolve_kernel
 from repro.sim.fleet import simulate_fleet
-from repro.sim.lifecycle import RebuildTimer, lifecycle_kernel, simulate_lifecycle
+from repro.sim.lifecycle import RebuildTimer, simulate_lifecycle
 from repro.sim.montecarlo import recoverability_oracle
 from repro.sim.parallel import simulate_lifetimes_parallel, simulate_serve_parallel
 from repro.sim.pool import shutdown_pool
@@ -223,20 +224,18 @@ def measure_lifecycle(trials: int) -> dict:
     current = {}
     for kernel in ("event", "vectorized"):
         note(f"measuring lifecycle engine ({trials} trials, {kernel} kernel) ...")
-        simulate = lifecycle_kernel(kernel)
 
-        def run(simulate=simulate):
-            simulate(oi, mttf, horizon, trials=trials, seed=0, timer=timer)
+        def run(kernel=kernel):
+            simulate_lifecycle(
+                oi, mttf, horizon, trials=trials, seed=0, timer=timer,
+                kernel=kernel,
+            )
 
         run()  # warm the shared rebuild-time memo (replay patterns)
         seconds = best_of(run, repeat=3, number=1)
         current[f"lifecycle_{kernel}_trials_per_s"] = trials / seconds
-    resolved = (
-        "event" if lifecycle_kernel("auto") is simulate_lifecycle
-        else "vectorized"
-    )
     current["lifecycle_trials_per_s"] = (
-        current[f"lifecycle_{resolved}_trials_per_s"]
+        current[f"lifecycle_{resolve_kernel('auto')}_trials_per_s"]
     )
     return current
 
@@ -299,10 +298,12 @@ def measure_profile(trials: int):
     oi = oi_raid(7, 3)
     mttf, horizon = LC_ARGS
     timer = RebuildTimer(oi, None, "distributed", "analytic", 8)
-    simulate = lifecycle_kernel("vectorized")
 
     def run():
-        simulate(oi, mttf, horizon, trials=trials, seed=0, timer=timer)
+        simulate_lifecycle(
+            oi, mttf, horizon, trials=trials, seed=0, timer=timer,
+            kernel="vectorized",
+        )
 
     note(f"measuring phase-profiler coverage ({trials} trials) ...")
     run()  # warm the shared rebuild-time memo

@@ -89,13 +89,8 @@ from repro.obs.ledger import DEFAULT_DRIFT_THRESHOLD, iter_regressions
 from repro.scenario import Scenario, run as run_scenario
 from repro.schemes import scheme, scheme_names
 from repro.sim.latency import LatencyModel
-from repro.sim.lifecycle import (
-    LIFECYCLE_KERNELS,
-    derived_markov_model,
-    derived_mttr,
-)
-from repro.sim.montecarlo import MC_KERNELS
-from repro.sim.serve import SERVE_KERNELS
+from repro.sim.columnar import KERNELS
+from repro.sim.lifecycle import derived_markov_model, derived_mttr
 from repro.sim.parallel import default_jobs
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import (
@@ -194,10 +189,10 @@ def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
     return params
 
 
-def _add_kernel_args(parser, choices, help_text: str) -> None:
+def _add_kernel_args(parser, help_text: str) -> None:
     """``--mc-kernel`` (matches ``Scenario.mc_kernel``)."""
     parser.add_argument(
-        "--mc-kernel", dest="mc_kernel", choices=choices, default="auto",
+        "--mc-kernel", dest="mc_kernel", choices=KERNELS, default="auto",
         help=help_text,
     )
 
@@ -985,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mission length (default: 10 years)")
     p_rel.add_argument("--trials", type=int, default=1000)
     p_rel.add_argument("--seed", type=int, default=0)
-    _add_kernel_args(p_rel, MC_KERNELS,
+    _add_kernel_args(p_rel,
                      "lifetime kernel: auto is the vectorized one")
     _add_jobs_arg(p_rel, "the Monte-Carlo fan-out")
     p_rel.set_defaults(func=_cmd_reliability)
@@ -1011,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lc.add_argument("--bandwidth-mib", type=float, default=100.0)
     p_lc.add_argument("--foreground", type=float, default=0.0,
                       help="fraction of bandwidth reserved for user I/O")
-    _add_kernel_args(p_lc, LIFECYCLE_KERNELS,
+    _add_kernel_args(p_lc,
                      "lifecycle kernel: auto is the vectorized "
                      "(columnar) kernel; both kernels return "
                      "identical results")
@@ -1097,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--bandwidth-mib", type=float, default=100.0)
     p_srv.add_argument("--trials", type=int, default=1)
     p_srv.add_argument("--serve-kernel", dest="serve_kernel",
-                       choices=SERVE_KERNELS, default="auto",
+                       choices=KERNELS, default="auto",
                        help="serving kernel: auto is the vectorized "
                             "queue sweep; both kernels produce "
                             "bit-identical results")

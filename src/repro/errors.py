@@ -59,5 +59,14 @@ class SimulationError(ReproError):
     """A simulation was configured inconsistently or reached a bad state."""
 
 
+class ParameterError(ReproError, ValueError):
+    """A numeric argument is out of range.
+
+    Also a ``ValueError`` — what :mod:`repro.util.checks` has always
+    raised for a bad value — so callers catching either keep working
+    while the CLI reports it like every other library error.
+    """
+
+
 class TelemetryError(ReproError):
     """A telemetry artifact (metrics/trace document) is malformed."""

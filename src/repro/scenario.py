@@ -32,9 +32,10 @@ from repro.layouts.base import Layout
 from repro.obs.ledger import RunLedger, run_manifest
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry
+from repro.sim.columnar import KERNELS
 from repro.sim.latency import LatencyModel
 from repro.sim.lifecycle import guaranteed_tolerance
-from repro.sim.montecarlo import MC_KERNELS, recoverability_oracle
+from repro.sim.montecarlo import recoverability_oracle
 from repro.sim.parallel import (
     simulate_fleet_parallel,
     simulate_lifecycle_parallel,
@@ -46,7 +47,7 @@ from repro.sim.rebuild import (
     analytic_rebuild_time,
     simulate_rebuild,
 )
-from repro.sim.serve import SERVE_KERNELS, ThrottlePolicy
+from repro.sim.serve import ThrottlePolicy
 from repro.schemes import build_scheme_layout
 from repro.workloads.arrivals import ArrivalProcess, OpenLoop
 from repro.workloads.generators import WorkloadSpec
@@ -113,11 +114,9 @@ class Scenario:
         jobs: worker processes; results are bit-identical for any value.
         mc_kernel: Monte-Carlo kernel (reliability, lifecycle) —
             ``auto`` is the numpy-vectorized kernel,
-            ``vectorized``/``event`` force one. The lifetime
-            kernels draw different (equally valid) random streams, so
-            switching changes individual trials but not the statistics;
-            the lifecycle kernels share one sampling plane, so there the
-            choice changes wall clock only, never the result.
+            ``vectorized``/``event`` force one. Both kernels of either
+            simulator read one sampling plane, so the choice changes
+            wall clock only, never a bit of the result or its telemetry.
         serve_kernel: serving kernel (serve only) — ``auto`` is the
             vectorized queue sweep, ``vectorized``/``event`` force one.
             Both serve kernels read
@@ -159,15 +158,15 @@ class Scenario:
                 f"unknown scenario kind {self.kind!r} "
                 f"(expected one of {SCENARIO_KINDS})"
             )
-        if self.mc_kernel not in MC_KERNELS:
+        if self.mc_kernel not in KERNELS:
             raise SimulationError(
                 f"unknown mc_kernel {self.mc_kernel!r} "
-                f"(expected one of {MC_KERNELS})"
+                f"(expected one of {KERNELS})"
             )
-        if self.serve_kernel not in SERVE_KERNELS:
+        if self.serve_kernel not in KERNELS:
             raise SimulationError(
                 f"unknown serve_kernel {self.serve_kernel!r} "
-                f"(expected one of {SERVE_KERNELS})"
+                f"(expected one of {KERNELS})"
             )
         if self.scheme is not None:
             built = build_scheme_layout(self.scheme, **self.scheme_params)
@@ -348,13 +347,19 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
     seconds = time.perf_counter() - start
     to_dict = getattr(result, "to_dict", None)
     summary = getattr(result, "summary", None)
+    # The kernel flag the kind actually read; rebuild and fleet have none.
+    kernel = {
+        "reliability": scenario.mc_kernel,
+        "lifecycle": scenario.mc_kernel,
+        "serve": scenario.serve_kernel,
+    }.get(scenario.kind)
     ledger.append(
         run_manifest(
             scenario.kind,
             scenario_config(scenario),
             seed=scenario.seed,
             jobs=scenario.jobs,
-            kernel=scenario.mc_kernel,
+            kernel=kernel,
             seconds=seconds,
             result_doc=to_dict() if to_dict is not None else None,
             summary=summary() if summary is not None else None,

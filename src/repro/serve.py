@@ -16,7 +16,6 @@ parallelism contract); this module is the stable public spelling.
 
 from repro.sim.parallel import simulate_serve_parallel
 from repro.sim.serve import (
-    SERVE_KERNELS,
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
@@ -26,9 +25,7 @@ from repro.sim.serve import (
     build_serve_tables,
     merge_serve_results,
     serve_batch_supported,
-    serve_kernel,
     simulate_serve,
-    simulate_serve_vectorized,
 )
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
 from repro.workloads.generators import WorkloadSpec
@@ -42,11 +39,8 @@ __all__ = [
     "ServeTables",
     "build_serve_tables",
     "simulate_serve",
-    "simulate_serve_vectorized",
     "simulate_serve_parallel",
     "merge_serve_results",
-    "SERVE_KERNELS",
-    "serve_kernel",
     "serve_batch_supported",
     "ArrivalProcess",
     "OpenLoop",

@@ -18,8 +18,8 @@
   durations are *derived from the layout* (every failure arrival re-plans
   the pattern and reads its rebuild clock from the rebuild simulator),
   coupling recovery speed to reliability instead of assuming an MTTR.
-  Ships an event kernel and a lockstep columnar kernel that return
-  bit-identical results.
+  One simulate function; its lockstep columnar screen decides which
+  trials reach the exact event walk, never the result.
 * :mod:`repro.sim.serve` — online serving: foreground request streams
   contending with throttled rebuild traffic on per-disk queues (also
   exposed as :mod:`repro.serve`).
@@ -46,24 +46,15 @@ from repro.sim.fleet import (
 )
 from repro.sim.latency import LatencyModel, LatencyResult, simulate_read_latency
 from repro.sim.lifecycle import (
-    LIFECYCLE_KERNELS,
     LifecycleResult,
     RebuildTimer,
     derived_markov_model,
     derived_mttr,
     guaranteed_tolerance,
-    lifecycle_kernel,
     simulate_lifecycle,
-    simulate_lifecycle_vectorized,
 )
 from repro.sim.markov import MarkovReliabilityModel, mttdl_raid5_array
-from repro.sim.montecarlo import (
-    MC_KERNELS,
-    LifetimeResult,
-    lifetime_kernel,
-    simulate_lifetimes,
-    simulate_lifetimes_vectorized,
-)
+from repro.sim.montecarlo import LifetimeResult, simulate_lifetimes
 from repro.sim.parallel import (
     default_jobs,
     simulate_fleet_parallel,
@@ -83,7 +74,6 @@ from repro.sim.rebuild import (
 )
 from repro.sim.pool import pool_stats, shutdown_pool
 from repro.sim.serve import (
-    SERVE_KERNELS,
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
@@ -93,9 +83,7 @@ from repro.sim.serve import (
     build_serve_tables,
     merge_serve_results,
     serve_batch_supported,
-    serve_kernel,
     simulate_serve,
-    simulate_serve_vectorized,
 )
 
 __all__ = [
@@ -112,9 +100,6 @@ __all__ = [
     "LatencyModel",
     "LatencyResult",
     "simulate_lifetimes",
-    "simulate_lifetimes_vectorized",
-    "lifetime_kernel",
-    "MC_KERNELS",
     "simulate_lifetimes_parallel",
     "survivable_fraction_parallel",
     "merge_lifetime_results",
@@ -129,9 +114,6 @@ __all__ = [
     "derived_mttr",
     "guaranteed_tolerance",
     "simulate_lifecycle",
-    "simulate_lifecycle_vectorized",
-    "lifecycle_kernel",
-    "LIFECYCLE_KERNELS",
     "TrialStreams",
     "DiskStateTable",
     "LifecycleTables",
@@ -150,10 +132,7 @@ __all__ = [
     "ServeTables",
     "build_serve_tables",
     "simulate_serve",
-    "simulate_serve_vectorized",
     "simulate_serve_parallel",
     "merge_serve_results",
-    "SERVE_KERNELS",
-    "serve_kernel",
     "serve_batch_supported",
 ]

@@ -70,6 +70,25 @@ _SEED_MASK = (1 << 63) - 1
 #: :attr:`DiskStateTable.status` values.
 STATUS_ALIVE, STATUS_FAILED, STATUS_REBUILDING = 0, 1, 2
 
+#: Kernel names every simulator (and ``--mc-kernel`` / ``--serve-kernel``)
+#: accepts. ``auto`` is an alias of ``vectorized``.
+KERNELS = ("auto", "vectorized", "event")
+
+
+def resolve_kernel(name: str) -> str:
+    """Resolve a :data:`KERNELS` name to ``'vectorized'`` or ``'event'``.
+
+    The two differ only in which trials reach a simulator's exact walk:
+    ``vectorized`` screens (or sweeps) the sampled plane and walks the
+    trials the screen flags, ``event`` walks every trial of that same
+    plane — so the choice can never change a result.
+    """
+    if name not in KERNELS:
+        raise SimulationError(
+            f"unknown kernel {name!r} (expected one of {KERNELS})"
+        )
+    return "event" if name == "event" else "vectorized"
+
 
 def mix64(z: int) -> int:
     """The splitmix64 finalizer on Python ints (modulo ``2**64``)."""
@@ -573,7 +592,8 @@ def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,
 
     Each disk is an independent alternating renewal process (operate
     ``Exp(mttf)``, repair ``Exp(mttr)``, repeat), exactly the process the
-    lifetime event kernel builds one arrival at a time. Cycle durations
+    reference heap walk (``tests/sim/reference_lifetimes.py``) builds one
+    arrival at a time. Cycle durations
     are drawn in whole blocks and extended until every ``(trial, disk)``
     lane's last failure lands beyond the horizon; the growth rule depends
     only on the sampled values, so results are a deterministic function

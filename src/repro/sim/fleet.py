@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -73,6 +73,7 @@ from repro.sim.columnar import (
 )
 from repro.sim.lifecycle import (
     RebuildTimer,
+    _check_mission,
     _lifecycle_trial,
     _pattern_check,
     _slot_estimate,
@@ -89,20 +90,6 @@ from repro.util.stats import wilson_interval
 #: effects on the weight sums) but never changes which floats any
 #: mission samples.
 FLEET_CHUNK_MISSIONS = 1024
-
-
-def mission_chunks(
-    missions: int, chunk: int = FLEET_CHUNK_MISSIONS
-) -> List[Tuple[int, int]]:
-    """Fixed ``(start, count)`` chunk boundaries over the mission space."""
-    if missions < 1:
-        raise SimulationError(f"missions must be >= 1, got {missions}")
-    if chunk < 1:
-        raise SimulationError(f"chunk size must be >= 1, got {chunk}")
-    return [
-        (start, min(chunk, missions - start))
-        for start in range(0, missions, chunk)
-    ]
 
 
 class _CountingCursor:
@@ -513,13 +500,10 @@ def _validate_fleet_args(
 ) -> None:
     check_positive("arrays", arrays, 1)
     check_positive("trials", trials, 1)
-    if mttf_hours <= 0 or horizon_hours <= 0:
-        raise SimulationError("MTTF and horizon must be positive")
-    if lse_rate_per_byte < 0:
-        raise SimulationError("lse_rate_per_byte must be >= 0")
-    if lambda_boost <= 0:
+    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
+    if not 0 < lambda_boost < math.inf:
         raise SimulationError(
-            f"lambda_boost must be > 0, got {lambda_boost}"
+            f"lambda_boost must be positive and finite, got {lambda_boost}"
         )
 
 

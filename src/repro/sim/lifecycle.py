@@ -38,12 +38,11 @@ pattern within a run. Trials draw from per-trial counter-based lanes
 (:class:`repro.sim.columnar.TrialStreams`), so every trial is a pure
 function of ``(seed, trial)`` — reproducible, bit-identical for any
 worker count (via the chunked runner in :mod:`repro.sim.parallel`), and
-shared verbatim between the two kernels: the event kernel
-(:func:`simulate_lifecycle`) walks every trial's event heap, while
-:func:`simulate_lifecycle_vectorized` advances all trials in lockstep on
-the columnar disk-state table and replays through the exact event walk
-only the trials whose concurrent-failure count ever reaches the danger
-threshold. The kernels read the *same* sampled floats, so ``kernel=``
+shared verbatim between the two kernels of :func:`simulate_lifecycle`:
+``event`` walks every trial's event heap, while ``vectorized`` first
+advances all trials in lockstep on the columnar disk-state table and
+walks only the trials whose concurrent-failure count ever reaches the
+danger threshold. Both read the *same* sampled floats, so ``kernel=``
 selects a speed, never a result.
 """
 
@@ -68,6 +67,7 @@ from repro.sim.columnar import (
     TrialStreams,
     fresh_seed,
     oracle_guarantee,
+    resolve_kernel,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
 from repro.sim.rebuild import (
@@ -80,10 +80,6 @@ from repro.util.stats import mean, wilson_interval
 
 #: Rebuild-time evaluation methods accepted by the lifecycle machinery.
 REBUILD_METHODS = ("analytic", "event")
-
-#: Kernel names accepted by the lifecycle runners. ``auto`` is an alias
-#: of ``vectorized``.
-LIFECYCLE_KERNELS = ("auto", "vectorized", "event")
 
 
 @register_result
@@ -334,6 +330,21 @@ def _slot_estimate(
     return n_disks + 8 + min(4096, int(2.5 * incidents))
 
 
+def _check_mission(
+    mttf_hours: float, horizon_hours: float, lse_rate_per_byte: float
+) -> None:
+    """Reject non-positive or non-finite mission physics (lifecycle, fleet).
+
+    Chained comparisons so that NaN fails too: ``_slot_estimate`` and the
+    lane sampler would otherwise die in ``int()``/``log`` far from the
+    argument that caused it.
+    """
+    if not (0 < mttf_hours < math.inf and 0 < horizon_hours < math.inf):
+        raise SimulationError("MTTF and horizon must be positive and finite")
+    if not 0 <= lse_rate_per_byte < math.inf:
+        raise SimulationError("lse_rate_per_byte must be finite and >= 0")
+
+
 def _lifecycle_trial(
     rng: Any,
     layout: Layout,
@@ -486,6 +497,8 @@ def simulate_lifecycle(
     oracle: Optional[Callable[[Set[int]], bool]] = None,
     telemetry: Optional[Telemetry] = None,
     timer: Optional[RebuildTimer] = None,
+    tables: Optional[LifecycleTables] = None,
+    kernel: str = "auto",
 ) -> LifecycleResult:
     """Simulate *trials* missions with layout-derived repair durations.
 
@@ -499,15 +512,32 @@ def simulate_lifecycle(
     is undecodable alongside the failed disks is a loss. Otherwise all
     failed disks return to service and draw fresh lifetimes.
 
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
+    reach that exact walk (:func:`_lifecycle_trial`), never the answer.
+    ``vectorized`` first advances all trials together through the shared
+    :class:`~repro.sim.columnar.LockstepScreen`, which settles clean
+    failure incidents columnar and flags the trials whose incident is
+    overlapped by a second failure or struck by a latent sector error;
+    only those are walked — *in full*, re-planning via ``plan_recovery``,
+    LSE checks, mid-rebuild restarts — from their own draw lane.
+    ``event`` is the same function with an empty screen: every trial is
+    walked. Clean trials read the very same sampled floats the walk
+    would have consumed, so the whole result is bit-identical across
+    kernels; only the work to produce it changes.
+
     *oracle* overrides the pattern-recoverability check (defaults to the
-    layout's peeling decoder with a guaranteed-tolerance fast path).
+    layout's peeling decoder with a guaranteed-tolerance fast path). An
+    opaque oracle without a declared guarantee makes the screen flag
+    every trial with any failure — slow but exact, matching the lifetime
+    simulator's policy.
 
     *timer* supplies a pre-built :class:`RebuildTimer` so callers running
     many chunks against one layout (the parallel runner's broadcast state)
     share a single rebuild-time memo instead of rebuilding it per chunk;
-    it must have been constructed with the same
+    *tables* likewise supplies the screen's pre-built per-disk rebuild
+    columns. Both must have been constructed with the same
     ``(layout, disk, sparing, method, batches)`` — rebuild times are pure
-    functions of those, so a matching timer can never change results.
+    functions of those, so matching ones can never change results.
 
     *telemetry* (default: the ambient telemetry, a no-op unless a caller
     installed a collecting one) receives counters and histograms of
@@ -515,181 +545,87 @@ def simulate_lifecycle(
     arrivals, repair start/abandon/complete, latent-error checks, data
     loss — all stamped with simulated hours, so the recorded registry is
     a deterministic function of ``(trials, seed)`` and the parallel
-    runner's chunk-merge reproduces the serial registry exactly. It is
-    also installed as ambient for the duration of the run, so the
-    recovery planner, rebuild clocks, and event engine underneath record
-    into the same registry.
+    runner's chunk-merge reproduces the serial registry exactly. A
+    collecting run needs that per-event vocabulary for every trial, so
+    it walks every trial whatever *kernel* says — identical result *and*
+    identical registry/event log across kernels. The telemetry is also
+    installed as ambient for the duration of the walk, so the recovery
+    planner, rebuild clocks, and event engine underneath record into the
+    same registry.
     """
+    screened = resolve_kernel(kernel) == "vectorized"
     check_positive("trials", trials, 1)
-    if mttf_hours <= 0 or horizon_hours <= 0:
-        raise SimulationError("MTTF and horizon must be positive")
-    if lse_rate_per_byte < 0:
-        raise SimulationError("lse_rate_per_byte must be >= 0")
+    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
     disk = disk or DiskModel()
     if timer is None:
         timer = RebuildTimer(layout, disk, sparing, method, batches)
-    pattern_ok = _pattern_check(layout, oracle, guaranteed_tolerance(layout))
-
     tel = telemetry if telemetry is not None else ambient()
     prof = ambient_profiler()
-    if seed is None:
-        seed = fresh_seed()
+    tolerance = guaranteed_tolerance(layout)
+    pattern_ok = _pattern_check(layout, oracle, tolerance)
     lambd = 1.0 / mttf_hours
-    streams = TrialStreams(
-        seed, trials, lambd,
-        _slot_estimate(layout.n_disks, mttf_hours, horizon_hours),
-    )
-    loss_times: List[float] = []
-    lse_losses = 0
-    failures_per_trial: List[int] = []
-    repairs_per_trial: List[int] = []
-    degraded_per_trial: List[float] = []
-    peak_per_trial: List[int] = []
+    slots = _slot_estimate(layout.n_disks, mttf_hours, horizon_hours)
 
-    with use_telemetry(tel), prof.phase("replay"):
-        for trial in range(trials):
-            lost_at, lost_to_lse, n_failures, n_repairs, degraded, peak = (
-                _lifecycle_trial(
-                    streams.cursor(trial), layout, lambd, horizon_hours,
-                    timer, lse_rate_per_byte, pattern_ok, tel, trial,
-                )
-            )
-            if lost_at is not None:
-                loss_times.append(lost_at)
-                if lost_to_lse:
-                    lse_losses += 1
-            failures_per_trial.append(n_failures)
-            repairs_per_trial.append(n_repairs)
-            degraded_per_trial.append(degraded)
-            peak_per_trial.append(peak)
-            if tel.enabled:
-                tel.count("lifecycle.trials")
-                tel.observe("lifecycle.degraded_hours", degraded)
-                tel.observe("lifecycle.peak_failures", peak)
-                if lost_at is not None:
-                    tel.observe("lifecycle.loss_time_hours", lost_at)
-    if prof.enabled:
-        prof.count("lifecycle.trials", trials)
-
-    return LifecycleResult(
-        trials=trials,
-        losses=len(loss_times),
-        loss_times=tuple(loss_times),
-        lse_losses=lse_losses,
-        horizon_hours=horizon_hours,
-        failures_per_trial=tuple(failures_per_trial),
-        repairs_per_trial=tuple(repairs_per_trial),
-        degraded_hours_per_trial=tuple(degraded_per_trial),
-        peak_failures_per_trial=tuple(peak_per_trial),
-    )
-
-
-def simulate_lifecycle_vectorized(
-    layout: Layout,
-    mttf_hours: float,
-    horizon_hours: float,
-    disk: Optional[DiskModel] = None,
-    sparing: str = "distributed",
-    method: str = "analytic",
-    batches: int = 8,
-    lse_rate_per_byte: float = 0.0,
-    trials: int = 100,
-    seed: Optional[int] = 0,
-    oracle: Optional[Callable[[Set[int]], bool]] = None,
-    telemetry: Optional[Telemetry] = None,
-    timer: Optional[RebuildTimer] = None,
-    tables: Optional[LifecycleTables] = None,
-) -> LifecycleResult:
-    """Lockstep columnar lifecycle kernel; bit-identical to the event one.
-
-    All trials advance together through the shared
-    :class:`~repro.sim.columnar.LockstepScreen`, which settles clean
-    failure incidents columnar and flags the trials whose incident is
-    overlapped by a second failure or struck by a latent sector error.
-    Dangerous trials leave the lockstep plane and are replayed *in full*
-    through the exact event walk — re-planning via ``plan_recovery``,
-    LSE checks, mid-rebuild restarts — from their own draw lane, so every
-    replayed trial is bit-for-bit the event kernel's trial. Clean trials
-    read the very same sampled floats the event walk would have consumed,
-    so the whole result (not just the replayed subset) matches the event
-    kernel exactly; only the work to produce it changes.
-
-    An opaque *oracle* without a declared guarantee forces every trial
-    with any failure through the replay plane — slow but exact, matching
-    the lifetime kernel's policy.
-
-    *tables* supplies pre-built per-disk rebuild columns (the parallel
-    runner's broadcast state); they must come from a timer configured
-    like this call's, which makes them a pure function of the layout and
-    disk model and therefore incapable of changing results.
-
-    When *telemetry* is collecting, the run needs the full per-event
-    vocabulary for every trial, so it simply delegates to the event
-    kernel — identical result *and* identical registry/event log, the
-    telemetry-invariance contract in its strongest form.
-    """
-    check_positive("trials", trials, 1)
-    if mttf_hours <= 0 or horizon_hours <= 0:
-        raise SimulationError("MTTF and horizon must be positive")
-    if lse_rate_per_byte < 0:
-        raise SimulationError("lse_rate_per_byte must be >= 0")
-    disk = disk or DiskModel()
-    if timer is None:
-        timer = RebuildTimer(layout, disk, sparing, method, batches)
-    tel = telemetry if telemetry is not None else ambient()
-    if tel.enabled:
-        return simulate_lifecycle(
-            layout, mttf_hours, horizon_hours, disk=disk, sparing=sparing,
-            method=method, batches=batches,
-            lse_rate_per_byte=lse_rate_per_byte, trials=trials, seed=seed,
-            oracle=oracle, telemetry=telemetry, timer=timer,
-        )
-    prof = ambient_profiler()
     with prof.phase("sample"):
         if seed is None:
             seed = fresh_seed()
-        if tables is None:
-            tables = LifecycleTables.build(layout, timer)
-        tolerance = guaranteed_tolerance(layout)
-        pattern_ok = _pattern_check(layout, oracle, tolerance)
-        guarantee = (
-            oracle_guarantee(oracle) if oracle is not None else tolerance
-        )
-        lambd = 1.0 / mttf_hours
-        screen = LockstepScreen(
-            layout, tables, seed, trials, lambd, horizon_hours,
-            lse_rate_per_byte, guarantee,
-            _slot_estimate(layout.n_disks, mttf_hours, horizon_hours),
-        )
         degraded = _np.zeros(trials)
+        if screened and not tel.enabled:
+            if tables is None:
+                tables = LifecycleTables.build(layout, timer)
+            guarantee = (
+                oracle_guarantee(oracle) if oracle is not None else tolerance
+            )
+            screen = LockstepScreen(
+                layout, tables, seed, trials, lambd, horizon_hours,
+                lse_rate_per_byte, guarantee, slots,
+            )
+            streams = screen.streams
+            n_failures, n_repairs, peak = (
+                screen.n_failures, screen.n_repairs, screen.peak
+            )
+        else:
+            screen = None
+            streams = TrialStreams(seed, trials, lambd, slots)
+            n_failures, n_repairs, peak = _np.zeros(
+                (3, trials), dtype=_np.int64
+            )
 
-    with prof.phase("screen"):
-        for clean, clean_at, _redraw, trunc, trunc_at, tf, comp in screen.rounds():
-            if trunc.size:
-                degraded[trunc] += horizon_hours - tf[trunc_at]
-            degraded[clean] += comp[clean_at] - tf[clean_at]
+    walk = range(trials)
+    if screen is not None:
+        with prof.phase("screen"):
+            for clean, clean_at, _redraw, trunc, trunc_at, tf, comp in screen.rounds():
+                if trunc.size:
+                    degraded[trunc] += horizon_hours - tf[trunc_at]
+                degraded[clean] += comp[clean_at] - tf[clean_at]
+        walk = _np.flatnonzero(screen.dangerous).tolist()
 
-    replay_ix = _np.flatnonzero(screen.dangerous)
     loss_times: List[float] = []
     lse_losses = 0
     if prof.enabled:
         prof.count("lifecycle.trials", trials)
-        prof.count("lifecycle.replays", int(replay_ix.size))
-        prof.record("lifecycle.dangerous_fraction", replay_ix.size / trials)
+        prof.count("lifecycle.replays", len(walk))
+        prof.record("lifecycle.dangerous_fraction", len(walk) / trials)
     with use_telemetry(tel), prof.phase("replay"):
-        for t in replay_ix.tolist():
+        for t in walk:
             lost_at, lost_to_lse, nf, nr, dh, pk = _lifecycle_trial(
-                screen.streams.cursor(t), layout, lambd, horizon_hours,
+                streams.cursor(t), layout, lambd, horizon_hours,
                 timer, lse_rate_per_byte, pattern_ok, tel, t,
             )
-            screen.n_failures[t] = nf
-            screen.n_repairs[t] = nr
+            n_failures[t] = nf
+            n_repairs[t] = nr
             degraded[t] = dh
-            screen.peak[t] = pk
+            peak[t] = pk
             if lost_at is not None:
                 loss_times.append(lost_at)
                 if lost_to_lse:
                     lse_losses += 1
+            if tel.enabled:
+                tel.count("lifecycle.trials")
+                tel.observe("lifecycle.degraded_hours", dh)
+                tel.observe("lifecycle.peak_failures", pk)
+                if lost_at is not None:
+                    tel.observe("lifecycle.loss_time_hours", lost_at)
 
     with prof.phase("merge"):
         return LifecycleResult(
@@ -698,22 +634,8 @@ def simulate_lifecycle_vectorized(
             loss_times=tuple(loss_times),
             lse_losses=lse_losses,
             horizon_hours=horizon_hours,
-            failures_per_trial=tuple(screen.n_failures.tolist()),
-            repairs_per_trial=tuple(screen.n_repairs.tolist()),
+            failures_per_trial=tuple(n_failures.tolist()),
+            repairs_per_trial=tuple(n_repairs.tolist()),
             degraded_hours_per_trial=tuple(degraded.tolist()),
-            peak_failures_per_trial=tuple(screen.peak.tolist()),
+            peak_failures_per_trial=tuple(peak.tolist()),
         )
-
-
-def lifecycle_kernel(
-    name: str = "auto",
-) -> Callable[..., LifecycleResult]:
-    """Resolve a :data:`LIFECYCLE_KERNELS` name to its simulate function."""
-    if name in ("auto", "vectorized"):
-        return simulate_lifecycle_vectorized
-    if name == "event":
-        return simulate_lifecycle
-    raise SimulationError(
-        f"unknown lifecycle kernel {name!r} "
-        f"(expected one of {LIFECYCLE_KERNELS})"
-    )

@@ -14,9 +14,7 @@ EXPERIMENTS.md) and validates Markov-vs-MC agreement at those rates.
 
 from __future__ import annotations
 
-import heapq
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -30,15 +28,12 @@ from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.sim.columnar import (
     first_exceedances as _first_exceedances,
     oracle_guarantee as _oracle_guarantee,
+    resolve_kernel,
     sample_renewal_events as _sample_lifetime_events,
 )
 from repro.results import ResultBase, register_result
 from repro.util.checks import check_positive
 from repro.util.stats import wilson_interval
-
-#: Kernel names accepted by the lifetime runners. ``auto`` is an alias
-#: of ``vectorized``.
-MC_KERNELS = ("auto", "vectorized", "event")
 
 
 def normal_interval(
@@ -139,104 +134,6 @@ def threshold_oracle(tolerance: int) -> Callable[[Set[int]], bool]:
     return ThresholdOracle(tolerance)
 
 
-def simulate_lifetimes(
-    n_disks: int,
-    mttf_hours: float,
-    mttr_hours: float,
-    oracle: Callable[[Set[int]], bool],
-    horizon_hours: float,
-    trials: int = 1000,
-    seed: Optional[int] = 0,
-    telemetry: Optional[Telemetry] = None,
-) -> LifetimeResult:
-    """Simulate *trials* missions; each ends at data loss or the horizon.
-
-    Failures are exponential per online disk; repairs are exponential per
-    failed disk (parallel repair — matching the Markov chain's ``j * μ``
-    repair rate). The oracle is consulted on every failure arrival.
-
-    *telemetry* (default: ambient, a no-op unless a collecting instance
-    is installed) receives sim-domain counters and failure / repair /
-    data-loss events with simulated-hour stamps; the recorded registry
-    is a deterministic function of ``(trials, seed)``.
-    """
-    check_positive("n_disks", n_disks, 2)
-    check_positive("trials", trials, 1)
-    if mttf_hours <= 0 or mttr_hours <= 0 or horizon_hours <= 0:
-        raise SimulationError("rates and horizon must be positive")
-    tel = telemetry if telemetry is not None else ambient()
-    prof = ambient_profiler()
-    if prof.enabled:
-        prof.count("mc.trials", trials)
-    rng = random.Random(seed)
-    loss_times: List[float] = []
-
-    with use_telemetry(tel), prof.phase("replay"):
-        for trial in range(trials):
-            # Event heap: (time, seq, kind, disk). kind: 0 = fail, 1 = repair.
-            heap: List[Tuple[float, int, int, int]] = []
-            seq = 0
-            for disk in range(n_disks):
-                t = rng.expovariate(1.0 / mttf_hours)
-                heapq.heappush(heap, (t, seq, 0, disk))
-                seq += 1
-            failed: Set[int] = set()
-            lost_at: Optional[float] = None
-            while heap:
-                time, _s, kind, disk = heapq.heappop(heap)
-                if time > horizon_hours:
-                    break
-                if kind == 0:
-                    if disk in failed:
-                        continue
-                    failed.add(disk)
-                    if tel.enabled:
-                        tel.count("mc.failures")
-                        tel.event(
-                            "failure", time, trial=trial,
-                            disk=disk, failed=len(failed),
-                        )
-                    if not oracle(failed):
-                        lost_at = time
-                        if tel.enabled:
-                            tel.count("mc.losses")
-                            tel.event(
-                                "data_loss", time, trial=trial,
-                                cause="pattern", failed=len(failed),
-                            )
-                        break
-                    heapq.heappush(
-                        heap,
-                        (time + rng.expovariate(1.0 / mttr_hours), seq, 1, disk),
-                    )
-                    seq += 1
-                else:
-                    failed.discard(disk)
-                    if tel.enabled:
-                        tel.count("mc.repairs")
-                        tel.event(
-                            "repair_complete", time, trial=trial, disks=1,
-                        )
-                    heapq.heappush(
-                        heap,
-                        (time + rng.expovariate(1.0 / mttf_hours), seq, 0, disk),
-                    )
-                    seq += 1
-            if lost_at is not None:
-                loss_times.append(lost_at)
-            if tel.enabled:
-                tel.count("mc.trials")
-                if lost_at is not None:
-                    tel.observe("mc.loss_time_hours", lost_at)
-
-    return LifetimeResult(
-        trials=trials,
-        losses=len(loss_times),
-        loss_times=tuple(loss_times),
-        horizon_hours=horizon_hours,
-    )
-
-
 def _walk_trial(
     times, kinds, disks, oracle, guarantee: int, failed: Set[int]
 ) -> Optional[float]:
@@ -267,7 +164,12 @@ def _walk_trial(
 def _walk_trial_telemetry(
     times, kinds, disks, oracle, tel: Telemetry, trial: int
 ) -> Optional[float]:
-    """The :func:`_walk_trial` replay, emitting the event-kernel vocabulary."""
+    """Walk one trial in full, from its first event, emitting telemetry.
+
+    The ``event`` kernel's walk and every collecting run's: the oracle is
+    consulted on every failure arrival and *tel* (a no-op unless
+    collecting) receives the per-event vocabulary.
+    """
     failed: Set[int] = set()
     lost_at: Optional[float] = None
     for i in range(len(times)):
@@ -297,7 +199,7 @@ def _walk_trial_telemetry(
     return lost_at
 
 
-def simulate_lifetimes_vectorized(
+def simulate_lifetimes(
     n_disks: int,
     mttf_hours: float,
     mttr_hours: float,
@@ -306,30 +208,43 @@ def simulate_lifetimes_vectorized(
     trials: int = 1000,
     seed: Optional[int] = 0,
     telemetry: Optional[Telemetry] = None,
+    kernel: str = "auto",
 ) -> LifetimeResult:
-    """The numpy-vectorized twin of :func:`simulate_lifetimes`.
+    """Simulate *trials* missions; each ends at data loss or the horizon.
 
-    Same model, same result type, different execution strategy: every
-    trial's failure/repair arrivals are pre-sampled in whole batches,
-    and a whole-batch concurrency filter proves most trials loss-free
-    without a single oracle call — only trials whose peak concurrent
-    failures exceed the oracle's guaranteed tolerance are replayed
-    event-by-event with the exact peeling oracle. At realistic rates
-    that replay set is a few percent of trials, which is where the
-    >= 5x speedup over the event kernel comes from.
+    Failures are exponential per online disk; repairs are exponential per
+    failed disk (parallel repair — matching the Markov chain's ``j * μ``
+    repair rate). Every trial's failure/repair arrivals are pre-sampled
+    in whole batches from ``numpy.random.default_rng(seed)``, so the
+    result is a deterministic function of ``(trials, seed)``.
 
-    The result is a deterministic function of ``(trials, seed)`` —
-    **with or without telemetry**: a collecting run replays every trial
-    from the *same* pre-sampled arrays (to emit per-event telemetry in
-    the event kernel's vocabulary), so enabling ``--metrics-out`` never
-    changes the simulated outcome. The sampled stream differs from the
-    event kernel's (``numpy`` vs :mod:`random`), so the two kernels
-    agree statistically, not bit-for-bit.
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
+    are walked, never the answer. ``vectorized`` runs a whole-batch
+    concurrency filter that proves most trials loss-free without a
+    single oracle call — only trials whose peak concurrent failures
+    exceed the oracle's guaranteed tolerance are walked, from their
+    first exceedance, with the exact oracle (:func:`_walk_trial`); at
+    realistic rates that is a few percent of trials. ``event`` is the
+    same function with an empty screen: every trial of the same plane is
+    walked from its first event with the oracle consulted on every
+    failure arrival (:func:`_walk_trial_telemetry`).
+
+    *telemetry* (default: ambient, a no-op unless a collecting instance
+    is installed) receives sim-domain counters and failure / repair /
+    data-loss events with simulated-hour stamps. A collecting run needs
+    those per-event records for every trial, so it takes the full walk
+    whatever *kernel* says — from the *same* pre-sampled arrays, so
+    enabling ``--metrics-out`` never changes the simulated outcome and
+    the registry is identical across kernels.
     """
+    screened = resolve_kernel(kernel) == "vectorized"
     check_positive("n_disks", n_disks, 2)
     check_positive("trials", trials, 1)
-    if mttf_hours <= 0 or mttr_hours <= 0 or horizon_hours <= 0:
-        raise SimulationError("rates and horizon must be positive")
+    if not all(
+        0 < hours < math.inf
+        for hours in (mttf_hours, mttr_hours, horizon_hours)
+    ):
+        raise SimulationError("rates and horizon must be positive and finite")
     tel = telemetry if telemetry is not None else ambient()
     prof = ambient_profiler()
     rng = _np.random.default_rng(seed)
@@ -340,35 +255,13 @@ def simulate_lifetimes_vectorized(
         )
     loss_times: List[float] = []
 
-    if tel.enabled:
-        # Telemetry needs per-event records, so every trial is replayed —
-        # from the same sampled arrays, hence the same LifetimeResult.
-        t_list = times.tolist()
-        k_list = kinds.tolist()
-        d_list = disks.tolist()
-        with use_telemetry(tel), prof.phase("replay"):
-            for trial in range(trials):
-                a = int(starts[trial])
-                b = a + int(counts[trial])
-                lost_at = _walk_trial_telemetry(
-                    t_list[a:b], k_list[a:b], d_list[a:b], oracle, tel, trial
-                )
-                if lost_at is not None:
-                    loss_times.append(lost_at)
-        if prof.enabled:
-            prof.count("mc.trials", trials)
-            prof.count("mc.replays", trials)
-            prof.record("mc.suspect_fraction", 1.0)
-    else:
+    if screened and not tel.enabled:
         guarantee = _oracle_guarantee(oracle)
         with prof.phase("screen"):
             suspects, first_idx = _first_exceedances(
                 kinds, counts, starts, trials, guarantee
             )
-        if prof.enabled:
-            prof.count("mc.trials", trials)
-            prof.count("mc.replays", int(suspects.size))
-            prof.record("mc.suspect_fraction", suspects.size / trials)
+        replays = int(suspects.size)
         with prof.phase("replay"):
             for trial, j in zip(suspects.tolist(), first_idx.tolist()):
                 a = int(starts[trial])
@@ -388,23 +281,28 @@ def simulate_lifetimes_vectorized(
                 )
                 if lost_at is not None:
                     loss_times.append(lost_at)
+    else:
+        t_list = times.tolist()
+        k_list = kinds.tolist()
+        d_list = disks.tolist()
+        replays = trials
+        with use_telemetry(tel), prof.phase("replay"):
+            for trial in range(trials):
+                a = int(starts[trial])
+                b = a + int(counts[trial])
+                lost_at = _walk_trial_telemetry(
+                    t_list[a:b], k_list[a:b], d_list[a:b], oracle, tel, trial
+                )
+                if lost_at is not None:
+                    loss_times.append(lost_at)
+    if prof.enabled:
+        prof.count("mc.trials", trials)
+        prof.count("mc.replays", replays)
+        prof.record("mc.suspect_fraction", replays / trials)
 
     return LifetimeResult(
         trials=trials,
         losses=len(loss_times),
         loss_times=tuple(loss_times),
         horizon_hours=horizon_hours,
-    )
-
-
-def lifetime_kernel(
-    name: str,
-) -> Callable[..., LifetimeResult]:
-    """Resolve a :data:`MC_KERNELS` name to its simulate function."""
-    if name in ("auto", "vectorized"):
-        return simulate_lifetimes_vectorized
-    if name == "event":
-        return simulate_lifetimes
-    raise SimulationError(
-        f"unknown Monte-Carlo kernel {name!r} (expected one of {MC_KERNELS})"
     )

@@ -57,6 +57,7 @@ from repro.sim.columnar import (
     LifecycleTables,
     derive_chunk_seed,
     fresh_seed,
+    resolve_kernel,
 )
 from repro.sim.fleet import (
     FLEET_CHUNK_MISSIONS,
@@ -68,13 +69,9 @@ from repro.sim.fleet import (
 from repro.sim.lifecycle import (
     LifecycleResult,
     RebuildTimer,
-    lifecycle_kernel,
-    simulate_lifecycle_vectorized,
+    simulate_lifecycle,
 )
-from repro.sim.montecarlo import (
-    LifetimeResult,
-    lifetime_kernel,
-)
+from repro.sim.montecarlo import LifetimeResult, simulate_lifetimes
 from repro.sim.pool import run_streaming
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import (
@@ -83,9 +80,7 @@ from repro.sim.serve import (
     build_serve_tables,
     merge_serve_results,
     serve_batch_supported,
-    serve_kernel,
     simulate_serve,
-    simulate_serve_vectorized,
 )
 from repro.workloads.arrivals import ArrivalProcess, OpenLoop
 from repro.workloads.generators import WorkloadSpec
@@ -304,7 +299,7 @@ def _lifetime_chunk(
 ):
     """Chunk function of the lifetime runner; *state* is ``(oracle,)``."""
     (oracle,) = state
-    return lifetime_kernel(kernel)(
+    return simulate_lifetimes(
         n_disks,
         mttf_hours,
         mttr_hours,
@@ -313,6 +308,7 @@ def _lifetime_chunk(
         trials=spec.size,
         seed=derive_chunk_seed(spec.seed, spec.index),
         telemetry=chunk_tel,
+        kernel=kernel,
     )
 
 
@@ -333,19 +329,19 @@ def simulate_lifetimes_parallel(
 ) -> LifetimeResult:
     """Chunked (and optionally multi-process) Monte-Carlo lifetimes.
 
-    The result depends only on ``(trials, seed, chunk_trials, kernel)`` —
-    never on ``jobs`` — so ``jobs=1`` and ``jobs=8`` are bit-identical,
-    and a run with ``trials <= chunk_trials`` is bit-identical to the
-    selected serial kernel. *kernel* picks the per-chunk engine from
-    :data:`~repro.sim.montecarlo.MC_KERNELS` (``"auto"`` is the
-    vectorized kernel; the two kernels sample different streams, so they
-    agree statistically, not bit-for-bit). *oracle* must be picklable
+    The result depends only on ``(trials, seed, chunk_trials)`` — never
+    on ``jobs`` or *kernel* — so ``jobs=1`` and ``jobs=8`` are
+    bit-identical, and a run with ``trials <= chunk_trials`` is
+    bit-identical to :func:`~repro.sim.montecarlo.simulate_lifetimes`
+    called directly. *kernel* (:data:`~repro.sim.columnar.KERNELS`;
+    ``"auto"`` is ``vectorized``) only decides how many trials of each
+    chunk's sampled plane are walked. *oracle* must be picklable
     when ``jobs > 1`` (use the oracle classes from
     :mod:`repro.sim.montecarlo`, not ad-hoc closures); it is broadcast to
     the persistent pool once, not shipped per chunk. *telemetry* and
     *progress* follow :func:`run_chunks`' contract.
     """
-    lifetime_kernel(kernel)  # fail fast on unknown names
+    resolve_kernel(kernel)  # fail fast on unknown names
     parts = run_chunks(
         "simulate_lifetimes_parallel", dict(trials=trials, jobs=jobs),
         _lifetime_chunk, (oracle,),
@@ -394,15 +390,13 @@ def _lifecycle_chunk(state, spec, chunk_tel, *, kernel, **physics):
 
     *state* is the broadcast ``(layout, timer, tables)`` triple — the
     layout's cell indexes, the rebuild-time memo, and the columnar
-    per-disk rebuild columns (``None`` when the event kernel runs) are
+    per-disk rebuild columns (``None`` under the event kernel) are
     unpickled once per worker; the memo then accumulates across every
     chunk the worker runs instead of starting cold per chunk, and the
     tables ride along like ``ServeTables`` does for the serving runner.
     """
     layout, timer, tables = state
-    if tables is not None:
-        physics["tables"] = tables
-    return lifecycle_kernel(kernel)(
+    return simulate_lifecycle(
         layout,
         disk=timer.disk,
         sparing=timer.sparing,
@@ -412,6 +406,8 @@ def _lifecycle_chunk(state, spec, chunk_tel, *, kernel, **physics):
         seed=derive_chunk_seed(spec.seed, spec.index),
         telemetry=chunk_tel,
         timer=timer,
+        tables=tables,
+        kernel=kernel,
         **physics,
     )
 
@@ -443,26 +439,23 @@ def simulate_lifecycle_parallel(
     each worker (they are pure functions of the pattern, so the memo never
     affects results).
 
-    *kernel* selects a :data:`~repro.sim.lifecycle.LIFECYCLE_KERNELS`
-    entry per chunk. Unlike the lifetime runner's kernels, the lifecycle
-    kernels share one sampling plane, so the choice cannot change the
-    result — only the wall clock. When the vectorized kernel runs, the
-    per-disk rebuild columns (:class:`~repro.sim.columnar.LifecycleTables`)
-    are computed once here and broadcast to the workers alongside the
-    timer, whose memo they warm as a side effect.
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) cannot change the
+    result — only the wall clock: both kernels read one sampling plane.
+    For the ``vectorized`` kernel the screen's per-disk rebuild columns
+    (:class:`~repro.sim.columnar.LifecycleTables`) are computed once here
+    and broadcast to the workers alongside the timer, whose memo they
+    warm as a side effect.
 
     The determinism contract extends to telemetry (see
     :func:`run_chunks`): trial indices are chunk-local in the workers and
     rebased at the merge, so the merged registry and event log are
     bit-identical for any ``jobs``.
     """
-    simulate = lifecycle_kernel(kernel)  # validates the name up front
+    screened = resolve_kernel(kernel) == "vectorized"  # fails fast
     timer = RebuildTimer(
         layout, disk or DiskModel(), sparing, method, batches
     )
-    tables = None
-    if simulate is simulate_lifecycle_vectorized:
-        tables = LifecycleTables.build(layout, timer)
+    tables = LifecycleTables.build(layout, timer) if screened else None
     parts = run_chunks(
         "simulate_lifecycle_parallel", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk, (layout, timer, tables),
@@ -549,7 +542,7 @@ DEFAULT_CHUNK_SERVE_TRIALS = 1
 VECTORIZED_CHUNK_SERVE_TRIALS = 16
 
 
-def _serve_chunk(state, spec, chunk_tel, *, kernel, batched, **config):
+def _serve_chunk(state, spec, chunk_tel, *, kernel, **config):
     """Chunk function of the serving runner.
 
     *state* is the broadcast ``(layout, tables)`` pair — the routing
@@ -558,26 +551,17 @@ def _serve_chunk(state, spec, chunk_tel, *, kernel, batched, **config):
     trials skip re-planning. Per-trial seeds are derived from
     ``(seed, spec.start + i)`` — a global trial index, never the chunk
     geometry — so the merged result is bit-identical for any worker
-    count. When the caller resolved a batched sweep (*batched*), the
-    whole chunk runs as one :func:`simulate_serve_vectorized` call over
-    those same per-trial seeds.
+    count; the whole chunk is one :func:`simulate_serve` call over them.
     """
     layout, tables = state
-    trial_seeds = [
-        derive_chunk_seed(spec.seed, spec.start + i) for i in range(spec.size)
-    ]
-    if batched:
-        return simulate_serve_vectorized(
-            layout, telemetry=chunk_tel, tables=tables,
-            trial_seeds=trial_seeds, **config,
-        )
-    return merge_serve_results([
-        simulate_serve(
-            layout, seed=trial_seed, telemetry=chunk_tel, tables=tables,
-            kernel=kernel, **config,
-        )
-        for trial_seed in trial_seeds
-    ])
+    return simulate_serve(
+        layout, telemetry=chunk_tel, tables=tables, kernel=kernel,
+        trial_seeds=[
+            derive_chunk_seed(spec.seed, spec.start + i)
+            for i in range(spec.size)
+        ],
+        **config,
+    )
 
 
 def simulate_serve_parallel(
@@ -610,7 +594,7 @@ def simulate_serve_parallel(
     :class:`~repro.workloads.generators.WorkloadSpec` (not a request
     list) because workers regenerate it from the trial seed.
 
-    *kernel* (:data:`~repro.sim.serve.SERVE_KERNELS`) is a pure speed
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) is a pure speed
     knob, exactly as on :func:`~repro.sim.serve.simulate_serve`: both
     kernels read one per-trial sampling plane, so the merged result —
     telemetry included — is bit-identical across kernels too. When the
@@ -621,28 +605,28 @@ def simulate_serve_parallel(
     either default; chunk geometry never changes the result, only the
     progress-callback granularity.
     """
-    resolved = serve_kernel(kernel)
+    vectorized = resolve_kernel(kernel) == "vectorized"  # fails fast
     arrival = arrival if arrival is not None else OpenLoop(100.0)
     failed = tuple(sorted(set(failed_disks)))
     # Plan the recovery once, here; workers get the routing tables as
     # broadcast state instead of re-planning per trial.
     tables = build_serve_tables(layout, failed, sparing, rebuild_batches)
-    batched = (
-        resolved == "vectorized"
-        and not (telemetry is not None and telemetry.enabled)
-        and serve_batch_supported(arrival, throttle, tables)
-    )
     if chunk_trials is None:
+        swept = (
+            vectorized
+            and not (telemetry is not None and telemetry.enabled)
+            and serve_batch_supported(arrival, throttle, tables)
+        )
         chunk_trials = (
             VECTORIZED_CHUNK_SERVE_TRIALS
-            if batched
+            if swept
             else DEFAULT_CHUNK_SERVE_TRIALS
         )
     parts = run_chunks(
         "simulate_serve_parallel", dict(trials=trials, jobs=jobs),
         _serve_chunk, (layout, tables),
         dict(
-            kernel=resolved, batched=batched, workload=workload,
+            kernel=kernel, workload=workload,
             failed_disks=failed, arrival=arrival, model=model,
             throttle=throttle, sparing=sparing,
             rebuild_batches=rebuild_batches,

@@ -58,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import (
     degraded_read_sources,
@@ -74,6 +74,7 @@ from repro.sim.columnar import (
     derive_chunk_seed,
     derive_lane_seeds,
     fresh_seed,
+    resolve_kernel,
 )
 from repro.sim.engine import FcfsServer, Simulator
 from repro.sim.latency import LatencyModel
@@ -81,25 +82,6 @@ from repro.util.checks import check_positive, check_probability
 from repro.util.stats import mean, percentile
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
 from repro.workloads.generators import Request, WorkloadSpec
-
-#: Kernel names accepted by ``simulate_serve(..., kernel=...)`` and the
-#: ``--serve-kernel`` CLI flag, mirroring ``MC_KERNELS``/``--mc-kernel``.
-SERVE_KERNELS = ("auto", "vectorized", "event")
-
-
-def serve_kernel(name: str) -> str:
-    """Resolve a kernel name to the concrete kernel.
-
-    Returns ``'vectorized'`` or ``'event'``. ``'auto'`` is an alias of
-    ``'vectorized'`` — safe because both kernels read one sampling plane
-    and return bit-identical results.
-    """
-    if name not in SERVE_KERNELS:
-        raise SimulationError(
-            f"unknown serve kernel {name!r} (expected one of {SERVE_KERNELS})"
-        )
-    return "event" if name == "event" else "vectorized"
-
 
 class ThrottlePolicy:
     """When may the next rebuild op be dispatched?
@@ -695,7 +677,7 @@ def _sample_traces(
         check_positive("n_requests", n, 1)
         check_probability("write_fraction", spec.write_fraction)
         if spec.kind == "zipf" and spec.skew <= 0:
-            raise ValueError(f"skew must be > 0, got {spec.skew}")
+            raise ParameterError(f"skew must be > 0, got {spec.skew}")
     else:
         requests = list(workload)
         if not requests:
@@ -1122,127 +1104,64 @@ def simulate_serve(
     telemetry: Optional[Telemetry] = None,
     tables: Optional[ServeTables] = None,
     kernel: str = "auto",
+    *,
+    trials: int = 1,
+    trial_seeds: Optional[Sequence[int]] = None,
 ) -> ServeResult:
-    """Serve one foreground workload against a (possibly degraded) array.
+    """Serve a foreground workload against a (possibly degraded) array.
 
     *workload* is either a picklable :class:`WorkloadSpec` recipe
-    (materialized against the layout's user address space from *seed*'s
-    columnar draw lanes) or an explicit request sequence. *throttle* of
-    ``None`` injects no rebuild traffic; otherwise the recovery plan of
-    *failed_disks* is tiled *rebuild_batches* times and dispatched per
-    the policy.
+    (materialized against the layout's user address space from each
+    trial seed's columnar draw lanes) or an explicit request sequence.
+    *throttle* of ``None`` injects no rebuild traffic; otherwise the
+    recovery plan of *failed_disks* is tiled *rebuild_batches* times and
+    dispatched per the policy.
+
+    *trials* independent replications are pooled in trial order. Trial
+    ``t`` is seeded ``derive_chunk_seed(seed, t)`` (trial 0 is *seed*
+    itself), so the result equals the merge of single-trial calls seeded
+    the same way — bit for bit, for any batch size. *trial_seeds*
+    overrides that derivation with explicit per-trial seeds (the
+    parallel runner passes each chunk's global trial seeds so chunk
+    geometry can't change the result).
 
     *tables* optionally supplies the precomputed routing of
     :func:`build_serve_tables` — callers running many trials of the same
     scenario (the parallel runner broadcasts one instance to every
-    worker) skip re-planning the recovery per trial. The tables must
+    worker) skip re-planning the recovery per call. The tables must
     have been built for this layout and the same ``failed_disks`` /
     ``sparing`` / ``rebuild_batches``; a mismatch raises.
 
-    *kernel* picks the execution strategy (:data:`SERVE_KERNELS`), never
-    the answer: both kernels consume the same sampled trace, so for any
-    config the result is bit-identical across kernels — the vectorized
-    kernel sweeps feedback-free configs and replays the rest through the
-    event walk (see :func:`serve_batch_supported`). Telemetry-collecting
-    runs always take the walk (its per-event observation stream *is* the
-    telemetry contract).
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) picks the execution
+    strategy, never the answer: every trial's trace is sampled once, and
+    ``vectorized`` runs feedback-free configs (see
+    :func:`serve_batch_supported`) as one batched Lindley sweep across
+    every ``(trial, disk)`` queue lane, while ``event`` — and
+    ``vectorized`` on every other config — walks each trial's trace
+    through the discrete-event heap. Telemetry-collecting runs always
+    take the walk (its per-event observation stream *is* the telemetry
+    contract).
 
     Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
     not a survivable pattern (there is nothing to serve). The result is
     a deterministic function of the arguments (the engine breaks ties by
-    schedule order), which is what the parallel runner's per-chunk
+    schedule order), which is what the parallel runner's per-trial
     seeding builds on.
     """
-    resolved = serve_kernel(kernel)
-    prof = ambient_profiler()
-    tel = telemetry if telemetry is not None else ambient()
-    with prof.phase("sample"):
-        model = model or LatencyModel()
-        tables = _resolve_tables(
-            layout, failed_disks, sparing, rebuild_batches, tables
-        )
-        if seed is None:
-            seed = fresh_seed()
-        trace = _sample_traces(workload, tables.n_units, arrival, (seed,))
-
-    if (
-        resolved == "vectorized"
-        and not tel.enabled
-        and serve_batch_supported(arrival, throttle, tables)
-    ):
-        with prof.phase("sweep"):
-            result = _sweep_batch(trace, tables, model)
-        if prof.enabled:
-            prof.count("serve.trials", 1)
-            prof.count("serve.requests", trace.n_requests)
-        return result
-    row = trace.row(0)
-    if resolved == "vectorized":
-        # The vectorized kernel's fallback: same lanes, exact walk.
-        with use_telemetry(tel), prof.phase("replay"):
-            return _serve_event_trial(
-                tables, row, arrival, model, throttle, tel
-            )
-    return _serve_event_trial(tables, row, arrival, model, throttle, tel)
-
-
-def simulate_serve_vectorized(
-    layout: Layout,
-    workload: Union[WorkloadSpec, Sequence[Request]] = WorkloadSpec(),
-    failed_disks: Sequence[int] = (),
-    arrival: ArrivalProcess = OpenLoop(100.0),
-    model: Optional[LatencyModel] = None,
-    throttle: Optional[ThrottlePolicy] = None,
-    sparing: str = "distributed",
-    rebuild_batches: int = 1,
-    trials: int = 1,
-    seed: Optional[int] = 0,
-    telemetry: Optional[Telemetry] = None,
-    tables: Optional[ServeTables] = None,
-    trial_seeds: Optional[Sequence[int]] = None,
-) -> ServeResult:
-    """Serve a batch of trials through the vectorized sweep.
-
-    Trial ``t`` is seeded ``derive_chunk_seed(seed, t)`` (trial 0 is
-    *seed* itself), so the merged result equals a loop of single-trial
-    :func:`simulate_serve` calls seeded the same way — bit for bit, for
-    any batch size. *trial_seeds* overrides that derivation with
-    explicit per-trial seeds (the parallel runner passes each chunk's
-    global trial seeds so chunk geometry can't change the result).
-
-    Feedback-free configs (see :func:`serve_batch_supported`) run as one
-    batched Lindley sweep across every ``(trial, disk)`` queue lane;
-    other configs — and telemetry-collecting runs, whose per-event
-    observation stream must match the walk's exactly — replay each trial
-    through the event walk on the same sampled lanes.
-    """
+    swept = resolve_kernel(kernel) == "vectorized"
     if trial_seeds is not None:
         seeds = tuple(int(s) for s in trial_seeds)
         if not seeds:
             raise SimulationError("trial_seeds must be non-empty")
-        trials = len(seeds)
     else:
         if trials < 1:
             raise SimulationError(f"trials must be >= 1, got {trials}")
         if seed is None:
             seed = fresh_seed()
         seeds = tuple(derive_chunk_seed(seed, t) for t in range(trials))
-
-    tel = telemetry if telemetry is not None else ambient()
-    if tel.enabled:
-        # Telemetry observes per event, in order — delegate to the walk
-        # per trial so collecting runs are identical across kernels.
-        parts = [
-            simulate_serve(
-                layout, workload, failed_disks, arrival, model, throttle,
-                sparing, rebuild_batches, seed=trial_seed,
-                telemetry=telemetry, tables=tables, kernel="event",
-            )
-            for trial_seed in seeds
-        ]
-        return merge_serve_results(parts)
-
+    trials = len(seeds)
     prof = ambient_profiler()
+    tel = telemetry if telemetry is not None else ambient()
     with prof.phase("sample"):
         model = model or LatencyModel()
         tables = _resolve_tables(
@@ -1250,20 +1169,25 @@ def simulate_serve_vectorized(
         )
         trace = _sample_traces(workload, tables.n_units, arrival, seeds)
 
-    if not serve_batch_supported(arrival, throttle, tables):
-        with use_telemetry(tel), prof.phase("replay"):
-            parts = [
-                _serve_event_trial(
-                    tables, trace.row(i), arrival, model, throttle, tel
-                )
-                for i in range(trials)
-            ]
-        with prof.phase("merge"):
-            return merge_serve_results(parts)
-
-    with prof.phase("sweep"):
-        result = _sweep_batch(trace, tables, model)
-    if prof.enabled:
-        prof.count("serve.trials", trials)
-        prof.count("serve.requests", trials * trace.n_requests)
-    return result
+    if (
+        swept
+        and not tel.enabled
+        and serve_batch_supported(arrival, throttle, tables)
+    ):
+        with prof.phase("sweep"):
+            result = _sweep_batch(trace, tables, model)
+        if prof.enabled:
+            prof.count("serve.trials", trials)
+            prof.count("serve.requests", trials * trace.n_requests)
+        return result
+    with use_telemetry(tel), prof.phase("replay"):
+        parts = [
+            _serve_event_trial(
+                tables, trace.row(i), arrival, model, throttle, tel
+            )
+            for i in range(trials)
+        ]
+    if trials == 1:
+        return parts[0]  # nothing to pool: no merge phase for one trial
+    with prof.phase("merge"):
+        return merge_serve_results(parts)

@@ -1,12 +1,17 @@
 """Argument-validation helpers.
 
-These raise built-in exception types (``TypeError``/``ValueError``) because
-bad arguments are caller programming errors, not library failures.
+Wrong *types* raise the built-in ``TypeError`` (a caller programming
+error); out-of-range *values* raise :class:`~repro.errors.ParameterError`
+— a ``ValueError`` that is also a ``ReproError``, because values reach
+these checks straight from the command line and must end in one
+``error:`` line, not a traceback.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+from repro.errors import ParameterError
 
 
 def check_type(name: str, value: Any, expected: type) -> None:
@@ -27,7 +32,7 @@ def check_positive(name: str, value: int, minimum: int = 1) -> None:
     """Raise unless *value* is an integer >= *minimum*."""
     check_type(name, value, int)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_index(name: str, value: int, size: int) -> None:
@@ -42,4 +47,4 @@ def check_probability(name: str, value: float) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+        raise ParameterError(f"{name} must be in [0, 1], got {value}")

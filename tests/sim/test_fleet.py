@@ -7,12 +7,8 @@ import pytest
 from repro import Scenario, run
 from repro.errors import SimulationError
 from repro.results import result_from_dict
-from repro.sim.fleet import (
-    FleetResult,
-    mission_chunks,
-    simulate_fleet,
-)
-from repro.sim.lifecycle import simulate_lifecycle_vectorized
+from repro.sim.fleet import FleetResult, simulate_fleet
+from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.parallel import simulate_fleet_parallel
 from repro.sim.rebuild import DiskModel
 from repro.layouts import Raid50Layout
@@ -26,19 +22,6 @@ SMALL_DISK = DiskModel(capacity_bytes=10 * GIB)
 RARE = dict(mttf_hours=100_000.0, horizon_hours=20_000.0, disk=DiskModel())
 
 
-class TestChunking:
-    def test_mission_chunks_cover_exactly(self):
-        chunks = mission_chunks(2500, 1024)
-        assert chunks == [(0, 1024), (1024, 1024), (2048, 452)]
-        assert sum(c for _s, c in chunks) == 2500
-
-    def test_mission_chunks_validate(self):
-        with pytest.raises(SimulationError):
-            mission_chunks(0)
-        with pytest.raises(SimulationError):
-            mission_chunks(10, 0)
-
-
 class TestFleetKernel:
     def test_matches_lifecycle_vectorized_on_same_lanes(self):
         """A fleet's missions ARE lifecycle trials: global lane keying
@@ -48,8 +31,9 @@ class TestFleetKernel:
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK,
             arrays=20, trials=40, seed=3,
         )
-        life = simulate_lifecycle_vectorized(
+        life = simulate_lifecycle(
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK, trials=800, seed=3,
+            kernel="vectorized",
         )
         assert fleet.raw_losses == life.losses
         assert fleet.lse_losses == life.lse_losses

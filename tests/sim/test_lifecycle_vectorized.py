@@ -7,14 +7,12 @@ np = pytest.importorskip("numpy")
 from repro.errors import SimulationError
 from repro.layouts import Raid5Layout, Raid50Layout
 from repro.obs.telemetry import Telemetry
-from repro.sim.columnar import LifecycleTables
+from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.sim.columnar import KERNELS, LifecycleTables, resolve_kernel
 from repro.sim.lifecycle import (
-    LIFECYCLE_KERNELS,
     RebuildTimer,
     guaranteed_tolerance,
-    lifecycle_kernel,
     simulate_lifecycle,
-    simulate_lifecycle_vectorized,
 )
 from repro.sim.parallel import simulate_lifecycle_parallel
 from repro.sim.rebuild import DiskModel
@@ -45,9 +43,11 @@ class TestKernelBitIdentity:
         kwargs = dict(
             disk=DISK, trials=120, seed=seed, lse_rate_per_byte=1e-13
         )
-        event = simulate_lifecycle(fano_layout, 600.0, 2500.0, **kwargs)
-        vec = simulate_lifecycle_vectorized(
-            fano_layout, 600.0, 2500.0, **kwargs
+        event = simulate_lifecycle(
+            fano_layout, 600.0, 2500.0, kernel="event", **kwargs
+        )
+        vec = simulate_lifecycle(
+            fano_layout, 600.0, 2500.0, kernel="vectorized", **kwargs
         )
         assert event.to_dict() == vec.to_dict()
 
@@ -57,10 +57,12 @@ class TestKernelBitIdentity:
     def test_full_result_identity_on_flat_layouts(self, layout_factory):
         layout = layout_factory()
         event = simulate_lifecycle(
-            layout, 900.0, 3000.0, disk=DISK, trials=100, seed=5
+            layout, 900.0, 3000.0, disk=DISK, trials=100, seed=5,
+            kernel="event",
         )
-        vec = simulate_lifecycle_vectorized(
-            layout, 900.0, 3000.0, disk=DISK, trials=100, seed=5
+        vec = simulate_lifecycle(
+            layout, 900.0, 3000.0, disk=DISK, trials=100, seed=5,
+            kernel="vectorized",
         )
         assert event.to_dict() == vec.to_dict()
 
@@ -74,9 +76,11 @@ class TestKernelBitIdentity:
         """
         assert guaranteed_tolerance(fano_layout) >= 1
         kwargs = dict(disk=DISK, trials=200, seed=3)
-        event = simulate_lifecycle(fano_layout, 500.0, 2500.0, **kwargs)
-        vec = simulate_lifecycle_vectorized(
-            fano_layout, 500.0, 2500.0, **kwargs
+        event = simulate_lifecycle(
+            fano_layout, 500.0, 2500.0, kernel="event", **kwargs
+        )
+        vec = simulate_lifecycle(
+            fano_layout, 500.0, 2500.0, kernel="vectorized", **kwargs
         )
         ev_records = per_trial_records(event)
         vec_records = per_trial_records(vec)
@@ -95,10 +99,12 @@ class TestKernelBitIdentity:
         and a mean degraded time within a few percent.
         """
         event = simulate_lifecycle(
-            fano_layout, 600.0, 2500.0, disk=DISK, trials=400, seed=101
+            fano_layout, 600.0, 2500.0, disk=DISK, trials=400, seed=101,
+            kernel="event",
         )
-        vec = simulate_lifecycle_vectorized(
-            fano_layout, 600.0, 2500.0, disk=DISK, trials=400, seed=202
+        vec = simulate_lifecycle(
+            fano_layout, 600.0, 2500.0, disk=DISK, trials=400, seed=202,
+            kernel="vectorized",
         )
         lo_e, hi_e = event.prob_loss_interval(z=2.58)
         lo_v, hi_v = vec.prob_loss_interval(z=2.58)
@@ -113,12 +119,13 @@ class TestKernelBitIdentity:
     def test_prebuilt_tables_change_nothing(self, fano_layout):
         timer = RebuildTimer(fano_layout, DISK)
         tables = LifecycleTables.build(fano_layout, timer)
-        plain = simulate_lifecycle_vectorized(
-            fano_layout, 700.0, 2000.0, disk=DISK, trials=60, seed=2
-        )
-        shared = simulate_lifecycle_vectorized(
+        plain = simulate_lifecycle(
             fano_layout, 700.0, 2000.0, disk=DISK, trials=60, seed=2,
-            timer=timer, tables=tables,
+            kernel="vectorized",
+        )
+        shared = simulate_lifecycle(
+            fano_layout, 700.0, 2000.0, disk=DISK, trials=60, seed=2,
+            timer=timer, tables=tables, kernel="vectorized",
         )
         assert plain.to_dict() == shared.to_dict()
 
@@ -164,15 +171,36 @@ class TestTelemetryInvariance:
         assert ev_tel.events.records, "telemetry captured no events"
 
 
+class TestTwoDifferentPaths:
+    def test_event_walks_every_trial_vectorized_screens(self, fano_layout):
+        """The identity above is not one kernel compared with itself."""
+        profiles = {}
+        for kernel in ("event", "vectorized"):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                simulate_lifecycle(
+                    fano_layout, 2000.0, 2500.0, disk=DISK, trials=120,
+                    seed=0, kernel=kernel,
+                )
+            profiles[kernel] = prof
+        event, vec = profiles["event"], profiles["vectorized"]
+        assert "screen" not in event.phases
+        assert event.counters["lifecycle.replays"] == 120
+        assert vec.phases["screen"][0] == 1
+        assert 0 < vec.counters["lifecycle.replays"] < 120
+
+
 class TestKernelResolver:
+    """One resolver for every simulator (``--mc-kernel``/``--serve-kernel``)."""
+
     def test_names(self):
-        assert LIFECYCLE_KERNELS == ("auto", "vectorized", "event")
+        assert KERNELS == ("auto", "vectorized", "event")
 
     def test_auto_prefers_vectorized_when_numpy_present(self):
-        assert lifecycle_kernel("auto") is simulate_lifecycle_vectorized
-        assert lifecycle_kernel("event") is simulate_lifecycle
-        assert lifecycle_kernel("vectorized") is simulate_lifecycle_vectorized
+        assert resolve_kernel("auto") == "vectorized"
+        assert resolve_kernel("vectorized") == "vectorized"
+        assert resolve_kernel("event") == "event"
 
     def test_unknown_name_raises(self):
         with pytest.raises(SimulationError):
-            lifecycle_kernel("fancy")
+            resolve_kernel("fancy")

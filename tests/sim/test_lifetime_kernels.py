@@ -1,0 +1,113 @@
+"""The lifetime kernels: one sampled plane, two ways to walk it.
+
+Mirror of ``test_lifecycle_vectorized.py`` / ``test_serve_vectorized.py``
+for the Monte-Carlo lifetime simulator: both kernels walk the plane
+``sample_renewal_events`` draws, so ``kernel=`` (and ``jobs``) may change
+wall clock only — never a bit of :class:`LifetimeResult` or its merged
+telemetry. The plane itself is checked against the independent heap walk
+in ``reference_lifetimes.py``.
+"""
+
+import pytest
+
+from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.obs.telemetry import Telemetry
+from repro.sim.montecarlo import (
+    recoverability_oracle,
+    simulate_lifetimes,
+    threshold_oracle,
+)
+from repro.sim.parallel import simulate_lifetimes_parallel
+from tests.sim.reference_lifetimes import heap_walk_lifetimes
+
+#: 21 disks at accelerated rates: a few percent of trials outgrow a
+#: tolerance of 3, most outgrow a tolerance of 1.
+RATES = dict(n_disks=21, mttf_hours=2000.0, mttr_hours=40.0)
+HORIZON = 4000.0
+
+
+def oracles(layout):
+    return {
+        "threshold": threshold_oracle(1),
+        "layout": recoverability_oracle(layout, guaranteed_tolerance=3),
+    }
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("oracle_name", ["threshold", "layout"])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_result_metrics_and_events_identical(
+        self, fano_layout, oracle_name, seed, jobs
+    ):
+        oracle = oracles(fano_layout)[oracle_name]
+        plain, collected = {}, {}
+
+        def run(kernel, telemetry=None):
+            return simulate_lifetimes_parallel(
+                RATES["n_disks"], RATES["mttf_hours"], RATES["mttr_hours"],
+                oracle, HORIZON, trials=600, seed=seed, jobs=jobs,
+                kernel=kernel, telemetry=telemetry,
+            ).to_dict()
+
+        for kernel in ("event", "vectorized"):
+            tel = Telemetry.collecting()
+            plain[kernel] = run(kernel)
+            collected[kernel] = (run(kernel, tel), tel)
+        assert plain["event"] == plain["vectorized"]
+        ev_result, ev_tel = collected["event"]
+        vec_result, vec_tel = collected["vectorized"]
+        # Collecting never perturbs, and kernels agree while collecting.
+        assert ev_result == vec_result == plain["event"]
+        assert ev_tel.metrics.counters() == vec_tel.metrics.counters()
+        ev_hists = {k: h.to_dict() for k, h in ev_tel.metrics.histograms()}
+        vec_hists = {k: h.to_dict() for k, h in vec_tel.metrics.histograms()}
+        assert ev_hists == vec_hists
+        assert ev_tel.events.records == vec_tel.events.records
+        assert ev_tel.events.records, "telemetry captured no events"
+
+
+class TestTwoDifferentPaths:
+    def test_event_walks_every_trial_vectorized_screens(self, fano_layout):
+        """The identity above is not one kernel compared with itself."""
+        oracle = oracles(fano_layout)["layout"]
+        profiles = {}
+        for kernel in ("event", "vectorized"):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                simulate_lifetimes(
+                    oracle=oracle, horizon_hours=HORIZON, trials=400,
+                    seed=0, kernel=kernel, **RATES,
+                )
+            profiles[kernel] = prof
+        event, vec = profiles["event"], profiles["vectorized"]
+        assert "screen" not in event.phases
+        assert event.counters["mc.replays"] == 400
+        assert vec.phases["screen"][0] == 1
+        assert 0 < vec.counters["mc.replays"] < 400
+
+
+class TestSampledPlaneAgainstHeapWalk:
+    """``sample_renewal_events`` is the alternating renewal process.
+
+    The block sampler and the one-arrival-at-a-time heap walk draw
+    different streams, so they are compared as populations: their loss
+    probabilities' z = 3.5 Wilson intervals must overlap.
+    """
+
+    @pytest.mark.parametrize("config", ["raid5_like", "oi_layout"])
+    def test_loss_probability_overlaps(self, fano_layout, config):
+        args = {
+            "raid5_like": (8, 2000.0, 40.0, threshold_oracle(1), 2000.0),
+            "oi_layout": (
+                21, 1000.0, 60.0,
+                recoverability_oracle(fano_layout, guaranteed_tolerance=3),
+                3000.0,
+            ),
+        }[config]
+        reference = heap_walk_lifetimes(*args, trials=1500, seed=0)
+        sampled = simulate_lifetimes(*args, trials=1500, seed=0)
+        assert 0.1 < reference.prob_loss < 0.9, "config is not informative"
+        lo_r, hi_r = reference.prob_loss_interval(z=3.5)
+        lo_s, hi_s = sampled.prob_loss_interval(z=3.5)
+        assert max(lo_r, lo_s) <= min(hi_r, hi_s)

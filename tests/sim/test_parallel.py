@@ -85,19 +85,17 @@ class TestDeterminism:
         chunked = simulate_lifetimes_parallel(
             *args, trials=50, seed=3, kernel="event"
         )
-        legacy = simulate_lifetimes(*args, trials=50, seed=3)
+        legacy = simulate_lifetimes(*args, trials=50, seed=3, kernel="event")
         assert chunked == legacy
 
     def test_single_chunk_matches_vectorized_kernel(self):
-        numpy = pytest.importorskip("numpy")
-        del numpy
-        from repro.sim.montecarlo import simulate_lifetimes_vectorized
-
         args = (6, 500.0, 50.0, threshold_oracle(1), 1000.0)
         chunked = simulate_lifetimes_parallel(
             *args, trials=50, seed=3, kernel="vectorized"
         )
-        direct = simulate_lifetimes_vectorized(*args, trials=50, seed=3)
+        direct = simulate_lifetimes(
+            *args, trials=50, seed=3, kernel="vectorized"
+        )
         assert chunked == direct
 
     def test_unknown_kernel_rejected(self):

@@ -15,16 +15,13 @@ from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.obs.telemetry import Telemetry
 from repro.sim.parallel import simulate_serve_parallel
 from repro.sim.serve import (
-    SERVE_KERNELS,
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
     build_serve_tables,
     merge_serve_results,
     serve_batch_supported,
-    serve_kernel,
     simulate_serve,
-    simulate_serve_vectorized,
 )
 from repro.workloads.arrivals import ClosedLoop, OpenLoop
 from repro.workloads.generators import WorkloadSpec
@@ -90,9 +87,9 @@ class TestKernelBitIdentity:
     def test_batched_trials_equal_merged_singles(self, fano_layout):
         from repro.sim.columnar import derive_chunk_seed
 
-        batch = simulate_serve_vectorized(
+        batch = simulate_serve(
             fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
-            arrival=OpenLoop(500.0), trials=7, seed=21,
+            arrival=OpenLoop(500.0), trials=7, seed=21, kernel="vectorized",
         )
         singles = merge_serve_results([
             simulate_serve(
@@ -106,13 +103,13 @@ class TestKernelBitIdentity:
 
     def test_prebuilt_tables_change_nothing(self, fano_layout):
         tables = build_serve_tables(fano_layout, failed_disks=(0,))
-        plain = simulate_serve_vectorized(
+        plain = simulate_serve(
             fano_layout, WorkloadSpec(n_requests=60), failed_disks=(0,),
-            trials=4, seed=2,
+            trials=4, seed=2, kernel="vectorized",
         )
-        shared = simulate_serve_vectorized(
+        shared = simulate_serve(
             fano_layout, WorkloadSpec(n_requests=60), failed_disks=(0,),
-            trials=4, seed=2, tables=tables,
+            trials=4, seed=2, tables=tables, kernel="vectorized",
         )
         assert plain.to_dict() == shared.to_dict()
 
@@ -179,20 +176,6 @@ class TestTelemetryInvariance:
         assert ev_tel.events.records, "telemetry captured no events"
 
 
-class TestKernelResolver:
-    def test_names(self):
-        assert SERVE_KERNELS == ("auto", "vectorized", "event")
-
-    def test_auto_prefers_vectorized_when_numpy_present(self):
-        assert serve_kernel("auto") == "vectorized"
-        assert serve_kernel("vectorized") == "vectorized"
-        assert serve_kernel("event") == "event"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(SimulationError):
-            serve_kernel("fancy")
-
-
 class TestBatchSupport:
     def test_open_loop_sweeps_when_nothing_decides(self, fano_layout):
         healthy = build_serve_tables(fano_layout, failed_disks=())
@@ -221,8 +204,9 @@ class TestProfilerSpans:
     def test_sweep_path_bills_sample_and_sweep(self, fano_layout):
         prof = PhaseProfiler()
         with use_profiler(prof):
-            simulate_serve_vectorized(
-                fano_layout, WorkloadSpec(n_requests=40), trials=3, seed=1
+            simulate_serve(
+                fano_layout, WorkloadSpec(n_requests=40), trials=3, seed=1,
+                kernel="vectorized",
             )
         assert "sample" in prof.phases
         assert "sweep" in prof.phases
@@ -232,11 +216,29 @@ class TestProfilerSpans:
     def test_replay_path_bills_replay(self, fano_layout):
         prof = PhaseProfiler()
         with use_profiler(prof):
-            simulate_serve_vectorized(
+            simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=40), failed_disks=(0,),
                 throttle=AdaptiveThrottle(target_p99_ms=15.0),
-                trials=3, seed=1,
+                trials=3, seed=1, kernel="vectorized",
             )
         assert "sample" in prof.phases
         assert "replay" in prof.phases
         assert "merge" in prof.phases
+
+    def test_event_walks_every_trial_vectorized_sweeps(self, fano_layout):
+        """The kernel identity is not one kernel compared with itself."""
+        profiles = {}
+        for kernel in ("event", "vectorized"):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                simulate_serve(
+                    fano_layout, WorkloadSpec(n_requests=40), trials=3,
+                    seed=1, kernel=kernel,
+                )
+            profiles[kernel] = prof
+        event, vec = profiles["event"], profiles["vectorized"]
+        assert "sweep" not in event.phases
+        assert event.phases["serve"][0] == 3  # one heap walk per trial
+        assert vec.phases["sweep"][0] == 1
+        assert "serve" not in vec.phases and "replay" not in vec.phases
+        assert event.counters == vec.counters

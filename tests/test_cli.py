@@ -247,6 +247,23 @@ class TestExitCodes:
         assert err.splitlines() == ["error: no such disk 99 in oi-raid"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["reliability", "-v", "7", "-k", "3", "--mttf-hours", "nan"],
+        ["lifecycle", "-v", "7", "-k", "3", "--horizon-hours", "inf"],
+        ["lifecycle", "-v", "7", "-k", "3", "--mttf-hours", "nan"],
+        ["fleet", "-v", "7", "-k", "3", "--mttf-hours", "nan"],
+        ["serve", "-v", "7", "-k", "3", "--requests", "0"],
+        ["serve", "-v", "7", "-k", "3", "--write-fraction", "2"],
+        ["serve", "-v", "7", "-k", "3", "--workload", "zipf", "--skew", "0"],
+        ["fleet", "-v", "7", "-k", "3", "--arrays", "0"],
+        ["designs", "-k", "1"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_bad_number_is_one_line_and_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_usage_error_is_two(self, capsys):
         assert main(["info", "-v", "not-a-number", "-k", "3"]) == 2
         assert main(["no-such-command"]) == 2

@@ -116,6 +116,23 @@ class TestScenario:
         )
         assert seen == [1, 2]
 
+    def test_ledger_records_the_kernel_the_kind_read(
+        self, tmp_path, monkeypatch
+    ):
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        kernels = dict(mc_kernel="vectorized", serve_kernel="event")
+        small = dict(layout=LAYOUT, trials=2, arrays=2,
+                     workload=WorkloadSpec(n_requests=20), **kernels)
+        expected = {
+            "rebuild": None, "reliability": "vectorized",
+            "lifecycle": "vectorized", "serve": "event", "fleet": None,
+        }
+        for kind in expected:
+            run(Scenario(kind=kind, **small))
+        records = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert {r["kind"]: r["kernel"] for r in records} == expected
+
 
 class TestResultProtocol:
     def scenario_results(self):

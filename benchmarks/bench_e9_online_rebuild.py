@@ -44,9 +44,11 @@ def _scenario(layout, throttle, batches):
         faults=(0,),
         throttle=throttle,
         rebuild_batches=batches,
-        # E9 always injects rebuild traffic, so these trials replay the
-        # exact event walk whatever the kernel; pinning "auto" documents
-        # that the flag is result-neutral here (one sampling plane).
+        # E9 always injects rebuild traffic under a fixed-rate throttle:
+        # the default kernel walks each trial until its last rebuild op
+        # has queued its writes and sweeps the rest of the trace; "event"
+        # would walk all of it. Pinning "auto" documents that the flag
+        # is result-neutral here (one sampling plane).
         serve_kernel="auto",
         seed=9,
     )

@@ -98,6 +98,7 @@ from repro.sim.serve import (
     FixedRateThrottle,
     IdleSlotThrottle,
 )
+from repro.util.checks import check_finite
 from repro.util.units import format_duration
 from repro.workloads import ClosedLoop, OpenLoop, WorkloadSpec
 
@@ -543,6 +544,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         arrival = ClosedLoop(args.clients, think_s=args.think_ms / 1000.0)
     else:
         arrival = OpenLoop(args.rate)
+    check_finite("unit_kib", args.unit_kib)  # before int() chokes on it
     scenario = Scenario(
         kind="serve",
         scheme=args.scheme,

@@ -8,7 +8,8 @@ FIFO queue of fixed-service-time requests.
 The hot path is allocation-lean: :class:`Event` handles carry ``__slots__``
 and the heap holds plain ``(time, seq, event)`` tuples, so every heap
 comparison is a C-level tuple comparison that never touches the event
-object itself.
+object itself. A sorted arrival stream never enters the heap at all:
+:meth:`Simulator.feed` hands it to the run loop as a list and a cursor.
 
 Telemetry: a :class:`Simulator` counts scheduled / processed / cancelled
 events into the telemetry passed to it (default: the ambient telemetry,
@@ -20,7 +21,8 @@ telemetry is disabled beyond a single flag check.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.telemetry import Telemetry, ambient
@@ -59,6 +61,10 @@ class Simulator:
         self._seq = 0
         self._processed = 0
         self._tel = telemetry if telemetry is not None else ambient()
+        self._feed_times: Sequence[float] = ()
+        self._feed_action: Optional[Callable[[int], None]] = None
+        self._fed = 0  # the feed's cursor: arrivals fired so far
+        self._stopped = False
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule *action* at ``now + delay``; returns a cancellable handle."""
@@ -73,6 +79,33 @@ class Simulator:
             self._tel.count("engine.events_scheduled")
         return event
 
+    def feed(
+        self, times: Sequence[float], action: Callable[[int], None]
+    ) -> None:
+        """Feed a sorted arrival stream: ``action(i)`` fires at ``times[i]``.
+
+        What ``len(times)`` ``schedule`` calls made before any other would
+        do, without the closures or the heap entries: a fed arrival fires
+        before every heap event with the same timestamp, and fed arrivals
+        at equal times fire in index order. *times* are absolute and
+        non-decreasing. Call before :meth:`run`.
+        """
+        if self._fed < len(self._feed_times):
+            raise SimulationError("the previous feed has not drained")
+        self._feed_times, self._feed_action, self._fed = times, action, 0
+        if self._tel.enabled:
+            self._tel.count("engine.events_scheduled", len(times))
+
+    def stop(self) -> None:
+        """Abandon all pending work: :meth:`run` returns after this action.
+
+        The heap and the feed are dropped, not paused, so the simulator
+        holds no callback (and no cycle through one) afterwards.
+        """
+        self._stopped = True
+        self._queue.clear()
+        self._feed_times, self._feed_action, self._fed = (), None, 0
+
     def cancel(self, event: Event) -> None:
         """Prevent a scheduled event from firing."""
         event.cancelled = True
@@ -84,19 +117,35 @@ class Simulator:
         processed = 0
         queue = self._queue
         pop = heapq.heappop
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                break
-            event = pop(queue)[2]
-            if event.cancelled:
-                continue
-            if time < self.now:
-                raise SimulationError("event queue went backwards (bug)")
-            self.now = time
-            event.action()
+        times, arrive = self._feed_times, self._feed_action
+        n_fed = len(times)
+        fed = self._fed
+        next_fed = times[fed] if fed < n_fed else math.inf
+        self._stopped = False
+        while not self._stopped:
+            time = queue[0][0] if queue else math.inf
+            if next_fed <= time:  # a fed arrival wins the tie
+                if fed == n_fed or (until is not None and next_fed > until):
+                    break  # heap and feed both drained, or the horizon
+                if next_fed < self.now:
+                    raise SimulationError("fed arrivals are not sorted")
+                self.now = next_fed
+                self._fed = fed = fed + 1
+                next_fed = times[fed] if fed < n_fed else math.inf
+                arrive(fed - 1)
+            else:
+                if until is not None and time > until:
+                    break
+                event = pop(queue)[2]
+                if event.cancelled:
+                    continue
+                if time < self.now:
+                    raise SimulationError("event queue went backwards (bug)")
+                self.now = time
+                event.action()
             processed += 1
-        if until is not None and self.now < until and not queue:
+        drained = not queue and self._fed == len(self._feed_times)
+        if until is not None and self.now < until and drained:
             self.now = until
         self._processed += processed
         if self._tel.enabled:
@@ -105,7 +154,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        queued = sum(1 for entry in self._queue if not entry[2].cancelled)
+        return queued + len(self._feed_times) - self._fed
 
 
 class FcfsServer:
@@ -127,7 +177,7 @@ class FcfsServer:
     def submit(
         self, service_time: float, on_done: Callable[[], None]
     ) -> float:
-        """Enqueue a request; returns its completion time."""
+        """Enqueue a request; returns the time its completion event fires."""
         if service_time < 0:
             raise SimulationError(
                 f"{self.name}: negative service time {service_time}"
@@ -140,8 +190,7 @@ class FcfsServer:
         self.busy_until = done
         self.total_busy += service_time
         self.requests += 1
-        sim.schedule(done - sim.now, on_done)
-        return done
+        return sim.schedule(done - sim.now, on_done).time
 
     def utilization(self, horizon: float) -> float:
         """Fraction of [0, horizon] this server spent busy."""

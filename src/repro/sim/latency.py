@@ -23,6 +23,7 @@ from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import plan_recovery
 from repro.results import ResultBase, register_result
 from repro.sim.engine import FcfsServer, Simulator
+from repro.util.checks import check_finite
 from repro.util.stats import mean, percentile
 
 
@@ -33,6 +34,11 @@ class LatencyModel:
     seek_ms: float = 5.0
     unit_bytes: int = 64 * 1024
     bandwidth_bytes_per_s: float = 100 * 1024 * 1024
+
+    def __post_init__(self) -> None:
+        check_finite("seek_ms", self.seek_ms, closed=True)
+        check_finite("unit_bytes", self.unit_bytes)
+        check_finite("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s)
 
     def service_seconds(self) -> float:
         """Total device service time for one unit read."""

@@ -530,15 +530,16 @@ def simulate_fleet_parallel(
     )
 
 
-#: Serving trials per chunk for the event kernel. One trial per chunk —
-#: serving replications are far heavier than Monte-Carlo missions, and a
-#: chunk size of 1 makes trial *i*'s seed depend only on ``(seed, i)``.
+#: Serving trials per chunk when every trial is walked end to end. One
+#: trial per chunk — such a replication is far heavier than a Monte-Carlo
+#: mission, and a chunk size of 1 makes trial *i*'s seed depend only on
+#: ``(seed, i)``.
 DEFAULT_CHUNK_SERVE_TRIALS = 1
 
-#: Serving trials per chunk when the vectorized sweep applies: wide
-#: chunks amortize the numpy dispatch over ``(trials x disks)`` queue
-#: lanes. Safe for any value — per-trial seeds are global, so chunk
-#: geometry never changes the merged result.
+#: Serving trials per chunk when the vectorized sweep applies (after a
+#: walked rebuild prefix, if any): wide chunks amortize the numpy
+#: dispatch over ``(trials x disks)`` queue lanes. Safe for any value —
+#: per-trial seeds are global, so chunk geometry never changes the result.
 VECTORIZED_CHUNK_SERVE_TRIALS = 16
 
 
@@ -598,7 +599,7 @@ def simulate_serve_parallel(
     knob, exactly as on :func:`~repro.sim.serve.simulate_serve`: both
     kernels read one per-trial sampling plane, so the merged result —
     telemetry included — is bit-identical across kernels too. When the
-    vectorized sweep applies (feedback-free config, telemetry off),
+    vectorized sweep applies (``serve_batch_supported``, telemetry off),
     chunks default to :data:`VECTORIZED_CHUNK_SERVE_TRIALS` trials so
     one numpy sweep covers a whole chunk; otherwise one trial per chunk
     (:data:`DEFAULT_CHUNK_SERVE_TRIALS`). *chunk_trials* overrides
@@ -615,7 +616,7 @@ def simulate_serve_parallel(
         swept = (
             vectorized
             and not (telemetry is not None and telemetry.enabled)
-            and serve_batch_supported(arrival, throttle, tables)
+            and serve_batch_supported(arrival, throttle)
         )
         chunk_trials = (
             VECTORIZED_CHUNK_SERVE_TRIALS

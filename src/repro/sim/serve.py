@@ -32,17 +32,22 @@ workload — arrival gaps, unit addresses, write coin-flips — is drawn
 from purpose-keyed :class:`~repro.sim.columnar.TrialStreams` lanes, so
 which kernel consumes the trace can never change a float of it:
 
-* the **event kernel** walks the trace through the discrete-event heap
-  (:class:`~repro.sim.engine.Simulator`), one pop per leg — required for
-  closed loops, throttled rebuild injection, and adaptive SLO windows,
-  whose feedback makes the schedule data-dependent;
-* the **vectorized kernel** recognizes the feedback-free common case
-  (open loop, no rebuild traffic in flight, no latency-observing
-  throttle) and replaces the heap with batched per-disk Lindley
-  recursions across ``(trials × disks)`` queue lanes — the same floats,
-  ~an order of magnitude faster. Configs outside that case fall back to
-  the exact walk *on the same sampled lanes* (screen-then-replay, as in
-  :mod:`repro.sim.lifecycle`), so the flag is a pure speed knob.
+* the **event kernel** walks the whole trace through the discrete-event
+  heap (:class:`~repro.sim.engine.Simulator`): arrivals fed from the
+  sorted trace, one pop per leg, one ``pump`` per throttle decision;
+* the **vectorized kernel** walks only what decides. Under an open loop
+  and a throttle that does not observe latencies
+  (:func:`serve_batch_supported`) the decisions are the rebuild ops'
+  dispatches, so :func:`_serve_event_trial` stops once the last op has
+  queued its writes — at once when there is no rebuild traffic — and
+  hands the disks' ``busy_until`` to :func:`_sweep_batch`, which runs
+  every trial's remaining requests as per-disk Lindley recursions across
+  ``(trials × disks)`` queue lanes: the same floats, 5× faster on E9's
+  throttled rebuild and an order of magnitude on a clean trace. Closed
+  loops and latency-observing throttles decide at every completion, so
+  their trials are walked to the end *on the same sampled lanes*
+  (screen-then-replay, as in :mod:`repro.sim.lifecycle`) — the flag is a
+  pure speed knob.
 
 Results are :class:`ServeResult` (pooled latencies + I/O accounting +
 rebuild completion), mergeable in chunk order so
@@ -78,7 +83,7 @@ from repro.sim.columnar import (
 )
 from repro.sim.engine import FcfsServer, Simulator
 from repro.sim.latency import LatencyModel
-from repro.util.checks import check_positive, check_probability
+from repro.util.checks import check_finite, check_positive, check_probability
 from repro.util.stats import mean, percentile
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
 from repro.workloads.generators import Request, WorkloadSpec
@@ -116,10 +121,8 @@ class FixedRateThrottle(ThrottlePolicy):
     ops_per_s: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.ops_per_s <= 0:
-            raise SimulationError(
-                f"ops_per_s must be positive, got {self.ops_per_s}"
-            )
+        if self.ops_per_s != math.inf:  # inf is a rate: no throttling at all
+            check_finite("ops_per_s", self.ops_per_s, error=SimulationError)
         self._next = 0.0
 
     def reset(self) -> None:
@@ -146,10 +149,7 @@ class IdleSlotThrottle(ThrottlePolicy):
     poll_s: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.poll_s <= 0:
-            raise SimulationError(
-                f"poll_s must be positive, got {self.poll_s}"
-            )
+        check_finite("poll_s", self.poll_s, error=SimulationError)
 
     def next_delay(self, now_s: float, idle: bool) -> Optional[float]:
         """Dispatch iff the sources are idle, else re-check after poll_s."""
@@ -186,15 +186,15 @@ class AdaptiveThrottle(ThrottlePolicy):
     rate_trace: List[Tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.target_p99_ms <= 0:
-            raise SimulationError("target_p99_ms must be positive")
+        check_finite("target_p99_ms", self.target_p99_ms, error=SimulationError)
+        check_finite("max_ops_per_s", self.max_ops_per_s, error=SimulationError)
         if not 0 < self.min_ops_per_s <= self.max_ops_per_s:
             raise SimulationError(
                 "need 0 < min_ops_per_s <= max_ops_per_s"
             )
         if self.window < 1:
             raise SimulationError(f"window must be >= 1, got {self.window}")
-        if not 0 < self.backoff < 1 or self.increase <= 1:
+        if not (0 < self.backoff < 1 and 1 < self.increase < math.inf):
             raise SimulationError(
                 "need 0 < backoff < 1 and increase > 1"
             )
@@ -376,27 +376,6 @@ class _Join:
         self.remaining -= 1
         if self.remaining == 0:
             self.done()
-
-
-class _Stats:
-    """Mutable per-trial counters (slotted: touched on every request)."""
-
-    __slots__ = (
-        "reads", "writes", "degraded_reads", "degraded_writes",
-        "device_reads", "device_writes", "fg_done", "rebuild_done",
-        "rebuild_finish",
-    )
-
-    def __init__(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.degraded_reads = 0
-        self.degraded_writes = 0
-        self.device_reads = 0
-        self.device_writes = 0
-        self.fg_done = 0.0
-        self.rebuild_done = 0
-        self.rebuild_finish = 0.0
 
 
 def _rebuild_ops(
@@ -716,29 +695,21 @@ def _sample_traces(
 
 
 def serve_batch_supported(
-    arrival: ArrivalProcess,
-    throttle: Optional[ThrottlePolicy],
-    tables: ServeTables,
+    arrival: ArrivalProcess, throttle: Optional[ThrottlePolicy]
 ) -> bool:
-    """May the vectorized sweep replace the event walk for this config?
+    """May the Lindley sweep serve this config's foreground requests?
 
-    The sweep requires a feedback-free schedule: open-loop arrivals (a
-    closed loop's next arrival depends on the previous completion), no
-    rebuild ops in flight (their dispatch interleaves with foreground
-    legs through the throttle's clock), and no throttle that *observes*
-    latencies (an overridden ``observe`` — AdaptiveThrottle's SLO window
-    — accumulates state per completion even when no ops exist). Configs
-    outside this set are replayed through the exact event walk on the
+    It needs arrivals known in advance — open loop; a closed loop's next
+    arrival depends on the previous completion — and no throttle that
+    *observes* latencies (an overridden ``observe``: AdaptiveThrottle's
+    SLO window turns every completion into a decision point). Rebuild
+    traffic under a non-observing throttle is fine: the event walk
+    covers the trial until the last op's writes are queued and the sweep
+    takes the rest. Every other config is walked end to end, on the
     same sampled lanes.
     """
-    ops = tables.rebuild_ops if throttle is not None else ()
-    return (
-        isinstance(arrival, OpenLoop)
-        and not ops
-        and (
-            throttle is None
-            or type(throttle).observe is ThrottlePolicy.observe
-        )
+    return isinstance(arrival, OpenLoop) and (
+        throttle is None or type(throttle).observe is ThrottlePolicy.observe
     )
 
 
@@ -788,9 +759,19 @@ def _columnar_routes(tables: ServeTables) -> _ColumnarRoutes:
 
 
 def _sweep_batch(
-    batch: _TraceBatch, tables: ServeTables, model: LatencyModel
+    batch: _TraceBatch,
+    tables: ServeTables,
+    model: LatencyModel,
+    walks: Optional[Sequence[tuple]] = None,
+    n_ops: int = 0,
 ) -> ServeResult:
-    """Sweep a feedback-free trace batch: Lindley recursion per queue lane.
+    """Sweep what the walk left of a trace batch: Lindley per queue lane.
+
+    *walks* holds one :func:`_serve_event_trial` outcome per trial; each
+    trial's sweep starts at its first unwalked request with the walk's
+    ``busy_until`` on every lane. ``None`` means nothing was walked
+    (start at request 0 on idle disks); a trial walked to its end adds
+    no leg, and the tail below only pools what the walk computed.
 
     Every request leg is flattened into one ``(total_legs,)`` table keyed
     by its ``(trial, disk)`` queue lane. Within a lane, legs sit in
@@ -811,7 +792,6 @@ def _sweep_batch(
     if batch.shared:
         units = _np.broadcast_to(units, (k, n))
         is_write = _np.broadcast_to(is_write, (k, n))
-    arrivals = batch.arrivals
     service = model.service_seconds()
     write_service = 2 * service
 
@@ -821,23 +801,49 @@ def _sweep_batch(
     )
     svc = _np.where(is_write, write_service, service)
 
+    # I/O accounting covers every request, walked or swept.
+    n_requests = k * n
+    n_writes = int(is_write.sum())
+    degraded_reads = int((routes.read_deg[units] & ~is_write).sum())
+    degraded_writes = int((routes.write_deg[units] & is_write).sum())
+    device_reads = int(lens.sum())
+    device_writes = int(lens[is_write].sum())
+
     flat_lens = lens.ravel()
+    arrivals = batch.arrivals
+    ops_done = finish = ()
+    if walks is not None:
+        busy0, issued, done_at, ops_done, finish = zip(*walks)
+        if arrivals is None:  # a closed loop paces itself: the walk knows
+            arrivals = _np.array(issued)
+        walked = (
+            _np.arange(n) < _np.array([len(d) for d in done_at])[:, None]
+        ).ravel()
+        flat_lens[walked] = 0  # a walked request adds no leg
     leg_ends = _np.cumsum(flat_lens)
     req_starts = leg_ends - flat_lens
     total_legs = int(leg_ends[-1])
-    leg_req = _np.repeat(_np.arange(k * n), flat_lens)
-    leg_pos = _np.arange(total_legs) - _np.repeat(req_starts, flat_lens)
-    leg_src = _np.repeat(starts.ravel(), flat_lens) + leg_pos
+    # Leg j of a request takes slot j of its route, on its trial's block
+    # of queue lanes. The leg-sized temporaries are freed as they go:
+    # they, not the trace, are this function's memory peak.
+    leg_src = _np.arange(total_legs) + _np.repeat(
+        starts.ravel() - req_starts, flat_lens
+    )
     n_lanes = len(tables.survivors)
-    lane_ids = (leg_req // n) * n_lanes + routes.leg_lanes[leg_src]
-    leg_t = _np.repeat(arrivals.ravel(), flat_lens)
-    leg_s = _np.repeat(svc.ravel(), flat_lens)
+    lane_ids = routes.leg_lanes[leg_src]
+    lane_ids += _np.repeat(
+        _np.repeat(_np.arange(k) * n_lanes, n), flat_lens
+    )
+    del leg_ends, leg_src, starts
 
     # Group legs by queue lane, preserving submission order within each.
     order = _np.argsort(lane_ids, kind="stable")
-    t_sorted = leg_t[order]
-    s_sorted = leg_s[order]
     counts = _np.bincount(lane_ids, minlength=k * n_lanes)
+    del lane_ids
+    leg_t = _np.repeat(arrivals.ravel(), flat_lens)
+    t_sorted = leg_t[order]
+    s_sorted = _np.repeat(svc.ravel(), flat_lens)[order]
+    del svc
     lane_starts = _np.cumsum(counts) - counts
     by_depth = _np.argsort(-counts, kind="stable")
     depth_sorted = counts[by_depth]
@@ -845,7 +851,10 @@ def _sweep_batch(
     max_depth = int(depth_sorted[0]) if depth_sorted.size else 0
 
     starts_by_depth = lane_starts[by_depth]
-    busy = _np.zeros(len(by_depth))
+    if walks is None:
+        busy = _np.zeros(len(by_depth))
+    else:
+        busy = _np.array(busy0).ravel()[by_depth]
     done_sorted = _np.empty(total_legs)
     for pos in range(max_depth):
         alive = int(_np.searchsorted(neg_depth, -pos, side="left"))
@@ -853,26 +862,29 @@ def _sweep_batch(
         done = _np.maximum(busy[:alive], t_sorted[idx]) + s_sorted[idx]
         busy[:alive] = done
         done_sorted[idx] = done
+    del t_sorted, s_sorted
 
     leg_done = _np.empty(total_legs)
     leg_done[order] = done_sorted
+    del order, done_sorted
     # The engine schedules completions as now + (done - now): reproduce
     # that arithmetic so event timestamps match the walk to the last ulp.
     leg_event = leg_t + (leg_done - leg_t)
-    completion = _np.maximum.reduceat(leg_event, req_starts)
-    flat_arrivals = arrivals.ravel()
-    latency_ms = (completion - flat_arrivals) * 1000.0
-    # The walk appends a latency when a request's last leg pops — heap
-    # order (completion time, then schedule seq, which is request order
-    # within a trial). A stable per-trial sort by completion reproduces
-    # that pooled order exactly.
+    del leg_t, leg_done
+    if walks is None:
+        completion = _np.maximum.reduceat(leg_event, req_starts)
+    else:
+        swept = ~walked
+        completion = _np.empty(n_requests)
+        completion[walked] = [t for done in done_at for t in done]
+        completion[swept] = _np.maximum.reduceat(leg_event, req_starts[swept])
+    del leg_event, req_starts, lens, flat_lens
+    latency_ms = (completion - arrivals.ravel()) * 1000.0
+    # The walk's latencies pool in the order its requests' last legs pop
+    # — heap order (completion time, then schedule seq, which is request
+    # order within a trial). A stable per-trial sort by completion
+    # reproduces that pooled order exactly.
     pop_order = _np.lexsort((completion, _np.repeat(_np.arange(k), n)))
-
-    n_requests = k * n
-    n_writes = int(is_write.sum())
-    degraded_reads = int((routes.read_deg[units] & ~is_write).sum())
-    degraded_writes = int((routes.write_deg[units] & is_write).sum())
-    device_writes = int(flat_lens[is_write.ravel()].sum())
     fg_done = completion.reshape(k, n).max(axis=1)
 
     return ServeResult(
@@ -882,12 +894,12 @@ def _sweep_batch(
         writes=n_writes,
         degraded_reads=degraded_reads,
         degraded_writes=degraded_writes,
-        device_reads=total_legs,
+        device_reads=device_reads,
         device_writes=device_writes,
         latencies_ms=tuple(latency_ms[pop_order].tolist()),
-        rebuild_ops=0,
-        rebuild_ops_done=0,
-        rebuild_seconds_per_trial=(),
+        rebuild_ops=k * n_ops,
+        rebuild_ops_done=sum(ops_done),
+        rebuild_seconds_per_trial=finish if n_ops else (),
         foreground_seconds_per_trial=tuple(fg_done.tolist()),
     )
 
@@ -899,16 +911,31 @@ def _serve_event_trial(
     model: LatencyModel,
     throttle: Optional[ThrottlePolicy],
     tel: Telemetry,
-) -> ServeResult:
-    """The exact discrete-event walk of one trial's sampled trace."""
+    handoff: bool = False,
+):
+    """Walk one trial's sampled trace through the discrete-event heap.
+
+    Returns ``(busy, issued, done, rebuild_done, rebuild_finish)``:
+    per-survivor ``busy_until``, and the completion time of every
+    request the walk submitted, in request order (plus, for a closed
+    loop, when it was issued). A completion is known at submission (a
+    FIFO disk fixes it), so nothing waits for the pop. With *handoff* the walk stops once the last rebuild op has
+    submitted its writes — from then on every queue submission is a
+    foreground arrival at a known time, which :func:`_sweep_batch`
+    resumes from *busy*; otherwise it drains the heap and ``done``
+    covers the whole trace.
+    """
     arrivals_row, units_row, iswrite_row = trace_row
     n = len(units_row)
     prof = ambient_profiler()
     survivors = tables.survivors
     ops = tables.rebuild_ops if throttle is not None else ()
 
+    # Dedicated sparing rebuilds onto the replacement disks: queues of
+    # their own, which no foreground request ever joins.
+    spares = tables.failed if ops and tables.sparing == "dedicated" else ()
     sim = Simulator(telemetry=tel)
-    servers = {d: FcfsServer(sim, f"disk{d}") for d in survivors}
+    servers = {d: FcfsServer(sim, f"disk{d}") for d in survivors + spares}
     service = model.service_seconds()
     write_service = 2 * service
     read_routes = tables.read_routes
@@ -916,149 +943,136 @@ def _serve_event_trial(
     write_routes = tables.write_routes
     write_degraded = tables.write_degraded
 
-    latencies: List[float] = []
-    stats = _Stats()
+    issued: List[float] = []  # a closed loop's arrival times
+    done_at: List[float] = []
+    rebuild_done = 0
+    rebuild_finish = 0.0
 
     def finish_request(arrival_s: float) -> None:
-        now = sim.now
-        latency_ms = (now - arrival_s) * 1000.0
-        latencies.append(latency_ms)
-        if now > stats.fg_done:
-            stats.fg_done = now
+        latency_ms = (sim.now - arrival_s) * 1000.0
         if throttle is not None:
             throttle.observe(latency_ms)
         if tel.enabled:
             tel.count("serve.requests")
             tel.observe("serve.latency_ms", latency_ms)
 
-    def fan_out(disks: Sequence[int], per_disk_service: float, done) -> None:
-        """Submit one access per disk; *done* fires when the slowest ends."""
-        if len(disks) == 1:
-            servers[disks[0]].submit(per_disk_service, done)
-            return
-        one_done = _Join(len(disks), done).one_done
-        for disk in disks:
-            servers[disk].submit(per_disk_service, one_done)
+    def fan_out(disks: Sequence[int], per_disk_service: float, done) -> float:
+        """Submit one access per disk; *done* fires when the slowest ends.
 
-    def issue(index: int, arrival_s: float, done) -> None:
+        Returns that time (the last completion event's).
+        """
+        if len(disks) == 1:
+            return servers[disks[0]].submit(per_disk_service, done)
+        one_done = _Join(len(disks), done).one_done
+        return max(
+            [servers[disk].submit(per_disk_service, one_done) for disk in disks]
+        )
+
+    def issue(index: int, done) -> None:
         unit = units_row[index]
         if not iswrite_row[index]:
             # Healthy reads hit the home disk; a lost cell fans out to
             # its repair step's source disks (plan-driven routing).
-            route = read_routes[unit]
-            stats.reads += 1
-            stats.device_reads += len(route)
-            if read_degraded[unit]:
-                stats.degraded_reads += 1
-                if tel.enabled:
-                    tel.count("serve.degraded_reads")
-            fan_out(route, service, done)
+            if tel.enabled and read_degraded[unit]:
+                tel.count("serve.degraded_reads")
+            done_at.append(fan_out(read_routes[unit], service, done))
             return
         # Write: read-modify-write the home disk (if online) plus every
         # containing stripe's parity disks; a lost home cell degrades to
         # parity-only (the array absorbs the write into redundancy).
-        route = write_routes[unit]
-        stats.writes += 1
-        if write_degraded[unit]:
-            stats.degraded_writes += 1
-            if tel.enabled:
-                tel.count("serve.degraded_writes")
-        stats.device_reads += len(route)
-        stats.device_writes += len(route)
-        fan_out(route, write_service, done)
+        if tel.enabled and write_degraded[unit]:
+            tel.count("serve.degraded_writes")
+        done_at.append(fan_out(write_routes[unit], write_service, done))
 
     # -- foreground arrivals ------------------------------------------------
-    with prof.phase("sample"):
-        if isinstance(arrival, OpenLoop):
-            for index in range(n):
-                t = arrivals_row[index]
+    if isinstance(arrival, OpenLoop):
 
-                def fire(index=index, t=t) -> None:
-                    issue(index, t, lambda t=t: finish_request(t))
+        def arrive(index: int) -> None:
+            t = arrivals_row[index]
+            issue(index, lambda: finish_request(t))
 
-                sim.schedule(t, fire)
-        elif isinstance(arrival, ClosedLoop):
-            queue = {"next": 0}
+        sim.feed(arrivals_row, arrive)
+    elif isinstance(arrival, ClosedLoop):
 
-            def client_issue() -> None:
-                index = queue["next"]
-                if index >= n:
-                    return
-                queue["next"] = index + 1
-                arrival_s = sim.now
+        def client_issue() -> None:
+            index = len(issued)
+            if index >= n:
+                return
+            arrival_s = sim.now
+            issued.append(arrival_s)
 
-                def done() -> None:
-                    finish_request(arrival_s)
-                    if arrival.think_s > 0:
-                        sim.schedule(arrival.think_s, client_issue)
-                    else:
-                        client_issue()
-
-                issue(index, arrival_s, done)
-
-            for _client in range(min(arrival.clients, n)):
-                sim.schedule(0.0, client_issue)
-        else:
-            raise SimulationError(
-                f"unknown arrival process {type(arrival).__name__}"
-            )
-
-        # -- rebuild injection ----------------------------------------------
-        if ops:
-            throttle.reset()
-            cursor = {"op": 0}
-            n_ops = len(ops)
-
-            def dispatch(op: _RebuildOp) -> None:
-                if tel.enabled:
-                    tel.count("serve.rebuild_ops_dispatched")
-
-                def writes_done() -> None:
-                    stats.rebuild_done += 1
-                    if sim.now > stats.rebuild_finish:
-                        stats.rebuild_finish = sim.now
-                    if tel.enabled:
-                        tel.count("serve.rebuild_ops_completed")
-                        if stats.rebuild_done == n_ops:
-                            tel.event(
-                                "rebuild_drained", sim.now, ops=n_ops
-                            )
-
-                def reads_done() -> None:
-                    if not op.writes:
-                        writes_done()
-                        return
-                    fan_out(op.writes, service, writes_done)
-
-                if not op.reads:
-                    reads_done()
+            def done() -> None:
+                finish_request(arrival_s)
+                if arrival.think_s > 0:
+                    sim.schedule(arrival.think_s, client_issue)
                 else:
-                    fan_out(op.reads, service, reads_done)
+                    client_issue()
 
-            def pump() -> None:
-                while cursor["op"] < n_ops:
-                    op = ops[cursor["op"]]
-                    idle = all(
-                        servers[d].busy_until <= sim.now for d in op.reads
-                    )
-                    delay = throttle.next_delay(sim.now, idle)
-                    if delay is None:
-                        cursor["op"] += 1
-                        dispatch(op)
-                    else:
-                        sim.schedule(delay, pump)
-                        return
+            issue(index, done)
 
-            sim.schedule(0.0, pump)
+        for _client in range(min(arrival.clients, n)):
+            sim.schedule(0.0, client_issue)
+    else:
+        raise SimulationError(
+            f"unknown arrival process {type(arrival).__name__}"
+        )
 
-    if prof.enabled:
-        prof.count("serve.trials", 1)
-        prof.count("serve.requests", n)
+    # -- rebuild injection --------------------------------------------------
+    if ops:
+        throttle.reset()
+        cursor = {"op": 0}
+        n_ops = len(ops)
+        drained = 0
+
+        def writes_done() -> None:
+            nonlocal drained
+            if tel.enabled:
+                tel.count("serve.rebuild_ops_completed")
+                drained += 1
+                if drained == n_ops:
+                    tel.event("rebuild_drained", sim.now, ops=n_ops)
+
+        def dispatch(op: _RebuildOp) -> None:
+            if tel.enabled:
+                tel.count("serve.rebuild_ops_dispatched")
+
+            def reads_done() -> None:
+                nonlocal rebuild_done, rebuild_finish
+                finish = sim.now
+                if op.writes:
+                    finish = fan_out(op.writes, service, writes_done)
+                else:
+                    writes_done()
+                rebuild_done += 1
+                if finish > rebuild_finish:
+                    rebuild_finish = finish
+                if handoff and rebuild_done == n_ops:
+                    sim.stop()
+
+            if not op.reads:
+                reads_done()
+            else:
+                fan_out(op.reads, service, reads_done)
+
+        def pump() -> None:
+            while cursor["op"] < n_ops:
+                op = ops[cursor["op"]]
+                idle = all(
+                    servers[d].busy_until <= sim.now for d in op.reads
+                )
+                delay = throttle.next_delay(sim.now, idle)
+                if delay is None:
+                    cursor["op"] += 1
+                    dispatch(op)
+                else:
+                    sim.schedule(delay, pump)
+                    return
+
+        sim.schedule(0.0, pump)
+
     with use_telemetry(tel), prof.phase("serve"):
         sim.run()
 
-    if not latencies:
-        raise SimulationError("no requests completed (bug)")
     if tel.enabled:
         for disk, server in sorted(servers.items()):
             if sim.now > 0:
@@ -1070,25 +1084,10 @@ def _serve_event_trial(
                 requests=server.requests,
             )
         if ops:
-            tel.observe("serve.rebuild_seconds", stats.rebuild_finish)
+            tel.observe("serve.rebuild_seconds", rebuild_finish)
 
-    return ServeResult(
-        trials=1,
-        requests=len(latencies),
-        reads=stats.reads,
-        writes=stats.writes,
-        degraded_reads=stats.degraded_reads,
-        degraded_writes=stats.degraded_writes,
-        device_reads=stats.device_reads,
-        device_writes=stats.device_writes,
-        latencies_ms=tuple(latencies),
-        rebuild_ops=len(ops),
-        rebuild_ops_done=stats.rebuild_done,
-        rebuild_seconds_per_trial=(
-            (stats.rebuild_finish,) if ops else ()
-        ),
-        foreground_seconds_per_trial=(stats.fg_done,),
-    )
+    busy = [servers[d].busy_until for d in survivors]
+    return busy, issued, done_at, rebuild_done, rebuild_finish
 
 
 def simulate_serve(
@@ -1133,14 +1132,16 @@ def simulate_serve(
     ``sparing`` / ``rebuild_batches``; a mismatch raises.
 
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) picks the execution
-    strategy, never the answer: every trial's trace is sampled once, and
-    ``vectorized`` runs feedback-free configs (see
-    :func:`serve_batch_supported`) as one batched Lindley sweep across
-    every ``(trial, disk)`` queue lane, while ``event`` — and
-    ``vectorized`` on every other config — walks each trial's trace
-    through the discrete-event heap. Telemetry-collecting runs always
-    take the walk (its per-event observation stream *is* the telemetry
-    contract).
+    strategy, never the answer: every trial's trace is sampled once.
+    ``vectorized``, where :func:`serve_batch_supported` holds, walks each
+    trial through the discrete-event heap only until its last rebuild op
+    has queued its writes (not at all without rebuild traffic) and runs
+    the rest of every trial as one batched Lindley sweep across every
+    ``(trial, disk)`` queue lane; ``event`` — and ``vectorized`` on
+    every other config — walks each trial's whole trace. Either way one
+    array tail turns completion times into latencies and counters.
+    Telemetry-collecting runs always take the full walk (its per-event
+    observation stream *is* the telemetry contract).
 
     Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
     not a survivable pattern (there is nothing to serve). The result is
@@ -1169,25 +1170,28 @@ def simulate_serve(
         )
         trace = _sample_traces(workload, tables.n_units, arrival, seeds)
 
-    if (
+    ops = tables.rebuild_ops if throttle is not None else ()
+    handoff = (
         swept
         and not tel.enabled
-        and serve_batch_supported(arrival, throttle, tables)
-    ):
-        with prof.phase("sweep"):
-            result = _sweep_batch(trace, tables, model)
-        if prof.enabled:
-            prof.count("serve.trials", trials)
-            prof.count("serve.requests", trials * trace.n_requests)
-        return result
-    with use_telemetry(tel), prof.phase("replay"):
-        parts = [
-            _serve_event_trial(
-                tables, trace.row(i), arrival, model, throttle, tel
-            )
-            for i in range(trials)
-        ]
-    if trials == 1:
-        return parts[0]  # nothing to pool: no merge phase for one trial
-    with prof.phase("merge"):
-        return merge_serve_results(parts)
+        and serve_batch_supported(arrival, throttle)
+    )
+    walks = None
+    if ops or not handoff:
+        with use_telemetry(tel), prof.phase("replay"):
+            walks = [
+                _serve_event_trial(
+                    tables, trace.row(i), arrival, model, throttle, tel,
+                    handoff,
+                )
+                for i in range(trials)
+            ]
+    with prof.phase("sweep" if handoff else "merge"):
+        result = _sweep_batch(trace, tables, model, walks, len(ops))
+    if prof.enabled:
+        walked = sum(len(done) for _, _, done, _, _ in walks or ())
+        prof.count("serve.trials", trials)
+        prof.count("serve.requests", result.requests)
+        prof.count("serve.walked_requests", walked)
+        prof.count("serve.swept_requests", result.requests - walked)
+    return result

@@ -9,7 +9,8 @@ these checks straight from the command line and must end in one
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, Type
 
 from repro.errors import ParameterError
 
@@ -48,3 +49,24 @@ def check_probability(name: str, value: float) -> None:
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must be in [0, 1], got {value}")
+
+
+def check_finite(
+    name: str,
+    value: float,
+    low: float = 0.0,
+    *,
+    closed: bool = False,
+    error: Type[Exception] = ParameterError,
+) -> None:
+    """Raise *error* unless *value* is a finite real number above *low*.
+
+    *closed* admits *low* itself. One chained comparison does it, because
+    NaN compares false to everything: a NaN rate or service time must
+    stop here, not reach the event heap as a delay that never sorts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    if not (low <= value < math.inf if closed else low < value < math.inf):
+        bound = ">=" if closed else ">"
+        raise error(f"{name} must be finite and {bound} {low:g}, got {value}")

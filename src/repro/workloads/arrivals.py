@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import SimulationError
+from repro.util.checks import check_finite
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,7 @@ class OpenLoop:
     rate_per_s: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise SimulationError(
-                f"rate_per_s must be positive, got {self.rate_per_s}"
-            )
+        check_finite("rate_per_s", self.rate_per_s, error=SimulationError)
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,9 @@ class ClosedLoop:
             raise SimulationError(
                 f"clients must be >= 1, got {self.clients}"
             )
-        if self.think_s < 0:
-            raise SimulationError(
-                f"think_s must be >= 0, got {self.think_s}"
-            )
+        check_finite(
+            "think_s", self.think_s, closed=True, error=SimulationError
+        )
 
 
 #: Anything the serving simulator accepts as an arrival process.

@@ -126,15 +126,79 @@ class TestSimulator:
         assert counters["engine.events_processed"] == 1
 
 
+class TestFeed:
+    """The sorted arrival feed: n pre-scheduled events without the heap."""
+
+    def test_fed_arrival_wins_a_tie_against_the_heap(self):
+        sim = Simulator()
+        log = []
+        # Scheduled first, so on the heap alone it would fire first.
+        sim.schedule(1.0, lambda: log.append("heap"))
+        sim.feed([0.5, 1.0, 1.0, 2.0], lambda i: log.append(i))
+        sim.schedule(2.0, lambda: log.append("late heap"))
+        assert sim.pending == 6
+        assert sim.run() == 6
+        # Fed arrivals at equal times fire in index order, before the heap.
+        assert log == [0, 1, 2, "heap", 3, "late heap"]
+        assert sim.now == 2.0 and sim.pending == 0
+
+    def test_fed_arrivals_can_schedule(self):
+        sim = Simulator()
+        log = []
+        sim.feed(
+            [1.0, 1.5],
+            lambda i: sim.schedule(0.5, lambda: log.append((i, sim.now))),
+        )
+        sim.run()
+        # Arrival 1 (fed at 1.5) fires before arrival 0's event at 1.5.
+        assert log == [(0, 1.5), (1, 2.0)]
+
+    def test_horizon_holds_back_the_feed_and_run_resumes(self):
+        sim = Simulator()
+        log = []
+        sim.feed([1.0, 2.0, 3.0], log.append)
+        assert sim.run(until=2.0) == 2
+        assert log == [0, 1] and sim.now == 2.0 and sim.pending == 1
+        assert sim.run() == 1
+        assert log == [0, 1, 2]
+
+    def test_stop_abandons_heap_and_feed(self):
+        sim = Simulator()
+        log = []
+        sim.feed([1.0, 2.0, 3.0], log.append)
+        sim.schedule(1.5, sim.stop)
+        sim.schedule(2.5, lambda: log.append("never"))
+        assert sim.run() == 2  # arrival 0 and the stopping event
+        assert log == [0] and sim.now == 1.5 and sim.pending == 0
+
+    def test_unsorted_and_overlapping_feeds_are_rejected(self):
+        sim = Simulator()
+        sim.feed([2.0, 1.0], lambda i: None)
+        with pytest.raises(SimulationError):
+            sim.feed([3.0], lambda i: None)  # the first has not drained
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_fed_arrivals_count_as_engine_events(self):
+        tel = Telemetry.collecting()
+        sim = Simulator(telemetry=tel)
+        sim.feed([1.0, 2.0, 3.0], lambda i: None)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        counters = dict(tel.metrics.counters())
+        assert counters["engine.events_scheduled"] == 4
+        assert counters["engine.events_processed"] == 4
+
+
 class TestFcfsServer:
     def test_sequential_service(self):
         sim = Simulator()
         server = FcfsServer(sim)
         done = []
-        server.submit(2.0, lambda: done.append(sim.now))
-        server.submit(3.0, lambda: done.append(sim.now))
+        first = server.submit(2.0, lambda: done.append(sim.now))
+        second = server.submit(3.0, lambda: done.append(sim.now))
         sim.run()
-        assert done == [2.0, 5.0]
+        assert done == [2.0, 5.0] == [first, second]  # known at submission
 
     def test_busy_accounting_and_utilization(self):
         sim = Simulator()

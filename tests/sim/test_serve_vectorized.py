@@ -56,7 +56,7 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("name", ["fixed", "idle", "adaptive"])
     def test_throttled_replay_identity(self, fano_layout, name):
-        """Rebuild-injecting configs replay the exact event walk.
+        """Rebuild-injecting configs agree with the exact event walk.
 
         A fresh throttle instance per run: policies carry mutable state
         (rate traces, latency windows), which must not leak across runs.
@@ -177,68 +177,82 @@ class TestTelemetryInvariance:
 
 
 class TestBatchSupport:
-    def test_open_loop_sweeps_when_nothing_decides(self, fano_layout):
-        healthy = build_serve_tables(fano_layout, failed_disks=())
-        degraded = build_serve_tables(fano_layout, failed_disks=(0,))
-        assert serve_batch_supported(OpenLoop(100.0), None, healthy)
-        # Degraded reads alone don't force replay — only rebuild traffic
-        # (a throttle with pending ops) or adaptive decisions do.
-        assert serve_batch_supported(OpenLoop(100.0), None, degraded)
-        # A throttle over a healthy array has no ops to inject.
-        assert serve_batch_supported(
-            OpenLoop(100.0), FixedRateThrottle(100.0), healthy
-        )
+    def test_open_loop_sweeps_when_nothing_decides(self):
+        assert serve_batch_supported(OpenLoop(100.0), None)
+        # Rebuild traffic alone doesn't keep a trial on the walk: it is
+        # walked until the last op's writes are queued, then swept.
+        assert serve_batch_supported(OpenLoop(100.0), FixedRateThrottle(100.0))
+        assert serve_batch_supported(OpenLoop(100.0), IdleSlotThrottle())
 
-    def test_rebuild_adaptive_and_closed_loop_replay(self, fano_layout):
-        degraded = build_serve_tables(fano_layout, failed_disks=(0,))
-        assert not serve_batch_supported(
-            OpenLoop(100.0), FixedRateThrottle(100.0), degraded
+    def test_rebuild_adaptive_and_closed_loop_replay(self):
+        """Rebuild under an adaptive throttle, and any closed loop."""
+        assert not serve_batch_supported(OpenLoop(100.0), AdaptiveThrottle())
+        assert not serve_batch_supported(ClosedLoop(4), None)
+        assert not serve_batch_supported(ClosedLoop(4), FixedRateThrottle(100.0))
+
+
+def _profiled(layout, **kwargs):
+    prof = PhaseProfiler()
+    with use_profiler(prof):
+        simulate_serve(
+            layout, WorkloadSpec(n_requests=40), trials=3, seed=1, **kwargs
         )
-        assert not serve_batch_supported(
-            OpenLoop(100.0), AdaptiveThrottle(), degraded
-        )
-        assert not serve_batch_supported(ClosedLoop(4), None, degraded)
+    return prof
 
 
 class TestProfilerSpans:
     def test_sweep_path_bills_sample_and_sweep(self, fano_layout):
-        prof = PhaseProfiler()
-        with use_profiler(prof):
-            simulate_serve(
-                fano_layout, WorkloadSpec(n_requests=40), trials=3, seed=1,
-                kernel="vectorized",
-            )
+        prof = _profiled(fano_layout, kernel="vectorized")
         assert "sample" in prof.phases
         assert "sweep" in prof.phases
         assert "replay" not in prof.phases
         assert prof.counters["serve.trials"] == 3
+        assert prof.counters["serve.walked_requests"] == 0
+        assert prof.counters["serve.swept_requests"] == 120
+
+    @pytest.mark.parametrize("name", ["fixed", "idle"])
+    def test_handoff_path_bills_replay_and_sweep(self, fano_layout, name):
+        """Walk the rebuild, sweep the rest: both phases, requests split."""
+        prof = _profiled(
+            fano_layout, failed_disks=(0,), throttle=THROTTLES[name](),
+            kernel="vectorized",
+        )
+        assert prof.phases["replay"][0] == 1
+        assert prof.phases["serve"][0] == 3  # one (short) heap walk per trial
+        assert prof.phases["sweep"][0] == 1
+        walked = prof.counters["serve.walked_requests"]
+        swept = prof.counters["serve.swept_requests"]
+        assert walked > 0 and swept > 0
+        assert walked + swept == prof.counters["serve.requests"] == 120
 
     def test_replay_path_bills_replay(self, fano_layout):
-        prof = PhaseProfiler()
-        with use_profiler(prof):
-            simulate_serve(
-                fano_layout, WorkloadSpec(n_requests=40), failed_disks=(0,),
-                throttle=AdaptiveThrottle(target_p99_ms=15.0),
-                trials=3, seed=1, kernel="vectorized",
-            )
+        self.check_replay_only(
+            fano_layout, failed_disks=(0,),
+            throttle=AdaptiveThrottle(target_p99_ms=15.0),
+        )
+
+    def test_closed_loop_bills_replay(self, fano_layout):
+        self.check_replay_only(fano_layout, arrival=ClosedLoop(4))
+
+    @staticmethod
+    def check_replay_only(layout, **config):
+        prof = _profiled(layout, kernel="vectorized", **config)
         assert "sample" in prof.phases
         assert "replay" in prof.phases
         assert "merge" in prof.phases
+        assert "sweep" not in prof.phases
+        assert prof.counters["serve.walked_requests"] == 120
+        assert prof.counters["serve.swept_requests"] == 0
 
     def test_event_walks_every_trial_vectorized_sweeps(self, fano_layout):
         """The kernel identity is not one kernel compared with itself."""
-        profiles = {}
-        for kernel in ("event", "vectorized"):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
-                simulate_serve(
-                    fano_layout, WorkloadSpec(n_requests=40), trials=3,
-                    seed=1, kernel=kernel,
-                )
-            profiles[kernel] = prof
-        event, vec = profiles["event"], profiles["vectorized"]
+        event = _profiled(fano_layout, kernel="event")
+        vec = _profiled(fano_layout, kernel="vectorized")
         assert "sweep" not in event.phases
         assert event.phases["serve"][0] == 3  # one heap walk per trial
         assert vec.phases["sweep"][0] == 1
         assert "serve" not in vec.phases and "replay" not in vec.phases
-        assert event.counters == vec.counters
+        for name in ("serve.trials", "serve.requests"):
+            assert event.counters[name] == vec.counters[name]
+        assert event.counters["serve.walked_requests"] == 120
+        assert vec.counters["serve.swept_requests"] == 120

@@ -208,6 +208,25 @@ class TestServe:
         assert "rebuild ops completed" in out
         assert "degraded fraction" in out
 
+    def test_dedicated_sparing_rebuilds_onto_the_replacement(self, capsys):
+        """Was a KeyError traceback: the replacement disk had no queue."""
+        assert main(
+            self.ARGS + ["-f", "0", "--throttle", "fixed",
+                         "--sparing", "dedicated"]
+        ) == 0
+        assert "rebuild ops completed      27/27" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("throttle", ["fixed", "idle"])
+    def test_kernel_moves_no_bit_of_a_throttled_run(self, capsys, throttle):
+        argv = self.ARGS + [
+            "-f", "0", "--throttle", throttle, "--rebuild-batches", "2",
+            "--workload", "zipf", "--write-fraction", "0.3", "--trials", "3",
+        ]
+        assert main(argv + ["--serve-kernel", "event"]) == 0
+        event = capsys.readouterr().out
+        assert main(argv + ["--serve-kernel", "vectorized"]) == 0
+        assert capsys.readouterr().out == event
+
     def test_adaptive_throttle(self, capsys):
         assert main(
             self.ARGS + ["-f", "0", "--throttle", "adaptive",
@@ -231,6 +250,8 @@ class TestServe:
 
 class TestExitCodes:
     """The contract: 0 success, 1 domain error, 2 usage error."""
+
+    SERVE = ["serve", "-v", "7", "-k", "3", "-f", "0", "--requests", "50"]
 
     def test_success_is_zero(self):
         assert main(["info", "-v", "7", "-k", "3"]) == 0
@@ -257,6 +278,17 @@ class TestExitCodes:
         ["serve", "-v", "7", "-k", "3", "--workload", "zipf", "--skew", "0"],
         ["fleet", "-v", "7", "-k", "3", "--arrays", "0"],
         ["designs", "-k", "1"],
+        # Hostile serve numbers: each was a hang, a table of "nan ms",
+        # negative latencies or a ZeroDivisionError traceback.
+        SERVE + ["--throttle", "fixed", "--rebuild-rate", "nan"],
+        SERVE + ["--rate", "nan"],
+        SERVE + ["--rate", "inf"],
+        SERVE + ["--seek-ms", "nan"],
+        SERVE + ["--seek-ms", "-50"],
+        SERVE + ["--throttle", "adaptive", "--target-p99-ms", "nan"],
+        SERVE + ["--clients", "4", "--think-ms", "nan"],
+        SERVE + ["--bandwidth-mib", "0"],
+        SERVE + ["--unit-kib", "nan"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_bad_number_is_one_line_and_one(self, argv, capsys):
         assert main(argv) == 1

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import ParameterError, SimulationError
 from repro.util.checks import (
+    check_finite,
     check_index,
     check_positive,
     check_probability,
@@ -46,6 +48,21 @@ class TestChecks:
             check_probability("p", "0.5")
         with pytest.raises(TypeError):
             check_probability("p", True)
+
+    def test_check_finite(self):
+        check_finite("x", 1e-9)
+        check_finite("x", 3)
+        check_finite("x", 0.0, closed=True)
+        check_finite("x", -1.0, low=-2.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="x must be finite and > 0"):
+                check_finite("x", bad)
+        with pytest.raises(ParameterError, match=">= 0"):
+            check_finite("x", float("nan"), closed=True)
+        with pytest.raises(SimulationError):
+            check_finite("x", float("nan"), error=SimulationError)
+        with pytest.raises(TypeError):
+            check_finite("x", "1")
 
 
 class TestPrimes:

@@ -21,9 +21,6 @@ Gives operators the planning surface without writing Python:
 * ``runs``        — inspect the provenance ledger (``list``/``show``/
   ``diff`` over the JSONL file named by ``--ledger`` or
   ``$REPRO_LEDGER``)
-* ``perf``        — performance drift gates: ``perf check`` compares a
-  fresh ``benchmarks/run_perf.py`` snapshot against a baseline file or
-  the ledger's latest perf record
 
 The simulation subcommands (``rebuild``, ``reliability``, ``lifecycle``,
 ``fleet``, ``serve``) are thin wrappers over :class:`repro.scenario.Scenario` +
@@ -81,11 +78,9 @@ from repro.obs import (
     Telemetry,
     ambient_profiler,
     load_telemetry_file,
-    perf_drift,
     use_profiler,
     use_telemetry,
 )
-from repro.obs.ledger import DEFAULT_DRIFT_THRESHOLD, iter_regressions
 from repro.scenario import Scenario, run as run_scenario
 from repro.schemes import scheme, scheme_names
 from repro.sim.latency import LatencyModel
@@ -854,68 +849,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json_doc(path: str) -> dict:
-    try:
-        doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ReproError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ReproError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _cmd_perf_check(args: argparse.Namespace) -> int:
-    snapshot = _load_json_doc(args.snapshot)
-    if args.baseline:
-        baseline = _load_json_doc(args.baseline)
-        source = args.baseline
-    else:
-        ledger = _ledger_from(args)
-        record = ledger.last("perf")
-        if record is None:
-            raise ReproError(
-                f"ledger {ledger.path} has no perf record; pass "
-                "--baseline FILE or record one with benchmarks/run_perf.py"
-            )
-        baseline = record
-        source = f"{ledger.path} (latest perf record)"
-    rows = perf_drift(snapshot, baseline, threshold=args.threshold)
-    if not rows:
-        raise ReproError(
-            f"no comparable perf keys between {args.snapshot} and {source}"
-        )
-    table_rows = [
-        [
-            row["key"],
-            f"{row['baseline']:.4g}",
-            f"{row['current']:.4g}",
-            f"{row['speed']:.3f}x",
-            "REGRESSED" if row["regressed"] else "ok",
-        ]
-        for row in rows
-    ]
-    print(format_table(
-        ["metric", "baseline", "current", "speed", "status"],
-        table_rows,
-        title=(
-            f"perf drift vs {source} "
-            f"(threshold {args.threshold:.0%})"
-        ),
-    ))
-    regressions = iter_regressions(rows)
-    if regressions:
-        print(
-            f"\n{len(regressions)} metric(s) regressed more than "
-            f"{args.threshold:.0%}"
-            + ("" if args.strict else " (non-strict: not failing)")
-        )
-        if args.strict:
-            return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1162,33 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="second record index (default: last)",
     )
     p_runs_diff.set_defaults(func=_cmd_runs_diff)
-
-    p_perf = sub.add_parser("perf", help="performance drift gates")
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-    p_perf_check = perf_sub.add_parser(
-        "check",
-        help="compare a run_perf.py snapshot against a baseline for drift",
-    )
-    p_perf_check.add_argument(
-        "snapshot", metavar="SNAPSHOT",
-        help="fresh perf snapshot JSON (benchmarks/run_perf.py --output)",
-    )
-    p_perf_check.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline snapshot to compare against (default: the "
-             "ledger's latest perf record)",
-    )
-    _add_ledger_arg(p_perf_check)
-    p_perf_check.add_argument(
-        "--threshold", type=float, default=DEFAULT_DRIFT_THRESHOLD,
-        help="relative slowdown that counts as a regression "
-             f"(default {DEFAULT_DRIFT_THRESHOLD:.0%})",
-    )
-    p_perf_check.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any metric regressed (default: report only)",
-    )
-    p_perf_check.set_defaults(func=_cmd_perf_check)
 
     return parser
 

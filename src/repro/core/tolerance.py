@@ -27,6 +27,8 @@ def failure_patterns(
     """All (or a uniform sample of) *n_failures*-subsets of the disks."""
     check_positive("n_disks", n_disks, 1)
     check_positive("n_failures", n_failures, 1)
+    if max_patterns is not None:
+        check_positive("max_patterns", max_patterns, 1)
     if n_failures > n_disks:
         raise ValueError(f"cannot fail {n_failures} of {n_disks} disks")
     total = 1
@@ -108,6 +110,7 @@ def tolerance_profile(
     jobs: int = 1,
 ) -> Dict[int, float]:
     """{f: survivable fraction} for f = 1..max_failures (the E6 series)."""
+    check_positive("max_failures", max_failures, 1)
     profile = {}
     for f in range(1, min(max_failures, layout.n_disks - 1) + 1):
         profile[f] = survivable_fraction(

@@ -17,8 +17,7 @@ Three cooperating pieces (full design in DESIGN.md, "Telemetry layer"):
   rides its own ambient channel (:func:`use_profiler`) so profiling
   never flips the telemetry-driven kernel delegation.
 * :mod:`repro.obs.ledger` — :class:`RunLedger`, the append-only JSONL
-  provenance ledger (``$REPRO_LEDGER``) behind ``repro runs`` and
-  ``repro perf check``.
+  provenance ledger (``$REPRO_LEDGER``) behind ``repro runs``.
 
 :class:`Telemetry` bundles the three behind no-op emitters
 (:data:`NULL_TELEMETRY` is the default everywhere), and
@@ -36,7 +35,6 @@ from repro.obs.ledger import (
     REPRO_LEDGER_ENV,
     RunLedger,
     config_fingerprint,
-    perf_drift,
     result_digest,
     run_manifest,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "ambient_profiler",
     "config_fingerprint",
     "load_telemetry_file",
-    "perf_drift",
     "result_digest",
     "run_manifest",
     "use_profiler",

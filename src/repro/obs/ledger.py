@@ -1,12 +1,11 @@
-"""Append-only JSONL run ledger: provenance manifests and perf drift gates.
+"""Append-only JSONL run ledger: provenance manifests.
 
-Every ``run()`` invocation (and each bench-runner experiment, and each
-``benchmarks/run_perf.py`` snapshot) can append one manifest line to a ledger
-file named by the ``REPRO_LEDGER`` environment variable: config fingerprint,
-seed, kernel, jobs, package version, wall seconds, phase breakdown from the
-ambient profiler, and a digest of the canonical result document.  The ledger
-turns "which run produced this number?" from archaeology into a lookup, and
-gives ``repro perf check`` a history to detect throughput drift against.
+Every ``run()`` invocation (and each bench-runner experiment) can append one
+manifest line to a ledger file named by the ``REPRO_LEDGER`` environment
+variable: config fingerprint, seed, kernel, jobs, package version, wall
+seconds, phase breakdown from the ambient profiler, and a digest of the
+canonical result document.  The ledger turns "which run produced this
+number?" from archaeology into a lookup (``repro runs list | show | diff``).
 
 Records ride the same JSON conventions as ``StructuredEmitter``: sorted keys,
 non-finite floats as ``null``, one line per record.
@@ -16,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .emit import StructuredEmitter, _strict
 
@@ -28,7 +27,6 @@ __all__ = [
     "config_fingerprint",
     "result_digest",
     "run_manifest",
-    "perf_drift",
     "repro_version",
 ]
 
@@ -81,7 +79,6 @@ def run_manifest(
     result_doc: Optional[Dict[str, Any]] = None,
     summary: Optional[Dict[str, Any]] = None,
     profiler=None,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build one provenance record; plain dict, ready for ``RunLedger.append``."""
     record: Dict[str, Any] = {
@@ -103,8 +100,6 @@ def run_manifest(
     if profiler is not None and profiler.enabled and profiler.phases:
         record["phases"] = profiler.phase_seconds()
         record["phase_counters"] = dict(sorted(profiler.counters.items()))
-    if extra:
-        record.update(extra)
     return record
 
 
@@ -144,75 +139,3 @@ class RunLedger:
             if isinstance(doc, dict):
                 records.append(doc)
         return records
-
-    def last(self, kind: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        """The most recent record, optionally filtered by ``kind``."""
-        for record in reversed(self.records()):
-            if kind is None or record.get("kind") == kind:
-                return record
-        return None
-
-
-# -- perf drift detection --------------------------------------------------
-
-#: Default relative drift threshold for ``repro perf check`` (10%).
-DEFAULT_DRIFT_THRESHOLD = 0.1
-
-
-def _perf_keys(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Extract comparable perf figures from a snapshot's ``current`` block.
-
-    Keys ending ``_per_s`` are throughput rates (bigger is better); keys
-    ending ``_s`` are latencies (smaller is better).  Everything else —
-    speedup ratios, ESS ratios, efficiency maps — is derived and excluded.
-    """
-    current = doc.get("current", doc)
-    keys: Dict[str, float] = {}
-    if not isinstance(current, dict):
-        return keys
-    for key, value in current.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if value <= 0:
-            continue
-        if key.endswith("_per_s") or key.endswith("_s"):
-            keys[key] = float(value)
-    return keys
-
-
-def perf_drift(
-    snapshot: Dict[str, Any],
-    baseline: Dict[str, Any],
-    threshold: float = DEFAULT_DRIFT_THRESHOLD,
-) -> List[Dict[str, Any]]:
-    """Compare two perf snapshots key-by-key with a relative threshold.
-
-    Each row carries ``speed`` — current/baseline for rates, baseline/current
-    for latencies — so ``speed < 1 - threshold`` uniformly means "regressed".
-    """
-    current = _perf_keys(snapshot)
-    base = _perf_keys(baseline)
-    rows: List[Dict[str, Any]] = []
-    for key in sorted(base):
-        if key not in current:
-            continue
-        cur, ref = current[key], base[key]
-        if key.endswith("_per_s"):
-            speed = cur / ref
-        else:
-            speed = ref / cur
-        rows.append(
-            {
-                "key": key,
-                "current": cur,
-                "baseline": ref,
-                "speed": speed,
-                "regressed": speed < 1.0 - threshold,
-            }
-        )
-    return rows
-
-
-def iter_regressions(rows: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Filter :func:`perf_drift` rows down to the regressed ones."""
-    return [row for row in rows if row["regressed"]]

@@ -10,10 +10,9 @@
 * :mod:`repro.sim.montecarlo` — system-lifetime Monte-Carlo, cross-checking
   the Markov results and capturing what the chains abstract away.
 * :mod:`repro.sim.columnar` — the shared columnar Monte-Carlo core:
-  per-trial counter-based draw lanes, the per-disk state tables both
-  kernel families read (sampling plane vs. exact event-replay plane),
-  and the one lockstep renewal screen the lifecycle and fleet kernels
-  run.
+  per-trial counter-based draw lanes both kernel families read
+  (sampling plane vs. exact event-replay plane) and the one lockstep
+  renewal screen the lifecycle and fleet kernels run.
 * :mod:`repro.sim.lifecycle` — full-lifecycle Monte-Carlo whose repair
   durations are *derived from the layout* (every failure arrival re-plans
   the pattern and reads its rebuild clock from the rebuild simulator),
@@ -33,7 +32,6 @@
 """
 
 from repro.sim.columnar import (
-    DiskStateTable,
     LifecycleTables,
     TrialStreams,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "guaranteed_tolerance",
     "simulate_lifecycle",
     "TrialStreams",
-    "DiskStateTable",
     "LifecycleTables",
     "simulate_lifecycle_parallel",
     "merge_lifecycle_results",

@@ -1,4 +1,4 @@
-"""Shared columnar Monte-Carlo core: trial streams and disk-state tables.
+"""Shared columnar Monte-Carlo core: trial streams and the lockstep screen.
 
 The lifetime kernel (PR 5) and the lifecycle kernel both follow the same
 two-plane design — a cheap batched *sampling plane* that covers every
@@ -17,13 +17,6 @@ for both planes so the kernels stop duplicating scaffolding:
   pure speed knob: the two kernels return bit-identical results, because
   every uniform (and every exponential, computed once by ``numpy.log``
   over the whole plane) is literally the same float.
-* :class:`DiskStateTable` — the columnar per-disk state (status, failure
-  clock, repair clock, BIBD group membership) the kernels advance. A
-  struct-of-arrays rather than an interleaved numpy structured dtype:
-  every kernel step reads one field across all trials (``argmin`` over
-  failure clocks, status masks), so contiguous per-field columns are the
-  cache-friendly orientation; :meth:`DiskStateTable.to_structured`
-  exports the interleaved form for interop.
 * :class:`LifecycleTables` — broadcast-ready per-disk single-failure
   rebuild columns (hours, bytes read), computed once from a
   ``RebuildTimer`` in the parent and shipped to workers through the pool
@@ -34,9 +27,10 @@ for both planes so the kernels stop duplicating scaffolding:
   shares the machinery instead of copying it.
 * :class:`LockstepScreen` — the lockstep renewal screen the lifecycle
   and fleet kernels share: all trials advance one failure incident per
-  round on the disk-state table, clean incidents are settled columnar,
-  and trials whose incident overlaps a second failure (or is struck by a
-  latent sector error) are flagged for the caller's exact replay.
+  round on a ``(trials, disks)`` failure-clock array, clean incidents
+  are settled columnar, and trials whose incident overlaps a second
+  failure (or is struck by a latent sector error) are flagged for the
+  caller's exact replay.
 
 numpy is a hard dependency (``pyproject.toml``); there is no pure-Python
 lane implementation.
@@ -66,9 +60,6 @@ _MIX_B = 0x94D049BB133111EB
 #: Python's ``random`` seeds are arbitrary-precision; keep derived seeds
 #: in a fixed 63-bit space so results don't depend on platform int width.
 _SEED_MASK = (1 << 63) - 1
-
-#: :attr:`DiskStateTable.status` values.
-STATUS_ALIVE, STATUS_FAILED, STATUS_REBUILDING = 0, 1, 2
 
 #: Kernel names every simulator (and ``--mc-kernel`` / ``--serve-kernel``)
 #: accepts. ``auto`` is an alias of ``vectorized``.
@@ -349,63 +340,6 @@ class TrialStreams:
         return LaneCursor(self, trial)
 
 
-def _layout_groups(layout: "Layout"):
-    """Per-disk outer-layer group ids; ``-1`` for flat (ungrouped) layouts."""
-    groups = _np.full(layout.n_disks, -1, dtype=_np.int16)
-    grouping = getattr(layout, "grouping", None)
-    if grouping is not None:
-        for disk in range(layout.n_disks):
-            groups[disk] = grouping.locate(disk)[0]
-    return groups
-
-
-@dataclass
-class DiskStateTable:
-    """Columnar ``(trials, disks)`` per-disk state the kernels advance.
-
-    Fields (one contiguous column each — see the module docstring for why
-    struct-of-arrays beats an interleaved structured dtype here):
-
-    * ``status`` — ``STATUS_ALIVE`` / ``STATUS_FAILED`` /
-      ``STATUS_REBUILDING`` per ``(trial, disk)``.
-    * ``fail_at`` — each online disk's next failure epoch (hours).
-    * ``repair_at`` — the in-flight rebuild's completion epoch, ``+inf``
-      when the disk is not being rebuilt.
-    * ``group`` — per-disk outer-layer (BIBD) group id, shared by all
-      trials; ``-1`` for flat layouts without a disk grouping.
-    """
-
-    status: Any
-    fail_at: Any
-    repair_at: Any
-    group: Any
-
-    #: The interleaved record layout :meth:`to_structured` exports.
-    dtype = [("status", "i1"), ("fail_at", "f8"),
-             ("repair_at", "f8"), ("group", "i2")]
-
-    @classmethod
-    def for_layout(cls, layout: "Layout", trials: int) -> "DiskStateTable":
-        if trials < 1:
-            raise SimulationError(f"trials must be >= 1, got {trials}")
-        n = layout.n_disks
-        return cls(
-            status=_np.zeros((trials, n), dtype=_np.int8),
-            fail_at=_np.zeros((trials, n)),
-            repair_at=_np.full((trials, n), _np.inf),
-            group=_layout_groups(layout),
-        )
-
-    def to_structured(self):
-        """The same state as an interleaved numpy structured array."""
-        records = _np.zeros(self.status.shape, dtype=self.dtype)
-        records["status"] = self.status
-        records["fail_at"] = self.fail_at
-        records["repair_at"] = self.repair_at
-        records["group"] = self.group[None, :]
-        return records
-
-
 @dataclass(frozen=True)
 class LifecycleTables:
     """Broadcast-ready per-disk single-failure rebuild columns.
@@ -423,7 +357,6 @@ class LifecycleTables:
 
     hours: Any
     bytes_read: Any
-    group: Any
 
     @classmethod
     def build(
@@ -435,7 +368,6 @@ class LifecycleTables:
         return cls(
             hours=_np.array([hours for hours, _ in pairs]),
             bytes_read=_np.array([read for _, read in pairs]),
-            group=_layout_groups(layout),
         )
 
 
@@ -444,7 +376,7 @@ class LockstepScreen:
 
     Construction samples the plane — row ``t`` reads global lane
     ``lane_offset + t`` of *seed* — and loads every disk's first failure
-    epoch into a :class:`DiskStateTable`. :meth:`rounds` then advances
+    epoch into a ``(trials, disks)`` array. :meth:`rounds` then advances
     all still-active trials one failure incident per round: it takes each
     trial's earliest pending failure, reads the failed disk's
     single-failure rebuild clock from the broadcast *tables* columns, and
@@ -481,8 +413,7 @@ class LockstepScreen:
         self.streams = TrialStreams(
             seed, trials, lambd, max(slots, n + 2), lane_offset=lane_offset
         )
-        self.table = DiskStateTable.for_layout(layout, trials)
-        self.table.fail_at[:] = self.streams.exponentials[:, :n]
+        self._fail_at = self.streams.exponentials[:, :n].copy()
         self.n_failures = _np.zeros(trials, dtype=_np.int64)
         self.n_repairs = _np.zeros(trials, dtype=_np.int64)
         self.peak = _np.zeros(trials, dtype=_np.int64)
@@ -514,8 +445,7 @@ class LockstepScreen:
         sums), so the screen carries none of them — a plain tuple because
         this runs once per round of every chunk.
         """
-        streams, table = self.streams, self.table
-        fail_at = table.fail_at
+        streams, fail_at = self.streams, self._fail_at
         hours1, bytes_read = self._tables.hours, self._tables.bytes_read
         horizon_hours = self._horizon_hours
         lse_thresholds = self._lse_thresholds
@@ -567,13 +497,7 @@ class LockstepScreen:
             if ti.size:
                 t_trunc = active[ti]
                 n_failures[t_trunc] += 1
-                table.status[t_trunc, first[ti]] = STATUS_REBUILDING
-                table.repair_at[t_trunc, first[ti]] = comp[ti]
-            di = _np.flatnonzero(danger)
-            if di.size:
-                t_ix = active[di]
-                dangerous[t_ix] = True
-                table.status[t_ix, first[di]] = STATUS_FAILED
+            dangerous[active[danger]] = True
             ci = _np.flatnonzero(clean)
             t_clean = active[ci]
             redraw = streams.exponentials[t_clean, ptr[t_clean]]

@@ -40,7 +40,7 @@ function of ``(seed, trial)`` — reproducible, bit-identical for any
 worker count (via the chunked runner in :mod:`repro.sim.parallel`), and
 shared verbatim between the two kernels of :func:`simulate_lifecycle`:
 ``event`` walks every trial's event heap, while ``vectorized`` first
-advances all trials in lockstep on the columnar disk-state table and
+advances all trials in lockstep on a columnar failure-clock array and
 walks only the trials whose concurrent-failure count ever reaches the
 danger threshold. Both read the *same* sampled floats, so ``kernel=``
 selects a speed, never a result.

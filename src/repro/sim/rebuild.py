@@ -39,6 +39,7 @@ from repro.layouts.recovery import RecoveryPlan, plan_recovery
 from repro.obs.telemetry import ambient
 from repro.results import ResultBase, register_result
 from repro.sim.engine import FcfsServer, Simulator
+from repro.util.checks import check_finite
 from repro.util.units import GIB
 
 
@@ -55,8 +56,11 @@ class DiskModel:
     foreground_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.bandwidth_bytes_per_s <= 0:
-            raise SimulationError("capacity and bandwidth must be positive")
+        check_finite("capacity_bytes", self.capacity_bytes, error=SimulationError)
+        check_finite(
+            "bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
+            error=SimulationError,
+        )
         if not 0 <= self.foreground_fraction < 1:
             raise SimulationError(
                 f"foreground_fraction must be in [0, 1), got "

@@ -1,9 +1,6 @@
-"""The run-provenance ledger and the perf drift gates."""
+"""The run-provenance ledger."""
 
 import json
-import pathlib
-
-import pytest
 
 from repro.cli import main
 from repro.core.oi_layout import oi_raid
@@ -11,15 +8,10 @@ from repro.obs import (
     PhaseProfiler,
     RunLedger,
     config_fingerprint,
-    perf_drift,
     result_digest,
     run_manifest,
 )
-from repro.obs.ledger import (
-    DEFAULT_DRIFT_THRESHOLD,
-    iter_regressions,
-    repro_version,
-)
+from repro.obs.ledger import repro_version
 from repro.scenario import Scenario, run
 
 
@@ -30,9 +22,6 @@ class TestLedgerFile:
         ledger.append({"record": "run", "kind": "b", "n": 2})
         records = ledger.records()
         assert [r["kind"] for r in records] == ["a", "b"]
-        assert ledger.last()["kind"] == "b"
-        assert ledger.last(kind="a")["n"] == 1
-        assert ledger.last(kind="zzz") is None
 
     def test_malformed_lines_are_skipped(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -42,7 +31,6 @@ class TestLedgerFile:
     def test_missing_file_reads_empty(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "absent.jsonl"))
         assert ledger.records() == []
-        assert ledger.last() is None
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
@@ -123,58 +111,6 @@ class TestScenarioLedgerHook:
         assert first["result_digest"] != second["result_digest"]
 
 
-SNAPSHOT = {
-    "current": {
-        "mc_trials_per_s": 1000.0,
-        "lifecycle_trials_per_s": 20_000.0,
-        "plan_single_21_s": 0.005,
-        "fleet_is_ess_ratio": 0.9,  # no _s suffix: excluded
-        "mc_trials": 2000,  # integer count, not a rate: excluded
-    },
-}
-
-
-class TestPerfDrift:
-    def test_identical_snapshots_show_no_drift(self):
-        rows = perf_drift(SNAPSHOT, SNAPSHOT)
-        assert {row["key"] for row in rows} == {
-            "mc_trials_per_s", "lifecycle_trials_per_s", "plan_single_21_s",
-        }
-        assert all(row["speed"] == 1.0 for row in rows)
-        assert iter_regressions(rows) == []
-
-    def test_flags_20pct_rate_regression_at_default_threshold(self):
-        slower = {
-            "current": dict(
-                SNAPSHOT["current"], mc_trials_per_s=800.0
-            )
-        }
-        rows = perf_drift(slower, SNAPSHOT, DEFAULT_DRIFT_THRESHOLD)
-        (bad,) = iter_regressions(rows)
-        assert bad["key"] == "mc_trials_per_s"
-        assert bad["speed"] == pytest.approx(0.8)
-
-    def test_latency_direction_smaller_is_better(self):
-        slower = {
-            "current": dict(SNAPSHOT["current"], plan_single_21_s=0.010)
-        }
-        faster = {
-            "current": dict(SNAPSHOT["current"], plan_single_21_s=0.001)
-        }
-        (bad,) = iter_regressions(perf_drift(slower, SNAPSHOT))
-        assert bad["key"] == "plan_single_21_s"
-        assert bad["speed"] == pytest.approx(0.5)
-        assert iter_regressions(perf_drift(faster, SNAPSHOT)) == []
-
-    def test_small_drift_within_threshold_passes(self):
-        wiggle = {
-            "current": dict(
-                SNAPSHOT["current"], mc_trials_per_s=950.0
-            )
-        }
-        assert iter_regressions(perf_drift(wiggle, SNAPSHOT)) == []
-
-
 class TestRunsCli:
     def _seed_ledger(self, path):
         ledger = RunLedger(str(path))
@@ -221,70 +157,3 @@ class TestRunsCli:
         self._seed_ledger(path)
         assert main(["runs", "show", "--ledger", str(path), "9"]) == 1
         assert "out of range" in capsys.readouterr().err
-
-
-class TestPerfCheckCli:
-    def _write(self, path, doc):
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_strict_fails_on_synthetic_regression(self, tmp_path, capsys):
-        base = self._write(tmp_path / "base.json", SNAPSHOT)
-        slow = self._write(
-            tmp_path / "slow.json",
-            {"current": dict(SNAPSHOT["current"], mc_trials_per_s=800.0)},
-        )
-        assert main(
-            ["perf", "check", slow, "--baseline", base, "--strict"]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-
-    def test_non_strict_reports_but_passes(self, tmp_path, capsys):
-        base = self._write(tmp_path / "base.json", SNAPSHOT)
-        slow = self._write(
-            tmp_path / "slow.json",
-            {"current": dict(SNAPSHOT["current"], mc_trials_per_s=800.0)},
-        )
-        assert main(["perf", "check", slow, "--baseline", base]) == 0
-        assert "not failing" in capsys.readouterr().out
-
-    def test_identical_snapshot_passes_strict(self, tmp_path, capsys):
-        base = self._write(tmp_path / "base.json", SNAPSHOT)
-        assert main(
-            ["perf", "check", base, "--baseline", base, "--strict"]
-        ) == 0
-        assert "REGRESSED" not in capsys.readouterr().out
-
-    def test_committed_trajectory_passes_strict(self, capsys):
-        # BENCH_perf.json against itself: the shipped baseline must never
-        # flag its own numbers.
-        bench = str(
-            pathlib.Path(__file__).resolve().parents[2] / "BENCH_perf.json"
-        )
-        assert main(
-            ["perf", "check", bench, "--baseline", bench, "--strict"]
-        ) == 0
-
-    def test_ledger_baseline_is_latest_perf_record(self, tmp_path, capsys):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        ledger.append(run_manifest(
-            "perf", {"mc_trials": 2000},
-            extra={"current": SNAPSHOT["current"]},
-        ))
-        slow = self._write(
-            tmp_path / "slow.json",
-            {"current": dict(SNAPSHOT["current"], mc_trials_per_s=800.0)},
-        )
-        assert main(
-            ["perf", "check", slow, "--ledger", str(ledger.path), "--strict"]
-        ) == 1
-
-    def test_missing_baseline_is_domain_error(self, tmp_path, capsys):
-        ledger = RunLedger(str(tmp_path / "empty.jsonl"))
-        ledger.append({"record": "run", "kind": "lifecycle"})
-        snap = self._write(tmp_path / "snap.json", SNAPSHOT)
-        assert main(
-            ["perf", "check", snap, "--ledger", str(ledger.path)]
-        ) == 1
-        assert "no perf record" in capsys.readouterr().err

@@ -1,14 +1,11 @@
-"""The shared columnar core: draw lanes, state tables, moved samplers."""
+"""The shared columnar core: draw lanes, the lockstep screen, moved samplers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.layouts import Raid5Layout
 from repro.sim.columnar import (
     GOLDEN_STRIDE,
-    STATUS_ALIVE,
-    DiskStateTable,
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
@@ -125,33 +122,6 @@ class TestTrialStreams:
             TrialStreams(seed=0, trials=0, lambd=1.0)
         with pytest.raises(SimulationError):
             TrialStreams(seed=0, trials=1, lambd=0.0)
-
-
-class TestDiskStateTable:
-    def test_shapes_and_initial_state(self, fano_layout):
-        table = DiskStateTable.for_layout(fano_layout, trials=4)
-        n = fano_layout.n_disks
-        assert table.status.shape == (4, n)
-        assert (table.status == STATUS_ALIVE).all()
-        assert (table.repair_at == np.inf).all()
-
-    def test_group_column_reflects_bibd_grouping(self, fano_layout):
-        table = DiskStateTable.for_layout(fano_layout, trials=1)
-        groups = [fano_layout.grouping.locate(d)[0]
-                  for d in range(fano_layout.n_disks)]
-        assert table.group.tolist() == groups
-
-    def test_flat_layouts_are_ungrouped(self):
-        table = DiskStateTable.for_layout(Raid5Layout(5), trials=1)
-        assert table.group.tolist() == [-1] * 5
-
-    def test_structured_export_round_trips(self, fano_layout):
-        table = DiskStateTable.for_layout(fano_layout, trials=2)
-        table.fail_at[1, 3] = 12.5
-        records = table.to_structured()
-        assert records.dtype.names == ("status", "fail_at", "repair_at", "group")
-        assert records["fail_at"][1, 3] == 12.5
-        assert records["group"][0].tolist() == table.group.tolist()
 
 
 class TestLifecycleTables:

@@ -289,6 +289,15 @@ class TestExitCodes:
         SERVE + ["--clients", "4", "--think-ms", "nan"],
         SERVE + ["--bandwidth-mib", "0"],
         SERVE + ["--unit-kib", "nan"],
+        # NaN passed DiskModel's `<= 0` test: the first two hung, the
+        # third printed "nan TB", the fourth "speedup infx", all exit 0.
+        ["lifecycle", "-v", "7", "-k", "3", "--capacity-tb", "nan"],
+        ["fleet", "-v", "7", "-k", "3", "--capacity-tb", "nan"],
+        ["rebuild", "-v", "7", "-k", "3", "-f", "0", "--capacity-tb", "nan"],
+        ["rebuild", "-v", "7", "-k", "3", "-f", "0", "--bandwidth-mib", "inf"],
+        # A ZeroDivisionError traceback and an empty table with exit 0.
+        ["tolerance", "-v", "7", "-k", "3", "--samples", "-3"],
+        ["tolerance", "-v", "7", "-k", "3", "--max-failures", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_bad_number_is_one_line_and_one(self, argv, capsys):
         assert main(argv) == 1
@@ -308,6 +317,10 @@ class TestExitCodes:
         argv = ["lifecycle", "-v", "7", "-k", "3", "--kernel", "event"]
         assert main(argv) == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    def test_retired_perf_subcommand_is_two(self, capsys):
+        assert main(["perf", "check", "x.json"]) == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -35,8 +35,8 @@ from repro.bench.runner import Experiment, ExperimentResult
 from repro.bench.tables import format_table
 from repro.core.tolerance import tolerance_profile
 from repro.schemes import build_scheme_layout
-from repro.sim.lifecycle import derived_mttr
-from repro.sim.parallel import default_jobs, simulate_lifecycle_parallel
+from repro.sim.lifecycle import derived_mttr, simulate_lifecycle
+from repro.sim.parallel import default_jobs
 from repro.sim.rebuild import DiskModel
 
 # Accelerated-exposure disk model: 4 TB rebuilt at 20 MiB/s makes the
@@ -66,7 +66,7 @@ def _body() -> ExperimentResult:
     rows = []
     metrics = {}
     for name, layout in layouts.items():
-        result = simulate_lifecycle_parallel(
+        result = simulate_lifecycle(
             layout, MTTF, HORIZON, disk=DISK,
             trials=TRIALS, kernel=kernel, seed=0, jobs=jobs,
         )

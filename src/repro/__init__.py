@@ -89,15 +89,12 @@ from repro.serve import (
     IdleSlotThrottle,
     ServeResult,
     simulate_serve,
-    simulate_serve_parallel,
 )
 from repro.sim import (
     DiskModel,
     FleetResult,
     analytic_rebuild_time,
     simulate_fleet,
-    simulate_fleet_parallel,
-    simulate_lifetimes_parallel,
     simulate_rebuild,
 )
 from repro.workloads import ClosedLoop, OpenLoop, WorkloadSpec
@@ -145,10 +142,8 @@ __all__ = [
     "DiskModel",
     "analytic_rebuild_time",
     "simulate_rebuild",
-    "simulate_lifetimes_parallel",
     "FleetResult",
     "simulate_fleet",
-    "simulate_fleet_parallel",
     # scenarios + results
     "Scenario",
     "run",
@@ -157,7 +152,6 @@ __all__ = [
     # serving
     "ServeResult",
     "simulate_serve",
-    "simulate_serve_parallel",
     "FixedRateThrottle",
     "IdleSlotThrottle",
     "AdaptiveThrottle",

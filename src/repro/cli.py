@@ -81,6 +81,7 @@ from repro.obs import (
     use_profiler,
     use_telemetry,
 )
+from repro.obs.emit import check_writable, writing
 from repro.scenario import Scenario, run as run_scenario
 from repro.schemes import scheme, scheme_names
 from repro.sim.latency import LatencyModel
@@ -1120,27 +1121,31 @@ def _configure_logging(args: argparse.Namespace) -> None:
 
 def _write_profile(args: argparse.Namespace, profiler: PhaseProfiler) -> None:
     path = pathlib.Path(args.profile_out)
-    path.write_text(
-        json.dumps(profiler.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with writing(path):
+        path.write_text(
+            json.dumps(profiler.to_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     logger.info("wrote profile to %s", path)
 
 
 def _write_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
     if args.metrics_out:
         path = pathlib.Path(args.metrics_out)
-        path.write_text(telemetry.metrics.to_json() + "\n", encoding="utf-8")
+        with writing(path):
+            path.write_text(
+                telemetry.metrics.to_json() + "\n", encoding="utf-8"
+            )
         logger.info("wrote metrics to %s", path)
     if args.trace_out:
         path = pathlib.Path(args.trace_out)
         if path.suffix == ".jsonl":
-            path.write_text(
-                telemetry.trace.to_jsonl(telemetry.events), encoding="utf-8"
-            )
+            text = telemetry.trace.to_jsonl(telemetry.events)
         else:
             doc = telemetry.trace.to_chrome(telemetry.events)
-            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            text = json.dumps(doc, indent=2) + "\n"
+        with writing(path):
+            path.write_text(text, encoding="utf-8")
         logger.info("wrote trace to %s", path)
 
 
@@ -1171,6 +1176,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.telemetry = telemetry
     profiler = PhaseProfiler() if args.profile_out else None
     try:
+        # Probe every requested artifact before simulating anything
+        # (``run`` does the same for ``$REPRO_LEDGER``).
+        for path in (args.metrics_out, args.trace_out, args.profile_out):
+            if path:
+                check_writable(path)
         if profiler is not None:
             tracemalloc.start()
         try:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
+from repro.sim.parallel import count_survivable
 from repro.util.checks import check_positive
 
 
@@ -56,14 +57,7 @@ def survivable_fraction(
     result for any value — only the work distribution changes).
     """
     patterns = failure_patterns(layout.n_disks, n_failures, max_patterns, seed)
-    if jobs != 1:
-        # Delegate (and let the engine validate jobs) even for jobs < 1.
-        from repro.sim.parallel import count_survivable_parallel
-
-        survived = count_survivable_parallel(layout, patterns, jobs=jobs)
-    else:
-        survived = sum(1 for p in patterns if is_recoverable(layout, p))
-    return survived / len(patterns)
+    return count_survivable(layout, patterns, jobs=jobs) / len(patterns)
 
 
 def first_unrecoverable(

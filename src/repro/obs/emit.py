@@ -10,13 +10,42 @@ interactive reports.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from typing import IO, Any, Optional
+from typing import IO, Any, Iterator, Optional
+
+from repro.errors import ReproError
 
 #: Environment variable naming the bench runner's JSONL destination.
 BENCH_JSONL_ENV = "REPRO_BENCH_JSONL"
+
+
+@contextlib.contextmanager
+def writing(path: Any) -> Iterator[None]:
+    """Write a requested artifact to *path* inside this block.
+
+    An ``OSError`` (missing directory, no permission, full disk) leaves
+    as one :class:`~repro.errors.ReproError` naming the path, so a run
+    that cannot save what it was asked to save ends in an ``error:``
+    line, not a traceback.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ReproError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from None
+
+
+def check_writable(path: Any) -> None:
+    """Fail before the run, not after it, if *path* cannot be written.
+
+    Opens it for appending: creates a missing file, truncates nothing.
+    """
+    with writing(path):
+        open(path, "a", encoding="utf-8").close()
 
 
 def _strict(value: Any) -> Any:

@@ -17,7 +17,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-from .emit import StructuredEmitter, _strict
+from .emit import StructuredEmitter, _strict, writing
 
 REPRO_LEDGER_ENV = "REPRO_LEDGER"
 
@@ -118,7 +118,8 @@ class RunLedger:
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record as a JSONL line (non-finite floats → null)."""
-        StructuredEmitter(path=self.path).emit(record)
+        with writing(self.path):
+            StructuredEmitter(path=self.path).emit(record)
 
     def records(self) -> List[Dict[str, Any]]:
         """All records, oldest first.  Malformed lines are skipped."""

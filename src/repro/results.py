@@ -2,7 +2,7 @@
 
 Every simulate-style entry point in this reproduction returns a frozen
 dataclass (``RebuildResult``, ``LifetimeResult``, ``LifecycleResult``,
-``LatencyResult``, ``ServeResult``, …). Before this module each of them
+``ServeResult``, …). Before this module each of them
 serialized ad hoc — the bench JSONL emitter flattened whatever dict a
 bench hand-built, and nothing could round-trip a result from disk. The
 protocol normalizes all of them behind three methods:
@@ -17,6 +17,9 @@ protocol normalizes all of them behind three methods:
   string spellings come back as the original floats.
 * ``summary()`` — a flat ``{metric: number}`` dict of the headline
   quantities, suitable for the bench JSONL records and quick printing.
+* ``merged(parts)`` — the one chunk merge: per-chunk results of a class
+  fold into one by declared field type, so a chunked simulator writes no
+  merge of its own.
 
 :class:`ResultBase` supplies the machinery; result classes inherit it and
 declare ``SUMMARY_KEYS`` (field/property names to surface). The registry
@@ -26,10 +29,12 @@ maps type tags back to classes for :func:`result_from_dict`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Any, Dict, Type
+from itertools import chain
+from typing import Any, Dict, Sequence, Tuple, Type, get_origin, get_type_hints
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 
 #: Result-type tag -> dataclass, filled in by :func:`register_result`.
 RESULT_TYPES: Dict[str, Type["ResultBase"]] = {}
@@ -81,6 +86,17 @@ def _unjsonify(value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(field name, declared type)`` pairs of a result dataclass.
+
+    Cached per class: resolving the (string) annotations costs more than
+    folding a few thousand trials does.
+    """
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
 class ResultBase:
     """Mixin giving result dataclasses the common serialization protocol.
 
@@ -126,6 +142,39 @@ class ResultBase:
                 f"{tag} document missing fields {sorted(missing)}"
             )
         return target(**kwargs)
+
+    @classmethod
+    def merged(cls, parts: Sequence["ResultBase"]) -> "ResultBase":
+        """Fold per-chunk results (in the given chunk order) into one.
+
+        The fold is read off each field's declared type: ``int`` fields
+        sum, ``Tuple[...]`` fields concatenate in the order of *parts*
+        (one pass, straight into the tuple), and every other field is a
+        parameter of the run that all parts must agree on. Concatenation
+        is the only order-sensitive fold, so merging is associative and
+        the merged result depends on the chunk order alone — the
+        algebraic fact the any-``jobs`` determinism contract rests on.
+        """
+        if not parts:
+            raise SimulationError("no chunk results to merge")
+        folded: Dict[str, Any] = {}
+        for name, hint in _field_types(cls):
+            if hint is int:
+                folded[name] = sum(getattr(p, name) for p in parts)
+            elif get_origin(hint) is tuple:
+                folded[name] = tuple(
+                    chain.from_iterable(getattr(p, name) for p in parts)
+                )
+            else:
+                folded[name] = value = getattr(parts[0], name)
+                for part in parts[1:]:
+                    if getattr(part, name) != value:
+                        raise SimulationError(
+                            f"cannot merge {cls.__name__} parts with "
+                            f"different {name} "
+                            f"({getattr(part, name)} vs {value})"
+                        )
+        return cls(**folded)
 
     def summary(self) -> Dict[str, float]:
         """Flat headline metrics (the bench JSONL / report surface)."""

@@ -1,10 +1,12 @@
 """One front door for every simulation: ``Scenario`` in, result out.
 
-Four simulate-style entry points grew up in this reproduction — rebuild
-timing (:mod:`repro.sim.rebuild`), Monte-Carlo lifetimes
-(:mod:`repro.sim.montecarlo` via :mod:`repro.sim.parallel`), the coupled
-lifecycle model (:mod:`repro.sim.lifecycle`), and the online serving
-simulator (:mod:`repro.sim.serve`) — each with its own signature. A
+Five simulators grew up in this reproduction — rebuild timing
+(:mod:`repro.sim.rebuild`), Monte-Carlo lifetimes
+(:mod:`repro.sim.montecarlo`), the coupled lifecycle model
+(:mod:`repro.sim.lifecycle`), the fleet kernel (:mod:`repro.sim.fleet`)
+and the online serving simulator (:mod:`repro.sim.serve`) — one function
+each, the chunked four sharing ``seed`` / ``jobs`` / ``telemetry`` /
+``progress`` and differing in their physics arguments. A
 :class:`Scenario` captures the shared vocabulary once (layout, disk
 model, workload, fault schedule, seed, jobs, telemetry) plus the few
 kind-specific knobs, and :func:`run` dispatches to the right simulator:
@@ -29,25 +31,21 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
+from repro.obs.emit import check_writable
 from repro.obs.ledger import RunLedger, run_manifest
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import KERNELS
 from repro.sim.latency import LatencyModel
-from repro.sim.lifecycle import guaranteed_tolerance
-from repro.sim.montecarlo import recoverability_oracle
-from repro.sim.parallel import (
-    simulate_fleet_parallel,
-    simulate_lifecycle_parallel,
-    simulate_lifetimes_parallel,
-    simulate_serve_parallel,
-)
+from repro.sim.fleet import simulate_fleet
+from repro.sim.lifecycle import guaranteed_tolerance, simulate_lifecycle
+from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
 from repro.sim.rebuild import (
     DiskModel,
     analytic_rebuild_time,
     simulate_rebuild,
 )
-from repro.sim.serve import ThrottlePolicy
+from repro.sim.serve import ThrottlePolicy, simulate_serve
 from repro.schemes import build_scheme_layout
 from repro.workloads.arrivals import ArrivalProcess, OpenLoop
 from repro.workloads.generators import WorkloadSpec
@@ -203,7 +201,7 @@ def _run_rebuild(scenario: Scenario, progress):
 def _run_reliability(scenario: Scenario, progress):
     layout = scenario.layout
     oracle = recoverability_oracle(layout, guaranteed_tolerance(layout))
-    return simulate_lifetimes_parallel(
+    return simulate_lifetimes(
         layout.n_disks,
         scenario.mttf_hours,
         scenario.mttr_hours,
@@ -219,7 +217,7 @@ def _run_reliability(scenario: Scenario, progress):
 
 
 def _run_lifecycle(scenario: Scenario, progress):
-    return simulate_lifecycle_parallel(
+    return simulate_lifecycle(
         scenario.layout,
         scenario.mttf_hours,
         scenario.horizon_hours,
@@ -238,7 +236,7 @@ def _run_lifecycle(scenario: Scenario, progress):
 
 
 def _run_serve(scenario: Scenario, progress):
-    return simulate_serve_parallel(
+    return simulate_serve(
         scenario.layout,
         scenario.workload,
         failed_disks=scenario.faults,
@@ -257,7 +255,7 @@ def _run_serve(scenario: Scenario, progress):
 
 
 def _run_fleet(scenario: Scenario, progress):
-    return simulate_fleet_parallel(
+    return simulate_fleet(
         scenario.layout,
         scenario.mttf_hours,
         scenario.horizon_hours,
@@ -330,7 +328,7 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
     ``FleetResult`` — every
     one of which speaks the :mod:`repro.results` protocol
     (``to_dict``/``from_dict``/``summary``). *progress*, when given, is
-    forwarded to the parallel runners' per-chunk callback
+    forwarded to the chunked simulators' per-chunk callback
     (:data:`~repro.sim.parallel.ProgressCallback`).
 
     When the ``REPRO_LEDGER`` environment variable names a file, every
@@ -342,6 +340,7 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
     ledger = RunLedger.from_env()
     if ledger is None:
         return _RUNNERS[scenario.kind](scenario, progress)
+    check_writable(ledger.path)
     start = time.perf_counter()
     result = _RUNNERS[scenario.kind](scenario, progress)
     seconds = time.perf_counter() - start

@@ -30,10 +30,11 @@ without knowing any scheme's internals.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import RecoveryPlan, plan_recovery
 
@@ -130,6 +131,17 @@ class RepairCost:
         return self.read_units / self.write_units
 
 
+def _accepts(default: object, value: object) -> bool:
+    """May *value* override a knob whose declared default is *default*?"""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, type(default))
+
+
 class Scheme(abc.ABC):
     """One redundancy scheme behind the common protocol.
 
@@ -153,9 +165,13 @@ class Scheme(abc.ABC):
     ) -> Dict[str, object]:
         """Merge *overrides* into the declared defaults, strictly.
 
-        Unknown keys raise :class:`~repro.errors.SimulationError` — this
-        is the validation surface ``Scenario.scheme_params`` and the
-        CLI's ``--scheme-param`` both lean on.
+        Unknown keys raise :class:`~repro.errors.SimulationError` and a
+        value of another type than the knob's declared default raises
+        :class:`~repro.errors.ParameterError` (a ``bool`` knob takes only
+        a ``bool``, an ``int`` knob an integer, a ``float`` knob any real
+        number) — this is the validation surface
+        ``Scenario.scheme_params`` and the CLI's ``--scheme-param`` both
+        lean on, so ``build_layout`` receives values it need not cast.
         """
         resolved = dict(self.params)
         for key, value in (overrides or {}).items():
@@ -163,6 +179,11 @@ class Scheme(abc.ABC):
                 raise SimulationError(
                     f"scheme {self.name!r} has no parameter {key!r} "
                     f"(declared: {sorted(resolved) or 'none'})"
+                )
+            if not _accepts(resolved[key], value):
+                raise ParameterError(
+                    f"scheme {self.name!r} parameter {key!r} expects "
+                    f"{type(resolved[key]).__name__}, got {value!r}"
                 )
             resolved[key] = value
         return resolved

@@ -36,9 +36,9 @@ class OiRaidScheme(Scheme):
             geometry.groups,
             geometry.stripe_width,
             group_size=geometry.group_size,
-            skewed=bool(params["skewed"]),
-            outer_parities=int(params["outer_parities"]),
-            inner_parities=int(params["inner_parities"]),
+            skewed=params["skewed"],
+            outer_parities=params["outer_parities"],
+            inner_parities=params["inner_parities"],
         )
 
 
@@ -91,4 +91,4 @@ class MirrorScheme(Scheme):
 
     def build_layout(self, geometry: Geometry, **params: object) -> Layout:
         """Rotated ``copies``-way mirror over ``geometry.n_disks`` disks."""
-        return MirrorLayout(geometry.n_disks, copies=int(params["copies"]))
+        return MirrorLayout(geometry.n_disks, copies=params["copies"])

@@ -29,7 +29,7 @@ class ReedSolomonScheme(Scheme):
 
     def build_layout(self, geometry: Geometry, **params: object) -> Layout:
         """``geometry.n_disks`` disks, ``parities`` of them redundant."""
-        return FlatMDSLayout(geometry.n_disks, parities=int(params["parities"]))
+        return FlatMDSLayout(geometry.n_disks, parities=params["parities"])
 
 
 @register_scheme
@@ -61,9 +61,9 @@ class LrcScheme(Scheme):
         """Rotated LRC rows on ``geometry.n_disks`` disks."""
         return LrcLayout(
             geometry.n_disks,
-            local_data=int(params["local_data"]),
-            local_groups=int(params["local_groups"]),
-            global_parities=int(params["global_parities"]),
+            local_data=params["local_data"],
+            local_groups=params["local_groups"],
+            global_parities=params["global_parities"],
         )
 
 
@@ -83,9 +83,9 @@ class XorbasScheme(Scheme):
         """Rotated XORBAS rows on ``geometry.n_disks`` disks."""
         return XorbasLayout(
             geometry.n_disks,
-            local_data=int(params["local_data"]),
-            local_groups=int(params["local_groups"]),
-            global_parities=int(params["global_parities"]),
+            local_data=params["local_data"],
+            local_groups=params["local_groups"],
+            global_parities=params["global_parities"],
         )
 
 
@@ -105,6 +105,6 @@ class HierarchicalScheme(Scheme):
         return HierarchicalLayout(
             geometry.groups,
             geometry.width,
-            inter_parities=int(params["inter_parities"]),
-            intra_parities=int(params["intra_parities"]),
+            inter_parities=params["inter_parities"],
+            intra_parities=params["intra_parities"],
         )

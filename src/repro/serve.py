@@ -1,7 +1,7 @@
 """Front door for the online serving simulator (``repro.serve``).
 
-A thin alias over :mod:`repro.sim.serve` plus its parallel runner, so
-serving experiments can be written against one import::
+A thin alias over :mod:`repro.sim.serve`, so serving experiments can be
+written against one import::
 
     from repro.serve import simulate_serve, AdaptiveThrottle
 
@@ -14,7 +14,6 @@ simulators (it shares their engine, latency model, and bit-identical
 parallelism contract); this module is the stable public spelling.
 """
 
-from repro.sim.parallel import simulate_serve_parallel
 from repro.sim.serve import (
     AdaptiveThrottle,
     FixedRateThrottle,
@@ -23,7 +22,6 @@ from repro.sim.serve import (
     ServeTables,
     ThrottlePolicy,
     build_serve_tables,
-    merge_serve_results,
     serve_batch_supported,
     simulate_serve,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "ServeTables",
     "build_serve_tables",
     "simulate_serve",
-    "simulate_serve_parallel",
-    "merge_serve_results",
     "serve_batch_supported",
     "ArrivalProcess",
     "OpenLoop",

@@ -26,9 +26,10 @@
   arrays streamed through the columnar core in fixed chunks with
   globally-keyed draw lanes, optional importance sampling on failure
   rates, and flat-memory streaming aggregation.
-* :mod:`repro.sim.parallel` — process fan-out for the Monte-Carlo,
-  fault-pattern, fleet, and serving sweeps, bit-identical for any worker
-  count; one chunk driver (``run_chunks``) serves every simulator.
+* :mod:`repro.sim.parallel` — the chunk driver (``run_chunks``) under
+  every ``simulate_*`` function's ``jobs=`` argument, plus the
+  fault-pattern sweep and ``parallel_map``: process fan-out that is
+  bit-identical for any worker count.
 """
 
 from repro.sim.columnar import (
@@ -39,10 +40,9 @@ from repro.sim.engine import Event, FcfsServer, Simulator
 from repro.sim.fleet import (
     FLEET_CHUNK_MISSIONS,
     FleetResult,
-    merge_fleet_chunks,
     simulate_fleet,
 )
-from repro.sim.latency import LatencyModel, LatencyResult, simulate_read_latency
+from repro.sim.latency import LatencyModel
 from repro.sim.lifecycle import (
     LifecycleResult,
     RebuildTimer,
@@ -53,17 +53,7 @@ from repro.sim.lifecycle import (
 )
 from repro.sim.markov import MarkovReliabilityModel, mttdl_raid5_array
 from repro.sim.montecarlo import LifetimeResult, simulate_lifetimes
-from repro.sim.parallel import (
-    default_jobs,
-    simulate_fleet_parallel,
-    merge_lifecycle_results,
-    merge_lifetime_results,
-    parallel_map,
-    simulate_lifecycle_parallel,
-    simulate_lifetimes_parallel,
-    simulate_serve_parallel,
-    survivable_fraction_parallel,
-)
+from repro.sim.parallel import default_jobs, parallel_map
 from repro.sim.rebuild import (
     DiskModel,
     RebuildResult,
@@ -79,7 +69,6 @@ from repro.sim.serve import (
     ServeTables,
     ThrottlePolicy,
     build_serve_tables,
-    merge_serve_results,
     serve_batch_supported,
     simulate_serve,
 )
@@ -94,13 +83,8 @@ __all__ = [
     "simulate_rebuild",
     "MarkovReliabilityModel",
     "mttdl_raid5_array",
-    "simulate_read_latency",
     "LatencyModel",
-    "LatencyResult",
     "simulate_lifetimes",
-    "simulate_lifetimes_parallel",
-    "survivable_fraction_parallel",
-    "merge_lifetime_results",
     "parallel_map",
     "default_jobs",
     "pool_stats",
@@ -114,13 +98,9 @@ __all__ = [
     "simulate_lifecycle",
     "TrialStreams",
     "LifecycleTables",
-    "simulate_lifecycle_parallel",
-    "merge_lifecycle_results",
     "FleetResult",
     "FLEET_CHUNK_MISSIONS",
     "simulate_fleet",
-    "simulate_fleet_parallel",
-    "merge_fleet_chunks",
     "ThrottlePolicy",
     "FixedRateThrottle",
     "IdleSlotThrottle",
@@ -129,7 +109,5 @@ __all__ = [
     "ServeTables",
     "build_serve_tables",
     "simulate_serve",
-    "simulate_serve_parallel",
-    "merge_serve_results",
     "serve_batch_supported",
 ]

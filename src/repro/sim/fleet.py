@@ -63,7 +63,7 @@ import numpy as _np
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
     ChunkSpec,
@@ -72,14 +72,14 @@ from repro.sim.columnar import (
     oracle_guarantee,
 )
 from repro.sim.lifecycle import (
-    RebuildTimer,
     _check_mission,
     _lifecycle_trial,
     _pattern_check,
     _slot_estimate,
     guaranteed_tolerance,
 )
-from repro.sim.rebuild import DiskModel
+from repro.sim.parallel import ProgressCallback, run_chunks
+from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.util.checks import check_positive
 from repro.util.stats import wilson_interval
 
@@ -295,7 +295,7 @@ class FleetChunk:
 def _fleet_chunk(
     state: Tuple[Any, ...],
     spec: ChunkSpec,
-    chunk_tel: Optional[Telemetry],
+    tel: Telemetry,
     *,
     mttf_hours: float,
     horizon_hours: float,
@@ -305,8 +305,8 @@ def _fleet_chunk(
 ) -> FleetChunk:
     """Advance missions ``spec.start .. spec.start+spec.size-1`` and fold them.
 
-    The chunk function the parallel driver runs. *state* is the
-    broadcast ``(layout, timer, tables, oracle)`` tuple. Lanes are keyed
+    The chunk function the driver runs. *state* is the broadcast
+    ``(layout, timer, tables, oracle)`` tuple. Lanes are keyed
     by the **run** seed and the global mission index (``spec.seed``,
     ``lane_offset=spec.start``) — never a per-chunk seed, which would tie
     sampled values to the chunk layout — so the chunk geometry cannot
@@ -317,7 +317,6 @@ def _fleet_chunk(
     """
     layout, timer, tables, oracle = state
     start, count = spec.start, spec.size
-    tel = chunk_tel if chunk_tel is not None else NULL_TELEMETRY
     n = layout.n_disks
     lambd_true = 1.0 / mttf_hours
     lambd = lambda_boost * lambd_true
@@ -438,9 +437,13 @@ def merge_fleet_chunks(
 
     Integer counters are exact under any fold order, but the float
     weight sums are not associative in the last ulp — callers must pass
-    *parts* in chunk order (the parallel drain's reorder buffer
-    guarantees it), which is what keeps the merged result bit-identical
-    for any worker count.
+    *parts* in chunk order (the driver returns them so), which is what
+    keeps the merged result bit-identical for any worker count.
+
+    The one hand-written merge: it folds :class:`FleetChunk` accumulators
+    into a *different* type, scattering each chunk's per-array counts at its
+    ``first_array`` offset — a fold no other result needs, so
+    :meth:`repro.results.ResultBase.merged` does not learn it.
     """
     if not parts:
         raise SimulationError("no fleet chunks to merge")
@@ -525,6 +528,9 @@ def simulate_fleet(
     timer: Optional[RebuildTimer] = None,
     tables: Optional[LifecycleTables] = None,
     chunk_missions: int = FLEET_CHUNK_MISSIONS,
+    *,
+    jobs: int = 1,
+    progress: Optional[ProgressCallback] = None,
 ) -> FleetResult:
     """Simulate ``arrays`` identical arrays for ``trials`` missions each.
 
@@ -535,20 +541,24 @@ def simulate_fleet(
     estimators are unbiased for the *nominal* rate. ``lambda_boost=1``
     is plain (naive) Monte-Carlo.
 
-    Missions stream through fixed chunks of *chunk_missions* — memory is
-    flat in ``arrays * trials``. This *is*
-    :func:`~repro.sim.parallel.simulate_fleet_parallel` at ``jobs=1``
-    (same chunk driver), so the two are bit-identical at any ``jobs``.
+    Missions stream through fixed chunks of *chunk_missions*
+    (:func:`~repro.sim.parallel.run_chunks`) — memory is flat in
+    ``arrays * trials``. The strongest determinism contract of the
+    simulators: draw lanes are keyed by the **global mission index**
+    (not per-chunk seeds) and chunk boundaries are a pure function of
+    ``arrays * trials``, so the result is bit-identical for any *jobs*
+    — same lanes, same chunks, same chunk-ordered float fold — and
+    *chunk_missions* only regroups float additions.
 
     *oracle*, *timer* and *tables* follow the lifecycle kernel's
     contract (picklable pattern oracle; pre-built rebuild memo and
     per-disk rebuild columns that are pure functions of the layout and
-    disk model). A collecting *telemetry* records events for replayed
-    missions only, merged in chunk order with global mission indices.
+    disk model); all three ride in the broadcast state. *progress* is
+    called after every completed chunk with ``(missions_done,
+    missions_total, raw_losses_so_far)``. A collecting *telemetry*
+    records events for replayed missions only, merged in chunk order
+    with global mission indices.
     """
-    # Imported here because the driver's module imports this one.
-    from repro.sim.parallel import run_chunks
-
     _validate_fleet_args(
         arrays, trials, mttf_hours, horizon_hours,
         lse_rate_per_byte, lambda_boost,
@@ -560,7 +570,7 @@ def simulate_fleet(
     if tables is None:
         tables = LifecycleTables.build(layout, timer)
     parts = run_chunks(
-        "simulate_fleet", dict(arrays=arrays, trials=trials),
+        "simulate_fleet", dict(arrays=arrays, trials=trials, jobs=jobs),
         _fleet_chunk, (layout, timer, tables, oracle),
         dict(
             mttf_hours=mttf_hours, horizon_hours=horizon_hours,
@@ -568,9 +578,7 @@ def simulate_fleet(
             trials_per_array=trials,
         ),
         arrays * trials, chunk_missions,
-        seed=seed, jobs=1,
-        telemetry=telemetry if telemetry is not None else ambient(),
-        progress=None,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
     )
     return merge_fleet_chunks(
         parts, arrays, trials, horizon_hours, mttf_hours, lambda_boost

@@ -36,8 +36,9 @@ chain and the lifecycle MC directly comparable (E19).
 Rebuild times depend only on the failed pattern, so they are memoized per
 pattern within a run. Trials draw from per-trial counter-based lanes
 (:class:`repro.sim.columnar.TrialStreams`), so every trial is a pure
-function of ``(seed, trial)`` — reproducible, bit-identical for any
-worker count (via the chunked runner in :mod:`repro.sim.parallel`), and
+function of its chunk's seed and its index in the chunk — reproducible,
+bit-identical for any worker count (chunks are cut by
+:func:`repro.sim.parallel.run_chunks`, never by ``jobs``), and
 shared verbatim between the two kernels of :func:`simulate_lifecycle`:
 ``event`` walks every trial's event heap, while ``vectorized`` first
 advances all trials in lockstep on a columnar failure-clock array and
@@ -51,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -59,28 +60,24 @@ from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
-    fresh_seed,
+    derive_chunk_seed,
     oracle_guarantee,
     resolve_kernel,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
-from repro.sim.rebuild import (
-    DiskModel,
-    analytic_rebuild_time,
-    simulate_rebuild,
+from repro.sim.parallel import (
+    DEFAULT_CHUNK_TRIALS,
+    ProgressCallback,
+    run_chunks,
 )
-from repro.util.checks import check_positive
+from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.util.stats import mean, wilson_interval
-
-#: Rebuild-time evaluation methods accepted by the lifecycle machinery.
-REBUILD_METHODS = ("analytic", "event")
-
 
 @register_result
 @dataclass(frozen=True)
@@ -163,63 +160,6 @@ class LifecycleResult(ResultBase):
     def max_peak_failures(self) -> int:
         """Most concurrent failures seen across all trials."""
         return max(self.peak_failures_per_trial)
-
-
-@dataclass(frozen=True)
-class RebuildTimer:
-    """Pattern -> (rebuild hours, bytes read), layout-derived and memoized.
-
-    A picklable callable (the parallel runner ships it to workers; each
-    process grows its own memo). ``method`` selects the bandwidth-bound
-    analytic bound or the event-driven FCFS simulation.
-    """
-
-    layout: Layout
-    disk: DiskModel
-    sparing: str = "distributed"
-    method: str = "analytic"
-    batches: int = 8
-
-    def __post_init__(self) -> None:
-        if self.method not in REBUILD_METHODS:
-            raise SimulationError(
-                f"unknown rebuild method {self.method!r} "
-                f"(expected one of {REBUILD_METHODS})"
-            )
-
-    def _evaluate(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
-        tel = ambient()
-        if tel.enabled:
-            tel.count("rebuild.memo_misses")
-        with tel.span("rebuild_evaluate", failed=len(failed), method=self.method):
-            return self._evaluate_plan(failed)
-
-    def _evaluate_plan(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
-        if self.method == "event":
-            result = simulate_rebuild(
-                self.layout,
-                failed,
-                self.disk,
-                sparing=self.sparing,
-                batches=self.batches,
-            )
-        else:
-            result = analytic_rebuild_time(
-                self.layout, failed, self.disk, sparing=self.sparing
-            )
-        return (result.seconds / 3600.0, result.bytes_read)
-
-    def __call__(self, failed: FrozenSet[int]) -> Tuple[float, float]:
-        memo = self.__dict__.setdefault("_memo", {})
-        cached = memo.get(failed)
-        if cached is None:
-            cached = self._evaluate(tuple(sorted(failed)))
-            memo[failed] = cached
-        else:
-            tel = ambient()
-            if tel.enabled:
-                tel.count("rebuild.memo_hits")
-        return cached
 
 
 def guaranteed_tolerance(layout: Layout) -> int:
@@ -483,83 +423,25 @@ def _lifecycle_trial(
     return lost_at, lost_to_lse, n_failures, n_repairs, degraded_hours, peak
 
 
-def simulate_lifecycle(
-    layout: Layout,
-    mttf_hours: float,
-    horizon_hours: float,
-    disk: Optional[DiskModel] = None,
-    sparing: str = "distributed",
-    method: str = "analytic",
-    batches: int = 8,
-    lse_rate_per_byte: float = 0.0,
-    trials: int = 100,
-    seed: Optional[int] = 0,
-    oracle: Optional[Callable[[Set[int]], bool]] = None,
-    telemetry: Optional[Telemetry] = None,
-    timer: Optional[RebuildTimer] = None,
-    tables: Optional[LifecycleTables] = None,
-    kernel: str = "auto",
+def _lifecycle_chunk(
+    state, spec, tel, *, screened, mttf_hours, horizon_hours,
+    lse_rate_per_byte,
 ) -> LifecycleResult:
-    """Simulate *trials* missions with layout-derived repair durations.
+    """Screen and walk one chunk of missions.
 
-    Each mission: disks fail as independent exponentials (rate 1/MTTF per
-    online disk). On a failure arrival the enlarged failed set is checked
-    against the exact peeling oracle — undecodable means data loss — then
-    re-planned, and one group rebuild of the whole set is scheduled to
-    complete after its layout-derived rebuild time (any in-flight rebuild
-    is abandoned). When the rebuild completes, optional latent sector
-    errors are drawn against its read volume; an LSE whose stranded unit
-    is undecodable alongside the failed disks is a loss. Otherwise all
-    failed disks return to service and draw fresh lifetimes.
-
-    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
-    reach that exact walk (:func:`_lifecycle_trial`), never the answer.
-    ``vectorized`` first advances all trials together through the shared
-    :class:`~repro.sim.columnar.LockstepScreen`, which settles clean
-    failure incidents columnar and flags the trials whose incident is
-    overlapped by a second failure or struck by a latent sector error;
-    only those are walked — *in full*, re-planning via ``plan_recovery``,
-    LSE checks, mid-rebuild restarts — from their own draw lane.
-    ``event`` is the same function with an empty screen: every trial is
-    walked. Clean trials read the very same sampled floats the walk
-    would have consumed, so the whole result is bit-identical across
-    kernels; only the work to produce it changes.
-
-    *oracle* overrides the pattern-recoverability check (defaults to the
-    layout's peeling decoder with a guaranteed-tolerance fast path). An
-    opaque oracle without a declared guarantee makes the screen flag
-    every trial with any failure — slow but exact, matching the lifetime
-    simulator's policy.
-
-    *timer* supplies a pre-built :class:`RebuildTimer` so callers running
-    many chunks against one layout (the parallel runner's broadcast state)
-    share a single rebuild-time memo instead of rebuilding it per chunk;
-    *tables* likewise supplies the screen's pre-built per-disk rebuild
-    columns. Both must have been constructed with the same
-    ``(layout, disk, sparing, method, batches)`` — rebuild times are pure
-    functions of those, so matching ones can never change results.
-
-    *telemetry* (default: the ambient telemetry, a no-op unless a caller
-    installed a collecting one) receives counters and histograms of
-    sim-domain quantities plus the structured event log — failure
-    arrivals, repair start/abandon/complete, latent-error checks, data
-    loss — all stamped with simulated hours, so the recorded registry is
-    a deterministic function of ``(trials, seed)`` and the parallel
-    runner's chunk-merge reproduces the serial registry exactly. A
-    collecting run needs that per-event vocabulary for every trial, so
-    it walks every trial whatever *kernel* says — identical result *and*
-    identical registry/event log across kernels. The telemetry is also
-    installed as ambient for the duration of the walk, so the recovery
-    planner, rebuild clocks, and event engine underneath record into the
-    same registry.
+    *state* is the broadcast ``(layout, timer, tables, oracle)`` tuple —
+    the layout's cell indexes, the rebuild-time memo and the columnar
+    per-disk rebuild columns (``None`` under the event kernel) are
+    unpickled once per worker, and the memo then accumulates across every
+    chunk the worker runs. The chunk's draw lanes are keyed by
+    ``derive_chunk_seed(spec.seed, spec.index)`` and the chunk-local
+    trial index. *screened* (the ``vectorized`` kernel, telemetry off)
+    runs the lockstep screen and walks only the trials it flags;
+    otherwise every trial is walked.
     """
-    screened = resolve_kernel(kernel) == "vectorized"
-    check_positive("trials", trials, 1)
-    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
-    disk = disk or DiskModel()
-    if timer is None:
-        timer = RebuildTimer(layout, disk, sparing, method, batches)
-    tel = telemetry if telemetry is not None else ambient()
+    layout, timer, tables, oracle = state
+    trials = spec.size
+    seed = derive_chunk_seed(spec.seed, spec.index)
     prof = ambient_profiler()
     tolerance = guaranteed_tolerance(layout)
     pattern_ok = _pattern_check(layout, oracle, tolerance)
@@ -567,12 +449,8 @@ def simulate_lifecycle(
     slots = _slot_estimate(layout.n_disks, mttf_hours, horizon_hours)
 
     with prof.phase("sample"):
-        if seed is None:
-            seed = fresh_seed()
         degraded = _np.zeros(trials)
         if screened and not tel.enabled:
-            if tables is None:
-                tables = LifecycleTables.build(layout, timer)
             guarantee = (
                 oracle_guarantee(oracle) if oracle is not None else tolerance
             )
@@ -639,3 +517,107 @@ def simulate_lifecycle(
             degraded_hours_per_trial=tuple(degraded.tolist()),
             peak_failures_per_trial=tuple(peak.tolist()),
         )
+
+
+def simulate_lifecycle(
+    layout: Layout,
+    mttf_hours: float,
+    horizon_hours: float,
+    disk: Optional[DiskModel] = None,
+    sparing: str = "distributed",
+    method: str = "analytic",
+    batches: int = 8,
+    lse_rate_per_byte: float = 0.0,
+    trials: int = 100,
+    seed: Optional[int] = 0,
+    oracle: Optional[Callable[[Set[int]], bool]] = None,
+    telemetry: Optional[Telemetry] = None,
+    timer: Optional[RebuildTimer] = None,
+    tables: Optional[LifecycleTables] = None,
+    kernel: str = "auto",
+    *,
+    chunk_trials: int = DEFAULT_CHUNK_TRIALS,
+    jobs: int = 1,
+    progress: Optional[ProgressCallback] = None,
+) -> LifecycleResult:
+    """Simulate *trials* missions with layout-derived repair durations.
+
+    Each mission: disks fail as independent exponentials (rate 1/MTTF per
+    online disk). On a failure arrival the enlarged failed set is checked
+    against the exact peeling oracle — undecodable means data loss — then
+    re-planned, and one group rebuild of the whole set is scheduled to
+    complete after its layout-derived rebuild time (any in-flight rebuild
+    is abandoned). When the rebuild completes, optional latent sector
+    errors are drawn against its read volume; an LSE whose stranded unit
+    is undecodable alongside the failed disks is a loss. Otherwise all
+    failed disks return to service and draw fresh lifetimes.
+
+    Missions run in chunks of *chunk_trials*
+    (:func:`~repro.sim.parallel.run_chunks`), each on draw lanes of its
+    own (:func:`_lifecycle_chunk`), so the result depends only on
+    ``(trials, seed, chunk_trials)`` — never on *jobs* or *kernel*.
+    Rebuild times are memoized per pattern within each worker (they are
+    pure functions of the pattern, so the memo never affects results).
+
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
+    reach the exact walk (:func:`_lifecycle_trial`), never the answer.
+    ``vectorized`` first advances all trials of a chunk together through
+    the shared :class:`~repro.sim.columnar.LockstepScreen`, which settles
+    clean failure incidents columnar and flags the trials whose incident
+    is overlapped by a second failure or struck by a latent sector error;
+    only those are walked — *in full*, re-planning via ``plan_recovery``,
+    LSE checks, mid-rebuild restarts — from their own draw lane.
+    ``event`` is the same function with an empty screen: every trial is
+    walked. Clean trials read the very same sampled floats the walk
+    would have consumed, so the whole result is bit-identical across
+    kernels; only the work to produce it changes.
+
+    *oracle* overrides the pattern-recoverability check (defaults to the
+    layout's peeling decoder with a guaranteed-tolerance fast path; it
+    must be picklable when ``jobs > 1``). An opaque oracle without a
+    declared guarantee makes the screen flag every trial with any
+    failure — slow but exact, matching the lifetime simulator's policy.
+
+    *timer* supplies a pre-built :class:`RebuildTimer` so callers running
+    many sweep points against one layout share a single rebuild-time memo
+    instead of rebuilding it per call; *tables* likewise supplies the
+    screen's per-disk rebuild columns, which are otherwise computed once
+    here for the ``vectorized`` kernel (warming the timer's memo as a
+    side effect) and broadcast to the workers alongside it. Both must
+    have been constructed with the same ``(layout, disk, sparing, method,
+    batches)`` — rebuild times are pure functions of those, so matching
+    ones can never change results.
+
+    *telemetry* (default: the ambient telemetry, a no-op unless a caller
+    installed a collecting one) receives counters and histograms of
+    sim-domain quantities plus the structured event log — failure
+    arrivals, repair start/abandon/complete, latent-error checks, data
+    loss — all stamped with simulated hours; trial indices are
+    chunk-local in the workers and rebased at the merge, so the merged
+    registry and event log are bit-identical for any ``jobs``. A
+    collecting run needs that per-event vocabulary for every trial, so
+    it walks every trial whatever *kernel* says — identical result *and*
+    identical registry/event log across kernels. Each chunk's telemetry
+    is also installed as ambient for the duration of its walk, so the
+    recovery planner, rebuild clocks, and event engine underneath record
+    into the same registry.
+    """
+    screened = resolve_kernel(kernel) == "vectorized"
+    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
+    if timer is None:
+        timer = RebuildTimer(
+            layout, disk or DiskModel(), sparing, method, batches
+        )
+    if tables is None and screened:
+        tables = LifecycleTables.build(layout, timer)
+    parts = run_chunks(
+        "simulate_lifecycle", dict(trials=trials, jobs=jobs),
+        _lifecycle_chunk, (layout, timer, tables, oracle),
+        dict(
+            screened=screened, mttf_hours=mttf_hours,
+            horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
+    )
+    return LifecycleResult.merged(parts)

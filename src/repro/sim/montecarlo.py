@@ -24,12 +24,18 @@ from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.columnar import (
+    derive_chunk_seed,
     first_exceedances as _first_exceedances,
     oracle_guarantee as _oracle_guarantee,
     resolve_kernel,
     sample_renewal_events as _sample_lifetime_events,
+)
+from repro.sim.parallel import (
+    DEFAULT_CHUNK_TRIALS,
+    ProgressCallback,
+    run_chunks,
 )
 from repro.results import ResultBase, register_result
 from repro.util.checks import check_positive
@@ -98,7 +104,7 @@ class LifetimeResult(ResultBase):
 class RecoverabilityOracle:
     """Exact-pattern oracle with a fast path: few failures always survive.
 
-    A picklable callable (unlike a closure) so the parallel runner can ship
+    A picklable callable (unlike a closure) so the chunk driver can ship
     it to worker processes. The failed set is passed straight to the peeler
     — no per-call sort — since :func:`is_recoverable` accepts any iterable.
     """
@@ -199,55 +205,22 @@ def _walk_trial_telemetry(
     return lost_at
 
 
-def simulate_lifetimes(
-    n_disks: int,
-    mttf_hours: float,
-    mttr_hours: float,
-    oracle: Callable[[Set[int]], bool],
-    horizon_hours: float,
-    trials: int = 1000,
-    seed: Optional[int] = 0,
-    telemetry: Optional[Telemetry] = None,
-    kernel: str = "auto",
+def _lifetime_chunk(
+    state, spec, tel, *, screened, n_disks, mttf_hours, mttr_hours,
+    horizon_hours,
 ) -> LifetimeResult:
-    """Simulate *trials* missions; each ends at data loss or the horizon.
+    """Sample and walk one chunk of missions; *state* is ``(oracle,)``.
 
-    Failures are exponential per online disk; repairs are exponential per
-    failed disk (parallel repair — matching the Markov chain's ``j * μ``
-    repair rate). Every trial's failure/repair arrivals are pre-sampled
-    in whole batches from ``numpy.random.default_rng(seed)``, so the
-    result is a deterministic function of ``(trials, seed)``.
-
-    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
-    are walked, never the answer. ``vectorized`` runs a whole-batch
-    concurrency filter that proves most trials loss-free without a
-    single oracle call — only trials whose peak concurrent failures
-    exceed the oracle's guaranteed tolerance are walked, from their
-    first exceedance, with the exact oracle (:func:`_walk_trial`); at
-    realistic rates that is a few percent of trials. ``event`` is the
-    same function with an empty screen: every trial of the same plane is
-    walked from its first event with the oracle consulted on every
-    failure arrival (:func:`_walk_trial_telemetry`).
-
-    *telemetry* (default: ambient, a no-op unless a collecting instance
-    is installed) receives sim-domain counters and failure / repair /
-    data-loss events with simulated-hour stamps. A collecting run needs
-    those per-event records for every trial, so it takes the full walk
-    whatever *kernel* says — from the *same* pre-sampled arrays, so
-    enabling ``--metrics-out`` never changes the simulated outcome and
-    the registry is identical across kernels.
+    The chunk's arrivals are pre-sampled in whole batches from
+    ``numpy.random.default_rng(derive_chunk_seed(spec.seed, spec.index))``
+    — a per-chunk stream, so chunk 0 of a run draws from the run seed
+    itself — and *screened* (the ``vectorized`` kernel) only decides how
+    many trials of that plane are walked (see :func:`simulate_lifetimes`).
     """
-    screened = resolve_kernel(kernel) == "vectorized"
-    check_positive("n_disks", n_disks, 2)
-    check_positive("trials", trials, 1)
-    if not all(
-        0 < hours < math.inf
-        for hours in (mttf_hours, mttr_hours, horizon_hours)
-    ):
-        raise SimulationError("rates and horizon must be positive and finite")
-    tel = telemetry if telemetry is not None else ambient()
+    (oracle,) = state
+    trials = spec.size
     prof = ambient_profiler()
-    rng = _np.random.default_rng(seed)
+    rng = _np.random.default_rng(derive_chunk_seed(spec.seed, spec.index))
 
     with prof.phase("sample"):
         times, kinds, disks, counts, starts = _sample_lifetime_events(
@@ -306,3 +279,70 @@ def simulate_lifetimes(
         loss_times=tuple(loss_times),
         horizon_hours=horizon_hours,
     )
+
+
+def simulate_lifetimes(
+    n_disks: int,
+    mttf_hours: float,
+    mttr_hours: float,
+    oracle: Callable[[Set[int]], bool],
+    horizon_hours: float,
+    trials: int = 1000,
+    seed: Optional[int] = 0,
+    telemetry: Optional[Telemetry] = None,
+    kernel: str = "auto",
+    *,
+    chunk_trials: int = DEFAULT_CHUNK_TRIALS,
+    jobs: int = 1,
+    progress: Optional[ProgressCallback] = None,
+) -> LifetimeResult:
+    """Simulate *trials* missions; each ends at data loss or the horizon.
+
+    Failures are exponential per online disk; repairs are exponential per
+    failed disk (parallel repair — matching the Markov chain's ``j * μ``
+    repair rate). Missions run in chunks of *chunk_trials*
+    (:func:`~repro.sim.parallel.run_chunks`), each sampling its own
+    plane (:func:`_lifetime_chunk`), so the result is a deterministic
+    function of ``(trials, seed, chunk_trials)`` — never of *jobs* or
+    *kernel*. *oracle* must be picklable when ``jobs > 1`` (use the
+    oracle classes of this module, not ad-hoc closures); it is broadcast
+    to the persistent pool once, not shipped per chunk.
+
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
+    are walked, never the answer. ``vectorized`` runs a whole-batch
+    concurrency filter that proves most trials loss-free without a
+    single oracle call — only trials whose peak concurrent failures
+    exceed the oracle's guaranteed tolerance are walked, from their
+    first exceedance, with the exact oracle (:func:`_walk_trial`); at
+    realistic rates that is a few percent of trials. ``event`` is the
+    same function with an empty screen: every trial of the same plane is
+    walked from its first event with the oracle consulted on every
+    failure arrival (:func:`_walk_trial_telemetry`).
+
+    *telemetry* (default: ambient, a no-op unless a collecting instance
+    is installed) receives sim-domain counters and failure / repair /
+    data-loss events with simulated-hour stamps. A collecting run needs
+    those per-event records for every trial, so it takes the full walk
+    whatever *kernel* says — from the *same* pre-sampled arrays, so
+    enabling ``--metrics-out`` never changes the simulated outcome and
+    the registry is identical across kernels. *telemetry* and *progress*
+    follow :func:`~repro.sim.parallel.run_chunks`' contract.
+    """
+    screened = resolve_kernel(kernel) == "vectorized"
+    check_positive("n_disks", n_disks, 2)
+    if not all(
+        0 < hours < math.inf
+        for hours in (mttf_hours, mttr_hours, horizon_hours)
+    ):
+        raise SimulationError("rates and horizon must be positive and finite")
+    parts = run_chunks(
+        "simulate_lifetimes", dict(trials=trials, jobs=jobs),
+        _lifetime_chunk, (oracle,),
+        dict(
+            screened=screened, n_disks=n_disks, mttf_hours=mttf_hours,
+            mttr_hours=mttr_hours, horizon_hours=horizon_hours,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
+    )
+    return LifetimeResult.merged(parts)

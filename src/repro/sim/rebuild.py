@@ -26,12 +26,15 @@ read parallelism translates into end-to-end speedup).
 
 Foreground load is modeled as a fraction of each disk's bandwidth reserved
 for user I/O (E9's rebuild-under-load sweep).
+
+:class:`RebuildTimer` memoizes either clock per failed pattern for the
+lifecycle and fleet simulators, whose repair durations it supplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
@@ -314,3 +317,64 @@ def simulate_rebuild(
         raid5_seconds=disk.raid5_rebuild_seconds,
         writes_per_disk=tuple(sorted(write_counts.items())),
     )
+
+
+#: Rebuild-time evaluation methods accepted by the lifecycle machinery.
+REBUILD_METHODS = ("analytic", "event")
+
+
+@dataclass(frozen=True)
+class RebuildTimer:
+    """Pattern -> (rebuild hours, bytes read), layout-derived and memoized.
+
+    A picklable callable (the chunk driver ships it to workers; each
+    process grows its own memo). ``method`` selects the bandwidth-bound
+    analytic bound or the event-driven FCFS simulation.
+    """
+
+    layout: Layout
+    disk: DiskModel
+    sparing: str = "distributed"
+    method: str = "analytic"
+    batches: int = 8
+
+    def __post_init__(self) -> None:
+        if self.method not in REBUILD_METHODS:
+            raise SimulationError(
+                f"unknown rebuild method {self.method!r} "
+                f"(expected one of {REBUILD_METHODS})"
+            )
+
+    def _evaluate(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
+        tel = ambient()
+        if tel.enabled:
+            tel.count("rebuild.memo_misses")
+        with tel.span("rebuild_evaluate", failed=len(failed), method=self.method):
+            return self._evaluate_plan(failed)
+
+    def _evaluate_plan(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
+        if self.method == "event":
+            result = simulate_rebuild(
+                self.layout,
+                failed,
+                self.disk,
+                sparing=self.sparing,
+                batches=self.batches,
+            )
+        else:
+            result = analytic_rebuild_time(
+                self.layout, failed, self.disk, sparing=self.sparing
+            )
+        return (result.seconds / 3600.0, result.bytes_read)
+
+    def __call__(self, failed: FrozenSet[int]) -> Tuple[float, float]:
+        memo = self.__dict__.setdefault("_memo", {})
+        cached = memo.get(failed)
+        if cached is None:
+            cached = self._evaluate(tuple(sorted(failed)))
+            memo[failed] = cached
+        else:
+            tel = ambient()
+            if tel.enabled:
+                tel.count("rebuild.memo_hits")
+        return cached

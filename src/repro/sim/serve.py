@@ -50,9 +50,9 @@ which kernel consumes the trace can never change a float of it:
   pure speed knob.
 
 Results are :class:`ServeResult` (pooled latencies + I/O accounting +
-rebuild completion), mergeable in chunk order so
-:func:`~repro.sim.parallel.simulate_serve_parallel` is bit-identical for
-any worker count — the same contract as every other simulator here.
+rebuild completion), merged in chunk order so :func:`simulate_serve` is
+bit-identical for any worker count — the same contract as every other
+simulator here.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ from repro.sim.columnar import (
     TrialStreams,
     derive_chunk_seed,
     derive_lane_seeds,
-    fresh_seed,
     resolve_kernel,
 )
 from repro.sim.engine import FcfsServer, Simulator
 from repro.sim.latency import LatencyModel
+from repro.sim.parallel import ProgressCallback, run_chunks
 from repro.util.checks import check_finite, check_positive, check_probability
 from repro.util.stats import mean, percentile
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
@@ -315,34 +315,6 @@ class ServeResult(ResultBase):
     def rebuild_complete(self) -> bool:
         """Did every injected rebuild op finish in every trial?"""
         return self.rebuild_ops_done == self.rebuild_ops
-
-
-def merge_serve_results(parts: Sequence[ServeResult]) -> ServeResult:
-    """Combine per-chunk serving outcomes in the given (chunk) order."""
-    if not parts:
-        raise SimulationError("no chunk results to merge")
-    latencies: List[float] = []
-    rebuild_s: List[float] = []
-    foreground_s: List[float] = []
-    for p in parts:
-        latencies.extend(p.latencies_ms)
-        rebuild_s.extend(p.rebuild_seconds_per_trial)
-        foreground_s.extend(p.foreground_seconds_per_trial)
-    return ServeResult(
-        trials=sum(p.trials for p in parts),
-        requests=sum(p.requests for p in parts),
-        reads=sum(p.reads for p in parts),
-        writes=sum(p.writes for p in parts),
-        degraded_reads=sum(p.degraded_reads for p in parts),
-        degraded_writes=sum(p.degraded_writes for p in parts),
-        device_reads=sum(p.device_reads for p in parts),
-        device_writes=sum(p.device_writes for p in parts),
-        latencies_ms=tuple(latencies),
-        rebuild_ops=sum(p.rebuild_ops for p in parts),
-        rebuild_ops_done=sum(p.rebuild_ops_done for p in parts),
-        rebuild_seconds_per_trial=tuple(rebuild_s),
-        foreground_seconds_per_trial=tuple(foreground_s),
-    )
 
 
 class _RebuildOp:
@@ -1090,92 +1062,46 @@ def _serve_event_trial(
     return busy, issued, done_at, rebuild_done, rebuild_finish
 
 
-def simulate_serve(
-    layout: Layout,
-    workload: Union[WorkloadSpec, Sequence[Request]] = WorkloadSpec(),
-    failed_disks: Sequence[int] = (),
-    arrival: ArrivalProcess = OpenLoop(100.0),
-    model: Optional[LatencyModel] = None,
-    throttle: Optional[ThrottlePolicy] = None,
-    sparing: str = "distributed",
-    rebuild_batches: int = 1,
-    seed: Optional[int] = 0,
-    telemetry: Optional[Telemetry] = None,
-    tables: Optional[ServeTables] = None,
-    kernel: str = "auto",
-    *,
-    trials: int = 1,
-    trial_seeds: Optional[Sequence[int]] = None,
+#: Serving trials per chunk when every trial is walked end to end. One
+#: trial per chunk — such a replication is far heavier than a Monte-Carlo
+#: mission.
+DEFAULT_CHUNK_SERVE_TRIALS = 1
+
+#: Serving trials per chunk when the vectorized sweep applies (after a
+#: walked rebuild prefix, if any): wide chunks amortize the numpy
+#: dispatch over ``(trials x disks)`` queue lanes. Safe for any value —
+#: per-trial seeds are global, so chunk geometry never changes the result.
+VECTORIZED_CHUNK_SERVE_TRIALS = 16
+
+
+def _serve_chunk(
+    state, spec, tel, *, swept, workload, arrival, model, throttle,
 ) -> ServeResult:
-    """Serve a foreground workload against a (possibly degraded) array.
+    """Sample, walk and sweep one chunk of serving trials.
 
-    *workload* is either a picklable :class:`WorkloadSpec` recipe
-    (materialized against the layout's user address space from each
-    trial seed's columnar draw lanes) or an explicit request sequence.
-    *throttle* of ``None`` injects no rebuild traffic; otherwise the
-    recovery plan of *failed_disks* is tiled *rebuild_batches* times and
-    dispatched per the policy.
-
-    *trials* independent replications are pooled in trial order. Trial
-    ``t`` is seeded ``derive_chunk_seed(seed, t)`` (trial 0 is *seed*
-    itself), so the result equals the merge of single-trial calls seeded
-    the same way — bit for bit, for any batch size. *trial_seeds*
-    overrides that derivation with explicit per-trial seeds (the
-    parallel runner passes each chunk's global trial seeds so chunk
-    geometry can't change the result).
-
-    *tables* optionally supplies the precomputed routing of
-    :func:`build_serve_tables` — callers running many trials of the same
-    scenario (the parallel runner broadcasts one instance to every
-    worker) skip re-planning the recovery per call. The tables must
-    have been built for this layout and the same ``failed_disks`` /
-    ``sparing`` / ``rebuild_batches``; a mismatch raises.
-
-    *kernel* (:data:`~repro.sim.columnar.KERNELS`) picks the execution
-    strategy, never the answer: every trial's trace is sampled once.
-    ``vectorized``, where :func:`serve_batch_supported` holds, walks each
-    trial through the discrete-event heap only until its last rebuild op
-    has queued its writes (not at all without rebuild traffic) and runs
-    the rest of every trial as one batched Lindley sweep across every
-    ``(trial, disk)`` queue lane; ``event`` — and ``vectorized`` on
-    every other config — walks each trial's whole trace. Either way one
-    array tail turns completion times into latencies and counters.
-    Telemetry-collecting runs always take the full walk (its per-event
-    observation stream *is* the telemetry contract).
-
-    Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
-    not a survivable pattern (there is nothing to serve). The result is
-    a deterministic function of the arguments (the engine breaks ties by
-    schedule order), which is what the parallel runner's per-trial
-    seeding builds on.
+    *state* is the broadcast ``(tables,)`` — the routing tables (recovery
+    plan, degraded fan-outs, rebuild ops) are computed once by
+    :func:`simulate_serve` and shipped to each worker exactly once, so
+    trials skip re-planning. Trial ``spec.start + i`` is seeded
+    ``derive_chunk_seed(spec.seed, spec.start + i)`` — a global trial
+    index, never the chunk geometry — so the merged result is
+    bit-identical for any chunk size. *swept* is the ``vectorized``
+    kernel on a config :func:`serve_batch_supported` admits.
     """
-    swept = resolve_kernel(kernel) == "vectorized"
-    if trial_seeds is not None:
-        seeds = tuple(int(s) for s in trial_seeds)
-        if not seeds:
-            raise SimulationError("trial_seeds must be non-empty")
-    else:
-        if trials < 1:
-            raise SimulationError(f"trials must be >= 1, got {trials}")
-        if seed is None:
-            seed = fresh_seed()
-        seeds = tuple(derive_chunk_seed(seed, t) for t in range(trials))
-    trials = len(seeds)
+    (tables,) = state
+    trials = spec.size
     prof = ambient_profiler()
-    tel = telemetry if telemetry is not None else ambient()
     with prof.phase("sample"):
-        model = model or LatencyModel()
-        tables = _resolve_tables(
-            layout, failed_disks, sparing, rebuild_batches, tables
+        trace = _sample_traces(
+            workload, tables.n_units, arrival,
+            [
+                derive_chunk_seed(spec.seed, spec.start + i)
+                for i in range(trials)
+            ],
         )
-        trace = _sample_traces(workload, tables.n_units, arrival, seeds)
 
     ops = tables.rebuild_ops if throttle is not None else ()
-    handoff = (
-        swept
-        and not tel.enabled
-        and serve_batch_supported(arrival, throttle)
-    )
+    handoff = swept and not tel.enabled
     walks = None
     if ops or not handoff:
         with use_telemetry(tel), prof.phase("replay"):
@@ -1195,3 +1121,93 @@ def simulate_serve(
         prof.count("serve.walked_requests", walked)
         prof.count("serve.swept_requests", result.requests - walked)
     return result
+
+
+def simulate_serve(
+    layout: Layout,
+    workload: Union[WorkloadSpec, Sequence[Request]] = WorkloadSpec(),
+    failed_disks: Sequence[int] = (),
+    arrival: ArrivalProcess = OpenLoop(100.0),
+    model: Optional[LatencyModel] = None,
+    throttle: Optional[ThrottlePolicy] = None,
+    sparing: str = "distributed",
+    rebuild_batches: int = 1,
+    seed: Optional[int] = 0,
+    telemetry: Optional[Telemetry] = None,
+    tables: Optional[ServeTables] = None,
+    kernel: str = "auto",
+    *,
+    trials: int = 1,
+    chunk_trials: Optional[int] = None,
+    jobs: int = 1,
+    progress: Optional[ProgressCallback] = None,
+) -> ServeResult:
+    """Serve a foreground workload against a (possibly degraded) array.
+
+    *workload* is either a picklable :class:`WorkloadSpec` recipe
+    (materialized against the layout's user address space from each
+    trial seed's columnar draw lanes) or an explicit request sequence.
+    *throttle* of ``None`` injects no rebuild traffic; otherwise the
+    recovery plan of *failed_disks* is tiled *rebuild_batches* times and
+    dispatched per the policy.
+
+    *trials* independent replications run in chunks
+    (:func:`~repro.sim.parallel.run_chunks`, :func:`_serve_chunk`) and
+    are pooled in trial order. Trial ``t`` is seeded
+    ``derive_chunk_seed(seed, t)`` (trial 0 is *seed* itself), so the
+    pooled latencies, counters and merged telemetry are bit-identical
+    for any *jobs* and any *chunk_trials*. When the vectorized sweep
+    applies (below), chunks default to
+    :data:`VECTORIZED_CHUNK_SERVE_TRIALS` trials so one numpy sweep
+    covers a whole chunk; otherwise one trial per chunk
+    (:data:`DEFAULT_CHUNK_SERVE_TRIALS`). *chunk_trials* overrides
+    either default and only changes the progress-callback granularity.
+
+    *tables* optionally supplies the precomputed routing of
+    :func:`build_serve_tables` — callers running many sweep points of the
+    same scenario skip re-planning the recovery per call; either way one
+    instance is broadcast to every worker. The tables must have been
+    built for this layout and the same ``failed_disks`` / ``sparing`` /
+    ``rebuild_batches``; a mismatch raises.
+
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) picks the execution
+    strategy, never the answer: every trial's trace is sampled once.
+    ``vectorized``, where :func:`serve_batch_supported` holds, walks each
+    trial through the discrete-event heap only until its last rebuild op
+    has queued its writes (not at all without rebuild traffic) and runs
+    the rest of every trial as one batched Lindley sweep across every
+    ``(trial, disk)`` queue lane; ``event`` — and ``vectorized`` on
+    every other config — walks each trial's whole trace. Either way one
+    array tail turns completion times into latencies and counters.
+    Telemetry-collecting runs always take the full walk (its per-event
+    observation stream *is* the telemetry contract).
+
+    Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
+    not a survivable pattern (there is nothing to serve). The result is
+    a deterministic function of the arguments (the engine breaks ties by
+    schedule order).
+    """
+    swept = resolve_kernel(kernel) == "vectorized" and serve_batch_supported(
+        arrival, throttle
+    )
+    tables = _resolve_tables(
+        layout, failed_disks, sparing, rebuild_batches, tables
+    )
+    tel = telemetry if telemetry is not None else ambient()
+    if chunk_trials is None:
+        chunk_trials = (
+            VECTORIZED_CHUNK_SERVE_TRIALS
+            if swept and not tel.enabled
+            else DEFAULT_CHUNK_SERVE_TRIALS
+        )
+    parts = run_chunks(
+        "simulate_serve", dict(trials=trials, jobs=jobs),
+        _serve_chunk, (tables,),
+        dict(
+            swept=swept, workload=workload, arrival=arrival,
+            model=model or LatencyModel(), throttle=throttle,
+        ),
+        trials, chunk_trials,
+        seed=seed, jobs=jobs, telemetry=tel, progress=progress,
+    )
+    return ServeResult.merged(parts)

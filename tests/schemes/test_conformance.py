@@ -12,7 +12,7 @@ import pytest
 
 from repro import Scenario, build_scheme_layout, run, scheme, scheme_names
 from repro.layouts import is_recoverable
-from repro.sim.parallel import simulate_lifecycle_parallel
+from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.rebuild import DiskModel
 
 TINY_DISK = DiskModel(
@@ -66,7 +66,7 @@ class TestSchemeConformance:
     def test_jobs_determinism(self, name):
         layout = build_scheme_layout(name)
         serial, fanned = (
-            simulate_lifecycle_parallel(
+            simulate_lifecycle(
                 layout,
                 MTTF_HOURS,
                 HORIZON_HOURS,

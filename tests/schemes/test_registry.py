@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Scenario
-from repro.errors import LayoutError, SimulationError
+from repro.errors import LayoutError, ParameterError, SimulationError
 from repro.scenario import scenario_config
 from repro.layouts import HierarchicalLayout, LrcLayout, Raid50Layout
 from repro.schemes import (
@@ -106,6 +106,26 @@ class TestScenarioSchemeWiring:
     def test_bad_scheme_param_rejected_at_construction(self):
         with pytest.raises(SimulationError, match="no parameter"):
             Scenario(kind="rebuild", scheme="rep3", scheme_params={"x": 1})
+
+    @pytest.mark.parametrize("scheme_name, knob, value, expects", [
+        ("rs", "parities", "abc", "int"),
+        ("rs", "parities", 2.5, "int"),
+        ("rs", "parities", True, "int"),
+        ("oi", "skewed", "maybe", "bool"),
+        ("oi", "skewed", 1, "bool"),
+    ])
+    def test_wrong_typed_scheme_param_rejected_at_construction(
+        self, scheme_name, knob, value, expects
+    ):
+        with pytest.raises(ParameterError) as caught:
+            Scenario(
+                kind="rebuild", scheme=scheme_name,
+                scheme_params={knob: value},
+            )
+        assert str(caught.value) == (
+            f"scheme {scheme_name!r} parameter {knob!r} "
+            f"expects {expects}, got {value!r}"
+        )
 
     def test_config_fingerprints_the_scheme(self):
         s = Scenario(

@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.results import result_from_dict
 from repro.sim.fleet import FleetResult, simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
-from repro.sim.parallel import simulate_fleet_parallel
 from repro.sim.rebuild import DiskModel
 from repro.layouts import Raid50Layout
 from repro.obs.telemetry import Telemetry
@@ -33,7 +32,7 @@ class TestFleetKernel:
         )
         life = simulate_lifecycle(
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK, trials=800, seed=3,
-            kernel="vectorized",
+            kernel="vectorized", chunk_trials=800,
         )
         assert fleet.raw_losses == life.losses
         assert fleet.lse_losses == life.lse_losses
@@ -84,15 +83,14 @@ class TestFleetKernel:
 
 class TestJobsInvariance:
     def test_serial_equals_parallel_for_any_jobs(self):
-        """The bit-identical-for-any-jobs contract, strengthened: the
-        parallel runner equals the *serial* kernel too, float weight
-        sums included (dataclass equality compares every field)."""
+        """The bit-identical-for-any-jobs contract, float weight sums
+        included (dataclass equality compares every field)."""
         base = simulate_fleet(
             LAYOUT, arrays=30, trials=40, seed=11, lambda_boost=1.4,
             chunk_missions=256, **RARE,
         )
         for jobs in (1, 2, 4):
-            par = simulate_fleet_parallel(
+            par = simulate_fleet(
                 LAYOUT, arrays=30, trials=40, seed=11, lambda_boost=1.4,
                 jobs=jobs, chunk_missions=256, **RARE,
             )

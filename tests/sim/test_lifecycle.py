@@ -6,15 +6,12 @@ from repro.errors import LayoutError, SimulationError
 from repro.layouts import Raid5Layout, Raid6Layout, Raid50Layout
 from repro.layouts.recovery import cells_recoverable
 from repro.sim.lifecycle import (
+    LifecycleResult,
     RebuildTimer,
     derived_markov_model,
     derived_mttr,
     guaranteed_tolerance,
     simulate_lifecycle,
-)
-from repro.sim.parallel import (
-    merge_lifecycle_results,
-    simulate_lifecycle_parallel,
 )
 from repro.sim.rebuild import DiskModel, analytic_rebuild_time
 from repro.util.units import GIB
@@ -197,31 +194,21 @@ class TestParallel:
         kwargs = dict(
             disk=DISK, trials=60, seed=11, chunk_trials=16,
         )
-        serial = simulate_lifecycle_parallel(
+        serial = simulate_lifecycle(
             layout, 500.0, 2000.0, jobs=1, **kwargs
         )
-        fanned = simulate_lifecycle_parallel(
+        fanned = simulate_lifecycle(
             layout, 500.0, 2000.0, jobs=3, **kwargs
         )
         assert serial == fanned
-
-    def test_single_chunk_matches_serial_kernel(self):
-        layout = Raid50Layout(3, 3)
-        chunked = simulate_lifecycle_parallel(
-            layout, 500.0, 2000.0, disk=DISK, trials=20, seed=4, jobs=1
-        )
-        direct = simulate_lifecycle(
-            layout, 500.0, 2000.0, disk=DISK, trials=20, seed=4
-        )
-        assert chunked == direct
 
     def test_merge_requires_same_horizon(self):
         layout = Raid5Layout(4)
         a = simulate_lifecycle(layout, 1e6, 100.0, trials=2, seed=0)
         b = simulate_lifecycle(layout, 1e6, 200.0, trials=2, seed=0)
         with pytest.raises(SimulationError):
-            merge_lifecycle_results([a, b])
+            LifecycleResult.merged([a, b])
 
     def test_merge_empty_rejected(self):
         with pytest.raises(SimulationError):
-            merge_lifecycle_results([])
+            LifecycleResult.merged([])

@@ -14,7 +14,6 @@ from repro.sim.lifecycle import (
     guaranteed_tolerance,
     simulate_lifecycle,
 )
-from repro.sim.parallel import simulate_lifecycle_parallel
 from repro.sim.rebuild import DiskModel
 from repro.util.units import GIB
 
@@ -133,7 +132,7 @@ class TestKernelBitIdentity:
 class TestParallelKernelContract:
     def test_kernel_and_jobs_never_change_the_result(self, fano_layout):
         results = [
-            simulate_lifecycle_parallel(
+            simulate_lifecycle(
                 fano_layout, 600.0, 2500.0, disk=DISK, trials=90, seed=9,
                 jobs=jobs, chunk_trials=16, kernel=kernel,
             ).to_dict()
@@ -144,7 +143,7 @@ class TestParallelKernelContract:
 
     def test_unknown_kernel_is_rejected_up_front(self, fano_layout):
         with pytest.raises(SimulationError):
-            simulate_lifecycle_parallel(
+            simulate_lifecycle(
                 fano_layout, 600.0, 2500.0, disk=DISK, trials=10,
                 kernel="warp",
             )
@@ -155,7 +154,7 @@ class TestTelemetryInvariance:
         captures = {}
         for kernel in ("event", "vectorized"):
             tel = Telemetry.collecting()
-            result = simulate_lifecycle_parallel(
+            result = simulate_lifecycle(
                 fano_layout, 700.0, 2500.0, disk=DISK, trials=30, seed=4,
                 lse_rate_per_byte=1e-13, kernel=kernel, telemetry=tel,
             )

@@ -17,7 +17,6 @@ from repro.sim.montecarlo import (
     simulate_lifetimes,
     threshold_oracle,
 )
-from repro.sim.parallel import simulate_lifetimes_parallel
 from tests.sim.reference_lifetimes import heap_walk_lifetimes
 
 #: 21 disks at accelerated rates: a few percent of trials outgrow a
@@ -44,7 +43,7 @@ class TestKernelBitIdentity:
         plain, collected = {}, {}
 
         def run(kernel, telemetry=None):
-            return simulate_lifetimes_parallel(
+            return simulate_lifetimes(
                 RATES["n_disks"], RATES["mttf_hours"], RATES["mttr_hours"],
                 oracle, HORIZON, trials=600, seed=seed, jobs=jobs,
                 kernel=kernel, telemetry=telemetry,
@@ -77,7 +76,7 @@ class TestTwoDifferentPaths:
             with use_profiler(prof):
                 simulate_lifetimes(
                     oracle=oracle, horizon_hours=HORIZON, trials=400,
-                    seed=0, kernel=kernel, **RATES,
+                    chunk_trials=400, seed=0, kernel=kernel, **RATES,
                 )
             profiles[kernel] = prof
         event, vec = profiles["event"], profiles["vectorized"]

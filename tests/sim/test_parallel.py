@@ -1,9 +1,14 @@
-"""The parallel simulation engine: determinism, merging, fan-out."""
+"""The chunk driver: determinism, merging, fan-out."""
 
 import pytest
 
+from repro.core.oi_layout import oi_raid
 from repro.core.tolerance import survivable_fraction
 from repro.errors import SimulationError
+from repro.obs.ledger import result_digest
+from repro.sim.columnar import derive_chunk_seed
+from repro.sim.fleet import simulate_fleet
+from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.montecarlo import (
     LifetimeResult,
     recoverability_oracle,
@@ -12,14 +17,13 @@ from repro.sim.montecarlo import (
 )
 from repro.sim.parallel import (
     chunk_sizes,
-    count_survivable_parallel,
+    count_survivable,
     default_jobs,
-    derive_chunk_seed,
-    merge_lifetime_results,
     parallel_map,
-    simulate_lifetimes_parallel,
-    survivable_fraction_parallel,
 )
+from repro.sim.rebuild import DiskModel
+from repro.sim.serve import FixedRateThrottle, simulate_serve
+from repro.workloads.generators import WorkloadSpec
 
 
 def _square(x):
@@ -53,7 +57,7 @@ class TestMerge:
     def test_merge_sums_and_concatenates_in_order(self):
         a = LifetimeResult(10, 2, (1.0, 2.0), 100.0)
         b = LifetimeResult(5, 1, (3.0,), 100.0)
-        merged = merge_lifetime_results([a, b])
+        merged = LifetimeResult.merged([a, b])
         assert merged.trials == 15
         assert merged.losses == 3
         assert merged.loss_times == (1.0, 2.0, 3.0)
@@ -62,45 +66,27 @@ class TestMerge:
         a = LifetimeResult(10, 0, (), 100.0)
         b = LifetimeResult(10, 0, (), 200.0)
         with pytest.raises(SimulationError):
-            merge_lifetime_results([a, b])
+            LifetimeResult.merged([a, b])
 
     def test_merge_rejects_empty(self):
         with pytest.raises(SimulationError):
-            merge_lifetime_results([])
+            LifetimeResult.merged([])
 
 
 class TestDeterminism:
     def test_jobs1_equals_jobs4_bit_identical(self):
         args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
-        serial = simulate_lifetimes_parallel(
+        serial = simulate_lifetimes(
             *args, trials=1000, seed=9, jobs=1, chunk_trials=128
         )
-        parallel = simulate_lifetimes_parallel(
+        parallel = simulate_lifetimes(
             *args, trials=1000, seed=9, jobs=4, chunk_trials=128
         )
         assert serial == parallel  # trials, losses, loss_times, horizon
 
-    def test_single_chunk_matches_serial_kernel(self):
-        args = (6, 500.0, 50.0, threshold_oracle(1), 1000.0)
-        chunked = simulate_lifetimes_parallel(
-            *args, trials=50, seed=3, kernel="event"
-        )
-        legacy = simulate_lifetimes(*args, trials=50, seed=3, kernel="event")
-        assert chunked == legacy
-
-    def test_single_chunk_matches_vectorized_kernel(self):
-        args = (6, 500.0, 50.0, threshold_oracle(1), 1000.0)
-        chunked = simulate_lifetimes_parallel(
-            *args, trials=50, seed=3, kernel="vectorized"
-        )
-        direct = simulate_lifetimes(
-            *args, trials=50, seed=3, kernel="vectorized"
-        )
-        assert chunked == direct
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SimulationError, match="kernel"):
-            simulate_lifetimes_parallel(
+            simulate_lifetimes(
                 6, 500.0, 50.0, threshold_oracle(1), 1000.0,
                 trials=10, kernel="quantum",
             )
@@ -108,39 +94,80 @@ class TestDeterminism:
     def test_chunking_independent_of_jobs_with_layout_oracle(self, fano_layout):
         oracle = recoverability_oracle(fano_layout, guaranteed_tolerance=3)
         args = (21, 2000.0, 40.0, oracle, 3000.0)
-        one = simulate_lifetimes_parallel(
+        one = simulate_lifetimes(
             *args, trials=300, seed=1, jobs=1, chunk_trials=100
         )
-        two = simulate_lifetimes_parallel(
+        two = simulate_lifetimes(
             *args, trials=300, seed=1, jobs=2, chunk_trials=100
         )
         assert one == two
 
     def test_random_seed_still_merges(self):
-        result = simulate_lifetimes_parallel(
+        result = simulate_lifetimes(
             4, 1e9, 1.0, threshold_oracle(3), 100.0, trials=10, seed=None
         )
         assert result.trials == 10
 
     def test_jobs_validation(self):
         with pytest.raises(SimulationError):
-            simulate_lifetimes_parallel(
+            simulate_lifetimes(
                 4, 100.0, 1.0, threshold_oracle(1), 10.0, trials=5, jobs=0
             )
+
+
+_LAYOUT = oi_raid(7, 3)
+_DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
+
+#: One small run per chunked simulator as ``(chunk keyword, is the chunk
+#: size outside the sampled plane too?, run(**jobs_and_chunk))``.
+_CHUNKED = {
+    "lifetimes": ("chunk_trials", False, lambda **kw: simulate_lifetimes(
+        21, 2000.0, 40.0, recoverability_oracle(_LAYOUT, 3), 3000.0,
+        trials=20, seed=5, **kw)),
+    "lifecycle": ("chunk_trials", False, lambda **kw: simulate_lifecycle(
+        _LAYOUT, 800.0, 2000.0, disk=_DISK, trials=20, seed=7, **kw)),
+    "fleet": ("chunk_missions", True, lambda **kw: simulate_fleet(
+        _LAYOUT, 800.0, 2000.0, disk=_DISK, arrays=4, trials=5, seed=11,
+        **kw)),
+    "serve": ("chunk_trials", True, lambda **kw: simulate_serve(
+        _LAYOUT, WorkloadSpec(n_requests=60), failed_disks=(0,),
+        throttle=FixedRateThrottle(300.0), trials=5, seed=9, **kw)),
+}
+
+
+class TestJobsAndChunkMatrix:
+    """``jobs`` in {1, 2} x chunk in {1, 3, default}, every simulator."""
+
+    @pytest.mark.parametrize("name", list(_CHUNKED))
+    def test_jobs_never_and_chunks_rarely_move_a_bit(self, name):
+        keyword, chunk_free, run = _CHUNKED[name]
+        digests = {
+            (jobs, chunk): result_digest(
+                run(jobs=jobs, **({keyword: chunk} if chunk else {})).to_dict()
+            )
+            for jobs in (1, 2)
+            for chunk in (1, 3, None)
+        }
+        for chunk in (1, 3, None):
+            assert digests[1, chunk] == digests[2, chunk], chunk
+        # Global trial seeds (serve) and lanes (fleet at boost 1, where
+        # every weight is an integer) put chunk size outside the plane;
+        # lifetimes and lifecycle seed each chunk's plane by its index.
+        assert (len(set(digests.values())) == 1) == chunk_free
 
 
 class TestPatternSweep:
     def test_matches_serial_fraction(self, fano_layout):
         serial = survivable_fraction(fano_layout, 4, max_patterns=300)
-        parallel = survivable_fraction_parallel(
+        parallel = survivable_fraction(
             fano_layout, 4, max_patterns=300, jobs=2
         )
         assert serial == parallel
 
     def test_count_chunking_is_exact(self, fano_layout):
         patterns = [(a, b) for a in range(10) for b in range(a + 1, 12)]
-        direct = count_survivable_parallel(fano_layout, patterns, jobs=1)
-        fanned = count_survivable_parallel(
+        direct = count_survivable(fano_layout, patterns, jobs=1)
+        fanned = count_survivable(
             fano_layout, patterns, jobs=2, chunk_patterns=7
         )
         assert direct == fanned == len(patterns)  # 2 failures always survive

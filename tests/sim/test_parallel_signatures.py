@@ -1,30 +1,29 @@
-"""The shared-signature contract across the ``simulate_*_parallel`` family.
+"""The shared-signature contract across the chunked ``simulate_*`` family.
 
-Every parallel runner ends with the same keyword-only block, in the same
-order: ``seed``, ``jobs``, ``telemetry``, ``progress``. Introspection
-enforces it so a new runner (or a refactor of an old one) cannot drift
-back to positional seeds or shuffled trailing keywords.
+Every chunked simulator takes ``seed`` and ``telemetry`` with the same
+defaults and ends with the same keyword-only pair, in the same order:
+``jobs``, ``progress``. Introspection enforces it so a new simulator (or
+a refactor of an old one) cannot drift to a positional worker count or a
+second spelling of the driver's arguments.
 """
 
 import inspect
 
 import pytest
 
-from repro.sim.parallel import (
-    simulate_fleet_parallel,
-    simulate_lifecycle_parallel,
-    simulate_lifetimes_parallel,
-    simulate_serve_parallel,
-)
+from repro.sim.fleet import simulate_fleet
+from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.montecarlo import simulate_lifetimes
+from repro.sim.serve import simulate_serve
 
 RUNNERS = (
-    simulate_lifetimes_parallel,
-    simulate_lifecycle_parallel,
-    simulate_fleet_parallel,
-    simulate_serve_parallel,
+    simulate_lifetimes,
+    simulate_lifecycle,
+    simulate_fleet,
+    simulate_serve,
 )
 
-SHARED_TRAILING = ("seed", "jobs", "telemetry", "progress")
+SHARED_TRAILING = ("jobs", "progress")
 
 
 @pytest.mark.parametrize("runner", RUNNERS, ids=lambda f: f.__name__)
@@ -34,10 +33,6 @@ def test_shared_trailing_keywords_are_keyword_only_in_order(runner):
     assert tuple(p.name for p in tail) == SHARED_TRAILING, runner.__name__
     for param in tail:
         assert param.kind is inspect.Parameter.KEYWORD_ONLY, param.name
-    # and nothing before the tail is keyword-only: the shared block is
-    # exactly the keyword-only suffix, no stragglers hiding earlier
-    for param in params[: -len(SHARED_TRAILING)]:
-        assert param.kind is not inspect.Parameter.KEYWORD_ONLY, param.name
 
 
 @pytest.mark.parametrize("runner", RUNNERS, ids=lambda f: f.__name__)

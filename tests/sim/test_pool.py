@@ -4,14 +4,12 @@ import pytest
 
 from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
-from repro.obs import PhaseProfiler, Telemetry, use_profiler
-from repro.sim.fleet import simulate_fleet
-from repro.sim.montecarlo import recoverability_oracle, threshold_oracle
-from repro.sim.parallel import (
-    simulate_fleet_parallel,
-    simulate_lifecycle_parallel,
-    simulate_lifetimes_parallel,
-    simulate_serve_parallel,
+from repro.obs import Telemetry
+from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.montecarlo import (
+    recoverability_oracle,
+    simulate_lifetimes,
+    threshold_oracle,
 )
 from repro.sim.pool import (
     batch_slices,
@@ -22,6 +20,7 @@ from repro.sim.pool import (
     state_fingerprint,
 )
 from repro.sim.rebuild import DiskModel
+from repro.sim.serve import simulate_serve
 from repro.workloads.arrivals import OpenLoop
 from repro.workloads.generators import WorkloadSpec
 
@@ -161,7 +160,7 @@ class TestPoolPathDeterminism:
         oracle = recoverability_oracle(LAYOUT, guaranteed_tolerance=3)
 
         def run(jobs, tel):
-            return simulate_lifetimes_parallel(
+            return simulate_lifetimes(
                 21, 2000.0, 40.0, oracle, 3000.0,
                 trials=300, seed=11, jobs=jobs, chunk_trials=64,
                 telemetry=tel,
@@ -171,7 +170,7 @@ class TestPoolPathDeterminism:
 
     def test_lifetimes_event_kernel(self):
         def run(jobs, tel):
-            return simulate_lifetimes_parallel(
+            return simulate_lifetimes(
                 8, 500.0, 50.0, threshold_oracle(1), 1000.0,
                 trials=400, seed=5, jobs=jobs, chunk_trials=64,
                 kernel="event", telemetry=tel,
@@ -181,7 +180,7 @@ class TestPoolPathDeterminism:
 
     def test_lifecycle(self):
         def run(jobs, tel):
-            return simulate_lifecycle_parallel(
+            return simulate_lifecycle(
                 LAYOUT, 800.0, 2000.0, disk=DISK,
                 trials=40, seed=3, jobs=jobs, chunk_trials=8,
                 telemetry=tel,
@@ -191,7 +190,7 @@ class TestPoolPathDeterminism:
 
     def test_serve(self):
         def run(jobs, tel):
-            return simulate_serve_parallel(
+            return simulate_serve(
                 LAYOUT,
                 WorkloadSpec(kind="uniform", n_requests=80),
                 failed_disks=[0],
@@ -200,27 +199,3 @@ class TestPoolPathDeterminism:
             )
 
         self._assert_invariant(run)
-
-
-class TestOneChunkDriver:
-    def test_serial_fleet_is_the_parallel_runner_at_jobs_1(self):
-        """``simulate_fleet`` has no loop of its own: result *and* merged
-        profile (phase calls, counters, chunk-ordered series) equal the
-        parallel runner's at ``jobs=1``."""
-        config = dict(
-            disk=DISK, arrays=30, trials=5, lambda_boost=1.4, seed=11,
-            chunk_missions=32,
-        )
-
-        def profiled(runner, **extra):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
-                result = runner(LAYOUT, 800.0, 2000.0, **config, **extra)
-            return result, prof.deterministic_dict()
-
-        serial, serial_profile = profiled(simulate_fleet)
-        driven, driven_profile = profiled(simulate_fleet_parallel, jobs=1)
-        assert serial == driven
-        assert serial_profile == driven_profile
-        # five chunks, each merged under its own parent ``merge`` span
-        assert serial_profile["phases"]["merge"]["calls"] == 5

@@ -11,10 +11,8 @@ never perturbs results or telemetry.
 import pytest
 
 from repro.obs import PhaseProfiler, Telemetry, use_profiler
-from repro.sim.parallel import (
-    simulate_fleet_parallel,
-    simulate_lifecycle_parallel,
-)
+from repro.sim.fleet import simulate_fleet
+from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.rebuild import DiskModel
 
 #: Tiny accelerated disk so rebuilds and losses happen within few trials.
@@ -24,7 +22,7 @@ DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
 def profiled_lifecycle(layout, jobs):
     prof = PhaseProfiler()
     with use_profiler(prof):
-        result = simulate_lifecycle_parallel(
+        result = simulate_lifecycle(
             layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
             jobs=jobs, chunk_trials=16,
         )
@@ -34,7 +32,7 @@ def profiled_lifecycle(layout, jobs):
 def profiled_fleet(layout, jobs):
     prof = PhaseProfiler()
     with use_profiler(prof):
-        result = simulate_fleet_parallel(
+        result = simulate_fleet(
             layout, 800.0, 2000.0, disk=DISK, arrays=40, trials=3,
             lambda_boost=4.0, seed=11, jobs=jobs, chunk_missions=32,
         )
@@ -76,7 +74,7 @@ class TestProfileJobsInvariance:
 
 class TestProfilerDoesNotPerturb:
     def test_profiled_result_matches_unprofiled(self, fano_layout):
-        bare = simulate_lifecycle_parallel(
+        bare = simulate_lifecycle(
             fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
             jobs=2, chunk_trials=16,
         )
@@ -85,13 +83,13 @@ class TestProfilerDoesNotPerturb:
 
     def test_telemetry_invariant_under_profiling(self, fano_layout):
         bare_tel = Telemetry.collecting()
-        bare = simulate_lifecycle_parallel(
+        bare = simulate_lifecycle(
             fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
             jobs=2, chunk_trials=16, telemetry=bare_tel,
         )
         prof_tel = Telemetry.collecting()
         with use_profiler(PhaseProfiler()):
-            profiled = simulate_lifecycle_parallel(
+            profiled = simulate_lifecycle(
                 fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
                 jobs=2, chunk_trials=16, telemetry=prof_tel,
             )

@@ -19,9 +19,7 @@ from repro.serve import (
     ServeResult,
     WorkloadSpec,
     build_serve_tables,
-    merge_serve_results,
     simulate_serve,
-    simulate_serve_parallel,
 )
 from repro.sim.latency import LatencyModel
 
@@ -242,14 +240,14 @@ class TestMergeAndResult:
     def test_merge_concatenates_in_order(self):
         a = serve(seed=1)
         b = serve(seed=2)
-        merged = merge_serve_results([a, b])
+        merged = ServeResult.merged([a, b])
         assert merged.trials == 2
         assert merged.latencies_ms == a.latencies_ms + b.latencies_ms
         assert merged.requests == a.requests + b.requests
 
     def test_merge_empty_rejected(self):
         with pytest.raises(SimulationError):
-            merge_serve_results([])
+            ServeResult.merged([])
 
     def test_rebuild_seconds_nan_without_rebuild(self):
         result = serve()
@@ -276,7 +274,7 @@ class TestParallelDeterminism:
     WORKLOAD = WorkloadSpec(kind="zipf", n_requests=120)
 
     def run_jobs(self, jobs, telemetry=None):
-        return simulate_serve_parallel(
+        return simulate_serve(
             LAYOUT,
             self.WORKLOAD,
             failed_disks=[0],
@@ -294,14 +292,14 @@ class TestParallelDeterminism:
         assert results[0] == results[1] == results[2]
 
     def test_trial_zero_reproduces_serial_kernel(self):
-        parallel = simulate_serve_parallel(
+        pooled = simulate_serve(
             LAYOUT, self.WORKLOAD, arrival=OpenLoop(150.0),
-            trials=1, seed=7, jobs=1,
+            trials=3, seed=7, jobs=1,
         )
         direct = simulate_serve(
             LAYOUT, self.WORKLOAD, arrival=OpenLoop(150.0), seed=7,
         )
-        assert parallel == direct
+        assert pooled.latencies_ms[:direct.requests] == direct.latencies_ms
 
     def test_merged_telemetry_identical_across_jobs(self):
         docs = []
@@ -315,7 +313,7 @@ class TestParallelDeterminism:
 
     def test_progress_reports_all_trials(self):
         seen = []
-        simulate_serve_parallel(
+        simulate_serve(
             LAYOUT, self.WORKLOAD, trials=3, chunk_trials=1, seed=0, jobs=1,
             progress=lambda done, total, losses: seen.append((done, total)),
         )
@@ -325,7 +323,7 @@ class TestParallelDeterminism:
         # The vectorized default batches trials into wide chunks;
         # progress then lands per chunk but still totals every trial.
         seen = []
-        simulate_serve_parallel(
+        simulate_serve(
             LAYOUT, self.WORKLOAD, trials=3, seed=0, jobs=1,
             progress=lambda done, total, losses: seen.append((done, total)),
         )
@@ -334,9 +332,9 @@ class TestParallelDeterminism:
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            simulate_serve_parallel(LAYOUT, self.WORKLOAD, trials=0)
+            simulate_serve(LAYOUT, self.WORKLOAD, trials=0)
         with pytest.raises(SimulationError):
-            simulate_serve_parallel(LAYOUT, self.WORKLOAD, jobs=0)
+            simulate_serve(LAYOUT, self.WORKLOAD, jobs=0)
 
 
 class TestQueueingAsymmetry:

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.prof import PhaseProfiler, use_profiler
-from repro.sim.parallel import simulate_serve_parallel
 from repro.sim.serve import (
     FixedRateThrottle,
     IdleSlotThrottle,
@@ -84,11 +83,11 @@ class TestHandoffIdentity:
             workload=WORKLOADS["zipf-writes"], failed_disks=(0, 5),
             arrival=OpenLoop(200.0), sparing="dedicated", trials=7, seed=13,
         )
-        reference = simulate_serve_parallel(
+        reference = simulate_serve(
             fano_layout, throttle=THROTTLES[throttle](), kernel="event",
             **kwargs
         ).to_dict()
-        result = simulate_serve_parallel(
+        result = simulate_serve(
             fano_layout, throttle=THROTTLES[throttle](), kernel="vectorized",
             jobs=jobs, chunk_trials=chunk_trials, **kwargs
         ).to_dict()

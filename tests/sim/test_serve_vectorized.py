@@ -13,13 +13,12 @@ np = pytest.importorskip("numpy")
 from repro.errors import SimulationError
 from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.obs.telemetry import Telemetry
-from repro.sim.parallel import simulate_serve_parallel
 from repro.sim.serve import (
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
+    ServeResult,
     build_serve_tables,
-    merge_serve_results,
     serve_batch_supported,
     simulate_serve,
 )
@@ -91,7 +90,7 @@ class TestKernelBitIdentity:
             fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
             arrival=OpenLoop(500.0), trials=7, seed=21, kernel="vectorized",
         )
-        singles = merge_serve_results([
+        singles = ServeResult.merged([
             simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
                 arrival=OpenLoop(500.0), seed=derive_chunk_seed(21, t),
@@ -120,7 +119,7 @@ class TestParallelKernelContract:
         self, fano_layout, throttle_name
     ):
         results = [
-            simulate_serve_parallel(
+            simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=100),
                 failed_disks=(0,), arrival=OpenLoop(400.0),
                 throttle=THROTTLES[throttle_name](),
@@ -133,7 +132,7 @@ class TestParallelKernelContract:
 
     def test_chunking_never_changes_the_result(self, fano_layout):
         results = [
-            simulate_serve_parallel(
+            simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=80),
                 trials=10, chunk_trials=chunk, kernel="vectorized",
                 seed=5, jobs=2,
@@ -144,7 +143,7 @@ class TestParallelKernelContract:
 
     def test_unknown_kernel_is_rejected_up_front(self, fano_layout):
         with pytest.raises(SimulationError):
-            simulate_serve_parallel(
+            simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=10), trials=2,
                 kernel="warp",
             )
@@ -158,7 +157,7 @@ class TestTelemetryInvariance:
         captures = {}
         for kernel in ("event", "vectorized"):
             tel = Telemetry.collecting()
-            result = simulate_serve_parallel(
+            result = simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=60),
                 failed_disks=(0,), arrival=OpenLoop(300.0),
                 throttle=THROTTLES[throttle_name](),

@@ -10,11 +10,8 @@ and are explicitly outside the contract.
 import pytest
 
 from repro.obs import Telemetry
-from repro.sim.montecarlo import threshold_oracle
-from repro.sim.parallel import (
-    simulate_lifecycle_parallel,
-    simulate_lifetimes_parallel,
-)
+from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.montecarlo import simulate_lifetimes, threshold_oracle
 from repro.sim.rebuild import DiskModel
 
 #: Tiny accelerated disk so rebuilds and losses happen within few trials.
@@ -22,7 +19,7 @@ DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
 
 
 def lifecycle_run(layout, jobs, telemetry):
-    return simulate_lifecycle_parallel(
+    return simulate_lifecycle(
         layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
         jobs=jobs, chunk_trials=16, telemetry=telemetry,
     )
@@ -72,12 +69,12 @@ class TestLifetimeTelemetryDeterminism:
         args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
 
         serial_tel = Telemetry.collecting()
-        serial = simulate_lifetimes_parallel(
+        serial = simulate_lifetimes(
             *args, trials=400, seed=9, jobs=1, chunk_trials=64,
             telemetry=serial_tel,
         )
         par_tel = Telemetry.collecting()
-        parallel = simulate_lifetimes_parallel(
+        parallel = simulate_lifetimes(
             *args, trials=400, seed=9, jobs=jobs, chunk_trials=64,
             telemetry=par_tel,
         )
@@ -86,7 +83,7 @@ class TestLifetimeTelemetryDeterminism:
         assert par_tel.events.records == serial_tel.events.records
 
     def test_disabled_telemetry_collects_nothing(self):
-        result = simulate_lifetimes_parallel(
+        result = simulate_lifetimes(
             6, 500.0, 50.0, threshold_oracle(1), 1000.0,
             trials=50, seed=0, jobs=2, chunk_trials=16,
         )
@@ -94,7 +91,7 @@ class TestLifetimeTelemetryDeterminism:
 
     def test_progress_callback_sees_monotonic_done(self):
         calls = []
-        simulate_lifetimes_parallel(
+        simulate_lifetimes(
             6, 500.0, 50.0, threshold_oracle(1), 1000.0,
             trials=100, seed=0, jobs=2, chunk_trials=32,
             progress=lambda done, total, losses: calls.append(

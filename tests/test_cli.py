@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -252,6 +254,7 @@ class TestExitCodes:
     """The contract: 0 success, 1 domain error, 2 usage error."""
 
     SERVE = ["serve", "-v", "7", "-k", "3", "-f", "0", "--requests", "50"]
+    SCHEME = ["lifecycle", "-v", "7", "-k", "3", "--trials", "5", "--scheme"]
 
     def test_success_is_zero(self):
         assert main(["info", "-v", "7", "-k", "3"]) == 0
@@ -298,12 +301,41 @@ class TestExitCodes:
         # A ZeroDivisionError traceback and an empty table with exit 0.
         ["tolerance", "-v", "7", "-k", "3", "--samples", "-3"],
         ["tolerance", "-v", "7", "-k", "3", "--max-failures", "-1"],
+        # --scheme-param values went unchecked against the knob's type:
+        # a ValueError traceback, a silent 2 and a silent True.
+        SCHEME + ["rs", "--scheme-param", "parities=abc"],
+        SCHEME + ["rs", "--scheme-param", "parities=2.5"],
+        SCHEME + ["oi", "--scheme-param", "skewed=maybe"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_bad_number_is_one_line_and_one(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("output", [
+        "--metrics-out", "--trace-out", "--profile-out", "REPRO_LEDGER",
+    ])
+    def test_unwritable_output_is_one_line_before_the_run(
+        self, output, tmp_path, monkeypatch, capsys
+    ):
+        # Each ran the whole simulation (15 s for this one), then died in
+        # a FileNotFoundError traceback from the artifact writer.
+        target = str(tmp_path / "no" / "such" / "dir" / "out.json")
+        argv = ["lifecycle", "-v", "7", "-k", "3", "--trials", "5000",
+                "--mttf-hours", "2000"]
+        if output == "REPRO_LEDGER":
+            monkeypatch.setenv(output, target)
+        else:
+            argv = [output, target] + argv
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        assert out == ""  # no result table: it never simulated
+        assert err.splitlines() == [
+            f"error: cannot write {target}: No such file or directory"
+        ]
 
     def test_usage_error_is_two(self, capsys):
         assert main(["info", "-v", "not-a-number", "-k", "3"]) == 2

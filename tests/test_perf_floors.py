@@ -28,7 +28,7 @@ from repro.core.oi_layout import oi_raid
 from repro.obs import PhaseProfiler, use_profiler
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import RebuildTimer, simulate_lifecycle
-from repro.sim.parallel import simulate_serve_parallel
+from repro.sim.serve import simulate_serve
 from repro.workloads import WorkloadSpec
 
 pytestmark = pytest.mark.slow
@@ -102,7 +102,7 @@ def test_lifecycle_and_fleet_floors(layout, timer):
 
 def test_serve_floor(layout):
     def serve_run(kernel):
-        return lambda: simulate_serve_parallel(
+        return lambda: simulate_serve(
             layout, WorkloadSpec(), failed_disks=(0,), trials=SERVE_TRIALS,
             kernel=kernel, seed=0, jobs=1,
         )

@@ -79,7 +79,7 @@ def test_registered_results_speak_the_protocol():
 
     expected = {
         "RebuildResult", "LifetimeResult", "LifecycleResult",
-        "LatencyResult", "ServeResult", "ExperimentResult",
+        "ServeResult", "ExperimentResult",
         "FleetResult",
     }
     assert expected <= set(RESULT_TYPES)

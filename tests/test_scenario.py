@@ -9,7 +9,6 @@ from repro.core.oi_layout import oi_raid
 from repro.errors import ReproError, SimulationError
 from repro.results import result_from_dict
 from repro.serve import FixedRateThrottle
-from repro.sim.latency import LatencyResult
 from repro.sim.lifecycle import LifecycleResult
 from repro.sim.montecarlo import LifetimeResult
 from repro.sim.rebuild import RebuildResult
@@ -155,13 +154,6 @@ class TestResultProtocol:
             summary = result.summary()
             assert summary  # non-empty
             assert all(isinstance(k, str) for k in summary)
-
-    def test_latency_result_registered_too(self):
-        from repro.sim.latency import simulate_read_latency
-
-        result = simulate_read_latency(LAYOUT, n_requests=100, seed=0)
-        assert isinstance(result, LatencyResult)
-        assert result_from_dict(result.to_dict()) == result
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ReproError, match="unknown result type"):

@@ -60,6 +60,11 @@ _MIX_B = 0x94D049BB133111EB
 #: Python's ``random`` seeds are arbitrary-precision; keep derived seeds
 #: in a fixed 63-bit space so results don't depend on platform int width.
 _SEED_MASK = (1 << 63) - 1
+#: Cells a plane samples per numpy pass (row strip x fresh columns): each
+#: temporary stays under 128 KiB — inside L2, under malloc's mmap threshold.
+_STRIP_CELLS = 12288
+#: Fewest columns a plane grows by: one cache line of float64 per row.
+_GROW_SLOTS = 8
 
 #: Kernel names every simulator (and ``--mc-kernel`` / ``--serve-kernel``)
 #: accepts. ``auto`` is an alias of ``vectorized``.
@@ -120,9 +125,11 @@ class ChunkSpec(NamedTuple):
     global index of its first trial and ``size`` its trial count;
     ``seed`` is the **run** seed. Chunk functions derive what they
     sample from these alone — a per-chunk stream
-    (``derive_chunk_seed(seed, index)``), per-trial streams
+    (``derive_chunk_seed(seed, index)``: lifetimes only, whose chunk size
+    is thereby part of its sample), per-trial streams
     (``derive_chunk_seed(seed, start + i)``) or globally keyed lanes
-    (``lane_offset=start``) — never from ``jobs``.
+    (``lane_offset=start``, ``block_lane_seeds(seed, start, size)``) —
+    never from ``jobs``.
     """
 
     index: int
@@ -150,6 +157,35 @@ def derive_lane_seeds(seeds, lanes_per_seed: int):
     return _mix64_np(mixed.reshape(-1))
 
 
+#: Trials per lifecycle lane block. Frozen: it is part of the sample (see
+#: :func:`block_lane_seeds`), unlike any chunk size, which is only a speed.
+LANE_BLOCK_TRIALS = 256
+
+
+def block_lane_seeds(seed: int, start: int, count: int):
+    """Lane values of global lifecycle trials ``start .. start+count-1``.
+
+    Trial ``T`` reads ``lane_seed(derive_chunk_seed(seed, T // 256),
+    T % 256)``: lanes are keyed by the global trial in frozen blocks of
+    :data:`LANE_BLOCK_TRIALS`, which is the lane every 256-trial chunk
+    has always read — so a run may cut its trials into chunks of any
+    size without moving a sampled float. One ``uint64`` expression over
+    the blocks the window touches, for ``TrialStreams(lane_seeds=...)``.
+
+    Known weakness, kept because it *is* the front-door sample: block
+    seeds and lanes step by the same stride, so lanes of neighbouring
+    blocks alias (ROADMAP, "Lifecycle lane blocks alias").
+    """
+    first = start // LANE_BLOCK_TRIALS
+    blocks = range(first, (start + count - 1) // LANE_BLOCK_TRIALS + 1)
+    lanes = derive_lane_seeds(
+        [derive_chunk_seed(seed, block) for block in blocks],
+        LANE_BLOCK_TRIALS,
+    )
+    offset = start - first * LANE_BLOCK_TRIALS
+    return lanes[offset:offset + count]
+
+
 def oracle_guarantee(oracle: Callable[..., bool]) -> int:
     """Failure count below which *oracle* certainly answers "survives".
 
@@ -169,11 +205,14 @@ class LaneCursor:
 
     Supports exactly the draw vocabulary the lifecycle walk uses —
     ``random()``, ``expovariate()``, ``randrange()`` — reading successive
-    slots of the trial's lane. ``expovariate`` must be called with the
-    rate the streams were built for: the exponentials are precomputed for
-    that rate (that is what makes the event walk read the *same* floats
-    as the vectorized plane), so a different rate would silently decouple
-    the kernels and raises instead.
+    slots of the trial's lane: the shared plane's row first, then slots
+    the cursor draws for its own lane alone (same position-addressed
+    floats; the plane is never grown by a walk, so a chunk's memory does
+    not scale with its longest trial). ``expovariate`` must be called
+    with the rate the streams were built for: the exponentials are
+    precomputed for that rate (that is what makes the event walk read
+    the *same* floats as the vectorized plane), so a different rate
+    would silently decouple the kernels and raises instead.
     """
 
     __slots__ = ("_streams", "_trial", "pos", "_u", "_e")
@@ -210,9 +249,19 @@ class LaneCursor:
         return self._e[pos]
 
     def _grow(self, pos: int) -> None:
-        """Grow the planes to cover slot *pos* and refresh the rows."""
-        self._streams.ensure(pos + 1)
-        self._u, self._e = self._streams.rows(self._trial)
+        """Extend this trial's own rows to cover slot *pos* (doubling).
+
+        The shared plane is left alone: a walk that outruns it pays for
+        one lane, not for every row of the chunk.
+        """
+        have = len(self._u)
+        with ambient_profiler().phase("sample"):
+            u, e = self._streams.draw(
+                slice(self._trial, self._trial + 1), have,
+                max(pos + 1, 2 * have),
+            )
+        self._u += u[0].tolist()
+        self._e += e[0].tolist()
 
     def randrange(self, n: int) -> int:
         """A uniform integer in ``[0, n)`` from the next uniform slot."""
@@ -223,10 +272,10 @@ class LaneCursor:
 class TrialStreams:
     """numpy-backed per-trial draw lanes (uniform and exponential planes).
 
-    Slots are generated in whole ``(trials, slots)`` planes and grown on
-    demand; growth depends only on the requested slot count, never on how
-    the slots are consumed, so every lane is a pure function of
-    ``(seed, trial)``.
+    Slots are generated into ``(trials, slots)`` planes, a cache-sized
+    row strip at a time, and grown on demand; every float is a pure
+    function of its lane value and slot number (:meth:`draw`), never of
+    how wide the plane is, how it grew or who read it.
 
     *lane_offset* keys the lanes to a window of a larger global trial
     space: local row ``t`` reads global lane ``lane_offset + t``, so
@@ -238,10 +287,12 @@ class TrialStreams:
 
     *lane_seeds* overrides the per-row lane derivation entirely: row
     ``t`` reads the already-mixed lane value ``lane_seeds[t]`` (as
-    produced by :func:`lane_seed` / :func:`derive_lane_seeds`). The
-    serve kernel uses this to pack many *independently seeded* runs'
-    purpose lanes into one plane — each row is then bit-identical to
-    the same lane of a stream built for that run alone.
+    produced by :func:`lane_seed` / :func:`derive_lane_seeds` /
+    :func:`block_lane_seeds`). The serve kernel uses this to pack many
+    *independently seeded* runs' purpose lanes into one plane — each row
+    is then bit-identical to the same lane of a stream built for that
+    run alone — and the lifecycle kernel to key any window of global
+    trials to its frozen lane blocks.
     """
 
     __slots__ = ("seed", "trials", "lambd", "lane_offset", "_lanes",
@@ -283,8 +334,7 @@ class TrialStreams:
                 base + counters * _np.uint64(GOLDEN_STRIDE)
             )
         self._slots = 0
-        self._uniforms = _np.zeros((trials, 0))
-        self._exponentials = _np.zeros((trials, 0))
+        self._uniforms = self._exponentials = _np.empty((trials, 0))
         self.ensure(slots)
 
     @property
@@ -294,29 +344,52 @@ class TrialStreams:
     @property
     def uniforms(self):
         """The ``(trials, slots)`` uniform plane (values in ``[0, 1)``)."""
-        return self._uniforms
+        return self._uniforms[:, :self._slots]
 
     @property
     def exponentials(self):
         """The matching ``Exp(lambd)`` plane: ``-log(1 - u) / lambd``."""
-        return self._exponentials
+        return self._exponentials[:, :self._slots]
+
+    def draw(self, rows: slice, start: int, stop: int):
+        """Slots ``start .. stop-1`` of lanes *rows*: ``(uniforms, exponentials)``.
+
+        A pure function of the lane values and the slot numbers, so the
+        plane (strip by strip) and a cursor past its edge (one row) read
+        the same floats whoever asks, in whatever pieces.
+        """
+        counters = _np.arange(
+            start + 1, stop + 1, dtype=_np.uint64
+        ) * _np.uint64(GOLDEN_STRIDE)
+        z = _mix64_np(self._lanes[rows, None] + counters[None, :])
+        u = (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
+        return u, -_np.log(1.0 - u) / self.lambd
 
     def ensure(self, slots: int) -> None:
-        """Grow the planes to at least *slots* columns (amortized doubling)."""
-        if slots <= self._slots:
+        """Grow every row to at least *slots* columns, a row strip at a time.
+
+        Capacity doubles (one copy, amortized) but only the columns asked
+        for are sampled — :data:`_GROW_SLOTS` at least, a cache line per
+        row — so a wide plane never pays whole rows for a few stragglers.
+        """
+        have = self._slots
+        if slots <= have:
             return
         # The phase span sits after the early return so the common
         # no-growth path never touches the profiler.
         with ambient_profiler().phase("sample"):
-            target = max(slots, 2 * self._slots, 16)
-            counters = _np.arange(
-                self._slots + 1, target + 1, dtype=_np.uint64
-            ) * _np.uint64(GOLDEN_STRIDE)
-            z = _mix64_np(self._lanes[:, None] + counters[None, :])
-            fresh_u = (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
-            fresh_e = -_np.log(1.0 - fresh_u) / self.lambd
-            self._uniforms = _np.hstack((self._uniforms, fresh_u))
-            self._exponentials = _np.hstack((self._exponentials, fresh_e))
+            target = max(slots, have + _GROW_SLOTS)
+            if target > self._uniforms.shape[1]:
+                planes = _np.empty((2, self.trials, max(target, 2 * have)))
+                planes[0, :, :have] = self.uniforms
+                planes[1, :, :have] = self.exponentials
+                self._uniforms, self._exponentials = planes
+            strip = max(1, _STRIP_CELLS // (target - have))
+            for lo in range(0, self.trials, strip):
+                rows = slice(lo, lo + strip)
+                u, e = self.draw(rows, have, target)
+                self._uniforms[rows, have:target] = u
+                self._exponentials[rows, have:target] = e
             self._slots = target
 
     def uniform(self, trial: int, pos: int) -> float:
@@ -333,7 +406,7 @@ class TrialStreams:
 
     def rows(self, trial: int):
         """One trial's planes as plain float lists (cursor fast path)."""
-        return self._uniforms[trial].tolist(), self._exponentials[trial].tolist()
+        return self.uniforms[trial].tolist(), self.exponentials[trial].tolist()
 
     def cursor(self, trial: int) -> LaneCursor:
         """A sequential reader over trial *trial*'s lane."""
@@ -375,8 +448,9 @@ class LockstepScreen:
     """The lockstep renewal screen the lifecycle and fleet kernels share.
 
     Construction samples the plane — row ``t`` reads global lane
-    ``lane_offset + t`` of *seed* — and loads every disk's first failure
-    epoch into a ``(trials, disks)`` array. :meth:`rounds` then advances
+    ``lane_offset + t`` of *seed*, or the lane value ``lane_seeds[t]`` —
+    and loads every disk's first failure epoch into a
+    ``(trials, disks)`` array. :meth:`rounds` then advances
     all still-active trials one failure incident per round: it takes each
     trial's earliest pending failure, reads the failed disk's
     single-failure rebuild clock from the broadcast *tables* columns, and
@@ -408,10 +482,11 @@ class LockstepScreen:
         guarantee: int,
         slots: int,
         lane_offset: int = 0,
+        lane_seeds=None,
     ) -> None:
         n = layout.n_disks
         self.streams = TrialStreams(
-            seed, trials, lambd, max(slots, n + 2), lane_offset=lane_offset
+            seed, trials, lambd, max(slots, n + 2), lane_offset, lane_seeds
         )
         self._fail_at = self.streams.exponentials[:, :n].copy()
         self.n_failures = _np.zeros(trials, dtype=_np.int64)

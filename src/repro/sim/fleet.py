@@ -310,7 +310,10 @@ def _fleet_chunk(
     by the **run** seed and the global mission index (``spec.seed``,
     ``lane_offset=spec.start``) — never a per-chunk seed, which would tie
     sampled values to the chunk layout — so the chunk geometry cannot
-    change a single sampled float. On top of the shared lockstep screen
+    change a single sampled float (lifecycle's 256-trial lane blocks
+    give the same guarantee and coincide with these lanes on the first
+    256 missions); it still regroups the per-chunk fold of the boosted
+    float sums. On top of the shared lockstep screen
     this kernel tracks the two weight statistics (lifetime-draw count and
     sum) for the likelihood ratio; replayed missions recompute both
     exactly through a :class:`_CountingCursor` around the event walk.
@@ -329,7 +332,9 @@ def _fleet_chunk(
         screen = LockstepScreen(
             layout, tables, spec.seed, count, lambd, horizon_hours,
             lse_rate_per_byte, guarantee,
-            _slot_estimate(n, mttf_hours / lambda_boost, horizon_hours),
+            _slot_estimate(
+                n, mttf_hours / lambda_boost, horizon_hours, lse_rate_per_byte
+            ),
             lane_offset=start,
         )
         streams = screen.streams

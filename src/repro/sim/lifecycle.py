@@ -35,10 +35,13 @@ chain and the lifecycle MC directly comparable (E19).
 
 Rebuild times depend only on the failed pattern, so they are memoized per
 pattern within a run. Trials draw from per-trial counter-based lanes
-(:class:`repro.sim.columnar.TrialStreams`), so every trial is a pure
-function of its chunk's seed and its index in the chunk — reproducible,
-bit-identical for any worker count (chunks are cut by
-:func:`repro.sim.parallel.run_chunks`, never by ``jobs``), and
+(:class:`repro.sim.columnar.TrialStreams`) keyed by the run seed and the
+**global** trial index, in frozen 256-trial blocks
+(:func:`repro.sim.columnar.block_lane_seeds`), so every trial is a pure
+function of ``(seed, trial)`` — reproducible, bit-identical for any
+worker count and any chunk size (how
+:func:`repro.sim.parallel.run_chunks` cuts the run is a speed, never a
+sample), and
 shared verbatim between the two kernels of :func:`simulate_lifecycle`:
 ``event`` walks every trial's event heap, while ``vectorized`` first
 advances all trials in lockstep on a columnar failure-clock array and
@@ -60,22 +63,19 @@ from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, use_telemetry
+from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
+    LANE_BLOCK_TRIALS,
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
-    derive_chunk_seed,
+    block_lane_seeds,
     oracle_guarantee,
     resolve_kernel,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
-from repro.sim.parallel import (
-    DEFAULT_CHUNK_TRIALS,
-    ProgressCallback,
-    run_chunks,
-)
+from repro.sim.parallel import ProgressCallback, run_chunks
 from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.util.stats import mean, wilson_interval
 
@@ -255,19 +255,47 @@ def _pattern_check(
 
 
 def _slot_estimate(
-    n_disks: int, mttf_hours: float, horizon_hours: float
+    n_disks: int,
+    mttf_hours: float,
+    horizon_hours: float,
+    lse_rate_per_byte: float = 0.0,
 ) -> int:
-    """Initial draw-lane width: initial lifetimes plus expected incidents.
+    """Initial draw-lane width: what the longest lane of a plane reads.
 
-    Each mission consumes ``n_disks`` initial lifetime draws plus at most
-    two slots per failure incident (one latent-error check, one fresh
-    lifetime); sizing for 2.5x the expected incident count makes a second
-    growth pass rare. Only a sizing hint — the lanes grow on demand and
-    lane contents are position-addressed, so the estimate can never
-    change results.
+    Each mission consumes ``n_disks`` initial lifetime draws plus one
+    slot per failure incident (the repaired disk's fresh lifetime) — two
+    when latent errors are on (the check reads a uniform first). The
+    incident count is close to Poisson, so its mean plus four standard
+    deviations covers every lane of most planes and a growth pass stays
+    rare. Only a sizing hint — the lanes grow on demand and lane
+    contents are position-addressed, so the estimate can never change
+    results.
     """
     incidents = n_disks * horizon_hours / mttf_hours
-    return n_disks + 8 + min(4096, int(2.5 * incidents))
+    reads = incidents + 4.0 * math.sqrt(incidents)
+    if lse_rate_per_byte > 0:
+        reads *= 2
+    return n_disks + 8 + min(4096, int(reads))
+
+
+#: Widest default chunk, and the cells (trials x slots) its sampled plane
+#: may hold: lanes of up to 96 slots (a year at a ~4 500 h MTTF on 21
+#: disks) get the full width, longer ones proportionally less.
+MAX_PLANE_TRIALS = 2048
+PLANE_CELLS = MAX_PLANE_TRIALS * 96
+
+
+def _plane_trials(trials: int, slots: int) -> int:
+    """Default chunk width: the widest plane :data:`PLANE_CELLS` affords.
+
+    A lockstep round costs the same numpy dispatch at any width, so wide
+    is fast; the cell budget sends long missions back towards one lane
+    block instead of multiplying memory, and ``trials // 8`` leaves a
+    pool eight chunks to balance. Never a function of ``jobs``, so
+    profile documents stay jobs-invariant.
+    """
+    width = min(PLANE_CELLS // slots, trials // 8, MAX_PLANE_TRIALS)
+    return max(LANE_BLOCK_TRIALS, width)
 
 
 def _check_mission(
@@ -425,7 +453,7 @@ def _lifecycle_trial(
 
 def _lifecycle_chunk(
     state, spec, tel, *, screened, mttf_hours, horizon_hours,
-    lse_rate_per_byte,
+    lse_rate_per_byte, slots,
 ) -> LifecycleResult:
     """Screen and walk one chunk of missions.
 
@@ -433,30 +461,31 @@ def _lifecycle_chunk(
     the layout's cell indexes, the rebuild-time memo and the columnar
     per-disk rebuild columns (``None`` under the event kernel) are
     unpickled once per worker, and the memo then accumulates across every
-    chunk the worker runs. The chunk's draw lanes are keyed by
-    ``derive_chunk_seed(spec.seed, spec.index)`` and the chunk-local
-    trial index. *screened* (the ``vectorized`` kernel, telemetry off)
-    runs the lockstep screen and walks only the trials it flags;
-    otherwise every trial is walked.
+    chunk the worker runs. Draw lanes are keyed by the **run** seed and
+    the global trial index ``spec.start + i``, in frozen 256-trial
+    blocks (:func:`~repro.sim.columnar.block_lane_seeds`) — never by the
+    chunk's index or size, which would tie sampled values to the chunk
+    layout. *screened* (the ``vectorized`` kernel, telemetry off) runs
+    the lockstep screen and walks only the trials it flags; otherwise
+    every trial is walked. *slots* is the run's :func:`_slot_estimate`.
     """
     layout, timer, tables, oracle = state
     trials = spec.size
-    seed = derive_chunk_seed(spec.seed, spec.index)
     prof = ambient_profiler()
     tolerance = guaranteed_tolerance(layout)
     pattern_ok = _pattern_check(layout, oracle, tolerance)
     lambd = 1.0 / mttf_hours
-    slots = _slot_estimate(layout.n_disks, mttf_hours, horizon_hours)
 
     with prof.phase("sample"):
+        lanes = block_lane_seeds(spec.seed, spec.start, trials)
         degraded = _np.zeros(trials)
         if screened and not tel.enabled:
             guarantee = (
                 oracle_guarantee(oracle) if oracle is not None else tolerance
             )
             screen = LockstepScreen(
-                layout, tables, seed, trials, lambd, horizon_hours,
-                lse_rate_per_byte, guarantee, slots,
+                layout, tables, spec.seed, trials, lambd, horizon_hours,
+                lse_rate_per_byte, guarantee, slots, lane_seeds=lanes,
             )
             streams = screen.streams
             n_failures, n_repairs, peak = (
@@ -464,7 +493,9 @@ def _lifecycle_chunk(
             )
         else:
             screen = None
-            streams = TrialStreams(seed, trials, lambd, slots)
+            streams = TrialStreams(
+                spec.seed, trials, lambd, slots, lane_seeds=lanes
+            )
             n_failures, n_repairs, peak = _np.zeros(
                 (3, trials), dtype=_np.int64
             )
@@ -536,7 +567,7 @@ def simulate_lifecycle(
     tables: Optional[LifecycleTables] = None,
     kernel: str = "auto",
     *,
-    chunk_trials: int = DEFAULT_CHUNK_TRIALS,
+    chunk_trials: Optional[int] = None,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
 ) -> LifecycleResult:
@@ -553,9 +584,14 @@ def simulate_lifecycle(
     failed disks return to service and draw fresh lifetimes.
 
     Missions run in chunks of *chunk_trials*
-    (:func:`~repro.sim.parallel.run_chunks`), each on draw lanes of its
-    own (:func:`_lifecycle_chunk`), so the result depends only on
-    ``(trials, seed, chunk_trials)`` — never on *jobs* or *kernel*.
+    (:func:`~repro.sim.parallel.run_chunks`) on draw lanes keyed by the
+    global trial (:func:`_lifecycle_chunk`), so the result depends only
+    on ``(trials, seed)`` — never on *jobs*, *kernel* or *chunk_trials*,
+    which is a pure speed argument as it is for serve and fleet. The
+    default (``None``) is as wide as a memory budget allows
+    (:func:`_plane_trials`: 2048 trials for year-long missions, one
+    256-trial lane block for very long ones or when telemetry is
+    collecting).
     Rebuild times are memoized per pattern within each worker (they are
     pure functions of the pattern, so the memo never affects results).
 
@@ -610,12 +646,23 @@ def simulate_lifecycle(
         )
     if tables is None and screened:
         tables = LifecycleTables.build(layout, timer)
+    slots = _slot_estimate(
+        layout.n_disks, mttf_hours, horizon_hours, lse_rate_per_byte
+    )
+    if chunk_trials is None:
+        tel = telemetry if telemetry is not None else ambient()
+        # A collecting run walks every trial, so width buys it nothing
+        # and its histogram sums fold per chunk: it keeps one lane block.
+        chunk_trials = (
+            LANE_BLOCK_TRIALS if tel.enabled else _plane_trials(trials, slots)
+        )
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk, (layout, timer, tables, oracle),
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,
+            slots=slots,
         ),
         trials, chunk_trials,
         seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,

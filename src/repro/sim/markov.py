@@ -48,6 +48,29 @@ def conditional_loss_probabilities(
     return loss
 
 
+def _generator_expm(q: np.ndarray) -> np.ndarray:
+    """``exp(q)`` of a Markov generator (a handful of states), numpy only.
+
+    Scaling and squaring on ``x = exp(q) - I``: halve *q* until its
+    largest exit rate is at most 1, where a 24-term Taylor series is
+    exact to the last ulp, then square back as ``x <- 2x + x @ x``.
+    Carrying the deviation from the identity instead of the matrix keeps
+    the small entries' relative accuracy: in ``I + x`` the early steps'
+    exit probabilities round against the 1 on the diagonal, an error
+    every later squaring doubles and the absorbing-state entry inherits.
+    """
+    rate = float(np.max(-np.diag(q)))
+    squarings = max(0, math.ceil(math.log2(rate))) if rate > 0 else 0
+    step = q / 2.0 ** squarings
+    x = term = step
+    for k in range(2, 25):
+        term = term @ step / k
+        x = x + term
+    for _ in range(squarings):
+        x = 2.0 * x + x @ x
+    return np.eye(len(q)) + x
+
+
 class MarkovReliabilityModel:
     """Birth-death chain with an absorbing data-loss state.
 
@@ -132,11 +155,7 @@ class MarkovReliabilityModel:
         """P(data loss within *hours*), via the matrix exponential."""
         if hours < 0:
             raise SimulationError(f"hours must be >= 0, got {hours}")
-        from scipy.linalg import expm
-
-        q = self._generator()
-        p = expm(q * hours)
-        return float(p[0, -1])
+        return float(_generator_expm(self._generator() * hours)[0, -1])
 
     def steady_unavailability(self) -> float:
         """Fraction of time with at least one disk failed (no absorption).

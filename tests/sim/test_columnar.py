@@ -6,14 +6,17 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.columnar import (
     GOLDEN_STRIDE,
+    LANE_BLOCK_TRIALS,
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
+    block_lane_seeds,
+    derive_chunk_seed,
     lane_seed,
     mix64,
     oracle_guarantee,
 )
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.lifecycle import (
     RebuildTimer,
     _lifecycle_trial,
@@ -48,6 +51,37 @@ class TestMix64:
                   (GOLDEN_STRIDE * 7) & (2**64 - 1)]
         got = _mix64_np(np.array(values, dtype=np.uint64))
         assert [int(v) for v in got] == [mix64(v) for v in values]
+
+
+class TestBlockLaneSeeds:
+    """Lifecycle lanes: keyed by global trial in frozen 256-trial blocks."""
+
+    def test_block_size_is_frozen(self):
+        # Part of the sample, not a tuning knob: changing it moves every
+        # lifecycle result with more than 256 trials.
+        assert LANE_BLOCK_TRIALS == 256
+
+    @pytest.mark.parametrize("seed", [-1, 2**70 + 3, 0, 2**63 - 1, 12345])
+    @pytest.mark.parametrize("start", [0, 1, 255, 256, 257, 511, 1000, 2**20 - 3])
+    def test_vectorized_lanes_equal_the_scalar_reference(self, seed, start):
+        """Trial T reads the lane a 256-trial chunk ``T // 256`` has always
+        given its local trial ``T % 256`` — across block edges, for seeds
+        outside the 64-bit range and in any window."""
+        got = block_lane_seeds(seed, start, 600)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [
+            lane_seed(derive_chunk_seed(seed, t // 256), t % 256)
+            for t in range(start, start + 600)
+        ]
+
+    def test_first_block_is_the_plain_seeded_plane(self):
+        """Block 0's chunk seed is the run seed itself, so the first 256
+        lanes are exactly fleet's globally keyed ones."""
+        blocks = TrialStreams(
+            9, 256, 1.0, slots=8, lane_seeds=block_lane_seeds(9, 0, 256)
+        )
+        plain = TrialStreams(9, 256, 1.0, slots=8)
+        assert (blocks.uniforms == plain.uniforms).all()
 
 
 class TestTrialStreams:
@@ -106,6 +140,38 @@ class TestTrialStreams:
         cursor = streams.cursor(0)
         draws = [cursor.random() for _ in range(40)]
         assert draws == [scalar_uniform(3, 0, pos) for pos in range(40)]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 63, 64, 65, 300])
+    def test_cursor_extends_its_own_row_with_the_planes_floats(self, size):
+        """A row extended alone equals the same row of a plane grown whole,
+        on both planes, wherever the shared plane stopped."""
+        whole = TrialStreams(seed=21, trials=4, lambd=0.25, slots=2 * size + 16)
+        shared = TrialStreams(seed=21, trials=4, lambd=0.25, slots=size)
+        width = shared.slots
+        cursor = shared.cursor(2)
+        reach = whole.slots
+        drawn_u = [cursor.random() for _ in range(reach)]
+        cursor.pos = 0
+        drawn_e = [cursor.expovariate(0.25) for _ in range(reach)]
+        assert drawn_u == whole.uniforms[2].tolist()
+        assert drawn_e == whole.exponentials[2].tolist()
+        assert shared.slots == width  # the cursor grew its row, not the plane
+
+    def test_plane_sampled_in_strips_equals_rows_sampled_alone(self):
+        """A plane wider than one row strip holds, row for row, the floats
+        each lane yields by itself."""
+        from repro.sim.columnar import _STRIP_CELLS
+
+        slots = 40
+        trials = 2 * (_STRIP_CELLS // slots) + 3  # three strips, last short
+        plane = TrialStreams(seed=4, trials=trials, lambd=2.0, slots=slots)
+        for trial in (0, _STRIP_CELLS // slots - 1, _STRIP_CELLS // slots,
+                      trials - 1):
+            alone = TrialStreams(
+                seed=4, trials=1, lambd=2.0, slots=slots, lane_offset=trial
+            )
+            assert (plane.uniforms[trial] == alone.uniforms[0]).all()
+            assert (plane.exponentials[trial] == alone.exponentials[0]).all()
 
     def test_cursor_rejects_foreign_rate(self):
         streams = TrialStreams(seed=0, trials=1, lambd=0.5)
@@ -201,3 +267,27 @@ class TestLockstepScreen:
         # the config exercises both screen outcomes and both danger causes
         assert 0 < overlapped < self.TRIALS
         assert (struck > 0) == (lse_mean > 0)
+
+    def test_a_long_walk_leaves_the_shared_plane_alone(self, fano_layout):
+        """A walked trial that outruns the plane (~5 000 incidents against
+        a 40-slot plane) extends its own row: the plane every other trial
+        of the chunk shares stays as wide as the screen left it."""
+        mttf, horizon, trials = 300.0, 75_000.0, 8
+        # A 1 GiB disk rebuilds in seconds, so the mission survives.
+        timer = RebuildTimer(fano_layout, DiskModel(capacity_bytes=GIB))
+        tables = LifecycleTables.build(fano_layout, timer)
+        tolerance = guaranteed_tolerance(fano_layout)
+        screen = LockstepScreen(
+            fano_layout, tables, 0, trials, 1.0 / mttf, horizon, 0.0,
+            tolerance, 40,
+        )
+        for _round in screen.rounds():
+            pass
+        width = screen.streams.slots
+        lost, _lse, failures, _repairs, _hours, _peak = _lifecycle_trial(
+            screen.streams.cursor(0), fano_layout, 1.0 / mttf, horizon,
+            timer, 0.0, _pattern_check(fano_layout, None, tolerance),
+            NULL_TELEMETRY, 0,
+        )
+        assert lost is None and failures > 5000
+        assert screen.streams.slots == width

@@ -23,16 +23,16 @@ RARE = dict(mttf_hours=100_000.0, horizon_hours=20_000.0, disk=DiskModel())
 
 class TestFleetKernel:
     def test_matches_lifecycle_vectorized_on_same_lanes(self):
-        """A fleet's missions ARE lifecycle trials: global lane keying
-        means arrays*trials missions sample the exact floats a lifecycle
-        run with the same seed and trial count samples."""
+        """A fleet's missions ARE lifecycle trials: within one lane block
+        (256 missions), fleet's global lane keying and lifecycle's block
+        keying coincide, so both sample the exact same floats."""
         fleet = simulate_fleet(
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK,
-            arrays=20, trials=40, seed=3,
+            arrays=16, trials=16, seed=3,
         )
         life = simulate_lifecycle(
-            LAYOUT, 800.0, 3000.0, disk=SMALL_DISK, trials=800, seed=3,
-            kernel="vectorized", chunk_trials=800,
+            LAYOUT, 800.0, 3000.0, disk=SMALL_DISK, trials=256, seed=3,
+            kernel="vectorized",
         )
         assert fleet.raw_losses == life.losses
         assert fleet.lse_losses == life.lse_losses

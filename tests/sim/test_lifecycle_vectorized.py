@@ -4,13 +4,17 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
 from repro.layouts import Raid5Layout, Raid50Layout
+from repro.obs.ledger import result_digest
 from repro.obs.telemetry import Telemetry
 from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.scenario import Scenario, run
 from repro.sim.columnar import KERNELS, LifecycleTables, resolve_kernel
 from repro.sim.lifecycle import (
     RebuildTimer,
+    _plane_trials,
     guaranteed_tolerance,
     simulate_lifecycle,
 )
@@ -147,6 +151,68 @@ class TestParallelKernelContract:
                 fano_layout, 600.0, 2500.0, disk=DISK, trials=10,
                 kernel="warp",
             )
+
+
+class TestChunkGeometryIsOnlyASpeed:
+    """Lanes are keyed by global trial, so ``chunk_trials`` moves no bit."""
+
+    #: ``result_digest`` of ``run(Scenario(kind="lifecycle", ...))`` on
+    #: ``oi_raid(7, 3)``, taken when every run was cut into 256-trial
+    #: chunks seeded by chunk index: the front door has not moved since.
+    GOLDEN = [
+        (dict(trials=600), "9c559f0563edc666"),
+        (dict(trials=700, lse_rate_per_byte=1e-15), "5ff842968f028249"),
+        (
+            dict(trials=300, mttf_hours=800.0, horizon_hours=3000.0,
+                 mc_kernel="event"),
+            "6868a63c5ccc79f6",
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields, digest", GOLDEN)
+    def test_front_door_digests_are_pinned(self, fields, digest):
+        result = run(Scenario(kind="lifecycle", layout=oi_raid(7, 3), **fields))
+        assert result_digest(result.to_dict()) == digest
+
+    def test_chunk_jobs_and_kernel_never_change_the_result(self, fano_layout):
+        """600 trials span three lane blocks; chunks of 1, 3, 64 and 1000
+        cut them everywhere but at the block edges."""
+        timer = RebuildTimer(fano_layout, DISK)  # one memo for all 24 runs
+        digests = {
+            (chunk, jobs, kernel): result_digest(simulate_lifecycle(
+                fano_layout, 2000.0, 2500.0, trials=600, seed=9,
+                lse_rate_per_byte=1e-13, timer=timer, chunk_trials=chunk,
+                jobs=jobs, kernel=kernel,
+            ).to_dict())
+            for chunk in (1, 3, 64, 256, 1000, None)
+            for jobs in (1, 2)
+            for kernel in ("vectorized", "event")
+        }
+        assert len(set(digests.values())) == 1, digests
+
+    def test_default_width_follows_trials_and_the_cell_budget(self):
+        assert _plane_trials(100_000, 64) == 2048  # the cap
+        assert _plane_trials(10_000, 64) == 1250  # eight chunks for a pool
+        assert _plane_trials(2055, 64) == 256  # one lane block at least
+        assert _plane_trials(2056, 64) == 257
+        assert _plane_trials(100_000, 384) == 512  # the cell budget
+        assert _plane_trials(100_000, 4125) == 256  # long missions stay narrow
+
+    def test_a_collecting_run_keeps_one_block_chunks(self, fano_layout):
+        """Every trial of a collecting run is walked, so width buys nothing
+        and histogram sums fold per chunk: its registry must not depend on
+        how wide the screen's planes have become."""
+        def chunks(telemetry):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                simulate_lifecycle(
+                    fano_layout, 400_000.0, 8766.0, trials=4096, seed=1,
+                    telemetry=telemetry,
+                )
+            return len(prof.series["lifecycle.dangerous_fraction"])
+
+        assert chunks(None) == 8
+        assert chunks(Telemetry.collecting()) == 16
 
 
 class TestTelemetryInvariance:

@@ -124,7 +124,7 @@ _CHUNKED = {
     "lifetimes": ("chunk_trials", False, lambda **kw: simulate_lifetimes(
         21, 2000.0, 40.0, recoverability_oracle(_LAYOUT, 3), 3000.0,
         trials=20, seed=5, **kw)),
-    "lifecycle": ("chunk_trials", False, lambda **kw: simulate_lifecycle(
+    "lifecycle": ("chunk_trials", True, lambda **kw: simulate_lifecycle(
         _LAYOUT, 800.0, 2000.0, disk=_DISK, trials=20, seed=7, **kw)),
     "fleet": ("chunk_missions", True, lambda **kw: simulate_fleet(
         _LAYOUT, 800.0, 2000.0, disk=_DISK, arrays=4, trials=5, seed=11,
@@ -150,9 +150,10 @@ class TestJobsAndChunkMatrix:
         }
         for chunk in (1, 3, None):
             assert digests[1, chunk] == digests[2, chunk], chunk
-        # Global trial seeds (serve) and lanes (fleet at boost 1, where
-        # every weight is an integer) put chunk size outside the plane;
-        # lifetimes and lifecycle seed each chunk's plane by its index.
+        # Global trial seeds (serve) and lanes (lifecycle's frozen blocks;
+        # fleet at boost 1, where every weight is an integer) put chunk
+        # size outside the plane; lifetimes alone draws each chunk from
+        # one sequential generator seeded by the chunk's index.
         assert (len(set(digests.values())) == 1) == chunk_free
 
 

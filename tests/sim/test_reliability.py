@@ -1,5 +1,8 @@
 """Markov chains and Monte-Carlo lifetimes, cross-validated."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -67,6 +70,30 @@ class TestMarkov:
     def test_prob_loss_at_zero(self):
         model = MarkovReliabilityModel(5, 1000.0, 10.0, [0.0, 1.0])
         assert model.prob_loss_within(0.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("hours", [1e-6, 1.0, 8766.0, 1e6])
+    def test_prob_loss_matches_the_one_state_closed_form(self, hours):
+        """No tolerance: the first of n exponential failures is the loss,
+        to full relative accuracy even where the probability is ~1e-9."""
+        model = MarkovReliabilityModel(5, 1000.0, 10.0, [0.0, 1.0])
+        expected = -math.expm1(-5 * hours / 1000.0)
+        assert model.prob_loss_within(hours) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("mttr", [0.5, 40.0])
+    @pytest.mark.parametrize("n", [8, 21, 57])
+    def test_prob_loss_matches_the_eigendecomposition(self, n, mttr):
+        """The numpy scaling-and-squaring exponential against an
+        independent route to exp(Qt): Q = V diag(w) V^-1."""
+        model = MarkovReliabilityModel(
+            n, 10_000.0, mttr, [0.0, 0.0, 0.0, 0.3, 1.0]
+        )
+        w, v = np.linalg.eig(model._generator())
+        for hours in (100.0, 8766.0, 87_660.0):
+            spectral = (v * np.exp(w * hours)) @ np.linalg.inv(v)
+            # abs: the spectral route itself is only good to ~1e-16.
+            assert model.prob_loss_within(hours) == pytest.approx(
+                float(spectral[0, -1].real), rel=1e-6, abs=1e-14
+            )
 
     def test_steady_unavailability_small(self):
         model = MarkovReliabilityModel(

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import sys
 import time
 
 import pytest
@@ -140,6 +141,16 @@ class TestLifecycle:
         assert "P(loss before horizon)" in out
         assert "Markov P(loss), derived mu" in out
         assert "peak concurrent failures" in out
+
+    def test_runs_on_a_numpy_only_install(self, capsys, monkeypatch):
+        """The Markov row's matrix exponential needs no scipy: with every
+        scipy import masked, the command still ends in its table."""
+        for name in list(sys.modules):
+            if name == "scipy" or name.startswith("scipy."):
+                monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        assert main(["lifecycle", "-v", "7", "-k", "3", "--trials", "50"]) == 0
+        assert "Markov P(loss), derived mu" in capsys.readouterr().out
 
     def test_raid50_scheme(self, capsys):
         assert main(self.ARGS + ["--scheme", "raid50"]) == 0

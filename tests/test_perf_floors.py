@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these four are same-process ratios between code paths that
+system); these five are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -12,12 +12,16 @@ return identical bits, so the box they run on cancels out:
 * serve ``vectorized`` / ``event`` >= 5 — the Lindley sweep against the
   per-event heap walk;
 * profiled phases / wall >= 0.95 on a vectorized lifecycle run — a hot
-  path that dodges instrumentation shows as a coverage drop.
+  path that dodges instrumentation shows as a coverage drop;
+* lifecycle in 256-trial chunks / default geometry >= 1.25 at 32 768
+  trials — the lockstep screen pays numpy dispatch per round per chunk,
+  so a change that quietly narrows the default plane (or re-grows it per
+  walked trial) gives the wide plane's saving back.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
 both sides of a ratio. Run with ``-m slow`` (CI does, next to the
-planner-equivalence sweep); about 8 s.
+planner-equivalence sweep); about 12 s.
 """
 
 import time
@@ -26,8 +30,10 @@ import pytest
 
 from repro.core.oi_layout import oi_raid
 from repro.obs import PhaseProfiler, use_profiler
+from repro.obs.ledger import result_digest
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import RebuildTimer, simulate_lifecycle
+from repro.sim.rebuild import DiskModel
 from repro.sim.serve import simulate_serve
 from repro.workloads import WorkloadSpec
 
@@ -98,6 +104,34 @@ def test_lifecycle_and_fleet_floors(layout, timer):
         "the fleet tier's overhead is eating the columnar win"
     )
     print(f"lifecycle vectorized/event {ratio:.2f}, fleet/lifecycle {fleet_ratio:.2f}")
+
+
+def test_wide_plane_floor(layout):
+    """Default geometry against 256-trial chunks: same bits, fewer rounds.
+
+    The physics of ``benchmarks/e2e``'s ``lifecycle_clean``: a 32 GiB
+    disk rebuilds so fast that nearly every trial stays on the screen.
+    """
+    timer = RebuildTimer(
+        layout, DiskModel(capacity_bytes=32 * 1024 ** 3), "distributed",
+        "analytic", 8,
+    )
+
+    def run(**geometry):
+        return lambda: simulate_lifecycle(
+            layout, MTTF_HOURS, HORIZON_HOURS, trials=32_768, seed=0,
+            timer=timer, **geometry,
+        )
+
+    narrow, wide = run(chunk_trials=256), run()
+    assert result_digest(narrow().to_dict()) == result_digest(wide().to_dict())
+    best = best_interleaved({"narrow": narrow, "wide": wide})
+    ratio = best["narrow"] / best["wide"]
+    assert ratio >= 1.25, (
+        f"lifecycle default-geometry/256-chunk ratio {ratio:.2f} < 1.25: "
+        "the wide lockstep plane is not paying for itself"
+    )
+    print(f"lifecycle wide/narrow plane {ratio:.2f}")
 
 
 def test_serve_floor(layout):

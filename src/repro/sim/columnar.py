@@ -6,17 +6,21 @@ trial, and an exact *event plane* that replays only the trials the
 sampling plane flags as dangerous. This module is the shared substrate
 for both planes so the kernels stop duplicating scaffolding:
 
-* :class:`TrialStreams` — per-trial counter-based draw lanes. Lane ``t``
-  of a run seeded ``s`` is the splitmix64 stream
-  ``u[t, j] = (mix64(mix64(s + (t+1)*G) + (j+1)*G) >> 11) * 2**-53``
-  (``G`` the 64-bit golden-ratio increment), so any slot of any trial is
-  addressable without sequential generator state. Both lifecycle kernels
-  draw from the *same* lanes: the vectorized kernel reads whole
-  ``(trials, slots)`` planes, the event kernel walks one trial at a time
-  through a :class:`LaneCursor` — which is what makes ``--mc-kernel`` a
-  pure speed knob: the two kernels return bit-identical results, because
-  every uniform (and every exponential, computed once by ``numpy.log``
-  over the whole plane) is literally the same float.
+* :func:`lanes` — the one lane address. Every lifecycle, fleet and serve
+  draw is ``(seed, domain, trial, sub, slot)``: :func:`lanes` hashes the
+  first four coordinates into a ``uint64`` lane value, each one mixed
+  before the next is added so no two share a stride, and slot ``j`` of a
+  lane is ``(mix64(lane + (j+1)*G) >> 11) * 2**-53`` (``G`` the 64-bit
+  golden-ratio increment) — any slot of any trial is addressable without
+  sequential generator state, and nothing else in the package spells a
+  keying formula.
+* :class:`TrialStreams` — the first slots of a ``(trials, subs)`` lane
+  array as whole planes. Both lifecycle kernels draw from the *same*
+  lanes: the vectorized kernel reads them columnar, the event kernel
+  walks one trial at a time through a :class:`LaneCursor` — which is
+  what makes ``--mc-kernel`` a pure speed knob: the two kernels return
+  bit-identical results, because every uniform (and every exponential,
+  computed by ``numpy.log`` from it) is literally the same float.
 * :class:`LifecycleTables` — broadcast-ready per-disk single-failure
   rebuild columns (hours, bytes read), computed once from a
   ``RebuildTimer`` in the parent and shipped to workers through the pool
@@ -27,7 +31,7 @@ for both planes so the kernels stop duplicating scaffolding:
   shares the machinery instead of copying it.
 * :class:`LockstepScreen` — the lockstep renewal screen the lifecycle
   and fleet kernels share: all trials advance one failure incident per
-  round on a ``(trials, disks)`` failure-clock array, clean incidents
+  round on a ``(disks, trials)`` failure-clock array, clean incidents
   are settled columnar, and trials whose incident overlaps a second
   failure (or is struck by a latent sector error) are flagged for the
   caller's exact replay.
@@ -63,7 +67,7 @@ _SEED_MASK = (1 << 63) - 1
 #: Cells a plane samples per numpy pass (row strip x fresh columns): each
 #: temporary stays under 128 KiB — inside L2, under malloc's mmap threshold.
 _STRIP_CELLS = 12288
-#: Fewest columns a plane grows by: one cache line of float64 per row.
+#: Fewest slots a cursor grows its rows to: one cache line of float64 per lane.
 _GROW_SLOTS = 8
 
 #: Kernel names every simulator (and ``--mc-kernel`` / ``--serve-kernel``)
@@ -101,21 +105,51 @@ def _mix64_np(z):
     return z ^ (z >> _np.uint64(31))
 
 
-def lane_seed(seed: int, trial: int) -> int:
-    """The lane seed of *trial* under run seed *seed* (scalar reference)."""
-    return mix64((seed & _MASK64) + (trial + 1) * GOLDEN_STRIDE)
-
-
 def derive_chunk_seed(seed: int, chunk_id: int) -> int:
     """Deterministic sub-seed for chunk *chunk_id* of a run seeded *seed*.
 
-    Chunk 0 reproduces *seed* itself, so a single-chunk parallel run is
-    bit-identical to the serial simulator called directly — and any
-    simulator that derives per-trial seeds this way (trial ``t`` gets
-    ``derive_chunk_seed(seed, t)``) makes trial 0 of a batch identical
-    to a plain single-trial run with the same seed.
+    The lifetime simulator's per-chunk generator seed, and its only use:
+    chunk 0 reproduces *seed* itself. Everything else is keyed by
+    :func:`lanes`.
     """
     return (seed ^ (chunk_id * GOLDEN_STRIDE)) & _SEED_MASK
+
+
+#: Lane-address domains. Lifecycle and fleet share :data:`MISSION` — fleet
+#: mission *m* **is** lifecycle trial *m* — with ``sub`` the disk, plus one
+#: auxiliary ``sub`` for the latent-error and stranded-cell uniforms;
+#: :data:`SERVE` has ``sub`` the purpose (arrival / unit / write / perm).
+MISSION, SERVE = 1, 2
+
+
+def lanes(seed: int, domain: int, start: int, count: int, subs: int):
+    """Lane values of global trials ``start .. start+count-1``: ``(count, subs)``.
+
+    The one place a draw's address is decided::
+
+        lane(seed, domain, T, s) = mix64(mix64(mix64(seed + domain*G) + T) + s)
+
+    and slot ``j`` of a lane is ``mix64(lane + (j+1)*G) >> 11`` (:func:`_uniforms`).
+    Every coordinate is hashed before the next is added, so no two share
+    a stride (a shared one aliases lanes across trials), and a window of
+    trials is rows ``start .. start+count-1`` of the whole, whatever
+    chunk asks.
+    """
+    base = _np.uint64(mix64((seed & _MASK64) + domain * GOLDEN_STRIDE))
+    trials = _np.arange(start, start + count, dtype=_np.uint64)
+    keyed = _mix64_np(base + trials)
+    return _mix64_np(keyed[:, None] + _np.arange(subs, dtype=_np.uint64))
+
+
+def _uniforms(lane_values, slots):
+    """Uniforms in ``[0, 1)`` at ``(lane, slot)``, broadcasting the two."""
+    z = _mix64_np(lane_values + (slots + _np.uint64(1)) * _np.uint64(GOLDEN_STRIDE))
+    return (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
+
+
+def _exponentials(uniforms, lambd: float):
+    """The ``Exp(lambd)`` draws of *uniforms*: ``-log(1 - u) / lambd``."""
+    return -_np.log(1.0 - uniforms) / lambd
 
 
 class ChunkSpec(NamedTuple):
@@ -124,66 +158,17 @@ class ChunkSpec(NamedTuple):
     ``index`` is the chunk's position in chunk order, ``start`` the
     global index of its first trial and ``size`` its trial count;
     ``seed`` is the **run** seed. Chunk functions derive what they
-    sample from these alone — a per-chunk stream
-    (``derive_chunk_seed(seed, index)``: lifetimes only, whose chunk size
-    is thereby part of its sample), per-trial streams
-    (``derive_chunk_seed(seed, start + i)``) or globally keyed lanes
-    (``lane_offset=start``, ``block_lane_seeds(seed, start, size)``) —
-    never from ``jobs``.
+    sample from these alone — ``lanes(seed, domain, start, size, subs)``
+    for lifecycle, fleet and serve, whose chunk size is therefore only a
+    speed; a per-chunk generator (``derive_chunk_seed(seed, index)``) for
+    lifetimes, whose chunk size is part of its sample — never from
+    ``jobs``.
     """
 
     index: int
     start: int
     size: int
     seed: int
-
-
-def derive_lane_seeds(seeds, lanes_per_seed: int):
-    """Flat per-purpose lane seeds for a batch of run seeds.
-
-    Entry ``i * lanes_per_seed + p`` equals ``lane_seed(seeds[i], p)`` —
-    the glue that lets one batched :class:`TrialStreams` (via the
-    ``lane_seeds`` override) materialize many runs' purpose-keyed lanes
-    side by side while each run keeps reading exactly the floats it
-    would read alone. Returns a ``uint64`` array.
-    """
-    if lanes_per_seed < 1:
-        raise SimulationError(
-            f"lanes_per_seed must be >= 1, got {lanes_per_seed}"
-        )
-    base = _np.array([s & _MASK64 for s in seeds], dtype=_np.uint64)
-    purposes = _np.arange(1, lanes_per_seed + 1, dtype=_np.uint64)
-    mixed = base[:, None] + purposes[None, :] * _np.uint64(GOLDEN_STRIDE)
-    return _mix64_np(mixed.reshape(-1))
-
-
-#: Trials per lifecycle lane block. Frozen: it is part of the sample (see
-#: :func:`block_lane_seeds`), unlike any chunk size, which is only a speed.
-LANE_BLOCK_TRIALS = 256
-
-
-def block_lane_seeds(seed: int, start: int, count: int):
-    """Lane values of global lifecycle trials ``start .. start+count-1``.
-
-    Trial ``T`` reads ``lane_seed(derive_chunk_seed(seed, T // 256),
-    T % 256)``: lanes are keyed by the global trial in frozen blocks of
-    :data:`LANE_BLOCK_TRIALS`, which is the lane every 256-trial chunk
-    has always read — so a run may cut its trials into chunks of any
-    size without moving a sampled float. One ``uint64`` expression over
-    the blocks the window touches, for ``TrialStreams(lane_seeds=...)``.
-
-    Known weakness, kept because it *is* the front-door sample: block
-    seeds and lanes step by the same stride, so lanes of neighbouring
-    blocks alias (ROADMAP, "Lifecycle lane blocks alias").
-    """
-    first = start // LANE_BLOCK_TRIALS
-    blocks = range(first, (start + count - 1) // LANE_BLOCK_TRIALS + 1)
-    lanes = derive_lane_seeds(
-        [derive_chunk_seed(seed, block) for block in blocks],
-        LANE_BLOCK_TRIALS,
-    )
-    offset = start - first * LANE_BLOCK_TRIALS
-    return lanes[offset:offset + count]
 
 
 def oracle_guarantee(oracle: Callable[..., bool]) -> int:
@@ -201,18 +186,21 @@ def oracle_guarantee(oracle: Callable[..., bool]) -> int:
 
 
 class LaneCursor:
-    """Sequential ``random.Random``-shaped view of one trial's lane.
+    """Sequential ``random.Random``-shaped view of one trial's lanes.
 
     Supports exactly the draw vocabulary the lifecycle walk uses —
-    ``random()``, ``expovariate()``, ``randrange()`` — reading successive
-    slots of the trial's lane: the shared plane's row first, then slots
-    the cursor draws for its own lane alone (same position-addressed
-    floats; the plane is never grown by a walk, so a chunk's memory does
-    not scale with its longest trial). ``expovariate`` must be called
-    with the rate the streams were built for: the exponentials are
-    precomputed for that rate (that is what makes the event walk read
-    the *same* floats as the vectorized plane), so a different rate
-    would silently decouple the kernels and raises instead.
+    ``random()``, ``expovariate()``, ``randrange()`` — each naming the
+    *sub* lane it reads (the walk: ``expovariate(lambd, disk)`` is that
+    disk's next lifetime; ``random()`` / ``randrange()`` read the last,
+    auxiliary lane) and advancing that lane's own position: the shared
+    plane's rows first, then slots the cursor draws for its own trial
+    alone (same position-addressed floats; a walk never grows the plane,
+    so a chunk's memory does not scale with its longest trial).
+    ``expovariate`` must be called with the rate the streams were built
+    for: the exponentials are precomputed for that rate (that is what
+    makes the event walk read the *same* floats as the vectorized
+    screen), so a different rate would silently decouple the kernels and
+    raises instead.
     """
 
     __slots__ = ("_streams", "_trial", "pos", "_u", "_e")
@@ -220,196 +208,112 @@ class LaneCursor:
     def __init__(self, streams: "TrialStreams", trial: int) -> None:
         self._streams = streams
         self._trial = trial
-        self.pos = 0
-        # Materialized plane rows (plain float lists) make the hot draws
-        # list indexing instead of per-scalar numpy access — the event
-        # walk draws thousands of times per trial and the difference is
-        # ~1.5x on the whole kernel. Same floats either way.
-        self._u, self._e = streams.rows(trial)
+        self.pos = [0] * streams.lanes.shape[1]
+        # Materialized plane rows (plain float lists, one per sub lane)
+        # make the hot draws list indexing instead of per-scalar numpy
+        # access — the event walk draws thousands of times per trial and
+        # the difference is ~1.5x on the whole kernel. Same floats either
+        # way.
+        self._u = streams.uniforms[trial].tolist()
+        self._e = streams.exponentials[trial].tolist()
 
-    def random(self) -> float:
-        """The next uniform in ``[0, 1)`` of this trial's lane."""
-        pos = self.pos
-        self.pos = pos + 1
-        if pos >= len(self._u):
+    def random(self, sub: int = -1) -> float:
+        """The next uniform in ``[0, 1)`` of lane *sub*."""
+        pos = self.pos[sub]
+        self.pos[sub] = pos + 1
+        row = self._u[sub]
+        if pos >= len(row):
             self._grow(pos)
-        return self._u[pos]
+        return row[pos]
 
-    def expovariate(self, lambd: float) -> float:
-        """The next ``Exp(lambd)`` draw; *lambd* must be the plane's rate."""
+    def expovariate(self, lambd: float, sub: int) -> float:
+        """Lane *sub*'s next ``Exp(lambd)``; *lambd* must be the plane's rate."""
         if lambd != self._streams.lambd:
             raise SimulationError(
                 f"lane streams were built for rate {self._streams.lambd!r}, "
                 f"cannot draw expovariate({lambd!r})"
             )
-        pos = self.pos
-        self.pos = pos + 1
-        if pos >= len(self._e):
+        pos = self.pos[sub]
+        self.pos[sub] = pos + 1
+        row = self._e[sub]
+        if pos >= len(row):
             self._grow(pos)
-        return self._e[pos]
+        return row[pos]
 
     def _grow(self, pos: int) -> None:
         """Extend this trial's own rows to cover slot *pos* (doubling).
 
-        The shared plane is left alone: a walk that outruns it pays for
-        one lane, not for every row of the chunk.
+        All of the trial's lanes grow together, in one draw. The shared
+        plane is left alone: a walk that outruns it pays for one trial,
+        not for every row of the chunk.
         """
-        have = len(self._u)
+        have = len(self._u[0])
         with ambient_profiler().phase("sample"):
             u, e = self._streams.draw(
-                slice(self._trial, self._trial + 1), have,
-                max(pos + 1, 2 * have),
+                self._trial, have, max(pos + 1, 2 * have, _GROW_SLOTS)
             )
-        self._u += u[0].tolist()
-        self._e += e[0].tolist()
+        for rows, more in ((self._u, u), (self._e, e)):
+            for row, tail in zip(rows, more.tolist()):
+                row += tail
 
     def randrange(self, n: int) -> int:
-        """A uniform integer in ``[0, n)`` from the next uniform slot."""
+        """A uniform integer in ``[0, n)`` from the auxiliary lane's next slot."""
         value = int(self.random() * n)
         return value if value < n else n - 1
 
 
 class TrialStreams:
-    """numpy-backed per-trial draw lanes (uniform and exponential planes).
+    """The first *slots* slots of a ``(trials, subs)`` lane array, as planes.
 
-    Slots are generated into ``(trials, slots)`` planes, a cache-sized
-    row strip at a time, and grown on demand; every float is a pure
+    *lanes* is what :func:`lanes` returned — the only keying there is —
+    and ``uniforms`` / ``exponentials`` (``Exp(lambd)``:
+    ``-log(1 - u) / lambd``) are the ``(trials, subs, slots)`` planes,
+    sampled a cache-sized row strip at a time. Every float is a pure
     function of its lane value and slot number (:meth:`draw`), never of
-    how wide the plane is, how it grew or who read it.
-
-    *lane_offset* keys the lanes to a window of a larger global trial
-    space: local row ``t`` reads global lane ``lane_offset + t``, so
-    ``TrialStreams(seed, k, lambd, lane_offset=m)`` is bit-identical to
-    rows ``m .. m+k-1`` of ``TrialStreams(seed, m+k, lambd)``. The fleet
-    kernel uses this to key one lane per ``(array, trial)`` mission while
-    materializing only a chunk of missions at a time — chunk boundaries
-    can never change which floats a mission reads.
-
-    *lane_seeds* overrides the per-row lane derivation entirely: row
-    ``t`` reads the already-mixed lane value ``lane_seeds[t]`` (as
-    produced by :func:`lane_seed` / :func:`derive_lane_seeds` /
-    :func:`block_lane_seeds`). The serve kernel uses this to pack many
-    *independently seeded* runs' purpose lanes into one plane — each row
-    is then bit-identical to the same lane of a stream built for that
-    run alone — and the lifecycle kernel to key any window of global
-    trials to its frozen lane blocks.
+    how wide the plane is or who reads it: a window of lanes is rows
+    ``m .. m+k-1`` of the whole, and a cursor past the plane's edge and
+    the lockstep screen's scattered reads see the floats a wider plane
+    would hold.
     """
 
-    __slots__ = ("seed", "trials", "lambd", "lane_offset", "_lanes",
-                 "_uniforms", "_exponentials", "_slots")
+    __slots__ = ("lanes", "lambd", "uniforms", "exponentials")
 
-    def __init__(self, seed: int, trials: int, lambd: float,
-                 slots: int = 64, lane_offset: int = 0,
-                 lane_seeds=None) -> None:
-        if trials < 1:
-            raise SimulationError(f"trials must be >= 1, got {trials}")
+    def __init__(self, lanes, lambd: float, slots: int = 64) -> None:
+        lanes = _np.asarray(lanes, dtype=_np.uint64)
+        if lanes.ndim != 2 or not lanes.size:
+            raise SimulationError(
+                f"lanes must be a non-empty (trials, subs) array, "
+                f"got shape {lanes.shape}"
+            )
         if lambd <= 0:
             raise SimulationError(f"lambd must be > 0, got {lambd}")
-        if lane_offset < 0:
-            raise SimulationError(
-                f"lane_offset must be >= 0, got {lane_offset}"
-            )
-        self.seed = seed
-        self.trials = trials
+        if slots < 1:
+            raise SimulationError(f"slots must be >= 1, got {slots}")
+        self.lanes = lanes
         self.lambd = lambd
-        self.lane_offset = lane_offset
-        if lane_seeds is not None:
-            if lane_offset != 0:
-                raise SimulationError(
-                    "lane_seeds and lane_offset are mutually exclusive"
-                )
-            lanes = _np.asarray(lane_seeds, dtype=_np.uint64)
-            if lanes.shape != (trials,):
-                raise SimulationError(
-                    f"lane_seeds must have shape ({trials},), "
-                    f"got {lanes.shape}"
-                )
-            self._lanes = lanes
-        else:
-            base = _np.uint64(seed & _MASK64)
-            counters = _np.arange(
-                lane_offset + 1, lane_offset + trials + 1, dtype=_np.uint64
-            )
-            self._lanes = _mix64_np(
-                base + counters * _np.uint64(GOLDEN_STRIDE)
-            )
-        self._slots = 0
-        self._uniforms = self._exponentials = _np.empty((trials, 0))
-        self.ensure(slots)
+        trials, subs = lanes.shape
+        planes = _np.empty((2, trials, subs, slots))
+        strip = max(1, _STRIP_CELLS // (subs * slots))
+        for lo in range(0, trials, strip):
+            rows = slice(lo, lo + strip)
+            planes[0, rows], planes[1, rows] = self.draw(rows, 0, slots)
+        self.uniforms, self.exponentials = planes
 
-    @property
-    def slots(self) -> int:
-        return self._slots
-
-    @property
-    def uniforms(self):
-        """The ``(trials, slots)`` uniform plane (values in ``[0, 1)``)."""
-        return self._uniforms[:, :self._slots]
-
-    @property
-    def exponentials(self):
-        """The matching ``Exp(lambd)`` plane: ``-log(1 - u) / lambd``."""
-        return self._exponentials[:, :self._slots]
-
-    def draw(self, rows: slice, start: int, stop: int):
-        """Slots ``start .. stop-1`` of lanes *rows*: ``(uniforms, exponentials)``.
+    def draw(self, rows, start: int, stop: int):
+        """Slots ``start .. stop-1`` of ``lanes[rows]``: ``(uniforms, exponentials)``.
 
         A pure function of the lane values and the slot numbers, so the
-        plane (strip by strip) and a cursor past its edge (one row) read
+        plane (strip by strip) and a cursor past its edge (one trial) read
         the same floats whoever asks, in whatever pieces.
         """
-        counters = _np.arange(
-            start + 1, stop + 1, dtype=_np.uint64
-        ) * _np.uint64(GOLDEN_STRIDE)
-        z = _mix64_np(self._lanes[rows, None] + counters[None, :])
-        u = (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
-        return u, -_np.log(1.0 - u) / self.lambd
-
-    def ensure(self, slots: int) -> None:
-        """Grow every row to at least *slots* columns, a row strip at a time.
-
-        Capacity doubles (one copy, amortized) but only the columns asked
-        for are sampled — :data:`_GROW_SLOTS` at least, a cache line per
-        row — so a wide plane never pays whole rows for a few stragglers.
-        """
-        have = self._slots
-        if slots <= have:
-            return
-        # The phase span sits after the early return so the common
-        # no-growth path never touches the profiler.
-        with ambient_profiler().phase("sample"):
-            target = max(slots, have + _GROW_SLOTS)
-            if target > self._uniforms.shape[1]:
-                planes = _np.empty((2, self.trials, max(target, 2 * have)))
-                planes[0, :, :have] = self.uniforms
-                planes[1, :, :have] = self.exponentials
-                self._uniforms, self._exponentials = planes
-            strip = max(1, _STRIP_CELLS // (target - have))
-            for lo in range(0, self.trials, strip):
-                rows = slice(lo, lo + strip)
-                u, e = self.draw(rows, have, target)
-                self._uniforms[rows, have:target] = u
-                self._exponentials[rows, have:target] = e
-            self._slots = target
-
-    def uniform(self, trial: int, pos: int) -> float:
-        """Slot *pos* of trial *trial*'s uniform lane (grows as needed)."""
-        if pos >= self._slots:
-            self.ensure(pos + 1)
-        return float(self._uniforms[trial, pos])
-
-    def exponential(self, trial: int, pos: int) -> float:
-        """Slot *pos* of trial *trial*'s exponential lane (grows as needed)."""
-        if pos >= self._slots:
-            self.ensure(pos + 1)
-        return float(self._exponentials[trial, pos])
-
-    def rows(self, trial: int):
-        """One trial's planes as plain float lists (cursor fast path)."""
-        return self.uniforms[trial].tolist(), self.exponentials[trial].tolist()
+        u = _uniforms(
+            self.lanes[rows][..., None],
+            _np.arange(start, stop, dtype=_np.uint64),
+        )
+        return u, _exponentials(u, self.lambd)
 
     def cursor(self, trial: int) -> LaneCursor:
-        """A sequential reader over trial *trial*'s lane."""
+        """A sequential reader over trial *trial*'s lanes."""
         return LaneCursor(self, trial)
 
 
@@ -447,17 +351,18 @@ class LifecycleTables:
 class LockstepScreen:
     """The lockstep renewal screen the lifecycle and fleet kernels share.
 
-    Construction samples the plane — row ``t`` reads global lane
-    ``lane_offset + t`` of *seed*, or the lane value ``lane_seeds[t]`` —
-    and loads every disk's first failure epoch into a
-    ``(trials, disks)`` array. :meth:`rounds` then advances
+    *lanes* are the chunk's :data:`MISSION` lanes, ``(trials, disks + 1)``:
+    slot *k* of lane ``(T, d)`` is disk *d*'s *k*-th lifetime and the last
+    lane holds the latent-error uniforms. Construction loads every disk's
+    first lifetime into the ``(disks, trials)`` array ``fail_at``.
+    :meth:`rounds` then advances
     all still-active trials one failure incident per round: it takes each
     trial's earliest pending failure, reads the failed disk's
     single-failure rebuild clock from the broadcast *tables* columns, and
     classifies the incident vectorized — past the horizon (mission over),
     truncated (rebuild still running at the horizon), overlapped by a
     second failure (dangerous), struck by a latent sector error
-    (dangerous), or clean (repair completes, the disk redraws a
+    (dangerous), or clean (repair completes, the disk reads its next
     lifetime). The screen never consults the recovery planner: a single
     failure is safe whenever *guarantee* (the layout's tolerance, or the
     oracle's declared one) covers one failure; ``guarantee == 0`` flags
@@ -474,21 +379,20 @@ class LockstepScreen:
         self,
         layout: "Layout",
         tables: LifecycleTables,
-        seed: int,
-        trials: int,
+        lanes,
         lambd: float,
         horizon_hours: float,
         lse_rate_per_byte: float,
         guarantee: int,
-        slots: int,
-        lane_offset: int = 0,
-        lane_seeds=None,
     ) -> None:
         n = layout.n_disks
-        self.streams = TrialStreams(
-            seed, trials, lambd, max(slots, n + 2), lane_offset, lane_seeds
-        )
-        self._fail_at = self.streams.exponentials[:, :n].copy()
+        # One slot is all the screen reads in bulk; later slots are read
+        # where the rounds need them, a replay's cursor extends its own.
+        self.streams = TrialStreams(lanes, lambd, 1)
+        trials = len(self.streams.lanes)
+        # Disk-major, so a round's reductions over the disks run down
+        # contiguous columns of trials.
+        self.fail_at = self.streams.exponentials[:, :n, 0].T.copy()
         self.n_failures = _np.zeros(trials, dtype=_np.int64)
         self.n_repairs = _np.zeros(trials, dtype=_np.int64)
         self.peak = _np.zeros(trials, dtype=_np.int64)
@@ -520,27 +424,35 @@ class LockstepScreen:
         sums), so the screen carries none of them — a plain tuple because
         this runs once per round of every chunk.
         """
-        streams, fail_at = self.streams, self._fail_at
+        fail_at = self.fail_at
         hours1, bytes_read = self._tables.hours, self._tables.bytes_read
         horizon_hours = self._horizon_hours
         lse_thresholds = self._lse_thresholds
         n_failures, n_repairs = self.n_failures, self.n_repairs
         dangerous, single_safe = self.dangerous, self._single_safe
-        trials, n = fail_at.shape
-        ptr = _np.full(trials, n, dtype=_np.int64)
+        n, trials = fail_at.shape
+        lambd = self.streams.lambd
+        # Flat (disk, trial) views: one index serves the lane, its next
+        # unread slot and its failure clock (1-D gathers are several
+        # times cheaper than 2-D ones). The auxiliary lane keeps its own
+        # next-slot column.
+        disk_lanes = self.streams.lanes[:, :n].T.ravel()
+        aux_lanes = self.streams.lanes[:, n]
+        flat_fail_at = fail_at.reshape(-1)
+        drawn = _np.ones(n * trials, dtype=_np.uint64)
+        checked = _np.zeros(trials, dtype=_np.uint64)
         active = _np.arange(trials)
         while active.size:
-            streams.ensure(int(ptr[active].max()) + 2)
-            fa = fail_at[active]
-            rows = _np.arange(active.size)
-            first = _np.argmin(fa, axis=1)
-            tf = fa[rows, first]
+            fa = fail_at.take(active, axis=1)
+            tf = fa.min(axis=0)
+            # The first disk at the minimum, as argmin would pick it.
+            first = (fa == tf).argmax(axis=0)
             # Disks whose next failure falls past the horizon are never
             # seen.
             over = tf > horizon_hours
             comp = tf + hours1[first]
-            fa[rows, first] = _np.inf
-            second = fa.min(axis=1)
+            fa.reshape(-1)[first * active.size + _np.arange(active.size)] = _np.inf
+            second = fa.min(axis=0)
             if single_safe:
                 # A pending failure at the same instant as a completion
                 # pops first (it always carries a lower heap sequence
@@ -560,12 +472,12 @@ class LockstepScreen:
                 if hit.size:
                     t_ix = active[hit]
                     struck = (
-                        streams.uniforms[t_ix, ptr[t_ix]]
+                        _uniforms(aux_lanes[t_ix], checked[t_ix])
                         > lse_thresholds[first[hit]]
                     )
                     danger[hit[struck]] = True
                     clean[hit[struck]] = False
-                    ptr[t_ix[~struck]] += 1
+                    checked[t_ix[~struck]] += _np.uint64(1)
             # Truncations are rare; an empty position set doubles as the
             # (equally empty) trial-id set and skips the gather.
             ti = t_trunc = _np.flatnonzero(trunc)
@@ -575,11 +487,13 @@ class LockstepScreen:
             dangerous[active[danger]] = True
             ci = _np.flatnonzero(clean)
             t_clean = active[ci]
-            redraw = streams.exponentials[t_clean, ptr[t_clean]]
+            cell = first[ci] * trials + t_clean
+            slot = drawn[cell]
+            redraw = _exponentials(_uniforms(disk_lanes[cell], slot), lambd)
+            drawn[cell] = slot + _np.uint64(1)
             n_failures[t_clean] += 1
             n_repairs[t_clean] += 1
-            fail_at[t_clean, first[ci]] = comp[ci] + redraw
-            ptr[t_clean] += 1
+            flat_fail_at[cell] = comp[ci] + redraw
             yield t_clean, ci, redraw, t_trunc, ti, tf, comp
             active = active[clean]
         self.peak[(~dangerous) & (n_failures > 0)] = 1

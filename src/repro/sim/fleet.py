@@ -9,9 +9,9 @@ a single loss. This module is the columnar core's third consumer
 * **Fleet axis, streaming aggregation.** The mission space is
   ``arrays x trials`` independent array-missions, flattened to a global
   mission index ``m = array * trials + trial``. Missions are processed
-  in fixed-size chunks; each chunk builds a
-  :class:`~repro.sim.columnar.TrialStreams` window whose lanes are keyed
-  by the *global* mission index (``lane_offset=start``), advances a
+  in fixed-size chunks; each chunk reads the window of lanes addressed
+  by its *global* mission indices (:func:`~repro.sim.columnar.lanes` —
+  mission *m* **is** lifecycle trial *m*), advances a
   :class:`~repro.sim.columnar.LockstepScreen` over the chunk's
   ``(mission, disk)`` state — the very screen the vectorized lifecycle
   kernel runs — and folds everything into running accumulators —
@@ -42,7 +42,7 @@ a single loss. This module is the columnar core's third consumer
     confidence interval on the weighted mean and the effective sample
     size ``(sum w)^2 / sum w^2`` as the honesty diagnostic.
 
-Determinism contract: lanes are keyed by ``(seed, global mission)``
+Determinism contract: lanes are addressed by ``(seed, global mission)``
 and chunk boundaries are a pure function of the mission count, so the
 result is bit-identical for any ``jobs`` (the float accumulators are
 folded in chunk order by :func:`merge_fleet_chunks`); chunk size only
@@ -66,16 +66,17 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
+    MISSION,
     ChunkSpec,
     LifecycleTables,
     LockstepScreen,
+    lanes,
     oracle_guarantee,
 )
 from repro.sim.lifecycle import (
     _check_mission,
     _lifecycle_trial,
     _pattern_check,
-    _slot_estimate,
     guaranteed_tolerance,
 )
 from repro.sim.parallel import ProgressCallback, run_chunks
@@ -115,8 +116,8 @@ class _CountingCursor:
     def randrange(self, n: int) -> int:
         return self._cursor.randrange(n)
 
-    def expovariate(self, lambd: float) -> float:
-        value = self._cursor.expovariate(lambd)
+    def expovariate(self, lambd: float, sub: int) -> float:
+        value = self._cursor.expovariate(lambd, sub)
         self.draws += 1
         self.draw_sum += value
         return value
@@ -306,14 +307,12 @@ def _fleet_chunk(
     """Advance missions ``spec.start .. spec.start+spec.size-1`` and fold them.
 
     The chunk function the driver runs. *state* is the broadcast
-    ``(layout, timer, tables, oracle)`` tuple. Lanes are keyed
-    by the **run** seed and the global mission index (``spec.seed``,
-    ``lane_offset=spec.start``) — never a per-chunk seed, which would tie
-    sampled values to the chunk layout — so the chunk geometry cannot
-    change a single sampled float (lifecycle's 256-trial lane blocks
-    give the same guarantee and coincide with these lanes on the first
-    256 missions); it still regroups the per-chunk fold of the boosted
-    float sums. On top of the shared lockstep screen
+    ``(layout, timer, tables, oracle)`` tuple. Lanes are
+    ``lanes(spec.seed, MISSION, spec.start, …)`` — the run seed and the
+    global mission index, the very lanes lifecycle trial ``spec.start + i``
+    reads, never a per-chunk seed — so the chunk geometry cannot change a
+    single sampled float; it still regroups the per-chunk fold of the
+    boosted float sums. On top of the shared lockstep screen
     this kernel tracks the two weight statistics (lifetime-draw count and
     sum) for the likelihood ratio; replayed missions recompute both
     exactly through a :class:`_CountingCursor` around the event walk.
@@ -330,15 +329,11 @@ def _fleet_chunk(
 
     with prof.phase("sample"):
         screen = LockstepScreen(
-            layout, tables, spec.seed, count, lambd, horizon_hours,
-            lse_rate_per_byte, guarantee,
-            _slot_estimate(
-                n, mttf_hours / lambda_boost, horizon_hours, lse_rate_per_byte
-            ),
-            lane_offset=start,
+            layout, tables, lanes(spec.seed, MISSION, start, count, n + 1),
+            lambd, horizon_hours, lse_rate_per_byte, guarantee,
         )
         streams = screen.streams
-        draw_sum = streams.exponentials[:, :n].sum(axis=1)
+        draw_sum = screen.fail_at.sum(axis=0)
 
     with prof.phase("screen"):
         for clean, _at, redraw, _trunc, _trunc_at, _tf, _comp in screen.rounds():

@@ -34,10 +34,9 @@ simulator consume identical layout-derived μ values, making the Markov
 chain and the lifecycle MC directly comparable (E19).
 
 Rebuild times depend only on the failed pattern, so they are memoized per
-pattern within a run. Trials draw from per-trial counter-based lanes
-(:class:`repro.sim.columnar.TrialStreams`) keyed by the run seed and the
-**global** trial index, in frozen 256-trial blocks
-(:func:`repro.sim.columnar.block_lane_seeds`), so every trial is a pure
+pattern within a run. Trials draw from counter-based lanes — one per
+disk, one auxiliary — addressed by the run seed and the **global** trial
+index (:func:`repro.sim.columnar.lanes`), so every trial is a pure
 function of ``(seed, trial)`` — reproducible, bit-identical for any
 worker count and any chunk size (how
 :func:`repro.sim.parallel.run_chunks` cuts the run is a speed, never a
@@ -66,16 +65,16 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
-    LANE_BLOCK_TRIALS,
+    MISSION,
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
-    block_lane_seeds,
+    lanes,
     oracle_guarantee,
     resolve_kernel,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
-from repro.sim.parallel import ProgressCallback, run_chunks
+from repro.sim.parallel import DEFAULT_CHUNK_TRIALS, ProgressCallback, run_chunks
 from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.util.stats import mean, wilson_interval
 
@@ -254,48 +253,46 @@ def _pattern_check(
     return pattern_ok
 
 
-def _slot_estimate(
-    n_disks: int,
-    mttf_hours: float,
-    horizon_hours: float,
-    lse_rate_per_byte: float = 0.0,
-) -> int:
-    """Initial draw-lane width: what the longest lane of a plane reads.
-
-    Each mission consumes ``n_disks`` initial lifetime draws plus one
-    slot per failure incident (the repaired disk's fresh lifetime) — two
-    when latent errors are on (the check reads a uniform first). The
-    incident count is close to Poisson, so its mean plus four standard
-    deviations covers every lane of most planes and a growth pass stays
-    rare. Only a sizing hint — the lanes grow on demand and lane
-    contents are position-addressed, so the estimate can never change
-    results.
-    """
-    incidents = n_disks * horizon_hours / mttf_hours
-    reads = incidents + 4.0 * math.sqrt(incidents)
-    if lse_rate_per_byte > 0:
-        reads *= 2
-    return n_disks + 8 + min(4096, int(reads))
-
-
-#: Widest default chunk, and the cells (trials x slots) its sampled plane
-#: may hold: lanes of up to 96 slots (a year at a ~4 500 h MTTF on 21
-#: disks) get the full width, longer ones proportionally less.
+#: Widest default chunk, and the cells (lanes x slots) a walked chunk's
+#: sampled plane may hold before cursors extend their own rows instead.
 MAX_PLANE_TRIALS = 2048
 PLANE_CELLS = MAX_PLANE_TRIALS * 96
 
 
-def _plane_trials(trials: int, slots: int) -> int:
-    """Default chunk width: the widest plane :data:`PLANE_CELLS` affords.
+def _slot_estimate(
+    lanes: int,
+    n_disks: int,
+    mttf_hours: float,
+    horizon_hours: float,
+    lse_rate_per_byte: float,
+) -> int:
+    """Slots per lane of a *lanes*-row plane whose every trial will be walked.
+
+    A disk lane is read once per incident of its disk plus once at the
+    start; with latent errors on, the auxiliary lane is read once per
+    incident of *any* disk, and the plane is as wide as its longest
+    lane. Incident counts are close to Poisson, so the mean plus four
+    standard deviations covers nearly every lane and a cursor rarely
+    extends its own; :data:`PLANE_CELLS` caps the plane of a long
+    mission. Only a sizing hint — lane contents are position-addressed,
+    so the estimate can never change results.
+    """
+    incidents = horizon_hours / mttf_hours
+    if lse_rate_per_byte > 0:
+        incidents *= n_disks
+    reads = 2 + int(incidents + 4.0 * math.sqrt(incidents))
+    return max(1, min(reads, PLANE_CELLS // lanes))
+
+
+def _plane_trials(trials: int) -> int:
+    """Default width of a screened chunk.
 
     A lockstep round costs the same numpy dispatch at any width, so wide
-    is fast; the cell budget sends long missions back towards one lane
-    block instead of multiplying memory, and ``trials // 8`` leaves a
-    pool eight chunks to balance. Never a function of ``jobs``, so
-    profile documents stay jobs-invariant.
+    is fast, and ``trials // 8`` leaves a pool eight chunks to balance.
+    Never a function of ``jobs``, so profile documents stay
+    jobs-invariant.
     """
-    width = min(PLANE_CELLS // slots, trials // 8, MAX_PLANE_TRIALS)
-    return max(LANE_BLOCK_TRIALS, width)
+    return max(DEFAULT_CHUNK_TRIALS, min(trials // 8, MAX_PLANE_TRIALS))
 
 
 def _check_mission(
@@ -327,8 +324,10 @@ def _lifecycle_trial(
     """Walk one mission's event heap; the exact (event) plane.
 
     *rng* is the trial's lane cursor — its draws are position-addressed
-    slots of the shared sampling plane, which is what lets the vectorized
-    kernel replay exactly this walk for any trial it flags as dangerous.
+    slots of the trial's lanes (a disk's lifetimes from that disk's lane,
+    every uniform from the auxiliary one), which is what lets the
+    vectorized kernel replay exactly this walk for any trial it flags as
+    dangerous.
     Returns ``(lost_at, lost_to_lse, failures, repairs, degraded_hours,
     peak_failures)``.
     """
@@ -338,7 +337,7 @@ def _lifecycle_trial(
     heap: List[Tuple[float, int, int, int]] = []
     seq = 0
     for disk_id in range(layout.n_disks):
-        t = rng.expovariate(lambd)
+        t = rng.expovariate(lambd, disk_id)
         heapq.heappush(heap, (t, seq, 0, disk_id))
         seq += 1
     failed: Set[int] = set()
@@ -437,7 +436,7 @@ def _lifecycle_trial(
                     disks=len(failed),
                 )
             for disk_id in sorted(failed):
-                t = time + rng.expovariate(lambd)
+                t = time + rng.expovariate(lambd, disk_id)
                 heapq.heappush(heap, (t, seq, 0, disk_id))
                 seq += 1
             failed.clear()
@@ -453,7 +452,7 @@ def _lifecycle_trial(
 
 def _lifecycle_chunk(
     state, spec, tel, *, screened, mttf_hours, horizon_hours,
-    lse_rate_per_byte, slots,
+    lse_rate_per_byte,
 ) -> LifecycleResult:
     """Screen and walk one chunk of missions.
 
@@ -461,13 +460,13 @@ def _lifecycle_chunk(
     the layout's cell indexes, the rebuild-time memo and the columnar
     per-disk rebuild columns (``None`` under the event kernel) are
     unpickled once per worker, and the memo then accumulates across every
-    chunk the worker runs. Draw lanes are keyed by the **run** seed and
-    the global trial index ``spec.start + i``, in frozen 256-trial
-    blocks (:func:`~repro.sim.columnar.block_lane_seeds`) — never by the
-    chunk's index or size, which would tie sampled values to the chunk
-    layout. *screened* (the ``vectorized`` kernel, telemetry off) runs
-    the lockstep screen and walks only the trials it flags; otherwise
-    every trial is walked. *slots* is the run's :func:`_slot_estimate`.
+    chunk the worker runs. Draw lanes are
+    ``lanes(spec.seed, MISSION, spec.start, …)`` — the run seed and the
+    global trial index, never the chunk's index or size, which would tie
+    sampled values to the chunk layout. *screened* (the ``vectorized``
+    kernel, telemetry off) runs the lockstep screen and walks only the
+    trials it flags; otherwise every trial is walked, from a plane sized
+    by :func:`_slot_estimate`.
     """
     layout, timer, tables, oracle = state
     trials = spec.size
@@ -477,15 +476,17 @@ def _lifecycle_chunk(
     lambd = 1.0 / mttf_hours
 
     with prof.phase("sample"):
-        lanes = block_lane_seeds(spec.seed, spec.start, trials)
+        mission_lanes = lanes(
+            spec.seed, MISSION, spec.start, trials, layout.n_disks + 1
+        )
         degraded = _np.zeros(trials)
         if screened and not tel.enabled:
             guarantee = (
                 oracle_guarantee(oracle) if oracle is not None else tolerance
             )
             screen = LockstepScreen(
-                layout, tables, spec.seed, trials, lambd, horizon_hours,
-                lse_rate_per_byte, guarantee, slots, lane_seeds=lanes,
+                layout, tables, mission_lanes, lambd, horizon_hours,
+                lse_rate_per_byte, guarantee,
             )
             streams = screen.streams
             n_failures, n_repairs, peak = (
@@ -494,7 +495,11 @@ def _lifecycle_chunk(
         else:
             screen = None
             streams = TrialStreams(
-                spec.seed, trials, lambd, slots, lane_seeds=lanes
+                mission_lanes, lambd,
+                _slot_estimate(
+                    mission_lanes.size, layout.n_disks, mttf_hours,
+                    horizon_hours, lse_rate_per_byte,
+                ),
             )
             n_failures, n_repairs, peak = _np.zeros(
                 (3, trials), dtype=_np.int64
@@ -588,10 +593,9 @@ def simulate_lifecycle(
     global trial (:func:`_lifecycle_chunk`), so the result depends only
     on ``(trials, seed)`` — never on *jobs*, *kernel* or *chunk_trials*,
     which is a pure speed argument as it is for serve and fleet. The
-    default (``None``) is as wide as a memory budget allows
-    (:func:`_plane_trials`: 2048 trials for year-long missions, one
-    256-trial lane block for very long ones or when telemetry is
-    collecting).
+    default (``None``) is wide where a screen runs
+    (:func:`_plane_trials`: up to 2048 trials) and 256 where every trial
+    is walked — the ``event`` kernel, or telemetry collecting.
     Rebuild times are memoized per pattern within each worker (they are
     pure functions of the pattern, so the memo never affects results).
 
@@ -646,15 +650,13 @@ def simulate_lifecycle(
         )
     if tables is None and screened:
         tables = LifecycleTables.build(layout, timer)
-    slots = _slot_estimate(
-        layout.n_disks, mttf_hours, horizon_hours, lse_rate_per_byte
-    )
     if chunk_trials is None:
         tel = telemetry if telemetry is not None else ambient()
-        # A collecting run walks every trial, so width buys it nothing
-        # and its histogram sums fold per chunk: it keeps one lane block.
+        # Width buys a walk nothing, and a collecting run's histogram
+        # sums fold per chunk: only a screened run goes wide.
         chunk_trials = (
-            LANE_BLOCK_TRIALS if tel.enabled else _plane_trials(trials, slots)
+            _plane_trials(trials) if screened and not tel.enabled
+            else DEFAULT_CHUNK_TRIALS
         )
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
@@ -662,7 +664,6 @@ def simulate_lifecycle(
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,
-            slots=slots,
         ),
         trials, chunk_trials,
         seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,

@@ -17,10 +17,11 @@ worker count**, including ``jobs=1``:
    one process runs them or eight do.
 2. Each chunk is handed the run seed and its own position
    (:class:`~repro.sim.columnar.ChunkSpec`) and derives what it samples
-   from those alone — draw lanes keyed by the global trial (lifecycle,
-   fleet, serve: the chunk size is then a speed, never a sample), or a
-   per-chunk stream seeded ``seed ^ (chunk_id * 0x9E3779B97F4A7C15)``
-   (lifetimes), under which chunk 0's seed equals the caller's seed.
+   from those alone — the draw lanes :func:`repro.sim.columnar.lanes`
+   addresses by the global trial (lifecycle, fleet, serve: the chunk
+   size is then a speed, never a sample), or a per-chunk generator
+   seeded from the run seed and the chunk's index (lifetimes), under
+   which chunk 0's seed equals the caller's seed.
 3. Chunk results stream back in **completion** order (progress callbacks
    fire as chunks land), but are handed to the caller's merge — and
    their telemetry folded — in chunk order, so concatenated outputs like
@@ -68,7 +69,8 @@ ProgressCallback = Callable[[int, int, int], None]
 
 #: Trials per lifetime Monte-Carlo chunk. Fixed (not derived from
 #: ``jobs``) and part of the sample: one sequential generator per chunk.
-#: Lifecycle, fleet and serve key their lanes globally instead.
+#: Lifecycle, fleet and serve key their lanes globally instead — for
+#: lifecycle this is only the width of a chunk whose every trial is walked.
 DEFAULT_CHUNK_TRIALS = 256
 
 #: Failure patterns per sweep chunk.

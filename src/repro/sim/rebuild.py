@@ -33,6 +33,7 @@ lifecycle and fleet simulators, whose repair durations it supplies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -139,7 +140,8 @@ def _bottleneck_volume(
         volumes[d] = volumes.get(d, 0.0) + units * unit_bytes
     total_write = plan.total_write_units * unit_bytes
     if sparing == "distributed":
-        total_read = sum(volumes.values())
+        # fsum: isomorphic patterns meet the disks in different orders.
+        total_read = math.fsum(volumes.values())
         level = (total_read + total_write) / len(survivors)
         return max(max(volumes.values(), default=0.0), level)
     if sparing == "dedicated":

@@ -75,9 +75,9 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
+    SERVE,
     TrialStreams,
-    derive_chunk_seed,
-    derive_lane_seeds,
+    lanes,
     resolve_kernel,
 )
 from repro.sim.engine import FcfsServer, Simulator
@@ -515,10 +515,10 @@ def _resolve_tables(
 
 # -- the shared sampling plane ---------------------------------------------
 #
-# Each trial owns four purpose-keyed draw lanes; lane p of a trial seeded
-# ts is lane_seed(ts, p), so the plane is a pure function of the trial
-# seed — the batched plane of k trials is, row for row, the plane each
-# trial would sample alone (derive_lane_seeds packs them side by side).
+# Each trial owns four purpose-keyed draw lanes, addressed by the run
+# seed and the global trial (columnar.lanes, SERVE domain) — the batched
+# plane of k trials is, row for row, the plane each trial would sample
+# alone.
 
 _LANE_ARRIVAL, _LANE_UNIT, _LANE_WRITE, _LANE_PERM = range(4)
 _N_LANES = 4
@@ -611,15 +611,15 @@ def _sample_traces(
     workload: Union[WorkloadSpec, Sequence[Request]],
     n_units: int,
     arrival: ArrivalProcess,
-    trial_seeds: Sequence[int],
+    trial_lanes,
 ) -> _TraceBatch:
-    """Sample every trial's workload trace from the columnar lanes.
+    """Sample every trial's workload trace from its ``(trials, 4)`` lanes.
 
     This is the single sampling plane both serve kernels read: the
-    floats depend only on ``(trial seed, workload, arrival)``, never on
+    floats depend only on ``(lanes, workload, arrival)``, never on
     which kernel consumes them or how trials are batched into chunks.
     """
-    k = len(trial_seeds)
+    k = len(trial_lanes)
     spec: Optional[WorkloadSpec] = None
     requests: Optional[List[Request]] = None
     if isinstance(workload, WorkloadSpec):
@@ -646,23 +646,19 @@ def _sample_traces(
     if spec is not None and spec.kind == "zipf":
         slots = max(n, n_units)
 
-    streams = TrialStreams(
-        0, k * _N_LANES, lambd, slots,
-        lane_seeds=derive_lane_seeds(trial_seeds, _N_LANES),
-    )
-    width = streams.slots
+    streams = TrialStreams(trial_lanes, lambd, slots)
     arrivals = None
     if isinstance(arrival, OpenLoop):
-        exp = streams.exponentials.reshape(k, _N_LANES, width)
-        arrivals = _np.cumsum(exp[:, _LANE_ARRIVAL, :n], axis=1)
+        arrivals = _np.cumsum(
+            streams.exponentials[:, _LANE_ARRIVAL, :n], axis=1
+        )
     if requests is not None:
         units = _np.array([r.unit for r in requests], dtype=_np.int64)
         is_write = _np.array(
             [bool(r.is_write) for r in requests], dtype=bool
         )
         return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
-    u = streams.uniforms.reshape(k, _N_LANES, width)
-    units, is_write = _spec_units(spec, n_units, u, n)
+    units, is_write = _spec_units(spec, n_units, streams.uniforms, n)
     return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
 
 
@@ -1070,7 +1066,7 @@ DEFAULT_CHUNK_SERVE_TRIALS = 1
 #: Serving trials per chunk when the vectorized sweep applies (after a
 #: walked rebuild prefix, if any): wide chunks amortize the numpy
 #: dispatch over ``(trials x disks)`` queue lanes. Safe for any value —
-#: per-trial seeds are global, so chunk geometry never changes the result.
+#: lanes are keyed by global trial, so chunk geometry never changes the result.
 VECTORIZED_CHUNK_SERVE_TRIALS = 16
 
 
@@ -1082,10 +1078,10 @@ def _serve_chunk(
     *state* is the broadcast ``(tables,)`` — the routing tables (recovery
     plan, degraded fan-outs, rebuild ops) are computed once by
     :func:`simulate_serve` and shipped to each worker exactly once, so
-    trials skip re-planning. Trial ``spec.start + i`` is seeded
-    ``derive_chunk_seed(spec.seed, spec.start + i)`` — a global trial
-    index, never the chunk geometry — so the merged result is
-    bit-identical for any chunk size. *swept* is the ``vectorized``
+    trials skip re-planning. Trial ``spec.start + i`` reads the lanes
+    :func:`~repro.sim.columnar.lanes` addresses by the run seed and that
+    global trial index, never the chunk geometry — so the merged result
+    is bit-identical for any chunk size. *swept* is the ``vectorized``
     kernel on a config :func:`serve_batch_supported` admits.
     """
     (tables,) = state
@@ -1094,10 +1090,7 @@ def _serve_chunk(
     with prof.phase("sample"):
         trace = _sample_traces(
             workload, tables.n_units, arrival,
-            [
-                derive_chunk_seed(spec.seed, spec.start + i)
-                for i in range(trials)
-            ],
+            lanes(spec.seed, SERVE, spec.start, trials, _N_LANES),
         )
 
     ops = tables.rebuild_ops if throttle is not None else ()
@@ -1146,15 +1139,15 @@ def simulate_serve(
 
     *workload* is either a picklable :class:`WorkloadSpec` recipe
     (materialized against the layout's user address space from each
-    trial seed's columnar draw lanes) or an explicit request sequence.
+    trial's columnar draw lanes) or an explicit request sequence.
     *throttle* of ``None`` injects no rebuild traffic; otherwise the
     recovery plan of *failed_disks* is tiled *rebuild_batches* times and
     dispatched per the policy.
 
     *trials* independent replications run in chunks
     (:func:`~repro.sim.parallel.run_chunks`, :func:`_serve_chunk`) and
-    are pooled in trial order. Trial ``t`` is seeded
-    ``derive_chunk_seed(seed, t)`` (trial 0 is *seed* itself), so the
+    are pooled in trial order. Trial ``t`` reads the four purpose lanes
+    :func:`~repro.sim.columnar.lanes` addresses by ``(seed, t)``, so the
     pooled latencies, counters and merged telemetry are bit-identical
     for any *jobs* and any *chunk_trials*. When the vectorized sweep
     applies (below), chunks default to

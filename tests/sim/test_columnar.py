@@ -1,4 +1,6 @@
-"""The shared columnar core: draw lanes, the lockstep screen, moved samplers."""
+"""The shared columnar core: the lane address, draw lanes, the lockstep screen."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,13 +8,12 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.columnar import (
     GOLDEN_STRIDE,
-    LANE_BLOCK_TRIALS,
+    MISSION,
+    SERVE,
     LifecycleTables,
     LockstepScreen,
     TrialStreams,
-    block_lane_seeds,
-    derive_chunk_seed,
-    lane_seed,
+    lanes,
     mix64,
     oracle_guarantee,
 )
@@ -21,7 +22,6 @@ from repro.sim.lifecycle import (
     RebuildTimer,
     _lifecycle_trial,
     _pattern_check,
-    _slot_estimate,
     guaranteed_tolerance,
 )
 from repro.sim.montecarlo import ThresholdOracle, recoverability_oracle
@@ -30,12 +30,25 @@ from repro.util.units import GIB
 
 DISK = DiskModel(capacity_bytes=64 * GIB, bandwidth_bytes_per_s=2 * 1024 * 1024)
 
+#: Seeds the address is checked on: small ones (where the old block
+#: keying aliased worst), the 63/64-bit edges and one past 64 bits.
+SEEDS = [0, 1, 2, 3, 11, 12345, 2**63 - 1, -1, 2**70 + 3]
 
-def scalar_uniform(seed: int, trial: int, pos: int) -> float:
-    """Slot *pos* of global lane *trial*, from the scalar mixing formula."""
-    return (
-        mix64(lane_seed(seed, trial) + (pos + 1) * GOLDEN_STRIDE) >> 11
-    ) * 2.0**-53
+
+def scalar_lane(seed: int, domain: int, trial: int, sub: int) -> int:
+    """The lane address in pure Python: each coordinate mixed before the next."""
+    z = mix64((seed & (2**64 - 1)) + domain * GOLDEN_STRIDE)
+    return mix64(mix64(z + trial) + sub)
+
+
+def scalar_uniform(seed: int, trial: int, pos: int, sub: int = 0) -> float:
+    """Slot *pos* of MISSION lane ``(trial, sub)``, from the scalar formula."""
+    lane = scalar_lane(seed, MISSION, trial, sub)
+    return (mix64(lane + (pos + 1) * GOLDEN_STRIDE) >> 11) * 2.0**-53
+
+
+def mission_streams(seed, trials, lambd, slots=64, start=0, subs=1):
+    return TrialStreams(lanes(seed, MISSION, start, trials, subs), lambd, slots)
 
 
 class TestMix64:
@@ -54,140 +67,149 @@ class TestMix64:
 
 
 class TestBlockLaneSeeds:
-    """Lifecycle lanes: keyed by global trial in frozen 256-trial blocks."""
+    """The lane address ``(seed, domain, trial, sub)``.
 
-    def test_block_size_is_frozen(self):
-        # Part of the sample, not a tuning knob: changing it moves every
-        # lifecycle result with more than 256 trials.
-        assert LANE_BLOCK_TRIALS == 256
+    (The class keeps the name it had when lifecycle lanes were keyed in
+    256-trial blocks; the window edges below are those blocks' edges.)
+    """
 
-    @pytest.mark.parametrize("seed", [-1, 2**70 + 3, 0, 2**63 - 1, 12345])
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("start", [0, 1, 255, 256, 257, 511, 1000, 2**20 - 3])
     def test_vectorized_lanes_equal_the_scalar_reference(self, seed, start):
-        """Trial T reads the lane a 256-trial chunk ``T // 256`` has always
-        given its local trial ``T % 256`` — across block edges, for seeds
-        outside the 64-bit range and in any window."""
-        got = block_lane_seeds(seed, start, 600)
-        assert got.dtype == np.uint64
-        assert [int(v) for v in got] == [
-            lane_seed(derive_chunk_seed(seed, t // 256), t % 256)
-            for t in range(start, start + 600)
-        ]
+        """Any window is rows ``start ..`` of the whole, for seeds outside
+        the 64-bit range too, in both domains."""
+        for domain, subs in ((MISSION, 3), (SERVE, 4)):
+            got = lanes(seed, domain, start, 40, subs)
+            assert got.dtype == np.uint64 and got.shape == (40, subs)
+            assert got.tolist() == [
+                [scalar_lane(seed, domain, t, s) for s in range(subs)]
+                for t in range(start, start + 40)
+            ]
 
-    def test_first_block_is_the_plain_seeded_plane(self):
-        """Block 0's chunk seed is the run seed itself, so the first 256
-        lanes are exactly fleet's globally keyed ones."""
-        blocks = TrialStreams(
-            9, 256, 1.0, slots=8, lane_seeds=block_lane_seeds(9, 0, 256)
-        )
-        plain = TrialStreams(9, 256, 1.0, slots=8)
-        assert (blocks.uniforms == plain.uniforms).all()
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_lane_is_distinct_within_and_across_domains(self, seed):
+        """No two ``(domain, trial, sub)`` of a run share a lane."""
+        mission = np.unique(lanes(seed, MISSION, 0, 100_000, 22))
+        serve = np.unique(lanes(seed, SERVE, 0, 100_000, 4))
+        assert len(mission) == 100_000 * 22
+        assert len(serve) == 100_000 * 4
+        assert not len(np.intersect1d(mission, serve, assume_unique=True))
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("domain", [MISSION, SERVE])
+    def test_slot_zero_is_uniform_and_uncorrelated_across_trials(
+        self, seed, domain
+    ):
+        n = 100_000
+        u = TrialStreams(lanes(seed, domain, 0, n, 1), 1.0, 1).uniforms[:, 0, 0]
+        ordered = np.sort(u)
+        grid = np.arange(1, n + 1) / n
+        ks = max(np.max(grid - ordered), np.max(ordered - (grid - 1.0 / n)))
+        assert ks < 1.95 / math.sqrt(n)  # Kolmogorov-Smirnov, alpha = 0.001
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 class TestTrialStreams:
     def test_python_and_numpy_uniforms_bit_identical(self):
-        streams = TrialStreams(seed=42, trials=5, lambd=0.5, slots=16)
+        streams = mission_streams(42, 5, 0.5, slots=16, subs=3)
         for trial in range(5):
-            for pos in range(16):
-                assert streams.uniform(trial, pos) == scalar_uniform(
-                    42, trial, pos
-                )
+            for sub in range(3):
+                for pos in range(16):
+                    assert streams.uniforms[trial, sub, pos] == scalar_uniform(
+                        42, trial, pos, sub
+                    )
 
     def test_growth_is_invisible(self):
-        small = TrialStreams(seed=7, trials=3, lambd=1.0, slots=4)
-        big = TrialStreams(seed=7, trials=3, lambd=1.0, slots=64)
-        small.ensure(64)
-        assert (small.uniforms == big.uniforms[:, : small.slots]).all()
-        assert (small.exponentials == big.exponentials[:, : small.slots]).all()
+        """A plane's floats do not depend on its width, and slots drawn
+        past its edge are the ones a wider plane holds."""
+        small = mission_streams(7, 3, 1.0, slots=4, subs=2)
+        big = mission_streams(7, 3, 1.0, slots=64, subs=2)
+        assert (small.uniforms == big.uniforms[..., :4]).all()
+        assert (small.exponentials == big.exponentials[..., :4]).all()
+        more_u, more_e = small.draw(slice(None), 4, 64)
+        assert (more_u == big.uniforms[..., 4:]).all()
+        assert (more_e == big.exponentials[..., 4:]).all()
 
     def test_lanes_keyed_by_trial_counter(self):
-        streams = TrialStreams(seed=9, trials=2, lambd=1.0, slots=2)
-        assert streams.uniform(1, 1) == scalar_uniform(9, 1, 1)
+        streams = mission_streams(9, 2, 1.0, slots=2)
+        assert streams.uniforms[1, 0, 1] == scalar_uniform(9, 1, 1)
 
     def test_lane_offset_windows_the_global_lane_space(self):
-        """``lane_offset=m`` is rows m..m+k-1 of the unoffset plane —
-        the keystone of the fleet kernel's chunk-invariant sampling."""
-        full = TrialStreams(seed=13, trials=10, lambd=0.25, slots=8)
-        window = TrialStreams(
-            seed=13, trials=4, lambd=0.25, slots=8, lane_offset=3
-        )
+        """A window of lanes is rows m..m+k-1 of the whole plane — the
+        keystone of every kernel's chunk-invariant sampling."""
+        full = mission_streams(13, 10, 0.25, slots=8, subs=2)
+        window = mission_streams(13, 4, 0.25, slots=8, subs=2, start=3)
         assert (window.uniforms == full.uniforms[3:7]).all()
         assert (window.exponentials == full.exponentials[3:7]).all()
 
     def test_lane_offset_pure_python_agrees(self):
-        window = TrialStreams(
-            seed=13, trials=4, lambd=0.25, slots=8, lane_offset=3
-        )
+        window = mission_streams(13, 4, 0.25, slots=8, start=3)
         for trial in range(4):
             for pos in range(8):
-                assert window.uniform(trial, pos) == scalar_uniform(
+                assert window.uniforms[trial, 0, pos] == scalar_uniform(
                     13, 3 + trial, pos
                 )
 
-    def test_lane_offset_validation(self):
-        with pytest.raises(SimulationError):
-            TrialStreams(seed=1, trials=2, lambd=1.0, lane_offset=-1)
-
     def test_cursor_walks_the_plane_in_order(self):
-        streams = TrialStreams(seed=3, trials=2, lambd=0.25, slots=8)
+        streams = mission_streams(3, 2, 0.25, slots=8, subs=2)
         cursor = streams.cursor(1)
-        assert cursor.random() == streams.uniform(1, 0)
-        assert cursor.expovariate(0.25) == streams.exponential(1, 1)
-        assert cursor.pos == 2
+        assert cursor.random() == streams.uniforms[1, 1, 0]
+        assert cursor.expovariate(0.25, 1) == streams.exponentials[1, 1, 1]
+        assert cursor.expovariate(0.25, 0) == streams.exponentials[1, 0, 0]
+        assert cursor.pos == [1, 2]  # every lane advances alone
 
     def test_cursor_grows_past_the_plane(self):
-        streams = TrialStreams(seed=3, trials=1, lambd=1.0, slots=2)
+        streams = mission_streams(3, 1, 1.0, slots=2)
         cursor = streams.cursor(0)
         draws = [cursor.random() for _ in range(40)]
         assert draws == [scalar_uniform(3, 0, pos) for pos in range(40)]
 
     @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 63, 64, 65, 300])
     def test_cursor_extends_its_own_row_with_the_planes_floats(self, size):
-        """A row extended alone equals the same row of a plane grown whole,
+        """A row extended alone equals the same row of a plane sampled whole,
         on both planes, wherever the shared plane stopped."""
-        whole = TrialStreams(seed=21, trials=4, lambd=0.25, slots=2 * size + 16)
-        shared = TrialStreams(seed=21, trials=4, lambd=0.25, slots=size)
-        width = shared.slots
+        whole = mission_streams(21, 4, 0.25, slots=2 * size + 16, subs=2)
+        shared = mission_streams(21, 4, 0.25, slots=size, subs=2)
+        reach = whole.uniforms.shape[-1]
         cursor = shared.cursor(2)
-        reach = whole.slots
-        drawn_u = [cursor.random() for _ in range(reach)]
-        cursor.pos = 0
-        drawn_e = [cursor.expovariate(0.25) for _ in range(reach)]
-        assert drawn_u == whole.uniforms[2].tolist()
-        assert drawn_e == whole.exponentials[2].tolist()
-        assert shared.slots == width  # the cursor grew its row, not the plane
+        drawn_u = [cursor.random(1) for _ in range(reach)]
+        drawn_e = [cursor.expovariate(0.25, 0) for _ in range(reach)]
+        assert drawn_u == whole.uniforms[2, 1].tolist()
+        assert drawn_e == whole.exponentials[2, 0].tolist()
+        # the cursor grew its rows, not the plane
+        assert shared.uniforms.shape == (4, 2, size)
 
     def test_plane_sampled_in_strips_equals_rows_sampled_alone(self):
         """A plane wider than one row strip holds, row for row, the floats
-        each lane yields by itself."""
+        each trial's lanes yield by themselves."""
         from repro.sim.columnar import _STRIP_CELLS
 
-        slots = 40
-        trials = 2 * (_STRIP_CELLS // slots) + 3  # three strips, last short
-        plane = TrialStreams(seed=4, trials=trials, lambd=2.0, slots=slots)
-        for trial in (0, _STRIP_CELLS // slots - 1, _STRIP_CELLS // slots,
-                      trials - 1):
-            alone = TrialStreams(
-                seed=4, trials=1, lambd=2.0, slots=slots, lane_offset=trial
+        slots, subs = 20, 2
+        per_strip = _STRIP_CELLS // (slots * subs)
+        trials = 2 * per_strip + 3  # three strips, last short
+        plane = mission_streams(4, trials, 2.0, slots=slots, subs=subs)
+        for trial in (0, per_strip - 1, per_strip, trials - 1):
+            alone = mission_streams(
+                4, 1, 2.0, slots=slots, subs=subs, start=trial
             )
             assert (plane.uniforms[trial] == alone.uniforms[0]).all()
             assert (plane.exponentials[trial] == alone.exponentials[0]).all()
 
     def test_cursor_rejects_foreign_rate(self):
-        streams = TrialStreams(seed=0, trials=1, lambd=0.5)
+        streams = mission_streams(0, 1, 0.5)
         with pytest.raises(SimulationError):
-            streams.cursor(0).expovariate(0.25)
+            streams.cursor(0).expovariate(0.25, 0)
 
     def test_randrange_stays_in_bounds(self):
-        streams = TrialStreams(seed=11, trials=1, lambd=1.0)
+        streams = mission_streams(11, 1, 1.0)
         cursor = streams.cursor(0)
         assert all(0 <= cursor.randrange(3) < 3 for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            TrialStreams(seed=0, trials=0, lambd=1.0)
+            TrialStreams(np.empty((0, 1), dtype=np.uint64), 1.0)
         with pytest.raises(SimulationError):
-            TrialStreams(seed=0, trials=1, lambd=0.0)
+            TrialStreams(lanes(0, MISSION, 0, 1, 1), 0.0)
 
 
 class TestLifecycleTables:
@@ -239,9 +261,9 @@ class TestLockstepScreen:
         tolerance = guaranteed_tolerance(fano_layout)
         lambd = 1.0 / self.MTTF
         screen = LockstepScreen(
-            fano_layout, tables, self.SEED, self.TRIALS, lambd, self.HORIZON,
-            lse_rate, tolerance,
-            _slot_estimate(fano_layout.n_disks, self.MTTF, self.HORIZON),
+            fano_layout, tables,
+            lanes(self.SEED, MISSION, 0, self.TRIALS, fano_layout.n_disks + 1),
+            lambd, self.HORIZON, lse_rate, tolerance,
         )
         for _round in screen.rounds():
             pass
@@ -270,24 +292,25 @@ class TestLockstepScreen:
 
     def test_a_long_walk_leaves_the_shared_plane_alone(self, fano_layout):
         """A walked trial that outruns the plane (~5 000 incidents against
-        a 40-slot plane) extends its own row: the plane every other trial
-        of the chunk shares stays as wide as the screen left it."""
+        the screen's one-slot plane) extends its own rows: the plane every
+        other trial of the chunk shares stays as wide as the screen left it."""
         mttf, horizon, trials = 300.0, 75_000.0, 8
         # A 1 GiB disk rebuilds in seconds, so the mission survives.
         timer = RebuildTimer(fano_layout, DiskModel(capacity_bytes=GIB))
         tables = LifecycleTables.build(fano_layout, timer)
         tolerance = guaranteed_tolerance(fano_layout)
         screen = LockstepScreen(
-            fano_layout, tables, 0, trials, 1.0 / mttf, horizon, 0.0,
-            tolerance, 40,
+            fano_layout, tables,
+            lanes(0, MISSION, 0, trials, fano_layout.n_disks + 1),
+            1.0 / mttf, horizon, 0.0, tolerance,
         )
         for _round in screen.rounds():
             pass
-        width = screen.streams.slots
+        shape = screen.streams.exponentials.shape
         lost, _lse, failures, _repairs, _hours, _peak = _lifecycle_trial(
             screen.streams.cursor(0), fano_layout, 1.0 / mttf, horizon,
             timer, 0.0, _pattern_check(fano_layout, None, tolerance),
             NULL_TELEMETRY, 0,
         )
         assert lost is None and failures > 5000
-        assert screen.streams.slots == width
+        assert screen.streams.exponentials.shape == shape

@@ -15,6 +15,7 @@ from repro.sim.columnar import KERNELS, LifecycleTables, resolve_kernel
 from repro.sim.lifecycle import (
     RebuildTimer,
     _plane_trials,
+    _slot_estimate,
     guaranteed_tolerance,
     simulate_lifecycle,
 )
@@ -157,15 +158,15 @@ class TestChunkGeometryIsOnlyASpeed:
     """Lanes are keyed by global trial, so ``chunk_trials`` moves no bit."""
 
     #: ``result_digest`` of ``run(Scenario(kind="lifecycle", ...))`` on
-    #: ``oi_raid(7, 3)``, taken when every run was cut into 256-trial
-    #: chunks seeded by chunk index: the front door has not moved since.
+    #: ``oi_raid(7, 3)``, re-taken once when every draw moved to the
+    #: ``columnar.lanes`` address: the front door has not moved since.
     GOLDEN = [
-        (dict(trials=600), "9c559f0563edc666"),
-        (dict(trials=700, lse_rate_per_byte=1e-15), "5ff842968f028249"),
+        (dict(trials=600), "e5e0926462af1111"),
+        (dict(trials=700, lse_rate_per_byte=1e-15), "460d52b42e139ea1"),
         (
             dict(trials=300, mttf_hours=800.0, horizon_hours=3000.0,
                  mc_kernel="event"),
-            "6868a63c5ccc79f6",
+            "a137484e7543bf3b",
         ),
     ]
 
@@ -175,8 +176,8 @@ class TestChunkGeometryIsOnlyASpeed:
         assert result_digest(result.to_dict()) == digest
 
     def test_chunk_jobs_and_kernel_never_change_the_result(self, fano_layout):
-        """600 trials span three lane blocks; chunks of 1, 3, 64 and 1000
-        cut them everywhere but at the block edges."""
+        """One globally keyed plane, cut into chunks of 1, 3, 64, 256, 1000
+        trials and the default, walked or screened, by one worker or two."""
         timer = RebuildTimer(fano_layout, DISK)  # one memo for all 24 runs
         digests = {
             (chunk, jobs, kernel): result_digest(simulate_lifecycle(
@@ -191,12 +192,25 @@ class TestChunkGeometryIsOnlyASpeed:
         assert len(set(digests.values())) == 1, digests
 
     def test_default_width_follows_trials_and_the_cell_budget(self):
-        assert _plane_trials(100_000, 64) == 2048  # the cap
-        assert _plane_trials(10_000, 64) == 1250  # eight chunks for a pool
-        assert _plane_trials(2055, 64) == 256  # one lane block at least
-        assert _plane_trials(2056, 64) == 257
-        assert _plane_trials(100_000, 384) == 512  # the cell budget
-        assert _plane_trials(100_000, 4125) == 256  # long missions stay narrow
+        assert _plane_trials(100_000) == 2048  # the cap
+        assert _plane_trials(10_000) == 1250  # eight chunks for a pool
+        assert _plane_trials(2055) == 256  # never narrower than a walked chunk
+        assert _plane_trials(2056) == 257
+        # The cell budget caps a walked chunk's plane, not a screen's width:
+        # a long mission's lanes start short and cursors extend their own.
+        assert _slot_estimate(256 * 22, 21, 100_000.0, 87_660.0, 0.0) == 6
+        assert _slot_estimate(256 * 22, 21, 100_000.0, 8_766.0, 1e-15) == 9
+        assert _slot_estimate(256 * 22, 21, 300.0, 87_660.0, 1e-15) == 34
+
+    def test_front_door_trials_do_not_repeat_across_blocks(self, fano_layout):
+        """Trial ``512 + t`` is not trial ``t + 2`` replayed (strides shared
+        between blocks and lanes did that): independent trials' failure
+        counts agree at chance, about 6 %."""
+        for seed in (0, 1):
+            failures = np.array(simulate_lifecycle(
+                fano_layout, 2000.0, 2500.0, disk=DISK, trials=1024, seed=seed,
+            ).failures_per_trial)
+            assert (failures[512:767] == failures[2:257]).mean() <= 0.15
 
     def test_a_collecting_run_keeps_one_block_chunks(self, fano_layout):
         """Every trial of a collecting run is walked, so width buys nothing

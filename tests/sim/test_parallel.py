@@ -150,10 +150,10 @@ class TestJobsAndChunkMatrix:
         }
         for chunk in (1, 3, None):
             assert digests[1, chunk] == digests[2, chunk], chunk
-        # Global trial seeds (serve) and lanes (lifecycle's frozen blocks;
-        # fleet at boost 1, where every weight is an integer) put chunk
-        # size outside the plane; lifetimes alone draws each chunk from
-        # one sequential generator seeded by the chunk's index.
+        # Lanes addressed by global trial (lifecycle, serve; fleet at
+        # boost 1, where every weight is an integer) put chunk size
+        # outside the plane; lifetimes alone draws each chunk from one
+        # sequential generator seeded by the chunk's index.
         assert (len(set(digests.values())) == 1) == chunk_free
 
 

@@ -1,5 +1,7 @@
 """Rebuild timing: analytic bounds, event-driven sim, sparing modes."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,12 @@ from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
 from repro.layouts import Raid5Layout, Raid6Layout, Raid50Layout
 from repro.layouts.recovery import is_recoverable
-from repro.sim.rebuild import DiskModel, analytic_rebuild_time, simulate_rebuild
+from repro.sim.rebuild import (
+    DiskModel,
+    RebuildTimer,
+    analytic_rebuild_time,
+    simulate_rebuild,
+)
 from repro.util.units import GIB
 
 
@@ -69,6 +76,20 @@ class TestAnalytic:
             fano_layout.units_per_disk * unit
         )
         assert result.bytes_read > result.bytes_written
+
+    @pytest.mark.parametrize("failures, classes", [
+        (1, 2), (2, 6), pytest.param(3, 21, marks=pytest.mark.slow),
+    ])
+    def test_isomorphic_patterns_share_one_clock(self, failures, classes):
+        """The per-disk volumes are summed order-free, so patterns that
+        differ by a relabelling return one ``(hours, bytes)`` to the last
+        bit (a dict-order float sum split these classes 3 / 12 / 45)."""
+        timer = RebuildTimer(oi_raid(7, 3), DiskModel())
+        clocks = {
+            timer(frozenset(pattern))
+            for pattern in itertools.combinations(range(21), failures)
+        }
+        assert len(clocks) == classes
 
 
 class TestEventDriven:

@@ -17,7 +17,6 @@ from repro.sim.serve import (
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
-    ServeResult,
     build_serve_tables,
     serve_batch_supported,
     simulate_serve,
@@ -84,20 +83,17 @@ class TestKernelBitIdentity:
         assert event.to_dict() == vec.to_dict()
 
     def test_batched_trials_equal_merged_singles(self, fano_layout):
-        from repro.sim.columnar import derive_chunk_seed
-
+        """One swept seven-trial plane against seven one-trial planes, each
+        walked alone and merged: a trial's lanes are its global index's."""
         batch = simulate_serve(
             fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
             arrival=OpenLoop(500.0), trials=7, seed=21, kernel="vectorized",
         )
-        singles = ServeResult.merged([
-            simulate_serve(
-                fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
-                arrival=OpenLoop(500.0), seed=derive_chunk_seed(21, t),
-                kernel="event",
-            )
-            for t in range(7)
-        ])
+        singles = simulate_serve(
+            fano_layout, WorkloadSpec(n_requests=80), failed_disks=(0,),
+            arrival=OpenLoop(500.0), trials=7, seed=21, kernel="event",
+            chunk_trials=1,
+        )
         assert batch.to_dict() == singles.to_dict()
 
     def test_prebuilt_tables_change_nothing(self, fano_layout):

@@ -23,15 +23,14 @@ Gives operators the planning surface without writing Python:
   ``$REPRO_LEDGER``)
 
 The simulation subcommands (``rebuild``, ``reliability``, ``lifecycle``,
-``fleet``, ``serve``) are thin wrappers over :class:`repro.scenario.Scenario` +
-:func:`repro.scenario.run` — each parses its flags into a ``Scenario``
-and dispatches, so shell runs and scripted runs share one code path.
+``fleet``, ``serve``) are one command, :func:`_cmd_simulate`: the parsed
+flags become a :class:`repro.scenario.Scenario` (:func:`_scenario_from`),
+:func:`repro.scenario.run` dispatches on the kind, and only the printed
+table is per kind — so shell runs and scripted runs share one code path.
 Every one of them takes ``--scheme`` (any name in the
-:data:`repro.schemes.SCHEME_REGISTRY` — ``oi``, ``raid5``, ``raid50``,
-``raid6``, ``mirror``, ``rs``, ``rep3``, ``lrc``, ``xorbas``,
-``hierarchical``) built on the shared ``-v``/``-k``/``-g`` geometry,
-plus repeatable ``--scheme-param KEY=VALUE`` overrides for the scheme's
-declared knobs.
+:data:`repro.schemes.SCHEME_REGISTRY`) built on the shared
+``-v``/``-k``/``-g`` geometry, plus repeatable ``--scheme-param
+KEY=VALUE`` overrides for the scheme's declared knobs.
 The compute-heavy ones accept ``--jobs N`` to fan the work across N
 worker processes (default: the ``REPRO_JOBS`` environment variable when
 set, else serial); results are bit-identical for every N (deterministic
@@ -55,13 +54,15 @@ Exit codes are uniform: 0 success, 1 domain error (anything raising
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import functools
 import json
 import logging
 import pathlib
 import sys
 import tracemalloc
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.speedup import measured_speedup
 from repro.bench.tables import format_table
@@ -83,7 +84,7 @@ from repro.obs import (
 )
 from repro.obs.emit import check_writable, writing
 from repro.scenario import Scenario, run as run_scenario
-from repro.schemes import scheme, scheme_names
+from repro.schemes import build_scheme_layout, scheme, scheme_names
 from repro.sim.latency import LatencyModel
 from repro.sim.columnar import KERNELS
 from repro.sim.lifecycle import derived_markov_model, derived_mttr
@@ -101,43 +102,167 @@ from repro.workloads import ClosedLoop, OpenLoop, WorkloadSpec
 logger = logging.getLogger("repro.cli")
 
 
-def _add_layout_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-v", "--groups", type=int, required=True,
-                        help="number of disk groups (BIBD points)")
-    parser.add_argument("-k", "--stripe-width", type=int, required=True,
-                        help="outer stripe width (BIBD block size)")
-    parser.add_argument("-g", "--group-size", type=int, default=None,
-                        help="disks per group (default: smallest prime >= k)")
-    parser.add_argument("--outer-parities", type=int, default=1)
-    parser.add_argument("--inner-parities", type=int, default=1)
-    parser.add_argument("--no-skew", action="store_true",
-                        help="build the aligned ablation layout")
+_JOBS_HELP = ("worker processes for {} (default: $REPRO_JOBS if set, "
+              "else serial; result identical for any N)")
 
 
-def _layout_from(args: argparse.Namespace):
-    return oi_raid(
-        args.groups,
-        args.stripe_width,
-        group_size=args.group_size,
-        skewed=not args.no_skew,
-        outer_parities=args.outer_parities,
-        inner_parities=args.inner_parities,
-    )
+def _flag(*option_strings: str, **kwargs) -> Tuple[tuple, dict]:
+    """One ``add_argument`` call's arguments, held for :func:`_add_flags`."""
+    return option_strings, kwargs
 
 
-def _add_scheme_args(parser: argparse.ArgumentParser) -> None:
-    """``--scheme`` / ``--scheme-param`` on a simulation subcommand."""
-    parser.add_argument(
-        "--scheme", choices=scheme_names(), default="oi",
+#: Every flag and positional of every subcommand, declared once under its
+#: dest name. A subcommand names the ones it takes, in ``--help`` order,
+#: and overrides per use only what really differs there
+#: (:func:`_add_flags`). Where a flag *is* a ``Scenario`` field, its dest
+#: and default are the field's.
+_FLAGS: Dict[str, Tuple[tuple, dict]] = {
+    # global, before the subcommand
+    "verbose": _flag(
+        "-v", "--verbose", action="count", default=0,
+        help="INFO logging + stderr progress heartbeats (-vv for DEBUG)"),
+    "quiet": _flag("-q", "--quiet", action="store_true",
+                   help="only ERROR-level diagnostics on stderr"),
+    "metrics_out": _flag(
+        "--metrics-out", metavar="FILE", default=None,
+        help="write the run's merged metrics registry as JSON"),
+    "trace_out": _flag(
+        "--trace-out", metavar="FILE", default=None,
+        help="write spans + sim events (Chrome trace JSON, or JSONL if "
+             "FILE ends in .jsonl)"),
+    "profile_out": _flag(
+        "--profile-out", metavar="FILE", default=None,
+        help="enable the kernel phase profiler and write its profile "
+             "document (phases, counters, series, peak memory) as JSON"),
+    # array geometry and scheme
+    "groups": _flag("-v", "--groups", type=int, required=True,
+                    help="number of disk groups (BIBD points)"),
+    "stripe_width": _flag("-k", "--stripe-width", type=int, required=True,
+                          help="outer stripe width (BIBD block size)"),
+    "group_size": _flag("-g", "--group-size", type=int, default=None,
+                        help="disks per group (default: smallest prime >= k)"),
+    "outer_parities": _flag("--outer-parities", type=int, default=1),
+    "inner_parities": _flag("--inner-parities", type=int, default=1),
+    "no_skew": _flag("--no-skew", action="store_true",
+                     help="build the aligned ablation layout"),
+    "scheme": _flag(
+        "--scheme", default="oi",
         help="registered redundancy scheme to build on the "
-             "-v/-k/-g geometry (default: the paper's OI-RAID)",
-    )
-    parser.add_argument(
-        "--scheme-param", action="append", default=None,
-        metavar="KEY=VALUE",
+             "-v/-k/-g geometry (default: the paper's OI-RAID)"),
+    "scheme_param": _flag(
+        "--scheme-param", action="append", default=None, metavar="KEY=VALUE",
         help="override one of the scheme's declared knobs (repeatable; "
-             "e.g. --scheme-param global_parities=3)",
-    )
+             "e.g. --scheme-param global_parities=3)"),
+    "max_groups": _flag("--max-groups", type=int, default=40),
+    "failed": _flag("-f", "--failed", type=int, nargs="+"),
+    "max_failures": _flag("--max-failures", type=int, default=4),
+    "samples": _flag("--samples", type=int, default=500,
+                     help="patterns sampled per size (0 = exhaustive)"),
+    # mission physics
+    "mttf_hours": _flag(
+        "--mttf-hours", type=float, default=Scenario.mttf_hours,
+        help="per-disk mean time to failure"),
+    "mttr_hours": _flag(
+        "--mttr-hours", type=float, default=Scenario.mttr_hours,
+        help="per-disk mean time to repair"),
+    "horizon_hours": _flag(
+        "--horizon-hours", type=float, default=Scenario.horizon_hours,
+        help="mission length (default: 10 years)"),
+    "sparing": _flag("--sparing", choices=["distributed", "dedicated"],
+                     default=Scenario.sparing),
+    "rebuild_method": _flag(
+        "--rebuild-model", dest="rebuild_method",
+        choices=["analytic", "event"], default=Scenario.rebuild_method,
+        help="rebuild clock: bandwidth bound or event-driven"),
+    "capacity_tb": _flag("--capacity-tb", type=float, default=4.0),
+    "bandwidth_mib": _flag("--bandwidth-mib", type=float, default=100.0),
+    "foreground": _flag("--foreground", type=float, default=0.0,
+                        help="fraction of bandwidth reserved for user I/O"),
+    "lse_rate_per_byte": _flag(
+        "--lse-rate", dest="lse_rate_per_byte", metavar="LSE_RATE",
+        type=float, default=Scenario.lse_rate_per_byte,
+        help="latent sector errors per byte read during "
+             "rebuild (e.g. 1e-15)"),
+    "arrays": _flag("--arrays", type=int, default=Scenario.arrays,
+                    help="identical arrays in the fleet"),
+    "lambda_boost": _flag(
+        "--boost", dest="lambda_boost", metavar="BOOST", type=float,
+        default=Scenario.lambda_boost,
+        help="importance-sampling failure-rate inflation: "
+             "sample at boost/MTTF, reweight by the exact "
+             "likelihood ratio (1.0 = naive Monte-Carlo; "
+             "useful range ~1.2-1.8 — the per-draw weight "
+             "variance diverges at 2.0)"),
+    # online serving
+    "requests": _flag("--requests", type=int, default=2000,
+                      help="foreground requests per trial"),
+    "workload": _flag("--workload", choices=["uniform", "zipf", "sequential"],
+                      default="uniform"),
+    "write_fraction": _flag("--write-fraction", type=float, default=0.0),
+    "skew": _flag("--skew", type=float, default=1.1,
+                  help="zipf exponent (zipf workload only)"),
+    "rate": _flag("--rate", type=float, default=100.0,
+                  help="open-loop arrival rate (requests/s)"),
+    "clients": _flag("--clients", type=int, default=0,
+                     help="closed-loop client count (overrides --rate)"),
+    "think_ms": _flag("--think-ms", type=float, default=0.0,
+                      help="closed-loop think time between requests"),
+    "throttle": _flag(
+        "--throttle", choices=["none", "fixed", "idle", "adaptive"],
+        default="none",
+        help="rebuild injection policy (none = no rebuild traffic)"),
+    "rebuild_rate": _flag("--rebuild-rate", type=float, default=100.0,
+                          help="fixed-throttle dispatch rate (ops/s)"),
+    "target_p99_ms": _flag("--target-p99-ms", type=float, default=20.0,
+                           help="adaptive-throttle foreground p99 SLO"),
+    "rebuild_batches": _flag(
+        "--rebuild-batches", type=int, default=Scenario.rebuild_batches,
+        help="times the recovery plan is tiled per trial"),
+    "seek_ms": _flag("--seek-ms", type=float, default=5.0),
+    "unit_kib": _flag("--unit-kib", type=float, default=64.0),
+    # the run (--trials and --mc-kernel get default resp. help per use)
+    "trials": _flag("--trials", type=int),
+    "seed": _flag("--seed", type=int, default=Scenario.seed),
+    "mc_kernel": _flag("--mc-kernel", choices=KERNELS,
+                       default=Scenario.mc_kernel),
+    "serve_kernel": _flag(
+        "--serve-kernel", choices=KERNELS, default=Scenario.serve_kernel,
+        help="serving kernel: auto is the vectorized queue sweep; both "
+             "kernels produce bit-identical results"),
+    "jobs": _flag("--jobs", type=int, default=None,
+                  help=_JOBS_HELP.format("the Monte-Carlo fan-out")),
+    # report / runs
+    "files": _flag("files", nargs="+", metavar="FILE"),
+    "check": _flag("--check", action="store_true",
+                   help="validate against the telemetry schema and exit"),
+    "ledger": _flag("--ledger", metavar="FILE", default=None,
+                    help="ledger JSONL file (default: $REPRO_LEDGER)"),
+    "index": _flag(
+        "index", type=int, nargs="?", default=-1,
+        help="record index from `runs list` (negative counts from the "
+             "end; default: the last record)"),
+    "a": _flag("a", type=int, nargs="?", default=-2,
+               help="first record index (default: second-to-last)"),
+    "b": _flag("b", type=int, nargs="?", default=-1,
+               help="second record index (default: last)"),
+}
+
+_LAYOUT = (
+    "groups", "stripe_width", "group_size", "outer_parities",
+    "inner_parities", "no_skew",
+)
+_DISK = ("capacity_tb", "bandwidth_mib", "foreground")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names, **overrides) -> None:
+    """Add the named :data:`_FLAGS` in order; *overrides* maps a name to
+    the ``add_argument`` kwargs this one use changes."""
+    for name in names:
+        option_strings, kwargs = _FLAGS[name]
+        parser.add_argument(
+            *option_strings, **{**kwargs, **overrides.pop(name, {})}
+        )
+    assert not overrides, f"override of a flag not taken: {sorted(overrides)}"
 
 
 def _coerce_param(text: str) -> object:
@@ -156,7 +281,8 @@ def _coerce_param(text: str) -> object:
 def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
     """The ``Scenario.scheme_params`` mapping the parsed flags describe.
 
-    Geometry always passes through; the legacy OI knob flags
+    A subcommand without ``--scheme`` means ``oi``. Geometry always
+    passes through; the legacy OI knob flags
     (``--outer-parities``/``--inner-parities``/``--no-skew``) are
     forwarded only when the selected scheme declares them, so
     ``--scheme raid50`` does not trip the registry's strict parameter
@@ -168,7 +294,7 @@ def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
         "stripe_width": args.stripe_width,
         "group_size": args.group_size,
     }
-    declared = scheme(args.scheme).params
+    declared = scheme(getattr(args, "scheme", "oi")).params
     for name, value in (
         ("outer_parities", args.outer_parities),
         ("inner_parities", args.inner_parities),
@@ -176,7 +302,7 @@ def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
     ):
         if name in declared:
             params[name] = value
-    for item in args.scheme_param or ():
+    for item in getattr(args, "scheme_param", None) or ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ReproError(
@@ -186,12 +312,9 @@ def _scheme_params_from(args: argparse.Namespace) -> Dict[str, object]:
     return params
 
 
-def _add_kernel_args(parser, help_text: str) -> None:
-    """``--mc-kernel`` (matches ``Scenario.mc_kernel``)."""
-    parser.add_argument(
-        "--mc-kernel", dest="mc_kernel", choices=KERNELS, default="auto",
-        help=help_text,
-    )
+def _layout_from(args: argparse.Namespace):
+    """The OI-RAID layout of a subcommand that takes no ``--scheme``."""
+    return build_scheme_layout("oi", **_scheme_params_from(args))
 
 
 def _progress_for(args: argparse.Namespace) -> Optional[Heartbeat]:
@@ -210,24 +333,16 @@ def _progress_for(args: argparse.Namespace) -> Optional[Heartbeat]:
     return None
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
+def _resolve_jobs(args: argparse.Namespace) -> None:
     """The worker count: explicit ``--jobs`` wins, else ``$REPRO_JOBS``.
 
-    Mutates ``args.jobs`` so every later use (logging, report rows) sees
-    the resolved value. Raises ``SimulationError`` when the environment
-    variable is set to something that isn't a positive integer.
+    Mutates ``args.jobs`` so every later use (the ``Scenario``, report
+    rows) sees the resolved value; a subcommand without ``--jobs`` is
+    left alone. Raises ``SimulationError`` when the environment variable
+    is set to something that isn't a positive integer.
     """
-    if args.jobs is None:
+    if getattr(args, "jobs", 1) is None:
         args.jobs = default_jobs()
-    return args.jobs
-
-
-def _add_jobs_arg(parser: argparse.ArgumentParser, what: str) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"worker processes for {what} (default: $REPRO_JOBS if set, "
-             "else serial; result identical for any N)",
-    )
 
 
 def _disk_from(args: argparse.Namespace) -> DiskModel:
@@ -237,6 +352,70 @@ def _disk_from(args: argparse.Namespace) -> DiskModel:
         bandwidth_bytes_per_s=args.bandwidth_mib * 1024 * 1024,
         foreground_fraction=args.foreground,
     )
+
+
+def _latency_from(args: argparse.Namespace) -> LatencyModel:
+    check_finite("unit_kib", args.unit_kib)  # before int() chokes on it
+    return LatencyModel(
+        seek_ms=args.seek_ms,
+        unit_bytes=int(args.unit_kib * 1024),
+        bandwidth_bytes_per_s=args.bandwidth_mib * 1024 * 1024,
+    )
+
+
+def _workload_from(args: argparse.Namespace) -> WorkloadSpec:
+    return WorkloadSpec(
+        kind=args.workload,
+        n_requests=args.requests,
+        write_fraction=args.write_fraction,
+        skew=args.skew,
+    )
+
+
+def _arrival_from(args: argparse.Namespace):
+    if args.clients:
+        return ClosedLoop(args.clients, think_s=args.think_ms / 1000.0)
+    return OpenLoop(args.rate)
+
+
+def _throttle_from(args: argparse.Namespace):
+    """The rebuild-injection policy the ``serve`` flags describe."""
+    if args.throttle == "none":
+        return None
+    if args.throttle == "fixed":
+        return FixedRateThrottle(args.rebuild_rate)
+    if args.throttle == "idle":
+        return IdleSlotThrottle()
+    return AdaptiveThrottle(target_p99_ms=args.target_p99_ms)
+
+
+#: ``Scenario`` fields built from several flags: field -> (the flag whose
+#: presence says the subcommand sets the field, its builder).
+_COMPOSITES = {
+    "scheme_params": ("scheme", _scheme_params_from),
+    "disk": ("capacity_tb", _disk_from),
+    "latency": ("seek_ms", _latency_from),
+    "workload": ("workload", _workload_from),
+    "arrival": ("rate", _arrival_from),
+    "faults": ("failed", lambda args: tuple(args.failed)),
+    "throttle": ("throttle", _throttle_from),
+}
+
+
+def _scenario_from(args: argparse.Namespace) -> Scenario:
+    """The ``Scenario`` a simulation subcommand's parsed flags describe.
+
+    The subcommand is the kind; every other field is read off the flag
+    of its name or built by its :data:`_COMPOSITES` entry, and a field
+    the subcommand has no flag for keeps the ``Scenario`` default.
+    """
+    given = vars(args)
+    values = {"kind": args.command}
+    for field in dataclasses.fields(Scenario):
+        flag, build = _COMPOSITES.get(field.name, (field.name, None))
+        if flag in given:
+            values[field.name] = build(args) if build else given[flag]
+    return Scenario(**values)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -249,13 +428,21 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_designs(args: argparse.Namespace) -> int:
-    entries = available_designs(args.stripe_width, max_v=args.max_groups)
+    k = args.stripe_width
+    if k < 2:
+        raise ReproError(f"-k/--stripe-width must be >= 2, got {k}")
+    entries = available_designs(k, max_v=args.max_groups)
+    if not entries:
+        raise ReproError(
+            f"--max-groups {args.max_groups} is below the smallest "
+            f"constructible design for k={k}"
+        )
     rows = []
     for v, b, r in entries:
-        layout = oi_raid(v, args.stripe_width)
+        layout = oi_raid(v, k)
         rows.append(
             [
-                f"({v},{b},{r},{args.stripe_width},1)",
+                f"({v},{b},{r},{k},1)",
                 layout.g,
                 layout.n_disks,
                 f"{layout.storage_efficiency:.1%}",
@@ -265,7 +452,7 @@ def _cmd_designs(args: argparse.Namespace) -> int:
         format_table(
             ["BIBD", "g", "disks", "efficiency"],
             rows,
-            title=f"constructible designs for k={args.stripe_width}",
+            title=f"constructible designs for k={k}",
         )
     )
     return 0
@@ -293,7 +480,7 @@ def _cmd_tolerance(args: argparse.Namespace) -> int:
     profile = tolerance_profile(
         layout,
         max_failures=args.max_failures,
-        max_patterns_per_size=args.samples,
+        max_patterns_per_size=args.samples or None,  # 0 = exhaustive
         jobs=args.jobs,
     )
     rows = [[f, fraction] for f, fraction in sorted(profile.items())]
@@ -307,17 +494,30 @@ def _cmd_tolerance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rebuild(args: argparse.Namespace) -> int:
-    result = run_scenario(
-        Scenario(
-            kind="rebuild",
-            scheme=args.scheme,
-            scheme_params=_scheme_params_from(args),
-            disk=_disk_from(args),
-            faults=tuple(args.failed),
-        )
-    )
-    rows = [
+def _loss_rows(
+    result, label: str = "P(loss before horizon)", spec: str = ".6f"
+) -> List[list]:
+    """The estimate, interval and MTTDL rows of a loss-probability table."""
+    lo, hi = result.prob_loss_interval()
+    mttdl = result.mttdl_estimate_hours
+    return [
+        [label, format(result.prob_loss, spec)],
+        ["95% CI", f"[{lo:{spec}}, {hi:{spec}}]"],
+        [
+            "MTTDL estimate",
+            "inf (no losses observed)"
+            if mttdl == float("inf")
+            else format_duration(mttdl * 3600.0),
+        ],
+    ]
+
+
+# One report per simulation kind, ``(scenario, result, args)`` -> (title,
+# rows); everything else such a subcommand does is :func:`_cmd_simulate`.
+
+
+def _report_rebuild(scenario: Scenario, result, args):
+    return "rebuild estimate", [
         ["failed disks", str(list(result.failed_disks))],
         ["rebuild time", format_duration(result.seconds)],
         ["RAID5-equivalent", format_duration(result.raid5_seconds)],
@@ -325,110 +525,45 @@ def _cmd_rebuild(args: argparse.Namespace) -> int:
         ["bytes read", f"{result.bytes_read / 1e12:.2f} TB"],
         ["bytes written", f"{result.bytes_written / 1e12:.2f} TB"],
     ]
-    print(format_table(["metric", "value"], rows, title="rebuild estimate"))
-    return 0
 
 
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    _resolve_jobs(args)
-    scenario = Scenario(
-        kind="reliability",
-        scheme=args.scheme,
-        scheme_params=_scheme_params_from(args),
-        mttf_hours=args.mttf_hours,
-        mttr_hours=args.mttr_hours,
-        horizon_hours=args.horizon_hours,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        mc_kernel=args.mc_kernel,
-        telemetry=args.telemetry,
+def _report_reliability(scenario: Scenario, result, args):
+    title = (
+        f"Monte-Carlo lifetimes: MTTF {scenario.mttf_hours:.0f} h, "
+        f"MTTR {scenario.mttr_hours:.0f} h, "
+        f"mission {scenario.horizon_hours:.0f} h"
     )
-    layout = scenario.layout
-    logger.info(
-        "reliability MC: scheme=%s, %d disks, %d trials, %d job(s)",
-        args.scheme, layout.n_disks, args.trials, args.jobs,
-    )
-    result = run_scenario(scenario, progress=_progress_for(args))
-    lo, hi = result.prob_loss_interval()
-    mttdl = result.mttdl_estimate_hours
-    rows = [
-        ["disks", str(layout.n_disks)],
+    return title, [
+        ["disks", str(scenario.layout.n_disks)],
         ["trials", str(result.trials)],
         ["losses", str(result.losses)],
-        ["P(loss before horizon)", f"{result.prob_loss:.6f}"],
-        ["95% CI", f"[{lo:.6f}, {hi:.6f}]"],
-        [
-            "MTTDL estimate",
-            "inf (no losses observed)"
-            if mttdl == float("inf")
-            else format_duration(mttdl * 3600.0),
-        ],
-        ["workers", str(args.jobs)],
+        *_loss_rows(result),
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"Monte-Carlo lifetimes: MTTF {args.mttf_hours:.0f} h, "
-                f"MTTR {args.mttr_hours:.0f} h, "
-                f"mission {args.horizon_hours:.0f} h"
-            ),
-        )
-    )
-    return 0
 
 
-def _cmd_lifecycle(args: argparse.Namespace) -> int:
-    disk = _disk_from(args)
-    _resolve_jobs(args)
-    scenario = Scenario(
-        kind="lifecycle",
-        scheme=args.scheme,
-        scheme_params=_scheme_params_from(args),
-        disk=disk,
-        sparing=args.sparing,
-        rebuild_method=args.rebuild_model,
-        lse_rate_per_byte=args.lse_rate,
-        mttf_hours=args.mttf_hours,
-        horizon_hours=args.horizon_hours,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        mc_kernel=args.mc_kernel,
-        telemetry=args.telemetry,
-    )
-    layout = scenario.layout
-    logger.info(
-        "lifecycle MC: scheme=%s, %d disks, %d trials, %d job(s)",
-        args.scheme, layout.n_disks, args.trials, args.jobs,
-    )
-    result = run_scenario(scenario, progress=_progress_for(args))
-    mttr = derived_mttr(layout, disk, args.sparing, args.rebuild_model)
+def _report_lifecycle(scenario: Scenario, result, args):
+    layout, disk = scenario.layout, scenario.disk
+    sparing, method = scenario.sparing, scenario.rebuild_method
+    mttr = derived_mttr(layout, disk, sparing, method)
     markov = derived_markov_model(
-        layout, args.mttf_hours, disk=disk, sparing=args.sparing,
-        method=args.rebuild_model,
+        layout, scenario.mttf_hours, disk=disk, sparing=sparing,
+        method=method,
     )
-    lo, hi = result.prob_loss_interval()
-    mttdl = result.mttdl_estimate_hours
-    rows = [
+    title = (
+        f"coupled lifecycle ({scenario.scheme}, {sparing} sparing, "
+        f"{method} rebuild): MTTF {scenario.mttf_hours:.0f} h, "
+        f"mission {scenario.horizon_hours:.0f} h"
+    )
+    return title, [
         ["disks", str(layout.n_disks)],
         ["trials", str(result.trials)],
         ["derived MTTR (single failure)", format_duration(mttr * 3600.0)],
         ["losses", str(result.losses)],
         ["  of which latent-error losses", str(result.lse_losses)],
-        ["P(loss before horizon)", f"{result.prob_loss:.6f}"],
-        ["95% CI", f"[{lo:.6f}, {hi:.6f}]"],
-        [
-            "MTTDL estimate",
-            "inf (no losses observed)"
-            if mttdl == float("inf")
-            else format_duration(mttdl * 3600.0),
-        ],
+        *_loss_rows(result),
         [
             "Markov P(loss), derived mu",
-            f"{markov.prob_loss_within(args.horizon_hours):.6f}",
+            f"{markov.prob_loss_within(scenario.horizon_hours):.6f}",
         ],
         ["mean failures per mission", f"{result.mean_failures:.2f}"],
         ["mean repairs per mission", f"{result.mean_repairs:.2f}"],
@@ -438,68 +573,29 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         ],
         ["degraded fraction", f"{result.degraded_fraction:.4f}"],
         ["peak concurrent failures", str(result.max_peak_failures)],
-        ["workers", str(args.jobs)],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"coupled lifecycle ({args.scheme}, {args.sparing} sparing, "
-                f"{args.rebuild_model} rebuild): MTTF {args.mttf_hours:.0f} h, "
-                f"mission {args.horizon_hours:.0f} h"
-            ),
-        )
-    )
-    return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    disk = _disk_from(args)
-    _resolve_jobs(args)
-    scenario = Scenario(
-        kind="fleet",
-        scheme=args.scheme,
-        scheme_params=_scheme_params_from(args),
-        disk=disk,
-        sparing=args.sparing,
-        rebuild_method=args.rebuild_model,
-        lse_rate_per_byte=args.lse_rate,
-        mttf_hours=args.mttf_hours,
-        horizon_hours=args.horizon_hours,
-        arrays=args.arrays,
-        lambda_boost=args.boost,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        telemetry=args.telemetry,
+def _report_fleet(scenario: Scenario, result, args):
+    estimate, interval, mttdl = _loss_rows(
+        result, "P(array loss before horizon)", ".3e"
     )
-    layout = scenario.layout
-    logger.info(
-        "fleet MC: scheme=%s, %d disks, %d arrays x %d missions, "
-        "boost=%.2f, %d job(s)",
-        args.scheme, layout.n_disks, args.arrays, args.trials,
-        args.boost, args.jobs,
+    title = (
+        f"fleet lifecycle ({scenario.scheme}, {scenario.sparing} sparing): "
+        f"{result.arrays} arrays, MTTF {scenario.mttf_hours:.0f} h, "
+        f"mission {scenario.horizon_hours:.0f} h"
     )
-    result = run_scenario(scenario, progress=_progress_for(args))
-    lo, hi = result.prob_loss_interval()
-    mttdl = result.mttdl_estimate_hours
-    rows = [
-        ["disks per array", str(layout.n_disks)],
+    return title, [
+        ["disks per array", str(scenario.layout.n_disks)],
         ["arrays", str(result.arrays)],
         ["missions (arrays x trials)", str(result.missions)],
         ["raw losses (sampling measure)", str(result.raw_losses)],
         ["  of which latent-error losses", str(result.lse_losses)],
         ["exact event replays", str(result.replays)],
-        ["P(array loss before horizon)", f"{result.prob_loss:.3e}"],
-        ["95% CI", f"[{lo:.3e}, {hi:.3e}]"],
+        estimate,
+        interval,
         ["P(any array loss in fleet)", f"{result.prob_any_loss:.4f}"],
-        [
-            "MTTDL estimate",
-            "inf (no losses observed)"
-            if mttdl == float("inf")
-            else format_duration(mttdl * 3600.0),
-        ],
+        mttdl,
         ["lambda boost", f"{result.lambda_boost:.2f}"],
         [
             "effective sample size",
@@ -507,80 +603,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ],
         ["mean failures per mission", f"{result.mean_failures:.2f}"],
         ["peak concurrent failures", str(result.max_peak_failures)],
-        ["workers", str(args.jobs)],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"fleet lifecycle ({args.scheme}, {args.sparing} sparing): "
-                f"{result.arrays} arrays, MTTF {args.mttf_hours:.0f} h, "
-                f"mission {args.horizon_hours:.0f} h"
-            ),
-        )
-    )
-    return 0
 
 
-def _throttle_from(args: argparse.Namespace):
-    """The rebuild-injection policy the ``serve`` flags describe."""
-    if args.throttle == "none":
-        return None
-    if args.throttle == "fixed":
-        return FixedRateThrottle(args.rebuild_rate)
-    if args.throttle == "idle":
-        return IdleSlotThrottle()
-    return AdaptiveThrottle(target_p99_ms=args.target_p99_ms)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    _resolve_jobs(args)
-    if args.clients:
-        arrival = ClosedLoop(args.clients, think_s=args.think_ms / 1000.0)
-    else:
-        arrival = OpenLoop(args.rate)
-    check_finite("unit_kib", args.unit_kib)  # before int() chokes on it
-    scenario = Scenario(
-        kind="serve",
-        scheme=args.scheme,
-        scheme_params=_scheme_params_from(args),
-        latency=LatencyModel(
-            seek_ms=args.seek_ms,
-            unit_bytes=int(args.unit_kib * 1024),
-            bandwidth_bytes_per_s=args.bandwidth_mib * 1024 * 1024,
-        ),
-        workload=WorkloadSpec(
-            kind=args.workload,
-            n_requests=args.requests,
-            write_fraction=args.write_fraction,
-            skew=args.skew,
-        ),
-        arrival=arrival,
-        faults=tuple(args.failed),
-        throttle=_throttle_from(args),
-        sparing=args.sparing,
-        rebuild_batches=args.rebuild_batches,
-        trials=args.trials,
-        serve_kernel=args.serve_kernel,
-        seed=args.seed,
-        jobs=args.jobs,
-        telemetry=args.telemetry,
-    )
-    layout = scenario.layout
-    logger.info(
-        "serve: scheme=%s, %d disks, %d failed, throttle=%s, %d trial(s), "
-        "%d job(s)",
-        args.scheme, layout.n_disks, len(args.failed), args.throttle,
-        args.trials, args.jobs,
-    )
-    result = run_scenario(scenario, progress=_progress_for(args))
+def _report_serve(scenario: Scenario, result, args):
     rebuild = (
         format_duration(result.rebuild_seconds)
         if result.rebuild_ops
         else "- (no rebuild traffic)"
     )
-    rows = [
+    title = (
+        f"online serving ({scenario.scheme}, "
+        f"{len(scenario.faults)} failed, throttle={args.throttle})"
+    )
+    return title, [
         ["trials", str(result.trials)],
         ["requests served", str(result.requests)],
         ["mean latency", f"{result.mean_ms:.2f} ms"],
@@ -595,18 +631,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{result.rebuild_ops_done}/{result.rebuild_ops}",
         ],
         ["rebuild time (mean/trial)", rebuild],
-        ["workers", str(args.jobs)],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"online serving ({args.scheme}, "
-                f"{len(args.failed)} failed, throttle={args.throttle})"
-            ),
-        )
+
+
+def _cmd_simulate(report, args: argparse.Namespace) -> int:
+    """Build, log, run, print: the whole of a simulation subcommand."""
+    _resolve_jobs(args)
+    scenario = _scenario_from(args)
+    logger.info(
+        "%s: scheme=%s, %d disks, %d job(s)",
+        scenario.kind, scenario.scheme, scenario.layout.n_disks,
+        scenario.jobs,
     )
+    result = run_scenario(scenario, progress=_progress_for(args))
+    title, rows = report(scenario, result, args)
+    if "jobs" in vars(args):  # the one row --jobs may change
+        rows.append(["workers", str(scenario.jobs)])
+    print(format_table(["metric", "value"], rows, title=title))
     return 0
 
 
@@ -856,247 +897,89 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="OI-RAID reproduction: configuration & recovery planning",
     )
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0,
-        help="INFO logging + stderr progress heartbeats (-vv for DEBUG)",
-    )
-    parser.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="only ERROR-level diagnostics on stderr",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE", default=None,
-        help="write the run's merged metrics registry as JSON",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="write spans + sim events (Chrome trace JSON, or JSONL if "
-             "FILE ends in .jsonl)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="FILE", default=None,
-        help="enable the kernel phase profiler and write its profile "
-             "document (phases, counters, series, peak memory) as JSON",
+    _add_flags(
+        parser,
+        ("verbose", "quiet", "metrics_out", "trace_out", "profile_out"),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="describe one configuration")
-    _add_layout_args(p_info)
-    p_info.set_defaults(func=_cmd_info)
+    def command(name, help, flags, func, into=sub, **overrides):
+        p = into.add_parser(name, help=help)
+        _add_flags(p, flags, **overrides)
+        p.set_defaults(func=func)
 
-    p_designs = sub.add_parser("designs", help="list constructible designs")
-    p_designs.add_argument("-k", "--stripe-width", type=int, required=True)
-    p_designs.add_argument("--max-groups", type=int, default=40)
-    p_designs.set_defaults(func=_cmd_designs)
+    def simulation(name, help, flags, report, **overrides):
+        # A Scenario kind: the array's flags, then the kind's own. The
+        # registry is read here, so a scheme registered after import counts.
+        command(name, help, _LAYOUT + ("scheme", "scheme_param") + flags,
+                functools.partial(_cmd_simulate, report),
+                scheme=dict(choices=scheme_names()), **overrides)
 
-    p_plan = sub.add_parser("plan", help="plan recovery for failed disks")
-    _add_layout_args(p_plan)
-    p_plan.add_argument("-f", "--failed", type=int, nargs="+", required=True)
-    p_plan.set_defaults(func=_cmd_plan)
-
-    p_tol = sub.add_parser("tolerance", help="survivable-fraction profile")
-    _add_layout_args(p_tol)
-    p_tol.add_argument("--max-failures", type=int, default=4)
-    p_tol.add_argument("--samples", type=int, default=500,
-                       help="patterns sampled per size (0 = exhaustive)")
-    _add_jobs_arg(p_tol, "the pattern sweep")
-    p_tol.set_defaults(func=_cmd_tolerance)
-
-    p_rel = sub.add_parser(
+    command("info", "describe one configuration", _LAYOUT, _cmd_info)
+    command("designs", "list constructible designs",
+            ("stripe_width", "max_groups"), _cmd_designs,
+            stripe_width=dict(help=None))
+    command("plan", "plan recovery for failed disks", _LAYOUT + ("failed",),
+            _cmd_plan, failed=dict(required=True))
+    command("tolerance", "survivable-fraction profile",
+            _LAYOUT + ("max_failures", "samples", "jobs"), _cmd_tolerance,
+            jobs=dict(help=_JOBS_HELP.format("the pattern sweep")))
+    simulation(
         "reliability",
-        help="Monte-Carlo lifetime simulation (exact pattern oracle)",
-    )
-    _add_layout_args(p_rel)
-    _add_scheme_args(p_rel)
-    p_rel.add_argument("--mttf-hours", type=float, default=100_000.0,
-                       help="per-disk mean time to failure")
-    p_rel.add_argument("--mttr-hours", type=float, default=24.0,
-                       help="per-disk mean time to repair")
-    p_rel.add_argument("--horizon-hours", type=float, default=87_660.0,
-                       help="mission length (default: 10 years)")
-    p_rel.add_argument("--trials", type=int, default=1000)
-    p_rel.add_argument("--seed", type=int, default=0)
-    _add_kernel_args(p_rel,
-                     "lifetime kernel: auto is the vectorized one")
-    _add_jobs_arg(p_rel, "the Monte-Carlo fan-out")
-    p_rel.set_defaults(func=_cmd_reliability)
-
-    p_lc = sub.add_parser(
+        "Monte-Carlo lifetime simulation (exact pattern oracle)",
+        ("mttf_hours", "mttr_hours", "horizon_hours", "trials", "seed",
+         "mc_kernel", "jobs"),
+        _report_reliability,
+        trials=dict(default=1000),
+        mc_kernel=dict(help="lifetime kernel: auto is the vectorized one"))
+    simulation(
         "lifecycle",
-        help="coupled lifecycle simulation (layout-derived repair times)",
-    )
-    _add_layout_args(p_lc)
-    _add_scheme_args(p_lc)
-    p_lc.add_argument("--mttf-hours", type=float, default=100_000.0,
-                      help="per-disk mean time to failure")
-    p_lc.add_argument("--horizon-hours", type=float, default=87_660.0,
-                      help="mission length (default: 10 years)")
-    p_lc.add_argument("--trials", type=int, default=200)
-    p_lc.add_argument("--seed", type=int, default=0)
-    p_lc.add_argument("--sparing", choices=["distributed", "dedicated"],
-                      default="distributed")
-    p_lc.add_argument("--rebuild-model", choices=["analytic", "event"],
-                      default="analytic",
-                      help="rebuild clock: bandwidth bound or event-driven")
-    p_lc.add_argument("--capacity-tb", type=float, default=4.0)
-    p_lc.add_argument("--bandwidth-mib", type=float, default=100.0)
-    p_lc.add_argument("--foreground", type=float, default=0.0,
-                      help="fraction of bandwidth reserved for user I/O")
-    _add_kernel_args(p_lc,
-                     "lifecycle kernel: auto is the vectorized "
-                     "(columnar) kernel; both kernels return "
-                     "identical results")
-    p_lc.add_argument("--lse-rate", type=float, default=0.0,
-                      help="latent sector errors per byte read during "
-                           "rebuild (e.g. 1e-15)")
-    _add_jobs_arg(p_lc, "the Monte-Carlo fan-out")
-    p_lc.set_defaults(func=_cmd_lifecycle)
-
-    p_fl = sub.add_parser(
+        "coupled lifecycle simulation (layout-derived repair times)",
+        ("mttf_hours", "horizon_hours", "trials", "seed", "sparing",
+         "rebuild_method", *_DISK, "mc_kernel", "lse_rate_per_byte", "jobs"),
+        _report_lifecycle,
+        trials=dict(default=200),
+        mc_kernel=dict(help="lifecycle kernel: auto is the vectorized "
+                            "(columnar) kernel; both kernels return "
+                            "identical results"))
+    simulation(
         "fleet",
-        help="fleet-scale rare-event lifecycle simulation "
-             "(streaming, optional importance sampling)",
-    )
-    _add_layout_args(p_fl)
-    _add_scheme_args(p_fl)
-    p_fl.add_argument("--arrays", type=int, default=100,
-                      help="identical arrays in the fleet")
-    p_fl.add_argument("--trials", type=int, default=10,
-                      help="missions simulated per array")
-    p_fl.add_argument("--boost", type=float, default=1.0,
-                      help="importance-sampling failure-rate inflation: "
-                           "sample at boost/MTTF, reweight by the exact "
-                           "likelihood ratio (1.0 = naive Monte-Carlo; "
-                           "useful range ~1.2-1.8 — the per-draw weight "
-                           "variance diverges at 2.0)")
-    p_fl.add_argument("--mttf-hours", type=float, default=100_000.0,
-                      help="per-disk mean time to failure")
-    p_fl.add_argument("--horizon-hours", type=float, default=87_660.0,
-                      help="mission length (default: 10 years)")
-    p_fl.add_argument("--seed", type=int, default=0)
-    p_fl.add_argument("--sparing", choices=["distributed", "dedicated"],
-                      default="distributed")
-    p_fl.add_argument("--rebuild-model", choices=["analytic", "event"],
-                      default="analytic",
-                      help="rebuild clock: bandwidth bound or event-driven")
-    p_fl.add_argument("--capacity-tb", type=float, default=4.0)
-    p_fl.add_argument("--bandwidth-mib", type=float, default=100.0)
-    p_fl.add_argument("--foreground", type=float, default=0.0,
-                      help="fraction of bandwidth reserved for user I/O")
-    p_fl.add_argument("--lse-rate", type=float, default=0.0,
-                      help="latent sector errors per byte read during "
-                           "rebuild (e.g. 1e-15)")
-    _add_jobs_arg(p_fl, "the fleet fan-out")
-    p_fl.set_defaults(func=_cmd_fleet)
-
-    p_srv = sub.add_parser(
+        "fleet-scale rare-event lifecycle simulation "
+        "(streaming, optional importance sampling)",
+        ("arrays", "trials", "lambda_boost", "mttf_hours", "horizon_hours",
+         "seed", "sparing", "rebuild_method", *_DISK, "lse_rate_per_byte",
+         "jobs"),
+        _report_fleet,
+        trials=dict(default=10, help="missions simulated per array"),
+        jobs=dict(help=_JOBS_HELP.format("the fleet fan-out")))
+    simulation(
         "serve",
-        help="online serving simulation (foreground vs rebuild contention)",
-    )
-    _add_layout_args(p_srv)
-    _add_scheme_args(p_srv)
-    p_srv.add_argument("-f", "--failed", type=int, nargs="*", default=[],
-                       help="failed disks (empty = healthy array)")
-    p_srv.add_argument("--requests", type=int, default=2000,
-                       help="foreground requests per trial")
-    p_srv.add_argument("--workload", choices=["uniform", "zipf", "sequential"],
-                       default="uniform")
-    p_srv.add_argument("--write-fraction", type=float, default=0.0)
-    p_srv.add_argument("--skew", type=float, default=1.1,
-                       help="zipf exponent (zipf workload only)")
-    p_srv.add_argument("--rate", type=float, default=100.0,
-                       help="open-loop arrival rate (requests/s)")
-    p_srv.add_argument("--clients", type=int, default=0,
-                       help="closed-loop client count (overrides --rate)")
-    p_srv.add_argument("--think-ms", type=float, default=0.0,
-                       help="closed-loop think time between requests")
-    p_srv.add_argument("--throttle",
-                       choices=["none", "fixed", "idle", "adaptive"],
-                       default="none",
-                       help="rebuild injection policy (none = no rebuild "
-                            "traffic)")
-    p_srv.add_argument("--rebuild-rate", type=float, default=100.0,
-                       help="fixed-throttle dispatch rate (ops/s)")
-    p_srv.add_argument("--target-p99-ms", type=float, default=20.0,
-                       help="adaptive-throttle foreground p99 SLO")
-    p_srv.add_argument("--rebuild-batches", type=int, default=1,
-                       help="times the recovery plan is tiled per trial")
-    p_srv.add_argument("--sparing", choices=["distributed", "dedicated"],
-                       default="distributed")
-    p_srv.add_argument("--seek-ms", type=float, default=5.0)
-    p_srv.add_argument("--unit-kib", type=float, default=64.0)
-    p_srv.add_argument("--bandwidth-mib", type=float, default=100.0)
-    p_srv.add_argument("--trials", type=int, default=1)
-    p_srv.add_argument("--serve-kernel", dest="serve_kernel",
-                       choices=KERNELS, default="auto",
-                       help="serving kernel: auto is the vectorized "
-                            "queue sweep; both kernels produce "
-                            "bit-identical results")
-    p_srv.add_argument("--seed", type=int, default=0)
-    _add_jobs_arg(p_srv, "the trial fan-out")
-    p_srv.set_defaults(func=_cmd_serve)
+        "online serving simulation (foreground vs rebuild contention)",
+        ("failed", "requests", "workload", "write_fraction", "skew", "rate",
+         "clients", "think_ms", "throttle", "rebuild_rate", "target_p99_ms",
+         "rebuild_batches", "sparing", "seek_ms", "unit_kib", "bandwidth_mib",
+         "trials", "serve_kernel", "seed", "jobs"),
+        _report_serve,
+        failed=dict(nargs="*", default=[],
+                    help="failed disks (empty = healthy array)"),
+        trials=dict(default=1),
+        jobs=dict(help=_JOBS_HELP.format("the trial fan-out")))
+    simulation(
+        "rebuild", "estimate rebuild wall-clock", ("failed", *_DISK),
+        _report_rebuild,
+        failed=dict(default=[0]), foreground=dict(help=None))
+    command("report", "pretty-print saved --metrics-out / --trace-out files",
+            ("files", "check"), _cmd_report)
 
-    p_rb = sub.add_parser("rebuild", help="estimate rebuild wall-clock")
-    _add_layout_args(p_rb)
-    _add_scheme_args(p_rb)
-    p_rb.add_argument("-f", "--failed", type=int, nargs="+", default=[0])
-    p_rb.add_argument("--capacity-tb", type=float, default=4.0)
-    p_rb.add_argument("--bandwidth-mib", type=float, default=100.0)
-    p_rb.add_argument("--foreground", type=float, default=0.0)
-    p_rb.set_defaults(func=_cmd_rebuild)
-
-    p_rep = sub.add_parser(
-        "report",
-        help="pretty-print saved --metrics-out / --trace-out files",
-    )
-    p_rep.add_argument("files", nargs="+", metavar="FILE")
-    p_rep.add_argument(
-        "--check", action="store_true",
-        help="validate against the telemetry schema and exit",
-    )
-    p_rep.set_defaults(func=_cmd_report)
-
-    p_runs = sub.add_parser(
-        "runs",
-        help="inspect the provenance run ledger ($REPRO_LEDGER)",
-    )
-    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-
-    def _add_ledger_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--ledger", metavar="FILE", default=None,
-            help="ledger JSONL file (default: $REPRO_LEDGER)",
-        )
-
-    p_runs_list = runs_sub.add_parser("list", help="one row per recorded run")
-    _add_ledger_arg(p_runs_list)
-    p_runs_list.set_defaults(func=_cmd_runs_list)
-
-    p_runs_show = runs_sub.add_parser(
-        "show", help="print one run manifest as JSON",
-    )
-    _add_ledger_arg(p_runs_show)
-    p_runs_show.add_argument(
-        "index", type=int, nargs="?", default=-1,
-        help="record index from `runs list` (negative counts from the "
-             "end; default: the last record)",
-    )
-    p_runs_show.set_defaults(func=_cmd_runs_show)
-
-    p_runs_diff = runs_sub.add_parser(
-        "diff", help="compare two recorded runs field by field",
-    )
-    _add_ledger_arg(p_runs_diff)
-    p_runs_diff.add_argument(
-        "a", type=int, nargs="?", default=-2,
-        help="first record index (default: second-to-last)",
-    )
-    p_runs_diff.add_argument(
-        "b", type=int, nargs="?", default=-1,
-        help="second record index (default: last)",
-    )
-    p_runs_diff.set_defaults(func=_cmd_runs_diff)
-
+    runs = sub.add_parser(
+        "runs", help="inspect the provenance run ledger ($REPRO_LEDGER)",
+    ).add_subparsers(dest="runs_command", required=True)
+    command("list", "one row per recorded run", ("ledger",),
+            _cmd_runs_list, into=runs)
+    command("show", "print one run manifest as JSON", ("ledger", "index"),
+            _cmd_runs_show, into=runs)
+    command("diff", "compare two recorded runs field by field",
+            ("ledger", "a", "b"), _cmd_runs_diff, into=runs)
     return parser
 
 
@@ -1166,8 +1049,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     _configure_logging(args)
-    if getattr(args, "samples", None) == 0:
-        args.samples = None
     telemetry = (
         Telemetry.collecting()
         if (args.metrics_out or args.trace_out)

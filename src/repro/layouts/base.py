@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import LayoutError
 
@@ -395,8 +395,3 @@ class Layout(abc.ABC):
                         touched.add(pcell)
                         dirty.append(pcell)
         return len(touched)
-
-
-def units_of(cells: Sequence[Cell]) -> Tuple[Unit, ...]:
-    """Convenience: wrap raw (disk, addr) pairs as Unit objects."""
-    return tuple(Unit(disk, addr) for disk, addr in cells)

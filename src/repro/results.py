@@ -22,8 +22,10 @@ protocol normalizes all of them behind three methods:
   merge of its own.
 
 :class:`ResultBase` supplies the machinery; result classes inherit it and
-declare ``SUMMARY_KEYS`` (field/property names to surface). The registry
-maps type tags back to classes for :func:`result_from_dict`.
+declare ``SUMMARY_KEYS`` (field/property names to surface);
+:class:`LossResultBase` adds the loss estimators the two unweighted
+Monte-Carlo results share. The registry maps type tags back to classes
+for :func:`result_from_dict`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from itertools import chain
 from typing import Any, Dict, Sequence, Tuple, Type, get_origin, get_type_hints
 
 from repro.errors import ReproError, SimulationError
+from repro.util.stats import wilson_interval
 
 #: Result-type tag -> dataclass, filled in by :func:`register_result`.
 RESULT_TYPES: Dict[str, Type["ResultBase"]] = {}
@@ -183,6 +186,40 @@ class ResultBase:
             value = getattr(self, key)
             out[key] = _jsonify(value)
         return out
+
+
+class LossResultBase(ResultBase):
+    """Loss estimators of an unweighted Monte-Carlo mission sample.
+
+    For result dataclasses declaring ``trials``, ``losses``,
+    ``loss_times`` and ``horizon_hours`` (``LifetimeResult``,
+    ``LifecycleResult``), so both report identically constructed
+    estimates. ``FleetResult`` weights its missions and defines its own.
+    """
+
+    @property
+    def prob_loss(self) -> float:
+        """Fraction of missions that lost data before the horizon."""
+        return self.losses / self.trials
+
+    def prob_loss_interval(self, z: float = 1.96) -> Tuple[float, float]:
+        """Wilson score interval on the loss probability.
+
+        Non-degenerate even at zero observed losses — the upper bound
+        stays ``~z**2 / (trials + z**2)`` instead of collapsing to the
+        zero-width ``[0, 0]`` a normal approximation produces, which is
+        what the rare-event regime needs.
+        """
+        return wilson_interval(self.losses, self.trials, z)
+
+    @property
+    def mttdl_estimate_hours(self) -> float:
+        """Censored-exponential MTTDL estimate: total exposure / losses."""
+        if self.losses == 0:
+            return float("inf")
+        survived = self.trials - self.losses
+        exposure = sum(self.loss_times) + survived * self.horizon_hours
+        return exposure / self.losses
 
 
 def result_from_dict(doc: Dict[str, Any]) -> ResultBase:

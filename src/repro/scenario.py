@@ -26,7 +26,7 @@ the common protocol of :mod:`repro.results`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -81,7 +81,7 @@ class Scenario:
         scheme_params: geometry keys (``groups``, ``stripe_width``,
             ``group_size``) plus the scheme's own knobs, forwarded to
             :func:`repro.schemes.build_scheme_layout`.
-        disk: capacity/bandwidth model (rebuild, lifecycle).
+        disk: capacity/bandwidth model (rebuild, lifecycle, fleet).
         latency: per-request service model (serve).
         workload: foreground request recipe (serve).
         arrival: foreground arrival process (serve).
@@ -89,16 +89,17 @@ class Scenario:
         throttle: rebuild-injection policy (serve; ``None`` = no
             rebuild traffic).
         sparing: ``distributed`` or ``dedicated`` (rebuild, lifecycle,
-            serve).
+            fleet, serve).
         rebuild_method: ``analytic`` or ``event`` rebuild clock
-            (rebuild, lifecycle).
+            (rebuild, lifecycle, fleet).
         rebuild_batches: plan tilings injected per trial (serve) or
-            event-sim batches (rebuild, lifecycle).
+            event-sim batches (rebuild, lifecycle, fleet).
         mttf_hours: per-disk mean time to failure (reliability,
-            lifecycle).
+            lifecycle, fleet).
         mttr_hours: exogenous repair time (reliability only — the
-            lifecycle kind derives repair times from the layout).
-        horizon_hours: mission length (reliability, lifecycle).
+            lifecycle and fleet kinds derive repair times from the
+            layout).
+        horizon_hours: mission length (reliability, lifecycle, fleet).
         lse_rate_per_byte: latent-sector-error rate (lifecycle, fleet).
         arrays: identical arrays in the fleet (fleet only).
         lambda_boost: importance-sampling failure-rate inflation
@@ -116,10 +117,8 @@ class Scenario:
             simulator read one sampling plane, so the choice changes
             wall clock only, never a bit of the result or its telemetry.
         serve_kernel: serving kernel (serve only) — ``auto`` is the
-            vectorized queue sweep, ``vectorized``/``event`` force one.
-            Both serve kernels read
-            one sampling plane, so the choice changes wall clock only,
-            never a bit of the result or its telemetry.
+            vectorized queue sweep; the choices and the wall-clock-only
+            contract are ``mc_kernel``'s.
         telemetry: collecting telemetry, or ``None`` for the ambient
             default.
     """
@@ -156,16 +155,12 @@ class Scenario:
                 f"unknown scenario kind {self.kind!r} "
                 f"(expected one of {SCENARIO_KINDS})"
             )
-        if self.mc_kernel not in KERNELS:
-            raise SimulationError(
-                f"unknown mc_kernel {self.mc_kernel!r} "
-                f"(expected one of {KERNELS})"
-            )
-        if self.serve_kernel not in KERNELS:
-            raise SimulationError(
-                f"unknown serve_kernel {self.serve_kernel!r} "
-                f"(expected one of {KERNELS})"
-            )
+        for name in ("mc_kernel", "serve_kernel"):
+            if getattr(self, name) not in KERNELS:
+                raise SimulationError(
+                    f"unknown {name} {getattr(self, name)!r} "
+                    f"(expected one of {KERNELS})"
+                )
         if self.scheme is not None:
             built = build_scheme_layout(self.scheme, **self.scheme_params)
             object.__setattr__(self, "layout", built)
@@ -183,140 +178,110 @@ class Scenario:
         return replace(self, kind=kind)
 
 
-def _run_rebuild(scenario: Scenario, progress):
-    faults = scenario.faults or (0,)
-    if scenario.rebuild_method == "event":
-        return simulate_rebuild(
-            scenario.layout,
-            faults,
-            scenario.disk,
-            sparing=scenario.sparing,
-            batches=scenario.rebuild_batches,
+def _rebuild_call(s: Scenario):
+    args = (s.layout, s.faults or (0,), s.disk)
+    if s.rebuild_method == "event":
+        return simulate_rebuild, args, dict(
+            sparing=s.sparing, batches=s.rebuild_batches
         )
-    return analytic_rebuild_time(
-        scenario.layout, faults, scenario.disk, sparing=scenario.sparing
-    )
+    return analytic_rebuild_time, args, dict(sparing=s.sparing)
 
 
-def _run_reliability(scenario: Scenario, progress):
-    layout = scenario.layout
+def _reliability_call(s: Scenario):
+    layout = s.layout
     oracle = recoverability_oracle(layout, guaranteed_tolerance(layout))
-    return simulate_lifetimes(
-        layout.n_disks,
-        scenario.mttf_hours,
-        scenario.mttr_hours,
-        oracle,
-        scenario.horizon_hours,
-        trials=scenario.trials,
-        seed=scenario.seed,
-        jobs=scenario.jobs,
-        kernel=scenario.mc_kernel,
-        telemetry=scenario.telemetry,
-        progress=progress,
+    return simulate_lifetimes, (
+        layout.n_disks, s.mttf_hours, s.mttr_hours, oracle, s.horizon_hours,
+    ), {}
+
+
+def _mission_call(s: Scenario, simulate: Callable, **extra):
+    """Lifecycle and fleet read one mission physics; fleet adds *extra*."""
+    return simulate, (s.layout, s.mttf_hours, s.horizon_hours), dict(
+        disk=s.disk,
+        sparing=s.sparing,
+        method=s.rebuild_method,
+        batches=max(s.rebuild_batches, 8),
+        lse_rate_per_byte=s.lse_rate_per_byte,
+        **extra,
     )
 
 
-def _run_lifecycle(scenario: Scenario, progress):
-    return simulate_lifecycle(
-        scenario.layout,
-        scenario.mttf_hours,
-        scenario.horizon_hours,
-        disk=scenario.disk,
-        sparing=scenario.sparing,
-        method=scenario.rebuild_method,
-        batches=max(scenario.rebuild_batches, 8),
-        lse_rate_per_byte=scenario.lse_rate_per_byte,
-        trials=scenario.trials,
-        seed=scenario.seed,
-        jobs=scenario.jobs,
-        kernel=scenario.mc_kernel,
-        telemetry=scenario.telemetry,
-        progress=progress,
+def _serve_call(s: Scenario):
+    return simulate_serve, (s.layout, s.workload), dict(
+        failed_disks=s.faults,
+        arrival=s.arrival,
+        model=s.latency,
+        throttle=s.throttle,
+        sparing=s.sparing,
+        rebuild_batches=s.rebuild_batches,
     )
 
 
-def _run_serve(scenario: Scenario, progress):
-    return simulate_serve(
-        scenario.layout,
-        scenario.workload,
-        failed_disks=scenario.faults,
-        arrival=scenario.arrival,
-        model=scenario.latency,
-        throttle=scenario.throttle,
-        sparing=scenario.sparing,
-        rebuild_batches=scenario.rebuild_batches,
-        trials=scenario.trials,
-        kernel=scenario.serve_kernel,
-        seed=scenario.seed,
-        jobs=scenario.jobs,
-        telemetry=scenario.telemetry,
-        progress=progress,
-    )
-
-
-def _run_fleet(scenario: Scenario, progress):
-    return simulate_fleet(
-        scenario.layout,
-        scenario.mttf_hours,
-        scenario.horizon_hours,
-        disk=scenario.disk,
-        sparing=scenario.sparing,
-        method=scenario.rebuild_method,
-        batches=max(scenario.rebuild_batches, 8),
-        lse_rate_per_byte=scenario.lse_rate_per_byte,
-        arrays=scenario.arrays,
-        trials=scenario.trials,
-        lambda_boost=scenario.lambda_boost,
-        seed=scenario.seed,
-        jobs=scenario.jobs,
-        telemetry=scenario.telemetry,
-        progress=progress,
-    )
-
-
-_RUNNERS: Dict[str, Callable] = {
-    "rebuild": _run_rebuild,
-    "reliability": _run_reliability,
-    "lifecycle": _run_lifecycle,
-    "serve": _run_serve,
-    "fleet": _run_fleet,
+#: kind -> (the simulator call its physics fields describe, the
+#: ``Scenario`` field holding the kernel flag the kind reads — rebuild
+#: and fleet have none).
+_KINDS: Dict[str, Tuple[Callable, Optional[str]]] = {
+    "rebuild": (_rebuild_call, None),
+    "reliability": (_reliability_call, "mc_kernel"),
+    "lifecycle": (lambda s: _mission_call(s, simulate_lifecycle), "mc_kernel"),
+    "serve": (_serve_call, "serve_kernel"),
+    "fleet": (
+        lambda s: _mission_call(
+            s, simulate_fleet, arrays=s.arrays, lambda_boost=s.lambda_boost
+        ),
+        None,
+    ),
 }
+
+
+def _simulate(scenario: Scenario, progress: Optional[Callable]):
+    call, kernel_field = _KINDS[scenario.kind]
+    simulate, args, kwargs = call(scenario)
+    if scenario.kind != "rebuild":  # the four chunked simulators
+        kwargs.update(
+            trials=scenario.trials,
+            seed=scenario.seed,
+            jobs=scenario.jobs,
+            telemetry=scenario.telemetry,
+            progress=progress,
+        )
+    if kernel_field is not None:
+        kwargs["kernel"] = getattr(scenario, kernel_field)
+    return simulate(*args, **kwargs)
+
+
+#: ``Scenario`` fields left out of :func:`scenario_config`.
+_NOT_CONFIG = ("seed", "jobs", "telemetry")
+
+
+def _config_value(value: object) -> object:
+    if isinstance(value, Layout):
+        return value.describe()
+    if isinstance(value, Mapping):
+        return dict(value)
+    if isinstance(value, tuple):
+        return list(value)
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return repr(value)  # model objects
 
 
 def scenario_config(scenario: Scenario) -> Dict[str, object]:
     """The JSON-able configuration document the run ledger fingerprints.
 
-    Seed and jobs are deliberately excluded — they are recorded as
-    separate manifest fields, so runs of the same experiment at
+    One key per :class:`Scenario` field, so a new field cannot be
+    missed. Seed and jobs are deliberately excluded — they are recorded
+    as separate manifest fields, so runs of the same experiment at
     different seeds (or worker counts) share a
     :func:`~repro.obs.ledger.config_fingerprint` and group together in
     ``repro runs list``. Model objects are captured by their dataclass
     ``repr``, which is stable for a fixed configuration.
     """
-    throttle = scenario.throttle
     return {
-        "kind": scenario.kind,
-        "layout": scenario.layout.describe(),
-        "scheme": scenario.scheme,
-        "scheme_params": dict(scenario.scheme_params),
-        "disk": repr(scenario.disk),
-        "latency": repr(scenario.latency),
-        "workload": repr(scenario.workload),
-        "arrival": repr(scenario.arrival),
-        "faults": list(scenario.faults),
-        "throttle": repr(throttle) if throttle is not None else None,
-        "sparing": scenario.sparing,
-        "rebuild_method": scenario.rebuild_method,
-        "rebuild_batches": scenario.rebuild_batches,
-        "mttf_hours": scenario.mttf_hours,
-        "mttr_hours": scenario.mttr_hours,
-        "horizon_hours": scenario.horizon_hours,
-        "lse_rate_per_byte": scenario.lse_rate_per_byte,
-        "arrays": scenario.arrays,
-        "lambda_boost": scenario.lambda_boost,
-        "trials": scenario.trials,
-        "mc_kernel": scenario.mc_kernel,
-        "serve_kernel": scenario.serve_kernel,
+        f.name: _config_value(getattr(scenario, f.name))
+        for f in fields(Scenario)
+        if f.name not in _NOT_CONFIG
     }
 
 
@@ -339,29 +304,22 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
     """
     ledger = RunLedger.from_env()
     if ledger is None:
-        return _RUNNERS[scenario.kind](scenario, progress)
+        return _simulate(scenario, progress)
     check_writable(ledger.path)
     start = time.perf_counter()
-    result = _RUNNERS[scenario.kind](scenario, progress)
+    result = _simulate(scenario, progress)
     seconds = time.perf_counter() - start
-    to_dict = getattr(result, "to_dict", None)
-    summary = getattr(result, "summary", None)
-    # The kernel flag the kind actually read; rebuild and fleet have none.
-    kernel = {
-        "reliability": scenario.mc_kernel,
-        "lifecycle": scenario.mc_kernel,
-        "serve": scenario.serve_kernel,
-    }.get(scenario.kind)
+    kernel_field = _KINDS[scenario.kind][1]
     ledger.append(
         run_manifest(
             scenario.kind,
             scenario_config(scenario),
             seed=scenario.seed,
             jobs=scenario.jobs,
-            kernel=kernel,
+            kernel=kernel_field and getattr(scenario, kernel_field),
             seconds=seconds,
-            result_doc=to_dict() if to_dict is not None else None,
-            summary=summary() if summary is not None else None,
+            result_doc=result.to_dict(),
+            summary=result.summary(),
             profiler=ambient_profiler(),
         )
     )

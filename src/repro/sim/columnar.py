@@ -26,9 +26,9 @@ for both planes so the kernels stop duplicating scaffolding:
   ``RebuildTimer`` in the parent and shipped to workers through the pool
   initializer exactly like ``ServeTables``.
 * :func:`sample_renewal_events` / :func:`first_exceedances` — the
-  lifetime kernel's tiered renewal sampler and concurrency filter, moved
-  here verbatim from :mod:`repro.sim.montecarlo` so the lifecycle kernel
-  shares the machinery instead of copying it.
+  lifetime kernel's tiered renewal sampler and concurrency filter;
+  :mod:`repro.sim.montecarlo` is their only caller (the lifecycle and
+  fleet kernels screen with :class:`LockstepScreen` instead).
 * :class:`LockstepScreen` — the lockstep renewal screen the lifecycle
   and fleet kernels share: all trials advance one failure incident per
   round on a ``(disks, trials)`` failure-clock array, clean incidents

@@ -63,7 +63,7 @@ from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
-from repro.results import ResultBase, register_result
+from repro.results import LossResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
     LifecycleTables,
@@ -76,11 +76,11 @@ from repro.sim.columnar import (
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
 from repro.sim.parallel import DEFAULT_CHUNK_TRIALS, ProgressCallback, run_chunks
 from repro.sim.rebuild import DiskModel, RebuildTimer
-from repro.util.stats import mean, wilson_interval
+from repro.util.stats import mean
 
 @register_result
 @dataclass(frozen=True)
-class LifecycleResult(ResultBase):
+class LifecycleResult(LossResultBase):
     """Aggregated lifecycle outcome with per-trial instrumentation.
 
     Attributes:
@@ -113,30 +113,6 @@ class LifecycleResult(ResultBase):
         "mttdl_estimate_hours", "mean_failures", "mean_repairs",
         "degraded_fraction", "max_peak_failures",
     )
-
-    @property
-    def prob_loss(self) -> float:
-        """Fraction of missions that lost data before the horizon."""
-        return self.losses / self.trials
-
-    def prob_loss_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """Wilson score interval on the loss probability.
-
-        Non-degenerate even at zero observed losses — the upper bound
-        stays ``~z**2 / (trials + z**2)`` instead of collapsing to the
-        zero-width ``[0, 0]`` the old normal approximation produced,
-        which is what the rare-event regime needs.
-        """
-        return wilson_interval(self.losses, self.trials, z)
-
-    @property
-    def mttdl_estimate_hours(self) -> float:
-        """Censored-exponential MTTDL estimate: total exposure / losses."""
-        if self.losses == 0:
-            return float("inf")
-        survived = self.trials - self.losses
-        exposure = sum(self.loss_times) + survived * self.horizon_hours
-        return exposure / self.losses
 
     @property
     def mean_failures(self) -> float:

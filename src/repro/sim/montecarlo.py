@@ -37,26 +37,13 @@ from repro.sim.parallel import (
     ProgressCallback,
     run_chunks,
 )
-from repro.results import ResultBase, register_result
+from repro.results import LossResultBase, register_result
 from repro.util.checks import check_positive
-from repro.util.stats import wilson_interval
-
-
-def normal_interval(
-    p: float, trials: int, z: float = 1.96
-) -> Tuple[float, float]:
-    """Normal-approximation confidence interval on a proportion *p*.
-
-    Shared by the lifetime and lifecycle Monte-Carlo result types so both
-    report identically-constructed intervals.
-    """
-    half = z * math.sqrt(max(p * (1 - p), 1e-12) / trials)
-    return (max(0.0, p - half), min(1.0, p + half))
 
 
 @register_result
 @dataclass(frozen=True)
-class LifetimeResult(ResultBase):
+class LifetimeResult(LossResultBase):
     """Aggregated Monte-Carlo outcome.
 
     Attributes:
@@ -75,29 +62,6 @@ class LifetimeResult(ResultBase):
         "trials", "losses", "prob_loss", "mttdl_estimate_hours",
         "horizon_hours",
     )
-
-    @property
-    def prob_loss(self) -> float:
-        """Fraction of missions that lost data before the horizon."""
-        return self.losses / self.trials
-
-    def prob_loss_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """Wilson score interval on the loss probability.
-
-        Non-degenerate even at zero observed losses — the upper bound
-        stays ``~z**2 / (trials + z**2)`` instead of collapsing to 0,
-        which is what rare-event runs need.
-        """
-        return wilson_interval(self.losses, self.trials, z)
-
-    @property
-    def mttdl_estimate_hours(self) -> float:
-        """Censored-exponential MTTDL estimate: total exposure / losses."""
-        if self.losses == 0:
-            return float("inf")
-        survived = self.trials - self.losses
-        exposure = sum(self.loss_times) + survived * self.horizon_hours
-        return exposure / self.losses
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        # Blamed `v`, which the user never typed ("v must be >= 2, got 1").
+        (["designs", "-k", "0"], "-k"),
+        # An empty table and exit 0 for any bound below the smallest design.
+        (["designs", "-k", "3", "--max-groups", "0"], "--max-groups"),
+        (["designs", "-k", "3", "--max-groups", "-7"], "--max-groups"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_bad_designs_bound_names_the_flag_typed(self, argv, flag, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {flag}")
+
     @pytest.mark.parametrize("output", [
         "--metrics-out", "--trace-out", "--profile-out", "REPRO_LEDGER",
     ])

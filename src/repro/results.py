@@ -2,15 +2,12 @@
 
 Every simulate-style entry point in this reproduction returns a frozen
 dataclass (``RebuildResult``, ``LifetimeResult``, ``LifecycleResult``,
-``ServeResult``, …). Before this module each of them
-serialized ad hoc — the bench JSONL emitter flattened whatever dict a
-bench hand-built, and nothing could round-trip a result from disk. The
-protocol normalizes all of them behind three methods:
+``ServeResult``, …). The protocol puts all of them behind four methods:
 
 * ``to_dict()`` — a strict-JSON-safe dict tagged with the result type
-  name (tuples become lists; non-finite floats become ``null`` — JSON
-  has no number for them, and the string spellings an earlier revision
-  used choke numeric consumers).
+  name (tuples and columns become lists; non-finite floats become
+  ``null`` — JSON has no number for them, and the string spellings an
+  earlier revision used choke numeric consumers).
 * ``from_dict(doc)`` — the inverse, dispatching on the tag, so saved
   results reload as the original dataclass. Documents written by older
   revisions still load: the legacy ``"inf"`` / ``"-inf"`` / ``"nan"``
@@ -20,6 +17,11 @@ protocol normalizes all of them behind three methods:
 * ``merged(parts)`` — the one chunk merge: per-chunk results of a class
   fold into one by declared field type, so a chunked simulator writes no
   merge of its own.
+
+A per-sample field (latencies, loss times, per-trial counters) is a
+:class:`Column`: the array the kernel computed, concatenated by
+``merged``, read by ``summary()`` through one cached sort and a
+left-to-right sum, and listed as Python numbers only by ``to_dict()``.
 
 :class:`ResultBase` supplies the machinery; result classes inherit it and
 declare ``SUMMARY_KEYS`` (field/property names to surface);
@@ -33,11 +35,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from itertools import chain
-from typing import Any, Dict, Sequence, Tuple, Type, get_origin, get_type_hints
+from typing import Annotated, Any, Dict, Iterator, Sequence, Tuple, Type, TypeVar, get_type_hints
+
+import numpy as _np
 
 from repro.errors import ReproError, SimulationError
-from repro.util.stats import wilson_interval
+from repro.util.stats import percentile, wilson_interval
 
 #: Result-type tag -> dataclass, filled in by :func:`register_result`.
 RESULT_TYPES: Dict[str, Type["ResultBase"]] = {}
@@ -47,6 +50,97 @@ def register_result(cls: type) -> type:
     """Class decorator registering *cls* for :func:`result_from_dict`."""
     RESULT_TYPES[cls.__name__] = cls
     return cls
+
+
+class Column:
+    """An immutable column of samples: one float64 or int64 numpy array.
+
+    Built from the array a kernel computed (handed over uncopied, made
+    read-only) or any sequence of numbers (ints give int64, anything else
+    float64, ``None`` loads as ``nan``). It keeps the manners of the tuple
+    it stands for; its statistics are bit for bit the pure-Python ones of
+    :mod:`repro.util.stats` on ``list(column)``.
+    """
+
+    __slots__ = ("_array", "_ordered")
+
+    def __init__(self, values: Any = ()) -> None:
+        array = values._array if isinstance(values, Column) else _np.asarray(values)
+        if array.ndim != 1:
+            raise TypeError(f"a column is one-dimensional, got shape {array.shape}")
+        kind = _np.int64 if array.dtype.kind in "biu" else _np.float64
+        self._array = array.astype(kind, copy=False)
+        self._array.flags.writeable = False
+        self._ordered = None  # the sorted twin, once a percentile is read
+
+    @classmethod
+    def concat(cls, columns: Sequence["Column"]) -> "Column":
+        """The columns end to end; an empty one has no say in the dtype."""
+        arrays = [c._array for c in columns if len(c)]
+        return cls(_np.concatenate(arrays) if arrays else ())
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __iter__(self) -> Iterator[Any]:
+        # One Python number at a time: a consumer that streams
+        # (``array("d", column)``, ``max``) never holds them all.
+        return iter(memoryview(self._array))
+
+    def __getitem__(self, index: Any) -> Any:
+        item = self._array[index]
+        return Column(item) if isinstance(index, slice) else item.item()
+
+    def __eq__(self, other: Any) -> Any:
+        if not isinstance(other, (Column, tuple)):
+            return NotImplemented
+        try:
+            return _np.array_equal(self._array, Column(other)._array)
+        except (TypeError, ValueError):  # a tuple of something else
+            return False
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to that tuple, so hashes as it
+
+    def __add__(self, other: Any) -> "Column":
+        return Column.concat((self, Column(other)))
+
+    def __repr__(self) -> str:
+        return f"Column({self._array!r})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (Column, (self._array,))
+
+    def to_list(self) -> list:
+        """The strict-JSON list: ints stay ints, non-finite floats -> null."""
+        values = self._array.tolist()
+        if not _np.isfinite(self._array).all():
+            values = [v if math.isfinite(v) else None for v in values]
+        return values
+
+    def sum(self) -> Any:
+        """Exact for ints; for floats the plain left-to-right double fold,
+        which the builtin ``sum`` (compensated from CPython 3.12) is not."""
+        if self._array.dtype.kind == "i" or not len(self):
+            return self._array.sum().item()
+        return _np.add.accumulate(self._array)[-1].item()
+
+    def mean(self) -> float:
+        """Arithmetic mean over :meth:`sum`; raises on an empty column."""
+        if not len(self):
+            raise ValueError("mean of empty sequence")
+        return self.sum() / len(self)
+
+    def percentile(self, q: float) -> Any:
+        """:func:`repro.util.stats.percentile`; every *q* shares one sort."""
+        if self._ordered is None:
+            self._ordered = Column(_np.sort(self._array))
+        return percentile(self._ordered, q, presorted=True)
+
+
+#: How a result declares a per-sample field: stored in a :class:`Column`,
+#: and still ``Tuple[float, ...]`` to a plain ``typing.get_type_hints``.
+ColumnOf = Annotated[Tuple[TypeVar("_T"), ...], Column]
 
 
 def _jsonify(value: Any) -> Any:
@@ -60,6 +154,8 @@ def _jsonify(value: Any) -> Any:
     every strict parser accepts; consumers treat a null metric as "not
     observed" (e.g. a censored MTTDL with zero losses).
     """
+    if isinstance(value, Column):
+        return value.to_list()
     if isinstance(value, tuple):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
@@ -96,7 +192,10 @@ def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
     Cached per class: resolving the (string) annotations costs more than
     folding a few thousand trials does.
     """
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
+    for name, hint in hints.items():
+        if getattr(hint, "__metadata__", None) == (Column,):
+            hints[name] = Column  # a ``ColumnOf[...]`` declaration
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
@@ -109,6 +208,12 @@ class ResultBase:
 
     #: Field/property names surfaced by :meth:`summary`.
     SUMMARY_KEYS: tuple = ()
+
+    def __post_init__(self) -> None:
+        """A ``ColumnOf`` field holds a column whatever sequence was passed."""
+        for name, hint in _field_types(type(self)):
+            if hint is Column:
+                object.__setattr__(self, name, Column(getattr(self, name)))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of every field, tagged with the result type."""
@@ -151,8 +256,8 @@ class ResultBase:
         """Fold per-chunk results (in the given chunk order) into one.
 
         The fold is read off each field's declared type: ``int`` fields
-        sum, ``Tuple[...]`` fields concatenate in the order of *parts*
-        (one pass, straight into the tuple), and every other field is a
+        sum, :data:`ColumnOf` fields concatenate in the order of *parts*
+        (one ``numpy.concatenate``), and every other field is a
         parameter of the run that all parts must agree on. Concatenation
         is the only order-sensitive fold, so merging is associative and
         the merged result depends on the chunk order alone — the
@@ -164,10 +269,8 @@ class ResultBase:
         for name, hint in _field_types(cls):
             if hint is int:
                 folded[name] = sum(getattr(p, name) for p in parts)
-            elif get_origin(hint) is tuple:
-                folded[name] = tuple(
-                    chain.from_iterable(getattr(p, name) for p in parts)
-                )
+            elif hint is Column:
+                folded[name] = Column.concat([getattr(p, name) for p in parts])
             else:
                 folded[name] = value = getattr(parts[0], name)
                 for part in parts[1:]:
@@ -218,7 +321,7 @@ class LossResultBase(ResultBase):
         if self.losses == 0:
             return float("inf")
         survived = self.trials - self.losses
-        exposure = sum(self.loss_times) + survived * self.horizon_hours
+        exposure = self.loss_times.sum() + survived * self.horizon_hours
         return exposure / self.losses
 
 

@@ -64,7 +64,7 @@ from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, use_telemetry
-from repro.results import ResultBase, register_result
+from repro.results import Column, ResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
     ChunkSpec,
@@ -279,8 +279,8 @@ class FleetChunk:
     weighted_exposure_hours: float
     max_peak_failures: int
     first_array: int
-    failures_by_array: Tuple[int, ...]
-    repairs_by_array: Tuple[int, ...]
+    failures_by_array: Column
+    repairs_by_array: Column
 
     @property
     def trials(self) -> int:
@@ -420,8 +420,8 @@ def _fleet_chunk(
         weighted_exposure_hours=w_exposure,
         max_peak_failures=int(screen.peak.max()) if count else 0,
         first_array=first_array,
-        failures_by_array=tuple(fails.tolist()),
-        repairs_by_array=tuple(reps.tolist()),
+        failures_by_array=Column(fails),
+        repairs_by_array=Column(reps),
     )
 
 

@@ -63,7 +63,7 @@ from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
-from repro.results import LossResultBase, register_result
+from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
     LifecycleTables,
@@ -100,13 +100,13 @@ class LifecycleResult(LossResultBase):
 
     trials: int
     losses: int
-    loss_times: Tuple[float, ...]
+    loss_times: ColumnOf[float]
     lse_losses: int
     horizon_hours: float
-    failures_per_trial: Tuple[int, ...]
-    repairs_per_trial: Tuple[int, ...]
-    degraded_hours_per_trial: Tuple[float, ...]
-    peak_failures_per_trial: Tuple[int, ...]
+    failures_per_trial: ColumnOf[int]
+    repairs_per_trial: ColumnOf[int]
+    degraded_hours_per_trial: ColumnOf[float]
+    peak_failures_per_trial: ColumnOf[int]
 
     SUMMARY_KEYS = (
         "trials", "losses", "lse_losses", "prob_loss",
@@ -116,15 +116,15 @@ class LifecycleResult(LossResultBase):
 
     @property
     def mean_failures(self) -> float:
-        return mean(self.failures_per_trial)
+        return self.failures_per_trial.mean()
 
     @property
     def mean_repairs(self) -> float:
-        return mean(self.repairs_per_trial)
+        return self.repairs_per_trial.mean()
 
     @property
     def mean_degraded_hours(self) -> float:
-        return mean(self.degraded_hours_per_trial)
+        return self.degraded_hours_per_trial.mean()
 
     @property
     def degraded_fraction(self) -> float:
@@ -521,13 +521,13 @@ def _lifecycle_chunk(
         return LifecycleResult(
             trials=trials,
             losses=len(loss_times),
-            loss_times=tuple(loss_times),
+            loss_times=loss_times,
             lse_losses=lse_losses,
             horizon_hours=horizon_hours,
-            failures_per_trial=tuple(n_failures.tolist()),
-            repairs_per_trial=tuple(n_repairs.tolist()),
-            degraded_hours_per_trial=tuple(degraded.tolist()),
-            peak_failures_per_trial=tuple(peak.tolist()),
+            failures_per_trial=n_failures,
+            repairs_per_trial=n_repairs,
+            degraded_hours_per_trial=degraded,
+            peak_failures_per_trial=peak,
         )
 
 

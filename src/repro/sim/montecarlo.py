@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
 import numpy as _np
 
@@ -37,7 +37,7 @@ from repro.sim.parallel import (
     ProgressCallback,
     run_chunks,
 )
-from repro.results import LossResultBase, register_result
+from repro.results import ColumnOf, LossResultBase, register_result
 from repro.util.checks import check_positive
 
 
@@ -55,7 +55,7 @@ class LifetimeResult(LossResultBase):
 
     trials: int
     losses: int
-    loss_times: Tuple[float, ...]
+    loss_times: ColumnOf[float]
     horizon_hours: float
 
     SUMMARY_KEYS = (
@@ -240,7 +240,7 @@ def _lifetime_chunk(
     return LifetimeResult(
         trials=trials,
         losses=len(loss_times),
-        loss_times=tuple(loss_times),
+        loss_times=loss_times,
         horizon_hours=horizon_hours,
     )
 

@@ -73,7 +73,7 @@ from repro.layouts.recovery import (
 from repro.obs.metrics import Histogram
 from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
-from repro.results import ResultBase, register_result
+from repro.results import ColumnOf, ResultBase, register_result
 from repro.sim.columnar import (
     SERVE,
     TrialStreams,
@@ -84,7 +84,6 @@ from repro.sim.engine import FcfsServer, Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.parallel import ProgressCallback, run_chunks
 from repro.util.checks import check_finite, check_positive, check_probability
-from repro.util.stats import mean, percentile
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
 from repro.workloads.generators import Request, WorkloadSpec
 
@@ -243,7 +242,7 @@ class ServeResult(ResultBase):
     """Outcome of a serving simulation (possibly pooled over trials).
 
     Latencies are pooled in trial (chunk) order, so merged results are
-    bit-identical for any worker count. Per-trial tuples keep the
+    bit-identical for any worker count. Per-trial columns keep the
     tradeoff curve per replication available after merging.
     """
 
@@ -255,11 +254,11 @@ class ServeResult(ResultBase):
     degraded_writes: int
     device_reads: int
     device_writes: int
-    latencies_ms: Tuple[float, ...]
+    latencies_ms: ColumnOf[float]
     rebuild_ops: int
     rebuild_ops_done: int
-    rebuild_seconds_per_trial: Tuple[float, ...]
-    foreground_seconds_per_trial: Tuple[float, ...]
+    rebuild_seconds_per_trial: ColumnOf[float]
+    foreground_seconds_per_trial: ColumnOf[float]
 
     SUMMARY_KEYS = (
         "trials", "requests", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
@@ -270,27 +269,27 @@ class ServeResult(ResultBase):
     @property
     def mean_ms(self) -> float:
         """Mean foreground latency (ms)."""
-        return mean(self.latencies_ms)
+        return self.latencies_ms.mean()
 
     @property
     def p50_ms(self) -> float:
         """Median foreground latency (ms)."""
-        return percentile(self.latencies_ms, 50)
+        return self.latencies_ms.percentile(50)
 
     @property
     def p95_ms(self) -> float:
         """95th-percentile foreground latency (ms)."""
-        return percentile(self.latencies_ms, 95)
+        return self.latencies_ms.percentile(95)
 
     @property
     def p99_ms(self) -> float:
         """99th-percentile foreground latency (ms)."""
-        return percentile(self.latencies_ms, 99)
+        return self.latencies_ms.percentile(99)
 
     @property
     def max_ms(self) -> float:
         """Worst foreground latency (ms)."""
-        return max(self.latencies_ms)
+        return self.latencies_ms.percentile(100)
 
     @property
     def degraded_fraction(self) -> float:
@@ -309,7 +308,7 @@ class ServeResult(ResultBase):
         """Mean per-trial rebuild completion time (``nan`` if no rebuild)."""
         if not self.rebuild_seconds_per_trial:
             return math.nan
-        return mean(self.rebuild_seconds_per_trial)
+        return self.rebuild_seconds_per_trial.mean()
 
     @property
     def rebuild_complete(self) -> bool:
@@ -804,7 +803,10 @@ def _sweep_batch(
     )
     del leg_ends, leg_src, starts
 
-    # Group legs by queue lane, preserving submission order within each.
+    # Group legs by queue lane, preserving submission order within each
+    # (16-bit keys get numpy's radix sort, six times the comparison sort).
+    if k * n_lanes <= 1 << 16:
+        lane_ids = lane_ids.astype(_np.uint16)
     order = _np.argsort(lane_ids, kind="stable")
     counts = _np.bincount(lane_ids, minlength=k * n_lanes)
     del lane_ids
@@ -824,8 +826,8 @@ def _sweep_batch(
     else:
         busy = _np.array(busy0).ravel()[by_depth]
     done_sorted = _np.empty(total_legs)
-    for pos in range(max_depth):
-        alive = int(_np.searchsorted(neg_depth, -pos, side="left"))
+    alive_at = _np.searchsorted(neg_depth, -_np.arange(max_depth), side="left")
+    for pos, alive in enumerate(alive_at.tolist()):
         idx = starts_by_depth[:alive] + pos
         done = _np.maximum(busy[:alive], t_sorted[idx]) + s_sorted[idx]
         busy[:alive] = done
@@ -852,8 +854,9 @@ def _sweep_batch(
     # — heap order (completion time, then schedule seq, which is request
     # order within a trial). A stable per-trial sort by completion
     # reproduces that pooled order exactly.
-    pop_order = _np.lexsort((completion, _np.repeat(_np.arange(k), n)))
-    fg_done = completion.reshape(k, n).max(axis=1)
+    by_trial = completion.reshape(k, n)
+    pop_order = _np.argsort(by_trial, axis=1, kind="stable")
+    pop_order += _np.arange(0, k * n, n)[:, None]
 
     return ServeResult(
         trials=k,
@@ -864,11 +867,11 @@ def _sweep_batch(
         degraded_writes=degraded_writes,
         device_reads=device_reads,
         device_writes=device_writes,
-        latencies_ms=tuple(latency_ms[pop_order].tolist()),
+        latencies_ms=latency_ms[pop_order.ravel()],
         rebuild_ops=k * n_ops,
         rebuild_ops_done=sum(ops_done),
         rebuild_seconds_per_trial=finish if n_ops else (),
-        foreground_seconds_per_trial=tuple(fg_done.tolist()),
+        foreground_seconds_per_trial=by_trial.max(axis=1),
     )
 
 

@@ -64,16 +64,17 @@ def wilson_interval(
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def percentile(values: Sequence[float], q: float) -> float:
+def percentile(values: Sequence[float], q: float, presorted: bool = False) -> float:
     """Linear-interpolated percentile, q in [0, 100].
 
-    Accepts any sized sequence, including numpy arrays.
+    Accepts any sized sequence, including numpy arrays; *presorted* says
+    it is already ascending (a result column sorts once for every *q*).
     """
     if len(values) == 0:
         raise ValueError("percentile of empty sequence")
     if not 0 <= q <= 100:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    ordered = values if presorted else sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     pos = (len(ordered) - 1) * q / 100.0

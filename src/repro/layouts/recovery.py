@@ -717,23 +717,3 @@ def _offload_pass(
                 del loads[disk]
         total += extra_reads
         current = best_score
-
-
-def survivable_fraction(
-    layout: Layout,
-    n_failures: int,
-    sample: Optional[Sequence[Sequence[int]]] = None,
-) -> float:
-    """Fraction of *n_failures*-disk patterns the layout survives."""
-    import itertools
-
-    if sample is None:
-        patterns: List[Tuple[int, ...]] = list(
-            itertools.combinations(range(layout.n_disks), n_failures)
-        )
-    else:
-        patterns = [tuple(sorted(p)) for p in sample]
-    if not patterns:
-        raise ValueError("no failure patterns to evaluate")
-    survived = sum(1 for p in patterns if is_recoverable(layout, p))
-    return survived / len(patterns)

@@ -29,12 +29,13 @@ for both planes so the kernels stop duplicating scaffolding:
   lifetime kernel's tiered renewal sampler and concurrency filter;
   :mod:`repro.sim.montecarlo` is their only caller (the lifecycle and
   fleet kernels screen with :class:`LockstepScreen` instead).
-* :class:`LockstepScreen` — the lockstep renewal screen the lifecycle
-  and fleet kernels share: all trials advance one failure incident per
-  round on a ``(disks, trials)`` failure-clock array, clean incidents
-  are settled columnar, and trials whose incident overlaps a second
-  failure (or is struck by a latent sector error) are flagged for the
-  caller's exact replay.
+* :class:`LockstepScreen` — the lockstep renewal screen of the one
+  mission chunk lifecycle and fleet both run
+  (:func:`repro.sim.lifecycle._mission_chunk`): all trials advance one
+  failure incident per round on a ``(disks, trials)`` failure-clock
+  array, clean incidents are settled columnar, and trials whose incident
+  overlaps a second failure (or is struck by a latent sector error) are
+  flagged for exact replay.
 
 numpy is a hard dependency (``pyproject.toml``); there is no pure-Python
 lane implementation.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterator, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, NamedTuple, Tuple
 
 import numpy as _np
 
@@ -200,15 +201,20 @@ class LaneCursor:
     for: the exponentials are precomputed for that rate (that is what
     makes the event walk read the *same* floats as the vectorized
     screen), so a different rate would silently decouple the kernels and
-    raises instead.
+    raises instead. ``draws`` / ``draw_sum`` tally the lifetimes handed
+    out, in draw order — the two sufficient statistics of a mission's
+    likelihood ratio (uniforms are identically distributed under the
+    nominal and a boosted rate, so they cancel and go untallied).
     """
 
-    __slots__ = ("_streams", "_trial", "pos", "_u", "_e")
+    __slots__ = ("_streams", "_trial", "pos", "_u", "_e", "draws", "draw_sum")
 
     def __init__(self, streams: "TrialStreams", trial: int) -> None:
         self._streams = streams
         self._trial = trial
         self.pos = [0] * streams.lanes.shape[1]
+        self.draws = 0
+        self.draw_sum = 0.0
         # Materialized plane rows (plain float lists, one per sub lane)
         # make the hot draws list indexing instead of per-scalar numpy
         # access — the event walk draws thousands of times per trial and
@@ -238,7 +244,10 @@ class LaneCursor:
         row = self._e[sub]
         if pos >= len(row):
             self._grow(pos)
-        return row[pos]
+        value = row[pos]
+        self.draws += 1
+        self.draw_sum += value
+        return value
 
     def _grow(self, pos: int) -> None:
         """Extend this trial's own rows to cover slot *pos* (doubling).
@@ -349,7 +358,7 @@ class LifecycleTables:
 
 
 class LockstepScreen:
-    """The lockstep renewal screen the lifecycle and fleet kernels share.
+    """The lockstep renewal screen of a mission chunk (lifecycle, fleet).
 
     *lanes* are the chunk's :data:`MISSION` lanes, ``(trials, disks + 1)``:
     slot *k* of lane ``(T, d)`` is disk *d*'s *k*-th lifetime and the last
@@ -364,14 +373,18 @@ class LockstepScreen:
     second failure (dangerous), struck by a latent sector error
     (dangerous), or clean (repair completes, the disk reads its next
     lifetime). The screen never consults the recovery planner: a single
-    failure is safe whenever *guarantee* (the layout's tolerance, or the
-    oracle's declared one) covers one failure; ``guarantee == 0`` flags
-    every trial with any failure.
+    failure is safe whenever *guarantee* (the layout's tolerance) covers
+    one failure; ``guarantee == 0`` flags every trial with any failure.
 
-    After the rounds are exhausted ``n_failures``, ``n_repairs`` and
-    ``peak`` are exact for every trial not in ``dangerous``; the caller
-    replays the dangerous ones *in full* through the exact event walk
-    from ``streams.cursor(t)`` — the same position-addressed floats the
+    After :meth:`rounds`, ``n_failures``, ``n_repairs``, ``peak`` and
+    ``degraded`` (hours with a disk down) are exact for every trial not
+    in ``dangerous``, and such a trial consumed ``disks + n_repairs``
+    lifetimes; ``draw_sum`` is their sum, added in draw order, kept only
+    when *weighted* — the chunk samples at a rate other than the nominal
+    one and needs it for the likelihood ratio (folding it regardless
+    costs a nominal-rate screen 2–3 %). The mission chunk replays the
+    dangerous trials *in full* through the exact event walk from
+    ``streams.cursor(t)`` — the same position-addressed floats the
     screen read — and overwrites their entries.
     """
 
@@ -384,6 +397,7 @@ class LockstepScreen:
         horizon_hours: float,
         lse_rate_per_byte: float,
         guarantee: int,
+        weighted: bool = False,
     ) -> None:
         n = layout.n_disks
         # One slot is all the screen reads in bulk; later slots are read
@@ -397,6 +411,9 @@ class LockstepScreen:
         self.n_repairs = _np.zeros(trials, dtype=_np.int64)
         self.peak = _np.zeros(trials, dtype=_np.int64)
         self.dangerous = _np.zeros(trials, dtype=bool)
+        self.degraded = _np.zeros(trials)
+        # Disk by disk, the order a walk's cursor adds the same draws in.
+        self.draw_sum = self.fail_at.sum(axis=0) if weighted else None
         self._tables = tables
         self._horizon_hours = horizon_hours
         self._single_safe = guarantee >= 1
@@ -411,24 +428,14 @@ class LockstepScreen:
                 for b in tables.bytes_read
             ])
 
-    def rounds(self) -> Iterator[Tuple[Any, ...]]:
-        """Advance every trial to its end or its first dangerous incident.
-
-        Yields one ``(clean, clean_at, redraw, trunc, trunc_at, tf, comp)``
-        tuple per round: ``tf`` / ``comp`` are the round's failure and
-        repair-completion epochs, one entry per still-active trial;
-        ``clean_at`` / ``trunc_at`` index into them and ``clean`` /
-        ``trunc`` are the matching trial ids; ``redraw`` is the fresh
-        lifetime each clean trial's repaired disk drew. Callers fold their
-        own accumulators from these (degraded hours, likelihood-ratio
-        sums), so the screen carries none of them — a plain tuple because
-        this runs once per round of every chunk.
-        """
+    def rounds(self) -> None:
+        """Advance every trial to its end or its first dangerous incident."""
         fail_at = self.fail_at
         hours1, bytes_read = self._tables.hours, self._tables.bytes_read
         horizon_hours = self._horizon_hours
         lse_thresholds = self._lse_thresholds
         n_failures, n_repairs = self.n_failures, self.n_repairs
+        degraded, draw_sum = self.degraded, self.draw_sum
         dangerous, single_safe = self.dangerous, self._single_safe
         n, trials = fail_at.shape
         lambd = self.streams.lambd
@@ -478,12 +485,12 @@ class LockstepScreen:
                     danger[hit[struck]] = True
                     clean[hit[struck]] = False
                     checked[t_ix[~struck]] += _np.uint64(1)
-            # Truncations are rare; an empty position set doubles as the
-            # (equally empty) trial-id set and skips the gather.
-            ti = t_trunc = _np.flatnonzero(trunc)
+            # Truncations are rare: skip their gathers when there are none.
+            ti = _np.flatnonzero(trunc)
             if ti.size:
                 t_trunc = active[ti]
                 n_failures[t_trunc] += 1
+                degraded[t_trunc] += horizon_hours - tf[ti]
             dangerous[active[danger]] = True
             ci = _np.flatnonzero(clean)
             t_clean = active[ci]
@@ -493,8 +500,11 @@ class LockstepScreen:
             drawn[cell] = slot + _np.uint64(1)
             n_failures[t_clean] += 1
             n_repairs[t_clean] += 1
-            flat_fail_at[cell] = comp[ci] + redraw
-            yield t_clean, ci, redraw, t_trunc, ti, tf, comp
+            repaired = comp[ci]
+            degraded[t_clean] += repaired - tf[ci]
+            flat_fail_at[cell] = repaired + redraw
+            if draw_sum is not None:
+                draw_sum[t_clean] += redraw
             active = active[clean]
         self.peak[(~dangerous) & (n_failures > 0)] = 1
 

@@ -3,29 +3,27 @@
 One lifecycle run simulates one array; a production fleet is thousands
 of arrays over decade missions, and the interesting loss probabilities
 are ~1e-4 .. 1e-6 — naive Monte-Carlo needs millions of missions to see
-a single loss. This module is the columnar core's third consumer
-(after the lifetime and lifecycle kernels) and attacks both axes:
+a single loss. This module runs the lifecycle kernel's own mission
+chunk, boosted and weighted, and attacks both axes:
 
 * **Fleet axis, streaming aggregation.** The mission space is
   ``arrays x trials`` independent array-missions, flattened to a global
   mission index ``m = array * trials + trial``. Missions are processed
-  in fixed-size chunks; each chunk reads the window of lanes addressed
-  by its *global* mission indices (:func:`~repro.sim.columnar.lanes` —
-  mission *m* **is** lifecycle trial *m*), advances a
-  :class:`~repro.sim.columnar.LockstepScreen` over the chunk's
-  ``(mission, disk)`` state — the very screen the vectorized lifecycle
-  kernel runs — and folds everything into running accumulators —
+  in fixed-size chunks; each chunk is one
+  :func:`~repro.sim.lifecycle._mission_chunk` — the very body a chunk of
+  the vectorized lifecycle kernel runs, on the lanes of its *global*
+  mission indices (mission *m* **is** lifecycle trial *m*) — whose
+  per-mission columns are folded into running accumulators —
   losses, likelihood-weight sums, exposure, per-array failure/repair
   counts. Memory is flat in the fleet size: only one chunk of missions
   is ever materialized, and the per-array vectors are linear in
   ``arrays``, not in ``arrays * trials``.
-* **Exact replay only where it matters.** The lockstep screen flags a
-  mission dangerous the moment a second failure overlaps an in-flight
-  rebuild window (or a latent sector error strikes); only flagged
-  missions are replayed through the exact event walk
-  (:func:`~repro.sim.lifecycle._lifecycle_trial`), reading the *same*
-  position-addressed lane floats the screen read — so the replayed
-  mission is bit-for-bit the event kernel's mission.
+* **Exact replay only where it matters.** The chunk's lockstep screen
+  flags a mission dangerous the moment a second failure overlaps an
+  in-flight rebuild window (or a latent sector error strikes); only
+  flagged missions are replayed through the exact event walk, reading
+  the *same* position-addressed lane floats the screen read — so the
+  replayed mission is bit-for-bit the event kernel's mission.
 * **Importance sampling on failure rates.** With ``lambda_boost = b``,
   lifetimes are sampled at the inflated rate ``lambda' = b * lambda``
   and every mission is weighted by the exact likelihood ratio over its
@@ -56,29 +54,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Set, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, use_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.results import Column, ResultBase, register_result
-from repro.sim.columnar import (
-    MISSION,
-    ChunkSpec,
-    LifecycleTables,
-    LockstepScreen,
-    lanes,
-    oracle_guarantee,
-)
-from repro.sim.lifecycle import (
-    _check_mission,
-    _lifecycle_trial,
-    _pattern_check,
-    guaranteed_tolerance,
-)
+from repro.sim.columnar import ChunkSpec
+from repro.sim.lifecycle import _check_mission, _mission_chunk, _mission_state
 from repro.sim.parallel import ProgressCallback, run_chunks
 from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.util.checks import check_positive
@@ -91,36 +77,6 @@ from repro.util.stats import wilson_interval
 #: effects on the weight sums) but never changes which floats any
 #: mission samples.
 FLEET_CHUNK_MISSIONS = 1024
-
-
-class _CountingCursor:
-    """A lane cursor that tallies the lifetime draws it hands out.
-
-    The likelihood ratio of a mission needs exactly two sufficient
-    statistics of its sampled path: the count ``N`` and the sum ``S`` of
-    the ``Exp(lambda')`` lifetime draws the walk consumed. Uniform draws
-    pass through untallied — they are identically distributed under the
-    nominal and boosted measures, so their ratio terms cancel.
-    """
-
-    __slots__ = ("_cursor", "draws", "draw_sum")
-
-    def __init__(self, cursor: Any) -> None:
-        self._cursor = cursor
-        self.draws = 0
-        self.draw_sum = 0.0
-
-    def random(self) -> float:
-        return self._cursor.random()
-
-    def randrange(self, n: int) -> int:
-        return self._cursor.randrange(n)
-
-    def expovariate(self, lambd: float, sub: int) -> float:
-        value = self._cursor.expovariate(lambd, sub)
-        self.draws += 1
-        self.draw_sum += value
-        return value
 
 
 @register_result
@@ -306,103 +262,53 @@ def _fleet_chunk(
 ) -> FleetChunk:
     """Advance missions ``spec.start .. spec.start+spec.size-1`` and fold them.
 
-    The chunk function the driver runs. *state* is the broadcast
-    ``(layout, timer, tables, oracle)`` tuple. Lanes are
-    ``lanes(spec.seed, MISSION, spec.start, …)`` — the run seed and the
-    global mission index, the very lanes lifecycle trial ``spec.start + i``
-    reads, never a per-chunk seed — so the chunk geometry cannot change a
-    single sampled float; it still regroups the per-chunk fold of the
-    boosted float sums. On top of the shared lockstep screen
-    this kernel tracks the two weight statistics (lifetime-draw count and
-    sum) for the likelihood ratio; replayed missions recompute both
-    exactly through a :class:`_CountingCursor` around the event walk.
+    The chunk function the driver runs: :func:`_mission_chunk` on the
+    broadcast *state* at the boosted rate, always screened (a collecting
+    *tel* narrates the replayed missions only), then the fold of its
+    columns — weights from each mission's lifetime-draw count and sum.
     """
-    layout, timer, tables, oracle = state
     start, count = spec.start, spec.size
-    n = layout.n_disks
     lambd_true = 1.0 / mttf_hours
-    lambd = lambda_boost * lambd_true
-    tolerance = guaranteed_tolerance(layout)
-    pattern_ok = _pattern_check(layout, oracle, tolerance)
-    guarantee = oracle_guarantee(oracle) if oracle is not None else tolerance
     prof = ambient_profiler()
-
-    with prof.phase("sample"):
-        screen = LockstepScreen(
-            layout, tables, lanes(spec.seed, MISSION, start, count, n + 1),
-            lambd, horizon_hours, lse_rate_per_byte, guarantee,
-        )
-        streams = screen.streams
-        draw_sum = screen.fail_at.sum(axis=0)
-
-    with prof.phase("screen"):
-        for clean, _at, redraw, _trunc, _trunc_at, _tf, _comp in screen.rounds():
-            draw_sum[clean] += redraw
-
-    # Every screened mission consumed its n initial lifetimes plus one
-    # redraw per completed repair; replayed missions are recounted below.
-    draw_n = n + screen.n_repairs
-    end = _np.full(count, horizon_hours)
-    lost = _np.zeros(count, dtype=bool)
-    lse_lost = 0
-    replay_ix = _np.flatnonzero(screen.dangerous)
-    with use_telemetry(tel), prof.phase("replay"):
-        for t in replay_ix.tolist():
-            cursor = _CountingCursor(streams.cursor(t))
-            lost_at, lost_to_lse, nf, nr, _degraded, pk = _lifecycle_trial(
-                cursor, layout, lambd, horizon_hours, timer,
-                lse_rate_per_byte, pattern_ok, tel, t,
-            )
-            screen.n_failures[t] = nf
-            screen.n_repairs[t] = nr
-            screen.peak[t] = pk
-            draw_n[t] = cursor.draws
-            draw_sum[t] = cursor.draw_sum
-            if lost_at is not None:
-                lost[t] = True
-                end[t] = lost_at
-                if lost_to_lse:
-                    lse_lost += 1
+    missions = _mission_chunk(
+        state, spec, tel, screened=True, lambd=lambda_boost * lambd_true,
+        nominal_lambd=lambd_true, horizon_hours=horizon_hours,
+        lse_rate_per_byte=lse_rate_per_byte,
+    )
+    lost = missions.lost_at < math.inf
+    end = _np.minimum(missions.lost_at, horizon_hours)
     raw_losses = int(_np.count_nonzero(lost))
 
-    if lambda_boost == 1.0:
-        # Every weight is exactly 1; skip the exp/log round trip so the
-        # naive path stays free of last-ulp weight noise.
-        sum_w = float(count)
-        sum_w2 = float(count)
-        w_losses = float(raw_losses)
-        w_losses_sq = float(raw_losses)
-        w_exposure = float(_np.sum(end))
+    if missions.draw_sum is None:
+        # Sampled at the nominal rate: every weight is exactly 1, and ones
+        # keep the sums below free of the exp/log round trip's last-ulp noise.
+        weights = _np.ones(count)
     else:
-        logw = (
-            -draw_n * math.log(lambda_boost)
-            + lambd_true * (lambda_boost - 1.0) * draw_sum
+        weights = _np.exp(
+            -missions.draws * math.log(lambda_boost)
+            + lambd_true * (lambda_boost - 1.0) * missions.draw_sum
         )
-        weights = _np.exp(logw)
-        sum_w = float(_np.sum(weights))
-        sum_w2 = float(_np.sum(weights * weights))
-        lost_w = weights[lost]
-        w_losses = float(_np.sum(lost_w))
-        w_losses_sq = float(_np.sum(lost_w * lost_w))
-        w_exposure = float(_np.sum(weights * end))
+    sum_w = float(_np.sum(weights))
+    sum_w2 = float(_np.sum(weights * weights))
+    lost_w = weights[lost]
 
     first_array = start // trials_per_array
     ids = (start + _np.arange(count)) // trials_per_array - first_array
     width = int(ids[-1]) + 1
     fails = _np.zeros(width, dtype=_np.int64)
     reps = _np.zeros(width, dtype=_np.int64)
-    _np.add.at(fails, ids, screen.n_failures)
-    _np.add.at(reps, ids, screen.n_repairs)
+    _np.add.at(fails, ids, missions.failures)
+    _np.add.at(reps, ids, missions.repairs)
 
     if tel.enabled:
         tel.count("fleet.missions", count)
-        tel.count("fleet.replays", int(replay_ix.size))
+        tel.count("fleet.replays", missions.replays)
         tel.count("fleet.losses", raw_losses)
     if prof.enabled:
         prof.count("fleet.missions", count)
-        prof.count("fleet.replays", int(replay_ix.size))
+        prof.count("fleet.replays", missions.replays)
         prof.count("fleet.losses", raw_losses)
-        prof.record("fleet.dangerous_fraction", replay_ix.size / count)
+        prof.record("fleet.dangerous_fraction", missions.replays / count)
         # Per-chunk ESS ratio: effective samples per mission. Pure
         # function of the sampled weights, so the merged series is
         # chunk-ordered and jobs-invariant.
@@ -411,14 +317,14 @@ def _fleet_chunk(
     return FleetChunk(
         missions=count,
         raw_losses=raw_losses,
-        lse_losses=lse_lost,
-        replays=int(replay_ix.size),
+        lse_losses=int(_np.count_nonzero(missions.lost_to_lse)),
+        replays=missions.replays,
         sum_weights=sum_w,
         sum_sq_weights=sum_w2,
-        weighted_losses=w_losses,
-        weighted_sq_losses=w_losses_sq,
-        weighted_exposure_hours=w_exposure,
-        max_peak_failures=int(screen.peak.max()) if count else 0,
+        weighted_losses=float(_np.sum(lost_w)),
+        weighted_sq_losses=float(_np.sum(lost_w * lost_w)),
+        weighted_exposure_hours=float(_np.sum(weights * end)),
+        max_peak_failures=int(missions.peak.max()),
         first_array=first_array,
         failures_by_array=Column(fails),
         repairs_by_array=Column(reps),
@@ -493,23 +399,6 @@ def merge_fleet_chunks(
     )
 
 
-def _validate_fleet_args(
-    arrays: int,
-    trials: int,
-    mttf_hours: float,
-    horizon_hours: float,
-    lse_rate_per_byte: float,
-    lambda_boost: float,
-) -> None:
-    check_positive("arrays", arrays, 1)
-    check_positive("trials", trials, 1)
-    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
-    if not 0 < lambda_boost < math.inf:
-        raise SimulationError(
-            f"lambda_boost must be positive and finite, got {lambda_boost}"
-        )
-
-
 def simulate_fleet(
     layout: Layout,
     mttf_hours: float,
@@ -523,10 +412,8 @@ def simulate_fleet(
     trials: int = 10,
     lambda_boost: float = 1.0,
     seed: Optional[int] = 0,
-    oracle: Optional[Callable[[Set[int]], bool]] = None,
     telemetry: Optional[Telemetry] = None,
     timer: Optional[RebuildTimer] = None,
-    tables: Optional[LifecycleTables] = None,
     chunk_missions: int = FLEET_CHUNK_MISSIONS,
     *,
     jobs: int = 1,
@@ -550,28 +437,26 @@ def simulate_fleet(
     — same lanes, same chunks, same chunk-ordered float fold — and
     *chunk_missions* only regroups float additions.
 
-    *oracle*, *timer* and *tables* follow the lifecycle kernel's
-    contract (picklable pattern oracle; pre-built rebuild memo and
-    per-disk rebuild columns that are pure functions of the layout and
-    disk model); all three ride in the broadcast state. *progress* is
+    *timer* follows the lifecycle kernel's contract (a pre-built rebuild
+    memo, a pure function of the layout and disk model) and rides in the
+    broadcast state (:func:`~repro.sim.lifecycle._mission_state`).
+    *progress* is
     called after every completed chunk with ``(missions_done,
     missions_total, raw_losses_so_far)``. A collecting *telemetry*
     records events for replayed missions only, merged in chunk order
     with global mission indices.
     """
-    _validate_fleet_args(
-        arrays, trials, mttf_hours, horizon_hours,
-        lse_rate_per_byte, lambda_boost,
-    )
-    if timer is None:
-        timer = RebuildTimer(
-            layout, disk or DiskModel(), sparing, method, batches
+    check_positive("arrays", arrays, 1)
+    check_positive("trials", trials, 1)
+    _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
+    if not 0 < lambda_boost < math.inf:
+        raise SimulationError(
+            f"lambda_boost must be positive and finite, got {lambda_boost}"
         )
-    if tables is None:
-        tables = LifecycleTables.build(layout, timer)
     parts = run_chunks(
         "simulate_fleet", dict(arrays=arrays, trials=trials, jobs=jobs),
-        _fleet_chunk, (layout, timer, tables, oracle),
+        _fleet_chunk,
+        _mission_state(layout, timer, disk, sparing, method, batches, True),
         dict(
             mttf_hours=mttf_hours, horizon_hours=horizon_hours,
             lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,

@@ -54,7 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -70,7 +70,6 @@ from repro.sim.columnar import (
     LockstepScreen,
     TrialStreams,
     lanes,
-    oracle_guarantee,
     resolve_kernel,
 )
 from repro.sim.markov import MarkovReliabilityModel, model_for_layout
@@ -212,23 +211,6 @@ def _random_surviving_cell(
             return (disk, rng.randrange(layout.units_per_disk))
 
 
-def _pattern_check(
-    layout: Layout,
-    oracle: Optional[Callable[[Set[int]], bool]],
-    tolerance: int,
-) -> Callable[[Set[int]], bool]:
-    """The pattern-recoverability predicate both kernels consult."""
-
-    def pattern_ok(failed: Set[int]) -> bool:
-        if oracle is not None:
-            return oracle(failed)
-        if len(failed) <= tolerance:
-            return True
-        return is_recoverable(layout, failed)
-
-    return pattern_ok
-
-
 #: Widest default chunk, and the cells (lanes x slots) a walked chunk's
 #: sampled plane may hold before cursors extend their own rows instead.
 MAX_PLANE_TRIALS = 2048
@@ -293,7 +275,7 @@ def _lifecycle_trial(
     horizon_hours: float,
     timer: "RebuildTimer",
     lse_rate_per_byte: float,
-    pattern_ok: Callable[[Set[int]], bool],
+    tolerance: int,
     tel: Telemetry,
     trial: int,
 ) -> Tuple[Optional[float], bool, int, int, float, int]:
@@ -303,7 +285,8 @@ def _lifecycle_trial(
     slots of the trial's lanes (a disk's lifetimes from that disk's lane,
     every uniform from the auxiliary one), which is what lets the
     vectorized kernel replay exactly this walk for any trial it flags as
-    dangerous.
+    dangerous. Patterns of at most *tolerance* failures
+    (:func:`guaranteed_tolerance`) survive without asking the decoder.
     Returns ``(lost_at, lost_to_lse, failures, repairs, degraded_hours,
     peak_failures)``.
     """
@@ -350,7 +333,7 @@ def _lifecycle_trial(
                         "repair_abandon", time, trial=trial,
                         epoch=epoch,
                     )
-            if not pattern_ok(failed):
+            if len(failed) > tolerance and not is_recoverable(layout, failed):
                 lost_at = time
                 if tel.enabled:
                     tel.count("lifecycle.losses")
@@ -426,108 +409,164 @@ def _lifecycle_trial(
     return lost_at, lost_to_lse, n_failures, n_repairs, degraded_hours, peak
 
 
+class MissionColumns(NamedTuple):
+    """What :func:`_mission_chunk` reports: one entry per mission of the chunk."""
+
+    lost_at: Any  #: hours; ``inf`` where the mission kept its data
+    lost_to_lse: Any  #: whether that loss was a latent sector error's
+    failures: Any
+    repairs: Any
+    peak: Any  #: most concurrent failures
+    degraded: Any  #: hours with at least one disk down
+    draws: Any  #: lifetimes the mission consumed (``N`` of the likelihood ratio)
+    draw_sum: Any  #: their sum (``S``); ``None`` when sampled at the nominal rate
+    replays: int  #: missions that went through the event walk
+
+
+def _mission_state(
+    layout: Layout,
+    timer: Optional[RebuildTimer],
+    disk: Optional[DiskModel],
+    sparing: str,
+    method: str,
+    batches: int,
+    screened: bool,
+) -> Tuple[Layout, RebuildTimer, Optional[LifecycleTables]]:
+    """The broadcast ``(layout, timer, tables)`` of a lifecycle or fleet run.
+
+    The layout's cell indexes, the rebuild-time memo and the screen's
+    per-disk rebuild columns (``None`` when nothing is *screened*) are
+    unpickled once per worker, and the memo then accumulates across every
+    chunk the worker runs.
+    """
+    if timer is None:
+        timer = RebuildTimer(
+            layout, disk or DiskModel(), sparing, method, batches
+        )
+    tables = LifecycleTables.build(layout, timer) if screened else None
+    return layout, timer, tables
+
+
+def _mission_chunk(
+    state, spec, tel, *, screened, lambd, nominal_lambd, horizon_hours,
+    lse_rate_per_byte,
+) -> MissionColumns:
+    """Screen and walk one chunk of missions: the body lifecycle and fleet share.
+
+    Draw lanes are ``lanes(spec.seed, MISSION, spec.start, …)`` — the run
+    seed and the global mission index (fleet mission *m* **is** lifecycle
+    trial *m*), never the chunk's index or size, which would tie sampled
+    values to the chunk layout. Lifetimes are sampled at rate *lambd*;
+    when that is not *nominal_lambd* the chunk also keeps each mission's
+    ``draw_sum`` for the caller's likelihood ratio. *screened* runs the
+    lockstep screen and walks only the missions it flags; otherwise every
+    mission is walked, from a plane sized by :func:`_slot_estimate`. The
+    walk (:func:`_lifecycle_trial`) reads the floats the screen read, so
+    *screened* never changes a column.
+    """
+    layout, timer, tables = state
+    count, n = spec.size, layout.n_disks
+    prof = ambient_profiler()
+    tolerance = guaranteed_tolerance(layout)
+    weighted = lambd != nominal_lambd
+
+    with prof.phase("sample"):
+        mission_lanes = lanes(spec.seed, MISSION, spec.start, count, n + 1)
+        if screened:
+            screen = LockstepScreen(
+                layout, tables, mission_lanes, lambd, horizon_hours,
+                lse_rate_per_byte, tolerance, weighted,
+            )
+            streams = screen.streams
+        else:
+            streams = TrialStreams(
+                mission_lanes, lambd,
+                _slot_estimate(
+                    mission_lanes.size, n, 1.0 / lambd, horizon_hours,
+                    lse_rate_per_byte,
+                ),
+            )
+
+    if screened:
+        with prof.phase("screen"):
+            screen.rounds()
+        failures, repairs, peak = screen.n_failures, screen.n_repairs, screen.peak
+        degraded, draw_sum = screen.degraded, screen.draw_sum
+        # A screened mission consumed its n first lifetimes plus one
+        # redraw per completed repair; walked ones are recounted below.
+        draws = n + repairs
+        walk = _np.flatnonzero(screen.dangerous).tolist()
+    else:
+        failures, repairs, peak, draws = _np.zeros((4, count), dtype=_np.int64)
+        degraded = _np.zeros(count)
+        draw_sum = _np.zeros(count) if weighted else None
+        walk = range(count)
+
+    lost_at = _np.full(count, math.inf)
+    lost_to_lse = _np.zeros(count, dtype=bool)
+    with use_telemetry(tel), prof.phase("replay"):
+        for t in walk:
+            cursor = streams.cursor(t)
+            (
+                at, lost_to_lse[t], failures[t], repairs[t], degraded[t],
+                peak[t],
+            ) = _lifecycle_trial(
+                cursor, layout, lambd, horizon_hours, timer,
+                lse_rate_per_byte, tolerance, tel, t,
+            )
+            if at is not None:
+                lost_at[t] = at
+            draws[t] = cursor.draws
+            if weighted:
+                draw_sum[t] = cursor.draw_sum
+    return MissionColumns(
+        lost_at, lost_to_lse, failures, repairs, peak, degraded, draws,
+        draw_sum, len(walk),
+    )
+
+
 def _lifecycle_chunk(
     state, spec, tel, *, screened, mttf_hours, horizon_hours,
     lse_rate_per_byte,
 ) -> LifecycleResult:
-    """Screen and walk one chunk of missions.
+    """One chunk of trials: :func:`_mission_chunk` at the nominal rate.
 
-    *state* is the broadcast ``(layout, timer, tables, oracle)`` tuple —
-    the layout's cell indexes, the rebuild-time memo and the columnar
-    per-disk rebuild columns (``None`` under the event kernel) are
-    unpickled once per worker, and the memo then accumulates across every
-    chunk the worker runs. Draw lanes are
-    ``lanes(spec.seed, MISSION, spec.start, …)`` — the run seed and the
-    global trial index, never the chunk's index or size, which would tie
-    sampled values to the chunk layout. *screened* (the ``vectorized``
-    kernel, telemetry off) runs the lockstep screen and walks only the
-    trials it flags; otherwise every trial is walked, from a plane sized
-    by :func:`_slot_estimate`.
+    A collecting *tel* needs the walk's per-event vocabulary for every
+    trial, so it is never screened.
     """
-    layout, timer, tables, oracle = state
     trials = spec.size
-    prof = ambient_profiler()
-    tolerance = guaranteed_tolerance(layout)
-    pattern_ok = _pattern_check(layout, oracle, tolerance)
     lambd = 1.0 / mttf_hours
-
-    with prof.phase("sample"):
-        mission_lanes = lanes(
-            spec.seed, MISSION, spec.start, trials, layout.n_disks + 1
-        )
-        degraded = _np.zeros(trials)
-        if screened and not tel.enabled:
-            guarantee = (
-                oracle_guarantee(oracle) if oracle is not None else tolerance
-            )
-            screen = LockstepScreen(
-                layout, tables, mission_lanes, lambd, horizon_hours,
-                lse_rate_per_byte, guarantee,
-            )
-            streams = screen.streams
-            n_failures, n_repairs, peak = (
-                screen.n_failures, screen.n_repairs, screen.peak
-            )
-        else:
-            screen = None
-            streams = TrialStreams(
-                mission_lanes, lambd,
-                _slot_estimate(
-                    mission_lanes.size, layout.n_disks, mttf_hours,
-                    horizon_hours, lse_rate_per_byte,
-                ),
-            )
-            n_failures, n_repairs, peak = _np.zeros(
-                (3, trials), dtype=_np.int64
-            )
-
-    walk = range(trials)
-    if screen is not None:
-        with prof.phase("screen"):
-            for clean, clean_at, _redraw, trunc, trunc_at, tf, comp in screen.rounds():
-                if trunc.size:
-                    degraded[trunc] += horizon_hours - tf[trunc_at]
-                degraded[clean] += comp[clean_at] - tf[clean_at]
-        walk = _np.flatnonzero(screen.dangerous).tolist()
-
-    loss_times: List[float] = []
-    lse_losses = 0
+    missions = _mission_chunk(
+        state, spec, tel, screened=screened and not tel.enabled,
+        lambd=lambd, nominal_lambd=lambd, horizon_hours=horizon_hours,
+        lse_rate_per_byte=lse_rate_per_byte,
+    )
+    loss_times = missions.lost_at[missions.lost_at < math.inf]
+    prof = ambient_profiler()
     if prof.enabled:
         prof.count("lifecycle.trials", trials)
-        prof.count("lifecycle.replays", len(walk))
-        prof.record("lifecycle.dangerous_fraction", len(walk) / trials)
-    with use_telemetry(tel), prof.phase("replay"):
-        for t in walk:
-            lost_at, lost_to_lse, nf, nr, dh, pk = _lifecycle_trial(
-                streams.cursor(t), layout, lambd, horizon_hours,
-                timer, lse_rate_per_byte, pattern_ok, tel, t,
-            )
-            n_failures[t] = nf
-            n_repairs[t] = nr
-            degraded[t] = dh
-            peak[t] = pk
-            if lost_at is not None:
-                loss_times.append(lost_at)
-                if lost_to_lse:
-                    lse_losses += 1
-            if tel.enabled:
-                tel.count("lifecycle.trials")
-                tel.observe("lifecycle.degraded_hours", dh)
-                tel.observe("lifecycle.peak_failures", pk)
-                if lost_at is not None:
-                    tel.observe("lifecycle.loss_time_hours", lost_at)
-
+        prof.count("lifecycle.replays", missions.replays)
+        prof.record("lifecycle.dangerous_fraction", missions.replays / trials)
+    if tel.enabled:
+        tel.count("lifecycle.trials", trials)
+        for name, column in (
+            ("lifecycle.degraded_hours", missions.degraded),
+            ("lifecycle.peak_failures", missions.peak),
+            ("lifecycle.loss_time_hours", loss_times),
+        ):
+            for value in column.tolist():
+                tel.observe(name, value)
     with prof.phase("merge"):
         return LifecycleResult(
             trials=trials,
             losses=len(loss_times),
             loss_times=loss_times,
-            lse_losses=lse_losses,
+            lse_losses=int(_np.count_nonzero(missions.lost_to_lse)),
             horizon_hours=horizon_hours,
-            failures_per_trial=n_failures,
-            repairs_per_trial=n_repairs,
-            degraded_hours_per_trial=degraded,
-            peak_failures_per_trial=peak,
+            failures_per_trial=missions.failures,
+            repairs_per_trial=missions.repairs,
+            degraded_hours_per_trial=missions.degraded,
+            peak_failures_per_trial=missions.peak,
         )
 
 
@@ -542,10 +581,8 @@ def simulate_lifecycle(
     lse_rate_per_byte: float = 0.0,
     trials: int = 100,
     seed: Optional[int] = 0,
-    oracle: Optional[Callable[[Set[int]], bool]] = None,
     telemetry: Optional[Telemetry] = None,
     timer: Optional[RebuildTimer] = None,
-    tables: Optional[LifecycleTables] = None,
     kernel: str = "auto",
     *,
     chunk_trials: Optional[int] = None,
@@ -566,7 +603,7 @@ def simulate_lifecycle(
 
     Missions run in chunks of *chunk_trials*
     (:func:`~repro.sim.parallel.run_chunks`) on draw lanes keyed by the
-    global trial (:func:`_lifecycle_chunk`), so the result depends only
+    global trial (:func:`_mission_chunk`), so the result depends only
     on ``(trials, seed)`` — never on *jobs*, *kernel* or *chunk_trials*,
     which is a pure speed argument as it is for serve and fleet. The
     default (``None``) is wide where a screen runs
@@ -578,7 +615,7 @@ def simulate_lifecycle(
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
     reach the exact walk (:func:`_lifecycle_trial`), never the answer.
     ``vectorized`` first advances all trials of a chunk together through
-    the shared :class:`~repro.sim.columnar.LockstepScreen`, which settles
+    the :class:`~repro.sim.columnar.LockstepScreen`, which settles
     clean failure incidents columnar and flags the trials whose incident
     is overlapped by a second failure or struck by a latent sector error;
     only those are walked — *in full*, re-planning via ``plan_recovery``,
@@ -588,21 +625,15 @@ def simulate_lifecycle(
     would have consumed, so the whole result is bit-identical across
     kernels; only the work to produce it changes.
 
-    *oracle* overrides the pattern-recoverability check (defaults to the
-    layout's peeling decoder with a guaranteed-tolerance fast path; it
-    must be picklable when ``jobs > 1``). An opaque oracle without a
-    declared guarantee makes the screen flag every trial with any
-    failure — slow but exact, matching the lifetime simulator's policy.
-
     *timer* supplies a pre-built :class:`RebuildTimer` so callers running
     many sweep points against one layout share a single rebuild-time memo
-    instead of rebuilding it per call; *tables* likewise supplies the
-    screen's per-disk rebuild columns, which are otherwise computed once
-    here for the ``vectorized`` kernel (warming the timer's memo as a
-    side effect) and broadcast to the workers alongside it. Both must
-    have been constructed with the same ``(layout, disk, sparing, method,
-    batches)`` — rebuild times are pure functions of those, so matching
-    ones can never change results.
+    instead of rebuilding it per call — and with it the screen's per-disk
+    rebuild columns, which are ``n_disks`` memoised calls on it
+    (:func:`_mission_state`), made once here for the ``vectorized``
+    kernel and broadcast to the workers alongside it. It must have been
+    constructed with the same ``(layout, disk, sparing, method,
+    batches)`` — rebuild times are pure functions of those, so a matching
+    one can never change results.
 
     *telemetry* (default: the ambient telemetry, a no-op unless a caller
     installed a collecting one) receives counters and histograms of
@@ -620,12 +651,6 @@ def simulate_lifecycle(
     """
     screened = resolve_kernel(kernel) == "vectorized"
     _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
-    if timer is None:
-        timer = RebuildTimer(
-            layout, disk or DiskModel(), sparing, method, batches
-        )
-    if tables is None and screened:
-        tables = LifecycleTables.build(layout, timer)
     if chunk_trials is None:
         tel = telemetry if telemetry is not None else ambient()
         # Width buys a walk nothing, and a collecting run's histogram
@@ -636,7 +661,8 @@ def simulate_lifecycle(
         )
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
-        _lifecycle_chunk, (layout, timer, tables, oracle),
+        _lifecycle_chunk,
+        _mission_state(layout, timer, disk, sparing, method, batches, screened),
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,

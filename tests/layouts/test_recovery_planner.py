@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tolerance import survivable_fraction
 from repro.errors import DataLossError, LayoutError
 from repro.layouts import Raid5Layout, Raid50Layout
 from repro.layouts.recovery import (
@@ -9,8 +10,8 @@ from repro.layouts.recovery import (
     is_recoverable,
     lost_cells,
     plan_recovery,
-    survivable_fraction,
 )
+from repro.sim.parallel import count_survivable
 
 
 def validate_plan(layout, plan):
@@ -208,6 +209,8 @@ class TestSourceSelection:
 
 
 class TestSurvivableFraction:
+    """``is_recoverable`` counted over pattern sets (the E6 quantity)."""
+
     def test_raid5_fractions(self):
         layout = Raid5Layout(5)
         assert survivable_fraction(layout, 1) == 1.0
@@ -215,9 +218,13 @@ class TestSurvivableFraction:
 
     def test_explicit_sample(self):
         layout = Raid50Layout(2, 3)
-        fraction = survivable_fraction(layout, 2, sample=[(0, 3), (0, 1)])
-        assert fraction == 0.5
+        # One disk from each RAID5 leg survives; two from one leg do not.
+        assert count_survivable(layout, [(0, 3), (0, 1)]) == 1
+        assert count_survivable(layout, [(0, 3)]) == 1
+        assert count_survivable(layout, [(0, 1)]) == 0
 
     def test_empty_sample_rejected(self):
+        layout = Raid5Layout(4)
+        assert count_survivable(layout, []) == 0
         with pytest.raises(ValueError):
-            survivable_fraction(Raid5Layout(4), 1, sample=[])
+            survivable_fraction(layout, 5)  # C(4, 5): no pattern to evaluate

@@ -21,7 +21,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.lifecycle import (
     RebuildTimer,
     _lifecycle_trial,
-    _pattern_check,
     guaranteed_tolerance,
 )
 from repro.sim.montecarlo import ThresholdOracle, recoverability_oracle
@@ -265,16 +264,14 @@ class TestLockstepScreen:
             lanes(self.SEED, MISSION, 0, self.TRIALS, fano_layout.n_disks + 1),
             lambd, self.HORIZON, lse_rate, tolerance,
         )
-        for _round in screen.rounds():
-            pass
+        screen.rounds()
 
-        pattern_ok = _pattern_check(fano_layout, None, tolerance)
         overlapped = struck = 0
         for trial in range(self.TRIALS):
             tel = Telemetry.collecting()
             _lost, _lse, failures, repairs, _hours, peak = _lifecycle_trial(
                 screen.streams.cursor(trial), fano_layout, lambd,
-                self.HORIZON, timer, lse_rate, pattern_ok, tel, trial,
+                self.HORIZON, timer, lse_rate, tolerance, tel, trial,
             )
             strikes = dict(tel.metrics.counters()).get(
                 "lifecycle.lse_strikes", 0
@@ -304,13 +301,11 @@ class TestLockstepScreen:
             lanes(0, MISSION, 0, trials, fano_layout.n_disks + 1),
             1.0 / mttf, horizon, 0.0, tolerance,
         )
-        for _round in screen.rounds():
-            pass
+        screen.rounds()
         shape = screen.streams.exponentials.shape
         lost, _lse, failures, _repairs, _hours, _peak = _lifecycle_trial(
             screen.streams.cursor(0), fano_layout, 1.0 / mttf, horizon,
-            timer, 0.0, _pattern_check(fano_layout, None, tolerance),
-            NULL_TELEMETRY, 0,
+            timer, 0.0, tolerance, NULL_TELEMETRY, 0,
         )
         assert lost is None and failures > 5000
         assert screen.streams.exponentials.shape == shape

@@ -11,7 +11,7 @@ from repro.obs.ledger import result_digest
 from repro.obs.telemetry import Telemetry
 from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.scenario import Scenario, run
-from repro.sim.columnar import KERNELS, LifecycleTables, resolve_kernel
+from repro.sim.columnar import KERNELS, resolve_kernel
 from repro.sim.lifecycle import (
     RebuildTimer,
     _plane_trials,
@@ -119,19 +119,6 @@ class TestKernelBitIdentity:
         ev_deg = mean(event.degraded_hours_per_trial)
         vec_deg = mean(vec.degraded_hours_per_trial)
         assert vec_deg == pytest.approx(ev_deg, rel=0.25)
-
-    def test_prebuilt_tables_change_nothing(self, fano_layout):
-        timer = RebuildTimer(fano_layout, DISK)
-        tables = LifecycleTables.build(fano_layout, timer)
-        plain = simulate_lifecycle(
-            fano_layout, 700.0, 2000.0, disk=DISK, trials=60, seed=2,
-            kernel="vectorized",
-        )
-        shared = simulate_lifecycle(
-            fano_layout, 700.0, 2000.0, disk=DISK, trials=60, seed=2,
-            timer=timer, tables=tables, kernel="vectorized",
-        )
-        assert plain.to_dict() == shared.to_dict()
 
 
 class TestParallelKernelContract:

@@ -42,3 +42,39 @@ def test_shared_defaults_match(runner):
     assert sig.parameters["jobs"].default == 1
     assert sig.parameters["telemetry"].default is None
     assert sig.parameters["progress"].default is None
+
+
+#: The mission physics lifecycle and fleet share — one array's mission and
+#: a fleet of them are the same function of these, spelled the same way.
+MISSION_PREFIX = (
+    ("layout", inspect.Parameter.empty),
+    ("mttf_hours", inspect.Parameter.empty),
+    ("horizon_hours", inspect.Parameter.empty),
+    ("disk", None),
+    ("sparing", "distributed"),
+    ("method", "analytic"),
+    ("batches", 8),
+    ("lse_rate_per_byte", 0.0),
+)
+
+
+@pytest.mark.parametrize(
+    "runner", (simulate_lifecycle, simulate_fleet), ids=lambda f: f.__name__
+)
+def test_mission_simulators_share_the_physics_prefix(runner):
+    params = list(inspect.signature(runner).parameters.values())
+    head = params[: len(MISSION_PREFIX)]
+    assert tuple((p.name, p.default) for p in head) == MISSION_PREFIX
+    for param in head:
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, param.name
+
+
+@pytest.mark.parametrize(
+    "runner", (simulate_lifecycle, simulate_fleet), ids=lambda f: f.__name__
+)
+def test_mission_simulators_take_no_oracle_and_no_tables(runner):
+    """The walk asks the layout's own decoder, and the screen's columns are
+    memoised calls on ``timer=`` — neither is an argument."""
+    names = set(inspect.signature(runner).parameters)
+    assert not names & {"oracle", "tables"}
+    assert "timer" in names

@@ -98,7 +98,8 @@ class PhaseProfiler:
 
     ``counters`` and ``series`` hold deterministic content only — values that
     are pure functions of the trial mathematics (replay counts, per-chunk ESS
-    ratios), never of the clock.
+    ratios), never of the clock. The one cache statistic, ``mc.oracle_calls``,
+    is repeatable at ``jobs=1`` only: each worker keeps its own verdict memo.
     """
 
     __slots__ = (

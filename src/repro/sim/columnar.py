@@ -25,7 +25,7 @@ for both planes so the kernels stop duplicating scaffolding:
   rebuild columns (hours, bytes read), computed once from a
   ``RebuildTimer`` in the parent and shipped to workers through the pool
   initializer exactly like ``ServeTables``.
-* :func:`sample_renewal_events` / :func:`first_exceedances` — the
+* :func:`sample_renewal_events` / :func:`exceedances` — the
   lifetime kernel's tiered renewal sampler and concurrency filter;
   :mod:`repro.sim.montecarlo` is their only caller (the lifecycle and
   fleet kernels screen with :class:`LockstepScreen` instead).
@@ -177,8 +177,8 @@ def oracle_guarantee(oracle: Callable[..., bool]) -> int:
 
     ``RecoverabilityOracle`` fast-paths sets of at most its
     ``guaranteed_tolerance``; ``ThresholdOracle`` *is* its ``tolerance``.
-    Opaque callables get 0 — every trial with a failure is then walked
-    with the oracle, which is slow but exact.
+    Opaque callables get 0 — every failure arrival is then a pattern the
+    oracle decides, which is slow but exact.
     """
     declared = getattr(oracle, "guaranteed_tolerance", None)
     if declared is None:
@@ -574,18 +574,18 @@ def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,
     return times, kinds, disk_ix, counts, starts
 
 
-def first_exceedances(kinds, counts, starts, trials, guarantee):
-    """Where each trial first exceeds *guarantee* concurrent failures.
+def exceedances(kinds, counts, starts, guarantee):
+    """The failure arrivals that leave more than *guarantee* disks down.
 
     A failure is +1, a repair -1; the running sum after each event is the
     failed-set size at that instant. A trial whose concurrency never
     exceeds the oracle's guaranteed tolerance can never lose data and
-    needs no replay at all; for the rest, the loss (if any) can only
-    happen at or after the first exceedance, so the replay starts there.
+    needs no replay at all (it is not *suspect*); in the rest, a loss can
+    only happen at a failure arrival past the guarantee — the first of
+    them is the trial's first exceedance.
 
-    Returns ``(suspect_trials, first_index)`` — both ascending by trial,
-    ``first_index`` being the global index of the trial's first
-    exceedance event (always a failure arrival).
+    Returns ``(events, event_trials)``: the global indices of those
+    failure arrivals, ascending, and the trial of each.
     """
     if not len(kinds):
         empty = _np.zeros(0, dtype=_np.intp)
@@ -594,12 +594,10 @@ def first_exceedances(kinds, counts, starts, trials, guarantee):
     running = _np.cumsum(deltas)
     baselines = _np.where(starts > 0, running[starts - 1], 0)
     concurrency = running - _np.repeat(baselines, counts)
-    hot = _np.flatnonzero(concurrency > guarantee)
-    if not len(hot):
-        return hot, hot
-    hot_trials = _np.repeat(_np.arange(trials), counts)[hot]
-    suspects, first_pos = _np.unique(hot_trials, return_index=True)
-    return suspects, hot[first_pos]
+    events = _np.flatnonzero((concurrency > guarantee) & (kinds == 0))
+    # The last trial starting at or before an event holds it (an empty
+    # trial shares its start with the next one, so it is never the last).
+    return events, _np.searchsorted(starts, events, side="right") - 1
 
 
 def fresh_seed() -> int:

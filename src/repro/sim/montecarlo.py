@@ -27,7 +27,7 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.columnar import (
     derive_chunk_seed,
-    first_exceedances as _first_exceedances,
+    exceedances as _exceedances,
     oracle_guarantee as _oracle_guarantee,
     resolve_kernel,
     sample_renewal_events as _sample_lifetime_events,
@@ -104,31 +104,43 @@ def threshold_oracle(tolerance: int) -> Callable[[Set[int]], bool]:
     return ThresholdOracle(tolerance)
 
 
-def _walk_trial(
-    times, kinds, disks, oracle, guarantee: int, failed: Set[int]
-) -> Optional[float]:
-    """Replay one trial's pre-sampled events; returns the loss time.
+def _first_losses(times, disks, starts, events, event_trials, n_disks,
+                  oracle, verdicts):
+    """Loss times of the candidate *events*' trials, and the sets peeled.
 
-    *failed* is the failed set at the replay's starting point (empty when
-    replaying from the trial's first event). The oracle is consulted only
-    when the set outgrows *guarantee* — the same fast path the oracles
-    implement internally, inlined to skip the call entirely — and not even
-    then when the set is a subset of one already verified recoverable
-    (recoverability is monotone: losing less can never be worse).
+    A failed set is a row of ``ceil(n_disks / 64)`` uint64 words: a prefix
+    XOR scan of ``1 << disk`` over the chunk (a disk's events alternate
+    failure/repair), XOR the scan just before the trial. The oracle is asked
+    once per distinct set (*verdicts* keeps its answers by mask bytes) and
+    only at a trial's frontier, its first candidate not known to survive, so
+    nothing past a loss is peeled: the loss is the first frontier lost.
     """
-    verified: Optional[Set[int]] = None
-    for i in range(len(times)):
-        if kinds[i] == 0:
-            failed.add(disks[i])
-            if len(failed) > guarantee and not (
-                verified is not None and failed <= verified
-            ):
-                if not oracle(failed):
-                    return times[i]
-                verified = set(failed)
-        else:
-            failed.discard(disks[i])
-    return None
+    scan = _np.zeros((len(disks) + 1, -(-n_disks // 64)), dtype=_np.uint64)
+    scan[_np.arange(1, len(scan)), disks >> 6] = _np.left_shift(
+        _np.uint64(1), (disks & 63).astype(_np.uint64)
+    )
+    _np.bitwise_xor.accumulate(scan, axis=0, out=scan)
+    masks = scan[events + 1] ^ scan[starts[event_trials]]
+    patterns, which = _np.unique(masks, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    down = _np.unpackbits(
+        patterns.astype("<u8").view(_np.uint8), axis=1, bitorder="little"
+    )
+    keys = [pattern.tobytes() for pattern in patterns]
+    # 1 survives, 0 lost, -1 not asked yet.
+    verdict = _np.array([verdicts.get(key, -1) for key in keys], _np.int8)
+    known = len(verdicts)
+    while True:
+        open_ = _np.flatnonzero(verdict[which] != 1)
+        _, first = _np.unique(event_trials[open_], return_index=True)
+        frontier = open_[first]
+        wanted = _np.bincount(which[frontier], minlength=len(keys)) > 0
+        ask = _np.flatnonzero(wanted & (verdict < 0))
+        if not len(ask):
+            return times[events[frontier]], len(verdicts) - known
+        for row in ask.tolist():
+            failed = set(_np.flatnonzero(down[row]).tolist())
+            verdict[row] = verdicts[keys[row]] = bool(oracle(failed))
 
 
 def _walk_trial_telemetry(
@@ -173,15 +185,15 @@ def _lifetime_chunk(
     state, spec, tel, *, screened, n_disks, mttf_hours, mttr_hours,
     horizon_hours,
 ) -> LifetimeResult:
-    """Sample and walk one chunk of missions; *state* is ``(oracle,)``.
+    """Sample and replay one chunk; *state* is ``(oracle, verdicts)``.
 
     The chunk's arrivals are pre-sampled in whole batches from
     ``numpy.random.default_rng(derive_chunk_seed(spec.seed, spec.index))``
     — a per-chunk stream, so chunk 0 of a run draws from the run seed
     itself — and *screened* (the ``vectorized`` kernel) only decides how
-    many trials of that plane are walked (see :func:`simulate_lifetimes`).
+    that plane is replayed (see :func:`simulate_lifetimes`).
     """
-    (oracle,) = state
+    oracle, verdicts = state
     trials = spec.size
     prof = ambient_profiler()
     rng = _np.random.default_rng(derive_chunk_seed(spec.seed, spec.index))
@@ -190,39 +202,25 @@ def _lifetime_chunk(
         times, kinds, disks, counts, starts = _sample_lifetime_events(
             rng, n_disks, mttf_hours, mttr_hours, horizon_hours, trials
         )
-    loss_times: List[float] = []
 
     if screened and not tel.enabled:
-        guarantee = _oracle_guarantee(oracle)
         with prof.phase("screen"):
-            suspects, first_idx = _first_exceedances(
-                kinds, counts, starts, trials, guarantee
+            events, event_trials = _exceedances(
+                kinds, counts, starts, _oracle_guarantee(oracle)
             )
-        replays = int(suspects.size)
+            replays = int(_np.count_nonzero(_np.bincount(event_trials)))
         with prof.phase("replay"):
-            for trial, j in zip(suspects.tolist(), first_idx.tolist()):
-                a = int(starts[trial])
-                b = a + int(counts[trial])
-                # Failed set just before the first exceedance: a disk is
-                # down iff it appears an odd number of times in [a, j) —
-                # its events strictly alternate failure/repair.
-                parity = _np.bincount(disks[a:j], minlength=n_disks) & 1
-                failed = set(_np.flatnonzero(parity).tolist())
-                lost_at = _walk_trial(
-                    times[j:b].tolist(),
-                    kinds[j:b].tolist(),
-                    disks[j:b].tolist(),
-                    oracle,
-                    guarantee,
-                    failed,
-                )
-                if lost_at is not None:
-                    loss_times.append(lost_at)
+            loss_times, peels = _first_losses(
+                times, disks, starts, events, event_trials, n_disks,
+                oracle, verdicts,
+            )
+        prof.count("mc.oracle_calls", peels)
     else:
         t_list = times.tolist()
         k_list = kinds.tolist()
         d_list = disks.tolist()
         replays = trials
+        loss_times: List[float] = []
         with use_telemetry(tel), prof.phase("replay"):
             for trial in range(trials):
                 a = int(starts[trial])
@@ -272,16 +270,18 @@ def simulate_lifetimes(
     oracle classes of this module, not ad-hoc closures); it is broadcast
     to the persistent pool once, not shipped per chunk.
 
-    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
-    are walked, never the answer. ``vectorized`` runs a whole-batch
-    concurrency filter that proves most trials loss-free without a
-    single oracle call — only trials whose peak concurrent failures
-    exceed the oracle's guaranteed tolerance are walked, from their
-    first exceedance, with the exact oracle (:func:`_walk_trial`); at
-    realistic rates that is a few percent of trials. ``event`` is the
-    same function with an empty screen: every trial of the same plane is
-    walked from its first event with the oracle consulted on every
-    failure arrival (:func:`_walk_trial_telemetry`).
+    *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides how the plane
+    is replayed, never the answer. ``event`` walks every trial with the
+    oracle consulted on every failure arrival
+    (:func:`_walk_trial_telemetry`). ``vectorized`` walks nothing: a
+    concurrency filter keeps the failure arrivals past the oracle's
+    guaranteed tolerance — the only instants a loss can happen — and
+    :func:`_first_losses` decides them from a prefix XOR scan, asking the
+    oracle once per distinct failed set. That is the walk's answer for any
+    deterministic oracle, monotone or not. Verdicts are memoised for the
+    call (per worker when ``jobs > 1``, in the broadcast state like a
+    ``RebuildTimer``'s memo), so the profiler's ``mc.oracle_calls`` is
+    exact at ``jobs=1`` and depends on how chunks shared workers above.
 
     *telemetry* (default: ambient, a no-op unless a collecting instance
     is installed) receives sim-domain counters and failure / repair /
@@ -301,7 +301,7 @@ def simulate_lifetimes(
         raise SimulationError("rates and horizon must be positive and finite")
     parts = run_chunks(
         "simulate_lifetimes", dict(trials=trials, jobs=jobs),
-        _lifetime_chunk, (oracle,),
+        _lifetime_chunk, (oracle, {}),
         dict(
             screened=screened, n_disks=n_disks, mttf_hours=mttf_hours,
             mttr_hours=mttr_hours, horizon_hours=horizon_hours,

@@ -1,6 +1,6 @@
 """Simulated means against closed forms: are the error bars where they say?
 
-Two cheap regimes where queueing / renewal theory gives the answer
+Cheap regimes where Markov, queueing or renewal theory gives the answer
 outright, so a biased kernel cannot hide behind another kernel that
 shares its bias (the bit-identity suites only prove the kernels agree
 with *each other*).
@@ -13,9 +13,37 @@ from repro.core.oi_layout import oi_raid
 from repro.sim.columnar import LifecycleTables
 from repro.sim.latency import LatencyModel
 from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.markov import MarkovReliabilityModel
+from repro.sim.montecarlo import simulate_lifetimes, threshold_oracle
 from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.sim.serve import simulate_serve
 from repro.workloads import OpenLoop, WorkloadSpec
+
+
+def test_lifetime_loss_intervals_cover_the_markov_chain():
+    """95 % Wilson intervals over a seed ensemble cover the exact answer.
+
+    With exponential failures, per-disk exponential repairs and a loss at
+    the second concurrent failure, the birth-death chain is the process
+    itself, so ``prob_loss_within`` is the true loss probability. Over
+    K independent seeds the number of intervals containing it is
+    Binomial(K, 0.95); the gate is 3 sigma around 0.95 K. Intervals too
+    narrow by the sqrt(2) of a half-aliased sample would cover ~83 %.
+    """
+    n, mttf, mttr, horizon, trials, seeds = 8, 2000.0, 40.0, 1000.0, 400, 40
+    exact = MarkovReliabilityModel(n, mttf, mttr, [0, 0, 1]).prob_loss_within(
+        horizon
+    )
+    covered = 0
+    for seed in range(seeds):
+        result = simulate_lifetimes(
+            n, mttf, mttr, threshold_oracle(1), horizon, trials=trials,
+            seed=seed,
+        )
+        lo, hi = result.prob_loss_interval(z=1.96)
+        covered += lo <= exact <= hi
+    sigma = math.sqrt(0.95 * 0.05 / seeds)
+    assert abs(covered / seeds - 0.95) <= 3 * sigma
 
 
 def test_lifecycle_clean_path_failures_are_a_renewal_process():

@@ -238,7 +238,7 @@ class TestSharedSamplers:
         from repro.sim import columnar, montecarlo
 
         assert montecarlo._sample_lifetime_events is columnar.sample_renewal_events
-        assert montecarlo._first_exceedances is columnar.first_exceedances
+        assert montecarlo._exceedances is columnar.exceedances
         assert montecarlo._oracle_guarantee is columnar.oracle_guarantee
 
 

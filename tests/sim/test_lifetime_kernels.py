@@ -1,17 +1,21 @@
-"""The lifetime kernels: one sampled plane, two ways to walk it.
+"""The lifetime kernels: one sampled plane, two ways to replay it.
 
 Mirror of ``test_lifecycle_vectorized.py`` / ``test_serve_vectorized.py``
-for the Monte-Carlo lifetime simulator: both kernels walk the plane
+for the Monte-Carlo lifetime simulator: both kernels replay the plane
 ``sample_renewal_events`` draws, so ``kernel=`` (and ``jobs``) may change
 wall clock only — never a bit of :class:`LifetimeResult` or its merged
 telemetry. The plane itself is checked against the independent heap walk
 in ``reference_lifetimes.py``.
 """
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro.core.oi_layout import oi_raid
 from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.obs.telemetry import Telemetry
+from repro.sim.lifecycle import guaranteed_tolerance
 from repro.sim.montecarlo import (
     recoverability_oracle,
     simulate_lifetimes,
@@ -30,6 +34,41 @@ def oracles(layout):
         "threshold": threshold_oracle(1),
         "layout": recoverability_oracle(layout, guaranteed_tolerance=3),
     }
+
+
+def three_down_without_disk_zero(failed):
+    """Not monotone: losing disk 0 as well as three others survives."""
+    return not (len(failed) == 3 and 0 not in failed)
+
+
+@dataclass(frozen=True)
+class DeclaredThreeDownWithoutDiskZero:
+    """The same rule, declaring that two failures always survive."""
+
+    guaranteed_tolerance: int = 2
+
+    def __call__(self, failed):
+        return three_down_without_disk_zero(failed)
+
+
+class CountingOracle:
+    """Records every failed set it is asked about (in-process runs only)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.guaranteed_tolerance = inner.guaranteed_tolerance
+        self.asked = []
+
+    def __call__(self, failed):
+        self.asked.append(frozenset(failed))
+        return self.inner(failed)
+
+
+def both_kernels(*args, **kwargs):
+    return [
+        simulate_lifetimes(*args, kernel=kernel, **kwargs).to_dict()
+        for kernel in ("event", "vectorized")
+    ]
 
 
 class TestKernelBitIdentity:
@@ -84,6 +123,47 @@ class TestTwoDifferentPaths:
         assert event.counters["mc.replays"] == 400
         assert vec.phases["screen"][0] == 1
         assert 0 < vec.counters["mc.replays"] < 400
+
+
+class TestAnyDeterministicOracle:
+    """The screened replay asks the oracle, it never assumes monotonicity."""
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [DeclaredThreeDownWithoutDiskZero(), three_down_without_disk_zero],
+        ids=["declared", "opaque"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_monotone_oracle_kernels_agree(self, oracle, jobs):
+        # 300 trials are two chunks, so jobs=2 goes through the pool.
+        event, vectorized = both_kernels(
+            6, 300.0, 200.0, oracle, 1000.0, trials=300, seed=0, jobs=jobs
+        )
+        assert 0 < event["losses"] < 300, "config is not informative"
+        assert event == vectorized
+
+    def test_more_than_64_disks(self):
+        """Failed sets span two mask words on a 93-disk array."""
+        layout = oi_raid(31, 3)
+        assert layout.n_disks > 64
+        oracle = recoverability_oracle(layout, guaranteed_tolerance(layout))
+        event, vectorized = both_kernels(
+            layout.n_disks, 1000.0, 40.0, oracle, 800.0, trials=100, seed=0
+        )
+        assert 0.1 < event["losses"] / 100 < 0.9, "config is not informative"
+        assert event == vectorized
+
+    def test_no_failed_set_is_peeled_twice(self, fano_layout):
+        oracle = CountingOracle(recoverability_oracle(fano_layout, 3))
+        prof = PhaseProfiler()
+        with use_profiler(prof):
+            simulate_lifetimes(
+                oracle=oracle, horizon_hours=HORIZON, trials=2000, seed=0,
+                kernel="vectorized", **RATES,
+            )
+        assert oracle.asked, "no trial reached the oracle"
+        assert len(set(oracle.asked)) == len(oracle.asked)
+        assert prof.counters["mc.oracle_calls"] == len(oracle.asked)
 
 
 class TestSampledPlaneAgainstHeapWalk:

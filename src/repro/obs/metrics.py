@@ -90,19 +90,42 @@ class Histogram:
 
     Values land in geometric buckets (``HISTOGRAM_GROWTH`` apart), so
     quantiles come from bucket interpolation without storing samples and
-    two histograms merge by summing bucket counts — the merge of parts
-    equals the histogram of the concatenated stream, exactly.
+    two histograms merge by summing bucket counts. The sum is kept as
+    Shewchuk partials (the algorithm behind :func:`math.fsum`), so
+    :attr:`total` is the correctly rounded sum of every value observed:
+    the merge of parts, in any split and any order, equals the histogram
+    of the concatenated stream, exactly.
     """
 
-    __slots__ = ("buckets", "zeros", "count", "total", "min", "max")
+    __slots__ = ("buckets", "zeros", "count", "_partials", "min", "max")
 
     def __init__(self) -> None:
         self.buckets: Dict[int, int] = {}
         self.zeros = 0
         self.count = 0
-        self.total = 0.0
+        self._partials: List[float] = []
         self.min = math.inf
         self.max = -math.inf
+
+    def _add(self, value: float) -> None:
+        """Fold *value* into the partials; their exact sum is the sum."""
+        partials = self._partials
+        i = 0
+        for partial in partials:
+            if abs(value) < abs(partial):
+                value, partial = partial, value
+            high = value + partial
+            low = partial - (high - value)
+            if low:
+                partials[i] = low
+                i += 1
+            value = high
+        partials[i:] = [value]
+
+    @property
+    def total(self) -> float:
+        """The correctly rounded sum of every observation."""
+        return math.fsum(self._partials)
 
     def observe(self, value: float) -> None:
         """Record one non-negative finite observation."""
@@ -111,7 +134,7 @@ class Histogram:
                 f"histogram values must be finite and >= 0, got {value}"
             )
         self.count += 1
-        self.total += value
+        self._add(value)
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         if value == 0:
@@ -144,12 +167,13 @@ class Histogram:
         return self.max
 
     def merge(self, other: "Histogram") -> None:
-        """Sum bucket counts: exactly the histogram of the combined stream."""
+        """Sum bucket counts and partials: exactly the combined stream's."""
         for key, n in other.buckets.items():
             self.buckets[key] = self.buckets.get(key, 0) + n
         self.zeros += other.zeros
         self.count += other.count
-        self.total += other.total
+        for partial in other._partials:
+            self._add(partial)
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
 
@@ -184,7 +208,7 @@ class Histogram:
         hist = cls()
         try:
             hist.count = int(doc["count"])
-            hist.total = float(doc["sum"])
+            hist._partials = [float(doc["sum"])]
             hist.zeros = int(doc.get("zeros", 0))
             hist.buckets = {int(k): int(v) for k, v in doc["buckets"].items()}
         except (KeyError, TypeError, ValueError) as exc:

@@ -18,14 +18,14 @@ the budget and the measurement).
 Two wiring styles coexist:
 
 * **Explicit** — the simulation kernels accept ``telemetry=`` so the
-  parallel runner can hand each worker a private collecting instance and
+  parallel runner can hand each chunk a private collecting instance and
   merge the chunks deterministically.
 * **Ambient** — deep helpers that would be noisy to thread a parameter
-  through (``plan_recovery``, the event engine, the bench runner) read
+  through (``plan_recovery``, the rebuild memo, the bench runner) read
   the module-level ambient telemetry, which :func:`use_telemetry` swaps
-  in scoped fashion. The kernels install their explicit telemetry as
-  ambient for the duration of a run, so both styles land in the same
-  registry.
+  in scoped fashion. The CLI installs its collecting instance there, so
+  direct calls are counted; the chunk driver runs every chunk under the
+  disabled one, so a chunk's registry is its simulator's vocabulary.
 """
 
 from __future__ import annotations

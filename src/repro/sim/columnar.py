@@ -529,7 +529,8 @@ def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,
     float argsort, several times faster than a 4-key lexsort); exact
     float-time ties inside one trial have probability zero and any
     deterministic order for them is acceptable because every consumer
-    (the concurrency filter, both replay walks) reads the same ordering.
+    (the concurrency filter, the XOR scan, the narrator) reads the same
+    ordering.
     """
     expected_cycles = horizon_hours / (mttf_hours + mttr_hours)
     k = max(2, int(expected_cycles * 1.5) + 2)

@@ -62,7 +62,7 @@ from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
@@ -504,7 +504,7 @@ def _mission_chunk(
 
     lost_at = _np.full(count, math.inf)
     lost_to_lse = _np.zeros(count, dtype=bool)
-    with use_telemetry(tel), prof.phase("replay"):
+    with prof.phase("replay"):
         for t in walk:
             cursor = streams.cursor(t)
             (
@@ -606,9 +606,9 @@ def simulate_lifecycle(
     global trial (:func:`_mission_chunk`), so the result depends only
     on ``(trials, seed)`` — never on *jobs*, *kernel* or *chunk_trials*,
     which is a pure speed argument as it is for serve and fleet. The
-    default (``None``) is wide where a screen runs
-    (:func:`_plane_trials`: up to 2048 trials) and 256 where every trial
-    is walked — the ``event`` kernel, or telemetry collecting.
+    default (``None``) is wide for the ``vectorized`` kernel
+    (:func:`_plane_trials`: up to 2048 trials) and 256 for ``event``,
+    which walks every trial; collecting telemetry never changes it.
     Rebuild times are memoized per pattern within each worker (they are
     pure functions of the pattern, so the memo never affects results).
 
@@ -641,24 +641,16 @@ def simulate_lifecycle(
     arrivals, repair start/abandon/complete, latent-error checks, data
     loss — all stamped with simulated hours; trial indices are
     chunk-local in the workers and rebased at the merge, so the merged
-    registry and event log are bit-identical for any ``jobs``. A
-    collecting run needs that per-event vocabulary for every trial, so
-    it walks every trial whatever *kernel* says — identical result *and*
-    identical registry/event log across kernels. Each chunk's telemetry
-    is also installed as ambient for the duration of its walk, so the
-    recovery planner, rebuild clocks, and event engine underneath record
-    into the same registry.
+    registry and event log are bit-identical for any ``jobs`` and
+    *chunk_trials*. A collecting run needs that per-event vocabulary for
+    every trial, so it walks every trial whatever *kernel* says —
+    identical result *and* identical registry/event log across kernels.
+    The planner and rebuild memo a chunk calls record nothing into it.
     """
     screened = resolve_kernel(kernel) == "vectorized"
     _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
-    if chunk_trials is None:
-        tel = telemetry if telemetry is not None else ambient()
-        # Width buys a walk nothing, and a collecting run's histogram
-        # sums fold per chunk: only a screened run goes wide.
-        chunk_trials = (
-            _plane_trials(trials) if screened and not tel.enabled
-            else DEFAULT_CHUNK_TRIALS
-        )
+    if chunk_trials is None:  # width buys a walk nothing
+        chunk_trials = _plane_trials(trials) if screened else DEFAULT_CHUNK_TRIALS
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk,

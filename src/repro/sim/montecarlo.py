@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 import numpy as _np
 
@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, use_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import (
     derive_chunk_seed,
     exceedances as _exceedances,
@@ -104,9 +104,9 @@ def threshold_oracle(tolerance: int) -> Callable[[Set[int]], bool]:
     return ThresholdOracle(tolerance)
 
 
-def _first_losses(times, disks, starts, events, event_trials, n_disks,
-                  oracle, verdicts):
-    """Loss times of the candidate *events*' trials, and the sets peeled.
+def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
+                  verdicts):
+    """Loss events of the candidate *events*' trials, and the sets peeled.
 
     A failed set is a row of ``ceil(n_disks / 64)`` uint64 words: a prefix
     XOR scan of ``1 << disk`` over the chunk (a disk's events alternate
@@ -114,6 +114,7 @@ def _first_losses(times, disks, starts, events, event_trials, n_disks,
     once per distinct set (*verdicts* keeps its answers by mask bytes) and
     only at a trial's frontier, its first candidate not known to survive, so
     nothing past a loss is peeled: the loss is the first frontier lost.
+    Loss events come back in trial order, one per lost trial.
     """
     scan = _np.zeros((len(disks) + 1, -(-n_disks // 64)), dtype=_np.uint64)
     scan[_np.arange(1, len(scan)), disks >> 6] = _np.left_shift(
@@ -137,48 +138,51 @@ def _first_losses(times, disks, starts, events, event_trials, n_disks,
         wanted = _np.bincount(which[frontier], minlength=len(keys)) > 0
         ask = _np.flatnonzero(wanted & (verdict < 0))
         if not len(ask):
-            return times[events[frontier]], len(verdicts) - known
+            return events[frontier], len(verdicts) - known
         for row in ask.tolist():
             failed = set(_np.flatnonzero(down[row]).tolist())
             verdict[row] = verdicts[keys[row]] = bool(oracle(failed))
 
 
-def _walk_trial_telemetry(
-    times, kinds, disks, oracle, tel: Telemetry, trial: int
-) -> Optional[float]:
-    """Walk one trial in full, from its first event, emitting telemetry.
+def _narrate(tel, times, kinds, disks, counts, starts, lost):
+    """Record into *tel* what walking each trial up to its *lost* event would.
 
-    The ``event`` kernel's walk and every collecting run's: the oracle is
-    consulted on every failure arrival and *tel* (a no-op unless
-    collecting) receives the per-event vocabulary.
+    The ``mc.*`` counters, ``mc.loss_time_hours``, and ``failure`` /
+    ``repair_complete`` / ``data_loss`` records in trial order, built only
+    for the room left in the log (the rest count as dropped).
     """
-    failed: Set[int] = set()
-    lost_at: Optional[float] = None
-    for i in range(len(times)):
-        time = times[i]
-        if kinds[i] == 0:
-            failed.add(disks[i])
-            tel.count("mc.failures")
-            tel.event(
-                "failure", time, trial=trial,
-                disk=disks[i], failed=len(failed),
-            )
-            if not oracle(failed):
-                lost_at = time
-                tel.count("mc.losses")
-                tel.event(
-                    "data_loss", time, trial=trial,
-                    cause="pattern", failed=len(failed),
-                )
-                break
-        else:
-            failed.discard(disks[i])
-            tel.count("mc.repairs")
-            tel.event("repair_complete", time, trial=trial, disks=1)
-    tel.count("mc.trials")
-    if lost_at is not None:
-        tel.observe("mc.loss_time_hours", lost_at)
-    return lost_at
+    trial_of = _np.repeat(_np.arange(len(counts)), counts)
+    ends = starts + counts
+    ends[trial_of[lost]] = lost + 1
+    seq = _np.flatnonzero(_np.arange(len(kinds)) < _np.repeat(ends, counts))
+    running = _np.concatenate(([0], _np.cumsum(_np.where(kinds == 0, 1, -1))))
+    at = _np.searchsorted(seq, lost, side="right")
+    order = _np.insert(seq, at, lost)  # a data loss follows its failure
+    code = _np.insert(kinds[seq], at, 2)
+    log = tel.events
+    room = log.max_events - len(log.records)
+    log.dropped += max(0, len(order) - room)
+    order, trial = order[:room], trial_of[order[:room]]
+    log.records.extend(
+        {"kind": "failure", "t": t, "trial": i, "disk": d, "failed": f}
+        if c == 0 else
+        {"kind": "repair_complete", "t": t, "trial": i, "disks": 1}
+        if c == 1 else
+        {"kind": "data_loss", "t": t, "trial": i, "cause": "pattern",
+         "failed": f}
+        for c, t, i, d, f in zip(
+            code[:room].tolist(), times[order].tolist(), trial.tolist(),
+            disks[order].tolist(),
+            (running[order + 1] - running[starts[trial]]).tolist(),
+        )
+    )
+    names = ("mc.failures", "mc.repairs", "mc.losses")
+    for name, amount in zip(names, _np.bincount(code, minlength=3).tolist()):
+        if amount:
+            tel.count(name, amount)
+    tel.count("mc.trials", len(counts))
+    for hours in times[lost].tolist():
+        tel.observe("mc.loss_time_hours", hours)
 
 
 def _lifetime_chunk(
@@ -187,11 +191,11 @@ def _lifetime_chunk(
 ) -> LifetimeResult:
     """Sample and replay one chunk; *state* is ``(oracle, verdicts)``.
 
-    The chunk's arrivals are pre-sampled in whole batches from
-    ``numpy.random.default_rng(derive_chunk_seed(spec.seed, spec.index))``
-    — a per-chunk stream, so chunk 0 of a run draws from the run seed
-    itself — and *screened* (the ``vectorized`` kernel) only decides how
-    that plane is replayed (see :func:`simulate_lifetimes`).
+    Arrivals come from ``default_rng(derive_chunk_seed(spec.seed,
+    spec.index))``, a per-chunk stream (chunk 0 draws from the run seed).
+    :func:`_first_losses` decides the arrivals past the oracle's guarantee
+    when *screened* (``vectorized``), every failure arrival otherwise, and
+    a collecting *tel* is narrated from the plane (:func:`_narrate`).
     """
     oracle, verdicts = state
     trials = spec.size
@@ -203,33 +207,22 @@ def _lifetime_chunk(
             rng, n_disks, mttf_hours, mttr_hours, horizon_hours, trials
         )
 
-    if screened and not tel.enabled:
+    if screened:
         with prof.phase("screen"):
             events, event_trials = _exceedances(
                 kinds, counts, starts, _oracle_guarantee(oracle)
             )
             replays = int(_np.count_nonzero(_np.bincount(event_trials)))
-        with prof.phase("replay"):
-            loss_times, peels = _first_losses(
-                times, disks, starts, events, event_trials, n_disks,
-                oracle, verdicts,
-            )
-        prof.count("mc.oracle_calls", peels)
     else:
-        t_list = times.tolist()
-        k_list = kinds.tolist()
-        d_list = disks.tolist()
+        events, event_trials = _exceedances(kinds, counts, starts, 0)
         replays = trials
-        loss_times: List[float] = []
-        with use_telemetry(tel), prof.phase("replay"):
-            for trial in range(trials):
-                a = int(starts[trial])
-                b = a + int(counts[trial])
-                lost_at = _walk_trial_telemetry(
-                    t_list[a:b], k_list[a:b], d_list[a:b], oracle, tel, trial
-                )
-                if lost_at is not None:
-                    loss_times.append(lost_at)
+    with prof.phase("replay"):
+        lost, peels = _first_losses(
+            disks, starts, events, event_trials, n_disks, oracle, verdicts
+        )
+        if tel.enabled:
+            _narrate(tel, times, kinds, disks, counts, starts, lost)
+    prof.count("mc.oracle_calls", peels)
     if prof.enabled:
         prof.count("mc.trials", trials)
         prof.count("mc.replays", replays)
@@ -237,8 +230,8 @@ def _lifetime_chunk(
 
     return LifetimeResult(
         trials=trials,
-        losses=len(loss_times),
-        loss_times=loss_times,
+        losses=len(lost),
+        loss_times=times[lost],
         horizon_hours=horizon_hours,
     )
 
@@ -271,26 +264,25 @@ def simulate_lifetimes(
     to the persistent pool once, not shipped per chunk.
 
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides how the plane
-    is replayed, never the answer. ``event`` walks every trial with the
-    oracle consulted on every failure arrival
-    (:func:`_walk_trial_telemetry`). ``vectorized`` walks nothing: a
-    concurrency filter keeps the failure arrivals past the oracle's
-    guaranteed tolerance — the only instants a loss can happen — and
-    :func:`_first_losses` decides them from a prefix XOR scan, asking the
-    oracle once per distinct failed set. That is the walk's answer for any
-    deterministic oracle, monotone or not. Verdicts are memoised for the
-    call (per worker when ``jobs > 1``, in the broadcast state like a
-    ``RebuildTimer``'s memo), so the profiler's ``mc.oracle_calls`` is
-    exact at ``jobs=1`` and depends on how chunks shared workers above.
+    is replayed, never the answer; neither walks a trial.
+    :func:`_first_losses` decides candidate failure arrivals from a prefix
+    XOR scan, asking the oracle once per distinct failed set — the answer
+    of a walk that consults the oracle on every failure arrival, for any
+    deterministic oracle, monotone or not. ``event`` makes every failure
+    arrival a candidate; ``vectorized`` first screens for the arrivals
+    past the oracle's guaranteed tolerance, the only instants a loss can
+    happen. Verdicts are memoised for the call (per worker when
+    ``jobs > 1``, in the broadcast state like a ``RebuildTimer``'s memo),
+    so the profiler's ``mc.oracle_calls`` is exact at ``jobs=1`` and
+    depends on how chunks shared workers above.
 
     *telemetry* (default: ambient, a no-op unless a collecting instance
     is installed) receives sim-domain counters and failure / repair /
-    data-loss events with simulated-hour stamps. A collecting run needs
-    those per-event records for every trial, so it takes the full walk
-    whatever *kernel* says — from the *same* pre-sampled arrays, so
-    enabling ``--metrics-out`` never changes the simulated outcome and
-    the registry is identical across kernels. *telemetry* and *progress*
-    follow :func:`~repro.sim.parallel.run_chunks`' contract.
+    data-loss events with simulated-hour stamps, narrated from the plane
+    the kernel replayed (:func:`_narrate`): collecting changes what a run
+    records, never how it runs, and the registry is identical across
+    kernels, *jobs* and the profiler. *telemetry* and *progress* follow
+    :func:`~repro.sim.parallel.run_chunks`' contract.
     """
     screened = resolve_kernel(kernel) == "vectorized"
     check_positive("n_disks", n_disks, 2)

@@ -47,17 +47,15 @@ drain — and the simulator merges what comes back
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
 from repro.obs.prof import PhaseProfiler, ambient_profiler, use_profiler
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.sim.columnar import ChunkSpec, fresh_seed
 from repro.sim.pool import run_streaming
-from repro.sim.rebuild import RebuildTimer
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -117,19 +115,14 @@ def chunk_sizes(total: int, chunk: int) -> List[int]:
 
 
 def _chunk_task(state, common, spec):
-    """The driver's one pool task: the per-chunk prologue, then *chunk_fn*."""
+    """The driver's one pool task: the per-chunk prologue, then *chunk_fn*.
+
+    *chunk_fn* runs under the disabled ambient telemetry: the planner and
+    rebuild memo it calls record nothing, *chunk_tel* only its simulator.
+    """
     chunk_fn, params, collect, profile = common
-    chunk_tel, chunk_prof = NULL_TELEMETRY, None
-    if collect:
-        chunk_tel = Telemetry.collecting()
-        # Memo hits/misses are recorded in telemetry, so a memo warmed by
-        # *other* chunks would make the merged registry depend on which
-        # chunks shared a worker. Collecting runs therefore pay a cold
-        # memo per chunk; the simulated result is identical either way.
-        state = tuple(
-            replace(part) if isinstance(part, RebuildTimer) else part
-            for part in state
-        )
+    chunk_tel = Telemetry.collecting() if collect else NULL_TELEMETRY
+    chunk_prof = None
     if profile:
         chunk_prof = PhaseProfiler()
         # In-process execution (jobs=1) inherits the parent's phase
@@ -137,7 +130,7 @@ def _chunk_task(state, common, spec):
         # have a null ambient profiler and inherit None (observers never
         # cross process boundaries).
         chunk_prof.on_phase = ambient_profiler().on_phase
-    with use_profiler(chunk_prof):
+    with use_telemetry(NULL_TELEMETRY), use_profiler(chunk_prof):
         result = chunk_fn(state, spec, chunk_tel, **params)
     return result, chunk_tel if collect else None, chunk_prof
 

@@ -72,7 +72,7 @@ from repro.layouts.recovery import (
 )
 from repro.obs.metrics import Histogram
 from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.results import ColumnOf, ResultBase, register_result
 from repro.sim.columnar import (
     SERVE,
@@ -1041,7 +1041,7 @@ def _serve_event_trial(
 
         sim.schedule(0.0, pump)
 
-    with use_telemetry(tel), prof.phase("serve"):
+    with prof.phase("serve"):
         sim.run()
 
     if tel.enabled:
@@ -1100,7 +1100,7 @@ def _serve_chunk(
     handoff = swept and not tel.enabled
     walks = None
     if ops or not handoff:
-        with use_telemetry(tel), prof.phase("replay"):
+        with prof.phase("replay"):
             walks = [
                 _serve_event_trial(
                     tables, trace.row(i), arrival, model, throttle, tel,
@@ -1176,7 +1176,7 @@ def simulate_serve(
     every other config — walks each trial's whole trace. Either way one
     array tail turns completion times into latencies and counters.
     Telemetry-collecting runs always take the full walk (its per-event
-    observation stream *is* the telemetry contract).
+    observation stream *is* the telemetry contract) at the same width.
 
     Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
     not a survivable pattern (there is nothing to serve). The result is
@@ -1189,12 +1189,9 @@ def simulate_serve(
     tables = _resolve_tables(
         layout, failed_disks, sparing, rebuild_batches, tables
     )
-    tel = telemetry if telemetry is not None else ambient()
     if chunk_trials is None:
         chunk_trials = (
-            VECTORIZED_CHUNK_SERVE_TRIALS
-            if swept and not tel.enabled
-            else DEFAULT_CHUNK_SERVE_TRIALS
+            VECTORIZED_CHUNK_SERVE_TRIALS if swept else DEFAULT_CHUNK_SERVE_TRIALS
         )
     parts = run_chunks(
         "simulate_serve", dict(trials=trials, jobs=jobs),
@@ -1204,6 +1201,6 @@ def simulate_serve(
             model=model or LatencyModel(), throttle=throttle,
         ),
         trials, chunk_trials,
-        seed=seed, jobs=jobs, telemetry=tel, progress=progress,
+        seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,
     )
     return ServeResult.merged(parts)

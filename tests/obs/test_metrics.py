@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
@@ -89,8 +91,21 @@ class TestHistogram:
         assert (a.count, a.min, a.max) == (whole.count, whole.min, whole.max)
         for q in (0.5, 0.95, 0.99):
             assert a.quantile(q) == whole.quantile(q)
-        # Totals differ only by float-summation order.
-        assert a.total == pytest.approx(whole.total)
+        # Sums are exact, so no summation order shows.
+        assert a.total == whole.total == math.fsum(values)
+
+    def test_merged_sum_is_the_streams_exactly(self):
+        """A running float gave 0.1 + (0.2 + 0.3) = 0.6 for the merge and
+        (0.1 + 0.2) + 0.3 = 0.6000000000000001 for the stream."""
+        whole, a, b = Histogram(), Histogram(), Histogram()
+        for v in (0.1, 0.2, 0.3):
+            whole.observe(v)
+        a.observe(0.1)
+        b.observe(0.2)
+        b.observe(0.3)
+        a.merge(b)
+        assert a.to_dict() == whole.to_dict()
+        assert a.total == math.fsum([0.1, 0.2, 0.3]) == 0.6
 
     def test_rejects_negative_nan_inf(self):
         h = Histogram()
@@ -108,6 +123,32 @@ class TestHistogram:
         back = Histogram.from_dict(h.to_dict())
         assert back.buckets == h.buckets
         assert back.summary() == h.summary()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+        max_size=30,
+    ),
+    data=st.data(),
+)
+def test_any_split_in_any_order_merges_to_the_stream(values, data):
+    shuffled = data.draw(st.permutations(values))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=5)))
+    parts = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+        part = Histogram()
+        for v in shuffled[lo:hi]:
+            part.observe(v)
+        parts.append(part)
+    merged, whole = Histogram(), Histogram()
+    for part in data.draw(st.permutations(parts)):
+        merged.merge(part)
+    for v in values:
+        whole.observe(v)
+    assert merged.to_dict() == whole.to_dict()
+    assert merged.to_dict()["sum"] == math.fsum(values)
 
 
 class TestMetricsRegistry:

@@ -199,10 +199,10 @@ class TestChunkGeometryIsOnlyASpeed:
             ).failures_per_trial)
             assert (failures[512:767] == failures[2:257]).mean() <= 0.15
 
-    def test_a_collecting_run_keeps_one_block_chunks(self, fano_layout):
-        """Every trial of a collecting run is walked, so width buys nothing
-        and histogram sums fold per chunk: its registry must not depend on
-        how wide the screen's planes have become."""
+    def test_collecting_keeps_chunks(self, fano_layout):
+        """Telemetry observes, it never steers: histogram sums are exact
+        and a chunk's registry is its simulator's, so a collecting run is
+        cut into the chunks an uncollected one is."""
         def chunks(telemetry):
             prof = PhaseProfiler()
             with use_profiler(prof):
@@ -212,8 +212,7 @@ class TestChunkGeometryIsOnlyASpeed:
                 )
             return len(prof.series["lifecycle.dangerous_fraction"])
 
-        assert chunks(None) == 8
-        assert chunks(Telemetry.collecting()) == 16
+        assert chunks(None) == chunks(Telemetry.collecting()) == 8
 
 
 class TestTelemetryInvariance:

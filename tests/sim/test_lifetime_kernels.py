@@ -5,23 +5,32 @@ for the Monte-Carlo lifetime simulator: both kernels replay the plane
 ``sample_renewal_events`` draws, so ``kernel=`` (and ``jobs``) may change
 wall clock only — never a bit of :class:`LifetimeResult` or its merged
 telemetry. The plane itself is checked against the independent heap walk
-in ``reference_lifetimes.py``.
+in ``reference_lifetimes.py``, and the telemetry narrated from it against
+the per-event walk kept there.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.core.oi_layout import oi_raid
 from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.obs.telemetry import Telemetry
+from repro.sim.columnar import ChunkSpec, derive_chunk_seed, sample_renewal_events
 from repro.sim.lifecycle import guaranteed_tolerance
 from repro.sim.montecarlo import (
+    _lifetime_chunk,
     recoverability_oracle,
     simulate_lifetimes,
     threshold_oracle,
 )
-from tests.sim.reference_lifetimes import heap_walk_lifetimes
+from repro.sim.parallel import DEFAULT_CHUNK_TRIALS
+from tests.sim.reference_lifetimes import (
+    heap_walk_lifetimes,
+    walk_chunks,
+    walk_plane,
+)
 
 #: 21 disks at accelerated rates: a few percent of trials outgrow a
 #: tolerance of 3, most outgrow a tolerance of 1.
@@ -62,6 +71,19 @@ class CountingOracle:
     def __call__(self, failed):
         self.asked.append(frozenset(failed))
         return self.inner(failed)
+
+
+def narrated_configs(layout):
+    """``(n_disks, mttf, mttr, oracle, horizon)`` per oracle kind."""
+    six_disks = (6, 300.0, 200.0)
+    return {
+        "threshold": (*RATES.values(), threshold_oracle(1), HORIZON),
+        "layout": (21, 1000.0, 60.0, recoverability_oracle(layout, 3), 3000.0),
+        "declared": (
+            *six_disks, DeclaredThreeDownWithoutDiskZero(), 1000.0,
+        ),
+        "opaque": (*six_disks, three_down_without_disk_zero, 1000.0),
+    }
 
 
 def both_kernels(*args, **kwargs):
@@ -107,7 +129,10 @@ class TestKernelBitIdentity:
 
 class TestTwoDifferentPaths:
     def test_event_walks_every_trial_vectorized_screens(self, fano_layout):
-        """The identity above is not one kernel compared with itself."""
+        """The identity above is not one kernel compared with itself:
+        ``event`` has no screen, so every trial's every failure arrival
+        is a candidate, and it peels more failed sets than the screen
+        lets through."""
         oracle = oracles(fano_layout)["layout"]
         profiles = {}
         for kernel in ("event", "vectorized"):
@@ -123,6 +148,72 @@ class TestTwoDifferentPaths:
         assert event.counters["mc.replays"] == 400
         assert vec.phases["screen"][0] == 1
         assert 0 < vec.counters["mc.replays"] < 400
+        assert event.counters["mc.oracle_calls"] > vec.counters["mc.oracle_calls"]
+
+
+class TestNarratedTelemetry:
+    """The registry, records and ``dropped`` narrated from the plane are
+    the per-event walk's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "oracle_name", ["threshold", "layout", "declared", "opaque"]
+    )
+    @pytest.mark.parametrize("kernel", ["event", "vectorized"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equals_the_walk(self, fano_layout, oracle_name, kernel, jobs):
+        config = narrated_configs(fano_layout)[oracle_name]
+        walked = Telemetry.collecting()
+        # 300 trials are two chunks, so jobs=2 goes through the pool.
+        loss_times = walk_chunks(
+            *config, trials=300, seed=29, chunk_trials=DEFAULT_CHUNK_TRIALS,
+            telemetry=walked,
+        )
+        narrated = Telemetry.collecting()
+        result = simulate_lifetimes(
+            *config, trials=300, seed=29, kernel=kernel, jobs=jobs,
+            telemetry=narrated,
+        )
+        assert loss_times, "no trial lost data"
+        assert list(result.loss_times) == loss_times
+        assert narrated.metrics.to_dict() == walked.metrics.to_dict()
+        assert narrated.events.records == walked.events.records
+        assert narrated.events.dropped == walked.events.dropped
+
+    @pytest.mark.parametrize("screened", [True, False])
+    def test_a_cap_between_a_failure_and_its_data_loss(
+        self, fano_layout, screened
+    ):
+        n_disks, mttf, mttr, oracle, horizon = narrated_configs(
+            fano_layout
+        )["layout"]
+        spec = ChunkSpec(0, 0, DEFAULT_CHUNK_TRIALS, 29)
+        plane = sample_renewal_events(
+            np.random.default_rng(derive_chunk_seed(spec.seed, spec.index)),
+            n_disks, mttf, mttr, horizon, spec.size,
+        )
+        uncapped = Telemetry.collecting()
+        walk_plane(*plane, oracle, uncapped)
+        kinds = [record["kind"] for record in uncapped.events.records]
+        cap = kinds.index("data_loss")
+        assert kinds[cap - 1] == "failure"
+
+        walked = Telemetry.collecting(max_events=cap)
+        walk_plane(*plane, oracle, walked)
+        narrated = Telemetry.collecting(max_events=cap)
+        _lifetime_chunk(
+            (oracle, {}), spec, narrated, screened=screened,
+            n_disks=n_disks, mttf_hours=mttf, mttr_hours=mttr,
+            horizon_hours=horizon,
+        )
+        assert narrated.events.records == walked.events.records
+        assert narrated.events.records[-1]["kind"] == "failure"
+        assert narrated.events.dropped == walked.events.dropped > 0
+        assert narrated.metrics.to_dict() == walked.metrics.to_dict()
+        assert all(
+            type(value) in (str, int, float)
+            for record in narrated.events.records
+            for value in record.values()
+        ), "records hold Python scalars"
 
 
 class TestAnyDeterministicOracle:

@@ -13,6 +13,7 @@ import pytest
 from repro.obs import PhaseProfiler, Telemetry, use_profiler
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
 from repro.sim.rebuild import DiskModel
 
 #: Tiny accelerated disk so rebuilds and losses happen within few trials.
@@ -96,3 +97,32 @@ class TestProfilerDoesNotPerturb:
         assert bare == profiled
         assert prof_tel.metrics.to_dict() == bare_tel.metrics.to_dict()
         assert prof_tel.events.records == bare_tel.events.records
+
+
+class TestCollectingDoesNotSteer:
+    """Telemetry observes the path a run takes: the same phases, chunks,
+    counters and series whether or not it is collecting."""
+
+    @pytest.mark.parametrize("kind", ["lifetimes", "fleet"])
+    def test_profile_identical_with_and_without_collecting(
+        self, fano_layout, kind
+    ):
+        def profiled(telemetry):
+            prof = PhaseProfiler()
+            with use_profiler(prof):
+                if kind == "lifetimes":
+                    simulate_lifetimes(
+                        21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
+                        3000.0, trials=600, seed=7, telemetry=telemetry,
+                    )
+                else:
+                    simulate_fleet(
+                        fano_layout, 800.0, 2000.0, disk=DISK, arrays=40,
+                        trials=3, lambda_boost=4.0, seed=11, chunk_missions=32,
+                        telemetry=telemetry,
+                    )
+            return prof.deterministic_dict()
+
+        tel = Telemetry.collecting()
+        assert profiled(tel) == profiled(None)
+        assert tel.events.records, "telemetry captured no events"

@@ -137,6 +137,19 @@ class TestParallelKernelContract:
         ]
         assert all(r == results[0] for r in results[1:])
 
+    def test_collecting_keeps_chunks(self, fano_layout):
+        """A collecting run walks every trial, at the sweep's width."""
+        def chunks(telemetry):
+            calls = []
+            simulate_serve(
+                fano_layout, WorkloadSpec(n_requests=40), trials=40,
+                kernel="vectorized", seed=5, telemetry=telemetry,
+                progress=lambda *done: calls.append(done),
+            )
+            return len(calls)
+
+        assert chunks(None) == chunks(Telemetry.collecting()) == 3
+
     def test_unknown_kernel_is_rejected_up_front(self, fano_layout):
         with pytest.raises(SimulationError):
             simulate_serve(

@@ -4,15 +4,21 @@ The parallel runners already guarantee bit-identical *results* for any
 jobs count; these tests assert the same for the merged metrics registry
 and event log — the property that makes ``--metrics-out`` trustworthy
 regardless of how a run was parallelized. Trace spans carry wall clock
-and are explicitly outside the contract.
+and are explicitly outside the contract. Lifecycle, fleet and serve key
+their draws by the global trial and histogram sums are exact, so their
+registries are chunk-invariant as well.
 """
 
 import pytest
 
 from repro.obs import Telemetry
+from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.montecarlo import simulate_lifetimes, threshold_oracle
 from repro.sim.rebuild import DiskModel
+from repro.sim.serve import FixedRateThrottle, simulate_serve
+from repro.workloads.arrivals import OpenLoop
+from repro.workloads.generators import WorkloadSpec
 
 #: Tiny accelerated disk so rebuilds and losses happen within few trials.
 DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
@@ -102,3 +108,47 @@ class TestLifetimeTelemetryDeterminism:
         assert dones == sorted(dones)
         assert dones[-1] == 100
         assert all(total == 100 for _, total, _ in calls)
+
+
+def _chunked(name, chunk):
+    return {} if chunk is None else {name: chunk}
+
+
+#: ``run(layout, jobs, chunk, telemetry)`` per simulator whose chunk size
+#: is only a speed; ``chunk=None`` is the simulator's default width.
+CHUNK_INVARIANT_RUNS = {
+    "lifecycle": lambda layout, jobs, chunk, telemetry: simulate_lifecycle(
+        layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7, jobs=jobs,
+        telemetry=telemetry, **_chunked("chunk_trials", chunk),
+    ),
+    "fleet": lambda layout, jobs, chunk, telemetry: simulate_fleet(
+        layout, 800.0, 2000.0, disk=DISK, arrays=20, trials=3,
+        lambda_boost=4.0, seed=11, jobs=jobs, telemetry=telemetry,
+        **_chunked("chunk_missions", chunk),
+    ),
+    "serve": lambda layout, jobs, chunk, telemetry: simulate_serve(
+        layout, WorkloadSpec(n_requests=60), failed_disks=(0,),
+        arrival=OpenLoop(300.0), throttle=FixedRateThrottle(250.0),
+        trials=6, seed=4, jobs=jobs, telemetry=telemetry,
+        **_chunked("chunk_trials", chunk),
+    ),
+}
+
+
+class TestChunkInvariantTelemetry:
+    @pytest.mark.parametrize("kind", sorted(CHUNK_INVARIANT_RUNS))
+    def test_registry_identical_for_any_jobs_and_chunk(self, fano_layout, kind):
+        captures = {}
+        for jobs in (1, 2):
+            for chunk in (1, 3, None):
+                tel = Telemetry.collecting()
+                CHUNK_INVARIANT_RUNS[kind](fano_layout, jobs, chunk, tel)
+                captures[jobs, chunk] = (
+                    tel.metrics.to_dict(), tel.events.records,
+                    tel.events.dropped,
+                )
+        reference = captures[1, None]
+        assert reference[0]["histograms"], "no histogram to fold"
+        assert reference[1], "no events captured"
+        for key, capture in captures.items():
+            assert capture == reference, key

@@ -660,13 +660,6 @@ def _print_metrics_report(path: str, doc: dict) -> None:
             title=f"{path}: counters",
         ))
         print()
-    gauges = registry.gauges()
-    if gauges:
-        print(format_table(
-            ["gauge", "value"], [[n, v] for n, v in gauges],
-            title=f"{path}: gauges",
-        ))
-        print()
     hist_rows = []
     for name, hist in registry.histograms():
         s = hist.summary()
@@ -679,7 +672,7 @@ def _print_metrics_report(path: str, doc: dict) -> None:
             ["histogram", "count", "mean", "p50", "p95", "p99", "max"],
             hist_rows, title=f"{path}: histograms",
         ))
-    if not (counters or gauges or hist_rows):
+    if not (counters or hist_rows):
         print(f"{path}: empty metrics registry")
 
 

@@ -1,11 +1,11 @@
-"""``repro.obs`` — the dependency-free telemetry layer.
+"""``repro.obs`` — the telemetry layer (numpy is its one dependency).
 
 Three cooperating pieces (full design in DESIGN.md, "Telemetry layer"):
 
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
-  gauges, and streaming histograms; picklable and mergeable, so each
-  parallel worker collects locally and the parent merges chunk
-  registries in chunk order (bit-identical for any worker count).
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters and
+  streaming histograms; picklable and mergeable, so each parallel
+  worker collects locally and the parent merges chunk registries in
+  chunk order (bit-identical for any worker count).
 * :mod:`repro.obs.trace` — bounded span tracing with Chrome-trace-viewer
   and JSONL export (wall clock lives here, never in the registry).
 * :mod:`repro.obs.events` — a structured, sim-time-stamped event log of
@@ -41,7 +41,6 @@ from repro.obs.ledger import (
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "Counter",
     "EventLog",
-    "Gauge",
     "Heartbeat",
     "Histogram",
     "MetricsRegistry",

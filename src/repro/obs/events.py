@@ -1,7 +1,7 @@
 """A structured event log for lifecycle-simulation events.
 
 Every record is a flat dict with a ``kind`` (one of :data:`EVENT_KINDS`),
-a monotonic simulated-time stamp ``t`` (hours), usually a ``trial``
+a simulated-time stamp ``t`` (hours; serve's: seconds), usually a ``trial``
 index, and kind-specific fields (disk ids, rebuild hours, strike counts).
 The log is bounded (drops past ``max_events``, counting what it dropped)
 and mergeable: the parallel runner concatenates per-chunk logs in chunk
@@ -55,7 +55,7 @@ class EventLog:
     def emit(
         self, kind: str, t: float, trial: Optional[int] = None, **fields
     ) -> None:
-        """Record one event at simulated time *t* (hours)."""
+        """Record one event at simulated time *t* (hours; serve: seconds)."""
         if kind not in EVENT_KINDS:
             raise TelemetryError(
                 f"unknown event kind {kind!r} (expected one of "

@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, and streaming histograms.
+"""Metrics primitives: counters and streaming histograms.
 
 A :class:`MetricsRegistry` is the unit the rest of the stack passes
 around: simulation kernels record into one, each parallel worker fills a
@@ -7,8 +7,9 @@ order* so the merged result is bit-identical for any worker count.
 
 Design constraints (see DESIGN.md, "Telemetry layer"):
 
-* **Dependency-free and picklable** — registries cross process
-  boundaries via :mod:`pickle` and serialize to plain JSON documents.
+* **Plain and picklable** — registries hold plain Python numbers, cross
+  process boundaries via :mod:`pickle` and serialize to plain JSON
+  documents; numpy (a hard dependency) only folds columns in.
 * **Deterministic content** — simulation instrumentation records only
   sim-domain quantities (event counts, simulated hours, bytes). Wall
   clock lives in the trace (:mod:`repro.obs.trace`), never here, which
@@ -23,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as _np
 
 from repro.errors import TelemetryError
 
@@ -57,32 +60,6 @@ class Counter:
     def to_number(self) -> float:
         """Render as an int when the count is whole (the common case)."""
         return int(self.value) if self.value == int(self.value) else self.value
-
-
-class Gauge:
-    """A last-write-wins sampled value.
-
-    ``updates`` makes merging deterministic: a chunk that never set the
-    gauge cannot clobber one that did, and chunks are merged in chunk
-    order, so "last writer" is well defined for any worker count.
-    """
-
-    __slots__ = ("value", "updates")
-
-    def __init__(self, value: float = 0.0, updates: int = 0) -> None:
-        self.value = value
-        self.updates = updates
-
-    def set(self, value: float) -> None:
-        """Record the latest sampled value."""
-        self.value = value
-        self.updates += 1
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in; a gauge that was set wins over one that was not."""
-        if other.updates:
-            self.value = other.value
-        self.updates += other.updates
 
 
 class Histogram:
@@ -142,6 +119,44 @@ class Histogram:
             return
         key = math.floor(math.log(value) / _LOG_GROWTH)
         self.buckets[key] = self.buckets.get(key, 0) + 1
+
+    def observe_many(self, values) -> None:
+        """Record a sequence or array as :meth:`observe` would, value by value.
+
+        numpy logs give the buckets (re-taken with :func:`math.log` within
+        1e-9 of an edge); the sum enters as the exact expansion
+        :func:`math.fsum` peels off the values. A bad value records nothing.
+        """
+        array = _np.asarray(values)
+        items = list(values) if isinstance(values, (list, tuple)) else array.tolist()
+        valid = (array >= 0) & _np.isfinite(array)
+        if not valid.all():
+            self.observe(items[int(_np.argmin(valid))])  # raises, unrecorded
+        if not items:
+            return
+        low, high = items[int(array.argmin())], items[int(array.argmax())]
+        positive = array[array > 0]
+        logs = _np.log(positive) / _LOG_GROWTH
+        keys = _np.floor(logs).astype(_np.int64)
+        edge = _np.flatnonzero(_np.abs(logs - _np.rint(logs)) < 1e-9)
+        for i, value in zip(edge.tolist(), positive[edge].tolist()):
+            keys[i] = math.floor(math.log(value) / _LOG_GROWTH)
+        expansion = [math.fsum(items)]
+        while expansion[-1]:
+            items.append(-expansion[-1])
+            expansion.append(math.fsum(items))
+
+        self.count += len(array)
+        self.zeros += len(array) - len(positive)
+        for part in expansion[:-1]:
+            self._add(part)
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
+        if len(keys):
+            counts = _np.bincount(keys - keys.min())
+            found = _np.flatnonzero(counts)
+            for key, n in zip((found + keys.min()).tolist(), counts[found].tolist()):
+                self.buckets[key] = self.buckets.get(key, 0) + n
 
     @property
     def mean(self) -> float:
@@ -219,7 +234,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges, and histograms.
+    """A named collection of counters and histograms.
 
     Instruments are created on first use (``registry.counter("x").inc()``)
     and live for the registry's lifetime. Serialization sorts names, so
@@ -229,7 +244,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument access -------------------------------------------------
@@ -238,13 +252,6 @@ class MetricsRegistry:
         inst = self._counters.get(name)
         if inst is None:
             inst = self._counters[name] = Counter()
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        """The named gauge, created on first use."""
-        inst = self._gauges.get(name)
-        if inst is None:
-            inst = self._gauges[name] = Gauge()
         return inst
 
     def histogram(self, name: str) -> Histogram:
@@ -258,24 +265,18 @@ class MetricsRegistry:
         """``(name, value)`` pairs, sorted by name."""
         return sorted((n, c.to_number()) for n, c in self._counters.items())
 
-    def gauges(self) -> List[Tuple[str, float]]:
-        """``(name, value)`` pairs, sorted by name."""
-        return sorted((n, g.value) for n, g in self._gauges.items())
-
     def histograms(self) -> List[Tuple[str, Histogram]]:
         """``(name, histogram)`` pairs, sorted by name."""
         return sorted(self._histograms.items())
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
     # -- merge / serialization --------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold *other* into self (callers merge chunks in chunk order)."""
         for name, counter in other._counters.items():
             self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
         for name, hist in other._histograms.items():
             self.histogram(name).merge(hist)
 
@@ -291,10 +292,6 @@ class MetricsRegistry:
         return {
             "schema": METRICS_SCHEMA,
             "counters": {n: c.to_number() for n, c in sorted(self._counters.items())},
-            "gauges": {
-                n: {"value": g.value, "updates": g.updates}
-                for n, g in sorted(self._gauges.items())
-            },
             "histograms": {
                 n: h.to_dict() for n, h in sorted(self._histograms.items())
             },
@@ -302,7 +299,10 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsRegistry":
-        """Parse (and thereby validate) a ``repro.metrics/1`` document."""
+        """Parse (and thereby validate) a ``repro.metrics/1`` document.
+
+        The ``gauges`` object older documents carry is ignored.
+        """
         if not isinstance(doc, dict) or doc.get("schema") != METRICS_SCHEMA:
             raise TelemetryError(
                 f"not a {METRICS_SCHEMA} document "
@@ -312,10 +312,6 @@ class MetricsRegistry:
         try:
             for name, value in doc.get("counters", {}).items():
                 reg._counters[name] = Counter(float(value))
-            for name, fields in doc.get("gauges", {}).items():
-                reg._gauges[name] = Gauge(
-                    float(fields["value"]), int(fields["updates"])
-                )
             for name, fields in doc.get("histograms", {}).items():
                 reg._histograms[name] = Histogram.from_dict(fields)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

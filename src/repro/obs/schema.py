@@ -3,8 +3,8 @@
 Two on-disk shapes exist:
 
 * **metrics documents** — ``{"schema": "repro.metrics/1", counters,
-  gauges, histograms}``, written by ``--metrics-out`` and read back by
-  ``repro report``.
+  histograms}``, written by ``--metrics-out`` and read back by ``repro
+  report``.
 * **trace documents** — either Chrome trace-event JSON (an object with
   ``traceEvents`` and ``otherData.schema == "repro.trace/1"``, written
   by ``--trace-out file.json``) or JSONL (one span/event record per

@@ -91,10 +91,10 @@ class Telemetry:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set the named gauge (no-op when disabled)."""
-        if self.enabled:
-            self.metrics.gauge(name).set(value)
+    def observe_many(self, name: str, values) -> None:
+        """:meth:`observe` each of *values* (no-op when disabled or empty)."""
+        if self.enabled and len(values):
+            self.metrics.histogram(name).observe_many(values)
 
     def event(self, kind: str, t: float, trial: Optional[int] = None, **fields) -> None:
         """Append a lifecycle event at sim-time *t* (no-op when disabled)."""

@@ -11,8 +11,8 @@ Export formats:
 * :meth:`Tracer.to_chrome` — the Chrome trace-event JSON object format
   (load the file at ``chrome://tracing`` or https://ui.perfetto.dev).
   Lifecycle events (:mod:`repro.obs.events`) ride along as instant
-  events on a synthetic "sim-time" track, where 1 simulated hour is
-  rendered as 1 ms so failure/repair cascades are visually inspectable.
+  events on a synthetic "sim-time" track, 1 ms per unit of ``t`` (an
+  hour; serve's: a second), so failure/repair cascades are inspectable.
 * :meth:`Tracer.to_jsonl` — one JSON object per line, for grep/jq.
 
 Span timestamps are ``time.perf_counter()`` readings, which have an
@@ -34,7 +34,7 @@ from repro.errors import TelemetryError
 #: Document identifier stamped on serialized traces.
 TRACE_SCHEMA = "repro.trace/1"
 
-#: Simulated hours -> chrome microseconds scale for the sim-time track.
+#: Sim-time units (hours; serve: seconds) -> chrome microseconds.
 SIM_HOUR_US = 1000.0
 
 

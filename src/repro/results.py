@@ -82,6 +82,9 @@ class Column:
     def __len__(self) -> int:
         return len(self._array)
 
+    def __array__(self, dtype: Any = None, copy: Any = None) -> Any:
+        return self._array if dtype is None and not copy else _np.array(self._array, dtype)
+
     def __iter__(self) -> Iterator[Any]:
         # One Python number at a time: a consumer that streams
         # (``array("d", column)``, ``max``) never holds them all.

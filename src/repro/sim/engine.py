@@ -12,10 +12,11 @@ object itself. A sorted arrival stream never enters the heap at all:
 :meth:`Simulator.feed` hands it to the run loop as a list and a cursor.
 
 Telemetry: a :class:`Simulator` counts scheduled / processed / cancelled
-events into the telemetry passed to it (default: the ambient telemetry,
-a no-op unless a caller installed a collecting one), so the engine's
-work is visible in ``repro report`` without any per-event cost when
-telemetry is disabled beyond a single flag check.
+events into the ambient telemetry (a no-op unless a caller installed a
+collecting one) at one flag check per event when disabled. Like the
+planner's, these are machinery counts: a direct call (``repro rebuild
+--rebuild-model event``) records them, a chunk, run under the disabled
+ambient, never does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.telemetry import Telemetry, ambient
+from repro.obs.telemetry import ambient
 
 
 class Event:
@@ -55,12 +56,11 @@ class Event:
 class Simulator:
     """Run events in time order until the queue drains or a horizon hits."""
 
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._processed = 0
-        self._tel = telemetry if telemetry is not None else ambient()
+        self._tel = ambient()
         self._feed_times: Sequence[float] = ()
         self._feed_action: Optional[Callable[[int], None]] = None
         self._fed = 0  # the feed's cursor: arrivals fired so far
@@ -147,7 +147,6 @@ class Simulator:
         drained = not queue and self._fed == len(self._feed_times)
         if until is not None and self.now < until and drained:
             self.now = until
-        self._processed += processed
         if self._tel.enabled:
             self._tel.count("engine.events_processed", processed)
         return processed

@@ -554,8 +554,7 @@ def _lifecycle_chunk(
             ("lifecycle.peak_failures", missions.peak),
             ("lifecycle.loss_time_hours", loss_times),
         ):
-            for value in column.tolist():
-                tel.observe(name, value)
+            tel.observe_many(name, column)
     with prof.phase("merge"):
         return LifecycleResult(
             trials=trials,

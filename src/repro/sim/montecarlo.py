@@ -181,8 +181,7 @@ def _narrate(tel, times, kinds, disks, counts, starts, lost):
         if amount:
             tel.count(name, amount)
     tel.count("mc.trials", len(counts))
-    for hours in times[lost].tolist():
-        tel.observe("mc.loss_time_hours", hours)
+    tel.observe_many("mc.loss_time_hours", times[lost])
 
 
 def _lifetime_chunk(

@@ -731,7 +731,8 @@ def _sweep_batch(
     model: LatencyModel,
     walks: Optional[Sequence[tuple]] = None,
     n_ops: int = 0,
-) -> ServeResult:
+    tally: bool = False,
+):
     """Sweep what the walk left of a trace batch: Lindley per queue lane.
 
     *walks* holds one :func:`_serve_event_trial` outcome per trial; each
@@ -751,6 +752,8 @@ def _sweep_batch(
     order matches :meth:`FcfsServer.submit` exactly — ``max`` then add,
     completion re-expressed as ``t + (done - t)`` the way the engine's
     delay arithmetic does — so the sweep is bit-identical to the walk.
+    With *tally* it also returns the ``(trials, survivors)`` requests and
+    busy seconds each queue ends with, summed as :class:`FcfsServer` does.
     """
     routes = _columnar_routes(tables)
     k, n = batch.trials, batch.n_requests
@@ -779,8 +782,9 @@ def _sweep_batch(
     flat_lens = lens.ravel()
     arrivals = batch.arrivals
     ops_done = finish = ()
+    queues = [[(d, 0, 0.0) for d in tables.survivors]] * k  # idle, unwalked
     if walks is not None:
-        busy0, issued, done_at, ops_done, finish = zip(*walks)
+        busy0, issued, done_at, ops_done, finish, _, queues = zip(*walks)
         if arrivals is None:  # a closed loop paces itself: the walk knows
             arrivals = _np.array(issued)
         walked = (
@@ -809,6 +813,14 @@ def _sweep_batch(
         lane_ids = lane_ids.astype(_np.uint16)
     order = _np.argsort(lane_ids, kind="stable")
     counts = _np.bincount(lane_ids, minlength=k * n_lanes)
+    tallied = None
+    if tally:  # a lane's bin starts at its walk's total, then adds its legs
+        _, served, seeds = zip(*(q for qs in queues for q in qs[:n_lanes]))
+        busy = _np.bincount(
+            _np.concatenate((_np.arange(k * n_lanes), lane_ids)),
+            _np.concatenate((seeds, _np.repeat(svc.ravel(), flat_lens))),
+        )
+        tallied = (counts + served).reshape(k, n_lanes), busy.reshape(k, n_lanes)
     del lane_ids
     leg_t = _np.repeat(arrivals.ravel(), flat_lens)
     t_sorted = leg_t[order]
@@ -872,7 +884,7 @@ def _sweep_batch(
         rebuild_ops_done=sum(ops_done),
         rebuild_seconds_per_trial=finish if n_ops else (),
         foreground_seconds_per_trial=by_trial.max(axis=1),
-    )
+    ), tallied
 
 
 def _serve_event_trial(
@@ -881,20 +893,21 @@ def _serve_event_trial(
     arrival: ArrivalProcess,
     model: LatencyModel,
     throttle: Optional[ThrottlePolicy],
-    tel: Telemetry,
     handoff: bool = False,
 ):
     """Walk one trial's sampled trace through the discrete-event heap.
 
-    Returns ``(busy, issued, done, rebuild_done, rebuild_finish)``:
-    per-survivor ``busy_until``, and the completion time of every
+    Returns ``(busy, issued, done, rebuild_done, rebuild_finish, stop,
+    queues)``: per-survivor ``busy_until``, the completion time of every
     request the walk submitted, in request order (plus, for a closed
-    loop, when it was issued). A completion is known at submission (a
-    FIFO disk fixes it), so nothing waits for the pop. With *handoff* the walk stops once the last rebuild op has
-    submitted its writes — from then on every queue submission is a
-    foreground arrival at a known time, which :func:`_sweep_batch`
-    resumes from *busy*; otherwise it drains the heap and ``done``
-    covers the whole trace.
+    loop, when it was issued), the rebuild's progress, where the clock
+    stopped, and each queue's ``(disk, requests, total_busy)``, survivors
+    first. A completion is known at submission (a FIFO disk fixes it), so
+    nothing waits for the pop. With *handoff* the walk stops once the
+    last rebuild op has submitted its writes — from then on every queue
+    submission is a foreground arrival at a known time, which
+    :func:`_sweep_batch` resumes from *busy*; otherwise it drains the
+    heap and ``done`` covers the whole trace.
     """
     arrivals_row, units_row, iswrite_row = trace_row
     n = len(units_row)
@@ -905,14 +918,12 @@ def _serve_event_trial(
     # Dedicated sparing rebuilds onto the replacement disks: queues of
     # their own, which no foreground request ever joins.
     spares = tables.failed if ops and tables.sparing == "dedicated" else ()
-    sim = Simulator(telemetry=tel)
+    sim = Simulator()
     servers = {d: FcfsServer(sim, f"disk{d}") for d in survivors + spares}
     service = model.service_seconds()
     write_service = 2 * service
     read_routes = tables.read_routes
-    read_degraded = tables.read_degraded
     write_routes = tables.write_routes
-    write_degraded = tables.write_degraded
 
     issued: List[float] = []  # a closed loop's arrival times
     done_at: List[float] = []
@@ -920,12 +931,8 @@ def _serve_event_trial(
     rebuild_finish = 0.0
 
     def finish_request(arrival_s: float) -> None:
-        latency_ms = (sim.now - arrival_s) * 1000.0
         if throttle is not None:
-            throttle.observe(latency_ms)
-        if tel.enabled:
-            tel.count("serve.requests")
-            tel.observe("serve.latency_ms", latency_ms)
+            throttle.observe((sim.now - arrival_s) * 1000.0)
 
     def fan_out(disks: Sequence[int], per_disk_service: float, done) -> float:
         """Submit one access per disk; *done* fires when the slowest ends.
@@ -944,15 +951,11 @@ def _serve_event_trial(
         if not iswrite_row[index]:
             # Healthy reads hit the home disk; a lost cell fans out to
             # its repair step's source disks (plan-driven routing).
-            if tel.enabled and read_degraded[unit]:
-                tel.count("serve.degraded_reads")
             done_at.append(fan_out(read_routes[unit], service, done))
             return
         # Write: read-modify-write the home disk (if online) plus every
         # containing stripe's parity disks; a lost home cell degrades to
         # parity-only (the array absorbs the write into redundancy).
-        if tel.enabled and write_degraded[unit]:
-            tel.count("serve.degraded_writes")
         done_at.append(fan_out(write_routes[unit], write_service, done))
 
     # -- foreground arrivals ------------------------------------------------
@@ -993,27 +996,13 @@ def _serve_event_trial(
         throttle.reset()
         cursor = {"op": 0}
         n_ops = len(ops)
-        drained = 0
-
-        def writes_done() -> None:
-            nonlocal drained
-            if tel.enabled:
-                tel.count("serve.rebuild_ops_completed")
-                drained += 1
-                if drained == n_ops:
-                    tel.event("rebuild_drained", sim.now, ops=n_ops)
 
         def dispatch(op: _RebuildOp) -> None:
-            if tel.enabled:
-                tel.count("serve.rebuild_ops_dispatched")
-
             def reads_done() -> None:
                 nonlocal rebuild_done, rebuild_finish
                 finish = sim.now
                 if op.writes:
-                    finish = fan_out(op.writes, service, writes_done)
-                else:
-                    writes_done()
+                    finish = fan_out(op.writes, service, lambda: None)
                 rebuild_done += 1
                 if finish > rebuild_finish:
                     rebuild_finish = finish
@@ -1044,21 +1033,43 @@ def _serve_event_trial(
     with prof.phase("serve"):
         sim.run()
 
-    if tel.enabled:
-        for disk, server in sorted(servers.items()):
-            if sim.now > 0:
-                tel.observe(
-                    "serve.disk_utilization", server.utilization(sim.now)
-                )
-            tel.event(
-                "queue_report", sim.now, disk=disk,
-                requests=server.requests,
-            )
-        if ops:
-            tel.observe("serve.rebuild_seconds", rebuild_finish)
-
     busy = [servers[d].busy_until for d in survivors]
-    return busy, issued, done_at, rebuild_done, rebuild_finish
+    queues = [(d, s.requests, s.total_busy) for d, s in servers.items()]
+    return busy, issued, done_at, rebuild_done, rebuild_finish, sim.now, queues
+
+
+def _narrate(tel, result, walks, survivors, served, busy) -> None:
+    """Record into *tel* what walking every trial to its end would emit:
+    counters, histograms, and per trial ``rebuild_drained`` and one
+    ``queue_report`` per queue, stamped at the trial's last event (last
+    completion, rebuild finish, or where a walk to the end stopped)."""
+    tel.count("serve.requests", result.requests)
+    for name in ("degraded_reads", "degraded_writes"):
+        if getattr(result, name):
+            tel.count(f"serve.{name}", getattr(result, name))
+    finish = result.rebuild_seconds_per_trial
+    ends = _np.asarray(result.foreground_seconds_per_trial)
+    n_ops = result.rebuild_ops // result.trials
+    if n_ops:
+        tel.count("serve.rebuild_ops_dispatched", result.rebuild_ops)
+        tel.count("serve.rebuild_ops_completed", result.rebuild_ops_done)
+        ends = _np.maximum(ends, finish)
+    if walks is not None:
+        ends = _np.maximum(ends, [walk[5] for walk in walks])
+    tel.observe_many("serve.latency_ms", result.latencies_ms)
+    tel.observe_many("serve.rebuild_seconds", finish)
+    utilization = []
+    for trial, end in enumerate(ends.tolist()):
+        queues = list(zip(survivors, served[trial].tolist(), busy[trial].tolist()))
+        if walks is not None:
+            queues += walks[trial][6][len(survivors):]
+        if n_ops:
+            tel.event("rebuild_drained", finish[trial], ops=n_ops)
+        for disk, requests, total_busy in sorted(queues):
+            tel.event("queue_report", end, disk=disk, requests=requests)
+            if end > 0:
+                utilization.append(min(1.0, total_busy / end))
+    tel.observe_many("serve.disk_utilization", utilization)
 
 
 #: Serving trials per chunk when every trial is walked end to end. One
@@ -1085,7 +1096,8 @@ def _serve_chunk(
     :func:`~repro.sim.columnar.lanes` addresses by the run seed and that
     global trial index, never the chunk geometry — so the merged result
     is bit-identical for any chunk size. *swept* is the ``vectorized``
-    kernel on a config :func:`serve_batch_supported` admits.
+    kernel on a config :func:`serve_batch_supported` admits; a collecting
+    *tel* takes the same path and is narrated (:func:`_narrate`).
     """
     (tables,) = state
     trials = spec.size
@@ -1097,21 +1109,21 @@ def _serve_chunk(
         )
 
     ops = tables.rebuild_ops if throttle is not None else ()
-    handoff = swept and not tel.enabled
     walks = None
-    if ops or not handoff:
+    if ops or not swept:
         with prof.phase("replay"):
             walks = [
                 _serve_event_trial(
-                    tables, trace.row(i), arrival, model, throttle, tel,
-                    handoff,
+                    tables, trace.row(i), arrival, model, throttle, swept
                 )
                 for i in range(trials)
             ]
-    with prof.phase("sweep" if handoff else "merge"):
-        result = _sweep_batch(trace, tables, model, walks, len(ops))
+    with prof.phase("sweep" if swept else "merge"):
+        result, tally = _sweep_batch(trace, tables, model, walks, len(ops), tel.enabled)
+        if tally:
+            _narrate(tel, result, walks, tables.survivors, *tally)
     if prof.enabled:
-        walked = sum(len(done) for _, _, done, _, _ in walks or ())
+        walked = sum(len(walk[2]) for walk in walks or ())
         prof.count("serve.trials", trials)
         prof.count("serve.requests", result.requests)
         prof.count("serve.walked_requests", walked)
@@ -1175,8 +1187,8 @@ def simulate_serve(
     ``(trial, disk)`` queue lane; ``event`` — and ``vectorized`` on
     every other config — walks each trial's whole trace. Either way one
     array tail turns completion times into latencies and counters.
-    Telemetry-collecting runs always take the full walk (its per-event
-    observation stream *is* the telemetry contract) at the same width.
+    Collected *telemetry* is narrated from that tail, as a walk of every
+    trial would emit it, minus ``engine.*`` (a sweep has no heap).
 
     Raises :class:`~repro.errors.DataLossError` when *failed_disks* is
     not a survivable pattern (there is nothing to serve). The result is

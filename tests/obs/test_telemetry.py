@@ -8,7 +8,7 @@ class TestNullTelemetry:
         tel = NULL_TELEMETRY
         tel.count("x")
         tel.observe("h", 1.0)
-        tel.set_gauge("g", 2.0)
+        tel.observe_many("h", [1.0, 2.0])
         tel.event("failure", 1.0)
         with tel.span("s"):
             pass
@@ -26,12 +26,15 @@ class TestCollecting:
         tel = Telemetry.collecting()
         tel.count("c", 2)
         tel.observe("h", 3.0)
-        tel.set_gauge("g", 4.0)
+        tel.observe_many("h", [4.0, 5])
+        tel.observe_many("empty", [])
         tel.event("failure", 1.0, trial=0)
         with tel.span("s", k=1):
             pass
         assert tel.metrics.counters() == [("c", 2)]
-        assert tel.metrics.gauges() == [("g", 4.0)]
+        # An empty column creates no histogram, as no observe call would.
+        [(name, hist)] = tel.metrics.histograms()
+        assert (name, hist.count, hist.max) == ("h", 3, 5)
         assert len(tel.events) == 1
         assert [s.name for s in tel.trace.spans] == ["s"]
 

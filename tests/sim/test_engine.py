@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import Telemetry
+from repro.obs import Telemetry, use_telemetry
 from repro.sim.engine import FcfsServer, Simulator
 
 
@@ -115,11 +115,12 @@ class TestSimulator:
 
     def test_telemetry_counts_engine_activity(self):
         tel = Telemetry.collecting()
-        sim = Simulator(telemetry=tel)
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(handle)
-        sim.run()
+        with use_telemetry(tel):
+            sim = Simulator()
+            handle = sim.schedule(1.0, lambda: None)
+            sim.schedule(2.0, lambda: None)
+            sim.cancel(handle)
+            sim.run()
         counters = dict(tel.metrics.counters())
         assert counters["engine.events_scheduled"] == 2
         assert counters["engine.events_cancelled"] == 1
@@ -181,10 +182,11 @@ class TestFeed:
 
     def test_fed_arrivals_count_as_engine_events(self):
         tel = Telemetry.collecting()
-        sim = Simulator(telemetry=tel)
-        sim.feed([1.0, 2.0, 3.0], lambda i: None)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
+        with use_telemetry(tel):
+            sim = Simulator()
+            sim.feed([1.0, 2.0, 3.0], lambda i: None)
+            sim.schedule(1.0, lambda: None)
+            sim.run()
         counters = dict(tel.metrics.counters())
         assert counters["engine.events_scheduled"] == 4
         assert counters["engine.events_processed"] == 4

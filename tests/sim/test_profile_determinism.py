@@ -15,6 +15,9 @@ from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
 from repro.sim.rebuild import DiskModel
+from repro.sim.serve import FixedRateThrottle, simulate_serve
+from repro.workloads.arrivals import OpenLoop
+from repro.workloads.generators import WorkloadSpec
 
 #: Tiny accelerated disk so rebuilds and losses happen within few trials.
 DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
@@ -103,7 +106,7 @@ class TestCollectingDoesNotSteer:
     """Telemetry observes the path a run takes: the same phases, chunks,
     counters and series whether or not it is collecting."""
 
-    @pytest.mark.parametrize("kind", ["lifetimes", "fleet"])
+    @pytest.mark.parametrize("kind", ["lifetimes", "fleet", "serve"])
     def test_profile_identical_with_and_without_collecting(
         self, fano_layout, kind
     ):
@@ -114,6 +117,13 @@ class TestCollectingDoesNotSteer:
                     simulate_lifetimes(
                         21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
                         3000.0, trials=600, seed=7, telemetry=telemetry,
+                    )
+                elif kind == "serve":
+                    simulate_serve(
+                        fano_layout, WorkloadSpec(n_requests=60),
+                        failed_disks=(0,), arrival=OpenLoop(300.0),
+                        throttle=FixedRateThrottle(250.0), trials=20, seed=4,
+                        telemetry=telemetry,
                     )
                 else:
                     simulate_fleet(

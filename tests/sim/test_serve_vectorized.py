@@ -138,7 +138,7 @@ class TestParallelKernelContract:
         assert all(r == results[0] for r in results[1:])
 
     def test_collecting_keeps_chunks(self, fano_layout):
-        """A collecting run walks every trial, at the sweep's width."""
+        """A collecting run takes the sweep's path, at the sweep's width."""
         def chunks(telemetry):
             calls = []
             simulate_serve(
@@ -159,16 +159,26 @@ class TestParallelKernelContract:
 
 
 class TestTelemetryInvariance:
-    @pytest.mark.parametrize("throttle_name", ["none", "fixed"])
+    @pytest.mark.parametrize(
+        "throttle_name,arrival",
+        [
+            ("none", OpenLoop(300.0)),
+            ("fixed", OpenLoop(300.0)),
+            ("idle", OpenLoop(300.0)),
+            ("adaptive", OpenLoop(300.0)),
+            ("fixed", ClosedLoop(4, think_s=0.002)),
+        ],
+        ids=["none", "fixed", "idle", "adaptive", "closed-loop"],
+    )
     def test_metrics_and_events_identical_across_kernels(
-        self, fano_layout, throttle_name
+        self, fano_layout, throttle_name, arrival
     ):
         captures = {}
         for kernel in ("event", "vectorized"):
             tel = Telemetry.collecting()
             result = simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=60),
-                failed_disks=(0,), arrival=OpenLoop(300.0),
+                failed_disks=(0,), arrival=arrival,
                 throttle=THROTTLES[throttle_name](),
                 trials=6, kernel=kernel, seed=4, telemetry=tel,
             )

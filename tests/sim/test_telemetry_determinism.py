@@ -132,6 +132,12 @@ CHUNK_INVARIANT_RUNS = {
         trials=6, seed=4, jobs=jobs, telemetry=telemetry,
         **_chunked("chunk_trials", chunk),
     ),
+    # No throttle: nothing is walked, every chunk is swept and narrated.
+    "serve-swept": lambda layout, jobs, chunk, telemetry: simulate_serve(
+        layout, WorkloadSpec(n_requests=60), failed_disks=(0,),
+        arrival=OpenLoop(300.0), trials=6, seed=4, jobs=jobs,
+        telemetry=telemetry, **_chunked("chunk_trials", chunk),
+    ),
 }
 
 

@@ -466,6 +466,24 @@ class TestReport:
         out = capsys.readouterr().out
         assert "plan_recovery" in out
 
+    def test_reads_a_document_that_still_carries_gauges(
+        self, tmp_path, capsys
+    ):
+        """Written before gauges went: the object is accepted and ignored."""
+        old = tmp_path / "old.json"
+        old.write_text(
+            '{"counters": {"serve.requests": 3}, "gauges": {"load": '
+            '{"updates": 1, "value": 0.75}}, "histograms": '
+            '{"serve.latency_ms": {"buckets": {"4": 1, "9": 1}, "count": 3, '
+            '"max": 2.25, "min": 0.0, "sum": 3.75, "zeros": 1}}, '
+            '"schema": "repro.metrics/1"}'
+        )
+        assert main(["report", "--check", str(old)]) == 0
+        assert "valid metrics document" in capsys.readouterr().out
+        assert main(["report", str(old)]) == 0
+        out = capsys.readouterr().out
+        assert "serve.requests" in out and "load" not in out
+
     def test_malformed_file_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{} nonsense")

@@ -4,9 +4,9 @@ Every record is a flat dict with a ``kind`` (one of :data:`EVENT_KINDS`),
 a simulated-time stamp ``t`` (hours; serve's: seconds), usually a ``trial``
 index, and kind-specific fields (disk ids, rebuild hours, strike counts).
 The log is bounded (drops past ``max_events``, counting what it dropped)
-and mergeable: the parallel runner concatenates per-chunk logs in chunk
-order, rebasing each chunk's trial indices by the number of trials
-already merged, so the merged log is bit-identical for any worker count.
+and mergeable: chunks stamp their records with global trial indices, and
+the parallel runner concatenates per-chunk logs in chunk order, so the
+merged log is bit-identical for any worker count.
 
 The log deliberately stores *simulated* time only — wall clock would
 break the determinism contract — which also makes it a replayable record
@@ -80,23 +80,13 @@ class EventLog:
             counts[record["kind"]] = counts.get(record["kind"], 0) + 1
         return counts
 
-    def merge(self, other: "EventLog", trial_offset: int = 0) -> None:
-        """Append *other*'s records, rebasing trial indices by *trial_offset*.
+    def merge(self, other: "EventLog") -> None:
+        """Append *other*'s records, as many as fit; count the rest dropped.
 
-        Bulk path: capacity is checked once (the room left can only
-        shrink) and untouched records are extended in one slice instead
-        of appended one by one — merging per-chunk logs is on the
-        parallel runner's chunk-completion path.
+        Bulk path: capacity is checked once and the records are extended
+        in one slice instead of appended one by one — merging per-chunk
+        logs is on the parallel runner's chunk-completion path.
         """
-        room = self.max_events - len(self.records)
-        take = other.records if room >= len(other.records) else other.records[:room]
-        if trial_offset:
-            self.records.extend(
-                {**record, "trial": record["trial"] + trial_offset}
-                if "trial" in record
-                else record
-                for record in take
-            )
-        else:
-            self.records.extend(take)
+        take = other.records[: self.max_events - len(self.records)]
+        self.records.extend(take)
         self.dropped += (len(other.records) - len(take)) + other.dropped

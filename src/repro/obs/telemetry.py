@@ -108,10 +108,10 @@ class Telemetry:
         return _NULL_SPAN
 
     # -- merge -------------------------------------------------------------
-    def merge_chunk(self, chunk: "Telemetry", trial_offset: int = 0) -> None:
+    def merge_chunk(self, chunk: "Telemetry") -> None:
         """Fold one worker chunk in (call in chunk order for determinism)."""
         self.metrics.merge(chunk.metrics)
-        self.events.merge(chunk.events, trial_offset=trial_offset)
+        self.events.merge(chunk.events)
         self.trace.merge(chunk.trace)
 
 

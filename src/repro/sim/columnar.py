@@ -385,7 +385,9 @@ class LockstepScreen:
     costs a nominal-rate screen 2–3 %). The mission chunk replays the
     dangerous trials *in full* through the exact event walk from
     ``streams.cursor(t)`` — the same position-addressed floats the
-    screen read — and overwrites their entries.
+    screen read — and overwrites their entries. With *tally*, each round
+    appends ``(trial, failed_at, disk, repaired_at)`` columns of its clean
+    and truncated (``repaired_at`` NaN) incidents to ``tally``.
     """
 
     def __init__(
@@ -398,6 +400,7 @@ class LockstepScreen:
         lse_rate_per_byte: float,
         guarantee: int,
         weighted: bool = False,
+        tally: bool = False,
     ) -> None:
         n = layout.n_disks
         # One slot is all the screen reads in bulk; later slots are read
@@ -414,6 +417,7 @@ class LockstepScreen:
         self.degraded = _np.zeros(trials)
         # Disk by disk, the order a walk's cursor adds the same draws in.
         self.draw_sum = self.fail_at.sum(axis=0) if weighted else None
+        self.tally = [] if tally else None
         self._tables = tables
         self._horizon_hours = horizon_hours
         self._single_safe = guarantee >= 1
@@ -435,7 +439,7 @@ class LockstepScreen:
         horizon_hours = self._horizon_hours
         lse_thresholds = self._lse_thresholds
         n_failures, n_repairs = self.n_failures, self.n_repairs
-        degraded, draw_sum = self.degraded, self.draw_sum
+        degraded, draw_sum, tally = self.degraded, self.draw_sum, self.tally
         dangerous, single_safe = self.dangerous, self._single_safe
         n, trials = fail_at.shape
         lambd = self.streams.lambd
@@ -485,6 +489,9 @@ class LockstepScreen:
                     danger[hit[struck]] = True
                     clean[hit[struck]] = False
                     checked[t_ix[~struck]] += _np.uint64(1)
+            if tally is not None:  # after the strikes left the clean set
+                kept, repaired = clean | trunc, _np.where(clean, comp, _np.nan)
+                tally.append((active[kept], tf[kept], first[kept], repaired[kept]))
             # Truncations are rare: skip their gathers when there are none.
             ti = _np.flatnonzero(trunc)
             if ti.size:

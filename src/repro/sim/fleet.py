@@ -44,10 +44,10 @@ Determinism contract: lanes are addressed by ``(seed, global mission)``
 and chunk boundaries are a pure function of the mission count, so the
 result is bit-identical for any ``jobs`` (the float accumulators are
 folded in chunk order by :func:`merge_fleet_chunks`); chunk size only
-regroups float additions. A collecting telemetry records the event
-vocabulary for *replayed* missions only — the fleet kernel is a
-counting kernel, and walking every clean mission just to narrate it
-would defeat the screen — and never changes the result.
+regroups float additions. A collecting telemetry takes the same path:
+the mission chunk narrates the lifecycle vocabulary of every mission
+from what its screen settled and its walk replayed, and never changes
+the result.
 """
 
 from __future__ import annotations
@@ -263,9 +263,9 @@ def _fleet_chunk(
     """Advance missions ``spec.start .. spec.start+spec.size-1`` and fold them.
 
     The chunk function the driver runs: :func:`_mission_chunk` on the
-    broadcast *state* at the boosted rate, always screened (a collecting
-    *tel* narrates the replayed missions only), then the fold of its
-    columns — weights from each mission's lifetime-draw count and sum.
+    broadcast *state* at the boosted rate, always screened (and narrating
+    every mission to a collecting *tel*), then the fold of its columns —
+    weights from each mission's lifetime-draw count and sum.
     """
     start, count = spec.start, spec.size
     lambd_true = 1.0 / mttf_hours
@@ -443,8 +443,9 @@ def simulate_fleet(
     *progress* is
     called after every completed chunk with ``(missions_done,
     missions_total, raw_losses_so_far)``. A collecting *telemetry*
-    records events for replayed missions only, merged in chunk order
-    with global mission indices.
+    receives the ``fleet.*`` counters and, narrated by the mission chunk,
+    the ``lifecycle.*`` vocabulary of every mission, stamped with its
+    global mission index.
     """
     check_positive("arrays", arrays, 1)
     check_positive("trials", trials, 1)
@@ -456,7 +457,7 @@ def simulate_fleet(
     parts = run_chunks(
         "simulate_fleet", dict(arrays=arrays, trials=trials, jobs=jobs),
         _fleet_chunk,
-        _mission_state(layout, timer, disk, sparing, method, batches, True),
+        _mission_state(layout, timer, disk, sparing, method, batches),
         dict(
             mttf_hours=mttf_hours, horizon_hours=horizon_hours,
             lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,

@@ -54,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as _np
@@ -276,8 +277,7 @@ def _lifecycle_trial(
     timer: "RebuildTimer",
     lse_rate_per_byte: float,
     tolerance: int,
-    tel: Telemetry,
-    trial: int,
+    log: Optional[List[tuple]] = None,
 ) -> Tuple[Optional[float], bool, int, int, float, int]:
     """Walk one mission's event heap; the exact (event) plane.
 
@@ -287,6 +287,7 @@ def _lifecycle_trial(
     vectorized kernel replay exactly this walk for any trial it flags as
     dangerous. Patterns of at most *tolerance* failures
     (:func:`guaranteed_tolerance`) survive without asking the decoder.
+    A *log* list receives ``(kind, t, *fields)`` per event (:data:`_FIELDS`).
     Returns ``(lost_at, lost_to_lse, failures, repairs, degraded_hours,
     peak_failures)``.
     """
@@ -321,26 +322,14 @@ def _lifecycle_trial(
                 degraded_since = time
             failed.add(payload)
             peak = max(peak, len(failed))
-            if tel.enabled:
-                tel.count("lifecycle.failures")
-                tel.event(
-                    "failure", time, trial=trial,
-                    disk=payload, failed=len(failed),
-                )
+            if log is not None:
+                log.append(("failure", time, payload, len(failed)))
                 if rebuild_in_flight:
-                    tel.count("lifecycle.repairs_abandoned")
-                    tel.event(
-                        "repair_abandon", time, trial=trial,
-                        epoch=epoch,
-                    )
+                    log.append(("repair_abandon", time, epoch))
             if len(failed) > tolerance and not is_recoverable(layout, failed):
                 lost_at = time
-                if tel.enabled:
-                    tel.count("lifecycle.losses")
-                    tel.event(
-                        "data_loss", time, trial=trial,
-                        cause="pattern", failed=len(failed),
-                    )
+                if log is not None:
+                    log.append(("data_loss", time, "pattern", len(failed)))
                 break
             # Re-plan the enlarged pattern; the previous rebuild (if
             # any) is abandoned and its epoch goes stale.
@@ -348,13 +337,8 @@ def _lifecycle_trial(
             hours, rebuild_bytes = timer(frozenset(failed))
             heapq.heappush(heap, (time + hours, seq, 1, epoch))
             seq += 1
-            if tel.enabled:
-                tel.count("lifecycle.repairs_planned")
-                tel.observe("lifecycle.rebuild_hours", hours)
-                tel.event(
-                    "repair_start", time, trial=trial,
-                    failed=len(failed), hours=hours,
-                )
+            if log is not None:
+                log.append(("repair_start", time, len(failed), hours))
         else:
             if payload != epoch or not failed:
                 continue  # invalidated by a later failure
@@ -362,14 +346,8 @@ def _lifecycle_trial(
                 strikes = _poisson(
                     rng, rebuild_bytes * lse_rate_per_byte
                 )
-                if tel.enabled:
-                    tel.count("lifecycle.lse_checks")
-                    if strikes:
-                        tel.count("lifecycle.lse_strikes", strikes)
-                    tel.event(
-                        "lse_check", time, trial=trial,
-                        strikes=strikes,
-                    )
+                if log is not None:
+                    log.append(("lse_check", time, strikes))
                 if strikes:
                     stranded = {
                         _random_surviving_cell(rng, layout, failed)
@@ -379,21 +357,12 @@ def _lifecycle_trial(
                     if not cells_recoverable(layout, jointly):
                         lost_at = time
                         lost_to_lse = True
-                        if tel.enabled:
-                            tel.count("lifecycle.losses")
-                            tel.count("lifecycle.lse_losses")
-                            tel.event(
-                                "data_loss", time, trial=trial,
-                                cause="lse", failed=len(failed),
-                            )
+                        if log is not None:
+                            log.append(("data_loss", time, "lse", len(failed)))
                         break
             n_repairs += 1
-            if tel.enabled:
-                tel.count("lifecycle.repairs_completed")
-                tel.event(
-                    "repair_complete", time, trial=trial,
-                    disks=len(failed),
-                )
+            if log is not None:
+                log.append(("repair_complete", time, len(failed)))
             for disk_id in sorted(failed):
                 t = time + rng.expovariate(lambd, disk_id)
                 heapq.heappush(heap, (t, seq, 0, disk_id))
@@ -423,6 +392,63 @@ class MissionColumns(NamedTuple):
     replays: int  #: missions that went through the event walk
 
 
+#: The fields a walk event carries after ``(kind, t)``, in record order.
+_FIELDS = {
+    "failure": ("disk", "failed"), "repair_abandon": ("epoch",),
+    "data_loss": ("cause", "failed"), "repair_start": ("failed", "hours"),
+    "lse_check": ("strikes",), "repair_complete": ("disks",),
+}
+
+
+def _narrate(tel, start, missions, tally, logs, hours, lse) -> None:
+    """Record into *tel* what walking every mission of the chunk would emit.
+
+    Walked missions replay their *logs*; the rest are narrated from the
+    screen's *tally*, one disk down at a time, rebuilt in ``hours[disk]``.
+    Records — global mission ``start + t``, in mission order — are built
+    only for the room left in the log.
+    """
+    # One empty round more, so an unscreened chunk's empty tally concatenates.
+    incidents = [_np.concatenate(c) for c in zip(*tally, [_np.zeros(0, _np.int64)] * 4)]
+    settled = _np.flatnonzero(~_np.isin(incidents[0], list(logs)))
+    settled = settled[_np.argsort(incidents[0][settled], kind="stable")]
+    trial, _, disk, repaired_at = incidents = [c[settled] for c in incidents]
+    rows = [row for log in logs.values() for row in log]
+    failures, repairs = int(missions.failures.sum()), int(missions.repairs.sum())
+    losses = int(_np.count_nonzero(missions.lost_at < math.inf))
+    lse_losses = int(_np.count_nonzero(missions.lost_to_lse))
+    counts = dict(
+        failures=failures, repairs_planned=failures - losses + lse_losses,
+        repairs_completed=repairs, losses=losses, lse_losses=lse_losses,
+        repairs_abandoned=[row[0] for row in rows].count("repair_abandon"),
+    )
+    if lse:
+        strikes = sum(row[2] for row in rows if row[0] == "lse_check")
+        counts.update(lse_checks=repairs + lse_losses, lse_strikes=strikes)
+    for name, amount in counts.items():
+        if amount:
+            tel.count(f"lifecycle.{name}", amount)
+    tel.observe_many("lifecycle.rebuild_hours", _np.concatenate((
+        hours[disk], [row[3] for row in rows if row[0] == "repair_start"],
+    )))
+
+    log = tel.events
+    room = log.max_events - len(log.records)
+    completed = int(_np.count_nonzero(~_np.isnan(repaired_at)))
+    log.dropped += max(0, len(rows) + 2 * len(trial) + (1 + lse) * completed - room)
+    # An incident is two records or more: the first *room* fill the log.
+    hours, by_trial = hours.tolist(), dict(logs)
+    for t, failed, d, repaired in zip(*(c[:room].tolist() for c in incidents)):
+        out = by_trial.setdefault(t, [])
+        out += [("failure", failed, d, 1), ("repair_start", failed, 1, hours[d])]
+        if repaired == repaired:  # NaN where the horizon cut the rebuild
+            out += [("lse_check", repaired, 0)] * lse + [("repair_complete", repaired, 1)]
+    log.records.extend(islice((
+        {"kind": kind, "t": time, "trial": start + t, **dict(zip(_FIELDS[kind], fields))}
+        for t in sorted(by_trial) for kind, time, *fields in by_trial[t]
+    ), room))
+
+
 def _mission_state(
     layout: Layout,
     timer: Optional[RebuildTimer],
@@ -430,21 +456,19 @@ def _mission_state(
     sparing: str,
     method: str,
     batches: int,
-    screened: bool,
-) -> Tuple[Layout, RebuildTimer, Optional[LifecycleTables]]:
+) -> Tuple[Layout, RebuildTimer, LifecycleTables]:
     """The broadcast ``(layout, timer, tables)`` of a lifecycle or fleet run.
 
-    The layout's cell indexes, the rebuild-time memo and the screen's
-    per-disk rebuild columns (``None`` when nothing is *screened*) are
-    unpickled once per worker, and the memo then accumulates across every
-    chunk the worker runs.
+    The layout's cell indexes, the rebuild-time memo and the per-disk
+    rebuild columns are unpickled once per worker, and the memo then
+    accumulates across every chunk the worker runs. The columns are built
+    for either kernel, so the parent's rebuild calls never depend on it.
     """
     if timer is None:
         timer = RebuildTimer(
             layout, disk or DiskModel(), sparing, method, batches
         )
-    tables = LifecycleTables.build(layout, timer) if screened else None
-    return layout, timer, tables
+    return layout, timer, LifecycleTables.build(layout, timer)
 
 
 def _mission_chunk(
@@ -462,7 +486,8 @@ def _mission_chunk(
     lockstep screen and walks only the missions it flags; otherwise every
     mission is walked, from a plane sized by :func:`_slot_estimate`. The
     walk (:func:`_lifecycle_trial`) reads the floats the screen read, so
-    *screened* never changes a column.
+    *screened* never changes a column. A collecting *tel* is narrated
+    from the screen's tally and the walks' logs (:func:`_narrate`).
     """
     layout, timer, tables = state
     count, n = spec.size, layout.n_disks
@@ -475,7 +500,7 @@ def _mission_chunk(
         if screened:
             screen = LockstepScreen(
                 layout, tables, mission_lanes, lambd, horizon_hours,
-                lse_rate_per_byte, tolerance, weighted,
+                lse_rate_per_byte, tolerance, weighted, tel.enabled,
             )
             streams = screen.streams
         else:
@@ -504,6 +529,7 @@ def _mission_chunk(
 
     lost_at = _np.full(count, math.inf)
     lost_to_lse = _np.zeros(count, dtype=bool)
+    logs = {t: [] for t in walk} if tel.enabled else {}
     with prof.phase("replay"):
         for t in walk:
             cursor = streams.cursor(t)
@@ -512,32 +538,33 @@ def _mission_chunk(
                 peak[t],
             ) = _lifecycle_trial(
                 cursor, layout, lambd, horizon_hours, timer,
-                lse_rate_per_byte, tolerance, tel, t,
+                lse_rate_per_byte, tolerance, logs.get(t),
             )
             if at is not None:
                 lost_at[t] = at
             draws[t] = cursor.draws
             if weighted:
                 draw_sum[t] = cursor.draw_sum
-    return MissionColumns(
-        lost_at, lost_to_lse, failures, repairs, peak, degraded, draws,
-        draw_sum, len(walk),
-    )
+        missions = MissionColumns(
+            lost_at, lost_to_lse, failures, repairs, peak, degraded, draws,
+            draw_sum, len(walk),
+        )
+        if tel.enabled:
+            _narrate(tel, spec.start, missions, screen.tally if screened else [], logs,
+                     tables.hours, lse_rate_per_byte > 0)
+    return missions
 
 
 def _lifecycle_chunk(
     state, spec, tel, *, screened, mttf_hours, horizon_hours,
     lse_rate_per_byte,
 ) -> LifecycleResult:
-    """One chunk of trials: :func:`_mission_chunk` at the nominal rate.
-
-    A collecting *tel* needs the walk's per-event vocabulary for every
-    trial, so it is never screened.
-    """
+    """One chunk of trials: :func:`_mission_chunk` at the nominal rate,
+    plus the per-trial histograms of a collecting *tel*."""
     trials = spec.size
     lambd = 1.0 / mttf_hours
     missions = _mission_chunk(
-        state, spec, tel, screened=screened and not tel.enabled,
+        state, spec, tel, screened=screened,
         lambd=lambd, nominal_lambd=lambd, horizon_hours=horizon_hours,
         lse_rate_per_byte=lse_rate_per_byte,
     )
@@ -607,9 +634,9 @@ def simulate_lifecycle(
     which is a pure speed argument as it is for serve and fleet. The
     default (``None``) is wide for the ``vectorized`` kernel
     (:func:`_plane_trials`: up to 2048 trials) and 256 for ``event``,
-    which walks every trial; collecting telemetry never changes it.
-    Rebuild times are memoized per pattern within each worker (they are
-    pure functions of the pattern, so the memo never affects results).
+    which walks every trial. Rebuild times are memoized per pattern
+    within each worker (pure functions of the pattern, so the memo never
+    affects results).
 
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
     reach the exact walk (:func:`_lifecycle_trial`), never the answer.
@@ -628,23 +655,20 @@ def simulate_lifecycle(
     many sweep points against one layout share a single rebuild-time memo
     instead of rebuilding it per call — and with it the screen's per-disk
     rebuild columns, which are ``n_disks`` memoised calls on it
-    (:func:`_mission_state`), made once here for the ``vectorized``
-    kernel and broadcast to the workers alongside it. It must have been
-    constructed with the same ``(layout, disk, sparing, method,
-    batches)`` — rebuild times are pure functions of those, so a matching
-    one can never change results.
+    (:func:`_mission_state`), made once here and broadcast to the
+    workers alongside it. It must have been constructed with the same
+    ``(layout, disk, sparing, method, batches)`` — rebuild times are pure
+    functions of those, so a matching one can never change results.
 
     *telemetry* (default: the ambient telemetry, a no-op unless a caller
     installed a collecting one) receives counters and histograms of
     sim-domain quantities plus the structured event log — failure
     arrivals, repair start/abandon/complete, latent-error checks, data
-    loss — all stamped with simulated hours; trial indices are
-    chunk-local in the workers and rebased at the merge, so the merged
-    registry and event log are bit-identical for any ``jobs`` and
-    *chunk_trials*. A collecting run needs that per-event vocabulary for
-    every trial, so it walks every trial whatever *kernel* says —
-    identical result *and* identical registry/event log across kernels.
-    The planner and rebuild memo a chunk calls record nothing into it.
+    loss — stamped with simulated hours and the global trial. A
+    collecting run takes the plain run's path and is narrated
+    (:func:`_narrate`): the registry and log are bit-identical for any
+    *kernel*, ``jobs`` and *chunk_trials*. The planner and rebuild memo a
+    chunk calls record nothing into it.
     """
     screened = resolve_kernel(kernel) == "vectorized"
     _check_mission(mttf_hours, horizon_hours, lse_rate_per_byte)
@@ -653,7 +677,7 @@ def simulate_lifecycle(
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk,
-        _mission_state(layout, timer, disk, sparing, method, batches, screened),
+        _mission_state(layout, timer, disk, sparing, method, batches),
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,

@@ -144,12 +144,12 @@ def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
             verdict[row] = verdicts[keys[row]] = bool(oracle(failed))
 
 
-def _narrate(tel, times, kinds, disks, counts, starts, lost):
+def _narrate(tel, first, times, kinds, disks, counts, starts, lost):
     """Record into *tel* what walking each trial up to its *lost* event would.
 
     The ``mc.*`` counters, ``mc.loss_time_hours``, and ``failure`` /
-    ``repair_complete`` / ``data_loss`` records in trial order, built only
-    for the room left in the log (the rest count as dropped).
+    ``repair_complete`` / ``data_loss`` records in trial order (global
+    ``first + i``), built only for the room left in the log (the rest dropped).
     """
     trial_of = _np.repeat(_np.arange(len(counts)), counts)
     ends = starts + counts
@@ -171,7 +171,7 @@ def _narrate(tel, times, kinds, disks, counts, starts, lost):
         {"kind": "data_loss", "t": t, "trial": i, "cause": "pattern",
          "failed": f}
         for c, t, i, d, f in zip(
-            code[:room].tolist(), times[order].tolist(), trial.tolist(),
+            code[:room].tolist(), times[order].tolist(), (first + trial).tolist(),
             disks[order].tolist(),
             (running[order + 1] - running[starts[trial]]).tolist(),
         )
@@ -220,7 +220,7 @@ def _lifetime_chunk(
             disks, starts, events, event_trials, n_disks, oracle, verdicts
         )
         if tel.enabled:
-            _narrate(tel, times, kinds, disks, counts, starts, lost)
+            _narrate(tel, spec.start, times, kinds, disks, counts, starts, lost)
     prof.count("mc.oracle_calls", peels)
     if prof.enabled:
         prof.count("mc.trials", trials)

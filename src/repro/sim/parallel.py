@@ -25,7 +25,8 @@ worker count**, including ``jobs=1``:
 3. Chunk results stream back in **completion** order (progress callbacks
    fire as chunks land), but are handed to the caller's merge — and
    their telemetry folded — in chunk order, so concatenated outputs like
-   ``loss_times`` and the merged telemetry are stable for any ``jobs``.
+   ``loss_times`` and the merged telemetry are stable for any ``jobs``
+   (chunk records carry global trial indices, so logs just concatenate).
 
 The heavy read-only state of each simulator (the oracle, the layout, the
 rebuild-time memo) is **broadcast** to the pool through its initializer —
@@ -120,8 +121,8 @@ def _chunk_task(state, common, spec):
     *chunk_fn* runs under the disabled ambient telemetry: the planner and
     rebuild memo it calls record nothing, *chunk_tel* only its simulator.
     """
-    chunk_fn, params, collect, profile = common
-    chunk_tel = Telemetry.collecting() if collect else NULL_TELEMETRY
+    chunk_fn, params, collect, profile, room = common
+    chunk_tel = Telemetry.collecting(max_events=max(1, room)) if collect else NULL_TELEMETRY
     chunk_prof = None
     if profile:
         chunk_prof = PhaseProfiler()
@@ -163,11 +164,13 @@ def run_chunks(
     which is what makes stderr heartbeats possible mid-run — while each
     chunk's telemetry is folded into *telemetry* (``None``: the ambient
     one, a no-op unless a caller installed a collecting instance) through
-    a reorder buffer at its global trial offset, so the merged registry
-    and event log are bit-identical for any ``jobs`` (only the wall-clock
-    *span*, opened around the whole drain with *span_args*, varies). A
-    chunk function's *chunk_tel* is a collecting instance of its own, or
-    the shared disabled one when nothing is collected.
+    a reorder buffer, so the merged registry and event log are
+    bit-identical for any ``jobs`` (only the wall-clock *span*, opened
+    around the whole drain with *span_args*, varies). A chunk function's
+    *chunk_tel* is a collecting instance of its own, or the shared
+    disabled one when nothing is collected. Its log is capped at the room
+    the merged log had when the chunk was handed out — exactly what the
+    merge keeps at ``jobs=1``, at least that in a worker.
 
     When the ambient :class:`~repro.obs.prof.PhaseProfiler` is enabled,
     each chunk runs under a private profiler and the drain folds those
@@ -190,7 +193,8 @@ def run_chunks(
     ]
     prof = ambient_profiler()
     tel = telemetry if telemetry is not None else ambient()
-    common = (chunk_fn, params, tel.enabled, prof.enabled)
+    log = tel.events
+    common = [chunk_fn, params, tel.enabled, prof.enabled, log.max_events - len(log.records)]
     parts: List[Any] = [None] * len(specs)
     pending = {}
     next_fold = 0
@@ -210,9 +214,8 @@ def run_chunks(
             while next_fold in pending:
                 chunk_tel, chunk_prof = pending.pop(next_fold)
                 if chunk_tel is not None:
-                    tel.merge_chunk(
-                        chunk_tel, trial_offset=specs[next_fold].start
-                    )
+                    tel.merge_chunk(chunk_tel)
+                    common[-1] = log.max_events - len(log.records)
                 if chunk_prof is not None:
                     with prof.phase("merge"):
                         prof.merge_chunk(chunk_prof)

@@ -1,4 +1,4 @@
-"""The lifecycle event log: vocabulary, bounds, trial-rebasing merge."""
+"""The lifecycle event log: vocabulary, bounds, merge."""
 
 import pytest
 
@@ -38,16 +38,9 @@ class TestEventLog:
         log.emit("data_loss", 3.0)
         assert log.kinds() == {"failure": 2, "data_loss": 1}
 
-    def test_merge_rebases_trial_indices(self):
-        a, b = EventLog(), EventLog()
-        a.emit("failure", 1.0, trial=0)
-        b.emit("failure", 2.0, trial=0)
-        b.emit("data_loss", 3.0, trial=1)
-        a.merge(b, trial_offset=5)
-        assert [r["trial"] for r in a.records] == [0, 5, 6]
-
     def test_merge_does_not_mutate_source(self):
         a, b = EventLog(), EventLog()
         b.emit("failure", 1.0, trial=0)
-        a.merge(b, trial_offset=10)
-        assert b.records[0]["trial"] == 0
+        a.merge(b)
+        a.emit("data_loss", 2.0, trial=1)
+        assert b.records == [{"kind": "failure", "t": 1.0, "trial": 0}]

@@ -38,15 +38,6 @@ class TestCollecting:
         assert len(tel.events) == 1
         assert [s.name for s in tel.trace.spans] == ["s"]
 
-    def test_merge_chunk_rebases_trials(self):
-        parent = Telemetry.collecting()
-        chunk = Telemetry.collecting()
-        chunk.count("trials", 10)
-        chunk.event("data_loss", 5.0, trial=2)
-        parent.merge_chunk(chunk, trial_offset=100)
-        assert parent.metrics.counters() == [("trials", 10)]
-        assert parent.events.records[0]["trial"] == 102
-
 
 class TestAmbient:
     def test_default_ambient_is_disabled(self):

@@ -163,15 +163,20 @@ def _walk_trial_telemetry(
     return lost_at
 
 
-def walk_plane(times, kinds, disks, counts, starts, oracle, tel) -> List[float]:
-    """Walk every trial of one sampled plane into *tel*; the loss times."""
+def walk_plane(
+    times, kinds, disks, counts, starts, oracle, tel, first=0
+) -> List[float]:
+    """Walk every trial of one sampled plane into *tel*; the loss times.
+
+    Records carry the global trial ``first + i`` of the plane's trial *i*.
+    """
     t_list, k_list, d_list = times.tolist(), kinds.tolist(), disks.tolist()
     loss_times = []
     for trial in range(len(counts)):
         a = int(starts[trial])
         b = a + int(counts[trial])
         lost_at = _walk_trial_telemetry(
-            t_list[a:b], k_list[a:b], d_list[a:b], oracle, tel, trial
+            t_list[a:b], k_list[a:b], d_list[a:b], oracle, tel, first + trial
         )
         if lost_at is not None:
             loss_times.append(lost_at)
@@ -184,9 +189,9 @@ def walk_chunks(
 ) -> List[float]:
     """Walk the chunk planes ``simulate_lifetimes`` samples, in chunk order.
 
-    Each chunk's plane is walked into a private collecting instance that
-    is folded into *telemetry* at the chunk's trial offset, as the chunk
-    driver folds them. Returns the run's loss times.
+    Each chunk's plane is walked, stamping global trial indices, into a
+    private collecting instance that is folded into *telemetry*, as the
+    chunk driver folds them. Returns the run's loss times.
     """
     loss_times = []
     for index, size in enumerate(chunk_sizes(trials, chunk_trials)):
@@ -195,6 +200,6 @@ def walk_chunks(
             rng, n_disks, mttf_hours, mttr_hours, horizon_hours, size
         )
         chunk_tel = Telemetry.collecting()
-        loss_times += walk_plane(*plane, oracle, chunk_tel)
-        telemetry.merge_chunk(chunk_tel, trial_offset=index * chunk_trials)
+        loss_times += walk_plane(*plane, oracle, chunk_tel, index * chunk_trials)
+        telemetry.merge_chunk(chunk_tel)
     return loss_times

@@ -17,7 +17,6 @@ from repro.sim.columnar import (
     mix64,
     oracle_guarantee,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.lifecycle import (
     RebuildTimer,
     _lifecycle_trial,
@@ -268,14 +267,12 @@ class TestLockstepScreen:
 
         overlapped = struck = 0
         for trial in range(self.TRIALS):
-            tel = Telemetry.collecting()
+            log = []
             _lost, _lse, failures, repairs, _hours, peak = _lifecycle_trial(
                 screen.streams.cursor(trial), fano_layout, lambd,
-                self.HORIZON, timer, lse_rate, tolerance, tel, trial,
+                self.HORIZON, timer, lse_rate, tolerance, log,
             )
-            strikes = dict(tel.metrics.counters()).get(
-                "lifecycle.lse_strikes", 0
-            )
+            strikes = sum(row[2] for row in log if row[0] == "lse_check")
             overlapped += peak >= 2
             struck += strikes > 0
             assert bool(screen.dangerous[trial]) == (peak >= 2 or strikes > 0)
@@ -305,7 +302,54 @@ class TestLockstepScreen:
         shape = screen.streams.exponentials.shape
         lost, _lse, failures, _repairs, _hours, _peak = _lifecycle_trial(
             screen.streams.cursor(0), fano_layout, 1.0 / mttf, horizon,
-            timer, 0.0, tolerance, NULL_TELEMETRY, 0,
+            timer, 0.0, tolerance,
         )
         assert lost is None and failures > 5000
         assert screen.streams.exponentials.shape == shape
+
+    @pytest.mark.parametrize("lse_mean", [0.0, 0.2])
+    def test_tallied_incidents_are_the_walks_rows(self, fano_layout, lse_mean):
+        """For every trial the screen settles, its tallied incidents are
+        the walk's logged rows bit for bit: failure and repair start at
+        the failure, then (unless the horizon cuts the rebuild) the clean
+        latent-error check and the completion."""
+        # Fewer failures per trial than the class's: most trials settle,
+        # a dozen or so with a rebuild the horizon cuts.
+        mttf, horizon, trials = 1500.0, 1000.0, 600
+        timer = RebuildTimer(fano_layout, DISK)
+        tables = LifecycleTables.build(fano_layout, timer)
+        lse_rate = lse_mean / float(tables.bytes_read.max())
+        tolerance = guaranteed_tolerance(fano_layout)
+        lambd = 1.0 / mttf
+        screen = LockstepScreen(
+            fano_layout, tables,
+            lanes(self.SEED, MISSION, 0, trials, fano_layout.n_disks + 1),
+            lambd, horizon, lse_rate, tolerance, tally=True,
+        )
+        screen.rounds()
+        trial, failed_at, disk, repaired_at = (
+            np.concatenate(column) for column in zip(*screen.tally)
+        )
+        settled = truncated = 0
+        for t in np.flatnonzero(~screen.dangerous).tolist():
+            log = []
+            _lifecycle_trial(
+                screen.streams.cursor(t), fano_layout, lambd, horizon,
+                timer, lse_rate, tolerance, log,
+            )
+            rows = []
+            for i in np.flatnonzero(trial == t).tolist():
+                d = int(disk[i])
+                rows += [
+                    ("failure", failed_at[i], d, 1),
+                    ("repair_start", failed_at[i], 1, tables.hours[d]),
+                ]
+                if math.isnan(repaired_at[i]):
+                    truncated += 1
+                    continue
+                if lse_rate:
+                    rows.append(("lse_check", repaired_at[i], 0))
+                rows.append(("repair_complete", repaired_at[i], 1))
+            assert rows == log, t
+            settled += 1
+        assert 0 < settled < trials and truncated > 0

@@ -113,10 +113,12 @@ class TestJobsInvariance:
             arrays=10, trials=40, seed=3, telemetry=tel,
         )
         assert watched == plain
-        # the replay plane was narrated; the screen plane never is
+        # every mission is narrated, settled by the screen or replayed
         counters = dict(tel.metrics.counters())
         assert counters["fleet.missions"] == 400
         assert counters["fleet.replays"] == watched.replays
+        assert counters["lifecycle.failures"] == sum(watched.failures_per_array)
+        assert counters["lifecycle.repairs_completed"] == sum(watched.repairs_per_array)
 
 
 class TestImportanceSampling:

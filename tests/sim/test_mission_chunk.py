@@ -34,7 +34,7 @@ MTTF, HORIZON, MISSIONS, START = 2000.0, 500.0, 160, 37
 def state(request, fano_layout):
     """The broadcast state; RAID50 (tolerance 1) is the one that loses data."""
     layout = fano_layout if request.param == "oi" else Raid50Layout(7, 3)
-    return _mission_state(layout, None, DISK, "distributed", "analytic", 8, True)
+    return _mission_state(layout, None, DISK, "distributed", "analytic", 8)
 
 
 def chunk(state, seed, boost, lse_rate, screened, tel=NULL_TELEMETRY):
@@ -69,8 +69,8 @@ def test_screened_columns_are_the_walked_columns(state, seed, lse_mean, boost):
 
     # The config holds every outcome the screen tells apart: missions it
     # settles whole, a rebuild cut off by the horizon, an overlap and (with
-    # latent errors on) a strike — which only a replayed mission narrates,
-    # so the collecting screened run saw it.
+    # latent errors on) a strike — which only a replayed mission logs, so
+    # the collecting screened run narrated it.
     overlapped = walked.peak >= 2
     lost = walked.lost_at <= HORIZON
     truncated = ~lost & ~overlapped & (walked.failures > walked.repairs)

@@ -5,7 +5,9 @@ import pytest
 from repro.core.oi_layout import oi_raid
 from repro.core.tolerance import survivable_fraction
 from repro.errors import SimulationError
+from repro.obs.events import EventLog
 from repro.obs.ledger import result_digest
+from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import derive_chunk_seed
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
@@ -71,6 +73,32 @@ class TestMerge:
     def test_merge_rejects_empty(self):
         with pytest.raises(SimulationError):
             LifetimeResult.merged([])
+
+    def test_chunk_logs_hold_only_the_room_the_merge_keeps(self, monkeypatch):
+        """At ``jobs=1`` chunks run after their predecessors folded, so a
+        chunk's log is capped at the merged log's room — once the first
+        chunk fills it, every later chunk builds one record at most."""
+        caps = []
+        collecting = Telemetry.collecting.__func__
+
+        def spy(cls, max_spans=20_000, max_events=50_000):
+            caps.append(max_events)
+            return collecting(cls, max_spans, max_events)
+
+        tel = Telemetry.collecting(max_events=40)
+        monkeypatch.setattr(Telemetry, "collecting", classmethod(spy))
+        uncapped = Telemetry(events=EventLog(max_events=40))
+        args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
+        kwargs = dict(trials=200, seed=9, jobs=1, chunk_trials=50)
+        simulate_lifetimes(*args, telemetry=tel, **kwargs)
+        assert caps == [40, 1, 1, 1]
+        # The cap changes neither the merged records nor ``dropped``.
+        monkeypatch.setattr(Telemetry, "collecting", classmethod(
+            lambda cls, max_spans=20_000, max_events=50_000: collecting(cls)
+        ))
+        simulate_lifetimes(*args, telemetry=uncapped, **kwargs)
+        assert tel.events.records == uncapped.events.records
+        assert tel.events.dropped == uncapped.events.dropped > 0
 
 
 class TestDeterminism:

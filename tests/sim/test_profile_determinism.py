@@ -106,14 +106,19 @@ class TestCollectingDoesNotSteer:
     """Telemetry observes the path a run takes: the same phases, chunks,
     counters and series whether or not it is collecting."""
 
-    @pytest.mark.parametrize("kind", ["lifetimes", "fleet", "serve"])
+    @pytest.mark.parametrize("kind", ["lifetimes", "lifecycle", "fleet", "serve"])
     def test_profile_identical_with_and_without_collecting(
         self, fano_layout, kind
     ):
         def profiled(telemetry):
             prof = PhaseProfiler()
             with use_profiler(prof):
-                if kind == "lifetimes":
+                if kind == "lifecycle":
+                    simulate_lifecycle(
+                        fano_layout, 800.0, 2000.0, disk=DISK, trials=60,
+                        seed=7, chunk_trials=16, telemetry=telemetry,
+                    )
+                elif kind == "lifetimes":
                     simulate_lifetimes(
                         21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
                         3000.0, trials=600, seed=7, telemetry=telemetry,

@@ -72,7 +72,7 @@ def main() -> None:
     # stream while a throttled rebuild of disk 0 runs in the background.
     # One Scenario object + run() is the whole API; telemetry collects
     # metrics that must validate against the repro.metrics/1 schema.
-    telemetry = Telemetry.collecting()
+    telemetry = Telemetry()
     served = run(
         Scenario(
             kind="serve",

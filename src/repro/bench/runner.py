@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.emit import StructuredEmitter
-from repro.obs.ledger import RunLedger, run_manifest
-from repro.obs.prof import ambient_profiler
+from repro.obs.ledger import RunLedger, profile_mark, run_manifest
+from repro.obs.telemetry import ambient
 from repro.results import ResultBase, register_result
 from repro.sim.parallel import default_jobs
 
@@ -88,6 +88,7 @@ def run_experiment(
     """
     if emitter is None:
         emitter = StructuredEmitter.from_env()
+    before = profile_mark(ambient())
     start = time.perf_counter()
     result = experiment.body()
     result.seconds = time.perf_counter() - start
@@ -102,7 +103,8 @@ def run_experiment(
                 seconds=result.seconds,
                 result_doc=result.to_dict(),
                 summary=result.metrics,
-                profiler=ambient_profiler(),
+                telemetry=ambient(),
+                since=before,
             )
         )
     if emitter is not None:

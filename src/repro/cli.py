@@ -39,9 +39,10 @@ so repeated sweeps in the same process reuse warm workers.
 
 Global flags (before the subcommand): ``--metrics-out FILE`` /
 ``--trace-out FILE`` collect telemetry for the run (worker-merged, also
-deterministic per N); ``--profile-out FILE`` turns on the kernel phase
-profiler (chunk-merged, deterministic per N) and writes the profile
-document, with run-level tracemalloc peak memory; ``-v`` turns on INFO
+deterministic per N); ``--profile-out FILE`` profiles its kernel phases
+(chunk-merged, deterministic per N) and writes the profile document,
+with run-level tracemalloc peak memory — one ``Telemetry`` holds
+whichever of the two the flags ask for; ``-v`` turns on INFO
 logging plus stderr progress heartbeats for the Monte-Carlo runs
 (``-vv`` for DEBUG), ``-q`` silences everything below ERROR. Stdout
 carries only the command's output.
@@ -74,12 +75,10 @@ from repro.errors import ReproError
 from repro.obs import (
     Heartbeat,
     MetricsRegistry,
-    PhaseProfiler,
     RunLedger,
     Telemetry,
-    ambient_profiler,
+    ambient,
     load_telemetry_file,
-    use_profiler,
     use_telemetry,
 )
 from repro.obs.emit import check_writable, writing
@@ -320,15 +319,15 @@ def _layout_from(args: argparse.Namespace):
 def _progress_for(args: argparse.Namespace) -> Optional[Heartbeat]:
     """A stderr heartbeat for long Monte-Carlo runs, when ``-v`` is on.
 
-    When the ambient phase profiler is live, the heartbeat subscribes to
+    When the ambient telemetry is profiling, the heartbeat subscribes to
     its phase transitions so the rate window resets at kernel phase
     boundaries (screen -> replay) instead of averaging across them.
     """
     if getattr(args, "verbose", 0):
         heartbeat = Heartbeat(label="trials")
-        prof = ambient_profiler()
-        if prof.enabled:
-            prof.on_phase = heartbeat.on_phase
+        tel = ambient()
+        if tel.profiling:
+            tel.on_phase = heartbeat.on_phase
         return heartbeat
     return None
 
@@ -995,34 +994,32 @@ def _configure_logging(args: argparse.Namespace) -> None:
     )
 
 
-def _write_profile(args: argparse.Namespace, profiler: PhaseProfiler) -> None:
-    path = pathlib.Path(args.profile_out)
-    with writing(path):
-        path.write_text(
-            json.dumps(profiler.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    logger.info("wrote profile to %s", path)
-
-
 def _write_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
+    """Write the artifact of each of ``--metrics-out``, ``--trace-out``
+    and ``--profile-out`` that is set."""
+    artifacts = []
     if args.metrics_out:
-        path = pathlib.Path(args.metrics_out)
-        with writing(path):
-            path.write_text(
-                telemetry.metrics.to_json() + "\n", encoding="utf-8"
-            )
-        logger.info("wrote metrics to %s", path)
+        artifacts.append(
+            ("metrics", args.metrics_out, telemetry.metrics.to_json() + "\n")
+        )
     if args.trace_out:
-        path = pathlib.Path(args.trace_out)
-        if path.suffix == ".jsonl":
+        if pathlib.Path(args.trace_out).suffix == ".jsonl":
             text = telemetry.trace.to_jsonl(telemetry.events)
         else:
             doc = telemetry.trace.to_chrome(telemetry.events)
             text = json.dumps(doc, indent=2) + "\n"
+        artifacts.append(("trace", args.trace_out, text))
+    if args.profile_out:
+        doc = telemetry.profile_dict()
+        artifacts.append(
+            ("profile", args.profile_out,
+             json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        )
+    for what, name, text in artifacts:
+        path = pathlib.Path(name)
         with writing(path):
             path.write_text(text, encoding="utf-8")
-        logger.info("wrote trace to %s", path)
+        logger.info("wrote %s to %s", what, path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1042,33 +1039,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     _configure_logging(args)
-    telemetry = (
-        Telemetry.collecting()
-        if (args.metrics_out or args.trace_out)
-        else None
-    )
+    collect = bool(args.metrics_out or args.trace_out)
+    profile = bool(args.profile_out)
+    telemetry = Telemetry(collect, profile) if collect or profile else None
     args.telemetry = telemetry
-    profiler = PhaseProfiler() if args.profile_out else None
     try:
         # Probe every requested artifact before simulating anything
         # (``run`` does the same for ``$REPRO_LEDGER``).
         for path in (args.metrics_out, args.trace_out, args.profile_out):
             if path:
                 check_writable(path)
-        if profiler is not None:
+        if profile:
             tracemalloc.start()
         try:
-            with use_telemetry(telemetry), use_profiler(profiler):
+            with use_telemetry(telemetry):
                 rc = args.func(args)
-            if profiler is not None:
-                profiler.capture_memory_peak()
+            if profile:
+                telemetry.capture_memory_peak()
         finally:
-            if profiler is not None:
+            if profile:
                 tracemalloc.stop()
         if telemetry is not None:
             _write_telemetry(args, telemetry)
-        if profiler is not None:
-            _write_profile(args, profiler)
         return rc
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

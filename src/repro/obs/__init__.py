@@ -1,31 +1,26 @@
 """``repro.obs`` — the telemetry layer (numpy is its one dependency).
 
-Three cooperating pieces (full design in DESIGN.md, "Telemetry layer"):
+Full design in DESIGN.md, "Telemetry layer". One instrument,
+:class:`Telemetry` (:mod:`repro.obs.telemetry`), has two sections, each
+switched on by the artifact that needs it. The *collected* one bundles
+three pieces behind no-op emitters:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters and
-  streaming histograms; picklable and mergeable, so each parallel
-  worker collects locally and the parent merges chunk registries in
-  chunk order (bit-identical for any worker count).
+  streaming histograms; picklable and mergeable in chunk order
+  (bit-identical for any worker count).
 * :mod:`repro.obs.trace` — bounded span tracing with Chrome-trace-viewer
   and JSONL export (wall clock lives here, never in the registry).
-* :mod:`repro.obs.events` — a structured, sim-time-stamped event log of
-  lifecycle happenings (failure, repair start/abandon/complete,
-  latent-error check, data loss).
-* :mod:`repro.obs.prof` — :class:`PhaseProfiler`, a low-overhead
-  wall-clock phase profiler for the vectorized kernels (sample/screen/
-  replay/merge durations, replay counters, chunk-ordered ESS series);
-  rides its own ambient channel (:func:`use_profiler`) so profiling
-  never flips the telemetry-driven kernel delegation.
-* :mod:`repro.obs.ledger` — :class:`RunLedger`, the append-only JSONL
-  provenance ledger (``$REPRO_LEDGER``) behind ``repro runs``.
+* :mod:`repro.obs.events` — a sim-time-stamped log of lifecycle
+  happenings (failure, repair start/abandon/complete, latent-error
+  check, data loss).
 
-:class:`Telemetry` bundles the three behind no-op emitters
-(:data:`NULL_TELEMETRY` is the default everywhere), and
-:func:`use_telemetry`/:func:`ambient` provide scoped ambient wiring for
-helpers too deep to thread a parameter through. :class:`Heartbeat`
-implements the parallel runners' ``progress`` callback for stderr
-liveness; :class:`StructuredEmitter` is the benchmarks' JSONL channel;
-:func:`load_telemetry_file` validates saved artifacts for ``repro
+The *profiled* one holds exclusive kernel phases, path counters and
+chunk-ordered series. :data:`NULL_TELEMETRY` is the default everywhere;
+:func:`use_telemetry`/:func:`ambient` wire helpers too deep to thread a
+parameter through. Around it: :class:`RunLedger`, the ``$REPRO_LEDGER``
+provenance ledger behind ``repro runs``; :class:`Heartbeat`, the stderr
+``progress`` callback; :class:`StructuredEmitter`, the benchmarks' JSONL
+channel; :func:`load_telemetry_file`, the artifact validator of ``repro
 report`` and CI.
 """
 
@@ -44,13 +39,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.prof import (
-    NULL_PROFILER,
-    PROFILE_SCHEMA,
-    PhaseProfiler,
-    ambient_profiler,
-    use_profiler,
-)
 from repro.obs.progress import Heartbeat
 from repro.obs.schema import (
     load_telemetry_file,
@@ -61,6 +49,7 @@ from repro.obs.schema import (
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
+    PROFILE_SCHEMA,
     Telemetry,
     ambient,
     use_telemetry,
@@ -71,7 +60,6 @@ __all__ = [
     "BENCH_JSONL_ENV",
     "EVENT_KINDS",
     "METRICS_SCHEMA",
-    "NULL_PROFILER",
     "NULL_TELEMETRY",
     "PROFILE_SCHEMA",
     "REPRO_LEDGER_ENV",
@@ -81,19 +69,16 @@ __all__ = [
     "Heartbeat",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfiler",
     "RunLedger",
     "Span",
     "StructuredEmitter",
     "Telemetry",
     "Tracer",
     "ambient",
-    "ambient_profiler",
     "config_fingerprint",
     "load_telemetry_file",
     "result_digest",
     "run_manifest",
-    "use_profiler",
     "use_telemetry",
     "validate_chrome_doc",
     "validate_metrics_doc",

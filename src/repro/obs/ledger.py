@@ -3,9 +3,10 @@
 Every ``run()`` invocation (and each bench-runner experiment) can append one
 manifest line to a ledger file named by the ``REPRO_LEDGER`` environment
 variable: config fingerprint, seed, kernel, jobs, package version, wall
-seconds, phase breakdown from the ambient profiler, and a digest of the
-canonical result document.  The ledger turns "which run produced this
-number?" from archaeology into a lookup (``repro runs list | show | diff``).
+seconds, the run's own phase breakdown when the ambient telemetry is
+profiling, and a digest of the canonical result document.  The ledger
+turns "which run produced this number?" from archaeology into a lookup
+(``repro runs list | show | diff``).
 
 Records ride the same JSON conventions as ``StructuredEmitter``: sorted keys,
 non-finite floats as ``null``, one line per record.
@@ -15,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .emit import StructuredEmitter, _strict, writing
 
@@ -25,6 +26,7 @@ __all__ = [
     "REPRO_LEDGER_ENV",
     "RunLedger",
     "config_fingerprint",
+    "profile_mark",
     "result_digest",
     "run_manifest",
     "repro_version",
@@ -68,6 +70,17 @@ def result_digest(doc: Dict[str, Any]) -> str:
     return digest.hexdigest()[:16]
 
 
+def profile_mark(telemetry) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """*telemetry*'s running phase seconds and counters, taken before a
+    run so :func:`run_manifest` can record only what the run added."""
+    return telemetry.phase_seconds(), dict(telemetry.counters)
+
+
+def _since(totals: Dict[str, float], before: Dict[str, float]) -> Dict[str, float]:
+    """The entries of *totals* that are new or moved since *before*."""
+    return {k: v - before.get(k, 0) for k, v in sorted(totals.items()) if v != before.get(k)}
+
+
 def run_manifest(
     kind: str,
     config: Dict[str, Any],
@@ -78,9 +91,14 @@ def run_manifest(
     seconds: Optional[float] = None,
     result_doc: Optional[Dict[str, Any]] = None,
     summary: Optional[Dict[str, Any]] = None,
-    profiler=None,
+    telemetry=None,
+    since: Tuple[Dict[str, float], Dict[str, float]] = ({}, {}),
 ) -> Dict[str, Any]:
-    """Build one provenance record; plain dict, ready for ``RunLedger.append``."""
+    """Build one provenance record; plain dict, ready for ``RunLedger.append``.
+
+    A profiling *telemetry* adds the phases and counters that moved since
+    *since*, its :func:`profile_mark` taken before the run.
+    """
     record: Dict[str, Any] = {
         "record": "run",
         "ts": time.time(),
@@ -97,9 +115,11 @@ def run_manifest(
         record["result_digest"] = result_digest(result_doc)
     if summary is not None:
         record["summary"] = summary
-    if profiler is not None and profiler.enabled and profiler.phases:
-        record["phases"] = profiler.phase_seconds()
-        record["phase_counters"] = dict(sorted(profiler.counters.items()))
+    if telemetry is not None and telemetry.profiling:
+        phases = _since(telemetry.phase_seconds(), since[0])
+        if phases:
+            record["phases"] = phases
+            record["phase_counters"] = _since(telemetry.counters, since[1])
     return record
 
 

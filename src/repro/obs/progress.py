@@ -10,7 +10,7 @@ perturbing stdout (which stays parseable output only).
 Two optional enrichments hook in without changing the three-argument
 callback contract:
 
-* :meth:`Heartbeat.on_phase` (wired to ``PhaseProfiler.on_phase``) marks
+* :meth:`Heartbeat.on_phase` (wired to ``Telemetry.on_phase``) marks
   kernel phase boundaries.  The rate window restarts when the phase
   changes between calls, so an ETA is never extrapolated from a screen
   phase into a replay phase with a very different rate.
@@ -61,7 +61,7 @@ class Heartbeat:
         self._prev_done: int = 0
 
     def on_phase(self, name: str) -> None:
-        """Record the kernel phase now running (``PhaseProfiler.on_phase``)."""
+        """Record the kernel phase now running (``Telemetry.on_phase``)."""
         self._phase = name
 
     def note_ess(self, ess_ratio: float) -> None:

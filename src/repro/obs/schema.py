@@ -1,10 +1,12 @@
 """Validation for saved telemetry artifacts (no external JSON-Schema dep).
 
-Two on-disk shapes exist:
+Three on-disk shapes exist:
 
 * **metrics documents** — ``{"schema": "repro.metrics/1", counters,
   histograms}``, written by ``--metrics-out`` and read back by ``repro
   report``.
+* **profile documents** — ``{"schema": "repro.profile/1", phases,
+  counters, series, memory_peak_kib}``, written by ``--profile-out``.
 * **trace documents** — either Chrome trace-event JSON (an object with
   ``traceEvents`` and ``otherData.schema == "repro.trace/1"``, written
   by ``--trace-out file.json``) or JSONL (one span/event record per
@@ -24,7 +26,7 @@ from typing import Tuple, Union
 from repro.errors import TelemetryError
 from repro.obs.events import EVENT_KINDS
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry
-from repro.obs.prof import PROFILE_SCHEMA
+from repro.obs.telemetry import PROFILE_SCHEMA
 from repro.obs.trace import TRACE_SCHEMA
 
 
@@ -142,7 +144,7 @@ def load_telemetry_file(
 ) -> Tuple[str, object]:
     """Sniff, validate, and load one telemetry artifact.
 
-    Returns ``("metrics", doc)``, ``("profile", doc)`` (phase profiler),
+    Returns ``("metrics", doc)``, ``("profile", doc)`` (``--profile-out``),
     ``("trace", doc)`` (Chrome format), or ``("trace-jsonl",
     [records...])``. Raises :class:`TelemetryError` for anything
     malformed.

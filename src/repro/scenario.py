@@ -32,9 +32,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.obs.emit import check_writable
-from repro.obs.ledger import RunLedger, run_manifest
-from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry
+from repro.obs.ledger import RunLedger, profile_mark, run_manifest
+from repro.obs.telemetry import Telemetry, ambient
 from repro.sim.columnar import KERNELS
 from repro.sim.latency import LatencyModel
 from repro.sim.fleet import simulate_fleet
@@ -299,13 +298,14 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
     When the ``REPRO_LEDGER`` environment variable names a file, every
     call appends one provenance manifest to it — config fingerprint,
     seed, jobs, kernel, wall seconds, result digest and summary, plus
-    the ambient profiler's phase breakdown when profiling is on (see
-    :mod:`repro.obs.ledger`). Ledger writes never change the result.
+    the run's own phase breakdown when the ambient telemetry is profiling
+    (see :mod:`repro.obs.ledger`). Ledger writes never change the result.
     """
     ledger = RunLedger.from_env()
     if ledger is None:
         return _simulate(scenario, progress)
     check_writable(ledger.path)
+    before = profile_mark(ambient())
     start = time.perf_counter()
     result = _simulate(scenario, progress)
     seconds = time.perf_counter() - start
@@ -320,7 +320,8 @@ def run(scenario: Scenario, progress: Optional[Callable] = None):
             seconds=seconds,
             result_doc=result.to_dict(),
             summary=result.summary(),
-            profiler=ambient_profiler(),
+            telemetry=ambient(),
+            since=before,
         )
     )
     return result

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, NamedTuple, Tuple
 import numpy as _np
 
 from repro.errors import SimulationError
-from repro.obs.prof import ambient_profiler
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.layouts.base import Layout
@@ -207,11 +207,14 @@ class LaneCursor:
     nominal and a boosted rate, so they cancel and go untallied).
     """
 
-    __slots__ = ("_streams", "_trial", "pos", "_u", "_e", "draws", "draw_sum")
+    __slots__ = ("_streams", "_trial", "_tel", "pos", "_u", "_e", "draws", "draw_sum")
 
-    def __init__(self, streams: "TrialStreams", trial: int) -> None:
+    def __init__(
+        self, streams: "TrialStreams", trial: int, tel: Telemetry = NULL_TELEMETRY,
+    ) -> None:
         self._streams = streams
         self._trial = trial
+        self._tel = tel
         self.pos = [0] * streams.lanes.shape[1]
         self.draws = 0
         self.draw_sum = 0.0
@@ -254,10 +257,11 @@ class LaneCursor:
 
         All of the trial's lanes grow together, in one draw. The shared
         plane is left alone: a walk that outruns it pays for one trial,
-        not for every row of the chunk.
+        not for every row of the chunk. The draw is billed to the
+        ``sample`` phase of the cursor's telemetry.
         """
         have = len(self._u[0])
-        with ambient_profiler().phase("sample"):
+        with self._tel.phase("sample"):
             u, e = self._streams.draw(
                 self._trial, have, max(pos + 1, 2 * have, _GROW_SLOTS)
             )
@@ -321,9 +325,10 @@ class TrialStreams:
         )
         return u, _exponentials(u, self.lambd)
 
-    def cursor(self, trial: int) -> LaneCursor:
-        """A sequential reader over trial *trial*'s lanes."""
-        return LaneCursor(self, trial)
+    def cursor(self, trial: int, tel: Telemetry = NULL_TELEMETRY) -> LaneCursor:
+        """A sequential reader over trial *trial*'s lanes; *tel* is billed
+        for the slots it draws past the plane."""
+        return LaneCursor(self, trial, tel)
 
 
 @dataclass(frozen=True)

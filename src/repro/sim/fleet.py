@@ -60,7 +60,6 @@ import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry
 from repro.results import Column, ResultBase, register_result
 from repro.sim.columnar import ChunkSpec
@@ -269,7 +268,6 @@ def _fleet_chunk(
     """
     start, count = spec.start, spec.size
     lambd_true = 1.0 / mttf_hours
-    prof = ambient_profiler()
     missions = _mission_chunk(
         state, spec, tel, screened=True, lambd=lambda_boost * lambd_true,
         nominal_lambd=lambd_true, horizon_hours=horizon_hours,
@@ -304,15 +302,15 @@ def _fleet_chunk(
         tel.count("fleet.missions", count)
         tel.count("fleet.replays", missions.replays)
         tel.count("fleet.losses", raw_losses)
-    if prof.enabled:
-        prof.count("fleet.missions", count)
-        prof.count("fleet.replays", missions.replays)
-        prof.count("fleet.losses", raw_losses)
-        prof.record("fleet.dangerous_fraction", missions.replays / count)
+    if tel.profiling:
+        tel.tally("fleet.missions", count)
+        tel.tally("fleet.replays", missions.replays)
+        tel.tally("fleet.losses", raw_losses)
+        tel.record("fleet.dangerous_fraction", missions.replays / count)
         # Per-chunk ESS ratio: effective samples per mission. Pure
         # function of the sampled weights, so the merged series is
         # chunk-ordered and jobs-invariant.
-        prof.record("fleet.ess_ratio", sum_w * sum_w / sum_w2 / count)
+        tel.record("fleet.ess_ratio", sum_w * sum_w / sum_w2 / count)
 
     return FleetChunk(
         missions=count,

@@ -62,7 +62,6 @@ import numpy as _np
 from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
-from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry
 from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
@@ -491,11 +490,10 @@ def _mission_chunk(
     """
     layout, timer, tables = state
     count, n = spec.size, layout.n_disks
-    prof = ambient_profiler()
     tolerance = guaranteed_tolerance(layout)
     weighted = lambd != nominal_lambd
 
-    with prof.phase("sample"):
+    with tel.phase("sample"):
         mission_lanes = lanes(spec.seed, MISSION, spec.start, count, n + 1)
         if screened:
             screen = LockstepScreen(
@@ -513,7 +511,7 @@ def _mission_chunk(
             )
 
     if screened:
-        with prof.phase("screen"):
+        with tel.phase("screen"):
             screen.rounds()
         failures, repairs, peak = screen.n_failures, screen.n_repairs, screen.peak
         degraded, draw_sum = screen.degraded, screen.draw_sum
@@ -530,9 +528,9 @@ def _mission_chunk(
     lost_at = _np.full(count, math.inf)
     lost_to_lse = _np.zeros(count, dtype=bool)
     logs = {t: [] for t in walk} if tel.enabled else {}
-    with prof.phase("replay"):
+    with tel.phase("replay"):
         for t in walk:
-            cursor = streams.cursor(t)
+            cursor = streams.cursor(t, tel)
             (
                 at, lost_to_lse[t], failures[t], repairs[t], degraded[t],
                 peak[t],
@@ -569,11 +567,10 @@ def _lifecycle_chunk(
         lse_rate_per_byte=lse_rate_per_byte,
     )
     loss_times = missions.lost_at[missions.lost_at < math.inf]
-    prof = ambient_profiler()
-    if prof.enabled:
-        prof.count("lifecycle.trials", trials)
-        prof.count("lifecycle.replays", missions.replays)
-        prof.record("lifecycle.dangerous_fraction", missions.replays / trials)
+    if tel.profiling:
+        tel.tally("lifecycle.trials", trials)
+        tel.tally("lifecycle.replays", missions.replays)
+        tel.record("lifecycle.dangerous_fraction", missions.replays / trials)
     if tel.enabled:
         tel.count("lifecycle.trials", trials)
         for name, column in (
@@ -582,7 +579,7 @@ def _lifecycle_chunk(
             ("lifecycle.loss_time_hours", loss_times),
         ):
             tel.observe_many(name, column)
-    with prof.phase("merge"):
+    with tel.phase("merge"):
         return LifecycleResult(
             trials=trials,
             losses=len(loss_times),

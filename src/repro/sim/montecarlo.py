@@ -23,7 +23,6 @@ import numpy as _np
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
-from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import (
     derive_chunk_seed,
@@ -198,16 +197,15 @@ def _lifetime_chunk(
     """
     oracle, verdicts = state
     trials = spec.size
-    prof = ambient_profiler()
     rng = _np.random.default_rng(derive_chunk_seed(spec.seed, spec.index))
 
-    with prof.phase("sample"):
+    with tel.phase("sample"):
         times, kinds, disks, counts, starts = _sample_lifetime_events(
             rng, n_disks, mttf_hours, mttr_hours, horizon_hours, trials
         )
 
     if screened:
-        with prof.phase("screen"):
+        with tel.phase("screen"):
             events, event_trials = _exceedances(
                 kinds, counts, starts, _oracle_guarantee(oracle)
             )
@@ -215,17 +213,17 @@ def _lifetime_chunk(
     else:
         events, event_trials = _exceedances(kinds, counts, starts, 0)
         replays = trials
-    with prof.phase("replay"):
+    with tel.phase("replay"):
         lost, peels = _first_losses(
             disks, starts, events, event_trials, n_disks, oracle, verdicts
         )
         if tel.enabled:
             _narrate(tel, spec.start, times, kinds, disks, counts, starts, lost)
-    prof.count("mc.oracle_calls", peels)
-    if prof.enabled:
-        prof.count("mc.trials", trials)
-        prof.count("mc.replays", replays)
-        prof.record("mc.suspect_fraction", replays / trials)
+    if tel.profiling:
+        tel.tally("mc.oracle_calls", peels)
+        tel.tally("mc.trials", trials)
+        tel.tally("mc.replays", replays)
+        tel.record("mc.suspect_fraction", replays / trials)
 
     return LifetimeResult(
         trials=trials,
@@ -272,7 +270,7 @@ def simulate_lifetimes(
     past the oracle's guaranteed tolerance, the only instants a loss can
     happen. Verdicts are memoised for the call (per worker when
     ``jobs > 1``, in the broadcast state like a ``RebuildTimer``'s memo),
-    so the profiler's ``mc.oracle_calls`` is exact at ``jobs=1`` and
+    so the profile's ``mc.oracle_calls`` is exact at ``jobs=1`` and
     depends on how chunks shared workers above.
 
     *telemetry* (default: ambient, a no-op unless a collecting instance
@@ -280,7 +278,7 @@ def simulate_lifetimes(
     data-loss events with simulated-hour stamps, narrated from the plane
     the kernel replayed (:func:`_narrate`): collecting changes what a run
     records, never how it runs, and the registry is identical across
-    kernels, *jobs* and the profiler. *telemetry* and *progress* follow
+    kernels, *jobs* and profiling. *telemetry* and *progress* follow
     :func:`~repro.sim.parallel.run_chunks`' contract.
     """
     screened = resolve_kernel(kernel) == "vectorized"

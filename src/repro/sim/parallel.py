@@ -40,8 +40,8 @@ This module sits *below* the simulators and names none of them. Each
 broadcast state and hands :func:`run_chunks` its *chunk function*
 ``chunk_fn(state, spec, chunk_tel, **params) -> result``; the driver owns
 everything else — ``jobs``, chunk geometry, seed resolution, the
-per-chunk telemetry/profiler prologue, the pool, and the chunk-ordered
-drain — and the simulator merges what comes back
+per-chunk telemetry prologue, the pool, and the chunk-ordered drain —
+and the simulator merges what comes back
 (:meth:`repro.results.ResultBase.merged`).
 """
 
@@ -53,7 +53,6 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Typ
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import is_recoverable
-from repro.obs.prof import PhaseProfiler, ambient_profiler, use_profiler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.sim.columnar import ChunkSpec, fresh_seed
 from repro.sim.pool import run_streaming
@@ -118,22 +117,20 @@ def chunk_sizes(total: int, chunk: int) -> List[int]:
 def _chunk_task(state, common, spec):
     """The driver's one pool task: the per-chunk prologue, then *chunk_fn*.
 
-    *chunk_fn* runs under the disabled ambient telemetry: the planner and
-    rebuild memo it calls record nothing, *chunk_tel* only its simulator.
+    The chunk's telemetry has the run's sections on, and in-process
+    (``jobs=1``) it inherits the ambient phase observer, so a heartbeat
+    sees phase boundaries; a worker's ambient has none. *chunk_fn* runs
+    under the disabled ambient telemetry: the planner and rebuild memo
+    it calls record nothing, *chunk_tel* only its simulator.
     """
     chunk_fn, params, collect, profile, room = common
-    chunk_tel = Telemetry.collecting(max_events=max(1, room)) if collect else NULL_TELEMETRY
-    chunk_prof = None
-    if profile:
-        chunk_prof = PhaseProfiler()
-        # In-process execution (jobs=1) inherits the parent's phase
-        # observer so heartbeats see phase boundaries; worker processes
-        # have a null ambient profiler and inherit None (observers never
-        # cross process boundaries).
-        chunk_prof.on_phase = ambient_profiler().on_phase
-    with use_telemetry(NULL_TELEMETRY), use_profiler(chunk_prof):
+    chunk_tel = NULL_TELEMETRY
+    if collect or profile:
+        chunk_tel = Telemetry(collect, profile, max_events=max(1, room))
+        chunk_tel.on_phase = ambient().on_phase
+    with use_telemetry(NULL_TELEMETRY):
         result = chunk_fn(state, spec, chunk_tel, **params)
-    return result, chunk_tel if collect else None, chunk_prof
+    return result, chunk_tel
 
 
 def run_chunks(
@@ -166,20 +163,17 @@ def run_chunks(
     one, a no-op unless a caller installed a collecting instance) through
     a reorder buffer, so the merged registry and event log are
     bit-identical for any ``jobs`` (only the wall-clock *span*, opened
-    around the whole drain with *span_args*, varies). A chunk function's
-    *chunk_tel* is a collecting instance of its own, or the shared
-    disabled one when nothing is collected. Its log is capped at the room
-    the merged log had when the chunk was handed out — exactly what the
-    merge keeps at ``jobs=1``, at least that in a worker.
-
-    When the ambient :class:`~repro.obs.prof.PhaseProfiler` is enabled,
-    each chunk runs under a private profiler and the drain folds those
-    through the same chunk-ordered reorder buffer (under a ``merge``
-    phase span per chunk), so merged profiles obey the jobs-invariance
-    contract of :meth:`PhaseProfiler.deterministic_dict`. Progress
-    callbacks that expose ``note_ess`` (the fleet heartbeat) additionally
-    receive the running effective-sample-size ratio accumulated from
-    chunks that carry importance weights.
+    around the whole drain with *span_args*, and phase seconds vary). A
+    chunk function's *chunk_tel* is an instance of its own with the
+    sections of *telemetry* switched on (collected, profiled, or both),
+    or the shared disabled one when neither is. Its log is capped at the
+    room the merged log had when the chunk was handed out — exactly what
+    the merge keeps at ``jobs=1``, at least that in a worker. Each fold
+    is billed to a ``merge`` phase, so a merged profile obeys the
+    jobs-invariance contract of :meth:`Telemetry.deterministic_dict`.
+    Progress callbacks that expose ``note_ess`` (the fleet heartbeat)
+    additionally receive the running effective-sample-size ratio
+    accumulated from chunks that carry importance weights.
     """
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
@@ -191,10 +185,9 @@ def run_chunks(
         ChunkSpec(index, index * chunk_trials, size, seed)
         for index, size in enumerate(chunk_sizes(trials, chunk_trials))
     ]
-    prof = ambient_profiler()
     tel = telemetry if telemetry is not None else ambient()
     log = tel.events
-    common = [chunk_fn, params, tel.enabled, prof.enabled, log.max_events - len(log.records)]
+    common = [chunk_fn, params, tel.enabled, tel.profiling, log.max_events - len(log.records)]
     parts: List[Any] = [None] * len(specs)
     pending = {}
     next_fold = 0
@@ -204,21 +197,17 @@ def run_chunks(
     sum_w = 0.0
     sum_w2 = 0.0
     with tel.span(span, **span_args):
-        for index, (result, chunk_tel, chunk_prof) in run_streaming(
+        for index, (result, chunk_tel) in run_streaming(
             _chunk_task, state, common, specs, jobs
         ):
             parts[index] = result
             done += result.trials
             losses += getattr(result, "losses", 0)
-            pending[index] = (chunk_tel, chunk_prof)
+            pending[index] = chunk_tel
             while next_fold in pending:
-                chunk_tel, chunk_prof = pending.pop(next_fold)
-                if chunk_tel is not None:
-                    tel.merge_chunk(chunk_tel)
-                    common[-1] = log.max_events - len(log.records)
-                if chunk_prof is not None:
-                    with prof.phase("merge"):
-                        prof.merge_chunk(chunk_prof)
+                with tel.phase("merge"):
+                    tel.merge_chunk(pending.pop(next_fold))
+                common[-1] = log.max_events - len(log.records)
                 next_fold += 1
             if progress is not None:
                 if track_ess:

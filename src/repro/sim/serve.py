@@ -71,8 +71,7 @@ from repro.layouts.recovery import (
     plan_recovery,
 )
 from repro.obs.metrics import Histogram
-from repro.obs.prof import ambient_profiler
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.results import ColumnOf, ResultBase, register_result
 from repro.sim.columnar import (
     SERVE,
@@ -894,6 +893,7 @@ def _serve_event_trial(
     model: LatencyModel,
     throttle: Optional[ThrottlePolicy],
     handoff: bool = False,
+    tel: Telemetry = NULL_TELEMETRY,
 ):
     """Walk one trial's sampled trace through the discrete-event heap.
 
@@ -907,11 +907,11 @@ def _serve_event_trial(
     last rebuild op has submitted its writes — from then on every queue
     submission is a foreground arrival at a known time, which
     :func:`_sweep_batch` resumes from *busy*; otherwise it drains the
-    heap and ``done`` covers the whole trace.
+    heap and ``done`` covers the whole trace. The heap walk is billed to
+    the ``serve`` phase of *tel*.
     """
     arrivals_row, units_row, iswrite_row = trace_row
     n = len(units_row)
-    prof = ambient_profiler()
     survivors = tables.survivors
     ops = tables.rebuild_ops if throttle is not None else ()
 
@@ -1030,7 +1030,7 @@ def _serve_event_trial(
 
         sim.schedule(0.0, pump)
 
-    with prof.phase("serve"):
+    with tel.phase("serve"):
         sim.run()
 
     busy = [servers[d].busy_until for d in survivors]
@@ -1101,8 +1101,7 @@ def _serve_chunk(
     """
     (tables,) = state
     trials = spec.size
-    prof = ambient_profiler()
-    with prof.phase("sample"):
+    with tel.phase("sample"):
         trace = _sample_traces(
             workload, tables.n_units, arrival,
             lanes(spec.seed, SERVE, spec.start, trials, _N_LANES),
@@ -1111,23 +1110,23 @@ def _serve_chunk(
     ops = tables.rebuild_ops if throttle is not None else ()
     walks = None
     if ops or not swept:
-        with prof.phase("replay"):
+        with tel.phase("replay"):
             walks = [
                 _serve_event_trial(
-                    tables, trace.row(i), arrival, model, throttle, swept
+                    tables, trace.row(i), arrival, model, throttle, swept, tel
                 )
                 for i in range(trials)
             ]
-    with prof.phase("sweep" if swept else "merge"):
+    with tel.phase("sweep" if swept else "merge"):
         result, tally = _sweep_batch(trace, tables, model, walks, len(ops), tel.enabled)
         if tally:
             _narrate(tel, result, walks, tables.survivors, *tally)
-    if prof.enabled:
+    if tel.profiling:
         walked = sum(len(walk[2]) for walk in walks or ())
-        prof.count("serve.trials", trials)
-        prof.count("serve.requests", result.requests)
-        prof.count("serve.walked_requests", walked)
-        prof.count("serve.swept_requests", result.requests - walked)
+        tel.tally("serve.trials", trials)
+        tel.tally("serve.requests", result.requests)
+        tel.tally("serve.walked_requests", walked)
+        tel.tally("serve.swept_requests", result.requests - walked)
     return result
 
 

@@ -5,11 +5,12 @@ import json
 from repro.cli import main
 from repro.core.oi_layout import oi_raid
 from repro.obs import (
-    PhaseProfiler,
     RunLedger,
+    Telemetry,
     config_fingerprint,
     result_digest,
     run_manifest,
+    use_telemetry,
 )
 from repro.obs.ledger import repro_version
 from repro.scenario import Scenario, run
@@ -41,14 +42,14 @@ class TestLedgerFile:
 
 class TestManifest:
     def test_manifest_core_fields(self):
-        prof = PhaseProfiler()
+        prof = Telemetry(enabled=False, profiling=True)
         with prof.phase("screen"):
             pass
-        prof.count("trials", 3)
+        prof.tally("trials", 3)
         record = run_manifest(
             "lifecycle", {"trials": 3}, seed=7, jobs=2, kernel="auto",
             seconds=0.5, result_doc={"result": "X", "losses": 0},
-            summary={"losses": 0}, profiler=prof,
+            summary={"losses": 0}, telemetry=prof,
         )
         assert record["record"] == "run"
         assert record["kind"] == "lifecycle"
@@ -70,7 +71,7 @@ class TestManifest:
 
     def test_disabled_profiler_adds_no_phase_block(self):
         record = run_manifest(
-            "x", {}, profiler=PhaseProfiler(enabled=False),
+            "x", {}, telemetry=Telemetry(),
         )
         assert "phases" not in record
 
@@ -109,6 +110,24 @@ class TestScenarioLedgerHook:
         first, second = RunLedger(str(path)).records()
         assert first["config_fingerprint"] == second["config_fingerprint"]
         assert first["result_digest"] != second["result_digest"]
+
+    def test_manifest_reports_only_its_own_run(self, tmp_path, monkeypatch):
+        # Two runs under one profiling ambient: each manifest carries the
+        # phases and counters of its own run, not the running totals.
+        path = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(path))
+        scenario = Scenario(
+            kind="lifecycle", layout=oi_raid(7, 3), trials=3000, seed=0,
+        )
+        with use_telemetry(Telemetry(enabled=False, profiling=True)):
+            run(scenario)
+            run(scenario)
+        first, second = RunLedger(str(path)).records()
+        for record in (first, second):
+            assert record["phase_counters"]["lifecycle.trials"] == 3000
+            assert sum(record["phases"].values()) <= record["seconds"]
+        assert second["phase_counters"] == first["phase_counters"]
+        assert list(second["phases"]) == list(first["phases"])
 
 
 class TestRunsCli:

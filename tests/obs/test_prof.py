@@ -1,17 +1,11 @@
-"""The kernel phase profiler: spans, counters, merging, pickling."""
+"""The profiled section of ``Telemetry``: phases, tallies, merging, pickling."""
 
 import pickle
+import time
 
 import pytest
 
-from repro.obs import (
-    NULL_PROFILER,
-    PROFILE_SCHEMA,
-    PhaseProfiler,
-    ambient_profiler,
-    use_profiler,
-    validate_profile_doc,
-)
+from repro.obs import PROFILE_SCHEMA, Telemetry, validate_profile_doc
 from repro.errors import TelemetryError
 
 
@@ -20,9 +14,14 @@ def fake_clock(times):
     return lambda: next(it)
 
 
+def profiler(clock=time.perf_counter):
+    """A profiling, non-collecting instance."""
+    return Telemetry(enabled=False, profiling=True, clock=clock)
+
+
 class TestPhaseSpans:
     def test_single_phase_records_calls_and_seconds(self):
-        prof = PhaseProfiler(clock=fake_clock([0.0, 2.0, 5.0, 6.0]))
+        prof = profiler(clock=fake_clock([0.0, 2.0, 5.0, 6.0]))
         with prof.phase("screen"):
             pass
         with prof.phase("screen"):
@@ -33,7 +32,7 @@ class TestPhaseSpans:
     def test_nested_phases_bill_exclusive_time(self):
         # screen: enter 0, sample: enter 1 .. exit 4, screen: exit 10.
         # sample gets 3s; screen gets 10 - 3 = 7s exclusive.
-        prof = PhaseProfiler(clock=fake_clock([0.0, 1.0, 4.0, 10.0]))
+        prof = profiler(clock=fake_clock([0.0, 1.0, 4.0, 10.0]))
         with prof.phase("screen"):
             with prof.phase("sample"):
                 pass
@@ -44,7 +43,7 @@ class TestPhaseSpans:
         assert prof.total_seconds() == 10.0
 
     def test_span_exits_cleanly_on_exception(self):
-        prof = PhaseProfiler(clock=fake_clock([0.0, 1.0]))
+        prof = profiler(clock=fake_clock([0.0, 1.0]))
         with pytest.raises(RuntimeError):
             with prof.phase("screen"):
                 raise RuntimeError("boom")
@@ -53,7 +52,7 @@ class TestPhaseSpans:
 
     def test_on_phase_observer_fires_on_entry(self):
         seen = []
-        prof = PhaseProfiler(clock=fake_clock([0.0, 1.0, 2.0, 3.0]))
+        prof = profiler(clock=fake_clock([0.0, 1.0, 2.0, 3.0]))
         prof.on_phase = seen.append
         with prof.phase("screen"):
             pass
@@ -64,14 +63,14 @@ class TestPhaseSpans:
 
 class TestCountersAndSeries:
     def test_counters_accumulate(self):
-        prof = PhaseProfiler()
-        prof.count("trials", 100)
-        prof.count("trials", 28)
-        prof.count("replays")
+        prof = profiler()
+        prof.tally("trials", 100)
+        prof.tally("trials", 28)
+        prof.tally("replays")
         assert prof.counters == {"trials": 128, "replays": 1}
 
     def test_series_append_in_call_order(self):
-        prof = PhaseProfiler()
+        prof = profiler()
         prof.record("ess", 0.9)
         prof.record("ess", 0.8)
         assert prof.series == {"ess": [0.9, 0.8]}
@@ -79,32 +78,25 @@ class TestCountersAndSeries:
 
 class TestDisabled:
     def test_disabled_profiler_is_inert(self):
-        prof = PhaseProfiler(enabled=False)
+        prof = Telemetry()
         with prof.phase("screen"):
-            prof.count("trials", 5)
+            prof.tally("trials", 5)
             prof.record("ess", 0.5)
         assert prof.phases == {}
         assert prof.counters == {}
         assert prof.series == {}
         assert prof.capture_memory_peak() is None
 
-    def test_disabled_phase_returns_shared_null_span(self):
-        prof = PhaseProfiler(enabled=False)
-        assert prof.phase("a") is prof.phase("b")
-
-    def test_null_profiler_is_disabled(self):
-        assert not NULL_PROFILER.enabled
-
 
 class TestMerge:
     def test_merge_chunk_folds_phases_counters_series(self):
-        parent = PhaseProfiler(clock=fake_clock([0.0, 1.0]))
+        parent = profiler(clock=fake_clock([0.0, 1.0]))
         with parent.phase("screen"):
             pass
-        chunk = PhaseProfiler(clock=fake_clock([0.0, 2.0]))
+        chunk = profiler(clock=fake_clock([0.0, 2.0]))
         with chunk.phase("screen"):
             pass
-        chunk.count("trials", 10)
+        chunk.tally("trials", 10)
         chunk.record("ess", 0.7)
         parent.merge_chunk(chunk)
         assert parent.phases["screen"] == [2, 3.0]
@@ -112,9 +104,9 @@ class TestMerge:
         assert parent.series == {"ess": [0.7]}
 
     def test_merge_preserves_chunk_series_order(self):
-        parent = PhaseProfiler()
+        parent = profiler()
         for value in (0.1, 0.2, 0.3):
-            chunk = PhaseProfiler()
+            chunk = profiler()
             chunk.record("fraction", value)
             parent.merge_chunk(chunk)
         assert parent.series["fraction"] == [0.1, 0.2, 0.3]
@@ -122,17 +114,17 @@ class TestMerge:
 
 class TestExport:
     def _profiled(self):
-        prof = PhaseProfiler(clock=fake_clock([0.0, 1.0, 2.0, 3.5]))
+        prof = profiler(clock=fake_clock([0.0, 1.0, 2.0, 3.5]))
         with prof.phase("screen"):
             pass
         with prof.phase("replay"):
             pass
-        prof.count("trials", 4)
+        prof.tally("trials", 4)
         prof.record("fraction", 0.25)
         return prof
 
     def test_to_dict_is_a_valid_profile_document(self):
-        doc = self._profiled().to_dict()
+        doc = self._profiled().profile_dict()
         validate_profile_doc(doc)
         assert doc["schema"] == PROFILE_SCHEMA
         assert doc["phases"]["screen"] == {"calls": 1, "seconds": 1.0}
@@ -155,28 +147,9 @@ class TestExport:
         assert list(prof.phase_seconds()) == ["replay", "screen"]
 
 
-class TestAmbient:
-    def test_default_ambient_is_disabled(self):
-        assert not ambient_profiler().enabled
-
-    def test_use_profiler_installs_and_restores(self):
-        prof = PhaseProfiler()
-        with use_profiler(prof) as active:
-            assert active is prof
-            assert ambient_profiler() is prof
-        assert not ambient_profiler().enabled
-
-    def test_use_profiler_none_keeps_current_ambient(self):
-        outer = PhaseProfiler()
-        with use_profiler(outer):
-            with use_profiler(None) as active:
-                assert active is outer
-                assert ambient_profiler() is outer
-
-
 class TestPickling:
     def test_pickle_round_trip_drops_observer(self):
-        prof = PhaseProfiler(clock=fake_clock([0.0, 1.0]))
+        prof = profiler(clock=fake_clock([0.0, 1.0]))
         prof.on_phase = lambda name: None  # unpicklable on purpose
         with prof.phase("screen"):
             pass
@@ -184,3 +157,4 @@ class TestPickling:
         assert clone.phases == {"screen": [1, 1.0]}
         assert clone.on_phase is None
         assert clone._stack == []
+        assert clone._clock is time.perf_counter  # the fake clock stays home

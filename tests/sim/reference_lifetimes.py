@@ -199,7 +199,7 @@ def walk_chunks(
         plane = sample_renewal_events(
             rng, n_disks, mttf_hours, mttr_hours, horizon_hours, size
         )
-        chunk_tel = Telemetry.collecting()
+        chunk_tel = Telemetry()
         loss_times += walk_plane(*plane, oracle, chunk_tel, index * chunk_trials)
         telemetry.merge_chunk(chunk_tel)
     return loss_times

@@ -114,7 +114,7 @@ class TestSimulator:
         assert sim.now == 5.5
 
     def test_telemetry_counts_engine_activity(self):
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         with use_telemetry(tel):
             sim = Simulator()
             handle = sim.schedule(1.0, lambda: None)
@@ -181,7 +181,7 @@ class TestFeed:
             sim.run()
 
     def test_fed_arrivals_count_as_engine_events(self):
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         with use_telemetry(tel):
             sim = Simulator()
             sim.feed([1.0, 2.0, 3.0], lambda i: None)

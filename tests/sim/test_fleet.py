@@ -107,7 +107,7 @@ class TestJobsInvariance:
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK,
             arrays=10, trials=40, seed=3,
         )
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         watched = simulate_fleet(
             LAYOUT, 800.0, 3000.0, disk=SMALL_DISK,
             arrays=10, trials=40, seed=3, telemetry=tel,

@@ -36,7 +36,7 @@ TRIALS, CHUNK, SMALL_LOG, MID_LOG = 160, 64, 37, 1000
 
 def capture(name, seed, kernel, jobs, max_events, lse):
     """Digest of the merged registry, records, ``dropped`` and the result."""
-    tel = Telemetry.collecting(max_events=max_events)
+    tel = Telemetry(max_events=max_events)
     result = simulate_lifecycle(
         LAYOUTS[name](), 3000.0, 2000.0, disk=DISK,
         lse_rate_per_byte=LSE_RATE if lse else 0.0, trials=TRIALS, seed=seed,

@@ -8,8 +8,7 @@ from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
 from repro.layouts import Raid5Layout, Raid50Layout
 from repro.obs.ledger import result_digest
-from repro.obs.telemetry import Telemetry
-from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.scenario import Scenario, run
 from repro.sim.columnar import KERNELS, resolve_kernel
 from repro.sim.lifecycle import (
@@ -203,23 +202,22 @@ class TestChunkGeometryIsOnlyASpeed:
         """Telemetry observes, it never steers: histogram sums are exact
         and a chunk's registry is its simulator's, so a collecting run is
         cut into the chunks an uncollected one is."""
-        def chunks(telemetry):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
-                simulate_lifecycle(
-                    fano_layout, 400_000.0, 8766.0, trials=4096, seed=1,
-                    telemetry=telemetry,
-                )
-            return len(prof.series["lifecycle.dangerous_fraction"])
+        def chunks(collect):
+            telemetry = Telemetry(collect, profiling=True)
+            simulate_lifecycle(
+                fano_layout, 400_000.0, 8766.0, trials=4096, seed=1,
+                telemetry=telemetry,
+            )
+            return len(telemetry.series["lifecycle.dangerous_fraction"])
 
-        assert chunks(None) == chunks(Telemetry.collecting()) == 8
+        assert chunks(False) == chunks(True) == 8
 
 
 class TestTelemetryInvariance:
     def test_metrics_and_events_identical_across_kernels(self, fano_layout):
         captures = {}
         for kernel in ("event", "vectorized"):
-            tel = Telemetry.collecting()
+            tel = Telemetry()
             result = simulate_lifecycle(
                 fano_layout, 700.0, 2500.0, disk=DISK, trials=30, seed=4,
                 lse_rate_per_byte=1e-13, kernel=kernel, telemetry=tel,
@@ -241,8 +239,8 @@ class TestTwoDifferentPaths:
         """The identity above is not one kernel compared with itself."""
         profiles = {}
         for kernel in ("event", "vectorized"):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
+            prof = Telemetry(enabled=False, profiling=True)
+            with use_telemetry(prof):
                 simulate_lifecycle(
                     fano_layout, 2000.0, 2500.0, disk=DISK, trials=120,
                     seed=0, kernel=kernel,

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.oi_layout import oi_raid
-from repro.obs.prof import PhaseProfiler, use_profiler
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.columnar import ChunkSpec, derive_chunk_seed, sample_renewal_events
 from repro.sim.lifecycle import guaranteed_tolerance
 from repro.sim.montecarlo import (
@@ -111,7 +110,7 @@ class TestKernelBitIdentity:
             ).to_dict()
 
         for kernel in ("event", "vectorized"):
-            tel = Telemetry.collecting()
+            tel = Telemetry()
             plain[kernel] = run(kernel)
             collected[kernel] = (run(kernel, tel), tel)
         assert plain["event"] == plain["vectorized"]
@@ -136,8 +135,8 @@ class TestTwoDifferentPaths:
         oracle = oracles(fano_layout)["layout"]
         profiles = {}
         for kernel in ("event", "vectorized"):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
+            prof = Telemetry(enabled=False, profiling=True)
+            with use_telemetry(prof):
                 simulate_lifetimes(
                     oracle=oracle, horizon_hours=HORIZON, trials=400,
                     chunk_trials=400, seed=0, kernel=kernel, **RATES,
@@ -162,13 +161,13 @@ class TestNarratedTelemetry:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_equals_the_walk(self, fano_layout, oracle_name, kernel, jobs):
         config = narrated_configs(fano_layout)[oracle_name]
-        walked = Telemetry.collecting()
+        walked = Telemetry()
         # 300 trials are two chunks, so jobs=2 goes through the pool.
         loss_times = walk_chunks(
             *config, trials=300, seed=29, chunk_trials=DEFAULT_CHUNK_TRIALS,
             telemetry=walked,
         )
-        narrated = Telemetry.collecting()
+        narrated = Telemetry()
         result = simulate_lifetimes(
             *config, trials=300, seed=29, kernel=kernel, jobs=jobs,
             telemetry=narrated,
@@ -191,15 +190,15 @@ class TestNarratedTelemetry:
             np.random.default_rng(derive_chunk_seed(spec.seed, spec.index)),
             n_disks, mttf, mttr, horizon, spec.size,
         )
-        uncapped = Telemetry.collecting()
+        uncapped = Telemetry()
         walk_plane(*plane, oracle, uncapped)
         kinds = [record["kind"] for record in uncapped.events.records]
         cap = kinds.index("data_loss")
         assert kinds[cap - 1] == "failure"
 
-        walked = Telemetry.collecting(max_events=cap)
+        walked = Telemetry(max_events=cap)
         walk_plane(*plane, oracle, walked)
-        narrated = Telemetry.collecting(max_events=cap)
+        narrated = Telemetry(max_events=cap)
         _lifetime_chunk(
             (oracle, {}), spec, narrated, screened=screened,
             n_disks=n_disks, mttf_hours=mttf, mttr_hours=mttr,
@@ -246,8 +245,8 @@ class TestAnyDeterministicOracle:
 
     def test_no_failed_set_is_peeled_twice(self, fano_layout):
         oracle = CountingOracle(recoverability_oracle(fano_layout, 3))
-        prof = PhaseProfiler()
-        with use_profiler(prof):
+        prof = Telemetry(enabled=False, profiling=True)
+        with use_telemetry(prof):
             simulate_lifetimes(
                 oracle=oracle, horizon_hours=HORIZON, trials=2000, seed=0,
                 kernel="vectorized", **RATES,

@@ -51,7 +51,7 @@ def chunk(state, seed, boost, lse_rate, screened, tel=NULL_TELEMETRY):
 def test_screened_columns_are_the_walked_columns(state, seed, lse_mean, boost):
     layout, _timer, tables = state
     lse_rate = lse_mean / float(tables.bytes_read.max())
-    tel = Telemetry.collecting()
+    tel = Telemetry()
     screened = chunk(state, seed, boost, lse_rate, True, tel)
     walked = chunk(state, seed, boost, lse_rate, False)
 

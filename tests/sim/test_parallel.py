@@ -5,7 +5,6 @@ import pytest
 from repro.core.oi_layout import oi_raid
 from repro.core.tolerance import survivable_fraction
 from repro.errors import SimulationError
-from repro.obs.events import EventLog
 from repro.obs.ledger import result_digest
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import derive_chunk_seed
@@ -79,23 +78,23 @@ class TestMerge:
         chunk's log is capped at the merged log's room — once the first
         chunk fills it, every later chunk builds one record at most."""
         caps = []
-        collecting = Telemetry.collecting.__func__
 
-        def spy(cls, max_spans=20_000, max_events=50_000):
+        def spy(collect, profile, max_events=50_000):
             caps.append(max_events)
-            return collecting(cls, max_spans, max_events)
+            return Telemetry(collect, profile, max_events=max_events)
 
-        tel = Telemetry.collecting(max_events=40)
-        monkeypatch.setattr(Telemetry, "collecting", classmethod(spy))
-        uncapped = Telemetry(events=EventLog(max_events=40))
+        tel = Telemetry(max_events=40)
+        uncapped = Telemetry(max_events=40)
+        monkeypatch.setattr("repro.sim.parallel.Telemetry", spy)
         args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
         kwargs = dict(trials=200, seed=9, jobs=1, chunk_trials=50)
         simulate_lifetimes(*args, telemetry=tel, **kwargs)
         assert caps == [40, 1, 1, 1]
         # The cap changes neither the merged records nor ``dropped``.
-        monkeypatch.setattr(Telemetry, "collecting", classmethod(
-            lambda cls, max_spans=20_000, max_events=50_000: collecting(cls)
-        ))
+        monkeypatch.setattr(
+            "repro.sim.parallel.Telemetry",
+            lambda collect, profile, max_events: Telemetry(collect, profile),
+        )
         simulate_lifetimes(*args, telemetry=uncapped, **kwargs)
         assert tel.events.records == uncapped.events.records
         assert tel.events.dropped == uncapped.events.dropped > 0

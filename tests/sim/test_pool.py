@@ -145,7 +145,7 @@ class TestPoolPathDeterminism:
     def _docs(run):
         """``(result.to_dict(), metrics, events)`` with and without telemetry."""
         plain = run(None).to_dict()
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         collected = run(tel).to_dict()
         return plain, collected, tel.metrics.to_dict(), tel.events.records
 

@@ -1,6 +1,6 @@
-"""The profiler half of the parallel determinism contract.
+"""The profiled half of the parallel determinism contract.
 
-The phase profiler splits its payload in two: wall-clock fields
+A profiling ``Telemetry`` splits its profile in two: wall-clock fields
 (seconds, memory peak) vary run to run, but ``deterministic_dict()``
 — phase call counts, chunk counters, and recorded series — must be
 bit-identical for any ``--jobs``, exactly like results and telemetry.
@@ -10,7 +10,7 @@ never perturbs results or telemetry.
 
 import pytest
 
-from repro.obs import PhaseProfiler, Telemetry, use_profiler
+from repro.obs import Telemetry, use_telemetry
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
@@ -24,8 +24,8 @@ DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
 
 
 def profiled_lifecycle(layout, jobs):
-    prof = PhaseProfiler()
-    with use_profiler(prof):
+    prof = Telemetry(enabled=False, profiling=True)
+    with use_telemetry(prof):
         result = simulate_lifecycle(
             layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
             jobs=jobs, chunk_trials=16,
@@ -34,8 +34,8 @@ def profiled_lifecycle(layout, jobs):
 
 
 def profiled_fleet(layout, jobs):
-    prof = PhaseProfiler()
-    with use_profiler(prof):
+    prof = Telemetry(enabled=False, profiling=True)
+    with use_telemetry(prof):
         result = simulate_fleet(
             layout, 800.0, 2000.0, disk=DISK, arrays=40, trials=3,
             lambda_boost=4.0, seed=11, jobs=jobs, chunk_missions=32,
@@ -86,17 +86,17 @@ class TestProfilerDoesNotPerturb:
         assert bare == profiled
 
     def test_telemetry_invariant_under_profiling(self, fano_layout):
-        bare_tel = Telemetry.collecting()
+        bare_tel = Telemetry()
         bare = simulate_lifecycle(
             fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
             jobs=2, chunk_trials=16, telemetry=bare_tel,
         )
-        prof_tel = Telemetry.collecting()
-        with use_profiler(PhaseProfiler()):
-            profiled = simulate_lifecycle(
-                fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
-                jobs=2, chunk_trials=16, telemetry=prof_tel,
-            )
+        prof_tel = Telemetry(profiling=True)
+        profiled = simulate_lifecycle(
+            fano_layout, 800.0, 2000.0, disk=DISK, trials=60, seed=7,
+            jobs=2, chunk_trials=16, telemetry=prof_tel,
+        )
+        assert prof_tel.phases
         assert bare == profiled
         assert prof_tel.metrics.to_dict() == bare_tel.metrics.to_dict()
         assert prof_tel.events.records == bare_tel.events.records
@@ -110,34 +110,32 @@ class TestCollectingDoesNotSteer:
     def test_profile_identical_with_and_without_collecting(
         self, fano_layout, kind
     ):
-        def profiled(telemetry):
-            prof = PhaseProfiler()
-            with use_profiler(prof):
-                if kind == "lifecycle":
-                    simulate_lifecycle(
-                        fano_layout, 800.0, 2000.0, disk=DISK, trials=60,
-                        seed=7, chunk_trials=16, telemetry=telemetry,
-                    )
-                elif kind == "lifetimes":
-                    simulate_lifetimes(
-                        21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
-                        3000.0, trials=600, seed=7, telemetry=telemetry,
-                    )
-                elif kind == "serve":
-                    simulate_serve(
-                        fano_layout, WorkloadSpec(n_requests=60),
-                        failed_disks=(0,), arrival=OpenLoop(300.0),
-                        throttle=FixedRateThrottle(250.0), trials=20, seed=4,
-                        telemetry=telemetry,
-                    )
-                else:
-                    simulate_fleet(
-                        fano_layout, 800.0, 2000.0, disk=DISK, arrays=40,
-                        trials=3, lambda_boost=4.0, seed=11, chunk_missions=32,
-                        telemetry=telemetry,
-                    )
-            return prof.deterministic_dict()
+        def profiled(collect):
+            telemetry = Telemetry(collect, profiling=True)
+            if kind == "lifecycle":
+                simulate_lifecycle(
+                    fano_layout, 800.0, 2000.0, disk=DISK, trials=60,
+                    seed=7, chunk_trials=16, telemetry=telemetry,
+                )
+            elif kind == "lifetimes":
+                simulate_lifetimes(
+                    21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
+                    3000.0, trials=600, seed=7, telemetry=telemetry,
+                )
+            elif kind == "serve":
+                simulate_serve(
+                    fano_layout, WorkloadSpec(n_requests=60),
+                    failed_disks=(0,), arrival=OpenLoop(300.0),
+                    throttle=FixedRateThrottle(250.0), trials=20, seed=4,
+                    telemetry=telemetry,
+                )
+            else:
+                simulate_fleet(
+                    fano_layout, 800.0, 2000.0, disk=DISK, arrays=40,
+                    trials=3, lambda_boost=4.0, seed=11, chunk_missions=32,
+                    telemetry=telemetry,
+                )
+            assert bool(telemetry.events.records) == collect
+            return telemetry.deterministic_dict()
 
-        tel = Telemetry.collecting()
-        assert profiled(tel) == profiled(None)
-        assert tel.events.records, "telemetry captured no events"
+        assert profiled(True) == profiled(False)

@@ -304,7 +304,7 @@ class TestParallelDeterminism:
     def test_merged_telemetry_identical_across_jobs(self):
         docs = []
         for jobs in (1, 3):
-            tel = Telemetry.collecting()
+            tel = Telemetry()
             self.run_jobs(jobs, telemetry=tel)
             docs.append(
                 (tel.metrics.to_dict(), tel.events.records)

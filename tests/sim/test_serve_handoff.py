@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.serve import (
     FixedRateThrottle,
     IdleSlotThrottle,
@@ -46,8 +46,8 @@ def both_kernels(layout, throttle, **kwargs):
     event = simulate_serve(
         layout, throttle=throttle(), kernel="event", **kwargs
     ).to_dict()
-    prof = PhaseProfiler()
-    with use_profiler(prof):
+    prof = Telemetry(enabled=False, profiling=True)
+    with use_telemetry(prof):
         vec = simulate_serve(
             layout, throttle=throttle(), kernel="vectorized", **kwargs
         ).to_dict()

@@ -78,7 +78,7 @@ def capture(layout, name, seed, kernel, jobs, max_events):
     """Digest of the merged registry (minus ``engine.*``), records, dropped."""
     kwargs, throttle = CONFIGS[name]
     kwargs = {"failed_disks": (0,), "arrival": OpenLoop(300.0), **kwargs}
-    tel = Telemetry.collecting(max_events=max_events)
+    tel = Telemetry(max_events=max_events)
     simulate_serve(
         layout, throttle=throttle and throttle(), trials=5, seed=seed,
         kernel=kernel, jobs=jobs, telemetry=tel, **kwargs

@@ -11,8 +11,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.errors import SimulationError
-from repro.obs.prof import PhaseProfiler, use_profiler
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.serve import (
     AdaptiveThrottle,
     FixedRateThrottle,
@@ -148,7 +147,7 @@ class TestParallelKernelContract:
             )
             return len(calls)
 
-        assert chunks(None) == chunks(Telemetry.collecting()) == 3
+        assert chunks(None) == chunks(Telemetry()) == 3
 
     def test_unknown_kernel_is_rejected_up_front(self, fano_layout):
         with pytest.raises(SimulationError):
@@ -175,7 +174,7 @@ class TestTelemetryInvariance:
     ):
         captures = {}
         for kernel in ("event", "vectorized"):
-            tel = Telemetry.collecting()
+            tel = Telemetry()
             result = simulate_serve(
                 fano_layout, WorkloadSpec(n_requests=60),
                 failed_disks=(0,), arrival=arrival,
@@ -210,8 +209,8 @@ class TestBatchSupport:
 
 
 def _profiled(layout, **kwargs):
-    prof = PhaseProfiler()
-    with use_profiler(prof):
+    prof = Telemetry(enabled=False, profiling=True)
+    with use_telemetry(prof):
         simulate_serve(
             layout, WorkloadSpec(n_requests=40), trials=3, seed=1, **kwargs
         )

@@ -34,10 +34,10 @@ def lifecycle_run(layout, jobs, telemetry):
 class TestLifecycleTelemetryDeterminism:
     @pytest.mark.parametrize("jobs", [2, 3, 5])
     def test_merged_registry_identical_to_serial(self, fano_layout, jobs):
-        serial_tel = Telemetry.collecting()
+        serial_tel = Telemetry()
         serial = lifecycle_run(fano_layout, 1, serial_tel)
 
-        par_tel = Telemetry.collecting()
+        par_tel = Telemetry()
         parallel = lifecycle_run(fano_layout, jobs, par_tel)
 
         assert serial == parallel
@@ -45,7 +45,7 @@ class TestLifecycleTelemetryDeterminism:
         assert par_tel.events.records == serial_tel.events.records
 
     def test_registry_content_is_plausible(self, fano_layout):
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         result = lifecycle_run(fano_layout, 2, tel)
         counters = dict(tel.metrics.counters())
         assert counters["lifecycle.trials"] == result.trials
@@ -61,7 +61,7 @@ class TestLifecycleTelemetryDeterminism:
         assert hist["lifecycle.peak_failures"].count == result.trials
 
     def test_event_trials_rebased_monotonically(self, fano_layout):
-        tel = Telemetry.collecting()
+        tel = Telemetry()
         lifecycle_run(fano_layout, 3, tel)
         trials = [r["trial"] for r in tel.events.records if "trial" in r]
         assert trials, "lifecycle run emitted no events"
@@ -74,12 +74,12 @@ class TestLifetimeTelemetryDeterminism:
     def test_merged_registry_identical_to_serial(self, jobs):
         args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
 
-        serial_tel = Telemetry.collecting()
+        serial_tel = Telemetry()
         serial = simulate_lifetimes(
             *args, trials=400, seed=9, jobs=1, chunk_trials=64,
             telemetry=serial_tel,
         )
-        par_tel = Telemetry.collecting()
+        par_tel = Telemetry()
         parallel = simulate_lifetimes(
             *args, trials=400, seed=9, jobs=jobs, chunk_trials=64,
             telemetry=par_tel,
@@ -147,7 +147,7 @@ class TestChunkInvariantTelemetry:
         captures = {}
         for jobs in (1, 2):
             for chunk in (1, 3, None):
-                tel = Telemetry.collecting()
+                tel = Telemetry()
                 CHUNK_INVARIANT_RUNS[kind](fano_layout, jobs, chunk, tel)
                 captures[jobs, chunk] = (
                     tel.metrics.to_dict(), tel.events.records,

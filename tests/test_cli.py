@@ -428,6 +428,43 @@ class TestTelemetryFlags:
         ) == 0
         assert serial.read_text() == parallel.read_text()
 
+    def test_one_telemetry_serves_every_artifact(self, tmp_path, capsys):
+        """The three artifact flags fill one instrument: each document
+        reads the same whichever others ride along, at any ``--jobs``."""
+        import json
+
+        argv = [
+            "lifecycle", "-v", "7", "-k", "3", "--capacity-tb", "0.0343",
+            "--mttf-hours", "20000", "--horizon-hours", "8766", "--trials", "400",
+        ]
+        profiles, metrics = [], []
+        for jobs in ("1", "2"):
+            for flags in (("metrics", "trace", "profile"), ("profile",),
+                          ("metrics",)):
+                out = tmp_path / f"{jobs}-{len(flags)}-{flags[0]}"
+                paths = {flag: f"{out}.{flag}.json" for flag in flags}
+                flag_argv = [
+                    word for flag in flags
+                    for word in (f"--{flag}-out", paths[flag])
+                ]
+                assert main(flag_argv + argv + ["--jobs", jobs]) == 0
+                if "profile" in paths:
+                    with open(paths["profile"]) as handle:
+                        doc = json.load(handle)
+                    del doc["memory_peak_kib"]
+                    for phase in doc["phases"].values():
+                        del phase["seconds"]
+                    profiles.append(doc)
+                if "metrics" in paths:
+                    with open(paths["metrics"]) as handle:
+                        metrics.append(handle.read())
+        assert len(profiles) == len(metrics) == 4
+        assert all(doc == profiles[0] for doc in profiles[1:])
+        assert profiles[0]["counters"]["lifecycle.trials"] == 400
+        assert profiles[0]["phases"]["merge"]["calls"] == 4  # two chunks
+        assert all(doc == metrics[0] for doc in metrics[1:])
+        assert '"lifecycle.trials"' in metrics[0]
+
     def test_verbose_heartbeat_on_stderr(self, capsys):
         assert main(["-v"] + LIFECYCLE_ARGS) == 0
         err = capsys.readouterr().err

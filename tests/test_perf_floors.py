@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.core.oi_layout import oi_raid
-from repro.obs import PhaseProfiler, use_profiler
+from repro.obs import Telemetry, use_telemetry
 from repro.obs.ledger import result_digest
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import RebuildTimer, simulate_lifecycle
@@ -160,9 +160,9 @@ def test_lifecycle_profile_covers_the_wall(layout, timer):
     # spans inflates wall time no phase saw, which is noise, not a hole.
     coverage = 0.0
     for _ in range(3):
-        prof = PhaseProfiler()
+        prof = Telemetry(enabled=False, profiling=True)
         start = time.perf_counter()
-        with use_profiler(prof):
+        with use_telemetry(prof):
             run()
         wall = time.perf_counter() - start
         coverage = max(coverage, prof.total_seconds() / wall)

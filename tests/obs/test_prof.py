@@ -87,6 +87,10 @@ class TestDisabled:
         assert prof.series == {}
         assert prof.capture_memory_peak() is None
 
+    def test_disabled_phase_returns_shared_null_span(self):
+        prof = Telemetry()
+        assert prof.phase("a") is prof.phase("b")
+
 
 class TestMerge:
     def test_merge_chunk_folds_phases_counters_series(self):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import LayoutError
 
@@ -162,7 +162,9 @@ class Layout(abc.ABC):
         self._data_cells: Tuple[Cell, ...] = ()
         self._peeling_index: Optional[PeelingIndex] = None
         self._disk_peeling_index: Optional[DiskPeelingIndex] = None
-        self._single_plan_cache: Dict[int, Any] = {}
+        #: Sorted failed tuple -> what this process learned about it
+        #: (:func:`repro.layouts.recovery.pattern_entry`).
+        self.patterns: Dict[Tuple[int, ...], Any] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -314,22 +316,6 @@ class Layout(abc.ABC):
                 disk_stripe_counts=tuple(disk_stripe_counts),
             )
         return self._disk_peeling_index
-
-    def single_failure_plan(self, disk: int, build: Callable[[], Any]) -> Any:
-        """The cached default-flag recovery plan for a lone *disk* failure.
-
-        Single-disk repairs dominate planning traffic (every rebuild-time
-        estimate and every lifecycle repair clock starts from one), and
-        for a fixed layout the default-flag plan is a pure function of
-        the failed disk — so it is cached here next to the peeling
-        indexes, built lazily by *build* on first request. Callers must
-        not mutate the returned plan; :func:`repro.layouts.recovery.
-        plan_recovery` hands out shallow copies for exactly that reason.
-        """
-        plan = self._single_plan_cache.get(disk)
-        if plan is None:
-            plan = self._single_plan_cache[disk] = build()
-        return plan
 
     def parity_producer(self, cell: Cell) -> int:
         """The stripe id whose parity lives at *cell*, or raise."""

@@ -36,7 +36,7 @@ from repro.layouts.base import (
 from repro.obs.telemetry import ambient
 
 #: Default cap on the offload hill-climb. Only plans built with it (and
-#: the other default flags) may be served from the single-failure cache.
+#: the other default flags) may be served from the layout's pattern memo.
 DEFAULT_OFFLOAD_ROUNDS = 10_000
 
 
@@ -256,6 +256,39 @@ class RecoveryPlan:
     def total_write_units(self) -> int:
         return len(self.recovered_cells)
 
+    def summary(self) -> "PlanSummary":
+        """The plan's volumes, without its steps."""
+        return PlanSummary(
+            self.failed_disks, tuple(self.read_units_per_disk().items()),
+            self.total_read_units, self.total_write_units, len(self.steps),
+        )
+
+
+@dataclass(frozen=True)
+class PlanSummary:
+    """A plan's volumes: all a bandwidth-bound rebuild clock reads."""
+
+    failed_disks: Tuple[int, ...]
+    read_units: Tuple[Tuple[int, int], ...]  #: ``(disk, units)``, first read first
+    total_read_units: int
+    total_write_units: int
+    steps: int
+
+
+@dataclass
+class PatternEntry:
+    """What ``layout.patterns`` holds for one sorted failed set.
+
+    The default-flag plan's summary, the plan itself for a single failure
+    only (keeping multi-failure plans costs a mission walk's memory), and
+    ``(seconds, bytes read)`` per rebuild config, filled by
+    :class:`repro.sim.rebuild.RebuildTimer`.
+    """
+
+    summary: PlanSummary
+    plan: Optional[RecoveryPlan]
+    clocks: Dict[tuple, Tuple[float, float]] = field(default_factory=dict)
+
 
 def degraded_read_sources(plan: "RecoveryPlan") -> Dict[Cell, Tuple[int, ...]]:
     """Lost cell -> the sorted disks its repair step reads from.
@@ -359,11 +392,11 @@ def plan_recovery(
     so callers with relocations should treat per-disk loads as approximate.
 
     Single-disk patterns planned with the default flags are served from
-    :meth:`Layout.single_failure_plan` — the per-layout cache alongside
-    the peeling indexes — since they dominate planning traffic (rebuild
-    clocks, lifecycle repair times, the serve fast path all start from
-    one). Each hit returns a fresh :class:`RecoveryPlan` that shares the
-    immutable steps, so callers may extend their copy freely.
+    the layout's pattern memo (:func:`pattern_entry`), since they
+    dominate planning traffic (rebuild clocks, lifecycle repair times,
+    the serve fast path all start from one). Each hit returns a fresh
+    :class:`RecoveryPlan` that shares the immutable steps, so callers
+    may extend their copy freely.
     """
     if max_offload_rounds < 0:
         raise LayoutError(
@@ -380,13 +413,7 @@ def plan_recovery(
     tel = ambient()
     with tel.span("plan_recovery", failed=len(failed)):
         if cacheable:
-            cached = layout.single_failure_plan(
-                failed[0],
-                lambda: _plan_recovery_impl(
-                    layout, failed, balance, offload, max_offload_rounds,
-                    None,
-                ),
-            )
+            cached = pattern_entry(layout, failed).plan
             plan = RecoveryPlan(
                 cached.layout_name, cached.failed_disks, list(cached.steps)
             )
@@ -400,6 +427,25 @@ def plan_recovery(
         tel.observe("recovery.plan_steps", len(plan.steps))
         tel.observe("recovery.plan_read_units", plan.total_read_units)
     return plan
+
+
+def pattern_entry(layout: Layout, failed: Tuple[int, ...]) -> PatternEntry:
+    """The layout's memo entry of the sorted *failed* tuple.
+
+    Planned with the default flags on the first request in this process,
+    recording no telemetry (callers narrate what they read from it); the
+    memo reaches pool workers inside the pickled layout. Raises
+    :class:`DataLossError` for an undecodable set.
+    """
+    entry = layout.patterns.get(failed)
+    if entry is None:
+        plan = _plan_recovery_impl(
+            layout, failed, True, True, DEFAULT_OFFLOAD_ROUNDS, None
+        )
+        entry = layout.patterns[failed] = PatternEntry(
+            plan.summary(), plan if len(failed) == 1 else None
+        )
+    return entry
 
 
 def _plan_recovery_impl(

@@ -338,7 +338,7 @@ class LifecycleTables:
     ``hours[d]`` / ``bytes_read[d]`` are the layout-derived rebuild time
     and read volume of the pattern ``{d}`` — exactly what a
     ``RebuildTimer`` returns for it, computed once in the parent (warming
-    the timer's memo as a side effect) and shipped to every worker
+    the layout's pattern memo as a side effect) and shipped to every worker
     through the pool initializer like ``ServeTables``. The vectorized
     kernel's clean plane reads these columns instead of calling the
     planner per incident; replayed trials still go through the timer and

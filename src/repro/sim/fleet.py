@@ -65,7 +65,7 @@ from repro.results import Column, ResultBase, register_result
 from repro.sim.columnar import ChunkSpec
 from repro.sim.lifecycle import _check_mission, _mission_chunk, _mission_state
 from repro.sim.parallel import ProgressCallback, run_chunks
-from repro.sim.rebuild import DiskModel, RebuildTimer
+from repro.sim.rebuild import DiskModel
 from repro.util.checks import check_positive
 from repro.util.stats import wilson_interval
 
@@ -411,7 +411,6 @@ def simulate_fleet(
     lambda_boost: float = 1.0,
     seed: Optional[int] = 0,
     telemetry: Optional[Telemetry] = None,
-    timer: Optional[RebuildTimer] = None,
     chunk_missions: int = FLEET_CHUNK_MISSIONS,
     *,
     jobs: int = 1,
@@ -435,15 +434,13 @@ def simulate_fleet(
     — same lanes, same chunks, same chunk-ordered float fold — and
     *chunk_missions* only regroups float additions.
 
-    *timer* follows the lifecycle kernel's contract (a pre-built rebuild
-    memo, a pure function of the layout and disk model) and rides in the
-    broadcast state (:func:`~repro.sim.lifecycle._mission_state`).
-    *progress* is
-    called after every completed chunk with ``(missions_done,
-    missions_total, raw_losses_so_far)``. A collecting *telemetry*
-    receives the ``fleet.*`` counters and, narrated by the mission chunk,
-    the ``lifecycle.*`` vocabulary of every mission, stamped with its
-    global mission index.
+    Rebuild clocks come from the layout's pattern memo, as for the
+    lifecycle kernel (:func:`~repro.sim.lifecycle._mission_state`).
+    *progress* is called after every completed chunk with
+    ``(missions_done, missions_total, raw_losses_so_far)``. A collecting
+    *telemetry* receives the ``fleet.*`` counters and, narrated by the
+    mission chunk, the ``lifecycle.*`` vocabulary of every mission,
+    stamped with its global mission index.
     """
     check_positive("arrays", arrays, 1)
     check_positive("trials", trials, 1)
@@ -455,7 +452,7 @@ def simulate_fleet(
     parts = run_chunks(
         "simulate_fleet", dict(arrays=arrays, trials=trials, jobs=jobs),
         _fleet_chunk,
-        _mission_state(layout, timer, disk, sparing, method, batches),
+        _mission_state(layout, disk, sparing, method, batches),
         dict(
             mttf_hours=mttf_hours, horizon_hours=horizon_hours,
             lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,

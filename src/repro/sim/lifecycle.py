@@ -450,7 +450,6 @@ def _narrate(tel, start, missions, tally, logs, hours, lse) -> None:
 
 def _mission_state(
     layout: Layout,
-    timer: Optional[RebuildTimer],
     disk: Optional[DiskModel],
     sparing: str,
     method: str,
@@ -458,15 +457,13 @@ def _mission_state(
 ) -> Tuple[Layout, RebuildTimer, LifecycleTables]:
     """The broadcast ``(layout, timer, tables)`` of a lifecycle or fleet run.
 
-    The layout's cell indexes, the rebuild-time memo and the per-disk
-    rebuild columns are unpickled once per worker, and the memo then
-    accumulates across every chunk the worker runs. The columns are built
-    for either kernel, so the parent's rebuild calls never depend on it.
+    The layout (its cell indexes and pattern memo), the run's rebuild
+    timer and the per-disk rebuild columns are unpickled once per
+    worker, and the memo then accumulates across every chunk the worker
+    runs. The columns are built for either kernel, so the parent's
+    rebuild calls never depend on it.
     """
-    if timer is None:
-        timer = RebuildTimer(
-            layout, disk or DiskModel(), sparing, method, batches
-        )
+    timer = RebuildTimer(layout, disk or DiskModel(), sparing, method, batches)
     return layout, timer, LifecycleTables.build(layout, timer)
 
 
@@ -605,7 +602,6 @@ def simulate_lifecycle(
     trials: int = 100,
     seed: Optional[int] = 0,
     telemetry: Optional[Telemetry] = None,
-    timer: Optional[RebuildTimer] = None,
     kernel: str = "auto",
     *,
     chunk_trials: Optional[int] = None,
@@ -631,9 +627,10 @@ def simulate_lifecycle(
     which is a pure speed argument as it is for serve and fleet. The
     default (``None``) is wide for the ``vectorized`` kernel
     (:func:`_plane_trials`: up to 2048 trials) and 256 for ``event``,
-    which walks every trial. Rebuild times are memoized per pattern
-    within each worker (pure functions of the pattern, so the memo never
-    affects results).
+    which walks every trial. Rebuild times are memoized per pattern on
+    the layout (:class:`~repro.sim.rebuild.RebuildTimer`; pure functions
+    of the pattern and the disk model, so the memo never affects
+    results), so later runs on the same layout object plan nothing twice.
 
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
     reach the exact walk (:func:`_lifecycle_trial`), never the answer.
@@ -647,15 +644,6 @@ def simulate_lifecycle(
     walked. Clean trials read the very same sampled floats the walk
     would have consumed, so the whole result is bit-identical across
     kernels; only the work to produce it changes.
-
-    *timer* supplies a pre-built :class:`RebuildTimer` so callers running
-    many sweep points against one layout share a single rebuild-time memo
-    instead of rebuilding it per call — and with it the screen's per-disk
-    rebuild columns, which are ``n_disks`` memoised calls on it
-    (:func:`_mission_state`), made once here and broadcast to the
-    workers alongside it. It must have been constructed with the same
-    ``(layout, disk, sparing, method, batches)`` — rebuild times are pure
-    functions of those, so a matching one can never change results.
 
     *telemetry* (default: the ambient telemetry, a no-op unless a caller
     installed a collecting one) receives counters and histograms of
@@ -674,7 +662,7 @@ def simulate_lifecycle(
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk,
-        _mission_state(layout, timer, disk, sparing, method, batches),
+        _mission_state(layout, disk, sparing, method, batches),
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,

@@ -269,7 +269,7 @@ def simulate_lifetimes(
     arrival a candidate; ``vectorized`` first screens for the arrivals
     past the oracle's guaranteed tolerance, the only instants a loss can
     happen. Verdicts are memoised for the call (per worker when
-    ``jobs > 1``, in the broadcast state like a ``RebuildTimer``'s memo),
+    ``jobs > 1``, in the broadcast state like the layout's pattern memo),
     so the profile's ``mc.oracle_calls`` is exact at ``jobs=1`` and
     depends on how chunks shared workers above.
 

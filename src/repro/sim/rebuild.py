@@ -27,8 +27,8 @@ read parallelism translates into end-to-end speedup).
 Foreground load is modeled as a fraction of each disk's bandwidth reserved
 for user I/O (E9's rebuild-under-load sweep).
 
-:class:`RebuildTimer` memoizes either clock per failed pattern for the
-lifecycle and fleet simulators, whose repair durations it supplies.
+:class:`RebuildTimer` supplies the lifecycle and fleet simulators' repair
+durations from either clock, memoised per failed pattern on the layout.
 """
 
 from __future__ import annotations
@@ -39,8 +39,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.layouts.recovery import RecoveryPlan, plan_recovery
-from repro.obs.telemetry import ambient
+from repro.layouts.recovery import (
+    PatternEntry,
+    PlanSummary,
+    RecoveryPlan,
+    pattern_entry,
+    plan_recovery,
+)
+from repro.obs.telemetry import NULL_TELEMETRY, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.engine import FcfsServer, Simulator
 from repro.util.checks import check_finite
@@ -115,14 +121,10 @@ class RebuildResult(ResultBase):
         return self.raid5_seconds / self.seconds
 
 
-def _bottleneck_volume(
-    layout: Layout,
-    plan: RecoveryPlan,
-    disk: DiskModel,
-    sparing: str,
-    survivors: List[int],
+def _bottleneck_seconds(
+    layout: Layout, summary: PlanSummary, disk: DiskModel, sparing: str
 ) -> float:
-    """Bytes the busiest disk must move, minimized over write placements.
+    """Busy time of the busiest disk, minimized over write placements.
 
     Reads are pinned: a surviving unit can only be read from the disk
     that holds it. Distributed spare-writes are placeable, so the tight
@@ -135,22 +137,41 @@ def _bottleneck_volume(
     beat it (hence the "lower bound" contract failed).
     """
     unit_bytes = disk.capacity_bytes / layout.units_per_disk
-    volumes: Dict[int, float] = {d: 0.0 for d in survivors}
-    for d, units in plan.read_units_per_disk().items():
+    volumes: Dict[int, float] = {
+        d: 0.0 for d in range(layout.n_disks) if d not in summary.failed_disks
+    }
+    survivors = len(volumes)
+    for d, units in summary.read_units:
         volumes[d] = volumes.get(d, 0.0) + units * unit_bytes
-    total_write = plan.total_write_units * unit_bytes
+    total_write = summary.total_write_units * unit_bytes
     if sparing == "distributed":
         # fsum: isomorphic patterns meet the disks in different orders.
         total_read = math.fsum(volumes.values())
-        level = (total_read + total_write) / len(survivors)
-        return max(max(volumes.values(), default=0.0), level)
-    if sparing == "dedicated":
+        level = (total_read + total_write) / survivors
+        busiest = max(max(volumes.values(), default=0.0), level)
+    elif sparing == "dedicated":
         per_disk = layout.units_per_disk * unit_bytes
-        for d in plan.failed_disks:
+        for d in summary.failed_disks:
             # Replacement disks absorb their own full image.
             volumes[d] = volumes.get(d, 0.0) + per_disk
-        return max(volumes.values(), default=0.0)
-    raise SimulationError(f"unknown sparing mode {sparing!r}")
+        busiest = max(volumes.values(), default=0.0)
+    else:
+        raise SimulationError(f"unknown sparing mode {sparing!r}")
+    return busiest / disk.effective_bandwidth
+
+
+def _plan_for(
+    layout: Layout, failed_disks: Sequence[int], plan: Optional[RecoveryPlan]
+) -> RecoveryPlan:
+    """*plan*, checked to repair exactly *failed_disks*, or a fresh plan."""
+    if plan is None:
+        return plan_recovery(layout, failed_disks)
+    failed = tuple(sorted(set(failed_disks)))
+    if plan.failed_disks != failed:
+        raise SimulationError(
+            f"plan repairs disks {plan.failed_disks}, not {failed}"
+        )
+    return plan
 
 
 def analytic_rebuild_time(
@@ -162,25 +183,20 @@ def analytic_rebuild_time(
 ) -> RebuildResult:
     """Bandwidth-bound rebuild time: busiest disk's volume / bandwidth."""
     disk = disk or DiskModel()
-    if plan is None:
-        plan = plan_recovery(layout, failed_disks)
-    survivors = [
-        d for d in range(layout.n_disks) if d not in plan.failed_disks
-    ]
-    busiest = _bottleneck_volume(layout, plan, disk, sparing, survivors)
+    summary = _plan_for(layout, failed_disks, plan).summary()
+    seconds = _bottleneck_seconds(layout, summary, disk, sparing)
     unit_bytes = disk.capacity_bytes / layout.units_per_disk
-    seconds = busiest / disk.effective_bandwidth
     tel = ambient()
     if tel.enabled:
         tel.count("rebuild.analytic_evaluations")
         tel.observe("rebuild.analytic_seconds", seconds)
     return RebuildResult(
         layout_name=layout.name,
-        failed_disks=plan.failed_disks,
+        failed_disks=summary.failed_disks,
         sparing=sparing,
         seconds=seconds,
-        bytes_read=plan.total_read_units * unit_bytes,
-        bytes_written=plan.total_write_units * unit_bytes,
+        bytes_read=summary.total_read_units * unit_bytes,
+        bytes_written=summary.total_write_units * unit_bytes,
         bottleneck_seconds=seconds,
         raid5_seconds=disk.raid5_rebuild_seconds,
     )
@@ -206,8 +222,7 @@ def simulate_rebuild(
     disk = disk or DiskModel()
     if batches < 1:
         raise SimulationError(f"batches must be >= 1, got {batches}")
-    if plan is None:
-        plan = plan_recovery(layout, failed_disks)
+    plan = _plan_for(layout, failed_disks, plan)
     survivors = [
         d for d in range(layout.n_disks) if d not in plan.failed_disks
     ]
@@ -327,10 +342,16 @@ REBUILD_METHODS = ("analytic", "event")
 
 @dataclass(frozen=True)
 class RebuildTimer:
-    """Pattern -> (rebuild hours, bytes read), layout-derived and memoized.
+    """Pattern -> (rebuild hours, bytes read): one run's view of the memo.
 
-    A picklable callable (the chunk driver ships it to workers; each
-    process grows its own memo). ``method`` selects the bandwidth-bound
+    The clocks live on the layout (:func:`~repro.layouts.recovery.
+    pattern_entry`, then this timer's ``(disk, sparing, method,
+    batches)``), so a run after the first on one layout object plans
+    nothing. The view only remembers which patterns its run asked for,
+    and narrates each first lookup into the ambient telemetry as a cold
+    evaluation records it (spans, ``recovery.*``, ``rebuild.*`` and the
+    event clock's ``engine.*``): a run's telemetry never depends on what
+    earlier runs left in the memo. ``method`` selects the bandwidth-bound
     analytic bound or the event-driven FCFS simulation.
     """
 
@@ -347,36 +368,53 @@ class RebuildTimer:
                 f"(expected one of {REBUILD_METHODS})"
             )
 
-    def _evaluate(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
-        tel = ambient()
-        if tel.enabled:
-            tel.count("rebuild.memo_misses")
-        with tel.span("rebuild_evaluate", failed=len(failed), method=self.method):
-            return self._evaluate_plan(failed)
-
-    def _evaluate_plan(self, failed: Tuple[int, ...]) -> Tuple[float, float]:
-        if self.method == "event":
-            result = simulate_rebuild(
-                self.layout,
-                failed,
-                self.disk,
-                sparing=self.sparing,
-                batches=self.batches,
+    def _clock(self, entry: PatternEntry) -> Tuple[float, float]:
+        """``(seconds, bytes read)`` of *entry* under this config, memoised."""
+        config = (self.disk, self.sparing, self.method, self.batches)
+        clock = entry.clocks.get(config)
+        if clock is None:
+            summary = entry.summary
+            if self.method == "event":
+                with use_telemetry(NULL_TELEMETRY):
+                    seconds = simulate_rebuild(
+                        self.layout, summary.failed_disks, self.disk,
+                        sparing=self.sparing, batches=self.batches,
+                    ).seconds
+            else:
+                seconds = _bottleneck_seconds(
+                    self.layout, summary, self.disk, self.sparing
+                )
+            unit_bytes = self.disk.capacity_bytes / self.layout.units_per_disk
+            clock = entry.clocks[config] = (
+                seconds, summary.total_read_units * unit_bytes
             )
-        else:
-            result = analytic_rebuild_time(
-                self.layout, failed, self.disk, sparing=self.sparing
-            )
-        return (result.seconds / 3600.0, result.bytes_read)
+        return clock
 
     def __call__(self, failed: FrozenSet[int]) -> Tuple[float, float]:
-        memo = self.__dict__.setdefault("_memo", {})
-        cached = memo.get(failed)
-        if cached is None:
-            cached = self._evaluate(tuple(sorted(failed)))
-            memo[failed] = cached
-        else:
-            tel = ambient()
-            if tel.enabled:
-                tel.count("rebuild.memo_hits")
-        return cached
+        key = tuple(sorted(failed))
+        seen = self.__dict__.setdefault("_seen", set())
+        tel = ambient()
+        if key in seen:
+            tel.count("rebuild.memo_hits")
+            seconds, read = self._clock(pattern_entry(self.layout, key))
+            return seconds / 3600.0, read
+        seen.add(key)
+        tel.count("rebuild.memo_misses")
+        with tel.span("rebuild_evaluate", failed=len(key), method=self.method):
+            with tel.span("plan_recovery", failed=len(key)):
+                entry = pattern_entry(self.layout, key)
+            seconds, read = self._clock(entry)
+        if tel.enabled:
+            summary, method = entry.summary, self.method
+            tel.count("recovery.plans")
+            tel.observe("recovery.plan_steps", summary.steps)
+            tel.observe("recovery.plan_read_units", summary.total_read_units)
+            if method == "event":  # one engine event per unit read or written
+                events = self.batches * (
+                    summary.total_read_units + summary.total_write_units
+                )
+                tel.count("engine.events_scheduled", events)
+                tel.count("engine.events_processed", events)
+            tel.count(f"rebuild.{method}_evaluations")
+            tel.observe(f"rebuild.{method}_seconds", seconds)
+        return seconds / 3600.0, read

@@ -12,7 +12,6 @@ from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.scenario import Scenario, run
 from repro.sim.columnar import KERNELS, resolve_kernel
 from repro.sim.lifecycle import (
-    RebuildTimer,
     _plane_trials,
     _slot_estimate,
     guaranteed_tolerance,
@@ -164,11 +163,11 @@ class TestChunkGeometryIsOnlyASpeed:
     def test_chunk_jobs_and_kernel_never_change_the_result(self, fano_layout):
         """One globally keyed plane, cut into chunks of 1, 3, 64, 256, 1000
         trials and the default, walked or screened, by one worker or two."""
-        timer = RebuildTimer(fano_layout, DISK)  # one memo for all 24 runs
+        # The layout's pattern memo is shared by all 24 runs.
         digests = {
             (chunk, jobs, kernel): result_digest(simulate_lifecycle(
-                fano_layout, 2000.0, 2500.0, trials=600, seed=9,
-                lse_rate_per_byte=1e-13, timer=timer, chunk_trials=chunk,
+                fano_layout, 2000.0, 2500.0, disk=DISK, trials=600, seed=9,
+                lse_rate_per_byte=1e-13, chunk_trials=chunk,
                 jobs=jobs, kernel=kernel,
             ).to_dict())
             for chunk in (1, 3, 64, 256, 1000, None)

@@ -34,7 +34,7 @@ MTTF, HORIZON, MISSIONS, START = 2000.0, 500.0, 160, 37
 def state(request, fano_layout):
     """The broadcast state; RAID50 (tolerance 1) is the one that loses data."""
     layout = fano_layout if request.param == "oi" else Raid50Layout(7, 3)
-    return _mission_state(layout, None, DISK, "distributed", "analytic", 8)
+    return _mission_state(layout, DISK, "distributed", "analytic", 8)
 
 
 def chunk(state, seed, boost, lse_rate, screened, tel=NULL_TELEMETRY):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
 from repro.layouts import Raid5Layout, Raid6Layout, Raid50Layout
-from repro.layouts.recovery import is_recoverable
+from repro.layouts.recovery import is_recoverable, plan_recovery
 from repro.sim.rebuild import (
     DiskModel,
     RebuildTimer,
@@ -90,6 +90,24 @@ class TestAnalytic:
             for pattern in itertools.combinations(range(21), failures)
         }
         assert len(clocks) == classes
+
+
+class TestPlanMustMatch:
+    """A plan handed in must repair the very set the caller asked about."""
+
+    @pytest.mark.parametrize("evaluate", [analytic_rebuild_time, simulate_rebuild])
+    def test_a_plan_for_another_set_is_rejected(self, fano_layout, evaluate):
+        plan = plan_recovery(fano_layout, [0, 1])
+        with pytest.raises(SimulationError, match="plan repairs disks"):
+            evaluate(fano_layout, [0, 2], plan=plan)
+        with pytest.raises(SimulationError, match="plan repairs disks"):
+            evaluate(fano_layout, [0], plan=plan)
+
+    @pytest.mark.parametrize("evaluate", [analytic_rebuild_time, simulate_rebuild])
+    def test_a_matching_plan_is_the_planned_clock(self, fano_layout, evaluate):
+        plan = plan_recovery(fano_layout, [4, 2])
+        given = evaluate(fano_layout, [2, 4, 2], plan=plan)
+        assert given == evaluate(fano_layout, [4, 2])
 
 
 class TestEventDriven:

@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these five are same-process ratios between code paths that
+system); these six are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -16,23 +16,27 @@ return identical bits, so the box they run on cancels out:
 * lifecycle in 256-trial chunks / default geometry >= 1.25 at 32 768
   trials — the lockstep screen pays numpy dispatch per round per chunk,
   so a change that quietly narrows the default plane (or re-grows it per
-  walked trial) gives the wide plane's saving back.
+  walked trial) gives the wide plane's saving back;
+* a boosted fleet run on a layout that already ran it / the same run on
+  a freshly built layout >= 2.5 — the layout's pattern memo saves the
+  second run the planning the walk's failed sets cost the first.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
 both sides of a ratio. Run with ``-m slow`` (CI does, next to the
-planner-equivalence sweep); about 12 s.
+planner-equivalence sweep); about 15 s.
 """
 
 import time
 
 import pytest
 
-from repro.core.oi_layout import oi_raid
+from repro.core.oi_layout import OIRAIDLayout, oi_raid
+from repro.design import find_bibd
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.ledger import result_digest
 from repro.sim.fleet import simulate_fleet
-from repro.sim.lifecycle import RebuildTimer, simulate_lifecycle
+from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import simulate_serve
 from repro.workloads import WorkloadSpec
@@ -52,9 +56,9 @@ SERVE_TRIALS = 200
 def best_interleaved(runs):
     """``{name: best seconds}`` over three passes through *runs*.
 
-    One untimed pass first: it plans the replay patterns into the shared
-    rebuild-time memo (resp. the plan and routing caches), so the floors
-    price steady-state kernels, not the cold planner.
+    One untimed pass first: it plans the replay patterns into the
+    layout's pattern memo (resp. the plan and routing caches), so the
+    floors price steady-state kernels, not the cold planner.
     """
     for fn in runs.values():
         fn()
@@ -72,25 +76,20 @@ def layout():
     return oi_raid(7, 3)
 
 
-@pytest.fixture(scope="module")
-def timer(layout):
-    return RebuildTimer(layout, None, "distributed", "analytic", 8)
-
-
-def lifecycle_run(layout, timer, kernel):
+def lifecycle_run(layout, kernel):
     return lambda: simulate_lifecycle(
         layout, MTTF_HOURS, HORIZON_HOURS, trials=TRIALS, seed=0,
-        timer=timer, kernel=kernel,
+        kernel=kernel,
     )
 
 
-def test_lifecycle_and_fleet_floors(layout, timer):
+def test_lifecycle_and_fleet_floors(layout):
     best = best_interleaved({
-        "event": lifecycle_run(layout, timer, "event"),
-        "vectorized": lifecycle_run(layout, timer, "vectorized"),
+        "event": lifecycle_run(layout, "event"),
+        "vectorized": lifecycle_run(layout, "vectorized"),
         "fleet": lambda: simulate_fleet(
             layout, MTTF_HOURS, HORIZON_HOURS, arrays=TRIALS, trials=1,
-            seed=0, timer=timer,
+            seed=0,
         ),
     })
     ratio = best["event"] / best["vectorized"]
@@ -112,15 +111,12 @@ def test_wide_plane_floor(layout):
     The physics of ``benchmarks/e2e``'s ``lifecycle_clean``: a 32 GiB
     disk rebuilds so fast that nearly every trial stays on the screen.
     """
-    timer = RebuildTimer(
-        layout, DiskModel(capacity_bytes=32 * 1024 ** 3), "distributed",
-        "analytic", 8,
-    )
+    disk = DiskModel(capacity_bytes=32 * 1024 ** 3)
 
     def run(**geometry):
         return lambda: simulate_lifecycle(
-            layout, MTTF_HOURS, HORIZON_HOURS, trials=32_768, seed=0,
-            timer=timer, **geometry,
+            layout, MTTF_HOURS, HORIZON_HOURS, disk=disk, trials=32_768,
+            seed=0, **geometry,
         )
 
     narrow, wide = run(chunk_trials=256), run()
@@ -153,8 +149,35 @@ def test_serve_floor(layout):
     print(f"serve vectorized/event {ratio:.2f}")
 
 
-def test_lifecycle_profile_covers_the_wall(layout, timer):
-    run = lifecycle_run(layout, timer, "vectorized")
+def test_pattern_memo_floor():
+    """``benchmarks/e2e``'s ``fleet_boosted`` physics at 2 000 missions:
+    the second run on one layout object reads every rebuild clock the
+    first one planned. Best of three fresh layouts on each side."""
+
+    def run(layout):
+        start = time.perf_counter()
+        result = simulate_fleet(
+            layout, 10_000.0, HORIZON_HOURS, arrays=100, trials=20,
+            lambda_boost=1.4, seed=0,
+        )
+        return time.perf_counter() - start, result_digest(result.to_dict())
+
+    cold = warm = float("inf")
+    for _ in range(3):
+        layout = OIRAIDLayout(find_bibd(7, 3, lam=1), 3)
+        (first, first_digest), (second, second_digest) = run(layout), run(layout)
+        assert first_digest == second_digest
+        cold, warm = min(cold, first), min(warm, second)
+    ratio = cold / warm
+    assert ratio >= 2.5, (
+        f"fleet cold/warm layout ratio {ratio:.2f} < 2.5: "
+        "the pattern memo is not saving the second run its planning"
+    )
+    print(f"fleet cold/warm layout {ratio:.2f}")
+
+
+def test_lifecycle_profile_covers_the_wall(layout):
+    run = lifecycle_run(layout, "vectorized")
     run()
     # Best of three: the scheduler preempting the process between two
     # spans inflates wall time no phase saw, which is noise, not a hole.

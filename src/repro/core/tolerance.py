@@ -14,8 +14,8 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.layouts.base import Layout
-from repro.layouts.recovery import is_recoverable
-from repro.sim.parallel import count_survivable
+from repro.layouts.recovery import failure_matrix, recoverable_many
+from repro.sim.parallel import DEFAULT_CHUNK_PATTERNS, count_survivable
 from repro.util.checks import check_positive
 
 
@@ -66,12 +66,16 @@ def first_unrecoverable(
     max_patterns: Optional[int] = None,
     seed: int = 0,
 ) -> Optional[Tuple[int, ...]]:
-    """A witness pattern that loses data, or None if all patterns survive."""
-    for pattern in failure_patterns(
-        layout.n_disks, n_failures, max_patterns, seed
-    ):
-        if not is_recoverable(layout, pattern):
-            return pattern
+    """A witness pattern that loses data, or None if all patterns survive.
+
+    Decided a chunk at a time: ``recovery.oracle_calls`` counts the whole
+    chunk the witness is in."""
+    patterns = failure_patterns(layout.n_disks, n_failures, max_patterns, seed)
+    for start in range(0, len(patterns), DEFAULT_CHUNK_PATTERNS):
+        chunk = patterns[start:start + DEFAULT_CHUNK_PATTERNS]
+        survives = recoverable_many(layout, failure_matrix(layout, chunk))
+        if not survives.all():
+            return chunk[int(survives.argmin())]
     return None
 
 

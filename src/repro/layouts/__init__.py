@@ -22,6 +22,7 @@ from repro.layouts.recovery import (
     RepairStep,
     is_recoverable,
     plan_recovery,
+    recoverable_many,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "HierarchicalLayout",
     "plan_recovery",
     "is_recoverable",
+    "recoverable_many",
     "RecoveryPlan",
     "RepairStep",
 ]

@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import DataLossError, LayoutError
 from repro.layouts.base import (
     Cell,
@@ -38,6 +40,10 @@ from repro.obs.telemetry import ambient
 #: Default cap on the offload hill-climb. Only plans built with it (and
 #: the other default flags) may be served from the layout's pattern memo.
 DEFAULT_OFFLOAD_ROUNDS = 10_000
+
+#: Entries of one batched-peel slice: its dense ``(row, stripe)`` count
+#: table plus its rows' lost-cell incidences (:func:`recoverable_many`).
+_PEEL_BUDGET = 1 << 16
 
 
 def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
@@ -98,52 +104,6 @@ def _peel(layout: Layout, lost: Set[Cell]) -> bool:
     return not lost
 
 
-def _peel_disks(index: DiskPeelingIndex, failed: Iterable[int]) -> bool:
-    """Whole-disk-failure peeling on the integer-id index.
-
-    Exactly :func:`_peel` restricted to losses that are whole disks, which
-    lets the setup be table lookups: per-stripe lost counts come from each
-    disk's precomputed contribution, and cell membership is a ``bytearray``
-    indexed by cell id. This is the Monte-Carlo oracle's inner loop — the
-    peel order differs from :func:`_peel` but the outcome cannot (peeling
-    is confluent for these layouts; see :func:`is_recoverable`).
-    """
-    tolerance = index.stripe_tolerance
-    counts = [0] * len(tolerance)
-    lost = bytearray(index.n_cells)
-    ones = b"\x01" * index.units_per_disk
-    n_lost = 0
-    for disk in failed:
-        for sid, contribution in index.disk_stripe_counts[disk]:
-            counts[sid] += contribution
-    stack = []
-    for disk in failed:
-        base = disk * index.units_per_disk
-        lost[base:base + index.units_per_disk] = ones
-        n_lost += index.units_per_disk
-        for sid, _contribution in index.disk_stripe_counts[disk]:
-            if 0 < counts[sid] <= tolerance[sid]:
-                stack.append(sid)
-    stripe_cells = index.stripe_cells
-    cell_stripes = index.cell_stripes
-    while stack:
-        sid = stack.pop()
-        count = counts[sid]
-        if count == 0 or count > tolerance[sid]:
-            continue  # stale entry: repaired or re-overloaded meanwhile
-        for cell in stripe_cells[sid]:
-            if not lost[cell]:
-                continue
-            lost[cell] = 0
-            n_lost -= 1
-            for other in cell_stripes[cell]:
-                remaining = counts[other] - 1
-                counts[other] = remaining
-                if other != sid and 0 < remaining <= tolerance[other]:
-                    stack.append(other)
-    return n_lost == 0
-
-
 def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
     """True if an explicit lost-*cell* set is decodable by peeling.
 
@@ -173,18 +133,83 @@ def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
     library: every stripe is MDS on its own cells, stripes share at most
     one cell pairwise, and no cell is parity in two stripes — so any
     decodable pattern is decodable greedily, in any order. *failed_disks*
-    may be any iterable of disk ids (set, tuple, generator).
+    may be any iterable of disk ids (set, tuple, generator). The one-row
+    call of :func:`recoverable_many`.
     """
+    return bool(recoverable_many(layout, failure_matrix(layout, [failed_disks]))[0])
+
+
+def failure_matrix(layout: Layout, patterns: Sequence[Iterable[int]]) -> np.ndarray:
+    """The ``(len(patterns), n_disks)`` bool matrix of disk-id failed sets."""
+    patterns = [list(pattern) for pattern in patterns]
+    disks = np.array([d for pattern in patterns for d in pattern], np.intp)
+    bad = disks[(disks < 0) | (disks >= layout.n_disks)]
+    if len(bad):
+        raise LayoutError(f"no such disk {bad[0]} in {layout.name}")
+    down = np.zeros((len(patterns), layout.n_disks), dtype=bool)
+    down[np.repeat(np.arange(len(patterns)), list(map(len, patterns))), disks] = True
+    return down
+
+
+def recoverable_many(layout: Layout, down: np.ndarray) -> np.ndarray:
+    """:func:`is_recoverable` of every row of a ``(B, n_disks)`` bool matrix.
+
+    Row *i* is a failed set (``down[i, d]``: disk *d* is down, see
+    :func:`failure_matrix`); the B verdicts come back as a bool array,
+    decided by one batched peel (:func:`_peel_rows`) per slice of rows
+    small enough to keep its count table near ``_PEEL_BUDGET`` entries.
+    Counts one ``recovery.oracle_calls`` per row.
+    """
+    down = np.asarray(down)
+    if down.dtype != bool or down.ndim != 2 or down.shape[1] != layout.n_disks:
+        raise LayoutError(
+            f"failed sets of {layout.name} must be a (B, {layout.n_disks}) "
+            f"bool matrix, got {down.dtype} {down.shape}"
+        )
     tel = ambient()
-    if tel.enabled:
-        tel.count("recovery.oracle_calls")
-    failed = set(failed_disks)
-    for disk in failed:
-        if not 0 <= disk < layout.n_disks:
-            raise LayoutError(f"no such disk {disk} in {layout.name}")
-    if not failed:
-        return True
-    return _peel_disks(layout.disk_peeling_index(), failed)
+    if tel.enabled and len(down):
+        tel.count("recovery.oracle_calls", len(down))
+    index = layout.disk_peeling_index()
+    per_disk = index.cell_stripes.size // layout.n_disks  # padded incidences
+    row_size = index.n_stripes + 1 + per_disk * int(down.sum(axis=1).max(initial=0))
+    step = max(1, _PEEL_BUDGET // row_size)
+    return np.concatenate([
+        _peel_rows(index, down[start:start + step])
+        for start in range(0, len(down) or 1, step)
+    ])
+
+
+def _peel_rows(index: DiskPeelingIndex, down: np.ndarray) -> np.ndarray:
+    """Whole-disk peeling of every row of *down* as one batched fixpoint.
+
+    Each round counts the lost ``(row, cell)`` incidences per ``(row,
+    stripe)`` with one ``bincount`` and drops every lost cell with an
+    eligible stripe. A row that drops nothing is at its fixpoint and
+    unrecoverable; one whose cells all drop is recoverable. Peeling is
+    confluent, so this is the work queue's answer (DESIGN.md, "Indexed
+    incremental peeling"). Keys start dense, ``row * (n_stripes + 1) +
+    stripe``; once a big key space is under a quarter full, ``np.unique``
+    renumbers the survivors, so the first round sorts nothing.
+    """
+    u = index.units_per_disk
+    rows, disks = np.nonzero(down)
+    cells = (disks[:, None] * u + np.arange(u)).ravel()
+    rows = np.repeat(rows, u)
+    tolerance = index.cell_tolerance[cells]
+    keys = rows[:, None] * (index.n_stripes + 1) + index.cell_stripes[cells]
+    n_keys = len(down) * (index.n_stripes + 1)
+    verdict = np.ones(len(down), dtype=bool)
+    while len(rows):
+        counts = np.bincount(keys.ravel(), minlength=n_keys)
+        drop = (counts[keys] <= tolerance).any(axis=1)
+        moved = np.bincount(rows[drop], minlength=len(down)).astype(bool)[rows]
+        verdict[rows[~moved]] = False
+        keep = moved & ~drop
+        rows, keys, tolerance = rows[keep], keys[keep], tolerance[keep]
+        if n_keys > _PEEL_BUDGET // 16 and 4 * keys.size < n_keys:
+            unique, keys = np.unique(keys, return_inverse=True)
+            keys, n_keys = keys.reshape(tolerance.shape), len(unique)
+    return verdict
 
 
 @dataclass(frozen=True)

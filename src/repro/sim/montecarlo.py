@@ -22,7 +22,7 @@ import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.layouts.recovery import is_recoverable
+from repro.layouts.recovery import is_recoverable, recoverable_many
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import (
     derive_chunk_seed,
@@ -68,8 +68,8 @@ class RecoverabilityOracle:
     """Exact-pattern oracle with a fast path: few failures always survive.
 
     A picklable callable (unlike a closure) so the chunk driver can ship
-    it to worker processes. The failed set is passed straight to the peeler
-    — no per-call sort — since :func:`is_recoverable` accepts any iterable.
+    it to worker processes. :meth:`batch` decides a matrix of failed sets
+    at once, the fast path applied per row.
     """
 
     layout: Layout
@@ -80,6 +80,13 @@ class RecoverabilityOracle:
             return True
         return is_recoverable(self.layout, failed)
 
+    def batch(self, down: _np.ndarray) -> _np.ndarray:
+        """Verdicts of the rows of a ``(B, n_disks)`` bool matrix."""
+        verdict = down.sum(axis=1) <= self.guaranteed_tolerance
+        hard = _np.flatnonzero(~verdict)
+        verdict[hard] = recoverable_many(self.layout, down[hard])
+        return verdict
+
 
 @dataclass(frozen=True)
 class ThresholdOracle:
@@ -89,6 +96,10 @@ class ThresholdOracle:
 
     def __call__(self, failed: Set[int]) -> bool:
         return len(failed) <= self.tolerance
+
+    def batch(self, down: _np.ndarray) -> _np.ndarray:
+        """Verdicts of the rows of a ``(B, n_disks)`` bool matrix."""
+        return down.sum(axis=1) <= self.tolerance
 
 
 def recoverability_oracle(
@@ -113,6 +124,8 @@ def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
     once per distinct set (*verdicts* keeps its answers by mask bytes) and
     only at a trial's frontier, its first candidate not known to survive, so
     nothing past a loss is peeled: the loss is the first frontier lost.
+    Each frontier round's new sets go to ``oracle.batch`` as one bool
+    matrix when the oracle has one, else one ``oracle(set)`` call each.
     Loss events come back in trial order, one per lost trial.
     """
     scan = _np.zeros((len(disks) + 1, -(-n_disks // 64)), dtype=_np.uint64)
@@ -125,7 +138,7 @@ def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
     which = which.reshape(-1)
     down = _np.unpackbits(
         patterns.astype("<u8").view(_np.uint8), axis=1, bitorder="little"
-    )
+    ).view(bool)[:, :n_disks]
     keys = [pattern.tobytes() for pattern in patterns]
     # 1 survives, 0 lost, -1 not asked yet.
     verdict = _np.array([verdicts.get(key, -1) for key in keys], _np.int8)
@@ -138,9 +151,12 @@ def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
         ask = _np.flatnonzero(wanted & (verdict < 0))
         if not len(ask):
             return events[frontier], len(verdicts) - known
-        for row in ask.tolist():
-            failed = set(_np.flatnonzero(down[row]).tolist())
-            verdict[row] = verdicts[keys[row]] = bool(oracle(failed))
+        if hasattr(oracle, "batch"):
+            answers = oracle.batch(down[ask]).tolist()
+        else:
+            answers = [bool(oracle(set(_np.flatnonzero(row).tolist()))) for row in down[ask]]
+        verdict[ask] = answers
+        verdicts.update(zip([keys[row] for row in ask.tolist()], answers))
 
 
 def _narrate(tel, first, times, kinds, disks, counts, starts, lost):
@@ -263,9 +279,11 @@ def simulate_lifetimes(
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides how the plane
     is replayed, never the answer; neither walks a trial.
     :func:`_first_losses` decides candidate failure arrivals from a prefix
-    XOR scan, asking the oracle once per distinct failed set — the answer
-    of a walk that consults the oracle on every failure arrival, for any
-    deterministic oracle, monotone or not. ``event`` makes every failure
+    XOR scan, asking the oracle once per distinct failed set — one
+    ``oracle.batch`` matrix per frontier round when the oracle has that
+    method (the oracle classes here do), one call per set otherwise — the
+    answer of a walk that consults the oracle on every failure arrival,
+    for any deterministic oracle, monotone or not. ``event`` makes every failure
     arrival a candidate; ``vectorized`` first screens for the arrivals
     past the oracle's guaranteed tolerance, the only instants a loss can
     happen. Verdicts are memoised for the call (per worker when

@@ -6,7 +6,7 @@ and both are embarrassingly parallel:
 * **Chunked simulations** (E7, E18, E20, serving): thousands of
   independent missions or replications.
 * **Fault-pattern sweeps** (E6, the tolerance CLI): thousands of
-  independent ``is_recoverable`` calls.
+  independent recoverability verdicts, decided a chunk per call.
 
 This module fans both across the persistent worker pool of
 :mod:`repro.sim.pool` while keeping results **bit-identical for every
@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Typ
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.layouts.recovery import is_recoverable
+from repro.layouts.recovery import failure_matrix, recoverable_many
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.sim.columnar import ChunkSpec, fresh_seed
 from repro.sim.pool import run_streaming
@@ -223,7 +223,7 @@ def run_chunks(
 
 def _pattern_worker(layout, _common, patterns) -> int:
     """Pool task for one fault-pattern chunk; the layout is broadcast."""
-    return sum(1 for p in patterns if is_recoverable(layout, p))
+    return int(recoverable_many(layout, failure_matrix(layout, patterns)).sum())
 
 
 def count_survivable(

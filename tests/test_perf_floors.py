@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these six are same-process ratios between code paths that
+system); these seven are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -19,7 +19,10 @@ return identical bits, so the box they run on cancels out:
   walked trial) gives the wide plane's saving back;
 * a boosted fleet run on a layout that already ran it / the same run on
   a freshly built layout >= 2.5 — the layout's pattern memo saves the
-  second run the planning the walk's failed sets cost the first.
+  second run the planning the walk's failed sets cost the first;
+* one batched peel over every four-failure pattern of ``oi_raid(7, 3)``
+  / a per-pattern ``is_recoverable`` loop >= 2 — the batched fixpoint
+  pays for its numpy dispatch once per round, not once per pattern.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
@@ -27,12 +30,14 @@ both sides of a ratio. Run with ``-m slow`` (CI does, next to the
 planner-equivalence sweep); about 15 s.
 """
 
+import itertools
 import time
 
 import pytest
 
 from repro.core.oi_layout import OIRAIDLayout, oi_raid
 from repro.design import find_bibd
+from repro.layouts.recovery import failure_matrix, is_recoverable, recoverable_many
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.ledger import result_digest
 from repro.sim.fleet import simulate_fleet
@@ -174,6 +179,23 @@ def test_pattern_memo_floor():
         "the pattern memo is not saving the second run its planning"
     )
     print(f"fleet cold/warm layout {ratio:.2f}")
+
+
+def test_batched_peel_floor(layout):
+    patterns = list(itertools.combinations(range(layout.n_disks), 4))
+    down = failure_matrix(layout, patterns)
+    verdicts = recoverable_many(layout, down).tolist()
+    assert verdicts == [is_recoverable(layout, p) for p in patterns]
+    best = best_interleaved({
+        "looped": lambda: [is_recoverable(layout, p) for p in patterns],
+        "batched": lambda: recoverable_many(layout, down),
+    })
+    ratio = best["looped"] / best["batched"]
+    assert ratio >= 2.0, (
+        f"batched/looped peel ratio {ratio:.2f} < 2: "
+        "deciding failed sets in one batch is not paying for itself"
+    )
+    print(f"peel batched/looped {ratio:.2f}")
 
 
 def test_lifecycle_profile_covers_the_wall(layout):

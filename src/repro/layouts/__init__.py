@@ -21,6 +21,7 @@ from repro.layouts.recovery import (
     RecoveryPlan,
     RepairStep,
     is_recoverable,
+    plan_many,
     plan_recovery,
     recoverable_many,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "XorbasLayout",
     "HierarchicalLayout",
     "plan_recovery",
+    "plan_many",
     "is_recoverable",
     "recoverable_many",
     "RecoveryPlan",

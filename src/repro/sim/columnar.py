@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, NamedTuple, Tuple
 import numpy as _np
 
 from repro.errors import SimulationError
+from repro.layouts.recovery import pattern_entries
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -337,13 +338,13 @@ class LifecycleTables:
 
     ``hours[d]`` / ``bytes_read[d]`` are the layout-derived rebuild time
     and read volume of the pattern ``{d}`` — exactly what a
-    ``RebuildTimer`` returns for it, computed once in the parent (warming
-    the layout's pattern memo as a side effect) and shipped to every worker
-    through the pool initializer like ``ServeTables``. The vectorized
-    kernel's clean plane reads these columns instead of calling the
-    planner per incident; replayed trials still go through the timer and
-    see the same floats, because both come from the same memoized pure
-    function of the pattern.
+    ``RebuildTimer`` returns for it, computed once in the parent (the
+    pattern memo plans the singles it lacks as one batch) and shipped to
+    every worker through the pool initializer like ``ServeTables``. The
+    vectorized kernel's clean plane reads these columns instead of
+    calling the planner per incident; replayed trials still go through
+    the timer and see the same floats, because both come from the same
+    memoized pure function of the pattern.
     """
 
     hours: Any
@@ -355,7 +356,9 @@ class LifecycleTables:
         layout: "Layout",
         timer: Callable[[FrozenSet[int]], Tuple[float, float]],
     ) -> "LifecycleTables":
-        pairs = [timer(frozenset((d,))) for d in range(layout.n_disks)]
+        singles = [(d,) for d in range(layout.n_disks)]
+        pattern_entries(layout, singles)  # the memo misses, as one batch
+        pairs = [timer(frozenset(single)) for single in singles]
         return cls(
             hours=_np.array([hours for hours, _ in pairs]),
             bytes_read=_np.array([read for _, read in pairs]),

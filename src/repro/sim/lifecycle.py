@@ -61,7 +61,12 @@ import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
-from repro.layouts.recovery import cells_recoverable, is_recoverable, lost_cells
+from repro.layouts.recovery import (
+    cells_recoverable,
+    is_recoverable,
+    lost_cells,
+    pattern_entries,
+)
 from repro.obs.telemetry import Telemetry
 from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
@@ -166,9 +171,9 @@ def derived_mttr(
     """
     disk = disk or DiskModel()
     timer = RebuildTimer(layout, disk, sparing, method, batches)
-    return mean(
-        [timer(frozenset((d,)))[0] for d in range(layout.n_disks)]
-    )
+    singles = [(d,) for d in range(layout.n_disks)]
+    pattern_entries(layout, singles)  # the memo misses, as one batch
+    return mean([timer(frozenset(single))[0] for single in singles])
 
 
 def derived_markov_model(

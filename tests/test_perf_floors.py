@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these seven are same-process ratios between code paths that
+system); these eight are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -22,7 +22,10 @@ return identical bits, so the box they run on cancels out:
   second run the planning the walk's failed sets cost the first;
 * one batched peel over every four-failure pattern of ``oi_raid(7, 3)``
   / a per-pattern ``is_recoverable`` loop >= 2 — the batched fixpoint
-  pays for its numpy dispatch once per round, not once per pattern.
+  pays for its numpy dispatch once per round, not once per pattern;
+* one ``plan_many`` over the 57 single failures of ``oi_raid(19, 3)`` /
+  a loop planning them one row at a time >= 3 — the lockstep planner
+  pays for a greedy step or offload round once per batch.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
@@ -37,7 +40,12 @@ import pytest
 
 from repro.core.oi_layout import OIRAIDLayout, oi_raid
 from repro.design import find_bibd
-from repro.layouts.recovery import failure_matrix, is_recoverable, recoverable_many
+from repro.layouts.recovery import (
+    failure_matrix,
+    is_recoverable,
+    plan_many,
+    recoverable_many,
+)
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.ledger import result_digest
 from repro.sim.fleet import simulate_fleet
@@ -196,6 +204,22 @@ def test_batched_peel_floor(layout):
         "deciding failed sets in one batch is not paying for itself"
     )
     print(f"peel batched/looped {ratio:.2f}")
+
+
+def test_batched_planner_floor():
+    layout = oi_raid(19, 3)
+    singles = [(disk,) for disk in range(layout.n_disks)]
+    assert plan_many(layout, singles) == [plan_many(layout, [s])[0] for s in singles]
+    best = best_interleaved({
+        "looped": lambda: [plan_many(layout, [single]) for single in singles],
+        "batched": lambda: plan_many(layout, singles),
+    })
+    ratio = best["looped"] / best["batched"]
+    assert ratio >= 3.0, (
+        f"batched/looped planner ratio {ratio:.2f} < 3: "
+        "planning failed sets in lockstep is not paying for itself"
+    )
+    print(f"planner batched/looped {ratio:.2f}")
 
 
 def test_lifecycle_profile_covers_the_wall(layout):

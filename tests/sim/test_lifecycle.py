@@ -1,5 +1,7 @@
 """The coupled lifecycle simulator: layout-derived repair, determinism."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import LayoutError, SimulationError
@@ -13,8 +15,11 @@ from repro.sim.lifecycle import (
     guaranteed_tolerance,
     simulate_lifecycle,
 )
+from repro.sim.columnar import LifecycleTables
 from repro.sim.rebuild import DiskModel, analytic_rebuild_time
+from repro.util.stats import mean
 from repro.util.units import GIB
+from tests.layouts.reference_planner import reference_plan
 
 # Slow small disks: rebuild windows are hours-long at test scale, so
 # accelerated MTTFs produce observable losses in tens of trials.
@@ -40,6 +45,30 @@ class TestDerivedMttr:
             for d in range(layout.n_disks)
         ) / layout.n_disks
         assert derived_mttr(layout, DISK) == pytest.approx(expected)
+
+    def test_wide_flat_layout_plans_its_singles_in_small_memory(self):
+        """Every single failure of a 40-disk RAID5 as one batch.
+
+        1 560 reads per failure, 39 wide, none with a second stripe to
+        offload to: the batch holds a few MiB beyond the plans it keeps,
+        and its clocks are the one-at-a-time planner's.
+        """
+        layout = Raid5Layout(40)
+        layout.stripe_table()
+        tracemalloc.start()
+        try:
+            tables = LifecycleTables.build(layout, RebuildTimer(layout, DISK))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 16 * 2**20
+        for disk in (0, 17, 39):
+            alone = analytic_rebuild_time(
+                layout, [disk], DISK, plan=reference_plan(layout, [disk])
+            )
+            assert tables.hours[disk] == alone.seconds / 3600.0
+            assert tables.bytes_read[disk] == alone.bytes_read
+        assert derived_mttr(layout, DISK) == mean(tables.hours.tolist())
 
     def test_oi_repairs_faster_than_raid50(self, fano_layout):
         oi = derived_mttr(fano_layout, DISK)

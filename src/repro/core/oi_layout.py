@@ -37,14 +37,16 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.grouping import DiskGrouping
-from repro.core.skew import is_balanced_group_size, skew_disk_index
+from repro.core.skew import is_balanced_group_size
 from repro.design.bibd import BIBD
 from repro.design.catalog import find_bibd
 from repro.errors import LayoutError
-from repro.layouts.base import Cell, Layout, Stripe, Unit
+from repro.layouts.base import Layout, Stripe
 from repro.util.checks import check_positive
 from repro.util.primes import is_prime, next_prime
 
@@ -105,7 +107,8 @@ class OIRAIDLayout(Layout):
         base_depth = _min_depth(self.g, design.r, inner_parities)
         if depth is None:
             depth = base_depth
-        elif depth < 1 or depth % base_depth != 0:
+        check_positive("depth", depth, 1)
+        if depth % base_depth != 0:
             raise LayoutError(
                 f"depth must be a positive multiple of {base_depth} "
                 f"(inner-layer divisibility), got {depth}"
@@ -120,18 +123,33 @@ class OIRAIDLayout(Layout):
         units_per_disk = self.outer_units_per_disk + self.inner_units_per_disk
         super().__init__(self.grouping.n_disks, units_per_disk)
 
-        self._region_index: Dict[Tuple[int, int], int] = {}
-        for group in range(design.v):
-            for idx, t in enumerate(design.blocks_through(group)):
-                self._region_index[(group, t)] = idx
-
-        stripes: List[Stripe] = []
-        self._build_outer(stripes)
-        self._n_outer_stripes = len(stripes)
-        self._build_inner(stripes)
-        self._stripes = tuple(stripes)
-        self._finalize()
-        self._check_outer_one_per_group()
+        self._region_index: Dict[Tuple[int, int], int] = {
+            (group, t): idx
+            for group in range(design.v)
+            for idx, t in enumerate(design.blocks_through(group))
+        }
+        outer, inner = self._outer_arrays(), self._inner_arrays()
+        counts = [len(outer[0]) // design.k, len(inner[0]) // g]
+        self._n_outer_stripes = counts[0]
+        disk, addr, is_parity = (np.concatenate(pair) for pair in zip(outer, inner))
+        self._finalize(
+            ptr=np.concatenate(([0], np.cumsum(np.repeat([design.k, g], counts)))),
+            disk=disk,
+            addr=addr,
+            is_parity=is_parity,
+            tolerance=np.repeat([outer_parities, inner_parities], counts),
+            level=np.repeat([0, 1], counts),
+            kind=np.repeat([0, 1], counts),
+            kinds=("outer", "inner"),
+        )
+        # The fault-tolerance analysis assumes an outer stripe takes at
+        # most one unit from any group.
+        groups = np.sort(outer[0].reshape(counts[0], -1) // g, axis=1)
+        twice = np.flatnonzero((groups[:, 1:] == groups[:, :-1]).any(axis=1))
+        if twice.size:
+            raise LayoutError(
+                f"outer stripe {twice[0]} uses a group twice (bug)"
+            )
 
     # -- construction ----------------------------------------------------------------
 
@@ -142,117 +160,59 @@ class OIRAIDLayout(Layout):
             raise LayoutError(f"group {group} is not in block {block}")
         return region * self.g * self.depth + m * self.depth + d
 
-    def _class_slopes(self) -> List[int]:
-        """Slopes enumerated per skew class: all of Z_g, or just 0 unskewed."""
-        return list(range(self.g)) if self.skewed else [0]
+    def _outer_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Disk, address and parity flag of every outer incidence, in
+        stripe ``(t, a, m, d)`` loop order, positions last.
 
-    def _effective_depths(self) -> int:
-        """Depth count per (block, a, m); scaled when unskewed so the
-        per-disk outer unit count matches the skewed layout."""
-        return self.depth if self.skewed else self.depth * self.g
-
-    def _build_outer(self, stripes: List[Stripe]) -> None:
-        g, k = self.g, self.design.k
-        depths = self._effective_depths()
-        for t, block in enumerate(self.design.blocks):
-            for a in range(g):
-                for m in self._class_slopes():
-                    for d in range(depths):
-                        units = []
-                        for i, group in enumerate(block):
-                            member = skew_disk_index(a, m, i, g)
-                            if self.skewed:
-                                addr = self.outer_addr(group, t, m, d)
-                            else:
-                                # Unskewed: slot (a-fixed) region is indexed
-                                # purely by depth.
-                                addr = (
-                                    self._region_index[(group, t)]
-                                    * g
-                                    * self.depth
-                                    + d
-                                )
-                            units.append(
-                                Unit(self.grouping.disk_id(group, member), addr)
-                            )
-                        parity = tuple(
-                            sorted(
-                                (a + m + d + j) % k
-                                for j in range(self.m_outer)
-                            )
-                        )
-                        stripes.append(
-                            Stripe(
-                                stripe_id=len(stripes),
-                                kind="outer",
-                                units=tuple(units),
-                                parity=parity,
-                                tolerance=self.m_outer,
-                                level=0,
-                            )
-                        )
-
-    def _parity_rank(self, member: int, row: int) -> int:
-        """Rows before *row* in which *member* served as inner parity."""
-        return sum(
-            (row + self.g - 1 - ((member - j) % self.g)) // self.g
-            for j in range(self.m_inner)
+        Position i sits on member ``(a + i*m) mod g`` of group ``p_i`` at
+        ``outer_addr(p_i, t, m, d)``; unskewed layouts take slope 0 only,
+        over g times the depths. Positions ``(a + m + d + j) mod k``
+        (j < m_o) hold parity.
+        """
+        g, k, depth = self.g, self.design.k, self.depth
+        blocks = np.array(self.design.blocks, dtype=np.intp)
+        region = np.array([
+            [self._region_index[(group, t)] for group in block]
+            for t, block in enumerate(self.design.blocks)
+        ])
+        slopes = g if self.skewed else 1
+        depths = depth if self.skewed else depth * g
+        t, a, m, d, i = np.ix_(
+            range(len(blocks)), range(g), range(slopes), range(depths), range(k)
         )
+        shape = (len(blocks), g, slopes, depths, k)
+        return tuple(np.broadcast_to(x, shape).ravel() for x in (
+            blocks[t, i] * g + (a + i * m) % g,
+            region[t, i] * g * depth + m * depth + d,
+            (i - a - m - d) % k < self.m_outer,
+        ))
 
-    def _build_inner(self, stripes: List[Stripe]) -> None:
-        g = self.g
-        u_o = self.outer_units_per_disk
-        rows_per_group = g * u_o // (g - self.m_inner)
-        for group in range(self.design.v):
-            for row in range(rows_per_group):
-                parity_members = {
-                    (row + j) % g for j in range(self.m_inner)
-                }
-                units = []
-                parity_positions = []
-                for member in range(g):
-                    disk = self.grouping.disk_id(group, member)
-                    rank = self._parity_rank(member, row)
-                    if member in parity_members:
-                        addr = u_o + rank
-                        parity_positions.append(len(units))
-                    else:
-                        addr = row - rank
-                    units.append(Unit(disk, addr))
-                stripes.append(
-                    Stripe(
-                        stripe_id=len(stripes),
-                        kind="inner",
-                        units=tuple(units),
-                        parity=tuple(parity_positions),
-                        tolerance=self.m_inner,
-                        level=1,
-                    )
-                )
+    def _inner_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Disk, address and parity flag of every inner incidence: row ρ
+        of each group, members in order.
 
-    def _check_outer_one_per_group(self) -> None:
-        """Invariant behind the fault-tolerance analysis: an outer stripe
-        takes at most one unit from any group."""
-        for stripe in self.outer_stripes():
-            groups = [self.grouping.locate(u.disk)[0] for u in stripe.units]
-            if len(set(groups)) != len(groups):
-                raise LayoutError(
-                    f"outer stripe {stripe.stripe_id} uses a group twice (bug)"
-                )
+        Members ``(ρ + j) mod g`` (j < m_i) hold parity at ``U_o + rank``;
+        the others hold their ``(ρ - rank)``-th outer unit, where rank
+        counts the earlier rows in which the member served parity.
+        """
+        g, u_o, m_i = self.g, self.outer_units_per_disk, self.m_inner
+        rows = g * u_o // (g - m_i)
+        group, row, member = np.ix_(range(self.design.v), range(rows), range(g))
+        rank = sum((row + g - 1 - (member - j) % g) // g for j in range(m_i))
+        parity = (member - row) % g < m_i
+        shape = (self.design.v, rows, g)
+        return tuple(np.broadcast_to(x, shape).ravel() for x in (
+            group * g + member, np.where(parity, u_o + rank, row - rank), parity
+        ))
 
-    def _order_data_cells(self, cells: List[Cell]) -> List[Cell]:
+    def _order_data_cells(self, cells: np.ndarray) -> np.ndarray:
         """Outer-stripe-major logical order: consecutive user units fill
         one outer stripe's data positions before moving to the next, so a
         sequential write of ``k - m_o`` units shares a single outer-parity
         update (measured in E14)."""
-        cell_set = set(cells)
-        ordered: List[Cell] = []
-        for stripe in self._stripes[: self._n_outer_stripes]:
-            for pos in stripe.data_positions:
-                cell = stripe.units[pos].cell
-                if cell in cell_set:
-                    ordered.append(cell)
-        if len(ordered) != len(cells):
+        outer = slice(0, self.stripe_ptr[self._n_outer_stripes])
+        ordered = self.stripe_cell[outer][~self.is_parity[outer]]
+        if not np.array_equal(np.sort(ordered), cells):
             raise LayoutError(
                 "outer stripes do not cover the data cells exactly (bug)"
             )
@@ -262,11 +222,11 @@ class OIRAIDLayout(Layout):
 
     def outer_stripes(self) -> Tuple[Stripe, ...]:
         """The level-0 (cross-group) stripes, in construction order."""
-        return self._stripes[: self._n_outer_stripes]
+        return self.stripes[: self._n_outer_stripes]
 
     def inner_stripes(self) -> Tuple[Stripe, ...]:
         """The level-1 (within-group) rows, in construction order."""
-        return self._stripes[self._n_outer_stripes :]
+        return self.stripes[self._n_outer_stripes :]
 
     def group_of_disk(self, disk: int) -> int:
         """The group a global disk id belongs to."""

@@ -5,14 +5,21 @@ Geometry model
 
 A layout covers ``n_disks`` disks with a repeating *cycle* of
 ``units_per_disk`` fixed-size units per disk. A *cell* is a
-``(disk, addr)`` pair with ``addr`` in ``[0, units_per_disk)``; real arrays
-tile the cycle down the disks, so all per-cycle properties (efficiency,
-recovery load, tolerance) hold for the whole array.
+``(disk, addr)`` pair with ``addr`` in ``[0, units_per_disk)``, or its
+integer id ``disk * units_per_disk + addr``; real arrays tile the cycle
+down the disks, so all per-cycle properties (efficiency, recovery load,
+tolerance) hold for the whole array.
 
-Each :class:`Stripe` occupies a set of cells and marks some positions as
-parity. A stripe with tolerance *f* can regenerate up to *f* of its cells
-from the rest (XOR for f = 1, P+Q for f = 2, Reed-Solomon beyond). Cells
-that are parity in *no* stripe hold user data.
+Each stripe occupies a set of cells and marks some positions as parity.
+A stripe with tolerance *f* can regenerate up to *f* of its cells from
+the rest (XOR for f = 1, P+Q for f = 2, Reed-Solomon beyond). Cells that
+are parity in *no* stripe hold user data.
+
+The geometry itself is one incidence array in CSR form: stripe *s* holds
+the cell ids ``stripe_cell[stripe_ptr[s]:stripe_ptr[s + 1]]`` in position
+order, flagged by ``is_parity``, with per-stripe ``stripe_tolerance``,
+``stripe_level`` and ``stripe_kind``. :class:`Stripe` objects are views of
+it, built on first access for the byte-level data path only.
 
 Two-layer layouts (OI-RAID) have stripes at two *levels*: inner stripes
 (level 1) include outer parity cells as ordinary members, so outer parity
@@ -24,9 +31,9 @@ level-ordered encode terminates.
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -168,12 +175,54 @@ class Stripe:
         return tuple(self.units[i].cell for i in self.parity)
 
 
+def _as_index(value) -> int:
+    """``operator.index(value)``, refusing bools as well."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
+def _flatten(name: str, stripes: Tuple[Stripe, ...]) -> Dict[str, Any]:
+    """The incidence arrays of *stripes*, for :meth:`Layout._finalize`.
+
+    Checks the two things only objects can get wrong: stripe ids that are
+    not their index, and parity positions outside the stripe.
+    """
+    for sid, stripe in enumerate(stripes):
+        if stripe.stripe_id != sid:
+            raise LayoutError(
+                f"{name}: stripe ids must be contiguous from 0 "
+                f"(found {stripe.stripe_id} at index {sid})"
+            )
+        for pos in stripe.parity:
+            if not 0 <= pos < stripe.width:
+                raise LayoutError(
+                    f"{name}: stripe {sid} parity position {pos} out of range"
+                )
+    units = list(chain.from_iterable(s.units for s in stripes))
+    kinds = tuple(dict.fromkeys(s.kind for s in stripes))
+    return dict(
+        ptr=np.cumsum([0] + [s.width for s in stripes]),
+        disk=np.array([u.disk for u in units], dtype=np.intp),
+        addr=np.array([u.addr for u in units], dtype=np.intp),
+        is_parity=np.array(
+            [p in s.parity for s in stripes for p in range(s.width)], dtype=bool
+        ),
+        tolerance=np.array([s.tolerance for s in stripes], dtype=np.intp),
+        level=np.array([s.level for s in stripes], dtype=np.intp),
+        kind=np.array([kinds.index(s.kind) for s in stripes], dtype=np.intp),
+        kinds=kinds,
+    )
+
+
 class Layout(abc.ABC):
     """Abstract base for all placements. Subclasses build their stripes once.
 
-    Subclasses must set ``_stripes`` (tuple of :class:`Stripe`) before
-    calling :meth:`_finalize`, which validates the geometry and builds the
-    cell indexes that the planner and data path rely on.
+    A subclass either passes its incidence arrays to :meth:`_finalize`
+    (OI-RAID computes them in closed form) or sets ``_stripes`` (a tuple
+    of :class:`Stripe`) and calls ``_finalize()``, which flattens them.
+    Either way the one validator checks the arrays and the one index
+    builder reads them.
     """
 
     name: str = "layout"
@@ -187,10 +236,8 @@ class Layout(abc.ABC):
             )
         self.n_disks = n_disks
         self.units_per_disk = units_per_disk
-        self._stripes: Tuple[Stripe, ...] = ()
-        self._cell_stripes: Dict[Cell, List[int]] = {}
-        self._parity_of: Dict[Cell, int] = {}
-        self._data_cells: Tuple[Cell, ...] = ()
+        #: The :class:`Stripe` views, built on first access to ``stripes``.
+        self._stripes: Optional[Tuple[Stripe, ...]] = None
         self._peeling_index: Optional[PeelingIndex] = None
         self._disk_peeling_index: Optional[DiskPeelingIndex] = None
         self._stripe_table: Optional[StripeTable] = None
@@ -200,123 +247,192 @@ class Layout(abc.ABC):
 
     # -- construction -----------------------------------------------------------
 
-    def _finalize(self) -> None:
-        """Validate stripes and build indexes. Called by subclass __init__."""
-        if not self._stripes:
+    def _finalize(self, **arrays: Any) -> None:
+        """Validate the geometry and store it. Called by subclass __init__.
+
+        *arrays* are ``ptr`` (stripe offsets), ``disk`` and ``addr`` (per
+        incidence, in position order), ``is_parity``, per-stripe
+        ``tolerance``, ``level`` and ``kind`` (an index into the names
+        ``kinds``); without them, ``self._stripes`` is flattened.
+        """
+        if not arrays:
+            if not self._stripes:
+                raise LayoutError(f"{self.name}: no stripes defined")
+            arrays = _flatten(self.name, self._stripes)
+        ptr, disk, addr = arrays["ptr"], arrays["disk"], arrays["addr"]
+        is_parity, tolerance = arrays["is_parity"], arrays["tolerance"]
+        level = arrays["level"]
+        n_stripes = len(ptr) - 1
+        if n_stripes == 0:
             raise LayoutError(f"{self.name}: no stripes defined")
-        cell_stripes: Dict[Cell, List[int]] = {}
-        parity_of: Dict[Cell, int] = {}
-        for expected_id, stripe in enumerate(self._stripes):
-            if stripe.stripe_id != expected_id:
-                raise LayoutError(
-                    f"{self.name}: stripe ids must be contiguous from 0 "
-                    f"(found {stripe.stripe_id} at index {expected_id})"
-                )
-            if stripe.tolerance < 1 or stripe.tolerance > len(stripe.parity):
-                raise LayoutError(
-                    f"{self.name}: stripe {stripe.stripe_id} tolerance "
-                    f"{stripe.tolerance} inconsistent with "
-                    f"{len(stripe.parity)} parity units"
-                )
-            seen_cells = set()
-            for unit in stripe.units:
-                if not (
-                    0 <= unit.disk < self.n_disks
-                    and 0 <= unit.addr < self.units_per_disk
-                ):
-                    raise LayoutError(
-                        f"{self.name}: stripe {stripe.stripe_id} places a "
-                        f"unit at {unit.cell}, outside the "
-                        f"{self.n_disks}x{self.units_per_disk} cycle"
-                    )
-                if unit.cell in seen_cells:
-                    raise LayoutError(
-                        f"{self.name}: stripe {stripe.stripe_id} uses cell "
-                        f"{unit.cell} twice"
-                    )
-                seen_cells.add(unit.cell)
-                cell_stripes.setdefault(unit.cell, []).append(stripe.stripe_id)
-            for pos in stripe.parity:
-                if not 0 <= pos < stripe.width:
-                    raise LayoutError(
-                        f"{self.name}: stripe {stripe.stripe_id} parity "
-                        f"position {pos} out of range"
-                    )
-                cell = stripe.units[pos].cell
-                if cell in parity_of:
-                    raise LayoutError(
-                        f"{self.name}: cell {cell} is parity in two stripes "
-                        f"({parity_of[cell]} and {stripe.stripe_id})"
-                    )
-                parity_of[cell] = stripe.stripe_id
-        # Full coverage: every cell of the cycle belongs to some stripe.
-        expected = self.n_disks * self.units_per_disk
-        if len(cell_stripes) != expected:
+        u, n_cells = self.units_per_disk, self.n_disks * self.units_per_disk
+        sid = np.repeat(np.arange(n_stripes), np.diff(ptr))
+        n_parity = np.bincount(sid[is_parity], minlength=n_stripes)
+        bad = np.flatnonzero((tolerance < 1) | (tolerance > n_parity))
+        if bad.size:
+            s = bad[0]
             raise LayoutError(
-                f"{self.name}: {expected - len(cell_stripes)} cells of the "
-                f"cycle are not covered by any stripe"
+                f"{self.name}: stripe {s} tolerance {tolerance[s]} "
+                f"inconsistent with {n_parity[s]} parity units"
             )
+        bad = np.flatnonzero(
+            (disk < 0) | (disk >= self.n_disks) | (addr < 0) | (addr >= u)
+        )
+        if bad.size:
+            i = bad[0]
+            raise LayoutError(
+                f"{self.name}: stripe {sid[i]} places a unit at "
+                f"{(int(disk[i]), int(addr[i]))}, outside the "
+                f"{self.n_disks}x{u} cycle"
+            )
+        cell = disk * u + addr
+        key = np.sort(sid * n_cells + cell)
+        twice = np.flatnonzero(key[1:] == key[:-1])
+        if twice.size:
+            s, c = divmod(int(key[twice[0]]), n_cells)
+            raise LayoutError(
+                f"{self.name}: stripe {s} uses cell {divmod(c, u)} twice"
+            )
+        parity_cell, producer = cell[is_parity], sid[is_parity]
+        order = np.argsort(parity_cell, kind="stable")
+        parity_cell, producer = parity_cell[order], producer[order]
+        twice = np.flatnonzero(parity_cell[1:] == parity_cell[:-1])
+        if twice.size:
+            i = twice[0]
+            raise LayoutError(
+                f"{self.name}: cell {divmod(int(parity_cell[i]), u)} is "
+                f"parity in two stripes ({producer[i]} and {producer[i + 1]})"
+            )
+        # Full coverage: every cell of the cycle belongs to some stripe.
+        uncovered = n_cells - np.count_nonzero(np.bincount(cell, minlength=n_cells))
+        if uncovered:
+            raise LayoutError(
+                f"{self.name}: {uncovered} cells of the cycle are not "
+                f"covered by any stripe"
+            )
+        parity_of = np.full(n_cells, -1, dtype=np.intp)
+        parity_of[parity_cell] = producer
         # Level consistency: consuming another stripe's parity requires a
         # strictly higher level (guarantees encode order exists).
-        for stripe in self._stripes:
-            for pos, unit in enumerate(stripe.units):
-                if pos in stripe.parity:
-                    continue
-                producer = parity_of.get(unit.cell)
-                if producer is not None:
-                    producer_level = self._stripes[producer].level
-                    if stripe.level <= producer_level:
-                        raise LayoutError(
-                            f"{self.name}: stripe {stripe.stripe_id} (level "
-                            f"{stripe.level}) consumes parity of stripe "
-                            f"{producer} (level {producer_level}) without a "
-                            f"higher level"
-                        )
-        self._cell_stripes = cell_stripes
-        self._parity_of = parity_of
-        data = [cell for cell in cell_stripes if cell not in parity_of]
-        self._data_cells = tuple(self._order_data_cells(data))
+        consumed = parity_of[cell]
+        bad = np.flatnonzero(
+            ~is_parity & (consumed >= 0) & (level[sid] <= level[consumed])
+        )
+        if bad.size:
+            s, p = sid[bad[0]], consumed[bad[0]]
+            raise LayoutError(
+                f"{self.name}: stripe {s} (level {level[s]}) consumes parity "
+                f"of stripe {p} (level {level[p]}) without a higher level"
+            )
+        self.stripe_ptr = ptr
+        self.stripe_cell = cell
+        self.is_parity = is_parity
+        self.stripe_tolerance = tolerance
+        self.stripe_level = level
+        self.stripe_kind = arrays["kind"]
+        self.stripe_kinds: Tuple[str, ...] = arrays["kinds"]
+        self.parity_of = parity_of
+        self._data = self._order_data_cells(np.flatnonzero(parity_of < 0))
+        self._data_cells: Optional[Tuple[Cell, ...]] = None
+        for array in (ptr, cell, is_parity, tolerance, level, self.stripe_kind,
+                      parity_of, self._data):
+            array.flags.writeable = False
 
-    def _order_data_cells(self, cells: List[Cell]) -> List[Cell]:
-        """Logical (user address) order of the data cells.
+    def _order_data_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Logical (user address) order of the data cell ids *cells*.
 
         Default is row-major — address first, then disk — so consecutive
         logical units land on different disks, like real RAID striping.
         Subclasses may override (OI-RAID orders outer-stripe-major so
         sequential spans fill whole stripes and batch their parity).
         """
-        return sorted(cells, key=lambda cell: (cell[1], cell[0]))
+        u = self.units_per_disk
+        return cells[np.lexsort((cells // u, cells % u))]
 
     # -- geometry queries ----------------------------------------------------------
 
     @property
+    def n_stripes(self) -> int:
+        return len(self.stripe_ptr) - 1
+
+    @property
     def stripes(self) -> Tuple[Stripe, ...]:
+        """Every stripe as a :class:`Stripe`, built on first access."""
+        if self._stripes is None:
+            disk, addr = np.divmod(self.stripe_cell, self.units_per_disk)
+            units = list(map(Unit, disk.tolist(), addr.tolist()))
+            flags, ptr = self.is_parity.tolist(), self.stripe_ptr.tolist()
+            self._stripes = tuple(
+                Stripe(sid, self.stripe_kinds[kind], tuple(units[a:b]),
+                       tuple(i for i, f in enumerate(flags[a:b]) if f), tol, level)
+                for sid, (a, b, kind, tol, level) in enumerate(zip(
+                    ptr, ptr[1:], self.stripe_kind.tolist(),
+                    self.stripe_tolerance.tolist(), self.stripe_level.tolist(),
+                ))
+            )
         return self._stripes
 
     @property
     def data_cells(self) -> Tuple[Cell, ...]:
-        """Cells holding user data, in (disk, addr) order."""
+        """Cells holding user data, in logical order."""
+        if self._data_cells is None:
+            disk, addr = np.divmod(self._data, self.units_per_disk)
+            self._data_cells = tuple(zip(disk.tolist(), addr.tolist()))
         return self._data_cells
+
+    def check_disk(self, disk: Any) -> int:
+        """*disk* as a Python int naming a disk of this layout.
+
+        The one check of caller-supplied disk ids: a value that
+        ``operator.index`` refuses, a bool, or an id outside
+        ``[0, n_disks)`` raises :class:`LayoutError`.
+        """
+        if type(disk) is not int:
+            try:
+                disk = _as_index(disk)
+            except TypeError:
+                raise LayoutError(
+                    f"disk id {disk!r} of {self.name} is not an integer"
+                ) from None
+        if not 0 <= disk < self.n_disks:
+            raise LayoutError(f"no such disk {disk} in {self.name}")
+        return disk
+
+    def cell_id(self, cell: Any) -> int:
+        """The id ``disk * units_per_disk + addr`` of a ``(disk, addr)``
+        cell of the cycle; anything else raises :class:`LayoutError`."""
+        try:
+            disk, addr = cell
+            disk = self.check_disk(disk)
+            addr = _as_index(addr)
+        except (TypeError, ValueError, LayoutError):
+            addr = -1
+        if not 0 <= addr < self.units_per_disk:
+            raise LayoutError(f"no such cell {cell} in {self.name}")
+        return disk * self.units_per_disk + addr
 
     def stripes_containing(self, cell: Cell) -> Tuple[int, ...]:
         """Stripe ids that include *cell* (1 for flat layouts, 2 for OI)."""
-        try:
-            return tuple(self._cell_stripes[cell])
-        except KeyError:
-            raise LayoutError(f"{self.name}: no such cell {cell}") from None
+        ids = self.disk_peeling_index().cell_stripes[self.cell_id(cell)]
+        return tuple(ids[ids < self.n_stripes].tolist())
 
     def peeling_index(self) -> PeelingIndex:
         """The cached :class:`PeelingIndex` for this layout (built lazily)."""
         if self._peeling_index is None:
+            table, n = self.stripe_table(), self.n_stripes
+            cells, ptr = table.cells, self.stripe_ptr.tolist()
+            members = [cells[c] for c in self.stripe_cell.tolist()]
             self._peeling_index = PeelingIndex(
-                stripe_cells=tuple(s.cells() for s in self._stripes),
-                stripe_tolerance=tuple(s.tolerance for s in self._stripes),
-                stripe_needed=tuple(
-                    s.width - s.tolerance for s in self._stripes
+                stripe_cells=tuple(
+                    tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])
                 ),
+                stripe_tolerance=tuple(table.tolerance[:n].tolist()),
+                stripe_needed=tuple(table.needed[:n].tolist()),
                 cell_stripes={
-                    cell: tuple(ids)
-                    for cell, ids in self._cell_stripes.items()
+                    cells[c]: tuple(s for s in ids if s < n)
+                    for c, ids in enumerate(
+                        self.disk_peeling_index().cell_stripes.tolist()
+                    )
                 },
             )
         return self._peeling_index
@@ -324,18 +440,16 @@ class Layout(abc.ABC):
     def _index_stripes(self) -> None:
         """Build the :class:`DiskPeelingIndex` and :class:`StripeTable`.
 
-        Straight from the stripes: their cells flattened to ids, then the
-        ``(stripe, position)`` incidences sorted by cell (stably, so each
-        cell's stripes stay in id order) and ranked within their cell.
+        Straight from the incidence arrays: the ``(stripe, position)``
+        incidences sorted by cell (stably, so each cell's stripes stay in
+        id order) and ranked within their cell.
         """
         u, n_cells = self.units_per_disk, self.n_disks * self.units_per_disk
-        units = list(chain.from_iterable(s.units for s in self._stripes))
-        widths = np.array([len(s.units) for s in self._stripes])
+        flat, ptr = self.stripe_cell, self.stripe_ptr
+        widths = np.diff(ptr)
         n_stripes = len(widths)
-        flat = np.fromiter(map(attrgetter("disk"), units), np.intp, len(units)) * u
-        flat += np.fromiter(map(attrgetter("addr"), units), np.intp, len(units))
         sids = np.repeat(np.arange(n_stripes), widths)
-        cols = np.arange(len(flat)) - np.repeat(np.cumsum(widths) - widths, widths)
+        cols = np.arange(len(flat)) - np.repeat(ptr[:-1], widths)
         cells = np.full((n_stripes + 1, max(widths.max(), 2)), n_cells)
         cells[sids, cols] = flat
         order = np.argsort(flat, kind="stable")
@@ -346,7 +460,7 @@ class Layout(abc.ABC):
         stripes[flat, rank] = sids
         positions = np.zeros_like(stripes)
         positions[flat, rank] = cols
-        tolerance = np.array([s.tolerance for s in self._stripes] + [0])
+        tolerance = np.append(self.stripe_tolerance, 0)
         twice = np.sort(sids * self.n_disks + flat // u)
         table = StripeTable(
             cells, np.append(widths, 0) - tolerance, tolerance, positions,
@@ -377,28 +491,27 @@ class Layout(abc.ABC):
 
     def parity_producer(self, cell: Cell) -> int:
         """The stripe id whose parity lives at *cell*, or raise."""
-        try:
-            return self._parity_of[cell]
-        except KeyError:
-            raise LayoutError(
-                f"{self.name}: cell {cell} is not a parity cell"
-            ) from None
+        producer = int(self.parity_of[self.cell_id(cell)])
+        if producer < 0:
+            raise LayoutError(f"{self.name}: cell {cell} is not a parity cell")
+        return producer
 
     def is_parity_cell(self, cell: Cell) -> bool:
         """True when some stripe's parity lives at *cell*."""
-        return cell in self._parity_of
+        return bool(self.parity_of[self.cell_id(cell)] >= 0)
 
     @property
     def storage_efficiency(self) -> float:
         """User-data fraction of raw capacity."""
-        return len(self._data_cells) / (self.n_disks * self.units_per_disk)
+        return len(self._data) / (self.n_disks * self.units_per_disk)
 
     def levels(self) -> Tuple[int, ...]:
         """Distinct stripe levels in ascending (encode) order."""
-        return tuple(sorted({s.level for s in self._stripes}))
+        return tuple(np.unique(self.stripe_level).tolist())
 
     def cells_on_disk(self, disk: int) -> List[Cell]:
         """All cycle cells residing on one disk."""
+        disk = self.check_disk(disk)
         return [(disk, addr) for addr in range(self.units_per_disk)]
 
     # -- scheme metadata (overridable) ------------------------------------------------
@@ -409,7 +522,7 @@ class Layout(abc.ABC):
             "name": self.name,
             "n_disks": self.n_disks,
             "units_per_disk": self.units_per_disk,
-            "stripes_per_cycle": len(self._stripes),
+            "stripes_per_cycle": self.n_stripes,
             "storage_efficiency": self.storage_efficiency,
         }
 
@@ -423,18 +536,20 @@ class Layout(abc.ABC):
         that closure — 1 for RAID5, 2 for RAID6, 3 for OI-RAID, which is
         the minimum possible for tolerance 3.
         """
-        start = cell if cell is not None else self._data_cells[0]
-        if start not in self._cell_stripes or start in self._parity_of:
-            raise LayoutError(f"{self.name}: {start} is not a data cell")
+        start = int(self._data[0]) if cell is None else self.cell_id(cell)
+        if self.parity_of[start] >= 0:
+            raise LayoutError(f"{self.name}: {cell} is not a data cell")
+        cell_stripes = self.disk_peeling_index().cell_stripes
+        ptr, members = self.stripe_ptr, self.stripe_cell
         dirty = [start]
         touched: set = set()
         while dirty:
             current = dirty.pop()
-            for stripe_id in self._cell_stripes[current]:
-                stripe = self._stripes[stripe_id]
-                if current in stripe.parity_cells():
-                    continue  # a cell does not dirty its own producer twice
-                for pcell in stripe.parity_cells():
+            for stripe_id in cell_stripes[current]:
+                if stripe_id == self.n_stripes or stripe_id == self.parity_of[current]:
+                    continue  # padding; a cell does not dirty its own producer
+                span = slice(ptr[stripe_id], ptr[stripe_id + 1])
+                for pcell in members[span][self.is_parity[span]].tolist():
                     if pcell not in touched:
                         touched.add(pcell)
                         dirty.append(pcell)

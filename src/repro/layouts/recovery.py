@@ -22,7 +22,6 @@ geometry into its recovery speedup:
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -51,33 +50,9 @@ _PEEL_BUDGET = 1 << 16
 _PLAN_BUDGET = 1 << 18
 
 
-def _index(value) -> int:
-    """``operator.index(value)``, refusing bools as well."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{value!r} is a bool")
-    return operator.index(value)
-
-
 def _disk_ids(layout: Layout, disks: Iterable[int]) -> List[int]:
-    """Each of *disks* as a Python int naming a disk of *layout*.
-
-    The one check of caller-supplied disk ids: a value that
-    ``operator.index`` refuses, a bool, or an id outside ``[0, n_disks)``
-    raises :class:`LayoutError`.
-    """
-    ids = []
-    for disk in disks:
-        if type(disk) is not int:
-            try:
-                disk = _index(disk)
-            except TypeError:
-                raise LayoutError(
-                    f"disk id {disk!r} of {layout.name} is not an integer"
-                ) from None
-        if not 0 <= disk < layout.n_disks:
-            raise LayoutError(f"no such disk {disk} in {layout.name}")
-        ids.append(disk)
-    return ids
+    """Each of *disks* checked by :meth:`Layout.check_disk`."""
+    return [layout.check_disk(disk) for disk in disks]
 
 
 def _failed_set(layout: Layout, failed_disks: Iterable[int]) -> Tuple[int, ...]:
@@ -87,18 +62,8 @@ def _failed_set(layout: Layout, failed_disks: Iterable[int]) -> Tuple[int, ...]:
 
 def _cell_mask(layout: Layout, cells: Iterable[Cell]) -> np.ndarray:
     """The ``(n_cells,)`` bool mask of an explicit lost-cell set."""
-    u = layout.units_per_disk
-    mask = np.zeros(layout.n_disks * u, dtype=bool)
-    for cell in cells:
-        try:
-            disk, addr = cell
-            (disk,) = _disk_ids(layout, (disk,))
-            addr = _index(addr)
-        except (TypeError, ValueError, LayoutError):
-            addr = -1
-        if not 0 <= addr < u:
-            raise LayoutError(f"no such cell {cell} in {layout.name}")
-        mask[disk * u + addr] = True
+    mask = np.zeros(layout.n_disks * layout.units_per_disk, dtype=bool)
+    mask[[layout.cell_id(cell) for cell in cells]] = True
     return mask
 
 
@@ -390,12 +355,15 @@ def parity_disk_table(layout: Layout) -> Dict[Cell, Tuple[int, ...]]:
     cached = getattr(layout, "_parity_disk_table", None)
     if cached is not None:
         return cached
-    table: Dict[Cell, set] = {}
-    for stripe in layout.stripes:
-        pdisks = {c[0] for c in stripe.parity_cells()}
-        for cell in stripe.cells():
-            table.setdefault(cell, set()).update(pdisks - {cell[0]})
-    result = {cell: tuple(sorted(disks)) for cell, disks in table.items()}
+    cells = layout.stripe_table().cells
+    ptr, members = layout.stripe_ptr.tolist(), layout.stripe_cell.tolist()
+    flags = layout.is_parity.tolist()
+    table: Dict[int, set] = {}
+    for a, b in zip(ptr, ptr[1:]):
+        pdisks = {cells[c][0] for c, f in zip(members[a:b], flags[a:b]) if f}
+        for c in members[a:b]:
+            table.setdefault(c, set()).update(pdisks - {cells[c][0]})
+    result = {cells[c]: tuple(sorted(disks)) for c, disks in table.items()}
     layout._parity_disk_table = result
     return result
 

@@ -151,7 +151,7 @@ def guaranteed_tolerance(layout: Layout) -> int:
     declared = getattr(layout, "design_tolerance", None)
     if declared is not None:
         return int(declared)
-    return min(s.tolerance for s in layout.stripes)
+    return int(layout.stripe_tolerance.min())
 
 
 def derived_mttr(

@@ -1,10 +1,11 @@
 """OI-RAID layout geometry: the normative invariants from DESIGN.md."""
 
+import numpy as np
 import pytest
 
 from repro.core.oi_layout import OIRAIDLayout, oi_raid
 from repro.design.catalog import find_bibd
-from repro.errors import LayoutError
+from repro.errors import LayoutError, ParameterError
 
 
 class TestFanoGeometry:
@@ -167,3 +168,20 @@ class TestOtherConfigurations:
         assert layout.storage_efficiency == pytest.approx(
             (k - 1) / k * (g - 1) / g
         )
+
+
+class TestDepthValidation:
+    """``depth`` is checked like every other constructor argument."""
+
+    @pytest.mark.parametrize("depth", [2.0, np.int64(2), True])
+    def test_non_int_depth_is_a_type_error(self, fano, depth):
+        with pytest.raises(TypeError, match="depth"):
+            OIRAIDLayout(fano, 3, depth=depth)
+
+    def test_zero_depth_is_a_parameter_error(self, fano):
+        with pytest.raises(ParameterError, match="depth"):
+            OIRAIDLayout(fano, 3, depth=0)
+
+    def test_explicit_depth_stays_a_python_int(self, fano):
+        layout = OIRAIDLayout(fano, 3, depth=2)
+        assert type(layout.units_per_disk) is int

@@ -131,3 +131,41 @@ class TestQueries:
         info = two_level.describe()
         assert info["name"] == "custom"
         assert info["stripes_per_cycle"] == 2
+
+
+class TestCellsOutsideTheCycle:
+    """Every cell query checks ``(disk, addr)`` against the cycle first.
+
+    Cells index arrays, so an unchecked negative disk would silently wrap
+    to the last disk.
+    """
+
+    @pytest.fixture
+    def layout(self):
+        from repro.core.oi_layout import oi_raid
+
+        return oi_raid(7, 3)  # 21 disks x 27 units
+
+    @pytest.mark.parametrize("disk", [99, 21, -1, True, 1.0])
+    def test_cells_on_disk(self, layout, disk):
+        with pytest.raises(LayoutError, match="disk"):
+            layout.cells_on_disk(disk)
+
+    @pytest.mark.parametrize(
+        "cell", [(-1, 0), (-1, 26), (21, 0), (0, 27), (0, -1), (0,), "ab", 5]
+    )
+    def test_cell_queries(self, layout, cell):
+        for query in (layout.stripes_containing, layout.parity_producer,
+                      layout.is_parity_cell, layout.update_penalty):
+            with pytest.raises(LayoutError, match="no such cell"):
+                query(cell)
+
+    def test_cells_inside_the_cycle_answer_as_before(self, layout):
+        assert layout.cells_on_disk(20)[-1] == (20, 26)
+        assert len(layout.stripes_containing((20, 0))) == 2
+        assert layout.stripes_containing((20, 26)) == (
+            layout.parity_producer((20, 26)),
+        )
+        assert layout.is_parity_cell((20, 26))
+        assert not layout.is_parity_cell(layout.data_cells[-1])
+        assert layout.update_penalty(layout.data_cells[-1]) == 3

@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these eight are same-process ratios between code paths that
+system); these nine are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -25,7 +25,12 @@ return identical bits, so the box they run on cancels out:
   pays for its numpy dispatch once per round, not once per pattern;
 * one ``plan_many`` over the 57 single failures of ``oi_raid(19, 3)`` /
   a loop planning them one row at a time >= 3 — the lockstep planner
-  pays for a greedy step or offload round once per batch.
+  pays for a greedy step or offload round once per batch;
+* the object construction of the 171-disk ``find_bibd(57, 3)`` layout,
+  its data-cell order and its tables
+  (``tests/core/reference_oi_layout.py``) /
+  ``OIRAIDLayout`` plus ``stripe_table()`` >= 10 — the closed-form
+  incidence arrays against one ``Stripe`` per stripe.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
@@ -53,6 +58,7 @@ from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import simulate_serve
 from repro.workloads import WorkloadSpec
+from tests.core.reference_oi_layout import ReferenceOIGeometry
 
 pytestmark = pytest.mark.slow
 
@@ -220,6 +226,26 @@ def test_batched_planner_floor():
         "planning failed sets in lockstep is not paying for itself"
     )
     print(f"planner batched/looped {ratio:.2f}")
+
+
+def test_layout_build_floor():
+    design = find_bibd(57, 3)
+    layout = OIRAIDLayout(design, 3)
+
+    def objects():
+        reference = ReferenceOIGeometry(layout)
+        return reference.data_cells(), reference.tables()
+
+    best = best_interleaved({
+        "objects": objects,
+        "arrays": lambda: OIRAIDLayout(design, 3).stripe_table(),
+    })
+    ratio = best["objects"] / best["arrays"]
+    assert ratio >= 10.0, (
+        f"object/array layout build ratio {ratio:.2f} < 10: "
+        "the closed-form geometry is not paying for itself"
+    )
+    print(f"layout build objects/arrays {ratio:.2f}")
 
 
 def test_lifecycle_profile_covers_the_wall(layout):

@@ -396,6 +396,7 @@ class LockstepScreen:
     screen read — and overwrites their entries. With *tally*, each round
     appends ``(trial, failed_at, disk, repaired_at)`` columns of its clean
     and truncated (``repaired_at`` NaN) incidents to ``tally``.
+    :meth:`overlaps` then names the two disks down at each overlap.
     """
 
     def __init__(
@@ -522,6 +523,26 @@ class LockstepScreen:
                 draw_sum[t_clean] += redraw
             active = active[clean]
         self.peak[(~dangerous) & (n_failures > 0)] = 1
+
+    def overlaps(self):
+        """``(first, second)`` disk columns of the trials flagged at an overlap.
+
+        A flagged trial leaves the rounds with its failure clocks as they
+        stood at the incident, so its two earliest clocks are the disks
+        down when the second failure lands: the first multi-disk failed
+        set its walk reaches. Trials flagged for anything else — a
+        latent-error strike, or (``guarantee == 0``) a lone failure —
+        have their second failure after the rebuild and add no pair.
+        """
+        fa = self.fail_at[:, self.dangerous]
+        cols = _np.arange(fa.shape[1])
+        first = fa.argmin(axis=0)
+        comp = fa[first, cols] + self._tables.hours[first]
+        fa[first, cols] = _np.inf
+        second = fa.argmin(axis=0)
+        at = fa[second, cols]
+        overlap = (at <= comp) & (at <= self._horizon_hours)
+        return first[overlap], second[overlap]
 
 
 def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,

@@ -452,7 +452,7 @@ def simulate_fleet(
     parts = run_chunks(
         "simulate_fleet", dict(arrays=arrays, trials=trials, jobs=jobs),
         _fleet_chunk,
-        _mission_state(layout, disk, sparing, method, batches),
+        _mission_state(layout, disk, sparing, method, batches, telemetry),
         dict(
             mttf_hours=mttf_hours, horizon_hours=horizon_hours,
             lse_rate_per_byte=lse_rate_per_byte, lambda_boost=lambda_boost,

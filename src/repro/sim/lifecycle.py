@@ -54,7 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as _np
@@ -63,11 +63,13 @@ from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import (
     cells_recoverable,
+    failure_matrix,
     is_recoverable,
     lost_cells,
     pattern_entries,
+    recoverable_many,
 )
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
@@ -459,6 +461,7 @@ def _mission_state(
     sparing: str,
     method: str,
     batches: int,
+    telemetry: Optional[Telemetry] = None,
 ) -> Tuple[Layout, RebuildTimer, LifecycleTables]:
     """The broadcast ``(layout, timer, tables)`` of a lifecycle or fleet run.
 
@@ -466,10 +469,38 @@ def _mission_state(
     timer and the per-disk rebuild columns are unpickled once per
     worker, and the memo then accumulates across every chunk the worker
     runs. The columns are built for either kernel, so the parent's
-    rebuild calls never depend on it.
+    rebuild calls never depend on it; building them is billed to the
+    ``plan`` phase of *telemetry* (``None``: the ambient one).
     """
     timer = RebuildTimer(layout, disk or DiskModel(), sparing, method, batches)
-    return layout, timer, LifecycleTables.build(layout, timer)
+    tel = telemetry if telemetry is not None else ambient()
+    with tel.phase("plan"):
+        tables = LifecycleTables.build(layout, timer)
+    return layout, timer, tables
+
+
+def _plan_ahead(layout: Layout, overlaps, tolerance: int) -> None:
+    """Plan the failed sets of *overlaps* the layout's memo lacks, as one batch.
+
+    *overlaps* are :meth:`LockstepScreen.overlaps`' ``(first, second)``
+    disk columns: each flagged mission's first two-disk failed set,
+    which its walk asks the timer for unless the set loses data. Sets
+    past *tolerance* are decided first by one silent batched peel, as
+    the walk's ``is_recoverable`` would; the decodable rest go to one
+    ``pattern_entries`` call. The memo only ever holds what a walk would
+    have planned on demand, so results and telemetry cannot tell.
+    """
+    # A set of memo keys, not np.unique: its first call in a process
+    # costs ~1 MiB of peak RSS.
+    first, second = (column.tolist() for column in overlaps)
+    pairs = {(a, b) if a < b else (b, a) for a, b in zip(first, second)}
+    sets = sorted(pairs - layout.patterns.keys())
+    if sets and tolerance < 2:
+        with use_telemetry(NULL_TELEMETRY):
+            decodable = recoverable_many(layout, failure_matrix(layout, sets))
+        sets = list(compress(sets, decodable.tolist()))
+    if sets:
+        pattern_entries(layout, sets)
 
 
 def _mission_chunk(
@@ -484,8 +515,10 @@ def _mission_chunk(
     values to the chunk layout. Lifetimes are sampled at rate *lambd*;
     when that is not *nominal_lambd* the chunk also keeps each mission's
     ``draw_sum`` for the caller's likelihood ratio. *screened* runs the
-    lockstep screen and walks only the missions it flags; otherwise every
-    mission is walked, from a plane sized by :func:`_slot_estimate`. The
+    lockstep screen, plans the failed sets its overlaps name as one batch
+    (:func:`_plan_ahead`, billed to ``plan``) and walks only the missions
+    it flags; otherwise every mission is walked, from a plane sized by
+    :func:`_slot_estimate`, and plans on demand. The
     walk (:func:`_lifecycle_trial`) reads the floats the screen read, so
     *screened* never changes a column. A collecting *tel* is narrated
     from the screen's tally and the walks' logs (:func:`_narrate`).
@@ -515,6 +548,8 @@ def _mission_chunk(
     if screened:
         with tel.phase("screen"):
             screen.rounds()
+        with tel.phase("plan"):
+            _plan_ahead(layout, screen.overlaps(), tolerance)
         failures, repairs, peak = screen.n_failures, screen.n_repairs, screen.peak
         degraded, draw_sum = screen.degraded, screen.draw_sum
         # A screened mission consumed its n first lifetimes plus one
@@ -667,7 +702,7 @@ def simulate_lifecycle(
     parts = run_chunks(
         "simulate_lifecycle", dict(trials=trials, jobs=jobs),
         _lifecycle_chunk,
-        _mission_state(layout, disk, sparing, method, batches),
+        _mission_state(layout, disk, sparing, method, batches, telemetry),
         dict(
             screened=screened, mttf_hours=mttf_hours,
             horizon_hours=horizon_hours, lse_rate_per_byte=lse_rate_per_byte,

@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these nine are same-process ratios between code paths that
+system); these ten are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -13,6 +13,8 @@ return identical bits, so the box they run on cancels out:
   per-event heap walk;
 * profiled phases / wall >= 0.95 on a vectorized lifecycle run — a hot
   path that dodges instrumentation shows as a coverage drop;
+* profiled phases / wall >= 0.95 on a boosted fleet run on a freshly
+  built layout — the cold run's planning is billed to a phase too;
 * lifecycle in 256-trial chunks / default geometry >= 1.25 at 32 768
   trials — the lockstep screen pays numpy dispatch per round per chunk,
   so a change that quietly narrows the default plane (or re-grows it per
@@ -266,3 +268,26 @@ def test_lifecycle_profile_covers_the_wall(layout):
         "(< 95%): a hot path is dodging instrumentation"
     )
     print(f"lifecycle profile coverage {coverage:.3f}")
+
+
+def test_cold_fleet_profile_covers_the_wall():
+    """``benchmarks/e2e``'s ``fleet_boosted`` physics at 2 000 missions on
+    a fresh layout per pass: the singles batch and every chunk's
+    plan-ahead batch run inside the ``plan`` phase."""
+    coverage = 0.0
+    for _ in range(3):
+        layout = OIRAIDLayout(find_bibd(7, 3, lam=1), 3)
+        prof = Telemetry(enabled=False, profiling=True)
+        start = time.perf_counter()
+        with use_telemetry(prof):
+            simulate_fleet(
+                layout, 10_000.0, HORIZON_HOURS, arrays=100, trials=20,
+                lambda_boost=1.4, seed=0,
+            )
+        wall = time.perf_counter() - start
+        coverage = max(coverage, prof.total_seconds() / wall)
+    assert coverage >= 0.95, (
+        f"phase breakdown covers {coverage:.1%} of a cold fleet run's "
+        "wall-clock (< 95%): planning is dodging instrumentation"
+    )
+    print(f"cold fleet profile coverage {coverage:.3f}")

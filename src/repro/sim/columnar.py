@@ -100,11 +100,25 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# The hash's uint64 constants, built once rather than on every call.
+_S11, _S27, _S30, _S31 = (_np.uint64(k) for k in (11, 27, 30, 31))
+_ONE, _GOLDEN_NP, _MIX_A_NP, _MIX_B_NP = (
+    _np.uint64(k) for k in (1, GOLDEN_STRIDE, _MIX_A, _MIX_B)
+)
+
+
 def _mix64_np(z):
-    """splitmix64 finalizer on uint64 arrays; bit-identical to :func:`mix64`."""
-    z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_A)
-    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_B)
-    return z ^ (z >> _np.uint64(31))
+    """splitmix64 finalizer on uint64 arrays; bit-identical to :func:`mix64`.
+
+    Works in place on its own temporaries, never on *z*.
+    """
+    h = z >> _S30
+    h ^= z
+    h *= _MIX_A_NP
+    h ^= h >> _S27
+    h *= _MIX_B_NP
+    h ^= h >> _S31
+    return h
 
 
 def derive_chunk_seed(seed: int, chunk_id: int) -> int:
@@ -145,13 +159,24 @@ def lanes(seed: int, domain: int, start: int, count: int, subs: int):
 
 def _uniforms(lane_values, slots):
     """Uniforms in ``[0, 1)`` at ``(lane, slot)``, broadcasting the two."""
-    z = _mix64_np(lane_values + (slots + _np.uint64(1)) * _np.uint64(GOLDEN_STRIDE))
-    return (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
+    keys = slots + _ONE
+    keys *= _GOLDEN_NP
+    return _key_uniforms(keys + lane_values)
+
+
+def _key_uniforms(keys):
+    """The uniforms at lane keys ``lane + (slot+1)*G``; *keys* is left as it is."""
+    z = _mix64_np(keys)
+    z >>= _S11
+    return _np.multiply(z, 2.0 ** -53)
 
 
 def _exponentials(uniforms, lambd: float):
     """The ``Exp(lambd)`` draws of *uniforms*: ``-log(1 - u) / lambd``."""
-    return -_np.log(1.0 - uniforms) / lambd
+    e = 1.0 - uniforms
+    _np.log(e, out=e)
+    e /= -lambd  # the same float as negating first: division is sign-symmetric
+    return e
 
 
 class ChunkSpec(NamedTuple):
@@ -299,8 +324,8 @@ class TrialStreams:
                 f"lanes must be a non-empty (trials, subs) array, "
                 f"got shape {lanes.shape}"
             )
-        if lambd <= 0:
-            raise SimulationError(f"lambd must be > 0, got {lambd}")
+        if not 0 < lambd < math.inf:
+            raise SimulationError(f"lambd must be finite and > 0, got {lambd}")
         if slots < 1:
             raise SimulationError(f"slots must be >= 1, got {slots}")
         self.lanes = lanes
@@ -363,6 +388,31 @@ class LifecycleTables:
             hours=_np.array([hours for hours, _ in pairs]),
             bytes_read=_np.array([read for _, read in pairs]),
         )
+
+
+#: The lockstep plane is compacted to its live columns once fewer than
+#: this share of its columns are live: dead columns cost every round a
+#: little, a compaction copies the live ones once.
+_LIVE_SHARE = 0.75
+
+
+def _tie_weights(n: int):
+    """``(n, 1)`` column ``n - d`` for :func:`_earliest`, in the narrowest
+    unsigned type that holds *n* (uint8 up to 255 disks)."""
+    return _np.arange(n, 0, -1, dtype=_np.min_scalar_type(n))[:, None]
+
+
+def _earliest(plane, weights):
+    """Each column's minimum and the first disk that holds it, as argmin picks.
+
+    The lowest disk index at the minimum carries the largest weight, so
+    ``n - max((plane == min) * weights)`` is that disk: an ``argmax``
+    over the disk axis of a strided plane costs several such passes.
+    """
+    tf = plane.min(axis=0)
+    at_min = _np.equal(plane, tf)
+    first = _np.multiply(at_min, weights).max(axis=0)
+    return tf, _np.subtract(len(weights), first, dtype=_np.intp)
 
 
 class LockstepScreen:
@@ -442,43 +492,62 @@ class LockstepScreen:
             ])
 
     def rounds(self) -> None:
-        """Advance every trial to its end or its first dangerous incident."""
-        fail_at = self.fail_at
+        """Advance every trial to its end or its first dangerous incident.
+
+        The rounds share one clock plane, ``fail_at`` itself until the
+        first compaction: column *c* holds trial ``cols[c]``'s clocks,
+        next to the keys of its disk lanes' next unread slots and its
+        degraded hours and lifetime sum so far. A column is live while
+        its trial's incidents come out clean, so a trial that leaves in
+        round *r* had *r* repairs; its totals are written then, once. A
+        truncated or dangerous trial's column is set to +inf in place,
+        which reads as past the horizon in every later round, and the
+        plane is compacted to its live columns only once they fall below
+        :data:`_LIVE_SHARE` of its width. A dangerous trial's clocks are
+        kept as they stood at the incident and written back to its
+        ``fail_at`` column when the rounds end (:meth:`overlaps` reads
+        them); the other columns of ``fail_at`` are scratch by then.
+        """
         hours1, bytes_read = self._tables.hours, self._tables.bytes_read
         horizon_hours = self._horizon_hours
         lse_thresholds = self._lse_thresholds
-        n_failures, n_repairs = self.n_failures, self.n_repairs
         degraded, draw_sum, tally = self.degraded, self.draw_sum, self.tally
         dangerous, single_safe = self.dangerous, self._single_safe
-        n, trials = fail_at.shape
+        n, trials = self.fail_at.shape
         lambd = self.streams.lambd
-        # Flat (disk, trial) views: one index serves the lane, its next
-        # unread slot and its failure clock (1-D gathers are several
-        # times cheaper than 2-D ones). The auxiliary lane keeps its own
-        # next-slot column.
-        disk_lanes = self.streams.lanes[:, :n].T.ravel()
-        aux_lanes = self.streams.lanes[:, n]
-        flat_fail_at = fail_at.reshape(-1)
-        drawn = _np.ones(n * trials, dtype=_np.uint64)
-        checked = _np.zeros(trials, dtype=_np.uint64)
-        active = _np.arange(trials)
-        while active.size:
-            fa = fail_at.take(active, axis=1)
-            tf = fa.min(axis=0)
-            # The first disk at the minimum, as argmin would pick it.
-            first = (fa == tf).argmax(axis=0)
+        weights = _tie_weights(n)
+        plane, cols = self.fail_at, _np.arange(trials)
+        # Slot j's key is lane + (j+1)*G: slot 0 of every disk lane is in
+        # the plane, so each starts at slot 1 and steps one stride a draw.
+        keys = self.streams.lanes[:, :n].T.copy()
+        keys += _np.uint64(2 * GOLDEN_STRIDE & _MASK64)
+        aux_keys = self.streams.lanes[:, n] + _GOLDEN_NP
+        # Column totals: the trial arrays themselves until the first
+        # compaction, while column c is trial c.
+        col_degraded, col_draw_sum = degraded, draw_sum
+        live = _np.ones(trials, dtype=bool)
+        column = _np.arange(trials)
+        at_incident = []
+        repairs = 0  # every live trial's clean incidents so far
+        while cols.size:
+            width = cols.size
+            tf, first = _earliest(plane, weights)
             # Disks whose next failure falls past the horizon are never
             # seen.
             over = tf > horizon_hours
             comp = tf + hours1[first]
-            fa.reshape(-1)[first * active.size + _np.arange(active.size)] = _np.inf
-            second = fa.min(axis=0)
+            cell = first * width
+            cell += column
+            flat, flat_keys = plane.reshape(-1), keys.reshape(-1)
+            flat[cell] = _np.inf
+            second = plane.min(axis=0)
             if single_safe:
                 # A pending failure at the same instant as a completion
                 # pops first (it always carries a lower heap sequence
                 # number), so an exact tie is an overlap, hence <= on
-                # both sides.
-                danger = ~over & (second <= comp) & (second <= horizon_hours)
+                # both sides. A second failure by the horizon means the
+                # first one was not past it.
+                danger = (second <= comp) & (second <= horizon_hours)
             else:
                 danger = ~over
             trunc = ~(over | danger) & (comp > horizon_hours)
@@ -487,42 +556,61 @@ class LockstepScreen:
                 # The event plane draws no Poisson uniform when the
                 # rebuild read zero bytes, so zero-byte completions keep
                 # their slot.
-                check = clean & (bytes_read[first] > 0)
-                hit = _np.flatnonzero(check)
+                hit = _np.flatnonzero(clean & (bytes_read[first] > 0))
                 if hit.size:
-                    t_ix = active[hit]
+                    t_ix = cols[hit]
                     struck = (
-                        _uniforms(aux_lanes[t_ix], checked[t_ix])
-                        > lse_thresholds[first[hit]]
+                        _key_uniforms(aux_keys[t_ix]) > lse_thresholds[first[hit]]
                     )
                     danger[hit[struck]] = True
                     clean[hit[struck]] = False
-                    checked[t_ix[~struck]] += _np.uint64(1)
+                    aux_keys[t_ix[~struck]] += _GOLDEN_NP
             if tally is not None:  # after the strikes left the clean set
                 kept, repaired = clean | trunc, _np.where(clean, comp, _np.nan)
-                tally.append((active[kept], tf[kept], first[kept], repaired[kept]))
-            # Truncations are rare: skip their gathers when there are none.
-            ti = _np.flatnonzero(trunc)
-            if ti.size:
-                t_trunc = active[ti]
-                n_failures[t_trunc] += 1
-                degraded[t_trunc] += horizon_hours - tf[ti]
-            dangerous[active[danger]] = True
+                tally.append((cols[kept], tf[kept], first[kept], repaired[kept]))
+            # Live columns that did not come out clean leave now, the
+            # truncated and dangerous ones among them.
+            gone = _np.flatnonzero(live & ~clean)
+            if gone.size:
+                t_gone = cols[gone]
+                self.n_failures[t_gone] = self.n_repairs[t_gone] = repairs
+                degraded[t_gone] = col_degraded[gone]
+                if draw_sum is not None:
+                    draw_sum[t_gone] = col_draw_sum[gone]
+                # Truncations are rare: skip their gathers when there are none.
+                ti = _np.flatnonzero(trunc)
+                if ti.size:
+                    t_trunc = cols[ti]
+                    self.n_failures[t_trunc] += 1
+                    degraded[t_trunc] += horizon_hours - tf[ti]
+                    plane[:, ti] = _np.inf
+                di = _np.flatnonzero(danger)
+                if di.size:
+                    flat[cell[di]] = tf[di]
+                    at_incident.append((cols[di], plane[:, di]))
+                    dangerous[cols[di]] = True
+                    plane[:, di] = _np.inf
             ci = _np.flatnonzero(clean)
-            t_clean = active[ci]
-            cell = first[ci] * trials + t_clean
-            slot = drawn[cell]
-            redraw = _exponentials(_uniforms(disk_lanes[cell], slot), lambd)
-            drawn[cell] = slot + _np.uint64(1)
-            n_failures[t_clean] += 1
-            n_repairs[t_clean] += 1
+            at = cell[ci]
+            key = flat_keys[at]
+            flat_keys[at] = key + _GOLDEN_NP
+            redraw = _exponentials(_key_uniforms(key), lambd)
             repaired = comp[ci]
-            degraded[t_clean] += repaired - tf[ci]
-            flat_fail_at[cell] = repaired + redraw
+            col_degraded[ci] += repaired - tf[ci]
+            flat[at] = repaired + redraw
             if draw_sum is not None:
-                draw_sum[t_clean] += redraw
-            active = active[clean]
-        self.peak[(~dangerous) & (n_failures > 0)] = 1
+                col_draw_sum[ci] += redraw
+            repairs += 1
+            live = clean
+            if ci.size < _LIVE_SHARE * width:
+                plane, keys = plane.take(ci, axis=1), keys.take(ci, axis=1)
+                cols, col_degraded = cols[ci], col_degraded[ci]
+                if draw_sum is not None:
+                    col_draw_sum = col_draw_sum[ci]
+                live, column = _np.ones(ci.size, dtype=bool), column[: ci.size]
+        for t_danger, clocks in at_incident:
+            self.fail_at[:, t_danger] = clocks
+        self.peak[(~dangerous) & (self.n_failures > 0)] = 1
 
     def overlaps(self):
         """``(first, second)`` disk columns of the trials flagged at an overlap.

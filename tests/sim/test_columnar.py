@@ -353,3 +353,32 @@ class TestLockstepScreen:
             assert rows == log, t
             settled += 1
         assert 0 < settled < trials and truncated > 0
+
+
+@pytest.mark.parametrize("lambd", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_trial_streams_reject_a_non_finite_or_non_positive_rate(lambd):
+    """NaN would give NaN lifetimes and +inf all-zero ones: both raise,
+    as the mission checks do."""
+    with pytest.raises(SimulationError, match="lambd must be finite and > 0"):
+        TrialStreams(lanes(0, MISSION, 0, 4, 2), lambd, 2)
+
+
+def test_the_hash_never_writes_into_its_callers_arrays():
+    """``_mix64_np`` and ``_uniforms`` work in place on their own
+    temporaries: the lane values and slot numbers they are handed —
+    ``streams.lanes`` itself — come back as they went in."""
+    from repro.sim.columnar import _mix64_np, _uniforms
+
+    streams = mission_streams(3, 50, 0.5, slots=4, subs=3)
+    before = streams.lanes.copy()
+    slots = np.arange(5, dtype=np.uint64)
+    mixed = _mix64_np(streams.lanes)
+    assert mixed is not streams.lanes
+    _uniforms(streams.lanes[..., None], slots)
+    _uniforms(streams.lanes[:, 0], slots[:1])
+    streams.draw(slice(None), 4, 9)
+    np.testing.assert_array_equal(streams.lanes, before)
+    np.testing.assert_array_equal(slots, np.arange(5, dtype=np.uint64))
+    assert [int(v) for v in mixed.ravel()] == [
+        mix64(int(v)) for v in before.ravel()
+    ]

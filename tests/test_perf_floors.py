@@ -1,7 +1,7 @@
 """Speed ratios that survive a change of machine, held as floors.
 
 Absolute rates belong to ``benchmarks/e2e`` (the repo's one perf
-system); these ten are same-process ratios between code paths that
+system); these eleven are same-process ratios between code paths that
 return identical bits, so the box they run on cancels out:
 
 * lifecycle ``vectorized`` / ``event`` >= 2.5 — the columnar screen pays
@@ -33,6 +33,12 @@ return identical bits, so the box they run on cancels out:
   (``tests/core/reference_oi_layout.py``) /
   ``OIRAIDLayout`` plus ``stripe_table()`` >= 10 — the closed-form
   incidence arrays against one ``Stripe`` per stripe.
+* the lockstep screen's rounds that copy the active clocks out and
+  argmax the first failed disk every round
+  (``tests/sim/reference_screen.py``) / the persistent-plane rounds
+  >= 1.25 on ``lifecycle_clean``'s 2048-wide chunks — one clock plane
+  kept across rounds and a first failure without an argmax pay for the
+  dead columns a round still carries.
 
 Each timing is the best of three passes with the compared paths
 interleaved inside a pass, so a slow stretch of the machine lands on
@@ -55,12 +61,18 @@ from repro.layouts.recovery import (
 )
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.ledger import result_digest
+from repro.sim.columnar import MISSION, LifecycleTables, LockstepScreen, lanes
 from repro.sim.fleet import simulate_fleet
-from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.lifecycle import (
+    RebuildTimer,
+    guaranteed_tolerance,
+    simulate_lifecycle,
+)
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import simulate_serve
 from repro.workloads import WorkloadSpec
 from tests.core.reference_oi_layout import ReferenceOIGeometry
+from tests.sim.reference_screen import ReferenceScreen
 
 pytestmark = pytest.mark.slow
 
@@ -248,6 +260,44 @@ def test_layout_build_floor():
         "the closed-form geometry is not paying for itself"
     )
     print(f"layout build objects/arrays {ratio:.2f}")
+
+
+def test_lockstep_screen_floor(layout):
+    """``benchmarks/e2e``'s ``lifecycle_clean`` physics (the default
+    10-year mission at MTTF 100 000 h, a 32 GiB disk) on four 2048-wide
+    chunks: the rounds alone, each pass on freshly built screens."""
+    disk = DiskModel(capacity_bytes=32 * 1024 ** 3)
+    tables = LifecycleTables.build(layout, RebuildTimer(layout, disk))
+    tolerance = guaranteed_tolerance(layout)
+    chunks = [
+        lanes(0, MISSION, start, 2048, layout.n_disks + 1)
+        for start in range(0, 4 * 2048, 2048)
+    ]
+
+    def rounds(screen_class):
+        screens = [
+            screen_class(layout, tables, chunk, 1 / 100_000, 87_660.0, 0.0,
+                         tolerance)
+            for chunk in chunks
+        ]
+        start = time.perf_counter()
+        for screen in screens:
+            screen.rounds()
+        return time.perf_counter() - start
+
+    classes = {"reference": ReferenceScreen, "lockstep": LockstepScreen}
+    best = dict.fromkeys(classes, float("inf"))
+    for scored in (False, True, True, True):  # one warm-up pass first
+        for name, screen_class in classes.items():
+            seconds = rounds(screen_class)
+            if scored:
+                best[name] = min(best[name], seconds)
+    ratio = best["reference"] / best["lockstep"]
+    assert ratio >= 1.25, (
+        f"lockstep screen reference/persistent-plane ratio {ratio:.2f} < 1.25: "
+        "the rounds are touching the clock plane more than they need to"
+    )
+    print(f"lockstep screen reference/persistent plane {ratio:.2f}")
 
 
 def test_lifecycle_profile_covers_the_wall(layout):

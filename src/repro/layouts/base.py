@@ -43,41 +43,17 @@ from repro.errors import LayoutError
 Cell = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PeelingIndex:
-    """Read-only geometry index of the cell-granular peel.
-
-    Built once per layout (cached on the instance) so
-    :func:`repro.layouts.recovery.cells_recoverable` never rebuilds
-    per-stripe cell tuples or rescans the whole stripe list: eligibility
-    is tracked by per-stripe lost-cell *counts*, and only stripes incident
-    to a changed cell are revisited. The planner and the whole-disk peel
-    read the integer :class:`StripeTable` / :class:`DiskPeelingIndex`.
-
-    Attributes:
-        stripe_cells: per stripe id, its cells in position order.
-        stripe_tolerance: per stripe id, its erasure tolerance.
-        stripe_needed: per stripe id, ``width - tolerance`` — how many
-            known values an MDS decode of the stripe consumes.
-        cell_stripes: cell -> stripe ids containing it.
-    """
-
-    stripe_cells: Tuple[Tuple[Cell, ...], ...]
-    stripe_tolerance: Tuple[int, ...]
-    stripe_needed: Tuple[int, ...]
-    cell_stripes: Dict[Cell, Tuple[int, ...]]
-
-
 @dataclass(frozen=True, eq=False)
 class DiskPeelingIndex:
-    """Integer-id twin of :class:`PeelingIndex` for whole-disk failures.
+    """Integer geometry index of the peeling decoder.
 
-    The recoverability oracle only ever asks about whole-disk failure
-    patterns, and it is the hot call of every Monte-Carlo kernel — so this
-    index flattens cells to ``disk * units_per_disk + addr`` integers and
-    pads each cell's stripe ids into one read-only table, the shape the
-    batched peel (:func:`repro.layouts.recovery.recoverable_many`) gathers
-    a whole batch of failed sets' lost cells from.
+    The recoverability oracle is the hot call of every Monte-Carlo kernel,
+    so this index flattens cells to ``disk * units_per_disk + addr``
+    integers and pads each cell's stripe ids into one read-only table, the
+    shape the batched peel (:func:`repro.layouts.recovery._peel_rows`)
+    gathers a batch's lost cells from — whole failed disks
+    (:func:`~repro.layouts.recovery.recoverable_many`) or explicit cells
+    (:func:`~repro.layouts.recovery.cells_recoverable`).
 
     Attributes:
         units_per_disk: cells per disk (the cell-id stride).
@@ -238,7 +214,6 @@ class Layout(abc.ABC):
         self.units_per_disk = units_per_disk
         #: The :class:`Stripe` views, built on first access to ``stripes``.
         self._stripes: Optional[Tuple[Stripe, ...]] = None
-        self._peeling_index: Optional[PeelingIndex] = None
         self._disk_peeling_index: Optional[DiskPeelingIndex] = None
         self._stripe_table: Optional[StripeTable] = None
         #: Sorted failed tuple -> what this process learned about it
@@ -415,27 +390,6 @@ class Layout(abc.ABC):
         """Stripe ids that include *cell* (1 for flat layouts, 2 for OI)."""
         ids = self.disk_peeling_index().cell_stripes[self.cell_id(cell)]
         return tuple(ids[ids < self.n_stripes].tolist())
-
-    def peeling_index(self) -> PeelingIndex:
-        """The cached :class:`PeelingIndex` for this layout (built lazily)."""
-        if self._peeling_index is None:
-            table, n = self.stripe_table(), self.n_stripes
-            cells, ptr = table.cells, self.stripe_ptr.tolist()
-            members = [cells[c] for c in self.stripe_cell.tolist()]
-            self._peeling_index = PeelingIndex(
-                stripe_cells=tuple(
-                    tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])
-                ),
-                stripe_tolerance=tuple(table.tolerance[:n].tolist()),
-                stripe_needed=tuple(table.needed[:n].tolist()),
-                cell_stripes={
-                    cells[c]: tuple(s for s in ids if s < n)
-                    for c, ids in enumerate(
-                        self.disk_peeling_index().cell_stripes.tolist()
-                    )
-                },
-            )
-        return self._peeling_index
 
     def _index_stripes(self) -> None:
         """Build the :class:`DiskPeelingIndex` and :class:`StripeTable`.

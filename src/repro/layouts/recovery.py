@@ -22,7 +22,6 @@ geometry into its recovery speedup:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -33,7 +32,6 @@ from repro.layouts.base import (
     Cell,
     DiskPeelingIndex,
     Layout,
-    PeelingIndex,
 )
 from repro.obs.telemetry import ambient
 
@@ -61,7 +59,8 @@ def _failed_set(layout: Layout, failed_disks: Iterable[int]) -> Tuple[int, ...]:
 
 
 def _cell_mask(layout: Layout, cells: Iterable[Cell]) -> np.ndarray:
-    """The ``(n_cells,)`` bool mask of an explicit lost-cell set."""
+    """The ``(n_cells,)`` bool mask of an explicit lost-cell set, each cell
+    checked by :meth:`Layout.cell_id`."""
     mask = np.zeros(layout.n_disks * layout.units_per_disk, dtype=bool)
     mask[[layout.cell_id(cell) for cell in cells]] = True
     return mask
@@ -76,51 +75,6 @@ def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
     }
 
 
-def _lost_counts(index: PeelingIndex, lost: Set[Cell]) -> Dict[int, int]:
-    """Lost-cell count per stripe, restricted to stripes touching *lost*."""
-    counts: Dict[int, int] = {}
-    for cell in lost:
-        for sid in index.cell_stripes[cell]:
-            counts[sid] = counts.get(sid, 0) + 1
-    return counts
-
-
-def _peel(layout: Layout, lost: Set[Cell]) -> bool:
-    """Run indexed peeling to exhaustion; mutates *lost*, True if emptied.
-
-    Work-queue formulation of the classic rescan loop: per-stripe lost-cell
-    counts make eligibility an O(1) check, and repairing a cell enqueues
-    only the stripes containing that cell — so total work is linear in the
-    number of (lost cell, containing stripe) incidences instead of
-    O(passes x stripes).
-    """
-    index = layout.peeling_index()
-    counts = _lost_counts(index, lost)
-    tolerance = index.stripe_tolerance
-    queue = deque(sid for sid, c in counts.items() if c <= tolerance[sid])
-    queued = set(queue)
-    while queue:
-        sid = queue.popleft()
-        queued.discard(sid)
-        count = counts.get(sid, 0)
-        if count == 0 or count > tolerance[sid]:
-            continue  # stale entry: repaired or re-overloaded meanwhile
-        for cell in index.stripe_cells[sid]:
-            if cell not in lost:
-                continue
-            lost.discard(cell)
-            for other in index.cell_stripes[cell]:
-                counts[other] -= 1
-                if (
-                    other != sid
-                    and 0 < counts[other] <= tolerance[other]
-                    and other not in queued
-                ):
-                    queue.append(other)
-                    queued.add(other)
-    return not lost
-
-
 def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
     """True if an explicit lost-*cell* set is decodable by peeling.
 
@@ -128,19 +82,13 @@ def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
     losses are finer than whole disks — latent sector errors discovered
     during a rebuild strand single units, and the lifecycle simulator asks
     whether the stranded unit plus the currently-failed disks' cells are
-    jointly decodable.
+    jointly decodable. The one-row call of :func:`_peel_rows`; a cell
+    :meth:`Layout.cell_id` refuses raises :class:`LayoutError`. Records
+    no telemetry.
     """
-    lost = set(cells)
-    for disk, addr in lost:
-        if not (
-            0 <= disk < layout.n_disks and 0 <= addr < layout.units_per_disk
-        ):
-            raise LayoutError(
-                f"no such cell ({disk}, {addr}) in {layout.name}"
-            )
-    if not lost:
-        return True
-    return _peel(layout, lost)
+    (cells,) = _cell_mask(layout, cells).nonzero()
+    index = layout.disk_peeling_index()
+    return bool(_peel_rows(index, np.zeros_like(cells), cells, 1)[0])
 
 
 def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
@@ -184,39 +132,43 @@ def recoverable_many(layout: Layout, down: np.ndarray) -> np.ndarray:
     if tel.enabled and len(down):
         tel.count("recovery.oracle_calls", len(down))
     index = layout.disk_peeling_index()
+    u = index.units_per_disk
     per_disk = index.cell_stripes.size // layout.n_disks  # padded incidences
     row_size = index.n_stripes + 1 + per_disk * int(down.sum(axis=1).max(initial=0))
     step = max(1, _PEEL_BUDGET // row_size)
-    return np.concatenate([
-        _peel_rows(index, down[start:start + step])
-        for start in range(0, len(down) or 1, step)
-    ])
+    verdicts = []
+    for start in range(0, len(down) or 1, step):
+        block = down[start:start + step]
+        rows, disks = np.nonzero(block)
+        cells = (disks[:, None] * u + np.arange(u)).ravel()
+        verdicts.append(_peel_rows(index, np.repeat(rows, u), cells, len(block)))
+    return np.concatenate(verdicts)
 
 
-def _peel_rows(index: DiskPeelingIndex, down: np.ndarray) -> np.ndarray:
-    """Whole-disk peeling of every row of *down* as one batched fixpoint.
+def _peel_rows(
+    index: DiskPeelingIndex, rows: np.ndarray, cells: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Peeling of *n_rows* lost-cell sets as one batched fixpoint.
 
-    Each round counts the lost ``(row, cell)`` incidences per ``(row,
-    stripe)`` with one ``bincount`` and drops every lost cell with an
-    eligible stripe. A row that drops nothing is at its fixpoint and
-    unrecoverable; one whose cells all drop is recoverable. Peeling is
-    confluent, so this is the work queue's answer (DESIGN.md, "Indexed
-    incremental peeling"). Keys start dense, ``row * (n_stripes + 1) +
-    stripe``; once a big key space is under a quarter full, ``np.unique``
-    renumbers the survivors, so the first round sorts nothing.
+    Row ``rows[i]`` has lost cell ``cells[i]`` (ids ``disk *
+    units_per_disk + addr``, each at most once a row). Each round counts
+    the lost ``(row, cell)`` incidences per ``(row, stripe)`` with one
+    ``bincount`` and drops every lost cell with an eligible stripe. A row
+    that drops nothing is at its fixpoint and unrecoverable; one whose
+    cells all drop is recoverable. Peeling is confluent, so any order's
+    answer is this one (DESIGN.md, "Indexed incremental peeling"). Keys
+    start dense, ``row * (n_stripes + 1) + stripe``; once a big key space
+    is under a quarter full, ``np.unique`` renumbers the survivors, so the
+    first round sorts nothing.
     """
-    u = index.units_per_disk
-    rows, disks = np.nonzero(down)
-    cells = (disks[:, None] * u + np.arange(u)).ravel()
-    rows = np.repeat(rows, u)
     tolerance = index.cell_tolerance[cells]
     keys = rows[:, None] * (index.n_stripes + 1) + index.cell_stripes[cells]
-    n_keys = len(down) * (index.n_stripes + 1)
-    verdict = np.ones(len(down), dtype=bool)
+    n_keys = n_rows * (index.n_stripes + 1)
+    verdict = np.ones(n_rows, dtype=bool)
     while len(rows):
         counts = np.bincount(keys.ravel(), minlength=n_keys)
         drop = (counts[keys] <= tolerance).any(axis=1)
-        moved = np.bincount(rows[drop], minlength=len(down)).astype(bool)[rows]
+        moved = np.bincount(rows[drop], minlength=n_rows).astype(bool)[rows]
         verdict[rows[~moved]] = False
         keep = moved & ~drop
         rows, keys, tolerance = rows[keep], keys[keep], tolerance[keep]
@@ -432,29 +384,15 @@ def plan_many(
     balance: bool = True,
     offload: bool = True,
     max_offload_rounds: int = DEFAULT_OFFLOAD_ROUNDS,
-    lost_override: Optional[np.ndarray] = None,
 ) -> List[Union[RecoveryPlan, DataLossError]]:
     """:func:`plan_recovery` of every failed set, planned in lockstep.
 
     Row *i* gets the plan ``plan_recovery(layout, patterns[i], ...)``
     returns, or in its place the :class:`DataLossError` it raises.
-    *lost_override*, if given, is a ``(len(patterns), n_cells)`` bool
-    mask whose row *i* marks the lost cells ``disk * units_per_disk +
-    addr`` of pattern *i*. Bypasses the pattern memo and records no
-    telemetry.
+    Bypasses the pattern memo and records no telemetry.
     """
     failed = [_failed_set(layout, pattern) for pattern in patterns]
-    if lost_override is not None:
-        lost_override = np.asarray(lost_override)
-        shape = (len(failed), layout.n_disks * layout.units_per_disk)
-        if lost_override.dtype != bool or lost_override.shape != shape:
-            raise LayoutError(
-                f"lost cells of {layout.name} must be a {shape} bool mask, "
-                f"got {lost_override.dtype} {lost_override.shape}"
-            )
-    return _plan_rows(
-        layout, failed, lost_override, balance, offload, max_offload_rounds
-    )
+    return _plan_rows(layout, failed, None, balance, offload, max_offload_rounds)
 
 
 def pattern_entry(layout: Layout, failed: Iterable[int]) -> PatternEntry:

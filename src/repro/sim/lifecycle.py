@@ -24,7 +24,8 @@ never talk to each other. This module closes the loop:
   mean ``bytes_read * lse_rate_per_byte``, each stranding one random unit
   on a surviving disk. Loss occurs iff the stranded unit(s) plus the
   failed disks' cells are jointly undecodable
-  (:func:`~repro.layouts.recovery.cells_recoverable`) — a declustered
+  (:func:`~repro.layouts.recovery.cells_recoverable`, the batched peel's
+  one-row call on those cells) — a declustered
   layout usually decodes the unit via its *other* stripe, which is exactly
   the protection the two-layer geometry provides.
 

@@ -18,9 +18,9 @@ from repro.layouts.recovery import (
     RecoveryPlan,
     RepairStep,
     ValueSource,
-    _lost_counts,
     lost_cells,
 )
+from tests.layouts.reference_peel import _lost_counts, peeling_index
 
 
 def reference_plan(
@@ -111,7 +111,7 @@ def _plan_recovery_impl(
     # Incremental eligibility: per-stripe lost-cell counts (maintained as
     # cells are repaired) make "which stripes could repair right now" a set
     # lookup instead of a rescan of every candidate stripe per round.
-    index = layout.peeling_index()
+    index = peeling_index(layout)
     tolerance = index.stripe_tolerance
     stripe_cells = index.stripe_cells
     stripe_needed = index.stripe_needed

@@ -1,9 +1,10 @@
-"""The batched peel decides every failed set the cell-granular peel does.
+"""The batched peel decides every lost set the work-queue peel does.
 
 ``recoverable_many`` runs one fixpoint over a whole matrix of failed sets
-on the layout's ``DiskPeelingIndex``. Its reference is
-``cells_recoverable(layout, lost_cells(layout, f))``: the work-queue peel
-over explicit ``(disk, addr)`` cells, which shares no code with it.
+on the layout's ``DiskPeelingIndex``, and ``cells_recoverable`` is the
+same fixpoint over one explicit cell set. Their reference is ``_peel``
+in ``reference_peel.py``: the work-queue peel over tuple-keyed ``(disk,
+addr)`` cells, which shares no code with them.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from repro.layouts.recovery import (
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.schemes import build_scheme_layout, scheme_names
 from repro.sim.montecarlo import recoverability_oracle, threshold_oracle
+from tests.layouts.reference_peel import _peel
 
 #: Catalog designs of up to 57 disks (``oi_raid`` picks the group size),
 #: slow-marked where their every-triple sweep takes more than a few seconds.
@@ -49,7 +51,7 @@ RANDOM_DESIGNS = [
 def assert_agrees(layout, patterns):
     got = recoverable_many(layout, failure_matrix(layout, patterns))
     assert got.dtype == bool and got.shape == (len(patterns),)
-    expected = [cells_recoverable(layout, lost_cells(layout, p)) for p in patterns]
+    expected = [_peel(layout, lost_cells(layout, p)) for p in patterns]
     mismatches = [p for p, g, e in zip(patterns, got, expected) if g != e]
     assert not mismatches, (layout.name, mismatches[:5])
 
@@ -92,6 +94,27 @@ def test_edge_rows(name):
     assert_agrees(
         layout, [(), (0,), (layout.n_disks - 1,), tuple(range(layout.n_disks))]
     )
+
+
+@pytest.mark.parametrize("name", scheme_names())
+def test_cell_sets_of_each_scheme(name):
+    """Whole failed disks plus a few stranded cells (a rebuild's latent
+    sector errors), and scattered cells; the ``oi`` scheme is
+    ``oi_raid(7, 3)``."""
+    layout = build_scheme_layout(name)
+    rng = random.Random(name)
+    n, u = layout.n_disks, layout.units_per_disk
+    cells = [(disk, addr) for disk in range(n) for addr in range(u)]
+    sets = [set()]
+    for _ in range(100):
+        failed = rng.sample(range(n), rng.randint(1, 3))
+        survivors = [cell for cell in cells if cell[0] not in failed]
+        stranded = rng.sample(survivors, rng.randint(1, 3))
+        sets.append(lost_cells(layout, failed) | set(stranded))
+        sets.append(set(rng.sample(cells, rng.randint(1, len(cells) // 3))))
+    got = [cells_recoverable(layout, lost) for lost in sets]
+    assert got == [_peel(layout, set(lost)) for lost in sets]
+    assert got[0] and not all(got)
 
 
 def test_empty_batch(fano_layout):

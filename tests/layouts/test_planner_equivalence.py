@@ -186,24 +186,15 @@ def test_full_catalog_sweep(v, k):
             assert_same(layout, failed, **flags)
 
 
-def assert_batch(layout, patterns, lost_override=None, **flags):
+def assert_batch(layout, patterns, **flags):
     """``plan_many`` == one ``plan_recovery`` per row == the reference."""
-    cells = [None] * len(patterns)
-    if lost_override is not None:
-        cells = [
-            {divmod(int(c), layout.units_per_disk) for c in np.flatnonzero(row)}
-            for row in lost_override
-        ]
     alone, reference = (
-        [
-            outcome(planner, layout, p, lost_override=lost, **flags)
-            for p, lost in zip(patterns, cells)
-        ]
+        [outcome(planner, layout, p, **flags) for p in patterns]
         for planner in (plan_recovery, reference_plan)
     )
     batch = [
         str(plan) if isinstance(plan, DataLossError) else plan
-        for plan in plan_many(layout, patterns, lost_override=lost_override, **flags)
+        for plan in plan_many(layout, patterns, **flags)
     ]
     assert batch == alone == reference, (layout.name, patterns, flags)
 
@@ -238,17 +229,6 @@ def test_plan_many_rows_without_recovery_keep_their_message():
 @pytest.mark.parametrize("flags", FLAGS, ids=repr)
 def test_plan_many_under_every_flag_set(fano_layout, flags):
     assert_batch(fano_layout, [(4,), (2, 7), (0, 1, 2), (4, 9, 20), (0, 1, 3, 4)], **flags)
-
-
-def test_plan_many_with_a_lost_cell_mask(fano_layout):
-    units = fano_layout.units_per_disk
-    lost = np.zeros((3, fano_layout.n_disks * units), dtype=bool)
-    lost[0, 0:units:2] = True  # half of disk 0
-    lost[0, 5 * units + 1] = True  # one unit of disk 5
-    lost[0, units:2 * units] = True  # all of disk 1
-    lost[1, 7 * units:8 * units] = True
-    for flags in FLAGS:
-        assert_batch(fano_layout, [(0, 1, 5), (7,), ()], lost_override=lost, **flags)
 
 
 @pytest.mark.slow

@@ -117,7 +117,7 @@ class TestPeeling:
         assert as_list == as_set == as_gen is True
 
     def test_indexed_peeler_matches_rescan_reference(self, fano_layout):
-        """The work-queue peeler agrees with the classic rescan loop."""
+        """The batched peel agrees with the classic rescan loop."""
         import itertools
         import random
 
@@ -156,30 +156,29 @@ class TestPeeling:
         from repro.schemes import build_scheme_layout
 
         layout = build_scheme_layout(name)
-        index, u = layout.peeling_index(), layout.units_per_disk
+        stripes, u = layout.stripes, layout.units_per_disk
         disk_index, table = layout.disk_peeling_index(), layout.stripe_table()
-        for (disk, addr), sids in index.cell_stripes.items():
+        cell_stripes = {
+            (disk, addr): [] for disk in range(layout.n_disks) for addr in range(u)
+        }
+        for stripe in stripes:
+            for cell in stripe.cells():
+                cell_stripes[cell].append(stripe.stripe_id)
+        for (disk, addr), sids in cell_stripes.items():
             row = disk_index.cell_stripes[disk * u + addr]
-            assert row[: len(sids)].tolist() == list(sids)
-            assert (row[len(sids):] == len(layout.stripes)).all()
+            assert row[: len(sids)].tolist() == sids
+            assert (row[len(sids):] == len(stripes)).all()
             for sid, position in zip(sids, table.cell_positions[disk * u + addr]):
-                assert index.stripe_cells[sid][position] == (disk, addr)
+                assert stripes[sid].cells()[position] == (disk, addr)
             assert table.cells[disk * u + addr] == (disk, addr)
-        for sid, cells in enumerate(index.stripe_cells):
+        for sid, stripe in enumerate(stripes):
+            cells = stripe.cells()
             ids = table.stripe_cells[sid]
             assert ids[: len(cells)].tolist() == [d * u + a for d, a in cells]
-            assert table.needed[sid] == index.stripe_needed[sid]
-            assert table.tolerance[sid] == index.stripe_tolerance[sid]
+            assert table.needed[sid] == stripe.width - stripe.tolerance
+            assert table.tolerance[sid] == stripe.tolerance
         assert not table.repeats_disks
         assert len(table.cells) == layout.n_disks * u
-
-    def test_peeling_index_is_cached(self, fano_layout):
-        assert fano_layout.peeling_index() is fano_layout.peeling_index()
-        index = fano_layout.peeling_index()
-        assert len(index.stripe_cells) == len(fano_layout.stripes)
-        for stripe in fano_layout.stripes:
-            assert index.stripe_cells[stripe.stripe_id] == stripe.cells()
-            assert index.stripe_tolerance[stripe.stripe_id] == stripe.tolerance
 
 
 class TestPlanValidity:

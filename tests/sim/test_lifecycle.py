@@ -212,9 +212,12 @@ class TestCellsRecoverable:
         stripe = layout.stripes[0]
         assert not cells_recoverable(layout, list(stripe.cells())[:2])
 
-    def test_rejects_bogus_cell(self, fano_layout):
+    @pytest.mark.parametrize(
+        "cell", [(99, 0), (0.5, 0), (0, 0, 0), ("a", 0), 5, (True, 0), (0, 2.0)]
+    )
+    def test_rejects_bogus_cell(self, fano_layout, cell):
         with pytest.raises(LayoutError, match="no such cell"):
-            cells_recoverable(fano_layout, [(99, 0)])
+            cells_recoverable(fano_layout, [cell])
 
 
 class TestParallel:

@@ -88,7 +88,11 @@ def guaranteed_tolerance(
 
     With ``max_patterns_per_size=None`` the enumeration is exhaustive and
     the result is exact (up to *limit*); with sampling it is an upper-bound
-    estimate and the benchmarks label it as such.
+    estimate and the benchmarks label it as such. This is the *verified*
+    tolerance; the simulators' fast path reads the *declared* safe lower
+    bound, :func:`repro.layouts.recovery.guaranteed_tolerance` (also
+    ``repro.sim.guaranteed_tolerance``), which can be below it (declared
+    vs verified: ``hierarchical`` 1 vs 3, ``lrc`` 1 vs 2, ``xorbas`` 1 vs 4).
     """
     check_positive("limit", limit, 1)
     tolerance = 0

@@ -28,12 +28,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.errors import DataLossError, LayoutError
-from repro.layouts.base import (
-    Cell,
-    DiskPeelingIndex,
-    Layout,
-)
-from repro.obs.telemetry import ambient
+from repro.layouts.base import Cell, DiskPeelingIndex, Layout
+from repro.obs.telemetry import NULL_TELEMETRY, ambient, use_telemetry
 
 #: Default cap on the offload hill-climb. Only plans built with it (and
 #: the other default flags) may be served from the layout's pattern memo.
@@ -78,17 +74,41 @@ def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
 def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
     """True if an explicit lost-*cell* set is decodable by peeling.
 
-    The cell-granular twin of :func:`is_recoverable`, for callers whose
-    losses are finer than whole disks — latent sector errors discovered
-    during a rebuild strand single units, and the lifecycle simulator asks
-    whether the stranded unit plus the currently-failed disks' cells are
-    jointly decodable. The one-row call of :func:`_peel_rows`; a cell
+    The cell-granular twin of :func:`is_recoverable` (a rebuild's latent
+    sector errors strand single units beside the failed disks' cells),
+    without the memo: the one-row call of :func:`_peel_rows`. A cell
     :meth:`Layout.cell_id` refuses raises :class:`LayoutError`. Records
     no telemetry.
     """
     (cells,) = _cell_mask(layout, cells).nonzero()
     index = layout.disk_peeling_index()
     return bool(_peel_rows(index, np.zeros_like(cells), cells, 1)[0])
+
+
+def guaranteed_tolerance(layout: Layout) -> int:
+    """Failure count any pattern of which the layout certainly survives.
+
+    The *declared* tolerance, a safe lower bound: OI-RAID's
+    ``design_tolerance``, else the minimum stripe tolerance (``t``
+    failures cost a stripe at most ``t`` cells). The *verified* one,
+    :func:`repro.core.tolerance.guaranteed_tolerance`, enumerates and can
+    be higher (``hierarchical`` 1 vs 3, ``lrc`` 1 vs 2, ``xorbas`` 1 vs 4).
+    """
+    declared = getattr(layout, "design_tolerance", None)
+    if declared is not None:
+        return int(declared)
+    return int(layout.stripe_tolerance.min())
+
+
+def _decide(layout: Layout, keys: List[Tuple[int, ...]]) -> List[bool]:
+    """:func:`recoverable_many` of sorted failed sets; each loss memoised."""
+    verdicts = recoverable_many(layout, failure_matrix(layout, keys)).tolist()
+    for key, verdict in zip(keys, verdicts):
+        if not verdict:
+            layout.patterns[key] = DataLossError(
+                f"{layout.name}: failure of disks {list(key)} is not recoverable"
+            )
+    return verdicts
 
 
 def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
@@ -98,10 +118,16 @@ def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
     library: every stripe is MDS on its own cells, stripes share at most
     one cell pairwise, and no cell is parity in two stripes — so any
     decodable pattern is decodable greedily, in any order. *failed_disks*
-    may be any iterable of disk ids (set, tuple, generator). The one-row
-    call of :func:`recoverable_many`.
+    may be any iterable of disk ids (set, tuple, generator). Peels only
+    on a memo miss (:func:`_decide`), and counts one
+    ``recovery.oracle_calls`` per call, hit or miss, as a peel does.
     """
-    return bool(recoverable_many(layout, failure_matrix(layout, [failed_disks]))[0])
+    key = _failed_set(layout, failed_disks)
+    entry = layout.patterns.get(key)
+    if entry is None:
+        return _decide(layout, [key])[0]
+    ambient().count("recovery.oracle_calls")
+    return not isinstance(entry, DataLossError)
 
 
 def failure_matrix(layout: Layout, patterns: Sequence[Iterable[int]]) -> np.ndarray:
@@ -114,7 +140,8 @@ def failure_matrix(layout: Layout, patterns: Sequence[Iterable[int]]) -> np.ndar
 
 
 def recoverable_many(layout: Layout, down: np.ndarray) -> np.ndarray:
-    """:func:`is_recoverable` of every row of a ``(B, n_disks)`` bool matrix.
+    """:func:`is_recoverable` of every row of a ``(B, n_disks)`` bool matrix,
+    without the memo.
 
     Row *i* is a failed set (``down[i, d]``: disk *d* is down, see
     :func:`failure_matrix`); the B verdicts come back as a bool array,
@@ -268,12 +295,13 @@ class PlanSummary:
 
 @dataclass
 class PatternEntry:
-    """What ``layout.patterns`` holds for one sorted failed set.
+    """What ``layout.patterns`` holds for one decodable sorted failed set.
 
     The default-flag plan's summary, the plan itself for a single failure
     only (keeping multi-failure plans costs a mission walk's memory), and
     ``(seconds, bytes read)`` per rebuild config, filled by
-    :class:`repro.sim.rebuild.RebuildTimer`.
+    :class:`repro.sim.rebuild.RebuildTimer`. An undecodable set's memo
+    value is its :class:`DataLossError` instead: a memoised loss.
     """
 
     summary: PlanSummary
@@ -400,9 +428,9 @@ def pattern_entry(layout: Layout, failed: Iterable[int]) -> PatternEntry:
 
     Planned with the default flags on the first request in this process,
     recording no telemetry (callers narrate what they read from it); the
-    memo reaches pool workers inside the pickled layout. Raises
-    :class:`DataLossError` for an undecodable set. The one-row call of
-    :func:`pattern_entries`.
+    memo reaches pool workers inside the pickled layout. Raises the
+    memoised :class:`DataLossError` of an undecodable set. The one-row
+    call of :func:`pattern_entries`.
     """
     # Memo keys are checked sorted tuples of ints, so a hit on a tuple of
     # ints is one; anything else goes through the check.
@@ -411,31 +439,34 @@ def pattern_entry(layout: Layout, failed: Iterable[int]) -> PatternEntry:
         entry = layout.patterns.get(failed)
     if entry is None:
         (entry,) = pattern_entries(layout, [failed])
+    if isinstance(entry, DataLossError):
+        raise DataLossError(*entry.args)  # a fresh one: the memo's holds no frames
     return entry
 
 
 def pattern_entries(
     layout: Layout, patterns: Sequence[Iterable[int]]
-) -> List[PatternEntry]:
+) -> List[Union[PatternEntry, DataLossError]]:
     """:func:`pattern_entry` of every pattern; misses are one batch.
 
-    The patterns not yet in the memo are planned together by one
-    :func:`plan_many` call. Every decodable one is memoised before the
-    first :class:`DataLossError`, in pattern order, is raised.
+    Misses past :func:`guaranteed_tolerance` are decided by one silent
+    :func:`_decide`; the decodable rest are planned by one
+    :func:`_plan_rows` call. Row *i* gets its entry or, in its place, its
+    memoised :class:`DataLossError`, as :func:`plan_many` does.
     """
     keys = [_failed_set(layout, pattern) for pattern in patterns]
     missing = [key for key in dict.fromkeys(keys) if key not in layout.patterns]
-    outcomes = _plan_rows(
-        layout, missing, None, True, True, DEFAULT_OFFLOAD_ROUNDS
-    )
+    tolerance = guaranteed_tolerance(layout)
+    hard = [key for key in missing if len(key) > tolerance]
+    if hard:
+        with use_telemetry(NULL_TELEMETRY):
+            _decide(layout, hard)
+        missing = [key for key in missing if key not in layout.patterns]
+    outcomes = _plan_rows(layout, missing, None, True, True, DEFAULT_OFFLOAD_ROUNDS)
     for key, plan in zip(missing, outcomes):
-        if not isinstance(plan, DataLossError):
-            layout.patterns[key] = PatternEntry(
-                plan.summary(), plan if len(key) == 1 else None
-            )
-    for plan in outcomes:
-        if isinstance(plan, DataLossError):
-            raise plan
+        layout.patterns[key] = plan if isinstance(plan, DataLossError) else (
+            PatternEntry(plan.summary(), plan if len(key) == 1 else None)
+        )
     return [layout.patterns[key] for key in keys]
 
 

@@ -34,19 +34,16 @@ repair rate so :class:`~repro.sim.markov.MarkovReliabilityModel` and this
 simulator consume identical layout-derived μ values, making the Markov
 chain and the lifecycle MC directly comparable (E19).
 
-Rebuild times depend only on the failed pattern, so they are memoized per
-pattern within a run. Trials draw from counter-based lanes — one per
-disk, one auxiliary — addressed by the run seed and the **global** trial
-index (:func:`repro.sim.columnar.lanes`), so every trial is a pure
-function of ``(seed, trial)`` — reproducible, bit-identical for any
-worker count and any chunk size (how
-:func:`repro.sim.parallel.run_chunks` cuts the run is a speed, never a
-sample), and
-shared verbatim between the two kernels of :func:`simulate_lifecycle`:
-``event`` walks every trial's event heap, while ``vectorized`` first
-advances all trials in lockstep on a columnar failure-clock array and
-walks only the trials whose concurrent-failure count ever reaches the
-danger threshold. Both read the *same* sampled floats, so ``kernel=``
+Trials draw from counter-based lanes — one per disk, one auxiliary —
+addressed by the run seed and the **global** trial index
+(:func:`repro.sim.columnar.lanes`), so every trial is a pure function of
+``(seed, trial)`` — reproducible, bit-identical for any worker count and
+any chunk size (how :func:`repro.sim.parallel.run_chunks` cuts the run
+is a speed, never a sample), and shared verbatim between the two
+kernels of :func:`simulate_lifecycle`: ``event`` walks every trial's
+event heap, while ``vectorized`` first advances all trials in lockstep
+on a columnar failure-clock array and walks only the trials whose
+concurrent-failure count ever reaches the danger threshold. Both read the *same* sampled floats, so ``kernel=``
 selects a speed, never a result.
 """
 
@@ -55,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from typing import Any, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as _np
@@ -64,13 +61,12 @@ from repro.errors import SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import (
     cells_recoverable,
-    failure_matrix,
+    guaranteed_tolerance,
     is_recoverable,
     lost_cells,
     pattern_entries,
-    recoverable_many,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
+from repro.obs.telemetry import Telemetry, ambient
 from repro.results import ColumnOf, LossResultBase, register_result
 from repro.sim.columnar import (
     MISSION,
@@ -144,19 +140,6 @@ class LifecycleResult(LossResultBase):
         return max(self.peak_failures_per_trial)
 
 
-def guaranteed_tolerance(layout: Layout) -> int:
-    """Failure count any pattern of which the layout certainly survives.
-
-    OI-RAID layouts expose a ``design_tolerance``; for flat layouts the
-    minimum stripe tolerance is a safe guarantee (any ``t`` failures cost
-    each stripe at most ``t`` cells).
-    """
-    declared = getattr(layout, "design_tolerance", None)
-    if declared is not None:
-        return int(declared)
-    return int(layout.stripe_tolerance.min())
-
-
 def derived_mttr(
     layout: Layout,
     disk: Optional[DiskModel] = None,
@@ -172,11 +155,8 @@ def derived_mttr(
     and the lifecycle Monte-Carlo consume the *same* layout-derived repair
     rate instead of an exogenous constant.
     """
-    disk = disk or DiskModel()
-    timer = RebuildTimer(layout, disk, sparing, method, batches)
-    singles = [(d,) for d in range(layout.n_disks)]
-    pattern_entries(layout, singles)  # the memo misses, as one batch
-    return mean([timer(frozenset(single))[0] for single in singles])
+    timer = RebuildTimer(layout, disk or DiskModel(), sparing, method, batches)
+    return mean(LifecycleTables.build(layout, timer).hours.tolist())
 
 
 def derived_markov_model(
@@ -480,28 +460,17 @@ def _mission_state(
     return layout, timer, tables
 
 
-def _plan_ahead(layout: Layout, overlaps, tolerance: int) -> None:
-    """Plan the failed sets of *overlaps* the layout's memo lacks, as one batch.
-
-    *overlaps* are :meth:`LockstepScreen.overlaps`' ``(first, second)``
-    disk columns: each flagged mission's first two-disk failed set,
-    which its walk asks the timer for unless the set loses data. Sets
-    past *tolerance* are decided first by one silent batched peel, as
-    the walk's ``is_recoverable`` would; the decodable rest go to one
-    ``pattern_entries`` call. The memo only ever holds what a walk would
-    have planned on demand, so results and telemetry cannot tell.
+def _plan_ahead(layout: Layout, overlaps) -> None:
+    """Decide and plan, by one ``pattern_entries`` call, the failed sets
+    of *overlaps* the layout's memo lacks: :meth:`LockstepScreen.overlaps`'
+    ``(first, second)`` disk columns, each flagged mission's first
+    two-disk set. The memo gains only what the walk would find on demand.
     """
     # A set of memo keys, not np.unique: its first call in a process
     # costs ~1 MiB of peak RSS.
     first, second = (column.tolist() for column in overlaps)
     pairs = {(a, b) if a < b else (b, a) for a, b in zip(first, second)}
-    sets = sorted(pairs - layout.patterns.keys())
-    if sets and tolerance < 2:
-        with use_telemetry(NULL_TELEMETRY):
-            decodable = recoverable_many(layout, failure_matrix(layout, sets))
-        sets = list(compress(sets, decodable.tolist()))
-    if sets:
-        pattern_entries(layout, sets)
+    pattern_entries(layout, sorted(pairs - layout.patterns.keys()))
 
 
 def _mission_chunk(
@@ -550,7 +519,7 @@ def _mission_chunk(
         with tel.phase("screen"):
             screen.rounds()
         with tel.phase("plan"):
-            _plan_ahead(layout, screen.overlaps(), tolerance)
+            _plan_ahead(layout, screen.overlaps())
         failures, repairs, peak = screen.n_failures, screen.n_repairs, screen.peak
         degraded, draw_sum = screen.degraded, screen.draw_sum
         # A screened mission consumed its n first lifetimes plus one

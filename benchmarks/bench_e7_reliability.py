@@ -18,7 +18,7 @@ from repro.core.oi_layout import oi_raid
 from repro.core.tolerance import tolerance_profile
 from repro.layouts import ParityDeclusteringLayout, Raid50Layout
 from repro.sim.markov import model_for_layout
-from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.parallel import default_jobs
 
 N, MTTF, BASE_MTTR = 21, 100_000.0, 24.0
@@ -62,9 +62,8 @@ def _body() -> ExperimentResult:
     # Monte-Carlo cross-check at accelerated rates. The chunked simulator
     # gives the same result for any REPRO_JOBS value (incl. serial).
     acc_mttf, acc_mttr, horizon = 2000.0, 40.0, 4000.0
-    oracle = recoverability_oracle(oi, guaranteed_tolerance=3)
     mc = simulate_lifetimes(
-        N, acc_mttf, acc_mttr, oracle, horizon, trials=600, seed=0,
+        oi, acc_mttf, acc_mttr, horizon, trials=600, seed=0,
         jobs=default_jobs(),
     )
     markov = model_for_layout(N, acc_mttf, acc_mttr, survivable)

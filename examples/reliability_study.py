@@ -22,7 +22,7 @@ from repro.bench.tables import format_table
 from repro.core.tolerance import tolerance_profile
 from repro.layouts import Raid50Layout
 from repro.sim.markov import model_for_layout
-from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
+from repro.sim.montecarlo import simulate_lifetimes
 
 
 def main() -> None:
@@ -65,9 +65,7 @@ def main() -> None:
     # Monte-Carlo cross-check at accelerated rates (losses must be
     # observable within a reasonable number of trials).
     mttf, mttr, horizon = 2000.0, 40.0, 4000.0
-    oracle = recoverability_oracle(layout, guaranteed_tolerance=3)
-    mc = simulate_lifetimes(21, mttf, mttr, oracle, horizon, trials=400,
-                            seed=0)
+    mc = simulate_lifetimes(layout, mttf, mttr, horizon, trials=400, seed=0)
     markov = model_for_layout(21, mttf, mttr, survivable)
     lo, hi = mc.prob_loss_interval()
     print(f"\naccelerated cross-check (MTTF {mttf:.0f}h, MTTR {mttr:.0f}h, "

@@ -37,8 +37,8 @@ from repro.obs.telemetry import Telemetry, ambient
 from repro.sim.columnar import KERNELS
 from repro.sim.latency import LatencyModel
 from repro.sim.fleet import simulate_fleet
-from repro.sim.lifecycle import guaranteed_tolerance, simulate_lifecycle
-from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
+from repro.sim.lifecycle import simulate_lifecycle
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.rebuild import (
     DiskModel,
     analytic_rebuild_time,
@@ -187,11 +187,7 @@ def _rebuild_call(s: Scenario):
 
 
 def _reliability_call(s: Scenario):
-    layout = s.layout
-    oracle = recoverability_oracle(layout, guaranteed_tolerance(layout))
-    return simulate_lifetimes, (
-        layout.n_disks, s.mttf_hours, s.mttr_hours, oracle, s.horizon_hours,
-    ), {}
+    return simulate_lifetimes, (s.layout, s.mttf_hours, s.mttr_hours, s.horizon_hours), {}
 
 
 def _mission_call(s: Scenario, simulate: Callable, **extra):

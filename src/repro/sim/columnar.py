@@ -198,20 +198,6 @@ class ChunkSpec(NamedTuple):
     seed: int
 
 
-def oracle_guarantee(oracle: Callable[..., bool]) -> int:
-    """Failure count below which *oracle* certainly answers "survives".
-
-    ``RecoverabilityOracle`` fast-paths sets of at most its
-    ``guaranteed_tolerance``; ``ThresholdOracle`` *is* its ``tolerance``.
-    Opaque callables get 0 — every failure arrival is then a pattern the
-    oracle decides, which is slow but exact.
-    """
-    declared = getattr(oracle, "guaranteed_tolerance", None)
-    if declared is None:
-        declared = getattr(oracle, "tolerance", None)
-    return int(declared) if declared is not None else 0
-
-
 class LaneCursor:
     """Sequential ``random.Random``-shaped view of one trial's lanes.
 
@@ -704,7 +690,7 @@ def exceedances(kinds, counts, starts, guarantee):
 
     A failure is +1, a repair -1; the running sum after each event is the
     failed-set size at that instant. A trial whose concurrency never
-    exceeds the oracle's guaranteed tolerance can never lose data and
+    exceeds the layout's guaranteed tolerance can never lose data and
     needs no replay at all (it is not *suspect*); in the rest, a loss can
     only happen at a failure arrival past the guarantee — the first of
     them is the trial's first exceedance.

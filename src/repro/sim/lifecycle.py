@@ -57,12 +57,11 @@ from typing import Any, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as _np
 
-from repro.errors import SimulationError
+from repro.errors import DataLossError, SimulationError
 from repro.layouts.base import Cell, Layout
 from repro.layouts.recovery import (
     cells_recoverable,
     guaranteed_tolerance,
-    is_recoverable,
     lost_cells,
     pattern_entries,
 )
@@ -263,7 +262,6 @@ def _lifecycle_trial(
     horizon_hours: float,
     timer: "RebuildTimer",
     lse_rate_per_byte: float,
-    tolerance: int,
     log: Optional[List[tuple]] = None,
 ) -> Tuple[Optional[float], bool, int, int, float, int]:
     """Walk one mission's event heap; the exact (event) plane.
@@ -272,8 +270,9 @@ def _lifecycle_trial(
     slots of the trial's lanes (a disk's lifetimes from that disk's lane,
     every uniform from the auxiliary one), which is what lets the
     vectorized kernel replay exactly this walk for any trial it flags as
-    dangerous. Patterns of at most *tolerance* failures
-    (:func:`guaranteed_tolerance`) survive without asking the decoder.
+    dangerous. Each failure asks *timer* for the enlarged failed set's
+    rebuild; its :class:`DataLossError` (the layout's memo decides the set
+    as it plans it) is a pattern loss.
     A *log* list receives ``(kind, t, *fields)`` per event (:data:`_FIELDS`).
     Returns ``(lost_at, lost_to_lse, failures, repairs, degraded_hours,
     peak_failures)``.
@@ -313,15 +312,16 @@ def _lifecycle_trial(
                 log.append(("failure", time, payload, len(failed)))
                 if rebuild_in_flight:
                     log.append(("repair_abandon", time, epoch))
-            if len(failed) > tolerance and not is_recoverable(layout, failed):
+            # Re-plan the enlarged pattern; the previous rebuild (if
+            # any) is abandoned and its epoch goes stale.
+            try:
+                hours, rebuild_bytes = timer(frozenset(failed))
+            except DataLossError:
                 lost_at = time
                 if log is not None:
                     log.append(("data_loss", time, "pattern", len(failed)))
                 break
-            # Re-plan the enlarged pattern; the previous rebuild (if
-            # any) is abandoned and its epoch goes stale.
             epoch += 1
-            hours, rebuild_bytes = timer(frozenset(failed))
             heapq.heappush(heap, (time + hours, seq, 1, epoch))
             seq += 1
             if log is not None:
@@ -495,7 +495,6 @@ def _mission_chunk(
     """
     layout, timer, tables = state
     count, n = spec.size, layout.n_disks
-    tolerance = guaranteed_tolerance(layout)
     weighted = lambd != nominal_lambd
 
     with tel.phase("sample"):
@@ -503,7 +502,8 @@ def _mission_chunk(
         if screened:
             screen = LockstepScreen(
                 layout, tables, mission_lanes, lambd, horizon_hours,
-                lse_rate_per_byte, tolerance, weighted, tel.enabled,
+                lse_rate_per_byte, guaranteed_tolerance(layout), weighted,
+                tel.enabled,
             )
             streams = screen.streams
         else:
@@ -543,7 +543,7 @@ def _mission_chunk(
                 peak[t],
             ) = _lifecycle_trial(
                 cursor, layout, lambd, horizon_hours, timer,
-                lse_rate_per_byte, tolerance, logs.get(t),
+                lse_rate_per_byte, logs.get(t),
             )
             if at is not None:
                 lost_at[t] = at

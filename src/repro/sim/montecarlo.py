@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Optional
 
 import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
-from repro.layouts.recovery import is_recoverable, recoverable_many
+from repro.layouts.recovery import guaranteed_tolerance, recoverable_many
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import (
     derive_chunk_seed,
     exceedances as _exceedances,
-    oracle_guarantee as _oracle_guarantee,
     resolve_kernel,
     sample_renewal_events as _sample_lifetime_events,
 )
@@ -37,7 +36,6 @@ from repro.sim.parallel import (
     run_chunks,
 )
 from repro.results import ColumnOf, LossResultBase, register_result
-from repro.util.checks import check_positive
 
 
 @register_result
@@ -63,71 +61,20 @@ class LifetimeResult(LossResultBase):
     )
 
 
-@dataclass(frozen=True)
-class RecoverabilityOracle:
-    """Exact-pattern oracle with a fast path: few failures always survive.
-
-    A picklable callable (unlike a closure) so the chunk driver can ship
-    it to worker processes. :meth:`batch` decides a matrix of failed sets
-    at once, the fast path applied per row.
-    """
-
-    layout: Layout
-    guaranteed_tolerance: int
-
-    def __call__(self, failed: Set[int]) -> bool:
-        if len(failed) <= self.guaranteed_tolerance:
-            return True
-        return is_recoverable(self.layout, failed)
-
-    def batch(self, down: _np.ndarray) -> _np.ndarray:
-        """Verdicts of the rows of a ``(B, n_disks)`` bool matrix."""
-        verdict = down.sum(axis=1) <= self.guaranteed_tolerance
-        hard = _np.flatnonzero(~verdict)
-        verdict[hard] = recoverable_many(self.layout, down[hard])
-        return verdict
-
-
-@dataclass(frozen=True)
-class ThresholdOracle:
-    """Count-threshold oracle for ideal-MDS baselines (picklable)."""
-
-    tolerance: int
-
-    def __call__(self, failed: Set[int]) -> bool:
-        return len(failed) <= self.tolerance
-
-    def batch(self, down: _np.ndarray) -> _np.ndarray:
-        """Verdicts of the rows of a ``(B, n_disks)`` bool matrix."""
-        return down.sum(axis=1) <= self.tolerance
-
-
-def recoverability_oracle(
-    layout: Layout, guaranteed_tolerance: int
-) -> Callable[[Set[int]], bool]:
-    """Oracle with a fast path: <= guaranteed failures always survive."""
-    return RecoverabilityOracle(layout, guaranteed_tolerance)
-
-
-def threshold_oracle(tolerance: int) -> Callable[[Set[int]], bool]:
-    """Count-threshold oracle for ideal-MDS baselines (e.g. RAID6 = 2)."""
-    return ThresholdOracle(tolerance)
-
-
-def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
-                  verdicts):
-    """Loss events of the candidate *events*' trials, and the sets peeled.
+def _first_losses(disks, starts, events, event_trials, layout, verdicts):
+    """Loss events of the candidate *events*' trials, and the sets asked.
 
     A failed set is a row of ``ceil(n_disks / 64)`` uint64 words: a prefix
     XOR scan of ``1 << disk`` over the chunk (a disk's events alternate
-    failure/repair), XOR the scan just before the trial. The oracle is asked
-    once per distinct set (*verdicts* keeps its answers by mask bytes) and
-    only at a trial's frontier, its first candidate not known to survive, so
+    failure/repair), XOR the scan just before the trial. Each distinct set
+    is asked once (*verdicts* keeps the answers by mask bytes) and only at
+    a trial's frontier, its first candidate not known to survive, so
     nothing past a loss is peeled: the loss is the first frontier lost.
-    Each frontier round's new sets go to ``oracle.batch`` as one bool
-    matrix when the oracle has one, else one ``oracle(set)`` call each.
+    A frontier round's new sets of at most :func:`guaranteed_tolerance`
+    failures survive; the rest go to one :func:`recoverable_many` call.
     Loss events come back in trial order, one per lost trial.
     """
+    n_disks, tolerance = layout.n_disks, guaranteed_tolerance(layout)
     scan = _np.zeros((len(disks) + 1, -(-n_disks // 64)), dtype=_np.uint64)
     scan[_np.arange(1, len(scan)), disks >> 6] = _np.left_shift(
         _np.uint64(1), (disks & 63).astype(_np.uint64)
@@ -151,10 +98,10 @@ def _first_losses(disks, starts, events, event_trials, n_disks, oracle,
         ask = _np.flatnonzero(wanted & (verdict < 0))
         if not len(ask):
             return events[frontier], len(verdicts) - known
-        if hasattr(oracle, "batch"):
-            answers = oracle.batch(down[ask]).tolist()
-        else:
-            answers = [bool(oracle(set(_np.flatnonzero(row).tolist()))) for row in down[ask]]
+        rows = down[ask]
+        answers = rows.sum(axis=1) <= tolerance
+        answers[~answers] = recoverable_many(layout, rows[~answers])
+        answers = answers.tolist()
         verdict[ask] = answers
         verdicts.update(zip([keys[row] for row in ask.tolist()], answers))
 
@@ -200,30 +147,30 @@ def _narrate(tel, first, times, kinds, disks, counts, starts, lost):
 
 
 def _lifetime_chunk(
-    state, spec, tel, *, screened, n_disks, mttf_hours, mttr_hours,
-    horizon_hours,
+    state, spec, tel, *, screened, mttf_hours, mttr_hours, horizon_hours,
 ) -> LifetimeResult:
-    """Sample and replay one chunk; *state* is ``(oracle, verdicts)``.
+    """Sample and replay one chunk; *state* is ``(layout, verdicts)``.
 
     Arrivals come from ``default_rng(derive_chunk_seed(spec.seed,
     spec.index))``, a per-chunk stream (chunk 0 draws from the run seed).
-    :func:`_first_losses` decides the arrivals past the oracle's guarantee
-    when *screened* (``vectorized``), every failure arrival otherwise, and
-    a collecting *tel* is narrated from the plane (:func:`_narrate`).
+    :func:`_first_losses` decides the arrivals past the layout's
+    :func:`guaranteed_tolerance` when *screened* (``vectorized``), every
+    failure arrival otherwise, and a collecting *tel* is narrated from the
+    plane (:func:`_narrate`).
     """
-    oracle, verdicts = state
+    layout, verdicts = state
     trials = spec.size
     rng = _np.random.default_rng(derive_chunk_seed(spec.seed, spec.index))
 
     with tel.phase("sample"):
         times, kinds, disks, counts, starts = _sample_lifetime_events(
-            rng, n_disks, mttf_hours, mttr_hours, horizon_hours, trials
+            rng, layout.n_disks, mttf_hours, mttr_hours, horizon_hours, trials
         )
 
     if screened:
         with tel.phase("screen"):
             events, event_trials = _exceedances(
-                kinds, counts, starts, _oracle_guarantee(oracle)
+                kinds, counts, starts, guaranteed_tolerance(layout)
             )
             replays = int(_np.count_nonzero(_np.bincount(event_trials)))
     else:
@@ -231,7 +178,7 @@ def _lifetime_chunk(
         replays = trials
     with tel.phase("replay"):
         lost, peels = _first_losses(
-            disks, starts, events, event_trials, n_disks, oracle, verdicts
+            disks, starts, events, event_trials, layout, verdicts
         )
         if tel.enabled:
             _narrate(tel, spec.start, times, kinds, disks, counts, starts, lost)
@@ -250,10 +197,9 @@ def _lifetime_chunk(
 
 
 def simulate_lifetimes(
-    n_disks: int,
+    layout: Layout,
     mttf_hours: float,
     mttr_hours: float,
-    oracle: Callable[[Set[int]], bool],
     horizon_hours: float,
     trials: int = 1000,
     seed: Optional[int] = 0,
@@ -272,24 +218,21 @@ def simulate_lifetimes(
     (:func:`~repro.sim.parallel.run_chunks`), each sampling its own
     plane (:func:`_lifetime_chunk`), so the result is a deterministic
     function of ``(trials, seed, chunk_trials)`` — never of *jobs* or
-    *kernel*. *oracle* must be picklable when ``jobs > 1`` (use the
-    oracle classes of this module, not ad-hoc closures); it is broadcast
-    to the persistent pool once, not shipped per chunk.
+    *kernel*. *layout* is broadcast to the persistent pool once, not
+    shipped per chunk.
 
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides how the plane
     is replayed, never the answer; neither walks a trial.
     :func:`_first_losses` decides candidate failure arrivals from a prefix
-    XOR scan, asking the oracle once per distinct failed set — one
-    ``oracle.batch`` matrix per frontier round when the oracle has that
-    method (the oracle classes here do), one call per set otherwise — the
-    answer of a walk that consults the oracle on every failure arrival,
-    for any deterministic oracle, monotone or not. ``event`` makes every failure
-    arrival a candidate; ``vectorized`` first screens for the arrivals
-    past the oracle's guaranteed tolerance, the only instants a loss can
-    happen. Verdicts are memoised for the call (per worker when
-    ``jobs > 1``, in the broadcast state like the layout's pattern memo),
-    so the profile's ``mc.oracle_calls`` is exact at ``jobs=1`` and
-    depends on how chunks shared workers above.
+    XOR scan, asking the layout's peel once per distinct failed set past
+    its :func:`guaranteed_tolerance` — one :func:`recoverable_many` matrix
+    per frontier round — the answer of a walk that asks on every failure
+    arrival. ``event`` makes every failure arrival a candidate;
+    ``vectorized`` first screens for the arrivals past the guaranteed
+    tolerance, the only instants a loss can happen. Verdicts are memoised
+    for the call (per worker when ``jobs > 1``, in the broadcast state
+    beside the layout), so the profile's ``mc.oracle_calls`` is exact at
+    ``jobs=1`` and depends on how chunks shared workers above.
 
     *telemetry* (default: ambient, a no-op unless a collecting instance
     is installed) receives sim-domain counters and failure / repair /
@@ -300,7 +243,6 @@ def simulate_lifetimes(
     :func:`~repro.sim.parallel.run_chunks`' contract.
     """
     screened = resolve_kernel(kernel) == "vectorized"
-    check_positive("n_disks", n_disks, 2)
     if not all(
         0 < hours < math.inf
         for hours in (mttf_hours, mttr_hours, horizon_hours)
@@ -308,10 +250,10 @@ def simulate_lifetimes(
         raise SimulationError("rates and horizon must be positive and finite")
     parts = run_chunks(
         "simulate_lifetimes", dict(trials=trials, jobs=jobs),
-        _lifetime_chunk, (oracle, {}),
+        _lifetime_chunk, (layout, {}),
         dict(
-            screened=screened, n_disks=n_disks, mttf_hours=mttf_hours,
-            mttr_hours=mttr_hours, horizon_hours=horizon_hours,
+            screened=screened, mttf_hours=mttf_hours, mttr_hours=mttr_hours,
+            horizon_hours=horizon_hours,
         ),
         trials, chunk_trials,
         seed=seed, jobs=jobs, telemetry=telemetry, progress=progress,

@@ -28,12 +28,11 @@ worker count**, including ``jobs=1``:
    ``loss_times`` and the merged telemetry are stable for any ``jobs``
    (chunk records carry global trial indices, so logs just concatenate).
 
-The heavy read-only state of each simulator (the oracle, the layout, the
-rebuild-time memo) is **broadcast** to the pool through its initializer —
-pickled once per pool lifetime, not once per chunk — while the chunk specs
-themselves carry only scalars. Broadcast state must be picklable: the
-oracle dataclasses from :mod:`repro.sim.montecarlo` qualify; closures and
-lambdas do not.
+The heavy read-only state of each simulator (the layout with its pattern
+memo, the rebuild timer) is **broadcast** to the pool through its
+initializer — pickled once per pool lifetime, not once per chunk — while
+the chunk specs themselves carry only scalars. Broadcast state must be
+picklable, so it holds layouts and dataclasses, never closures or lambdas.
 
 This module sits *below* the simulators and names none of them. Each
 ``simulate_*`` function validates its physics arguments, builds the

@@ -73,7 +73,7 @@ def state_fingerprint(state: Any) -> Tuple[bytes, str]:
     The digest keys pool reuse; the blob feeds the initializer when a new
     pool must be created. Unpicklable state raises
     :class:`~repro.errors.SimulationError` with the underlying reason
-    (ad-hoc closures as oracles are the usual culprit).
+    (an ad-hoc closure in the state is the usual culprit).
     """
     try:
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)

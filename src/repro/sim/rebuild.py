@@ -46,7 +46,7 @@ from repro.layouts.recovery import (
     pattern_entry,
     plan_recovery,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, ambient, use_telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.engine import FcfsServer, Simulator
 from repro.util.checks import check_finite
@@ -347,12 +347,12 @@ class RebuildTimer:
     The clocks live on the layout (:func:`~repro.layouts.recovery.
     pattern_entry`, then this timer's ``(disk, sparing, method,
     batches)``), so a run after the first on one layout object plans
-    nothing. The view only remembers which patterns its run asked for,
-    and narrates each first lookup into the ambient telemetry as a cold
-    evaluation records it (spans, ``recovery.*``, ``rebuild.*`` and the
-    event clock's ``engine.*``): a run's telemetry never depends on what
-    earlier runs left in the memo. ``method`` selects the bandwidth-bound
-    analytic bound or the event-driven FCFS simulation.
+    nothing. Every lookup is narrated into the ambient telemetry as a
+    cold evaluation records it (spans, ``recovery.*``, ``rebuild.*`` and
+    the event clock's ``engine.*``): a run's telemetry never depends on
+    what earlier runs left in the memo. An undecodable set raises the
+    memo's :class:`~repro.errors.DataLossError`. ``method`` selects the
+    bandwidth-bound analytic bound or the event-driven FCFS simulation.
     """
 
     layout: Layout
@@ -392,29 +392,30 @@ class RebuildTimer:
 
     def __call__(self, failed: FrozenSet[int]) -> Tuple[float, float]:
         key = tuple(sorted(failed))
-        seen = self.__dict__.setdefault("_seen", set())
         tel = ambient()
-        if key in seen:
-            tel.count("rebuild.memo_hits")
-            seconds, read = self._clock(pattern_entry(self.layout, key))
-            return seconds / 3600.0, read
-        seen.add(key)
+        if tel.enabled:
+            return self._narrated(key, tel)
+        seconds, read = self._clock(pattern_entry(self.layout, key))
+        return seconds / 3600.0, read
+
+    def _narrated(self, key: Tuple[int, ...], tel: Telemetry) -> Tuple[float, float]:
+        """:meth:`__call__` of *key*, recording into *tel* what a cold
+        evaluation records."""
         tel.count("rebuild.memo_misses")
         with tel.span("rebuild_evaluate", failed=len(key), method=self.method):
             with tel.span("plan_recovery", failed=len(key)):
                 entry = pattern_entry(self.layout, key)
             seconds, read = self._clock(entry)
-        if tel.enabled:
-            summary, method = entry.summary, self.method
-            tel.count("recovery.plans")
-            tel.observe("recovery.plan_steps", summary.steps)
-            tel.observe("recovery.plan_read_units", summary.total_read_units)
-            if method == "event":  # one engine event per unit read or written
-                events = self.batches * (
-                    summary.total_read_units + summary.total_write_units
-                )
-                tel.count("engine.events_scheduled", events)
-                tel.count("engine.events_processed", events)
-            tel.count(f"rebuild.{method}_evaluations")
-            tel.observe(f"rebuild.{method}_seconds", seconds)
+        summary, method = entry.summary, self.method
+        tel.count("recovery.plans")
+        tel.observe("recovery.plan_steps", summary.steps)
+        tel.observe("recovery.plan_read_units", summary.total_read_units)
+        if method == "event":  # one engine event per unit read or written
+            events = self.batches * (
+                summary.total_read_units + summary.total_write_units
+            )
+            tel.count("engine.events_scheduled", events)
+            tel.count("engine.events_processed", events)
+        tel.count(f"rebuild.{method}_evaluations")
+        tel.observe(f"rebuild.{method}_seconds", seconds)
         return seconds / 3600.0, read

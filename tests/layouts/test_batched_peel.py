@@ -25,7 +25,6 @@ from repro.layouts.recovery import (
 )
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.schemes import build_scheme_layout, scheme_names
-from repro.sim.montecarlo import recoverability_oracle, threshold_oracle
 from tests.layouts.reference_peel import _peel
 
 #: Catalog designs of up to 57 disks (``oi_raid`` picks the group size),
@@ -169,15 +168,3 @@ def test_one_oracle_call_counted_per_row(fano_layout):
         assert (0, 1, 3, 4) in fano_layout.patterns
         assert not is_recoverable(fano_layout, [4, 3, 1, 0])
     assert tel.metrics.to_dict()["counters"] == {"recovery.oracle_calls": 5}
-
-
-@pytest.mark.parametrize("kind", ["layout", "threshold"])
-def test_oracle_batch_equals_its_calls(fano_layout, kind):
-    oracle = (
-        recoverability_oracle(fano_layout, 3) if kind == "layout"
-        else threshold_oracle(2)
-    )
-    rng = random.Random(11)
-    patterns = [rng.sample(range(21), rng.randint(0, 7)) for _ in range(300)]
-    got = oracle.batch(failure_matrix(fano_layout, patterns))
-    assert got.tolist() == [oracle(set(p)) for p in patterns]

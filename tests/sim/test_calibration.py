@@ -10,11 +10,12 @@ import collections
 import math
 
 from repro.core.oi_layout import oi_raid
+from repro.layouts import Raid5Layout
 from repro.sim.columnar import LifecycleTables
 from repro.sim.latency import LatencyModel
 from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.markov import MarkovReliabilityModel
-from repro.sim.montecarlo import simulate_lifetimes, threshold_oracle
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.rebuild import DiskModel, RebuildTimer
 from repro.sim.serve import simulate_serve
 from repro.workloads import OpenLoop, WorkloadSpec
@@ -37,7 +38,7 @@ def test_lifetime_loss_intervals_cover_the_markov_chain():
     covered = 0
     for seed in range(seeds):
         result = simulate_lifetimes(
-            n, mttf, mttr, threshold_oracle(1), horizon, trials=trials,
+            Raid5Layout(n), mttf, mttr, horizon, trials=trials,
             seed=seed,
         )
         lo, hi = result.prob_loss_interval(z=1.96)

@@ -15,14 +15,12 @@ from repro.sim.columnar import (
     TrialStreams,
     lanes,
     mix64,
-    oracle_guarantee,
 )
 from repro.sim.lifecycle import (
     RebuildTimer,
     _lifecycle_trial,
     guaranteed_tolerance,
 )
-from repro.sim.montecarlo import ThresholdOracle, recoverability_oracle
 from repro.sim.rebuild import DiskModel
 from repro.util.units import GIB
 
@@ -220,25 +218,12 @@ class TestLifecycleTables:
             assert tables.bytes_read[disk] == read
 
 
-class TestOracleGuarantee:
-    def test_recoverability_oracle_declares_its_guarantee(self, fano_layout):
-        oracle = recoverability_oracle(fano_layout, guaranteed_tolerance=3)
-        assert oracle_guarantee(oracle) == 3
-
-    def test_threshold_oracle_is_its_tolerance(self):
-        assert oracle_guarantee(ThresholdOracle(2)) == 2
-
-    def test_opaque_callables_get_zero(self):
-        assert oracle_guarantee(lambda failed: True) == 0
-
-
 class TestSharedSamplers:
     def test_montecarlo_reexports_the_moved_machinery(self):
         from repro.sim import columnar, montecarlo
 
         assert montecarlo._sample_lifetime_events is columnar.sample_renewal_events
         assert montecarlo._exceedances is columnar.exceedances
-        assert montecarlo._oracle_guarantee is columnar.oracle_guarantee
 
 
 class TestLockstepScreen:
@@ -270,7 +255,7 @@ class TestLockstepScreen:
             log = []
             _lost, _lse, failures, repairs, _hours, peak = _lifecycle_trial(
                 screen.streams.cursor(trial), fano_layout, lambd,
-                self.HORIZON, timer, lse_rate, tolerance, log,
+                self.HORIZON, timer, lse_rate, log,
             )
             strikes = sum(row[2] for row in log if row[0] == "lse_check")
             overlapped += peak >= 2
@@ -302,7 +287,7 @@ class TestLockstepScreen:
         shape = screen.streams.exponentials.shape
         lost, _lse, failures, _repairs, _hours, _peak = _lifecycle_trial(
             screen.streams.cursor(0), fano_layout, 1.0 / mttf, horizon,
-            timer, 0.0, tolerance,
+            timer, 0.0,
         )
         assert lost is None and failures > 5000
         assert screen.streams.exponentials.shape == shape
@@ -335,7 +320,7 @@ class TestLockstepScreen:
             log = []
             _lifecycle_trial(
                 screen.streams.cursor(t), fano_layout, lambd, horizon,
-                timer, lse_rate, tolerance, log,
+                timer, lse_rate, log,
             )
             rows = []
             for i in np.flatnonzero(trial == t).tolist():

@@ -9,21 +9,18 @@ in ``reference_lifetimes.py``, and the telemetry narrated from it against
 the per-event walk kept there.
 """
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.sim.montecarlo as montecarlo
 from repro.core.oi_layout import oi_raid
+from repro.layouts import Raid5Layout
+from repro.layouts.recovery import is_recoverable
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.sim.columnar import ChunkSpec, derive_chunk_seed, sample_renewal_events
-from repro.sim.lifecycle import guaranteed_tolerance
-from repro.sim.montecarlo import (
-    _lifetime_chunk,
-    recoverability_oracle,
-    simulate_lifetimes,
-    threshold_oracle,
-)
+from repro.sim.montecarlo import _lifetime_chunk, simulate_lifetimes
 from repro.sim.parallel import DEFAULT_CHUNK_TRIALS
 from tests.sim.reference_lifetimes import (
     heap_walk_lifetimes,
@@ -33,55 +30,25 @@ from tests.sim.reference_lifetimes import (
 
 #: 21 disks at accelerated rates: a few percent of trials outgrow a
 #: tolerance of 3, most outgrow a tolerance of 1.
-RATES = dict(n_disks=21, mttf_hours=2000.0, mttr_hours=40.0)
+RATES = dict(mttf_hours=2000.0, mttr_hours=40.0)
 HORIZON = 4000.0
 
 
-def oracles(layout):
-    return {
-        "threshold": threshold_oracle(1),
-        "layout": recoverability_oracle(layout, guaranteed_tolerance=3),
-    }
+def layouts(layout):
+    """RAID5's peel loses every pair, as a failure-count threshold of 1."""
+    return {"threshold": Raid5Layout(21), "layout": layout}
 
 
-def three_down_without_disk_zero(failed):
-    """Not monotone: losing disk 0 as well as three others survives."""
-    return not (len(failed) == 3 and 0 not in failed)
-
-
-@dataclass(frozen=True)
-class DeclaredThreeDownWithoutDiskZero:
-    """The same rule, declaring that two failures always survive."""
-
-    guaranteed_tolerance: int = 2
-
-    def __call__(self, failed):
-        return three_down_without_disk_zero(failed)
-
-
-class CountingOracle:
-    """Records every failed set it is asked about (in-process runs only)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.guaranteed_tolerance = inner.guaranteed_tolerance
-        self.asked = []
-
-    def __call__(self, failed):
-        self.asked.append(frozenset(failed))
-        return self.inner(failed)
+def reference(layout, mttf, mttr, horizon):
+    """The reference walks' ``(n_disks, mttf, mttr, oracle, horizon)``."""
+    return layout.n_disks, mttf, mttr, partial(is_recoverable, layout), horizon
 
 
 def narrated_configs(layout):
-    """``(n_disks, mttf, mttr, oracle, horizon)`` per oracle kind."""
-    six_disks = (6, 300.0, 200.0)
+    """``(layout, mttf, mttr, horizon)`` per layout kind."""
     return {
-        "threshold": (*RATES.values(), threshold_oracle(1), HORIZON),
-        "layout": (21, 1000.0, 60.0, recoverability_oracle(layout, 3), 3000.0),
-        "declared": (
-            *six_disks, DeclaredThreeDownWithoutDiskZero(), 1000.0,
-        ),
-        "opaque": (*six_disks, three_down_without_disk_zero, 1000.0),
+        "threshold": (Raid5Layout(21), *RATES.values(), HORIZON),
+        "layout": (layout, 1000.0, 60.0, 3000.0),
     }
 
 
@@ -93,20 +60,20 @@ def both_kernels(*args, **kwargs):
 
 
 class TestKernelBitIdentity:
-    @pytest.mark.parametrize("oracle_name", ["threshold", "layout"])
+    @pytest.mark.parametrize("name", ["threshold", "layout"])
     @pytest.mark.parametrize("seed", [0, 1, 17])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_result_metrics_and_events_identical(
-        self, fano_layout, oracle_name, seed, jobs
+        self, fano_layout, name, seed, jobs
     ):
-        oracle = oracles(fano_layout)[oracle_name]
+        layout = layouts(fano_layout)[name]
         plain, collected = {}, {}
 
         def run(kernel, telemetry=None):
             return simulate_lifetimes(
-                RATES["n_disks"], RATES["mttf_hours"], RATES["mttr_hours"],
-                oracle, HORIZON, trials=600, seed=seed, jobs=jobs,
-                kernel=kernel, telemetry=telemetry,
+                layout, RATES["mttf_hours"], RATES["mttr_hours"], HORIZON,
+                trials=600, seed=seed, jobs=jobs, kernel=kernel,
+                telemetry=telemetry,
             ).to_dict()
 
         for kernel in ("event", "vectorized"):
@@ -132,13 +99,12 @@ class TestTwoDifferentPaths:
         ``event`` has no screen, so every trial's every failure arrival
         is a candidate, and it peels more failed sets than the screen
         lets through."""
-        oracle = oracles(fano_layout)["layout"]
         profiles = {}
         for kernel in ("event", "vectorized"):
             prof = Telemetry(enabled=False, profiling=True)
             with use_telemetry(prof):
                 simulate_lifetimes(
-                    oracle=oracle, horizon_hours=HORIZON, trials=400,
+                    fano_layout, horizon_hours=HORIZON, trials=400,
                     chunk_trials=400, seed=0, kernel=kernel, **RATES,
                 )
             profiles[kernel] = prof
@@ -154,17 +120,15 @@ class TestNarratedTelemetry:
     """The registry, records and ``dropped`` narrated from the plane are
     the per-event walk's, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "oracle_name", ["threshold", "layout", "declared", "opaque"]
-    )
+    @pytest.mark.parametrize("name", ["threshold", "layout"])
     @pytest.mark.parametrize("kernel", ["event", "vectorized"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_equals_the_walk(self, fano_layout, oracle_name, kernel, jobs):
-        config = narrated_configs(fano_layout)[oracle_name]
+    def test_equals_the_walk(self, fano_layout, name, kernel, jobs):
+        config = narrated_configs(fano_layout)[name]
         walked = Telemetry()
         # 300 trials are two chunks, so jobs=2 goes through the pool.
         loss_times = walk_chunks(
-            *config, trials=300, seed=29, chunk_trials=DEFAULT_CHUNK_TRIALS,
+            *reference(*config), trials=300, seed=29, chunk_trials=DEFAULT_CHUNK_TRIALS,
             telemetry=walked,
         )
         narrated = Telemetry()
@@ -182,13 +146,12 @@ class TestNarratedTelemetry:
     def test_a_cap_between_a_failure_and_its_data_loss(
         self, fano_layout, screened
     ):
-        n_disks, mttf, mttr, oracle, horizon = narrated_configs(
-            fano_layout
-        )["layout"]
+        layout, mttf, mttr, horizon = narrated_configs(fano_layout)["layout"]
+        oracle = partial(is_recoverable, layout)
         spec = ChunkSpec(0, 0, DEFAULT_CHUNK_TRIALS, 29)
         plane = sample_renewal_events(
             np.random.default_rng(derive_chunk_seed(spec.seed, spec.index)),
-            n_disks, mttf, mttr, horizon, spec.size,
+            layout.n_disks, mttf, mttr, horizon, spec.size,
         )
         uncapped = Telemetry()
         walk_plane(*plane, oracle, uncapped)
@@ -200,9 +163,8 @@ class TestNarratedTelemetry:
         walk_plane(*plane, oracle, walked)
         narrated = Telemetry(max_events=cap)
         _lifetime_chunk(
-            (oracle, {}), spec, narrated, screened=screened,
-            n_disks=n_disks, mttf_hours=mttf, mttr_hours=mttr,
-            horizon_hours=horizon,
+            (layout, {}), spec, narrated, screened=screened,
+            mttf_hours=mttf, mttr_hours=mttr, horizon_hours=horizon,
         )
         assert narrated.events.records == walked.events.records
         assert narrated.events.records[-1]["kind"] == "failure"
@@ -216,44 +178,36 @@ class TestNarratedTelemetry:
 
 
 class TestAnyDeterministicOracle:
-    """The screened replay asks the oracle, it never assumes monotonicity."""
-
-    @pytest.mark.parametrize(
-        "oracle",
-        [DeclaredThreeDownWithoutDiskZero(), three_down_without_disk_zero],
-        ids=["declared", "opaque"],
-    )
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_non_monotone_oracle_kernels_agree(self, oracle, jobs):
-        # 300 trials are two chunks, so jobs=2 goes through the pool.
-        event, vectorized = both_kernels(
-            6, 300.0, 200.0, oracle, 1000.0, trials=300, seed=0, jobs=jobs
-        )
-        assert 0 < event["losses"] < 300, "config is not informative"
-        assert event == vectorized
+    """The screened replay asks the layout's peel at each trial's frontier."""
 
     def test_more_than_64_disks(self):
         """Failed sets span two mask words on a 93-disk array."""
         layout = oi_raid(31, 3)
         assert layout.n_disks > 64
-        oracle = recoverability_oracle(layout, guaranteed_tolerance(layout))
         event, vectorized = both_kernels(
-            layout.n_disks, 1000.0, 40.0, oracle, 800.0, trials=100, seed=0
+            layout, 1000.0, 40.0, 800.0, trials=100, seed=0
         )
         assert 0.1 < event["losses"] / 100 < 0.9, "config is not informative"
         assert event == vectorized
 
-    def test_no_failed_set_is_peeled_twice(self, fano_layout):
-        oracle = CountingOracle(recoverability_oracle(fano_layout, 3))
+    def test_no_failed_set_is_peeled_twice(self, fano_layout, monkeypatch):
+        peeled = []
+        recoverable_many = montecarlo.recoverable_many
+
+        def counting(layout, down):
+            peeled.extend(tuple(row.nonzero()[0].tolist()) for row in down)
+            return recoverable_many(layout, down)
+
+        monkeypatch.setattr(montecarlo, "recoverable_many", counting)
         prof = Telemetry(enabled=False, profiling=True)
         with use_telemetry(prof):
             simulate_lifetimes(
-                oracle=oracle, horizon_hours=HORIZON, trials=2000, seed=0,
+                fano_layout, horizon_hours=HORIZON, trials=2000, seed=0,
                 kernel="vectorized", **RATES,
             )
-        assert oracle.asked, "no trial reached the oracle"
-        assert len(set(oracle.asked)) == len(oracle.asked)
-        assert prof.counters["mc.oracle_calls"] == len(oracle.asked)
+        assert peeled, "no trial reached the peel"
+        assert len(set(peeled)) == len(peeled)
+        assert prof.counters["mc.oracle_calls"] == len(peeled)
 
 
 class TestSampledPlaneAgainstHeapWalk:
@@ -267,16 +221,12 @@ class TestSampledPlaneAgainstHeapWalk:
     @pytest.mark.parametrize("config", ["raid5_like", "oi_layout"])
     def test_loss_probability_overlaps(self, fano_layout, config):
         args = {
-            "raid5_like": (8, 2000.0, 40.0, threshold_oracle(1), 2000.0),
-            "oi_layout": (
-                21, 1000.0, 60.0,
-                recoverability_oracle(fano_layout, guaranteed_tolerance=3),
-                3000.0,
-            ),
+            "raid5_like": (Raid5Layout(8), 2000.0, 40.0, 2000.0),
+            "oi_layout": (fano_layout, 1000.0, 60.0, 3000.0),
         }[config]
-        reference = heap_walk_lifetimes(*args, trials=1500, seed=0)
+        walked = heap_walk_lifetimes(*reference(*args), trials=1500, seed=0)
         sampled = simulate_lifetimes(*args, trials=1500, seed=0)
-        assert 0.1 < reference.prob_loss < 0.9, "config is not informative"
-        lo_r, hi_r = reference.prob_loss_interval(z=3.5)
+        assert 0.1 < walked.prob_loss < 0.9, "config is not informative"
+        lo_r, hi_r = walked.prob_loss_interval(z=3.5)
         lo_s, hi_s = sampled.prob_loss_interval(z=3.5)
         assert max(lo_r, lo_s) <= min(hi_r, hi_s)

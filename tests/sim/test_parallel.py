@@ -5,6 +5,7 @@ import pytest
 from repro.core.oi_layout import oi_raid
 from repro.core.tolerance import survivable_fraction
 from repro.errors import SimulationError
+from repro.layouts import FlatMDSLayout, Raid5Layout
 from repro.obs.ledger import result_digest
 from repro.obs.telemetry import Telemetry
 from repro.sim.columnar import derive_chunk_seed
@@ -12,9 +13,7 @@ from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
 from repro.sim.montecarlo import (
     LifetimeResult,
-    recoverability_oracle,
     simulate_lifetimes,
-    threshold_oracle,
 )
 from repro.sim.parallel import (
     chunk_sizes,
@@ -86,7 +85,7 @@ class TestMerge:
         tel = Telemetry(max_events=40)
         uncapped = Telemetry(max_events=40)
         monkeypatch.setattr("repro.sim.parallel.Telemetry", spy)
-        args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
+        args = (Raid5Layout(8), 500.0, 50.0, 1000.0)
         kwargs = dict(trials=200, seed=9, jobs=1, chunk_trials=50)
         simulate_lifetimes(*args, telemetry=tel, **kwargs)
         assert caps == [40, 1, 1, 1]
@@ -102,7 +101,7 @@ class TestMerge:
 
 class TestDeterminism:
     def test_jobs1_equals_jobs4_bit_identical(self):
-        args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
+        args = (Raid5Layout(8), 500.0, 50.0, 1000.0)
         serial = simulate_lifetimes(
             *args, trials=1000, seed=9, jobs=1, chunk_trials=128
         )
@@ -114,13 +113,12 @@ class TestDeterminism:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(SimulationError, match="kernel"):
             simulate_lifetimes(
-                6, 500.0, 50.0, threshold_oracle(1), 1000.0,
+                Raid5Layout(6), 500.0, 50.0, 1000.0,
                 trials=10, kernel="quantum",
             )
 
     def test_chunking_independent_of_jobs_with_layout_oracle(self, fano_layout):
-        oracle = recoverability_oracle(fano_layout, guaranteed_tolerance=3)
-        args = (21, 2000.0, 40.0, oracle, 3000.0)
+        args = (fano_layout, 2000.0, 40.0, 3000.0)
         one = simulate_lifetimes(
             *args, trials=300, seed=1, jobs=1, chunk_trials=100
         )
@@ -131,14 +129,14 @@ class TestDeterminism:
 
     def test_random_seed_still_merges(self):
         result = simulate_lifetimes(
-            4, 1e9, 1.0, threshold_oracle(3), 100.0, trials=10, seed=None
+            FlatMDSLayout(4, 3), 1e9, 1.0, 100.0, trials=10, seed=None
         )
         assert result.trials == 10
 
     def test_jobs_validation(self):
         with pytest.raises(SimulationError):
             simulate_lifetimes(
-                4, 100.0, 1.0, threshold_oracle(1), 10.0, trials=5, jobs=0
+                Raid5Layout(4), 100.0, 1.0, 10.0, trials=5, jobs=0
             )
 
 
@@ -149,7 +147,7 @@ _DISK = DiskModel(capacity_bytes=5e10, bandwidth_bytes_per_s=2 * 1024 * 1024)
 #: size outside the sampled plane too?, run(**jobs_and_chunk))``.
 _CHUNKED = {
     "lifetimes": ("chunk_trials", False, lambda **kw: simulate_lifetimes(
-        21, 2000.0, 40.0, recoverability_oracle(_LAYOUT, 3), 3000.0,
+        _LAYOUT, 2000.0, 40.0, 3000.0,
         trials=20, seed=5, **kw)),
     "lifecycle": ("chunk_trials", True, lambda **kw: simulate_lifecycle(
         _LAYOUT, 800.0, 2000.0, disk=_DISK, trials=20, seed=7, **kw)),

@@ -70,11 +70,14 @@ def test_mission_simulators_share_the_physics_prefix(runner):
 
 
 @pytest.mark.parametrize(
-    "runner", (simulate_lifecycle, simulate_fleet), ids=lambda f: f.__name__
+    "runner", (simulate_lifecycle, simulate_fleet, simulate_lifetimes),
+    ids=lambda f: f.__name__,
 )
 def test_mission_simulators_take_no_oracle_and_no_tables(runner):
-    """The walk asks the layout's own decoder, and the screen's columns are
-    lookups in the layout's pattern memo — neither is an argument, and
-    neither is a pre-built rebuild timer."""
-    names = set(inspect.signature(runner).parameters)
-    assert not names & {"oracle", "tables", "timer"}
+    """Every mission simulator takes the layout first and asks its own
+    decoder; the screen's columns are lookups in the layout's pattern
+    memo — neither is an argument, and neither is a pre-built rebuild
+    timer."""
+    names = list(inspect.signature(runner).parameters)
+    assert names[0] == "layout"
+    assert not set(names) & {"oracle", "tables", "timer", "n_disks"}

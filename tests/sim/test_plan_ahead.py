@@ -101,9 +101,10 @@ def test_the_filter_plans_only_decodable_sets_and_stays_silent(planned, name):
     doubles = sum(len(row) == 2 for row in rows)
     assert (doubles > 0) == (name != "raid5")
 
-    # Run directly under a collecting ambient, a screened chunk counts the
-    # oracle calls of its walks alone: those an unscreened chunk counts.
-    def oracle_calls(screened):
+    # Run directly under a collecting ambient, a screened chunk narrates
+    # the multi-failure lookups of its walks alone: those an unscreened
+    # chunk narrates, losses included.
+    def lookups(screened):
         state = _mission_state(LAYOUTS[name](), DISK, "distributed", "analytic", 8)
         ambient = Telemetry()
         with use_telemetry(ambient):
@@ -112,8 +113,13 @@ def test_the_filter_plans_only_decodable_sets_and_stays_silent(planned, name):
                 screened=screened, lambd=1.0 / MTTF, nominal_lambd=1.0 / MTTF,
                 horizon_hours=HORIZON, lse_rate_per_byte=0.0,
             )
-        return dict(ambient.metrics.counters()).get("recovery.oracle_calls", 0)
+        # The memo decides silently; the walk narrates what it looked up.
+        assert "recovery.oracle_calls" not in dict(ambient.metrics.counters())
+        return [
+            span.args["failed"] for span in ambient.trace.spans
+            if span.name == "rebuild_evaluate" and span.args["failed"] > 1
+        ]
 
-    calls = oracle_calls(True)
-    assert calls == oracle_calls(False)
-    assert calls > 0 or name == "oi"
+    asked = lookups(True)
+    assert asked == lookups(False)
+    assert asked

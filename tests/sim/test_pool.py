@@ -4,13 +4,10 @@ import pytest
 
 from repro.core.oi_layout import oi_raid
 from repro.errors import SimulationError
+from repro.layouts import Raid5Layout
 from repro.obs import Telemetry
 from repro.sim.lifecycle import simulate_lifecycle
-from repro.sim.montecarlo import (
-    recoverability_oracle,
-    simulate_lifetimes,
-    threshold_oracle,
-)
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.pool import (
     batch_slices,
     get_pool,
@@ -157,11 +154,9 @@ class TestPoolPathDeterminism:
         assert plain == collected  # collecting telemetry never changes results
 
     def test_lifetimes(self):
-        oracle = recoverability_oracle(LAYOUT, guaranteed_tolerance=3)
-
         def run(jobs, tel):
             return simulate_lifetimes(
-                21, 2000.0, 40.0, oracle, 3000.0,
+                LAYOUT, 2000.0, 40.0, 3000.0,
                 trials=300, seed=11, jobs=jobs, chunk_trials=64,
                 telemetry=tel,
             )
@@ -171,7 +166,7 @@ class TestPoolPathDeterminism:
     def test_lifetimes_event_kernel(self):
         def run(jobs, tel):
             return simulate_lifetimes(
-                8, 500.0, 50.0, threshold_oracle(1), 1000.0,
+                Raid5Layout(8), 500.0, 50.0, 1000.0,
                 trials=400, seed=5, jobs=jobs, chunk_trials=64,
                 kernel="event", telemetry=tel,
             )

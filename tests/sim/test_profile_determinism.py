@@ -13,7 +13,7 @@ import pytest
 from repro.obs import Telemetry, use_telemetry
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
-from repro.sim.montecarlo import recoverability_oracle, simulate_lifetimes
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import FixedRateThrottle, simulate_serve
 from repro.workloads.arrivals import OpenLoop
@@ -119,7 +119,7 @@ class TestCollectingDoesNotSteer:
                 )
             elif kind == "lifetimes":
                 simulate_lifetimes(
-                    21, 1000.0, 60.0, recoverability_oracle(fano_layout, 3),
+                    fano_layout, 1000.0, 60.0,
                     3000.0, trials=600, seed=7, telemetry=telemetry,
                 )
             elif kind == "serve":

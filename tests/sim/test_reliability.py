@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.layouts import FlatMDSLayout, Raid5Layout
 from repro.sim.markov import (
     MarkovReliabilityModel,
     conditional_loss_probabilities,
     model_for_layout,
     mttdl_raid5_array,
 )
-from repro.sim.montecarlo import (
-    recoverability_oracle,
-    simulate_lifetimes,
-    threshold_oracle,
-)
+from repro.sim.montecarlo import simulate_lifetimes
 
 
 class TestConditionalLoss:
@@ -136,24 +133,22 @@ class TestMonteCarlo:
         model = MarkovReliabilityModel(n, mttf, mttr, [0.0, 0.0, 1.0])
         expected = model.prob_loss_within(horizon)
         result = simulate_lifetimes(
-            n, mttf, mttr, threshold_oracle(1), horizon, trials=1500, seed=0
+            Raid5Layout(n), mttf, mttr, horizon, trials=1500, seed=0
         )
         lo, hi = result.prob_loss_interval(z=3.5)
         assert lo <= expected <= hi
 
     def test_mc_with_layout_oracle(self, fano_layout):
-        oracle = recoverability_oracle(fano_layout, guaranteed_tolerance=3)
         result = simulate_lifetimes(
-            21, 3000.0, 30.0, oracle, horizon_hours=3000.0, trials=120, seed=1
+            fano_layout, 3000.0, 30.0, horizon_hours=3000.0, trials=120, seed=1
         )
         assert 0 <= result.prob_loss <= 1
         # With tolerance 3 at these rates, loss must be far rarer than for
         # a tolerance-1 system.
         raid5_like = simulate_lifetimes(
-            21,
+            Raid5Layout(21),
             3000.0,
             30.0,
-            threshold_oracle(1),
             horizon_hours=3000.0,
             trials=120,
             seed=1,
@@ -162,20 +157,20 @@ class TestMonteCarlo:
 
     def test_no_losses_gives_infinite_estimate(self):
         result = simulate_lifetimes(
-            4, 1e9, 1.0, threshold_oracle(3), 100.0, trials=10, seed=2
+            FlatMDSLayout(4, 3), 1e9, 1.0, 100.0, trials=10, seed=2
         )
         assert result.losses == 0
         assert result.mttdl_estimate_hours == float("inf")
 
     def test_reproducible(self):
         a = simulate_lifetimes(
-            6, 500.0, 50.0, threshold_oracle(1), 1000.0, trials=50, seed=3
+            Raid5Layout(6), 500.0, 50.0, 1000.0, trials=50, seed=3
         )
         b = simulate_lifetimes(
-            6, 500.0, 50.0, threshold_oracle(1), 1000.0, trials=50, seed=3
+            Raid5Layout(6), 500.0, 50.0, 1000.0, trials=50, seed=3
         )
         assert a.loss_times == b.loss_times
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            simulate_lifetimes(4, -1, 1, threshold_oracle(1), 10, trials=5)
+            simulate_lifetimes(Raid5Layout(4), -1, 1, 10, trials=5)

@@ -11,10 +11,11 @@ registries are chunk-invariant as well.
 
 import pytest
 
+from repro.layouts import Raid5Layout
 from repro.obs import Telemetry
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import simulate_lifecycle
-from repro.sim.montecarlo import simulate_lifetimes, threshold_oracle
+from repro.sim.montecarlo import simulate_lifetimes
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import FixedRateThrottle, simulate_serve
 from repro.workloads.arrivals import OpenLoop
@@ -72,7 +73,7 @@ class TestLifecycleTelemetryDeterminism:
 class TestLifetimeTelemetryDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_merged_registry_identical_to_serial(self, jobs):
-        args = (8, 500.0, 50.0, threshold_oracle(1), 1000.0)
+        args = (Raid5Layout(8), 500.0, 50.0, 1000.0)
 
         serial_tel = Telemetry()
         serial = simulate_lifetimes(
@@ -90,7 +91,7 @@ class TestLifetimeTelemetryDeterminism:
 
     def test_disabled_telemetry_collects_nothing(self):
         result = simulate_lifetimes(
-            6, 500.0, 50.0, threshold_oracle(1), 1000.0,
+            Raid5Layout(6), 500.0, 50.0, 1000.0,
             trials=50, seed=0, jobs=2, chunk_trials=16,
         )
         assert result.trials == 50  # no telemetry kwarg: pure no-op path
@@ -98,7 +99,7 @@ class TestLifetimeTelemetryDeterminism:
     def test_progress_callback_sees_monotonic_done(self):
         calls = []
         simulate_lifetimes(
-            6, 500.0, 50.0, threshold_oracle(1), 1000.0,
+            Raid5Layout(6), 500.0, 50.0, 1000.0,
             trials=100, seed=0, jobs=2, chunk_trials=32,
             progress=lambda done, total, losses: calls.append(
                 (done, total, losses)

@@ -24,11 +24,11 @@ import pytest
 
 from repro import results
 from repro.core.oi_layout import oi_raid
-from repro.layouts import Raid5Layout
+from repro.layouts import Raid5Layout, Raid6Layout
 from repro.results import Column, result_from_dict
 from repro.sim.fleet import simulate_fleet
 from repro.sim.lifecycle import LifecycleResult, simulate_lifecycle
-from repro.sim.montecarlo import LifetimeResult, simulate_lifetimes, threshold_oracle
+from repro.sim.montecarlo import LifetimeResult, simulate_lifetimes
 from repro.sim.rebuild import DiskModel
 from repro.sim.serve import FixedRateThrottle, ServeResult, simulate_serve
 from repro.util.stats import percentile
@@ -64,7 +64,7 @@ def lifecycle_result() -> LifecycleResult:
 @pytest.fixture(scope="module")
 def lifetime_result() -> LifetimeResult:
     return simulate_lifetimes(
-        21, 2000.0, 40.0, threshold_oracle(2), 4000.0, trials=600, seed=0
+        Raid6Layout(21), 2000.0, 40.0, 4000.0, trials=600, seed=0
     )
 
 

@@ -299,14 +299,14 @@ class PatternEntry:
 
     The default-flag plan's summary, the plan itself for a single failure
     only (keeping multi-failure plans costs a mission walk's memory), and
-    ``(seconds, bytes read)`` per rebuild config, filled by
-    :class:`repro.sim.rebuild.RebuildTimer`. An undecodable set's memo
-    value is its :class:`DataLossError` instead: a memoised loss.
+    ``(seconds, bytes read)`` per rebuild config, keyed by its ``repr`` and
+    filled by :class:`repro.sim.rebuild.RebuildTimer`. An undecodable set's
+    memo value is its :class:`DataLossError` instead: a memoised loss.
     """
 
     summary: PlanSummary
     plan: Optional[RecoveryPlan]
-    clocks: Dict[tuple, Tuple[float, float]] = field(default_factory=dict)
+    clocks: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
 
 def degraded_read_sources(plan: "RecoveryPlan") -> Dict[Cell, Tuple[int, ...]]:

@@ -32,10 +32,10 @@ for both planes so the kernels stop duplicating scaffolding:
 * :class:`LockstepScreen` — the lockstep renewal screen of the one
   mission chunk lifecycle and fleet both run
   (:func:`repro.sim.lifecycle._mission_chunk`): all trials advance one
-  failure incident per round on a ``(disks, trials)`` failure-clock
-  array, clean incidents are settled columnar, and trials whose incident
-  overlaps a second failure (or is struck by a latent sector error) are
-  flagged for exact replay.
+  degraded episode per round on a ``(disks, trials)`` failure-clock
+  array, lone failures are settled columnar and overlapping ones from
+  the layout's pattern memo, and trials whose episode the memo cannot
+  settle (or a latent sector error strikes) are left for exact replay.
 
 numpy is a hard dependency (``pyproject.toml``); there is no pure-Python
 lane implementation.
@@ -50,9 +50,8 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, NamedTuple, Tuple
 
 import numpy as _np
 
-from repro.errors import SimulationError
+from repro.errors import DataLossError, SimulationError
 from repro.layouts.recovery import pattern_entries
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.layouts.base import Layout
@@ -219,14 +218,11 @@ class LaneCursor:
     nominal and a boosted rate, so they cancel and go untallied).
     """
 
-    __slots__ = ("_streams", "_trial", "_tel", "pos", "_u", "_e", "draws", "draw_sum")
+    __slots__ = ("_streams", "_trial", "pos", "_u", "_e", "draws", "draw_sum")
 
-    def __init__(
-        self, streams: "TrialStreams", trial: int, tel: Telemetry = NULL_TELEMETRY,
-    ) -> None:
+    def __init__(self, streams: "TrialStreams", trial: int) -> None:
         self._streams = streams
         self._trial = trial
-        self._tel = tel
         self.pos = [0] * streams.lanes.shape[1]
         self.draws = 0
         self.draw_sum = 0.0
@@ -269,14 +265,13 @@ class LaneCursor:
 
         All of the trial's lanes grow together, in one draw. The shared
         plane is left alone: a walk that outruns it pays for one trial,
-        not for every row of the chunk. The draw is billed to the
-        ``sample`` phase of the cursor's telemetry.
+        not for every row of the chunk. The draw bills to the walk's phase:
+        which missions a screened chunk walks depends on the layout's memo.
         """
         have = len(self._u[0])
-        with self._tel.phase("sample"):
-            u, e = self._streams.draw(
-                self._trial, have, max(pos + 1, 2 * have, _GROW_SLOTS)
-            )
+        u, e = self._streams.draw(
+            self._trial, have, max(pos + 1, 2 * have, _GROW_SLOTS)
+        )
         for rows, more in ((self._u, u), (self._e, e)):
             for row, tail in zip(rows, more.tolist()):
                 row += tail
@@ -337,10 +332,9 @@ class TrialStreams:
         )
         return u, _exponentials(u, self.lambd)
 
-    def cursor(self, trial: int, tel: Telemetry = NULL_TELEMETRY) -> LaneCursor:
-        """A sequential reader over trial *trial*'s lanes; *tel* is billed
-        for the slots it draws past the plane."""
-        return LaneCursor(self, trial, tel)
+    def cursor(self, trial: int) -> LaneCursor:
+        """A sequential reader over trial *trial*'s lanes."""
+        return LaneCursor(self, trial)
 
 
 @dataclass(frozen=True)
@@ -408,31 +402,35 @@ class LockstepScreen:
     slot *k* of lane ``(T, d)`` is disk *d*'s *k*-th lifetime and the last
     lane holds the latent-error uniforms. Construction loads every disk's
     first lifetime into the ``(disks, trials)`` array ``fail_at``.
-    :meth:`rounds` then advances
-    all still-active trials one failure incident per round: it takes each
-    trial's earliest pending failure, reads the failed disk's
-    single-failure rebuild clock from the broadcast *tables* columns, and
-    classifies the incident vectorized — past the horizon (mission over),
-    truncated (rebuild still running at the horizon), overlapped by a
-    second failure (dangerous), struck by a latent sector error
-    (dangerous), or clean (repair completes, the disk reads its next
-    lifetime). The screen never consults the recovery planner: a single
-    failure is safe whenever *guarantee* (the layout's tolerance) covers
-    one failure; ``guarantee == 0`` flags every trial with any failure.
+    :meth:`rounds` then advances all still-active trials one degraded
+    *episode* per round. A lone failure reads its rebuild clock from the
+    broadcast *tables* columns and is classified vectorized — past the
+    horizon (mission over), truncated (rebuild still running at the
+    horizon), struck by a latent sector error, or clean (repair completes,
+    the disk reads its next lifetime). A second failure by the pending
+    completion opens an episode, settled on the trial's column as the
+    walk settles it (:meth:`_episode`) from what *timer* (if any) finds
+    in the layout's memo (:meth:`~repro.sim.rebuild.RebuildTimer.cached`). A
+    trial leaves for the exact walk (``walked``) only when its episode
+    misses the memo (it *parks*: ``parked`` maps it to the missing set), a
+    latent sector error strikes, or *guarantee* (the layout's tolerance)
+    is 0, when every failure leaves and an overlap parks on its pair.
 
-    After :meth:`rounds`, ``n_failures``, ``n_repairs``, ``peak`` and
-    ``degraded`` (hours with a disk down) are exact for every trial not
-    in ``dangerous``, and such a trial consumed ``disks + n_repairs``
-    lifetimes; ``draw_sum`` is their sum, added in draw order, kept only
+    After :meth:`rounds`, ``n_failures``, ``n_repairs``, ``peak``,
+    ``degraded`` (hours with a disk down), ``lost_at`` and ``draws`` (the
+    disks plus their redraws) are exact for every trial not ``walked``;
+    ``draw_sum`` is their sum, added in draw order, kept only
     when *weighted* — the chunk samples at a rate other than the nominal
     one and needs it for the likelihood ratio (folding it regardless
     costs a nominal-rate screen 2–3 %). The mission chunk replays the
-    dangerous trials *in full* through the exact event walk from
+    walked trials *in full* through the exact event walk from
     ``streams.cursor(t)`` — the same position-addressed floats the
-    screen read — and overwrites their entries. With *tally*, each round
-    appends ``(trial, failed_at, disk, repaired_at)`` columns of its clean
-    and truncated (``repaired_at`` NaN) incidents to ``tally``.
-    :meth:`overlaps` then names the two disks down at each overlap.
+    screen read — and overwrites their entries. ``dangerous`` marks the
+    trials with an overlap or a strike, walked or not. With *tally*, each
+    round appends ``(trial, failed_at, disk, repaired_at)`` columns of its
+    clean and truncated (``repaired_at`` NaN) lone failures to ``tally``,
+    and ``episodes[trial]`` lists the ``(start, rows)`` of the trial's
+    settled episodes, *rows* as the walk logs them.
     """
 
     def __init__(
@@ -446,6 +444,7 @@ class LockstepScreen:
         guarantee: int,
         weighted: bool = False,
         tally: bool = False,
+        timer: Any = None,
     ) -> None:
         n = layout.n_disks
         # One slot is all the screen reads in bulk; later slots are read
@@ -455,17 +454,20 @@ class LockstepScreen:
         # Disk-major, so a round's reductions over the disks run down
         # contiguous columns of trials.
         self.fail_at = self.streams.exponentials[:, :n, 0].T.copy()
-        self.n_failures = _np.zeros(trials, dtype=_np.int64)
-        self.n_repairs = _np.zeros(trials, dtype=_np.int64)
-        self.peak = _np.zeros(trials, dtype=_np.int64)
-        self.dangerous = _np.zeros(trials, dtype=bool)
+        self.n_failures, self.n_repairs, self.peak = _np.zeros((3, trials), dtype=_np.int64)
+        self.dangerous, self.walked = _np.zeros((2, trials), dtype=bool)
+        self.parked = {}
         self.degraded = _np.zeros(trials)
+        self.lost_at = _np.full(trials, math.inf)
         # Disk by disk, the order a walk's cursor adds the same draws in.
         self.draw_sum = self.fail_at.sum(axis=0) if weighted else None
         self.tally = [] if tally else None
+        self.episodes = {} if tally else None
         self._tables = tables
+        self._lookup = timer.cached if timer is not None else lambda key: None
         self._horizon_hours = horizon_hours
         self._single_safe = guarantee >= 1
+        self._lse_rate = lse_rate_per_byte
         self._lse_thresholds = None
         if lse_rate_per_byte > 0:
             # math.exp, not numpy's: the event plane's Poisson test
@@ -478,21 +480,18 @@ class LockstepScreen:
             ])
 
     def rounds(self) -> None:
-        """Advance every trial to its end or its first dangerous incident.
+        """Advance every trial to its end or until it leaves for the walk.
 
         The rounds share one clock plane, ``fail_at`` itself until the
         first compaction: column *c* holds trial ``cols[c]``'s clocks,
         next to the keys of its disk lanes' next unread slots and its
         degraded hours and lifetime sum so far. A column is live while
-        its trial's incidents come out clean, so a trial that leaves in
-        round *r* had *r* repairs; its totals are written then, once. A
-        truncated or dangerous trial's column is set to +inf in place,
-        which reads as past the horizon in every later round, and the
-        plane is compacted to its live columns only once they fall below
-        :data:`_LIVE_SHARE` of its width. A dangerous trial's clocks are
-        kept as they stood at the incident and written back to its
-        ``fail_at`` column when the rounds end (:meth:`overlaps` reads
-        them); the other columns of ``fail_at`` are scratch by then.
+        its trial's episodes complete, so a trial that leaves in round *r*
+        had *r* repairs; its totals are written then, once. A column that
+        leaves is set to +inf in place, which reads as past the horizon
+        in every later round, and the plane is compacted to its live
+        columns only once they fall below :data:`_LIVE_SHARE` of its
+        width. An episode is settled on its own column only.
         """
         hours1, bytes_read = self._tables.hours, self._tables.bytes_read
         horizon_hours = self._horizon_hours
@@ -513,8 +512,8 @@ class LockstepScreen:
         col_degraded, col_draw_sum = degraded, draw_sum
         live = _np.ones(trials, dtype=bool)
         column = _np.arange(trials)
-        at_incident = []
-        repairs = 0  # every live trial's clean incidents so far
+        extra = _np.zeros(trials, dtype=_np.int64)  # redraws past one a repair
+        repairs = 0  # every live trial's completed episodes so far
         while cols.size:
             width = cols.size
             tf, first = _earliest(plane, weights)
@@ -538,6 +537,7 @@ class LockstepScreen:
                 danger = ~over
             trunc = ~(over | danger) & (comp > horizon_hours)
             clean = ~(over | danger | trunc)
+            leave = []  # columns that leave for the walk this round
             if lse_thresholds is not None:
                 # The event plane draws no Poisson uniform when the
                 # rebuild read zero bytes, so zero-byte completions keep
@@ -548,14 +548,25 @@ class LockstepScreen:
                     struck = (
                         _key_uniforms(aux_keys[t_ix]) > lse_thresholds[first[hit]]
                     )
-                    danger[hit[struck]] = True
-                    clean[hit[struck]] = False
+                    leave = hit[struck].tolist()
+                    clean[leave] = False
                     aux_keys[t_ix[~struck]] += _GOLDEN_NP
             if tally is not None:  # after the strikes left the clean set
                 kept, repaired = clean | trunc, _np.where(clean, comp, _np.nan)
                 tally.append((cols[kept], tf[kept], first[kept], repaired[kept]))
+            ci = _np.flatnonzero(clean)
+            at = cell[ci]
+            key = flat_keys[at]
+            flat_keys[at] = key + _GOLDEN_NP
+            redraw = _exponentials(_key_uniforms(key), lambd)
+            repaired = comp[ci]
+            col_degraded[ci] += repaired - tf[ci]
+            flat[at] = repaired + redraw
+            if draw_sum is not None:
+                col_draw_sum[ci] += redraw
             # Live columns that did not come out clean leave now, the
-            # truncated and dangerous ones among them.
+            # truncated ones, the struck ones and, unless their episode
+            # completes, those in an episode among them.
             gone = _np.flatnonzero(live & ~clean)
             if gone.size:
                 t_gone = cols[gone]
@@ -572,20 +583,64 @@ class LockstepScreen:
                     plane[:, ti] = _np.inf
                 di = _np.flatnonzero(danger)
                 if di.size:
-                    flat[cell[di]] = tf[di]
-                    at_incident.append((cols[di], plane[:, di]))
                     dangerous[cols[di]] = True
-                    plane[:, di] = _np.inf
-            ci = _np.flatnonzero(clean)
-            at = cell[ci]
-            key = flat_keys[at]
-            flat_keys[at] = key + _GOLDEN_NP
-            redraw = _exponentials(_key_uniforms(key), lambd)
-            repaired = comp[ci]
-            col_degraded[ci] += repaired - tf[ci]
-            flat[at] = repaired + redraw
-            if draw_sum is not None:
-                col_draw_sum[ci] += redraw
+                if di.size and not single_safe:
+                    leave += di.tolist()
+                    # The walk's first multi-disk set, planned with the misses.
+                    pairs = di[(second[di] <= comp[di]) & (second[di] <= horizon_hours)]
+                    for c, d in zip(pairs.tolist(), plane[:, pairs].argmin(axis=0).tolist()):
+                        self.parked[int(cols[c])] = tuple(sorted((int(first[c]), d)))
+                elif di.size:
+                    stay = []
+                    for c in di.tolist():
+                        t, d, start = int(cols[c]), int(first[c]), float(tf[c])
+                        failed = [d]
+                        rows = [("failure", start, d, 1),
+                                ("repair_start", start, 1, float(hours1[d]))]
+                        end, read = self._episode(
+                            plane[:, c].tolist(), failed, float(comp[c]),
+                            float(bytes_read[d]), repairs + int(extra[t]) + 1, rows,
+                        )
+                        if read is None:  # the memo lacks the set: park
+                            self.parked[t] = tuple(sorted(failed))
+                            leave.append(c)
+                            continue
+                        self.peak[t] = max(self.peak[t], len(failed))
+                        lost = isinstance(read, DataLossError)
+                        if lost or end > horizon_hours:  # settled, and over
+                            self.lost_at[t] = end if lost else math.inf
+                            self.n_failures[t] += len(failed)
+                            degraded[t] += min(end, horizon_hours) - start
+                            plane[:, c] = _np.inf
+                        else:
+                            if lse_thresholds is not None and read > 0:
+                                aux = aux_keys[t:t + 1]  # a view: an array add wraps
+                                if _key_uniforms(aux)[0] > math.exp(-(read * self._lse_rate)):
+                                    leave.append(c)
+                                    continue
+                                aux += _GOLDEN_NP
+                            rows += [("lse_check", end, 0)] * (lse_thresholds is not None)
+                            rows.append(("repair_complete", end, len(failed)))
+                            # Every failed disk redraws, in ascending disk order.
+                            down = sorted(failed)
+                            drawn = keys[down, c]
+                            keys[down, c] = drawn + _GOLDEN_NP
+                            lives = _exponentials(_key_uniforms(drawn), lambd)
+                            plane[down, c] = end + lives
+                            col_degraded[c] += end - start
+                            for life in lives.tolist() if draw_sum is not None else ():
+                                col_draw_sum[c] += life
+                            extra[t] += len(failed) - 1
+                            stay.append(c)
+                        if tally is not None:
+                            self.episodes.setdefault(t, []).append((start, rows))
+                    if stay:
+                        clean[stay] = True
+                        ci = _np.flatnonzero(clean)
+                if leave:
+                    t_leave = cols[leave]
+                    dangerous[t_leave] = self.walked[t_leave] = True
+                    plane[:, leave] = _np.inf
             repairs += 1
             live = clean
             if ci.size < _LIVE_SHARE * width:
@@ -594,29 +649,34 @@ class LockstepScreen:
                 if draw_sum is not None:
                     col_draw_sum = col_draw_sum[ci]
                 live, column = _np.ones(ci.size, dtype=bool), column[: ci.size]
-        for t_danger, clocks in at_incident:
-            self.fail_at[:, t_danger] = clocks
         self.peak[(~dangerous) & (self.n_failures > 0)] = 1
+        self.n_failures += extra
+        self.draws = n + self.n_repairs + extra
 
-    def overlaps(self):
-        """``(first, second)`` disk columns of the trials flagged at an overlap.
+    def _episode(self, clocks, failed, done_at, read, epoch, rows):
+        """Grow one column's episode as the walk does; return ``(end, read)``.
 
-        A flagged trial leaves the rounds with its failure clocks as they
-        stood at the incident, so its two earliest clocks are the disks
-        down when the second failure lands: the first multi-disk failed
-        set its walk reaches. Trials flagged for anything else — a
-        latent-error strike, or (``guarantee == 0``) a lone failure —
-        have their second failure after the rebuild and add no pair.
-        """
-        fa = self.fail_at[:, self.dangerous]
-        cols = _np.arange(fa.shape[1])
-        first = fa.argmin(axis=0)
-        comp = fa[first, cols] + self._tables.hours[first]
-        fa[first, cols] = _np.inf
-        second = fa.argmin(axis=0)
-        at = fa[second, cols]
-        overlap = (at <= comp) & (at <= self._horizon_hours)
-        return first[overlap], second[overlap]
+        *failed* holds its first disk (+inf in *clocks*), pending *done_at*
+        and *read* bytes. A failure by the completion and the horizon joins
+        the set (lowest disk first on a tie) and restarts the rebuild from
+        the memo, or ends the episode: ``(time, DataLossError)`` on a loss,
+        ``(time, None)`` on a miss. *rows* gets the walk's log rows, whose
+        rebuild count is *epoch*."""
+        while True:
+            at = min(clocks)
+            if at > done_at or at > self._horizon_hours:
+                return done_at, read
+            disk = clocks.index(at)
+            clocks[disk] = math.inf
+            failed.append(disk)
+            got = self._lookup(tuple(sorted(failed)))
+            rows += [("failure", at, disk, len(failed)), ("repair_abandon", at, epoch)]
+            if got is None or isinstance(got, DataLossError):
+                rows += [("data_loss", at, "pattern", len(failed))] * (got is not None)
+                return at, got
+            hours, read = got
+            done_at, epoch = at + hours, epoch + 1
+            rows.append(("repair_start", at, len(failed), hours))
 
 
 def sample_renewal_events(rng, n_disks, mttf_hours, mttr_hours,

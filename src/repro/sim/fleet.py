@@ -19,11 +19,11 @@ chunk, boosted and weighted, and attacks both axes:
   is ever materialized, and the per-array vectors are linear in
   ``arrays``, not in ``arrays * trials``.
 * **Exact replay only where it matters.** The chunk's lockstep screen
-  flags a mission dangerous the moment a second failure overlaps an
-  in-flight rebuild window (or a latent sector error strikes); only
-  flagged missions are replayed through the exact event walk, reading
-  the *same* position-addressed lane floats the screen read — so the
-  replayed mission is bit-for-bit the event kernel's mission.
+  settles overlapping failures from the layout's pattern memo; only a
+  mission that asks for a failed set the memo lacks, or that a latent
+  sector error strikes, is replayed through the exact event walk,
+  reading the *same* position-addressed lane floats the screen read — so
+  the mission is bit-for-bit the event kernel's mission either way.
 * **Importance sampling on failure rates.** With ``lambda_boost = b``,
   lifetimes are sampled at the inflated rate ``lambda' = b * lambda``
   and every mission is weighted by the exact likelihood ratio over its
@@ -97,8 +97,8 @@ class FleetResult(ResultBase):
         raw_losses: missions that lost data, *unweighted* (under the
             boosted measure when ``lambda_boost > 1``).
         lse_losses: of those, losses triggered by a latent sector error.
-        replays: missions the concurrency screen flagged dangerous and
-            replayed through the exact event walk.
+        replays: missions with an overlap or a latent-error strike,
+            settled by the screen or replayed by the event walk.
         sum_weights: sum of likelihood-ratio weights over all missions.
         sum_sq_weights: sum of squared weights (for the effective
             sample size).
@@ -198,7 +198,7 @@ class FleetResult(ResultBase):
 
     @property
     def replay_fraction(self) -> float:
-        """Fraction of missions that needed the exact event walk."""
+        """Fraction of missions with an overlap or a latent-error strike."""
         return self.replays / self.missions
 
     @property

@@ -42,8 +42,9 @@ any chunk size (how :func:`repro.sim.parallel.run_chunks` cuts the run
 is a speed, never a sample), and shared verbatim between the two
 kernels of :func:`simulate_lifecycle`: ``event`` walks every trial's
 event heap, while ``vectorized`` first advances all trials in lockstep
-on a columnar failure-clock array and walks only the trials whose
-concurrent-failure count ever reaches the danger threshold. Both read the *same* sampled floats, so ``kernel=``
+on a columnar failure-clock array, settling overlapping failures from
+the layout's pattern memo, and walks only the trials the memo cannot
+settle or a latent sector error strikes. Both read the *same* sampled floats, so ``kernel=``
 selects a speed, never a result.
 """
 
@@ -376,7 +377,7 @@ class MissionColumns(NamedTuple):
     degraded: Any  #: hours with at least one disk down
     draws: Any  #: lifetimes the mission consumed (``N`` of the likelihood ratio)
     draw_sum: Any  #: their sum (``S``); ``None`` when sampled at the nominal rate
-    replays: int  #: missions that went through the event walk
+    replays: int  #: missions with an overlap or a strike (all when unscreened)
 
 
 #: The fields a walk event carries after ``(kind, t)``, in record order.
@@ -387,16 +388,31 @@ _FIELDS = {
 }
 
 
-def _narrate(tel, start, missions, tally, logs, hours, lse) -> None:
+def _incident(failed_at, disk, repaired_at, hours, lse) -> List[tuple]:
+    """The walk's rows of one lone failure the screen settled."""
+    rows = [("failure", failed_at, disk, 1), ("repair_start", failed_at, 1, hours)]
+    if repaired_at == repaired_at:  # NaN where the horizon cut the rebuild
+        rows += [("lse_check", repaired_at, 0)] * lse + [("repair_complete", repaired_at, 1)]
+    return rows
+
+
+def _narrate(tel, start, missions, tally, logs, episodes, hours, lse) -> None:
     """Record into *tel* what walking every mission of the chunk would emit.
 
-    Walked missions replay their *logs*; the rest are narrated from the
-    screen's *tally*, one disk down at a time, rebuilt in ``hours[disk]``.
+    Walked missions replay their *logs*, and a mission with settled
+    *episodes* is logged whole from their rows and its tallied lone
+    failures, in time order; the rest are narrated from the screen's
+    *tally*, one disk down at a time, rebuilt in ``hours[disk]``.
     Records — global mission ``start + t``, in mission order — are built
     only for the room left in the log.
     """
     # One empty round more, so an unscreened chunk's empty tally concatenates.
     incidents = [_np.concatenate(c) for c in zip(*tally, [_np.zeros(0, _np.int64)] * 4)]
+    per_disk, logs = hours.tolist(), dict(logs)
+    for t in episodes.keys() - logs.keys():  # settled episodes, lone failures
+        mine = (c[incidents[0] == t].tolist() for c in incidents[1:])
+        parts = episodes[t] + [(at, _incident(at, d, r, per_disk[d], lse)) for at, d, r in zip(*mine)]
+        logs[t] = [row for _, rows in sorted(parts, key=lambda p: p[0]) for row in rows]
     settled = _np.flatnonzero(~_np.isin(incidents[0], list(logs)))
     settled = settled[_np.argsort(incidents[0][settled], kind="stable")]
     trial, _, disk, repaired_at = incidents = [c[settled] for c in incidents]
@@ -424,15 +440,11 @@ def _narrate(tel, start, missions, tally, logs, hours, lse) -> None:
     completed = int(_np.count_nonzero(~_np.isnan(repaired_at)))
     log.dropped += max(0, len(rows) + 2 * len(trial) + (1 + lse) * completed - room)
     # An incident is two records or more: the first *room* fill the log.
-    hours, by_trial = hours.tolist(), dict(logs)
     for t, failed, d, repaired in zip(*(c[:room].tolist() for c in incidents)):
-        out = by_trial.setdefault(t, [])
-        out += [("failure", failed, d, 1), ("repair_start", failed, 1, hours[d])]
-        if repaired == repaired:  # NaN where the horizon cut the rebuild
-            out += [("lse_check", repaired, 0)] * lse + [("repair_complete", repaired, 1)]
+        logs.setdefault(t, []).extend(_incident(failed, d, repaired, per_disk[d], lse))
     log.records.extend(islice((
         {"kind": kind, "t": time, "trial": start + t, **dict(zip(_FIELDS[kind], fields))}
-        for t in sorted(by_trial) for kind, time, *fields in by_trial[t]
+        for t in sorted(logs) for kind, time, *fields in logs[t]
     ), room))
 
 
@@ -460,19 +472,6 @@ def _mission_state(
     return layout, timer, tables
 
 
-def _plan_ahead(layout: Layout, overlaps) -> None:
-    """Decide and plan, by one ``pattern_entries`` call, the failed sets
-    of *overlaps* the layout's memo lacks: :meth:`LockstepScreen.overlaps`'
-    ``(first, second)`` disk columns, each flagged mission's first
-    two-disk set. The memo gains only what the walk would find on demand.
-    """
-    # A set of memo keys, not np.unique: its first call in a process
-    # costs ~1 MiB of peak RSS.
-    first, second = (column.tolist() for column in overlaps)
-    pairs = {(a, b) if a < b else (b, a) for a, b in zip(first, second)}
-    pattern_entries(layout, sorted(pairs - layout.patterns.keys()))
-
-
 def _mission_chunk(
     state, spec, tel, *, screened, lambd, nominal_lambd, horizon_hours,
     lse_rate_per_byte,
@@ -485,13 +484,14 @@ def _mission_chunk(
     values to the chunk layout. Lifetimes are sampled at rate *lambd*;
     when that is not *nominal_lambd* the chunk also keeps each mission's
     ``draw_sum`` for the caller's likelihood ratio. *screened* runs the
-    lockstep screen, plans the failed sets its overlaps name as one batch
-    (:func:`_plan_ahead`, billed to ``plan``) and walks only the missions
-    it flags; otherwise every mission is walked, from a plane sized by
+    lockstep screen, plans the sets its parked missions missed as one
+    batch (billed to ``plan``) and walks only those and the struck ones;
+    otherwise every mission is walked, from a plane sized by
     :func:`_slot_estimate`, and plans on demand. The
     walk (:func:`_lifecycle_trial`) reads the floats the screen read, so
-    *screened* never changes a column. A collecting *tel* is narrated
-    from the screen's tally and the walks' logs (:func:`_narrate`).
+    *screened* never changes a column (how many it walks shows only in the
+    ``replay`` seconds). A collecting *tel* is narrated from the screen's
+    tally and episodes and the walks' logs (:func:`_narrate`).
     """
     layout, timer, tables = state
     count, n = spec.size, layout.n_disks
@@ -503,7 +503,7 @@ def _mission_chunk(
             screen = LockstepScreen(
                 layout, tables, mission_lanes, lambd, horizon_hours,
                 lse_rate_per_byte, guaranteed_tolerance(layout), weighted,
-                tel.enabled,
+                tel.enabled, timer,
             )
             streams = screen.streams
         else:
@@ -519,25 +519,24 @@ def _mission_chunk(
         with tel.phase("screen"):
             screen.rounds()
         with tel.phase("plan"):
-            _plan_ahead(layout, screen.overlaps())
+            # A set of keys, not np.unique: its first call costs ~1 MiB of RSS.
+            pattern_entries(layout, sorted(set(screen.parked.values())))
         failures, repairs, peak = screen.n_failures, screen.n_repairs, screen.peak
-        degraded, draw_sum = screen.degraded, screen.draw_sum
-        # A screened mission consumed its n first lifetimes plus one
-        # redraw per completed repair; walked ones are recounted below.
-        draws = n + repairs
-        walk = _np.flatnonzero(screen.dangerous).tolist()
+        degraded, draw_sum, draws = screen.degraded, screen.draw_sum, screen.draws
+        lost_at, replays = screen.lost_at, int(_np.count_nonzero(screen.dangerous))
+        walk = _np.flatnonzero(screen.walked).tolist()
     else:
         failures, repairs, peak, draws = _np.zeros((4, count), dtype=_np.int64)
         degraded = _np.zeros(count)
         draw_sum = _np.zeros(count) if weighted else None
+        lost_at, replays = _np.full(count, math.inf), count
         walk = range(count)
 
-    lost_at = _np.full(count, math.inf)
     lost_to_lse = _np.zeros(count, dtype=bool)
     logs = {t: [] for t in walk} if tel.enabled else {}
     with tel.phase("replay"):
         for t in walk:
-            cursor = streams.cursor(t, tel)
+            cursor = streams.cursor(t)
             (
                 at, lost_to_lse[t], failures[t], repairs[t], degraded[t],
                 peak[t],
@@ -552,11 +551,11 @@ def _mission_chunk(
                 draw_sum[t] = cursor.draw_sum
         missions = MissionColumns(
             lost_at, lost_to_lse, failures, repairs, peak, degraded, draws,
-            draw_sum, len(walk),
+            draw_sum, replays,
         )
         if tel.enabled:
             _narrate(tel, spec.start, missions, screen.tally if screened else [], logs,
-                     tables.hours, lse_rate_per_byte > 0)
+                     screen.episodes if screened else {}, tables.hours, lse_rate_per_byte > 0)
     return missions
 
 
@@ -645,11 +644,13 @@ def simulate_lifecycle(
     *kernel* (:data:`~repro.sim.columnar.KERNELS`) decides which trials
     reach the exact walk (:func:`_lifecycle_trial`), never the answer.
     ``vectorized`` first advances all trials of a chunk together through
-    the :class:`~repro.sim.columnar.LockstepScreen`, which settles
-    clean failure incidents columnar and flags the trials whose incident
-    is overlapped by a second failure or struck by a latent sector error;
-    only those are walked — *in full*, re-planning via ``plan_recovery``,
-    LSE checks, mid-rebuild restarts — from their own draw lane.
+    the :class:`~repro.sim.columnar.LockstepScreen`, which settles lone
+    failures columnar and overlapping ones (each enlarging the failed set
+    and restarting its rebuild) from the layout's pattern memo. A trial is
+    walked only when it asks for a set the memo lacks, a latent sector
+    error strikes, or the layout tolerates no failure — *in full*,
+    re-planning via the timer, LSE checks, mid-rebuild restarts — from
+    its own draw lane.
     ``event`` is the same function with an empty screen: every trial is
     walked. Clean trials read the very same sampled floats the walk
     would have consumed, so the whole result is bit-identical across

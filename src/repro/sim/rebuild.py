@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import DataLossError, SimulationError
 from repro.layouts.base import Layout
 from repro.layouts.recovery import (
     PatternEntry,
@@ -353,6 +353,8 @@ class RebuildTimer:
     what earlier runs left in the memo. An undecodable set raises the
     memo's :class:`~repro.errors.DataLossError`. ``method`` selects the
     bandwidth-bound analytic bound or the event-driven FCFS simulation.
+    The config keys the memo by its ``repr``, built once: a ``str`` hashes
+    once, a fresh :class:`DiskModel` would hash and compare per lookup.
     """
 
     layout: Layout
@@ -367,11 +369,12 @@ class RebuildTimer:
                 f"unknown rebuild method {self.method!r} "
                 f"(expected one of {REBUILD_METHODS})"
             )
+        config = repr((self.disk, self.sparing, self.method, self.batches))
+        object.__setattr__(self, "_config", config)
 
     def _clock(self, entry: PatternEntry) -> Tuple[float, float]:
         """``(seconds, bytes read)`` of *entry* under this config, memoised."""
-        config = (self.disk, self.sparing, self.method, self.batches)
-        clock = entry.clocks.get(config)
+        clock = entry.clocks.get(self._config)
         if clock is None:
             summary = entry.summary
             if self.method == "event":
@@ -385,7 +388,7 @@ class RebuildTimer:
                     self.layout, summary, self.disk, self.sparing
                 )
             unit_bytes = self.disk.capacity_bytes / self.layout.units_per_disk
-            clock = entry.clocks[config] = (
+            clock = entry.clocks[self._config] = (
                 seconds, summary.total_read_units * unit_bytes
             )
         return clock
@@ -398,9 +401,23 @@ class RebuildTimer:
         seconds, read = self._clock(pattern_entry(self.layout, key))
         return seconds / 3600.0, read
 
+    def cached(self, key: Tuple[int, ...]):
+        """:meth:`__call__` of sorted *key* from the memo, never planning:
+        ``(hours, bytes read)``, the memoised :class:`DataLossError`, or
+        ``None`` on a miss — and under a collecting ambient telemetry, which
+        only :meth:`__call__` narrates to."""
+        entry = self.layout.patterns.get(key)
+        if entry is None or ambient().enabled:
+            return None
+        if isinstance(entry, DataLossError):
+            return entry
+        seconds, read = self._clock(entry)
+        return seconds / 3600.0, read
+
     def _narrated(self, key: Tuple[int, ...], tel: Telemetry) -> Tuple[float, float]:
         """:meth:`__call__` of *key*, recording into *tel* what a cold
         evaluation records."""
+        # One per narrated lookup (one per asked set); renaming moves documents.
         tel.count("rebuild.memo_misses")
         with tel.span("rebuild_evaluate", failed=len(key), method=self.method):
             with tel.span("plan_recovery", failed=len(key)):

@@ -61,8 +61,11 @@ def assert_same_screen(screen, reference):
         for step, (got, want) in enumerate(zip(screen.tally, reference.tally)):
             for column, (a, b) in enumerate(zip(got, want)):
                 assert_bits(a, b, f"tally round {step} column {column}")
-    for got, want in zip(screen.overlaps(), reference.overlaps()):
-        assert_bits(got, want, "overlaps")
+    # On a cold memo every overlap parks, on the set of its two disks.
+    first, second = reference.overlaps()
+    assert [screen.parked[t] for t in sorted(screen.parked)] == [
+        tuple(sorted(pair)) for pair in zip(first.tolist(), second.tolist())
+    ]
 
 
 def compare(layout, tables, *, mttf, horizon, seed=0, trials=400, start=0,

@@ -590,7 +590,7 @@ def _report_fleet(scenario: Scenario, result, args):
         ["missions (arrays x trials)", str(result.missions)],
         ["raw losses (sampling measure)", str(result.raw_losses)],
         ["  of which latent-error losses", str(result.lse_losses)],
-        ["exact event replays", str(result.replays)],
+        ["overlap/latent-error missions", str(result.replays)],
         estimate,
         interval,
         ["P(any array loss in fleet)", f"{result.prob_any_loss:.4f}"],

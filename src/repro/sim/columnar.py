@@ -178,6 +178,22 @@ def _exponentials(uniforms, lambd: float):
     return e
 
 
+def lane_uniforms(lane_values, slots: int):
+    """Slots ``0 .. slots-1`` of each lane in *lane_values*: ``(lanes, slots)``.
+
+    The floats a :class:`TrialStreams` plane holds at those lanes, for a
+    reader that needs one purpose lane rather than every sub's two planes.
+    """
+    return _uniforms(
+        lane_values[:, None], _np.arange(slots, dtype=_np.uint64)
+    )
+
+
+def lane_exponentials(lane_values, slots: int, lambd: float):
+    """The ``Exp(lambd)`` draws of :func:`lane_uniforms` (a plane's exponentials)."""
+    return _exponentials(lane_uniforms(lane_values, slots), lambd)
+
+
 class ChunkSpec(NamedTuple):
     """One chunk of a run, as the driver hands it to a chunk function.
 

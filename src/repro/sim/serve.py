@@ -29,7 +29,8 @@ shaped service model behind all of them:
 Like the lifecycle simulator, serving ships **two kernels over one
 sampling plane** (``kernel='auto'|'vectorized'|'event'``). Every trial's
 workload — arrival gaps, unit addresses, write coin-flips — is drawn
-from purpose-keyed :class:`~repro.sim.columnar.TrialStreams` lanes, so
+from purpose-keyed :func:`~repro.sim.columnar.lanes`, only the lane
+planes the trace reads (:func:`~repro.sim.columnar.lane_uniforms`), so
 which kernel consumes the trace can never change a float of it:
 
 * the **event kernel** walks the whole trace through the discrete-event
@@ -42,10 +43,10 @@ which kernel consumes the trace can never change a float of it:
   queued its writes — at once when there is no rebuild traffic — and
   hands the disks' ``busy_until`` to :func:`_sweep_batch`, which runs
   every trial's remaining requests as per-disk Lindley recursions across
-  ``(trials × disks)`` queue lanes: the same floats, 5× faster on E9's
-  throttled rebuild and an order of magnitude on a clean trace. Closed
-  loops and latency-observing throttles decide at every completion, so
-  their trials are walked to the end *on the same sampled lanes*
+  ``(trials × disks)`` queue lanes: the same floats, ~4× faster on E9's
+  throttled rebuild and ~20× on a clean trace. Closed loops and
+  latency-observing throttles decide at every completion, so their
+  trials are walked to the end *on the same sampled lanes*
   (screen-then-replay, as in :mod:`repro.sim.lifecycle`) — the flag is a
   pure speed knob.
 
@@ -75,7 +76,8 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.results import ColumnOf, ResultBase, register_result
 from repro.sim.columnar import (
     SERVE,
-    TrialStreams,
+    lane_exponentials,
+    lane_uniforms,
     lanes,
     resolve_kernel,
 )
@@ -570,9 +572,14 @@ class _TraceBatch:
         return arrivals, units.tolist(), is_write.tolist()
 
 
-def _spec_units(spec: WorkloadSpec, n_units: int, u, n: int):
-    """Vectorized unit/write tables for a WorkloadSpec."""
-    k = u.shape[0]
+def _spec_units(spec: WorkloadSpec, n_units: int, trial_lanes, n: int):
+    """Vectorized unit/write tables for a WorkloadSpec.
+
+    Draws only the purpose lanes the spec reads: the unit lane unless the
+    trace is sequential, the permutation lane for zipf, and the write
+    lane when the write coin is not constant.
+    """
+    k = len(trial_lanes)
     if spec.kind == "sequential":
         base = (spec.start + _np.arange(n, dtype=_np.int64)) % n_units
         units = _np.broadcast_to(base, (k, n))
@@ -580,28 +587,33 @@ def _spec_units(spec: WorkloadSpec, n_units: int, u, n: int):
             _np.array(spec.write_fraction >= 0.5), (k, n)
         )
         return units, is_write
+    u_unit = lane_uniforms(trial_lanes[:, _LANE_UNIT], n)
     if spec.kind == "uniform":
-        units = _np.minimum(
-            (u[:, _LANE_UNIT, :n] * n_units).astype(_np.int64), n_units - 1
-        )
+        u_unit *= n_units
+        units = _np.minimum(u_unit.astype(_np.int64), n_units - 1)
     else:  # zipf
         cumulative, total = _zipf_cumulative(n_units, spec.skew)
         # Hot ranks land on shuffled unit addresses: the permutation is
         # the stable sort order of the permutation lane's first n_units
         # uniforms — a per-trial Fisher-Yates-free shuffle (the sort is
         # stable, so ties cannot reorder between batch sizes).
-        perm = _np.argsort(u[:, _LANE_PERM, :n_units], axis=1, kind="stable")
+        perm = _np.argsort(
+            lane_uniforms(trial_lanes[:, _LANE_PERM], n_units),
+            axis=1, kind="stable",
+        )
         cuts = _np.asarray(cumulative)
-        idx = _np.searchsorted(cuts, u[:, _LANE_UNIT, :n] * total, side="left")
+        u_unit *= total
+        idx = _np.searchsorted(cuts, u_unit, side="left")
         idx = _np.minimum(idx, n_units - 1)
         units = _np.take_along_axis(perm, idx, axis=1)
+    del u_unit
     wf = spec.write_fraction
     if wf <= 0.0:
         is_write = _np.broadcast_to(_np.array(False), (k, n))
     elif wf >= 1.0:
         is_write = _np.broadcast_to(_np.array(True), (k, n))
     else:
-        is_write = u[:, _LANE_WRITE, :n] < wf
+        is_write = lane_uniforms(trial_lanes[:, _LANE_WRITE], n) < wf
     return units, is_write
 
 
@@ -616,6 +628,9 @@ def _sample_traces(
     This is the single sampling plane both serve kernels read: the
     floats depend only on ``(lanes, workload, arrival)``, never on
     which kernel consumes them or how trials are batched into chunks.
+    Only the planes the trace reads are drawn — the arrival lane's
+    exponentials under an open loop, plus what :func:`_spec_units`
+    needs — each float the one a full lane plane holds at its slot.
     """
     k = len(trial_lanes)
     spec: Optional[WorkloadSpec] = None
@@ -632,23 +647,15 @@ def _sample_traces(
         if not requests:
             raise SimulationError("workload has no requests")
         n = len(requests)
-    if isinstance(arrival, OpenLoop):
-        lambd = arrival.rate_per_s
-    elif isinstance(arrival, ClosedLoop):
-        lambd = 1.0  # arrival lane unused: closed loops pace themselves
-    else:
-        raise SimulationError(
-            f"unknown arrival process {type(arrival).__name__}"
-        )
-    slots = n
-    if spec is not None and spec.kind == "zipf":
-        slots = max(n, n_units)
-
-    streams = TrialStreams(trial_lanes, lambd, slots)
-    arrivals = None
+    arrivals = None  # a closed loop paces itself: its arrival lane is unread
     if isinstance(arrival, OpenLoop):
         arrivals = _np.cumsum(
-            streams.exponentials[:, _LANE_ARRIVAL, :n], axis=1
+            lane_exponentials(trial_lanes[:, _LANE_ARRIVAL], n, arrival.rate_per_s),
+            axis=1,
+        )
+    elif not isinstance(arrival, ClosedLoop):
+        raise SimulationError(
+            f"unknown arrival process {type(arrival).__name__}"
         )
     if requests is not None:
         units = _np.array([r.unit for r in requests], dtype=_np.int64)
@@ -656,7 +663,7 @@ def _sample_traces(
             [bool(r.is_write) for r in requests], dtype=bool
         )
         return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
-    units, is_write = _spec_units(spec, n_units, streams.uniforms, n)
+    units, is_write = _spec_units(spec, n_units, trial_lanes, n)
     return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
 
 
@@ -682,16 +689,14 @@ def serve_batch_supported(
 class _ColumnarRoutes:
     """Flat numpy mirror of a :class:`ServeTables` routing (sweep gather).
 
-    Per-unit route lengths and start offsets into one concatenated
-    leg-lane array (read routes first, write routes after), with lanes
-    renumbered to survivor indices — one fancy-index gather per request
-    batch instead of a Python tuple walk per request.
+    One row per route — unit *u*'s read route at row *u*, its write route
+    at row ``n_units + u`` — holding its length, its start offset into
+    one concatenated leg-lane array (lanes renumbered to survivor
+    indices) and its degraded flag: one fancy-index gather per field and
+    request batch instead of a Python tuple walk per request.
     """
 
-    __slots__ = (
-        "read_len", "read_start", "write_len", "write_start",
-        "leg_lanes", "read_deg", "write_deg",
-    )
+    __slots__ = ("lens", "starts", "degraded", "leg_lanes")
 
 
 def _columnar_routes(tables: ServeTables) -> _ColumnarRoutes:
@@ -700,23 +705,17 @@ def _columnar_routes(tables: ServeTables) -> _ColumnarRoutes:
     if cached is not None:
         return cached
     lane_of = {disk: i for i, disk in enumerate(tables.survivors)}
+    all_routes = tables.read_routes + tables.write_routes
     routes = _ColumnarRoutes()
-    routes.read_len = _np.array(
-        [len(r) for r in tables.read_routes], dtype=_np.int64
+    routes.lens = _np.array([len(r) for r in all_routes], dtype=_np.int64)
+    routes.starts = _np.cumsum(routes.lens) - routes.lens
+    routes.degraded = _np.array(
+        tables.read_degraded + tables.write_degraded, dtype=bool
     )
-    routes.write_len = _np.array(
-        [len(r) for r in tables.write_routes], dtype=_np.int64
+    routes.leg_lanes = _np.array(  # the sweep's sort key: keep it narrow
+        [lane_of[d] for route in all_routes for d in route],
+        dtype=_np.min_scalar_type(len(lane_of) - 1),
     )
-    read_cum = _np.cumsum(routes.read_len)
-    write_cum = _np.cumsum(routes.write_len)
-    routes.read_start = read_cum - routes.read_len
-    n_read_legs = int(read_cum[-1]) if len(read_cum) else 0
-    routes.write_start = (write_cum - routes.write_len) + n_read_legs
-    read_legs = [lane_of[d] for route in tables.read_routes for d in route]
-    write_legs = [lane_of[d] for route in tables.write_routes for d in route]
-    routes.leg_lanes = _np.array(read_legs + write_legs, dtype=_np.int64)
-    routes.read_deg = _np.array(tables.read_degraded, dtype=bool)
-    routes.write_deg = _np.array(tables.write_degraded, dtype=bool)
     # ServeTables is frozen but not slotted: stash the mirror on the
     # instance so repeated chunks (and the broadcast copy a worker holds)
     # build it once.
@@ -740,19 +739,22 @@ def _sweep_batch(
     (start at request 0 on idle disks); a trial walked to its end adds
     no leg, and the tail below only pools what the walk computed.
 
-    Every request leg is flattened into one ``(total_legs,)`` table keyed
-    by its ``(trial, disk)`` queue lane. Within a lane, legs sit in
-    submission order (request order — exactly the order the event walk's
-    arrival events fire), so each per-disk FIFO is the Lindley recurrence
-    ``done[j] = max(done[j-1], t[j]) + s[j]``. The recursion runs
-    position-by-position *across all lanes at once* (lanes sorted by
-    depth so each step is a shrinking prefix), which replaces the heap's
-    per-event Python frames with ~max-queue-depth numpy steps. Float op
-    order matches :meth:`FcfsServer.submit` exactly — ``max`` then add,
-    completion re-expressed as ``t + (done - t)`` the way the engine's
-    delay arithmetic does — so the sweep is bit-identical to the walk.
-    With *tally* it also returns the ``(trials, survivors)`` requests and
-    busy seconds each queue ends with, summed as :class:`FcfsServer` does.
+    Every request leg belongs to one ``(trial, disk)`` queue lane, where
+    legs sit in submission order (request order — exactly the order the
+    event walk's arrival events fire), so each per-disk FIFO is the
+    Lindley recurrence ``done[j] = max(done[j-1], t[j]) + s[j]``. The legs
+    are laid out once on a *depth-major plane*: lanes sorted by depth,
+    block *p* holds the *p*-th leg of every lane deeper than *p* — a
+    ragged transpose, no padding — so the recursion runs across all lanes
+    at once as two ufunc calls per queue position on contiguous slices,
+    the previous block's prefix being each lane's ``busy``. That replaces
+    the heap's per-event Python frames with ~max-queue-depth numpy steps.
+    Float op order matches :meth:`FcfsServer.submit` exactly — ``max``
+    then add, completion re-expressed as ``t + (done - t)`` the way the
+    engine's delay arithmetic does — so the sweep is bit-identical to the
+    walk. With *tally* it also returns the ``(trials, survivors)``
+    requests and busy seconds each queue ends with, summed as
+    :class:`FcfsServer` does.
     """
     routes = _columnar_routes(tables)
     k, n = batch.trials, batch.n_requests
@@ -762,21 +764,24 @@ def _sweep_batch(
         units = _np.broadcast_to(units, (k, n))
         is_write = _np.broadcast_to(is_write, (k, n))
     service = model.service_seconds()
-    write_service = 2 * service
+    svc = _np.where(is_write, 2 * service, service).ravel()
 
-    lens = _np.where(is_write, routes.write_len[units], routes.read_len[units])
-    starts = _np.where(
-        is_write, routes.write_start[units], routes.read_start[units]
-    )
-    svc = _np.where(is_write, write_service, service)
+    # Each request's route row: its unit, past the read rows if a write.
+    route = is_write * tables.n_units
+    route += units
+    lens = routes.lens[route]
+    starts = routes.starts[route]
+    degraded = routes.degraded[route]
+    del route
 
     # I/O accounting covers every request, walked or swept.
     n_requests = k * n
     n_writes = int(is_write.sum())
-    degraded_reads = int((routes.read_deg[units] & ~is_write).sum())
-    degraded_writes = int((routes.write_deg[units] & is_write).sum())
+    degraded_writes = int((degraded & is_write).sum())
+    degraded_reads = int(degraded.sum()) - degraded_writes
     device_reads = int(lens.sum())
     device_writes = int(lens[is_write].sum())
+    del degraded
 
     flat_lens = lens.ravel()
     arrivals = batch.arrivals
@@ -790,77 +795,85 @@ def _sweep_batch(
             _np.arange(n) < _np.array([len(d) for d in done_at])[:, None]
         ).ravel()
         flat_lens[walked] = 0  # a walked request adds no leg
+    arrivals = arrivals.ravel()
     leg_ends = _np.cumsum(flat_lens)
-    req_starts = leg_ends - flat_lens
     total_legs = int(leg_ends[-1])
-    # Leg j of a request takes slot j of its route, on its trial's block
-    # of queue lanes. The leg-sized temporaries are freed as they go:
-    # they, not the trace, are this function's memory peak.
-    leg_src = _np.arange(total_legs) + _np.repeat(
-        starts.ravel() - req_starts, flat_lens
-    )
+    # Leg j of a request takes slot j of its route. The leg-sized
+    # temporaries are freed as they go: they, not the trace, are this
+    # function's memory peak.
+    leg_src = _np.repeat(starts.ravel() - (leg_ends - flat_lens), flat_lens)
+    leg_src += _np.arange(total_legs)
+    del leg_ends, starts
+    disk = routes.leg_lanes[leg_src]
+    del leg_src
+    # Legs run trial by trial, so a stable sort by survivor index (a narrow
+    # unsigned key gets numpy's radix sort) lines up every (trial, disk)
+    # queue lane, disk-major, with its legs in submission order.
+    order = _np.argsort(disk, kind="stable")
     n_lanes = len(tables.survivors)
-    lane_ids = routes.leg_lanes[leg_src]
-    lane_ids += _np.repeat(
-        _np.repeat(_np.arange(k) * n_lanes, n), flat_lens
+    n_queues = k * n_lanes
+    lane_ids = disk + _np.repeat(  # (trial, disk) -> trial * n_lanes + disk
+        _np.arange(0, n_queues, n_lanes), flat_lens.reshape(k, n).sum(axis=1)
     )
-    del leg_ends, leg_src, starts
-
-    # Group legs by queue lane, preserving submission order within each
-    # (16-bit keys get numpy's radix sort, six times the comparison sort).
-    if k * n_lanes <= 1 << 16:
-        lane_ids = lane_ids.astype(_np.uint16)
-    order = _np.argsort(lane_ids, kind="stable")
-    counts = _np.bincount(lane_ids, minlength=k * n_lanes)
+    del disk
+    counts = _np.bincount(lane_ids, minlength=n_queues)
     tallied = None
     if tally:  # a lane's bin starts at its walk's total, then adds its legs
         _, served, seeds = zip(*(q for qs in queues for q in qs[:n_lanes]))
         busy = _np.bincount(
-            _np.concatenate((_np.arange(k * n_lanes), lane_ids)),
-            _np.concatenate((seeds, _np.repeat(svc.ravel(), flat_lens))),
+            _np.concatenate((_np.arange(n_queues), lane_ids)),
+            _np.concatenate((seeds, _np.repeat(svc, flat_lens))),
         )
         tallied = (counts + served).reshape(k, n_lanes), busy.reshape(k, n_lanes)
     del lane_ids
-    leg_t = _np.repeat(arrivals.ravel(), flat_lens)
-    t_sorted = leg_t[order]
-    s_sorted = _np.repeat(svc.ravel(), flat_lens)[order]
-    del svc
-    lane_starts = _np.cumsum(counts) - counts
-    by_depth = _np.argsort(-counts, kind="stable")
-    depth_sorted = counts[by_depth]
-    neg_depth = -depth_sorted
-    max_depth = int(depth_sorted[0]) if depth_sorted.size else 0
+    disk_major = counts.reshape(k, n_lanes).T.ravel()
+    lane_starts = (_np.cumsum(disk_major) - disk_major).reshape(n_lanes, k).T
+    lane_starts = lane_starts.ravel()  # each lane's first leg in *order*
 
-    starts_by_depth = lane_starts[by_depth]
+    # The depth-major plane: block p holds leg p of each lane deeper than
+    # p, deepest lane first, so every block is a prefix of the one before.
+    by_depth = _np.argsort(-counts, kind="stable")
+    depth = counts[by_depth]
+    max_depth = int(depth[0])
+    alive = _np.searchsorted(-depth, -_np.arange(max_depth), side="left")
+    block_ends = _np.cumsum(alive)
+    block_starts = block_ends - alive
+    plane = lane_starts[by_depth][
+        _np.arange(total_legs) - _np.repeat(block_starts, alive)
+    ]
+    plane += _np.repeat(_np.arange(max_depth), alive)
+    # Each plane slot's request: what it arrives at, costs, and completes.
+    request = _np.repeat(_np.arange(n_requests), flat_lens)[order[plane]]
+    del plane, order
+    t = arrivals[request]
+    s = svc[request]
+    del svc
+
     if walks is None:
-        busy = _np.zeros(len(by_depth))
+        busy = _np.zeros(n_queues)
     else:
         busy = _np.array(busy0).ravel()[by_depth]
-    done_sorted = _np.empty(total_legs)
-    alive_at = _np.searchsorted(neg_depth, -_np.arange(max_depth), side="left")
-    for pos, alive in enumerate(alive_at.tolist()):
-        idx = starts_by_depth[:alive] + pos
-        done = _np.maximum(busy[:alive], t_sorted[idx]) + s_sorted[idx]
-        busy[:alive] = done
-        done_sorted[idx] = done
-    del t_sorted, s_sorted
-
-    leg_done = _np.empty(total_legs)
-    leg_done[order] = done_sorted
-    del order, done_sorted
+    done = _np.empty(total_legs)
+    maximum, add = _np.maximum, _np.add
+    for lo, hi in zip(block_starts.tolist(), block_ends.tolist()):
+        block = done[lo:hi]
+        maximum(busy[:hi - lo], t[lo:hi], out=block)
+        add(block, s[lo:hi], out=block)
+        busy = block
+    del s
     # The engine schedules completions as now + (done - now): reproduce
     # that arithmetic so event timestamps match the walk to the last ulp.
-    leg_event = leg_t + (leg_done - leg_t)
-    del leg_t, leg_done
-    if walks is None:
-        completion = _np.maximum.reduceat(leg_event, req_starts)
-    else:
-        swept = ~walked
-        completion = _np.empty(n_requests)
-        completion[walked] = [t for done in done_at for t in done]
-        completion[swept] = _np.maximum.reduceat(leg_event, req_starts[swept])
-    del leg_event, req_starts, lens, flat_lens
-    latency_ms = (completion - arrivals.ravel()) * 1000.0
+    done -= t
+    done += t
+    del t
+    # A request completes with its slowest leg; a walked one when the walk
+    # said (it has no leg).
+    completion = _np.full(n_requests, -_np.inf)
+    _np.maximum.at(completion, request, done)
+    del request, done, lens, flat_lens
+    if walks is not None:
+        completion[walked] = [c for trial in done_at for c in trial]
+    latency_ms = (completion - arrivals) * 1000.0
     # The walk's latencies pool in the order its requests' last legs pop
     # — heap order (completion time, then schedule seq, which is request
     # order within a trial). A stable per-trial sort by completion

@@ -135,7 +135,8 @@ class TestImportanceSampling:
     def test_is_agrees_with_naive_within_ci_using_fewer_replays(self):
         """The acceptance property: on a ~1e-4 P(loss) config the
         importance-sampled estimate lands inside the naive Wilson CI
-        while paying >= 10x fewer exact event replays."""
+        while >= 10x fewer of its missions see an overlap or a
+        latent-error strike (``replays``)."""
         naive = simulate_fleet(
             LAYOUT, arrays=1000, trials=200, seed=13, **RARE,
         )

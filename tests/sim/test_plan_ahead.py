@@ -12,7 +12,7 @@ import json
 import pytest
 
 import repro.layouts.recovery as recovery
-from repro.core.oi_layout import OIRAIDLayout, oi_raid
+from repro.core.oi_layout import OIRAIDLayout
 from repro.design import find_bibd
 from repro.layouts import Raid5Layout, Raid50Layout
 from repro.layouts.recovery import is_recoverable
@@ -71,7 +71,9 @@ MTTF, HORIZON, MISSIONS = 2000.0, 500.0, 160
 LAYOUTS = {
     "raid5": lambda: Raid5Layout(7),
     "raid50": lambda: Raid50Layout(7, 3),
-    "oi": lambda: oi_raid(7, 3),
+    # A fresh layout, not the shared cached one: its memo must start cold
+    # whatever ran before.
+    "oi": lambda: OIRAIDLayout(find_bibd(7, 3, lam=1), 3),
 }
 
 

@@ -73,7 +73,7 @@ class TestHandoffIdentity:
         assert prof.counters["serve.walked_requests"] > 0
         assert prof.counters["serve.swept_requests"] > 0
 
-    @pytest.mark.parametrize("chunk_trials", [1, 3, 16])
+    @pytest.mark.parametrize("chunk_trials", [1, 3, 16, 64])
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("throttle", list(THROTTLES))
     def test_jobs_and_chunking_never_change_the_result(

@@ -12,10 +12,14 @@ np = pytest.importorskip("numpy")
 
 from repro.errors import SimulationError
 from repro.obs.telemetry import Telemetry, use_telemetry
+from repro.sim.columnar import SERVE, lanes
 from repro.sim.serve import (
+    _N_LANES,
     AdaptiveThrottle,
     FixedRateThrottle,
     IdleSlotThrottle,
+    _columnar_routes,
+    _sample_traces,
     build_serve_tables,
     serve_batch_supported,
     simulate_serve,
@@ -71,6 +75,48 @@ class TestKernelBitIdentity:
         )
         assert event.rebuild_ops_done > 0
         assert event.to_dict() == vec.to_dict()
+
+    @pytest.mark.parametrize("name", ["none", "fixed"])
+    def test_hot_zipf_lanes_identity(self, fano_layout, name):
+        """Skewed zipf with 30 % writes: the hot units' queues run many
+        times deeper than the rest on the sweep's depth-major plane, and
+        under a fixed-rate rebuild they resume after walked prefixes."""
+        workload = WorkloadSpec(
+            kind="zipf", n_requests=600, skew=2.5, write_fraction=0.3
+        )
+        kwargs = dict(
+            workload=workload, failed_disks=(0,), arrival=OpenLoop(300.0),
+            trials=6, seed=17,
+        )
+        tables = build_serve_tables(fano_layout, failed_disks=(0,))
+        routes = _columnar_routes(tables)
+        trace = _sample_traces(
+            workload, tables.n_units, kwargs["arrival"],
+            lanes(17, SERVE, 0, 6, _N_LANES),
+        )
+        rows = trace.units + tables.n_units * trace.is_write
+        for trial_rows in rows:
+            legs = np.concatenate([
+                routes.leg_lanes[start:start + length]
+                for start, length in zip(
+                    routes.starts[trial_rows], routes.lens[trial_rows]
+                )
+            ])
+            depth = np.bincount(legs, minlength=len(tables.survivors))
+            assert depth.max() > 4 * np.median(depth)
+
+        event = simulate_serve(
+            fano_layout, throttle=THROTTLES[name](), kernel="event", **kwargs
+        )
+        prof = Telemetry(enabled=False, profiling=True)
+        with use_telemetry(prof):
+            vec = simulate_serve(
+                fano_layout, throttle=THROTTLES[name](), kernel="vectorized",
+                **kwargs
+            )
+        assert event.to_dict() == vec.to_dict()
+        walked = prof.counters.get("serve.walked_requests", 0)
+        assert (walked > 0) == (name == "fixed")
 
     def test_closed_loop_replay_identity(self, fano_layout):
         kwargs = dict(

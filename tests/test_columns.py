@@ -7,7 +7,7 @@ slices, scalars, hashing, pickling), to the pure-Python statistics a
 ``summary()`` reported before (every value ``==`` a reference computed
 from ``list(column)``), to the traps a first cut fell into (iteration
 that materialises every element, ints widening to floats, ``null``
-handling), and pin the two sort identities ``_sweep_batch`` relies on.
+handling), and pin the sort identities ``_sweep_batch`` relies on.
 """
 
 import dataclasses
@@ -349,9 +349,20 @@ class TestSweepSorts:
             np.argsort(lane_ids, kind="stable"),
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uint8_stable_argsort_is_the_int64_one(self, seed):
+        """The sweep's key is the survivor index, uint8 up to 256 disks."""
+        rng = np.random.default_rng(seed)
+        disks = rng.integers(0, 1 << 8, size=50_000)
+        assert np.array_equal(
+            np.argsort(disks.astype(np.uint8), kind="stable"),
+            np.argsort(disks, kind="stable"),
+        )
+
     def test_chunks_too_wide_for_16_bit_lanes_fall_back_bit_for_bit(self):
-        """3 400 trials x 20 survivors > 65 536 queue lanes: one chunk
-        takes the int64 sort, sixteen-trial chunks the radix sort."""
+        """3 400 trials x 20 survivors > 65 536 queue lanes: the sweep
+        sorts by survivor index, not queue lane, so one chunk that wide
+        and sixteen-trial chunks group the same legs."""
         survivors = LAYOUT.n_disks - 1
         trials = (1 << 16) // survivors + 120
         run = functools.partial(

@@ -9,7 +9,7 @@ return identical bits, so the box they run on cancels out:
 * fleet per-array rate / lifecycle ``vectorized`` rate >= 0.8 — the
   fleet tier's chunking and weight bookkeeping eat at most 20% of the
   screen it shares;
-* serve ``vectorized`` / ``event`` >= 9 — the Lindley sweep against the
+* serve ``vectorized`` / ``event`` >= 15 — the Lindley sweep against the
   per-event heap walk;
 * profiled phases / wall >= 0.95 on a vectorized lifecycle run — a hot
   path that dodges instrumentation shows as a coverage drop;
@@ -175,8 +175,8 @@ def test_serve_floor(layout):
         "vectorized": serve_run("vectorized"),
     })
     ratio = best["event"] / best["vectorized"]
-    assert ratio >= 9.0, (
-        f"serve vectorized/event ratio {ratio:.2f} < 9: "
+    assert ratio >= 15.0, (
+        f"serve vectorized/event ratio {ratio:.2f} < 15: "
         "the batched queue sweep is not paying for itself"
     )
     print(f"serve vectorized/event {ratio:.2f}")
